@@ -19,6 +19,14 @@ pins the next odd coefficient s_{n+1}.  The seeds make the first two (E2)
 instances redundant; they are kept as consistency checks, and generation
 always re-verifies the full identity (*) bivariately and compares against
 the embedded golden coefficient table before returning.
+
+Every construction here runs in the divided-power (Hurwitz) basis of
+:mod:`blowup_series.hurwitz`, where the table forms n! [t^n] of B, S and all
+derived series are integer polynomials in x: the recurrence gives
+b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are binomial
+convolutions, and the integral formulas are solved as linear ODEs.  Each
+public function takes and returns :class:`TSeries`, converting once per
+input and per output series.
 """
 from __future__ import annotations
 
@@ -26,12 +34,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
+from . import hurwitz
 from .algebra import Rational, XPoly
+from .hurwitz import HSeries, Poly, addmul, clean, divided
 from .series import (
     BiSeries,
     SeriesError,
@@ -53,67 +62,65 @@ class UnexpectedPoleError(SeriesError):
     """A quotient of blow-up series had a pole it must not have."""
 
 
-_X = XPoly.x()
-_SEED_S3 = _X * Fraction(-1, 6)  # coefficient of t^3 in the odd seed
+_X = [0, 1]  # the polynomial x, as a kernel list
 
 
-def _at(coeffs: Sequence[XPoly], i: int) -> XPoly:
-    if 0 <= i < len(coeffs):
-        return coeffs[i]
-    return XPoly.zero()
+def _c(n: int, k: int) -> int:
+    """Binomial coefficient, zero outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _ff(i: int, k: int) -> int:
-    """Falling factorial (i+k)(i+k-1)...(i+1) -- the t-derivative weights."""
-    return math.perm(i + k, k)
+def _symmetric_sum(acc: Poly, h: Sequence[Poly], d: int, weight) -> None:
+    """``acc += sum_{i=0..d} weight(i) h_i h_{d-i}``, one product per unordered pair."""
+    for i in range(d // 2 + 1):
+        j = d - i
+        p, q = h[i], h[j]
+        if p and q:
+            w = weight(i) + weight(j) if i < j else weight(i)
+            if w:
+                addmul(acc, w, p, q)
 
 
-def _e4_residual(b: Sequence[XPoly], s: Sequence[XPoly], n: int) -> XPoly:
-    """Left side of (E4) at t^n, with any missing coefficient read as zero."""
-    acc = XPoly.zero()
-    for i in range(n + 1):
-        j = n - i
-        p = _at(b, i + 4)
-        q = _at(b, j)
-        if p and q:
-            acc = acc + (p * q) * _ff(i, 4)
-        p = _at(b, i + 3)
-        q = _at(b, j + 1)
-        if p and q:
-            acc = acc + (p * q) * (-4 * _ff(i, 3) * _ff(j, 1))
-        p = _at(b, i + 2)
-        q = _at(b, j + 2)
-        if p and q:
-            acc = acc + (p * q) * (3 * _ff(i, 2) * _ff(j, 2))
-        p = _at(b, i)
-        q = _at(b, j)
-        if p and q:
-            acc = acc + (p * q) * 2
-        p = _at(s, i)
-        q = _at(s, j)
-        if p and q:
-            acc = acc - (p * q) * (4 * _X)
-    return acc
+def _e4_rest(b: Sequence[Poly], s: Sequence[Poly], n: int) -> Poly:
+    """Left side of (E4) at t^n in the Hurwitz basis, unknown b_{n+4} read as zero.
+
+    Products are binomial convolutions and derivatives index shifts, so
+    B''''B - 4B'''B' + 3(B'')^2 is sum_i W(i) b_i b_{n+4-i} with
+    W(i) = C(n,i-4) - 4C(n,i-3) + 3C(n,i-2).  The unknown enters only as
+    b_0 b_{n+4} = b_{n+4}, so b_{n+4} = -rest needs no division.
+    """
+    acc: Poly = []
+    _symmetric_sum(acc, b, n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2))
+    _symmetric_sum(acc, b, n, lambda i: 2 * _c(n, i))
+    s2: Poly = []
+    _symmetric_sum(s2, s, n, lambda i: _c(n, i))
+    addmul(acc, -4, _X, s2)
+    return clean(acc)
 
 
-def _e2_residual(b: Sequence[XPoly], s: Sequence[XPoly], m: int) -> XPoly:
-    """Left side of (E2) at t^m, with any missing coefficient read as zero."""
-    acc = XPoly.zero()
-    for i in range(m + 1):
-        j = m - i
-        p = _at(b, i + 2)
-        q = _at(b, j)
-        if p and q:
-            acc = acc + (p * q) * _ff(i, 2)
-        p = _at(b, i + 1)
-        q = _at(b, j + 1)
-        if p and q:
-            acc = acc - (p * q) * (_ff(i, 1) * _ff(j, 1))
-        p = _at(s, i)
-        q = _at(s, j)
-        if p and q:
-            acc = acc + p * q
-    return acc
+def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
+    """Left side of (E2) at t^m in the Hurwitz basis, unknowns read as zero.
+
+    The unknown s_{m-1} enters only through s_1 s_{m-1}, with weight
+    C(m,1) + C(m,m-1) = 2m, so s_{m-1} = -rest / (2m).
+    """
+    acc: Poly = []
+    _symmetric_sum(acc, b, m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1))
+    _symmetric_sum(acc, s, m, lambda i: _c(m, i))
+    return clean(acc)
+
+
+def _hurwitz(series: TSeries) -> HSeries:
+    if series.valuation < 0:
+        raise SeriesError(
+            f"blow-up constructions need power series, got valuation {series.valuation}"
+        )
+    coeffs = [series.coeff(n) for n in range(series.order + 1)]
+    return HSeries(hurwitz.from_coeffs(coeffs), series.order)
+
+
+def _tseries(h: HSeries) -> TSeries:
+    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
 
 
 def generate_pair(
@@ -134,30 +141,28 @@ def generate_pair(
     if order < 4:
         raise ValueError(f"generation needs order >= 4, got {order}")
     top = order + 4  # extra guard so s_{order} is reachable
-    b: list[XPoly] = [XPoly.zero()] * (top + 1)
-    s: list[XPoly] = [XPoly.zero()] * (top + 1)
-    b[0] = XPoly.one()
-    s[1] = XPoly.one()
-    s[3] = _SEED_S3
+    # Hurwitz vectors: b[n] = n! [t^n] B and s[n] = n! [t^n] S
+    b: list[Poly] = [[] for _ in range(top + 1)]
+    s: list[Poly] = [[] for _ in range(top + 1)]
+    b[0] = [1]
+    s[1] = [1]
+    s[3] = [0, -1]  # 3! * (-x/6)
 
     for n in range(0, order, 2):
-        # the unknown slots are zero-initialised, so the residual helpers
-        # naturally exclude them from their convolutions
-        rest = _e4_residual(b, s, n)
-        b[n + 4] = rest * Fraction(-1, _ff(n, 4))
+        b[n + 4] = [-v for v in _e4_rest(b, s, n)]
         m = n + 2
+        rest = _e2_rest(b, s, m)
         if m in (2, 4):
-            check = _e2_residual(b, s, m)
-            if not check.is_zero:
+            if rest:
+                residual = XPoly(rest) / math.factorial(m)
                 raise GenerationError(
-                    f"seed consistency check failed, residual {check}", degree=m
+                    f"seed consistency check failed, residual {residual}", degree=m
                 )
         else:
-            rest = _e2_residual(b, s, m)
-            s[m - 1] = rest * Fraction(-1, 2)
+            s[m - 1] = divided(rest, -2 * m)
 
-    b_series = TSeries(0, b[: order + 1], order)
-    s_series = TSeries(1, s[1 : order + 1], order)
+    b_series = TSeries(0, hurwitz.to_coeffs(b[: order + 1]), order)
+    s_series = TSeries(0, hurwitz.to_coeffs(s[: order + 1]), order)
 
     if run_checks:
         _check_against_golden(b_series, s_series)
@@ -209,40 +214,97 @@ def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeri
 
 def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic."""
-    b2 = b * b
-    s2 = s * s
-    bs = b * s
-    wronskian = b * s.derivative() - b.derivative() * s
-    return b2, s2, bs, wronskian
+    hb, hs = _hurwitz(b), _hurwitz(s)
+    wronskian = hb * hs.derivative() - hb.derivative() * hs
+    return tuple(_tseries(h) for h in (hb * hb, hs * hs, hb * hs, wronskian))
+
+
+def _quotient_order(num: HSeries, den: HSeries) -> int:
+    """Truncation order of the Laurent quotient num/den, as TSeries division states it."""
+    v = den.valuation
+    return min(num.order - v, den.order - 2 * v + num.valuation)
+
+
+def _ode_solution(sigma: HSeries, rho: HSeries, head: list[Poly], order: int) -> HSeries:
+    """The solution of sigma(2t) w' = rho(2t) w that starts with ``head``."""
+    w = hurwitz.linear_ode(sigma.scale_arg(2).h, rho.scale_arg(2).h, head, order + 1)
+    return HSeries(w, order)
+
+
+def _first_difference(a: HSeries, b: HSeries) -> "tuple[int, int] | None":
+    """Least (t-power, x-power) where two Hurwitz series differ, or None."""
+    for n in range(min(a.order, b.order) + 1):
+        p, q = a.h[n], b.h[n]
+        if p != q:
+            return n, next(k for k in range(max(len(p), len(q))) if p[k : k + 1] != q[k : k + 1])
+    return None
 
 
 def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
-    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built, and
+    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built, as
+    the solution of B(2t) f' = (B' +- S)(2t) f with f(0) = 1, and
     independently the closed form sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B);
     the two routes must agree exactly, otherwise generation is corrupt.
     Returns (plus, minus, half_sum, half_difference).
     """
-    db = b.derivative()
-    sqrt_b2t = b.scale_arg(2).sqrt()
-    half_integral = (s / b).integrate().scale_arg(2) * Fraction(1, 2)
+    if b.valuation != 0 or b.coeff(0) != XPoly.one():
+        raise SeriesError("sqrt needs constant term exactly 1")
+    hb, hs = _hurwitz(b), _hurwitz(s)
+    db = hb.derivative()
+    sqrt_b2t = hb.scale_arg(2).sqrt()
+    half_integral = (hs * hb.recip()).integrate().scale_arg(2).halved()
     built = []
     for sign in (1, -1):
-        numerator = db + s if sign == 1 else db - s
-        direct = (numerator / b).scale_arg(2).integrate().exp()
+        numerator = db + hs if sign == 1 else db - hs
+        direct = _ode_solution(hb, numerator, [[1]], _quotient_order(numerator, hb) + 1)
         alt = sqrt_b2t * (half_integral if sign == 1 else -half_integral).exp()
-        diff = first_difference(direct, alt)
+        diff = _first_difference(direct, alt)
         if diff is not None:
             raise GenerationError(
                 "the two closed forms of the exponential series disagree at "
-                f"t^{diff.t}, x^{diff.x}",
-                degree=diff.t,
+                f"t^{diff[0]}, x^{diff[1]}",
+                degree=diff[0],
             )
         built.append(direct)
     plus, minus = built
-    half = Fraction(1, 2)
-    return plus, minus, (plus + minus) * half, (plus - minus) * half
+    return tuple(
+        _tseries(h) for h in (plus, minus, (plus + minus).halved(), (plus - minus).halved())
+    )
+
+
+def _check_poles(b: TSeries, s: TSeries) -> None:
+    """Raise where the Laurent integrands of the odd-case formulas leave their domain.
+
+    (-B + S')/S must vanish at 0, and (B + S')/S must be exactly 2/t + O(t).
+    Both conditions are read off leading coefficients; only the error
+    message forms a quotient.
+    """
+    # dividing by S needs an x-free unit leading coefficient: this raises
+    # exactly what the reciprocal of S would
+    (s.truncate(s.valuation) if not s.is_zero else s).recip()
+    v = s.valuation
+    ds = s.derivative()
+    regular = ds - b
+    if not regular.is_zero and regular.valuation < v + 1:
+        raise UnexpectedPoleError(
+            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
+        )
+    numerator = ds + b
+    if (
+        numerator.is_zero
+        or numerator.valuation != v - 1
+        or numerator.coeff(v - 1) != s.coeff(v) * 2
+    ):
+        singular = numerator / s
+        raise UnexpectedPoleError(
+            "(B + S')/S should have exactly the pole 2/t; got valuation "
+            f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
+        )
+    # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
+    if min(numerator.order - v, s.order - v - 1) >= 0 and numerator.coeff(v) != s.coeff(v + 1) * 2:
+        raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
 
 
 def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
@@ -251,31 +313,19 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     ws0 = exp((1/2) int_0^{2t} (-B + S')/S) and
     ws1 = t * exp((1/2) int_0^{2t} [(B + S')/S - 2/s] ds).
     The first integrand must be regular at 0; the second must carry exactly
-    the 2/s pole that the subtraction removes.
+    the 2/s pole that the subtraction removes.  Both are built as solutions
+    of the linear ODE S(2t) w' = q(2t) w: q = S' - B with w(0) = 1 for ws0,
+    and q = S' + B with w = t + O(t^2) for ws1.  Unlike the Laurent
+    quotients, whose coefficients have Bernoulli-type denominators, the
+    ODE stays integral in the Hurwitz basis.
     """
-    ds = s.derivative()
-    regular = (ds - b) / s
-    if not regular.is_zero and regular.valuation < 1:
-        raise UnexpectedPoleError(
-            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation}"
-        )
-    ws0 = (regular.integrate().scale_arg(2) * Fraction(1, 2)).exp()
-
-    singular = (ds + b) / s
-    if singular.valuation != -1 or singular.coeff(-1) != XPoly((2,)):
-        raise UnexpectedPoleError(
-            "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
-        )
-    removed = singular - TSeries.monomial(2, -1, singular.order)
-    if not removed.is_zero and removed.valuation < 1:
-        raise UnexpectedPoleError(
-            "pole subtraction left a singular or constant term "
-            f"(valuation {removed.valuation})"
-        )
-    core = (removed.integrate().scale_arg(2) * Fraction(1, 2)).exp()
-    ws1 = TSeries.t(core.order + 1) * core
-    return ws0, ws1
+    _check_poles(b, s)
+    hb, hs = _hurwitz(b), _hurwitz(s)
+    ds = hs.derivative()
+    regular, singular = ds - hb, ds + hb
+    ws0 = _ode_solution(hs, regular, [[1]], _quotient_order(regular, hs) + 1)
+    ws1 = _ode_solution(hs, singular, [[], [1]], _quotient_order(singular, hs) + 2)
+    return _tseries(ws0), _tseries(ws1)
 
 
 @dataclass(frozen=True)

@@ -212,21 +212,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _load_functional(value, base: Path, field: str) -> MomentFunctional:
     if isinstance(value, str):
-        payload = json.loads((base / value).read_text())
-        return MomentFunctional.from_json(payload)
+        value = json.loads((base / value).read_text())
     if isinstance(value, dict):
         return MomentFunctional.from_json(value)
-    raise ValueError(f"functional {field!r} must be an object or a file path string")
+    raise ValueError(f"functional {field!r} must be a moment object or a path to one")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         request = json.loads(args.request.read_text())
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
         parity = request.get("parity")
         if parity not in ("even", "odd"):
             raise ValueError("request needs parity 'even' or 'odd'")
         order = request.get("order")
-        if not isinstance(order, int) or order < 0:
+        if type(order) is not int or order < 0:
             raise ValueError("request needs a non-negative integer 'order'")
         functionals = request.get("functionals")
         if not isinstance(functionals, dict):

@@ -1,0 +1,305 @@
+"""Divided-power (Hurwitz) arithmetic for power series over Q[x].
+
+Private to the package.  A Hurwitz vector ``h`` stores the series
+``sum_n h[n] t^n / n!``: entry ``n`` is the table form ``n! [t^n]``.  Each
+entry is an x-polynomial held as a plain list of scalars, ascending in x
+and free of trailing zeros (``[]`` is zero).  A scalar is an ``int``
+wherever it is integral and a ``Fraction`` only where a division was
+inexact, so the kernel stays exact over Q for any input while the
+blow-up series, whose table forms are integer polynomials, run on plain
+Python ints.
+
+In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
+1997) the product is the binomial convolution
+``(fg)_n = sum_k C(n, k) f_k g_{n-k}``, d/dt and the integral from 0 are
+index shifts, and t -> c t multiplies entry n by c^n.  Reciprocals of
+units with constant term +-1 and exponentials therefore never divide; the
+linear ODE solver divides by one small integer per entry, which divides
+exactly on the blow-up series.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+from typing import Sequence, Union
+
+from .algebra import XPoly
+
+Scalar = Union[int, Fraction]
+Poly = list  # list[Scalar], ascending powers of x, no trailing zeros
+
+
+def _int_if_integral(v: Scalar) -> Scalar:
+    if type(v) is int or v.denominator != 1:
+        return v
+    return v.numerator
+
+
+def clean(p: Poly) -> Poly:
+    """Drop trailing zeros and turn integral ``Fraction`` entries into ints."""
+    while p and not p[-1]:
+        p.pop()
+    return [_int_if_integral(v) for v in p]
+
+
+def addmul(acc: Poly, w: Scalar, a: Poly, b: Poly) -> None:
+    """``acc += w * a * b`` in place; ``acc`` grows as needed and is left uncleaned."""
+    need = len(a) + len(b) - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    for i, ai in enumerate(a):
+        if ai:
+            wai = w * ai
+            for k, bj in enumerate(b, i):
+                acc[k] += wai * bj
+
+
+def scaled(p: Poly, c: Scalar) -> Poly:
+    """``c * p`` for a scalar ``c``."""
+    if not c:
+        return []
+    if type(c) is int:
+        return [c * v for v in p]
+    return [_int_if_integral(c * v) for v in p]
+
+
+def divided(p: Poly, d: Scalar) -> Poly:
+    """``p / d`` for a nonzero scalar ``d``: exact int division where it divides."""
+    if type(d) is int:
+        return [
+            v // d if type(v) is int and v % d == 0 else _int_if_integral(Fraction(v) / d)
+            for v in p
+        ]
+    return [_int_if_integral(v / d) for v in p]
+
+
+def add(p: Poly, q: Poly, sign: int = 1) -> Poly:
+    """``p + sign * q`` for ``sign`` in (1, -1)."""
+    if len(p) < len(q):
+        out = [sign * v for v in q]
+        for i, v in enumerate(p):
+            out[i] += v
+    else:
+        out = list(p)
+        for i, v in enumerate(q):
+            out[i] += sign * v
+    return clean(out)
+
+
+# ---------------------------------------------------------------------------
+# conversion from and to plain coefficients
+
+
+def from_coeffs(coeffs: Sequence[XPoly]) -> list[Poly]:
+    """Hurwitz vector of the series whose t^n coefficient is ``coeffs[n]``."""
+    out = []
+    f = 1
+    for n, c in enumerate(coeffs):
+        if n:
+            f *= n
+        out.append([_int_if_integral(v * f) for v in c.coeffs])
+    return out
+
+
+def to_coeffs(h: Sequence[Poly]) -> list[XPoly]:
+    """Plain coefficients ``h[n] / n!`` as ``XPoly`` values."""
+    out = []
+    f = 1
+    for n, p in enumerate(h):
+        if n:
+            f *= n
+        out.append(XPoly(Fraction(v, f) if type(v) is int else v / f for v in p))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# ring and calculus operations on Hurwitz vectors
+#
+# Inputs are read as zero beyond their length; outputs have exactly
+# ``length`` entries.
+
+
+def _at(h: Sequence[Poly], i: int) -> Poly:
+    return h[i] if i < len(h) else []
+
+
+def mul(f: Sequence[Poly], g: Sequence[Poly], length: int) -> list[Poly]:
+    """Binomial convolution of two Hurwitz vectors."""
+    out = []
+    square = f is g
+    for n in range(length):
+        acc: Poly = []
+        if square:
+            # C(n, k) f_k f_{n-k} is symmetric in k <-> n-k: sum one half twice
+            for k in range((n + 1) // 2):
+                a, b = _at(f, k), _at(f, n - k)
+                if a and b:
+                    addmul(acc, 2 * comb(n, k), a, b)
+            if n % 2 == 0:
+                a = _at(f, n // 2)
+                if a:
+                    addmul(acc, comb(n, n // 2), a, a)
+        else:
+            for k in range(n + 1):
+                a, b = _at(f, k), _at(g, n - k)
+                if a and b:
+                    addmul(acc, comb(n, k), a, b)
+        out.append(clean(acc))
+    return out
+
+
+def recip(f: Sequence[Poly], length: int) -> list[Poly]:
+    """Reciprocal of a unit: ``f[0]`` must be a nonzero x-free constant."""
+    if len(f[0]) != 1:
+        raise ValueError("the reciprocal needs an x-free nonzero constant term")
+    inv0 = _int_if_integral(Fraction(1) / f[0][0])
+    g = [[inv0]]
+    for n in range(1, length):
+        acc: Poly = []
+        for k in range(1, n + 1):
+            a, b = _at(f, k), g[n - k]
+            if a and b:
+                addmul(acc, comb(n, k), a, b)
+        g.append(scaled(clean(acc), -inv0))
+    return g[:length]
+
+
+def exp(f: Sequence[Poly], length: int) -> list[Poly]:
+    """Exponential of a series with zero constant term, from w' = f' w."""
+    if _at(f, 0):
+        raise ValueError("exp needs a zero constant term")
+    w = [[1]]
+    for n in range(length - 1):
+        acc: Poly = []
+        for k in range(n + 1):
+            a, b = _at(f, k + 1), w[n - k]
+            if a and b:
+                addmul(acc, comb(n, k), a, b)
+        w.append(clean(acc))
+    return w[:length]
+
+
+def sqrt(f: Sequence[Poly], length: int) -> list[Poly]:
+    """Square root of a series with constant term exactly 1."""
+    if _at(f, 0) != [1]:
+        raise ValueError("sqrt needs constant term exactly 1")
+    g = [[1]]
+    for n in range(1, length):
+        # f_n = 2 g_n + sum_{0<k<n} C(n, k) g_k g_{n-k}, summed by symmetry
+        acc: Poly = [-v for v in _at(f, n)]
+        for k in range(1, (n + 1) // 2):
+            if g[k] and g[n - k]:
+                addmul(acc, 2 * comb(n, k), g[k], g[n - k])
+        if n % 2 == 0 and g[n // 2]:
+            addmul(acc, comb(n, n // 2), g[n // 2], g[n // 2])
+        g.append(divided(clean(acc), -2))
+    return g[:length]
+
+
+def scale(f: Sequence[Poly], c: int) -> list[Poly]:
+    """Substitute t -> c t: entry n is multiplied by c^n."""
+    return [scaled(p, c**n) for n, p in enumerate(f)]
+
+
+def linear_ode(
+    sigma: Sequence[Poly], rho: Sequence[Poly], head: Sequence[Poly], length: int
+) -> list[Poly]:
+    """Solve ``sigma * w' = rho * w`` for w, given its first entries ``head``.
+
+    ``sigma`` has valuation v and an x-free leading entry.  The equation at
+    t^n is solved for w_m with m = n - v + 1, whose coefficient there is
+    C(n, v) sigma_v - C(n, v-1) rho_{v-1}; it must be a nonzero x-free
+    constant for every m at or beyond ``len(head)``.  Entries of ``rho`` below
+    index v - 1 must vanish.  Where sigma vanishes at 0 this is a regular
+    singular equation, and ``head`` supplies the free initial entries.
+    """
+    v = next(i for i, p in enumerate(sigma) if p)
+    if len(sigma[v]) != 1:
+        raise ValueError("the leading entry of sigma must be x-free")
+    lead = sigma[v][0]
+    w: list[Poly] = [list(p) for p in head] + [[] for _ in range(length - len(head))]
+    for m in range(len(head), length):
+        n = m + v - 1
+        # w_m is still [] here, so both sums leave it out
+        acc: Poly = []
+        for k in range(v, n + 1):
+            a, b = _at(sigma, k), w[n - k + 1]
+            if a and b:
+                addmul(acc, comb(n, k), a, b)
+        for k in range(n + 1):
+            a, b = _at(rho, k), w[n - k]
+            if a and b:
+                addmul(acc, -comb(n, k), a, b)
+        coeff = comb(n, v) * lead
+        r = _at(rho, v - 1) if v else []
+        if r:
+            if len(r) != 1:
+                raise ValueError("rho_{v-1} must be x-free")
+            coeff -= comb(n, v - 1) * r[0]
+        if not coeff:
+            raise ValueError(f"the equation does not determine w_{m}")
+        w[m] = divided(clean(acc), -coeff)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# series with a truncation order
+
+
+class HSeries:
+    """A power series over Q[x] in Hurwitz form, exact through t^order.
+
+    The order bookkeeping is that of :class:`~blowup_series.series.TSeries`
+    restricted to valuation >= 0, so a value converted back reports the
+    order the plain route would have reported.
+    """
+
+    __slots__ = ("h", "order")
+
+    def __init__(self, h: Sequence[Poly], order: int):
+        h = list(h[: order + 1])
+        h.extend([] for _ in range(order + 1 - len(h)))
+        self.h = h
+        self.order = order
+
+    @property
+    def valuation(self) -> int:
+        """Lowest index with a nonzero entry (``order + 1`` if none)."""
+        return next((n for n, p in enumerate(self.h) if p), self.order + 1)
+
+    def __add__(self, other: "HSeries") -> "HSeries":
+        order = min(self.order, other.order)
+        return HSeries([add(p, q) for p, q in zip(self.h, other.h)], order)
+
+    def __sub__(self, other: "HSeries") -> "HSeries":
+        order = min(self.order, other.order)
+        return HSeries([add(p, q, -1) for p, q in zip(self.h, other.h)], order)
+
+    def __neg__(self) -> "HSeries":
+        return HSeries([[-v for v in p] for p in self.h], self.order)
+
+    def __mul__(self, other: "HSeries") -> "HSeries":
+        order = min(self.order + other.valuation, other.order + self.valuation)
+        return HSeries(mul(self.h, other.h, order + 1), order)
+
+    def halved(self) -> "HSeries":
+        return HSeries([divided(p, 2) for p in self.h], self.order)
+
+    def derivative(self) -> "HSeries":
+        return HSeries(self.h[1:], self.order - 1)
+
+    def integrate(self) -> "HSeries":
+        """Integral from 0."""
+        return HSeries([[]] + self.h, self.order + 1)
+
+    def scale_arg(self, c: int) -> "HSeries":
+        return HSeries(scale(self.h, c), self.order)
+
+    def recip(self) -> "HSeries":
+        return HSeries(recip(self.h, self.order + 1), self.order)
+
+    def exp(self) -> "HSeries":
+        return HSeries(exp(self.h, self.order + 1), self.order)
+
+    def sqrt(self) -> "HSeries":
+        return HSeries(sqrt(self.h, self.order + 1), self.order)

@@ -131,7 +131,8 @@ def _series_for(order: int, provided: "BlowupSeriesSet | None") -> BlowupSeriesS
                 f"series set of order {provided.order} cannot evaluate through t^{order}"
             )
         return provided
-    return series_set(order + 1)
+    # generation needs order >= 4; one guard order on top, as ``gen`` builds
+    return series_set(max(order, 4) + 1)
 
 
 def eval_even(

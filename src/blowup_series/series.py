@@ -20,6 +20,13 @@ logarithms, so integrating a series with a t^-1 term is an error.
 :class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
 degree; it exists to check identities that substitute t -> u + v and
 t -> u - v into univariate series.
+
+Coefficients are stored plain (the coefficient of t^n itself), but
+products, reciprocals, exponentials and square roots are computed in the
+divided-power kernel :mod:`blowup_series.hurwitz`, on the table forms
+n! [t^n]; a Laurent series t^v A(t) is handled through its unit part A.
+The plain-basis loops they replaced are kept as the reference in the test
+suite.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import hurwitz
 from .algebra import Rational, RationalLike, XPoly, first_coeff_difference
 
 CoeffLike = Union[XPoly, Rational, int]
@@ -205,20 +213,13 @@ class TSeries:
         order = min(self._order + other._val, other._order + self._val)
         if self.is_zero or other.is_zero:
             return TSeries.zero(order)
+        # t^a A(t) * t^b B(t) = t^(a+b) (A B)(t): multiply the unit parts in
+        # the Hurwitz basis, through the shorter of the two windows
         lo = self._val + other._val
-        out = [XPoly.zero()] * (order - lo + 1)
-        for i, ci in enumerate(self._coeffs):
-            if ci.is_zero:
-                continue
-            ei = self._val + i
-            jmax = min(len(other._coeffs) - 1, order - other._val - ei)
-            for j in range(jmax + 1):
-                cj = other._coeffs[j]
-                if cj.is_zero:
-                    continue
-                k = ei + other._val + j - lo
-                out[k] = out[k] + ci * cj
-        return TSeries(lo, out, order)
+        n = order - lo + 1
+        f = hurwitz.from_coeffs(self._coeffs[:n])
+        g = f if other is self else hurwitz.from_coeffs(other._coeffs[:n])
+        return TSeries(lo, hurwitz.to_coeffs(hurwitz.mul(f, g, n)), order)
 
     __rmul__ = __mul__
 
@@ -294,19 +295,9 @@ class TSeries:
             raise NonUnitLeadingError(
                 f"leading coefficient {lead} is not invertible in the rationals"
             )
-        u0 = lead.coeff(0)
         v = self._val
-        n_out = len(self._coeffs)
-        inv: list[XPoly] = [XPoly((Fraction(1) / u0,))]
-        for n in range(1, n_out):
-            acc = XPoly.zero()
-            kmax = min(n, len(self._coeffs) - 1)
-            for k in range(1, kmax + 1):
-                uk = self._coeffs[k]
-                if not uk.is_zero and not inv[n - k].is_zero:
-                    acc = acc + uk * inv[n - k]
-            inv.append(acc * (Fraction(-1) / u0))
-        return TSeries(-v, inv, self._order - 2 * v)
+        inv = hurwitz.recip(hurwitz.from_coeffs(self._coeffs), len(self._coeffs))
+        return TSeries(-v, hurwitz.to_coeffs(inv), self._order - 2 * v)
 
     def exp(self) -> "TSeries":
         """Exponential of a series with zero constant term (valuation >= 1).
@@ -315,32 +306,19 @@ class TSeries:
         """
         if self._val < 1:
             raise SeriesError("exp needs valuation >= 1 (zero constant term)")
-        order = self._order
-        a = [self.coeff(n) for n in range(order + 1)]
-        f: list[XPoly] = [XPoly.one()]
-        for n in range(1, order + 1):
-            acc = XPoly.zero()
-            for k in range(1, n + 1):
-                ak = a[k]
-                if not ak.is_zero and not f[n - k].is_zero:
-                    acc = acc + ak * f[n - k] * k
-            f.append(acc / n)
-        return TSeries(0, f, order)
+        return self._hurwitz_map(hurwitz.exp)
 
     def sqrt(self) -> "TSeries":
         """Square root of a series with constant term exactly 1."""
         if self.is_zero or self._val != 0 or self._coeffs[0] != XPoly.one():
             raise SeriesError("sqrt needs constant term exactly 1")
+        return self._hurwitz_map(hurwitz.sqrt)
+
+    def _hurwitz_map(self, op) -> "TSeries":
+        """Apply a length-preserving kernel operation to a power series."""
         order = self._order
-        a = [self.coeff(n) for n in range(order + 1)]
-        g: list[XPoly] = [XPoly.one()]
-        for n in range(1, order + 1):
-            acc = a[n]
-            for k in range(1, n):
-                if not g[k].is_zero and not g[n - k].is_zero:
-                    acc = acc - g[k] * g[n - k]
-            g.append(acc / 2)
-        return TSeries(0, g, order)
+        h = hurwitz.from_coeffs([self.coeff(n) for n in range(order + 1)])
+        return TSeries(0, hurwitz.to_coeffs(op(h, order + 1)), order)
 
     # -- bivariate substitution ---------------------------------------------
 
@@ -405,15 +383,17 @@ class TSeries:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TSeries":
+        if not isinstance(data, Mapping):
+            raise ValueError("series JSON must be an object")
         if data.get("variable") != "t":
             raise ValueError("series JSON must declare variable 't'")
         normalization = data.get("normalization", "plain")
         if normalization not in ("plain", "factorial"):
             raise ValueError(f"unknown normalization {normalization!r}")
-        val = int(data["valuation"])
-        order = int(data["order"])
+        val = _json_int(data, "valuation")
+        order = _json_int(data, "order")
         coeffs = []
-        for k, item in enumerate(data["coeffs"]):
+        for k, item in enumerate(_json_coeffs(data)):
             p = XPoly.from_strings(item)
             if normalization == "factorial":
                 n = val + k
@@ -438,6 +418,26 @@ class TSeries:
 
     def __repr__(self) -> str:
         return f"<TSeries valuation={self._val} order={self._order}>"
+
+
+def _json_int(data: Mapping, key: str) -> int:
+    """A required integer field of series JSON; bool, float and str are refused."""
+    if key not in data:
+        raise ValueError(f"series JSON is missing {key!r}")
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"series JSON field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_coeffs(data: Mapping) -> list:
+    """The required ``coeffs`` field: an array of x-polynomial arrays."""
+    if "coeffs" not in data:
+        raise ValueError("series JSON is missing 'coeffs'")
+    coeffs = data["coeffs"]
+    if not isinstance(coeffs, list) or not all(isinstance(item, list) for item in coeffs):
+        raise ValueError("series JSON 'coeffs' must be an array of arrays")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -603,10 +603,12 @@ class BiSeries:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BiSeries":
+        if not isinstance(data, Mapping):
+            raise ValueError("bivariate series JSON must be an object")
         if list(data.get("variables", ())) != ["u", "v"]:
             raise ValueError("bivariate series JSON must declare variables ['u','v']")
-        order = int(data["order"])
-        flat = [XPoly.from_strings(item) for item in data["coeffs"]]
+        order = _json_int(data, "order")
+        flat = [XPoly.from_strings(item) for item in _json_coeffs(data)]
         rows = []
         pos = 0
         for i in range(order + 1):

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .algebra import XPoly
 from .blowup import BlowupSeriesSet, GenerationError, bb_sides, build_series_set, golden_diff
@@ -98,24 +98,32 @@ def _timed(
 # individual identity checks
 
 
+#: the four univariate identities: (report id, left attribute, right attribute)
+_FRAK_PAIRS: tuple[tuple[str, str, str], ...] = (
+    ("b0_equals_b2", "b0", "b2"),
+    ("btau_equals_s2", "btau", "s2"),
+    ("ws0_equals_wronskian", "ws0", "wronskian"),
+    ("ws1_equals_bs", "ws1", "bs"),
+)
+
+
+def _frak_report(
+    series_set: BlowupSeriesSet, order: int, name: str, lhs: str, rhs: str
+) -> VerificationReport:
+    return _timed(
+        name,
+        STATUS_CONJECTURAL,
+        order,
+        series_set.content_hash,
+        lambda: first_difference(
+            getattr(series_set, lhs), getattr(series_set, rhs), through=order
+        ),
+    )
+
+
 def verify_frak_identities(series_set: BlowupSeriesSet, order: int) -> list[VerificationReport]:
     """The four equalities between integral-formula series and plain products."""
-    pairs = (
-        ("b0_equals_b2", series_set.b0, series_set.b2),
-        ("btau_equals_s2", series_set.btau, series_set.s2),
-        ("ws0_equals_wronskian", series_set.ws0, series_set.wronskian),
-        ("ws1_equals_bs", series_set.ws1, series_set.bs),
-    )
-    return [
-        _timed(
-            name,
-            STATUS_CONJECTURAL,
-            order,
-            series_set.content_hash,
-            lambda lhs=lhs, rhs=rhs: first_difference(lhs, rhs, through=order),
-        )
-        for name, lhs, rhs in pairs
-    ]
+    return [_frak_report(series_set, order, *pair) for pair in _FRAK_PAIRS]
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
@@ -126,18 +134,19 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
     return first_difference(lhs, rhs, through=order)
 
 
+def _pm_ode_report(series_set: BlowupSeriesSet, order: int, sign: int) -> VerificationReport:
+    return _timed(
+        "pm_ode_plus" if sign == 1 else "pm_ode_minus",
+        STATUS_CONJECTURAL,
+        order,
+        series_set.content_hash,
+        lambda: _pm_ode_mismatch(series_set, sign, order),
+    )
+
+
 def verify_pm_ode(series_set: BlowupSeriesSet, order: int) -> list[VerificationReport]:
     """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation."""
-    return [
-        _timed(
-            f"pm_ode_{label}",
-            STATUS_CONJECTURAL,
-            order,
-            series_set.content_hash,
-            lambda sign=sign: _pm_ode_mismatch(series_set, sign, order),
-        )
-        for label, sign in (("plus", 1), ("minus", -1))
-    ]
+    return [_pm_ode_report(series_set, order, sign) for sign in (1, -1)]
 
 
 def verify_bb_diagonal(series_set: BlowupSeriesSet, order: int) -> VerificationReport:
@@ -185,23 +194,44 @@ def verify_bbb(series_set: BlowupSeriesSet, total_order: int) -> VerificationRep
     return _timed("bbb", STATUS_CONJECTURAL, total_order, series_set.content_hash, check)
 
 
-def _degeneration_references(point: int, order: int) -> dict[str, TSeries]:
-    if point == 2:
-        envelope = exp_t_squared(-1, order)
-        c, s = cosh_series(order), sinh_series(order)
-        double = sinh_series(order).scale_arg(2) * Fraction(1, 2)
-    elif point == -2:
-        envelope = exp_t_squared(1, order)
-        c, s = cos_series(order), sin_series(order)
-        double = sin_series(order).scale_arg(2) * Fraction(1, 2)
-    else:
+#: x = 2 and x = -2: (c in the envelope exp(c t^2), even form, odd form)
+_DEGENERATION_FORMS = {
+    2: (-1, cosh_series, sinh_series),
+    -2: (1, cos_series, sin_series),
+}
+
+_DEGENERATION_ATTRS = ("b2", "s2", "wronskian", "bs")
+
+
+def _degeneration_reference(point: int, attr: str, order: int) -> TSeries:
+    """The closed hyperbolic or trigonometric form of ``attr`` at x = point."""
+    c, even, odd = _DEGENERATION_FORMS[point]
+    envelope = exp_t_squared(c, order)
+    if attr == "b2":
+        return envelope * even(order) * even(order)
+    if attr == "s2":
+        return envelope * odd(order) * odd(order)
+    if attr == "wronskian":
+        return envelope
+    return envelope * (odd(order).scale_arg(2) * Fraction(1, 2))
+
+
+def _degeneration_report(
+    series_set: BlowupSeriesSet, order: int, point: int, attr: str
+) -> VerificationReport:
+    if point not in _DEGENERATION_FORMS:
         raise ValueError("degeneration point must be 2 or -2")
-    return {
-        "b2": envelope * c * c,
-        "s2": envelope * s * s,
-        "wronskian": envelope,
-        "bs": envelope * double,
-    }
+    tag = "x2" if point == 2 else "xneg2"
+    series: TSeries = getattr(series_set, attr)
+    return _timed(
+        f"degeneration_{tag}_{attr}",
+        STATUS_CONJECTURAL,
+        order,
+        series_set.content_hash,
+        lambda: first_difference(
+            series.eval_x(point), _degeneration_reference(point, attr, order), through=order
+        ),
+    )
 
 
 def verify_simple_type_degeneration(
@@ -209,23 +239,7 @@ def verify_simple_type_degeneration(
 ) -> list[VerificationReport]:
     """Substituting x -> +-2 collapses the series to closed hyperbolic or
     trigonometric forms; all four named series are compared exactly."""
-    refs = _degeneration_references(point, order)
-    tag = "x2" if point == 2 else "xneg2"
-    reports = []
-    for attr in ("b2", "s2", "wronskian", "bs"):
-        series: TSeries = getattr(series_set, attr)
-        reports.append(
-            _timed(
-                f"degeneration_{tag}_{attr}",
-                STATUS_CONJECTURAL,
-                order,
-                series_set.content_hash,
-                lambda series=series, ref=refs[attr]: first_difference(
-                    series.eval_x(point), ref, through=order
-                ),
-            )
-        )
-    return reports
+    return [_degeneration_report(series_set, order, point, attr) for attr in _DEGENERATION_ATTRS]
 
 
 _RELATION_FACTS: tuple[tuple[str, int, XPoly], ...] = (
@@ -284,48 +298,40 @@ class IdentityDescriptor:
     run: Callable[[BlowupSeriesSet, int], VerificationReport]
 
 
-def _single(reports: Sequence[VerificationReport], identity: str) -> VerificationReport:
-    for report in reports:
-        if report.identity == identity:
-            return report
-    raise KeyError(identity)
-
-
 def _make_catalog() -> tuple[IdentityDescriptor, ...]:
     entries: list[IdentityDescriptor] = []
 
     def add(identity: str, arity: str, status: str, hint: int, run) -> None:
         entries.append(IdentityDescriptor(identity, arity, status, hint, run))
 
-    for name in ("b0_equals_b2", "btau_equals_s2", "ws0_equals_wronskian", "ws1_equals_bs"):
+    for pair in _FRAK_PAIRS:
         add(
-            name,
+            pair[0],
             UNIVARIATE,
             STATUS_CONJECTURAL,
             128,
-            lambda st, order, name=name: _single(verify_frak_identities(st, order), name),
+            lambda st, order, pair=pair: _frak_report(st, order, *pair),
         )
-    for name in ("pm_ode_plus", "pm_ode_minus"):
+    for label, sign in (("plus", 1), ("minus", -1)):
         add(
-            name,
+            f"pm_ode_{label}",
             UNIVARIATE,
             STATUS_CONJECTURAL,
             128,
-            lambda st, order, name=name: _single(verify_pm_ode(st, order), name),
+            lambda st, order, sign=sign: _pm_ode_report(st, order, sign),
         )
     add("bb_diagonal", UNIVARIATE, STATUS_CONJECTURAL, 128, verify_bb_diagonal)
     add("bb", BIVARIATE, STATUS_CONJECTURAL, 24, lambda st, order: verify_bb(st, order))
     add("bbb", BIVARIATE, STATUS_CONJECTURAL, 24, verify_bbb)
     for point, tag in ((2, "x2"), (-2, "xneg2")):
-        for attr in ("b2", "s2", "wronskian", "bs"):
-            name = f"degeneration_{tag}_{attr}"
+        for attr in _DEGENERATION_ATTRS:
             add(
-                name,
+                f"degeneration_{tag}_{attr}",
                 UNIVARIATE,
                 STATUS_CONJECTURAL,
                 128,
-                lambda st, order, name=name, point=point: _single(
-                    verify_simple_type_degeneration(st, order, point), name
+                lambda st, order, point=point, attr=attr: _degeneration_report(
+                    st, order, point, attr
                 ),
             )
     add(

@@ -1,4 +1,4 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and reference arithmetic for the test suite.
 
 The production generator turns the bivariate product identity into two
 extracted differential relations and runs them as a linear recurrence.
@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 
 from blowup_series.algebra import XPoly
+from blowup_series.blowup import UnexpectedPoleError
+from blowup_series.series import NonUnitLeadingError, SeriesError, TSeries
 
 
 def _sq_coeff(coeffs: list[XPoly], n: int) -> XPoly:
@@ -134,3 +136,167 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
             )
 
     return b[: order + 1], s[: order + 1]
+
+
+# ---------------------------------------------------------------------------
+# plain-basis reference arithmetic
+#
+# The package multiplies, inverts, exponentiates and takes square roots in the
+# divided-power (Hurwitz) kernel, and generates and derives the blow-up series
+# there.  The direct coefficient loops below are what it did before; the tests
+# compare the kernel against them.
+
+
+def plain_mul(a: TSeries, b: TSeries) -> TSeries:
+    """Product by the schoolbook convolution of plain coefficients."""
+    order = min(a.order + b.valuation, b.order + a.valuation)
+    if a.is_zero or b.is_zero:
+        return TSeries.zero(order)
+    lo = a.valuation + b.valuation
+    out = [XPoly.zero()] * (order - lo + 1)
+    for i, ci in a.terms():
+        for j, cj in b.terms():
+            if i + j <= order:
+                out[i + j - lo] = out[i + j - lo] + ci * cj
+    return TSeries(lo, out, order)
+
+
+def plain_recip(a: TSeries) -> TSeries:
+    """Reciprocal by the plain recurrence; same domain errors as TSeries.recip."""
+    if a.is_zero:
+        raise ZeroDivisionError("reciprocal of the zero series")
+    v = a.valuation
+    lead = a.coeff(v)
+    if lead.degree != 0:
+        raise NonUnitLeadingError(f"leading coefficient {lead} is not invertible in the rationals")
+    u = [a.coeff(n) for n in range(v, a.order + 1)]
+    u0 = lead.coeff(0)
+    inv = [XPoly((Fraction(1) / u0,))]
+    for n in range(1, len(u)):
+        acc = XPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + u[k] * inv[n - k]
+        inv.append(acc * (Fraction(-1) / u0))
+    return TSeries(-v, inv, a.order - 2 * v)
+
+
+def plain_exp(a: TSeries) -> TSeries:
+    """exp of a series with zero constant term, from f' = a' f."""
+    if a.valuation < 1:
+        raise SeriesError("exp needs valuation >= 1 (zero constant term)")
+    c = [a.coeff(n) for n in range(a.order + 1)]
+    f = [XPoly.one()]
+    for n in range(1, a.order + 1):
+        acc = XPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + c[k] * f[n - k] * k
+        f.append(acc / n)
+    return TSeries(0, f, a.order)
+
+
+def plain_sqrt(a: TSeries) -> TSeries:
+    """Square root of a series with constant term exactly 1."""
+    if a.is_zero or a.valuation != 0 or a.coeff(0) != XPoly.one():
+        raise SeriesError("sqrt needs constant term exactly 1")
+    c = [a.coeff(n) for n in range(a.order + 1)]
+    g = [XPoly.one()]
+    for n in range(1, a.order + 1):
+        acc = c[n]
+        for k in range(1, n):
+            acc = acc - g[k] * g[n - k]
+        g.append(acc / 2)
+    return TSeries(0, g, a.order)
+
+
+def _at(coeffs, i: int) -> XPoly:
+    return coeffs[i] if 0 <= i < len(coeffs) else XPoly.zero()
+
+
+def _ff(i: int, k: int) -> int:
+    """Falling factorial (i+k)(i+k-1)...(i+1) -- the t-derivative weights."""
+    return math.perm(i + k, k)
+
+
+def e4_residual(b, s, n: int) -> XPoly:
+    """Left side of (E4) at t^n on plain coefficient lists, missing entries read as zero."""
+    acc = XPoly.zero()
+    for i in range(n + 1):
+        j = n - i
+        acc = acc + _at(b, i + 4) * _at(b, j) * _ff(i, 4)
+        acc = acc + _at(b, i + 3) * _at(b, j + 1) * (-4 * _ff(i, 3) * _ff(j, 1))
+        acc = acc + _at(b, i + 2) * _at(b, j + 2) * (3 * _ff(i, 2) * _ff(j, 2))
+        acc = acc + _at(b, i) * _at(b, j) * 2
+        acc = acc - _at(s, i) * _at(s, j) * (4 * XPoly.x())
+    return acc
+
+
+def e2_residual(b, s, m: int) -> XPoly:
+    """Left side of (E2) at t^m on plain coefficient lists, missing entries read as zero."""
+    acc = XPoly.zero()
+    for i in range(m + 1):
+        j = m - i
+        acc = acc + _at(b, i + 2) * _at(b, j) * _ff(i, 2)
+        acc = acc - _at(b, i + 1) * _at(b, j + 1) * (_ff(i, 1) * _ff(j, 1))
+        acc = acc + _at(s, i) * _at(s, j)
+    return acc
+
+
+def plain_generate_pair(order: int) -> tuple[list[XPoly], list[XPoly]]:
+    """The (E4)/(E2) recurrence on plain coefficients, without self-checks."""
+    top = order + 4
+    b = [XPoly.zero()] * (top + 1)
+    s = [XPoly.zero()] * (top + 1)
+    b[0] = XPoly.one()
+    s[1] = XPoly.one()
+    s[3] = XPoly.x() * Fraction(-1, 6)
+    for n in range(0, order, 2):
+        b[n + 4] = e4_residual(b, s, n) * Fraction(-1, _ff(n, 4))
+        m = n + 2
+        if m not in (2, 4):
+            s[m - 1] = e2_residual(b, s, m) * Fraction(-1, 2)
+    return b[: order + 1], s[: order + 1]
+
+
+def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
+    """The derived family by its defining formulas, on plain-basis arithmetic.
+
+    Laurent quotients, exp of integrals and the explicit 2/t pole removal,
+    with the pole guards raising what the package raises.
+    """
+    half = Fraction(1, 2)
+    db, ds = b.derivative(), s.derivative()
+    out = {
+        "b2": plain_mul(b, b),
+        "s2": plain_mul(s, s),
+        "bs": plain_mul(b, s),
+        "wronskian": plain_mul(b, ds) - plain_mul(db, s),
+    }
+    plain_sqrt(b.scale_arg(2))  # the domain check of the closed form sqrt(B(2t))
+    b_inv = plain_recip(b)
+    out["b_plus"] = plain_exp(plain_mul(db + s, b_inv).scale_arg(2).integrate())
+    out["b_minus"] = plain_exp(plain_mul(db - s, b_inv).scale_arg(2).integrate())
+    out["b0"] = (out["b_plus"] + out["b_minus"]) * half
+    out["btau"] = (out["b_plus"] - out["b_minus"]) * half
+
+    s_inv = plain_recip(s)
+    regular = plain_mul(ds - b, s_inv)
+    if not regular.is_zero and regular.valuation < 1:
+        raise UnexpectedPoleError(
+            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation}"
+        )
+    out["ws0"] = plain_exp(regular.integrate().scale_arg(2) * half)
+    singular = plain_mul(ds + b, s_inv)
+    if singular.valuation != -1 or singular.coeff(-1) != XPoly((2,)):
+        raise UnexpectedPoleError(
+            "(B + S')/S should have exactly the pole 2/t; got valuation "
+            f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
+        )
+    removed = singular - TSeries.monomial(2, -1, singular.order)
+    if not removed.is_zero and removed.valuation < 1:
+        raise UnexpectedPoleError(
+            "pole subtraction left a singular or constant term "
+            f"(valuation {removed.valuation})"
+        )
+    core = plain_exp(removed.integrate().scale_arg(2) * half)
+    out["ws1"] = plain_mul(TSeries.t(core.order + 1), core)
+    return out

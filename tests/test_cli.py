@@ -245,6 +245,50 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["provenance"] == "main-prime"
 
+    def test_orders_below_four_are_the_order_four_result_truncated(self, capsys, tmp_path):
+        moments = {"label": "m", "moments": [str(k + 1) for k in range(8)]}
+        for parity, formula, second in (
+            ("even", "maina", "mu_ctau"),
+            ("even", "main-prime", "nu_c"),
+            ("odd", "mainb", "nu_c"),
+        ):
+            results = {}
+            for order in (0, 1, 2, 4):
+                request = self._write(
+                    tmp_path,
+                    "request.json",
+                    {
+                        "parity": parity,
+                        "order": order,
+                        "formula": formula,
+                        "functionals": {"mu_c": moments, second: moments},
+                    },
+                )
+                code, out, err = run(capsys, "eval", str(request))
+                assert code == 0, (formula, order, err)
+                results[order] = TSeries.from_json(json.loads(out))
+            for order in (0, 1, 2):
+                assert results[order].order == order
+                assert results[order].to_json() == results[4].truncate(order).to_json()
+
+    def test_malformed_requests_are_one_line_usage_errors(self, capsys, tmp_path):
+        moments = {"label": "m", "moments": ["1"] * 8}
+        self._write(tmp_path, "list.json", ["1", "2"])
+        for payload in (
+            [1, 2],
+            "even",
+            7,
+            None,
+            {"parity": "even", "order": True, "functionals": {"mu_c": moments, "mu_ctau": moments}},
+            {"parity": "even", "order": 2.0, "functionals": {"mu_c": moments, "mu_ctau": moments}},
+            {"parity": "even", "order": 4, "functionals": {"mu_c": moments, "mu_ctau": "list.json"}},
+        ):
+            request = self._write(tmp_path, "request.json", payload)
+            code, out, err = run(capsys, "eval", str(request))
+            assert code == 2, payload
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("eval: "), err
+
 
 class TestBench:
     def test_rows_cover_generation_and_the_catalog(self, capsys):

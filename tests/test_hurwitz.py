@@ -1,0 +1,182 @@
+"""The divided-power kernel against the plain-basis reference arithmetic."""
+from fractions import Fraction as F
+
+import pytest
+from helpers_oracles import (
+    e2_residual,
+    e4_residual,
+    plain_exp,
+    plain_generate_pair,
+    plain_mul,
+    plain_recip,
+    plain_sqrt,
+    reference_assemble,
+)
+from hypothesis import given
+from hypothesis import strategies as st
+
+from blowup_series import hurwitz
+from blowup_series.algebra import XPoly
+from blowup_series.blowup import assemble_set, generate_pair, odd_case_pair
+from blowup_series.hurwitz import HSeries
+from blowup_series.series import TSeries
+
+# denominators up to 12 make most Hurwitz entries n! [t^n] non-integral
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+nonzero_rationals = rationals.filter(bool)
+xpolys = st.lists(rationals, max_size=4).map(XPoly)
+
+
+@st.composite
+def tseries(draw, min_val=-3, max_val=3, max_len=6, lead=None):
+    """A series with random valuation; ``lead`` draws its leading coefficient."""
+    val = draw(st.integers(min_val, max_val))
+    coeffs = draw(st.lists(xpolys, max_size=max_len))
+    if lead is not None:
+        coeffs = [XPoly((draw(lead),))] + coeffs
+    slack = draw(st.integers(0, 2))
+    return TSeries(val, coeffs, val + len(coeffs) - 1 + slack)
+
+
+def same(a: TSeries, b: TSeries) -> bool:
+    """Equal valuation, order and every coefficient (plain JSON form)."""
+    return a.to_json() == b.to_json()
+
+
+def as_hseries(a: TSeries) -> HSeries:
+    return HSeries(hurwitz.from_coeffs([a.coeff(n) for n in range(a.order + 1)]), a.order)
+
+
+def as_tseries(h: HSeries) -> TSeries:
+    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
+
+
+class TestAgainstPlainReference:
+    @given(tseries(), tseries())
+    def test_mul(self, a, b):
+        assert same(a * b, plain_mul(a, b))
+        assert same(a * a, plain_mul(a, a))
+
+    @given(tseries(lead=nonzero_rationals))
+    def test_recip(self, a):
+        assert same(a.recip(), plain_recip(a))
+
+    @given(tseries(min_val=1))
+    def test_exp(self, a):
+        assert same(a.exp(), plain_exp(a))
+
+    @given(tseries(min_val=1, max_val=1))
+    def test_sqrt(self, tail):
+        a = TSeries.one(tail.order) + tail
+        assert same(a.sqrt(), plain_sqrt(a))
+
+    @given(tseries(min_val=0).filter(lambda a: a.order >= 0), st.integers(-3, 3))
+    def test_shift_calculus_and_scaling(self, a, c):
+        h = as_hseries(a)
+        assert same(as_tseries(h.integrate()), a.integrate())
+        assert same(as_tseries(h.derivative()), a.derivative())
+        assert same(as_tseries(h.scale_arg(c)), a.scale_arg(c))
+
+    @given(tseries(min_val=0), tseries(min_val=0))
+    def test_kernel_series_arithmetic(self, a, b):
+        ha, hb = as_hseries(a), as_hseries(b)
+        assert same(as_tseries(ha * hb), plain_mul(a, b))
+        assert same(as_tseries(ha + hb), a + b)
+        assert same(as_tseries(ha - hb), a - b)
+        assert same(as_tseries(ha.halved()), a * F(1, 2))
+
+
+class TestStorage:
+    def test_entries_are_ints_where_integral_and_fractions_elsewhere(self):
+        h = hurwitz.from_coeffs([XPoly((1,)), XPoly(), XPoly((F(1, 2), F(1, 5))), XPoly((F(1, 7),))])
+        assert h == [[1], [], [1, F(2, 5)], [F(6, 7)]]
+        assert type(h[2][0]) is int
+        assert hurwitz.to_coeffs(h)[2] == XPoly((F(1, 2), F(1, 5)))
+
+    def test_blowup_pair_is_integral_in_the_hurwitz_basis(self, set17):
+        for name in ("b", "s", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "ws0", "ws1"):
+            for entry in as_hseries(getattr(set17, name)).h:
+                assert all(type(v) is int for v in entry), name
+
+
+class TestRecurrence:
+    def test_plain_recurrence_reproduces_the_pair(self):
+        order = 24
+        b, s = generate_pair(order)
+        b_plain, s_plain = plain_generate_pair(order)
+        for n in range(order + 1):
+            assert b.coeff(n) == b_plain[n], f"b mismatch at t^{n}"
+            assert s.coeff(n) == s_plain[n], f"s mismatch at t^{n}"
+
+    def test_extracted_relations_vanish_on_plain_coefficients(self):
+        order = 20
+        b, s = generate_pair(order)
+        bc = [b.coeff(n) for n in range(order + 1)]
+        sc = [s.coeff(n) for n in range(order + 1)]
+        for n in range(order - 3):
+            assert e4_residual(bc, sc, n).is_zero, f"(E4) at t^{n}"
+        for m in range(order - 1):
+            assert e2_residual(bc, sc, m).is_zero, f"(E2) at t^{m}"
+
+
+def _outcome(build):
+    """The built series as JSON, or the error a build raised."""
+    try:
+        built = build()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+    return {name: series.to_json() for name, series in built.items()}
+
+
+_DERIVED = ("b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "b0", "btau", "ws0", "ws1")
+
+
+def _kernel_route(b, s):
+    st_ = assemble_set(b, s)
+    return {name: getattr(st_, name) for name in _DERIVED}
+
+
+class TestDerivedFamily:
+    def test_corrupted_pair_matches_the_reference_route(self):
+        b, s = generate_pair(14)
+        bad = b + TSeries.monomial(F(1, 7), 4, b.order)
+        kernel = _kernel_route(bad, s)
+        reference = reference_assemble(bad, s)
+        for name in _DERIVED:
+            assert same(kernel[name], reference[name]), name
+
+    def test_every_one_slot_mutation_has_the_reference_outcome(self):
+        """Built series and pole-guard errors agree with the Laurent route."""
+        order = 9
+        b, s = generate_pair(order)
+        for exponent in range(order + 1):
+            bump = TSeries.monomial(1, exponent, order)
+            for pair in ((b + bump, s), (b, s + bump), (b, s - bump * 2)):
+                assert _outcome(lambda: _kernel_route(*pair)) == _outcome(
+                    lambda: reference_assemble(*pair)
+                ), exponent
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # (-B + S')/S has a pole
+            lambda b, s: (b, s * 2),
+            # S leads with -x t^3/6, not a rational unit
+            lambda b, s: (b, s - TSeries.t(s.order)),
+            lambda b, s: (b, TSeries.zero(s.order)),
+            # S = 1 + t + ...: (B + S')/S has no pole at all
+            lambda b, s: (b, s + TSeries.one(s.order)),
+            # B + S' = 2 + 2t + ..., S = t + t^2/2 + ...: a t^0 term survives
+            lambda b, s: (b + TSeries.t(b.order), s + TSeries.monomial(F(1, 2), 2, s.order)),
+        ],
+    )
+    def test_pole_guards_raise_what_the_laurent_route_raises(self, corrupt):
+        pair = corrupt(*generate_pair(8))
+        with pytest.raises(Exception) as kernel:
+            odd_case_pair(*pair)
+        with pytest.raises(Exception) as reference:
+            reference_assemble(*pair)
+        assert (type(kernel.value), str(kernel.value)) == (
+            type(reference.value),
+            str(reference.value),
+        )

@@ -320,6 +320,42 @@ class TestSerialization:
     def test_json_round_trip_property(self, a):
         assert TSeries.from_json(a.to_json()) == a
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"order": 3.9},
+            {"order": True},
+            {"order": "3"},
+            {"valuation": "0"},
+            {"valuation": False},
+            {"valuation": 0.0},
+            {"coeffs": "12"},
+            {"coeffs": ["1"]},
+        ],
+    )
+    def test_from_json_refuses_non_integer_fields(self, change):
+        data = {**TSeries.t(3).to_json(), **change}
+        with pytest.raises(ValueError):
+            TSeries.from_json(data)
+
+    @pytest.mark.parametrize("field", ["valuation", "order", "coeffs"])
+    def test_from_json_missing_field_is_a_value_error(self, field):
+        data = TSeries.t(3).to_json()
+        del data[field]
+        with pytest.raises(ValueError, match=field):
+            TSeries.from_json(data)
+
+    def test_biseries_from_json_is_strict(self, s_ref):
+        data = s_ref.truncate(3).subst_pm(+1).to_json()
+        for bad in ({**data, "order": 3.0}, {**data, "order": True}):
+            with pytest.raises(ValueError):
+                BiSeries.from_json(bad)
+        del data["coeffs"]
+        with pytest.raises(ValueError, match="coeffs"):
+            BiSeries.from_json(data)
+        with pytest.raises(ValueError):
+            TSeries.from_json(["not", "an", "object"])
+
 
 class TestScalarReferenceSeries:
     def test_pythagorean_identities(self):
