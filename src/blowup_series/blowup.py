@@ -25,14 +25,16 @@ Every construction here runs in the divided-power (Hurwitz) basis of
 derived series are integer polynomials in x: the recurrence gives
 b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are binomial
 convolutions, and the integral formulas are solved as linear ODEs.  Each
-public function takes and returns :class:`TSeries`, converting once per
-input and per output series.
+public construction takes and returns :class:`TSeries`, converting once per
+input and per output series; the identity checks compare sides in the
+kernel (:func:`bb_tables`, :func:`hurwitz_mismatch`, :func:`table_mismatch`).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -41,13 +43,7 @@ from typing import Sequence
 from . import hurwitz
 from .algebra import Rational, XPoly
 from .hurwitz import HSeries, Poly, addmul, clean, divided
-from .series import (
-    BiSeries,
-    SeriesError,
-    TSeries,
-    first_difference,
-    first_difference_uv,
-)
+from .series import BiSeries, SeriesError, TMismatch, TSeries, UVMismatch, first_difference
 
 
 class GenerationError(RuntimeError):
@@ -108,19 +104,6 @@ def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
     _symmetric_sum(acc, b, m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1))
     _symmetric_sum(acc, s, m, lambda i: _c(m, i))
     return clean(acc)
-
-
-def _hurwitz(series: TSeries) -> HSeries:
-    if series.valuation < 0:
-        raise SeriesError(
-            f"blow-up constructions need power series, got valuation {series.valuation}"
-        )
-    coeffs = [series.coeff(n) for n in range(series.order + 1)]
-    return HSeries(hurwitz.from_coeffs(coeffs), series.order)
-
-
-def _tseries(h: HSeries) -> TSeries:
-    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
 
 
 def generate_pair(
@@ -185,8 +168,7 @@ def _check_against_golden(b: TSeries, s: TSeries) -> None:
 
 
 def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
-    lhs, rhs = bb_sides(b, s, total_order)
-    diff = first_difference_uv(lhs, rhs, through=total_order)
+    diff = table_mismatch(*bb_tables(b, s, total_order), total_order)
     if diff is not None:
         raise GenerationError(
             f"bivariate product identity fails at u^{diff.u} v^{diff.v} "
@@ -195,17 +177,91 @@ def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
         )
 
 
+def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+    """Both sides of (*) through a total degree, as divided-power tables.
+
+    B(u+v) B(u-v) comes from :func:`hurwitz.product_pm`, the right side from
+    outer products of the squares.
+    """
+    if min(b.order, s.order) < total_order:
+        raise SeriesError("cannot embed beyond the known truncation order")
+    m = total_order
+    hb, hs = hurwitz_form(b.truncate(m)).h, hurwitz_form(s.truncate(m)).h
+    b2, s2 = hurwitz.mul(hb, hb, m + 1), hurwitz.mul(hs, hs, m + 1)
+    rhs = hurwitz.table_add(hurwitz.outer(b2, b2, m), hurwitz.outer(s2, s2, m), -1)
+    return hurwitz.product_pm(hb, m), rhs
+
+
 def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the bivariate product identity (*) through a total degree."""
-    bt = b.truncate(min(b.order, total_order))
-    st = s.truncate(min(s.order, total_order))
-    lhs = bt.subst_pm(+1) * bt.subst_pm(-1)
-    b2 = bt * bt
-    s2 = st * st
-    rhs = b2.as_biseries("u", total_order) * b2.as_biseries("v", total_order) - s2.as_biseries(
-        "u", total_order
-    ) * s2.as_biseries("v", total_order)
-    return lhs, rhs
+    lhs, rhs = bb_tables(b, s, total_order)
+    return _biseries(lhs, total_order), _biseries(rhs, total_order)
+
+
+def _biseries(table: hurwitz.Table, order: int) -> BiSeries:
+    """The series of a kernel table, whose entry (i, j) is i! j! [u^i v^j]."""
+    return BiSeries(
+        [[c / math.factorial(i) for c in hurwitz.to_coeffs(row)] for i, row in enumerate(table)],
+        order,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the kernel form of a series, and comparisons in it
+#
+# The checks compare kernel vectors and tables as they are and form the
+# plain values of a mismatch only at the first slot that differs.
+
+
+def hurwitz_form(series: TSeries) -> HSeries:
+    """The kernel form of a power series: entry n is the table form n! [t^n]."""
+    if series.valuation < 0:
+        raise SeriesError(
+            f"blow-up constructions need power series, got valuation {series.valuation}"
+        )
+    coeffs = [series.coeff(n) for n in range(series.order + 1)]
+    return HSeries(hurwitz.from_coeffs(coeffs), series.order)
+
+
+def _tseries(h: HSeries) -> TSeries:
+    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
+
+
+def _plain_value(p: Poly, k: int, scale: int) -> Rational:
+    """x^k coefficient of a kernel entry divided by its factorial ``scale``."""
+    return Fraction(p[k] if k < len(p) else 0) / scale
+
+
+def hurwitz_mismatch(a: HSeries, b: HSeries, through: int) -> "TMismatch | None":
+    """:func:`~blowup_series.series.first_difference` on kernel series.
+
+    The table forms are compared as they are; the plain values are formed
+    only at the first slot that differs.
+    """
+    if through > min(a.order, b.order):
+        raise SeriesError(
+            f"comparison through t^{through} exceeds known orders ({a.order}, {b.order})"
+        )
+    diff = hurwitz.first_difference(a.h, b.h, through)
+    if diff is None:
+        return None
+    n, k = diff
+    f = math.factorial(n)
+    return TMismatch(n, k, _plain_value(a.h[n], k, f), _plain_value(b.h[n], k, f))
+
+
+def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMismatch | None":
+    """:func:`~blowup_series.series.first_difference_uv` on kernel tables.
+
+    Entries i! j! [u^i v^j] are compared as they are; the plain values are
+    formed only at the first slot that differs.
+    """
+    diff = hurwitz.first_difference_table(a, b, through)
+    if diff is None:
+        return None
+    i, j, k = diff
+    f = math.factorial(i) * math.factorial(j)
+    return UVMismatch(i, j, k, _plain_value(a[i][j], k, f), _plain_value(b[i][j], k, f))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +270,7 @@ def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeri
 
 def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic."""
-    hb, hs = _hurwitz(b), _hurwitz(s)
+    hb, hs = hurwitz_form(b), hurwitz_form(s)
     wronskian = hb * hs.derivative() - hb.derivative() * hs
     return tuple(_tseries(h) for h in (hb * hb, hs * hs, hb * hs, wronskian))
 
@@ -231,15 +287,6 @@ def _ode_solution(sigma: HSeries, rho: HSeries, head: list[Poly], order: int) ->
     return HSeries(w, order)
 
 
-def _first_difference(a: HSeries, b: HSeries) -> "tuple[int, int] | None":
-    """Least (t-power, x-power) where two Hurwitz series differ, or None."""
-    for n in range(min(a.order, b.order) + 1):
-        p, q = a.h[n], b.h[n]
-        if p != q:
-            return n, next(k for k in range(max(len(p), len(q))) if p[k : k + 1] != q[k : k + 1])
-    return None
-
-
 def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
@@ -251,7 +298,7 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
     """
     if b.valuation != 0 or b.coeff(0) != XPoly.one():
         raise SeriesError("sqrt needs constant term exactly 1")
-    hb, hs = _hurwitz(b), _hurwitz(s)
+    hb, hs = hurwitz_form(b), hurwitz_form(s)
     db = hb.derivative()
     sqrt_b2t = hb.scale_arg(2).sqrt()
     half_integral = (hs * hb.recip()).integrate().scale_arg(2).halved()
@@ -260,7 +307,7 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
         numerator = db + hs if sign == 1 else db - hs
         direct = _ode_solution(hb, numerator, [[1]], _quotient_order(numerator, hb) + 1)
         alt = sqrt_b2t * (half_integral if sign == 1 else -half_integral).exp()
-        diff = _first_difference(direct, alt)
+        diff = hurwitz.first_difference(direct.h, alt.h, min(direct.order, alt.order))
         if diff is not None:
             raise GenerationError(
                 "the two closed forms of the exponential series disagree at "
@@ -269,9 +316,8 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
             )
         built.append(direct)
     plus, minus = built
-    return tuple(
-        _tseries(h) for h in (plus, minus, (plus + minus).halved(), (plus - minus).halved())
-    )
+    halves = ((plus + minus).halved(), (plus - minus).halved())
+    return tuple(_tseries(h) for h in (plus, minus) + halves)
 
 
 def _check_poles(b: TSeries, s: TSeries) -> None:
@@ -320,7 +366,7 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     ODE stays integral in the Hurwitz basis.
     """
     _check_poles(b, s)
-    hb, hs = _hurwitz(b), _hurwitz(s)
+    hb, hs = hurwitz_form(b), hurwitz_form(s)
     ds = hs.derivative()
     regular, singular = ds - hb, ds + hb
     ws0 = _ode_solution(hs, regular, [[1]], _quotient_order(regular, hs) + 1)

@@ -73,6 +73,14 @@ def divided(p: Poly, d: Scalar) -> Poly:
     return [_int_if_integral(v / d) for v in p]
 
 
+def product(a: Poly, b: Poly) -> Poly:
+    """``a * b``."""
+    acc: Poly = []
+    if a and b:
+        addmul(acc, 1, a, b)
+    return clean(acc)
+
+
 def add(p: Poly, q: Poly, sign: int = 1) -> Poly:
     """``p + sign * q`` for ``sign`` in (1, -1)."""
     if len(p) < len(q):
@@ -242,6 +250,22 @@ def linear_ode(
     return w
 
 
+def _first_x(p: Poly, q: Poly) -> int:
+    """Least x-power where two unequal entries differ."""
+    return next(k for k in range(max(len(p), len(q))) if p[k : k + 1] != q[k : k + 1])
+
+
+def first_difference(
+    f: Sequence[Poly], g: Sequence[Poly], through: int
+) -> "tuple[int, int] | None":
+    """Least (index, x-power) through ``through`` where two vectors differ, or None."""
+    for n in range(through + 1):
+        p, q = _at(f, n), _at(g, n)
+        if p != q:
+            return n, _first_x(p, q)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # series with a truncation order
 
@@ -303,3 +327,98 @@ class HSeries:
 
     def sqrt(self) -> "HSeries":
         return HSeries(sqrt(self.h, self.order + 1), self.order)
+
+
+# ---------------------------------------------------------------------------
+# bivariate tables
+#
+# A table ``T`` stores the series sum T[i][j] u^i v^j / (i! j!) over the
+# triangle i + j <= m: row i holds the entries j = 0 .. m - i, each an
+# x-polynomial as above.  In this basis f(u +- v) is the signed re-index
+# (+-1)^j f_{i+j}, f(u) g(v) is the outer product f_i g_j, and a product of
+# tables is the binomial convolution in u and in v separately.
+
+
+Table = list  # list[list[Poly]], row i of length m - i + 1
+
+
+def outer(f: Sequence[Poly], g: Sequence[Poly], m: int) -> Table:
+    """Table of f(u) g(v) through total degree m."""
+    return [[product(_at(f, i), _at(g, j)) for j in range(m - i + 1)] for i in range(m + 1)]
+
+
+def table_add(p: Table, q: Table, sign: int = 1) -> Table:
+    """``p + sign * q`` entry by entry, for tables over one triangle."""
+    return [[add(a, b, sign) for a, b in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+
+def product_pm(f: Sequence[Poly], m: int) -> Table:
+    """Table of f(u + v) f(u - v) through total degree m.
+
+    Entry (i, j) is sum_n K_ij(n) f_n f_{i+j-n} with the x-free weights
+    K_ij(n) = sum_{k+l=n} C(i,k) C(j,l) (-1)^(j-l) = [z^n] (1+z)^i (z-1)^j,
+    so only the O(m^2) pair products f_n f_{d-n} touch polynomials.
+    Since K_ij(d - n) = (-1)^j K_ij(n), the entries with odd j vanish and
+    the others need only n <= d/2.
+    """
+    pairs = [[product(_at(f, n), _at(f, d - n)) for n in range(d // 2 + 1)] for d in range(m + 1)]
+    out: Table = []
+    for i in range(m + 1):
+        weights = [comb(i, n) for n in range(i + 1)]  # (1+z)^i, then times (z-1) per j
+        row = []
+        for j in range(m - i + 1):
+            d = i + j
+            acc: Poly = []
+            if j % 2 == 0:
+                for n, p in enumerate(pairs[d]):
+                    w = weights[n] if 2 * n == d else 2 * weights[n]
+                    if p and w:
+                        addmul(acc, w, p, [1])
+            row.append(clean(acc))
+            weights = [a - b for a, b in zip([0] + weights, weights + [0])]
+        out.append(row)
+    return out
+
+
+def triple(f: Sequence[Poly], g: Sequence[Poly], h: Sequence[Poly], m: int) -> Table:
+    """Table of f(u) g(v) h(u + v) through total degree m, in O(m^3) products.
+
+    First f(u) h(u + v) = sum_{i,r} P[i][r] u^i v^r / (i! r!) with
+    P[i][r] = sum_k C(i,k) f_k h_{i-k+r}, then the convolution in v with g.
+    """
+    p = []
+    for i in range(m + 1):
+        row = []
+        for r in range(m - i + 1):
+            acc: Poly = []
+            for k in range(i + 1):
+                a, b = _at(f, k), _at(h, i - k + r)
+                if a and b:
+                    addmul(acc, comb(i, k), a, b)
+            row.append(clean(acc))
+        p.append(row)
+    out: Table = []
+    for i in range(m + 1):
+        row = []
+        for j in range(m - i + 1):
+            acc = []
+            for l in range(j + 1):
+                a, b = _at(g, l), p[i][j - l]
+                if a and b:
+                    addmul(acc, comb(j, l), a, b)
+            row.append(clean(acc))
+        out.append(row)
+    return out
+
+
+def first_difference_table(a: Table, b: Table, through: int) -> "tuple[int, int, int] | None":
+    """Least (u-power, v-power, x-power) where two tables differ, or None.
+
+    Total degree ascending through ``through``, then u-power, then x-power.
+    """
+    for d in range(through + 1):
+        for i in range(d + 1):
+            p, q = a[i][d - i], b[i][d - i]
+            if p != q:
+                return i, d - i, _first_x(p, q)
+    return None

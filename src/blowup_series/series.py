@@ -18,8 +18,9 @@ coefficient is a nonzero rational (an x-free unit); there are no formal
 logarithms, so integrating a series with a t^-1 term is an error.
 
 :class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
-degree; it exists to check identities that substitute t -> u + v and
-t -> u - v into univariate series.
+degree, for the substitutions t -> u + v and t -> u - v and the JSON form
+of two-variable results.  The identity checks do not multiply it: they
+compare divided-power tables (:mod:`blowup_series.blowup`).
 
 Coefficients are stored plain (the coefficient of t^n itself), but
 products, reciprocals, exponentials and square roots are computed in the
@@ -271,7 +272,9 @@ class TSeries:
         if c == 0:
             if self._val < 0:
                 raise SeriesError("cannot substitute t -> 0 into a Laurent series")
-            return TSeries.from_terms({0: self.coeff(0)}, self._order) if self._val == 0 else TSeries.zero(self._order)
+            if self.is_zero or self._val > 0:
+                return TSeries.zero(self._order)
+            return TSeries.from_terms({0: self.coeff(0)}, self._order)
         terms = {n: coeff * c**n for n, coeff in self.terms()}
         return TSeries.from_terms(terms, self._order)
 

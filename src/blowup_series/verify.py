@@ -10,6 +10,17 @@ theorems about evaluated invariants; as statements between the raw series
 they remain conjectural, and their reports say so.  Only the golden-table
 and coefficient-relation checks certify transcribed reference data.
 
+The bivariate identities ``bb`` and ``bbb``, the evaluation ODEs
+``pm_ode_plus``/``pm_ode_minus`` and ``bb_diagonal`` compare integer tables
+in the divided-power basis of :mod:`blowup_series.hurwitz`: i! j! [u^i v^j]
+and n! [t^n].  The plain values of a mismatch, entry / (i! j!) or
+entry / n!, are formed only at the first slot that differs, in the scan
+order of :func:`~blowup_series.series.first_difference_uv` and
+:func:`~blowup_series.series.first_difference`
+(:func:`~blowup_series.blowup.table_mismatch`,
+:func:`~blowup_series.blowup.hurwitz_mismatch`).  The other checks compare
+plain coefficients.
+
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
 Identity content never depends on the execution schedule, so running the
@@ -24,9 +35,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from . import hurwitz
 from .algebra import XPoly
-from .blowup import BlowupSeriesSet, GenerationError, bb_sides, build_series_set, golden_diff
+from .blowup import (
+    BlowupSeriesSet,
+    GenerationError,
+    bb_tables,
+    build_series_set,
+    golden_diff,
+    hurwitz_form,
+    hurwitz_mismatch,
+    table_mismatch,
+)
 from .series import (
+    NonUnitLeadingError,
     SeriesError,
     TMismatch,
     TSeries,
@@ -35,7 +57,6 @@ from .series import (
     cosh_series,
     exp_t_squared,
     first_difference,
-    first_difference_uv,
     sin_series,
     sinh_series,
 )
@@ -127,11 +148,16 @@ def verify_frak_identities(series_set: BlowupSeriesSet, order: int) -> list[Veri
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
-    combo = series_set.b2 + series_set.s2 if sign == 1 else series_set.b2 - series_set.s2
-    lhs = combo.derivative()
-    numerator = series_set.b.derivative() + (series_set.s if sign == 1 else -series_set.s)
-    rhs = (numerator / series_set.b).scale_arg(2) * combo
-    return first_difference(lhs, rhs, through=order)
+    if series_set.b.valuation != 0 or series_set.b.coeff(0).degree != 0:
+        # every assembled set has B(0) = 1; a Laurent quotient has no table form
+        raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
+    b, s, b2, s2 = (
+        hurwitz_form(getattr(series_set, name)) for name in ("b", "s", "b2", "s2")
+    )
+    combo = b2 + s2 if sign == 1 else b2 - s2
+    numerator = b.derivative() + s if sign == 1 else b.derivative() - s
+    rhs = (numerator * b.recip()).scale_arg(2) * combo
+    return hurwitz_mismatch(combo.derivative(), rhs, order)
 
 
 def _pm_ode_report(series_set: BlowupSeriesSet, order: int, sign: int) -> VerificationReport:
@@ -153,43 +179,40 @@ def verify_bb_diagonal(series_set: BlowupSeriesSet, order: int) -> VerificationR
     """The u = v specialisation of the product identity: B(2t) = B^4 - S^4."""
 
     def check() -> "TMismatch | None":
-        lhs = series_set.b.scale_arg(2)
-        rhs = series_set.b2 * series_set.b2 - series_set.s2 * series_set.s2
-        return first_difference(lhs, rhs, through=order)
+        b, b2, s2 = (hurwitz_form(getattr(series_set, name)) for name in ("b", "b2", "s2"))
+        return hurwitz_mismatch(b.scale_arg(2), b2 * b2 - s2 * s2, order)
 
     return _timed("bb_diagonal", STATUS_CONJECTURAL, order, series_set.content_hash, check)
 
 
-def verify_bb(
-    series_set: BlowupSeriesSet, total_order: int, diagonal_order: "int | None" = None
-) -> VerificationReport:
-    """The bivariate product identity, with the diagonal as a fast pre-check."""
+def verify_bb(series_set: BlowupSeriesSet, total_order: int) -> VerificationReport:
+    """The bivariate product identity (*) through a total degree."""
 
-    def check() -> "TMismatch | UVMismatch | None":
-        diag_through = series_set.order if diagonal_order is None else diagonal_order
-        diag = verify_bb_diagonal(series_set, diag_through)
-        if not diag.passed:
-            return diag.first_mismatch
-        lhs, rhs = bb_sides(series_set.b, series_set.s, total_order)
-        return first_difference_uv(lhs, rhs, through=total_order)
+    def check() -> "UVMismatch | None":
+        return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
 
     return _timed("bb", STATUS_CONJECTURAL, total_order, series_set.content_hash, check)
+
+
+def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+    """Both sides of the triple-product identity
+    S(u)S(v)S(u+v) = B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)
+    through a total degree, as divided-power tables."""
+    m = total_order
+    hb, hs, hdb = (hurwitz_form(x.truncate(m)).h for x in (b, s, b.derivative()))
+    lhs = hurwitz.triple(hs, hs, hs, m)
+    # B'(u)B(v)B(u+v) is the transpose of B(u)B'(v)B(u+v)
+    first = hurwitz.triple(hdb, hb, hb, m)
+    transpose = [[first[j][i] for j in range(m - i + 1)] for i in range(m + 1)]
+    both = hurwitz.table_add(first, transpose)
+    return lhs, hurwitz.table_add(both, hurwitz.triple(hb, hb, hdb, m), -1)
 
 
 def verify_bbb(series_set: BlowupSeriesSet, total_order: int) -> VerificationReport:
     """The triple-product identity relating S(u)S(v)S(u+v) to derivatives of B."""
 
     def check() -> "UVMismatch | None":
-        m = total_order
-        b = series_set.b.truncate(m)
-        s = series_set.s.truncate(m)
-        db = series_set.b.derivative().truncate(m)
-        b_u, b_v = b.as_biseries("u", m), b.as_biseries("v", m)
-        db_u, db_v = db.as_biseries("u", m), db.as_biseries("v", m)
-        b_uv = b.subst_pm(+1)
-        lhs = s.as_biseries("u", m) * s.as_biseries("v", m) * s.subst_pm(+1)
-        rhs = db_u * b_v * b_uv + b_u * db_v * b_uv - b_u * b_v * db.subst_pm(+1)
-        return first_difference_uv(lhs, rhs, through=m)
+        return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
 
     return _timed("bbb", STATUS_CONJECTURAL, total_order, series_set.content_hash, check)
 
@@ -321,7 +344,7 @@ def _make_catalog() -> tuple[IdentityDescriptor, ...]:
             lambda st, order, sign=sign: _pm_ode_report(st, order, sign),
         )
     add("bb_diagonal", UNIVARIATE, STATUS_CONJECTURAL, 128, verify_bb_diagonal)
-    add("bb", BIVARIATE, STATUS_CONJECTURAL, 24, lambda st, order: verify_bb(st, order))
+    add("bb", BIVARIATE, STATUS_CONJECTURAL, 24, verify_bb)
     add("bbb", BIVARIATE, STATUS_CONJECTURAL, 24, verify_bbb)
     for point, tag in ((2, "x2"), (-2, "xneg2")):
         for attr in _DEGENERATION_ATTRS:

@@ -14,8 +14,17 @@ import math
 from fractions import Fraction
 
 from blowup_series.algebra import XPoly
-from blowup_series.blowup import UnexpectedPoleError
-from blowup_series.series import NonUnitLeadingError, SeriesError, TSeries
+from blowup_series.blowup import GenerationError, UnexpectedPoleError
+from blowup_series.series import (
+    BiSeries,
+    NonUnitLeadingError,
+    SeriesError,
+    TMismatch,
+    TSeries,
+    UVMismatch,
+    first_difference,
+    first_difference_uv,
+)
 
 
 def _sq_coeff(coeffs: list[XPoly], n: int) -> XPoly:
@@ -300,3 +309,73 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
     core = plain_exp(removed.integrate().scale_arg(2) * half)
     out["ws1"] = plain_mul(TSeries.t(core.order + 1), core)
     return out
+
+
+# ---------------------------------------------------------------------------
+# plain-route sides of the bivariate and evaluation-ODE checks
+#
+# The package checks these identities on divided-power tables and vectors.
+# The routes below are what it did before: substitution into BiSeries and
+# their plain products, and Laurent TSeries quotients.
+
+
+def reference_bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
+    """B(u+v) B(u-v) and B^2(u) B^2(v) - S^2(u) S^2(v) as BiSeries products."""
+    bt = b.truncate(min(b.order, total_order))
+    st = s.truncate(min(s.order, total_order))
+    lhs = bt.subst_pm(+1) * bt.subst_pm(-1)
+    b2 = plain_mul(bt, bt)
+    s2 = plain_mul(st, st)
+    rhs = b2.as_biseries("u", total_order) * b2.as_biseries("v", total_order) - s2.as_biseries(
+        "u", total_order
+    ) * s2.as_biseries("v", total_order)
+    return lhs, rhs
+
+
+def reference_check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
+    """The generation self-check on the plain sides."""
+    lhs, rhs = reference_bb_sides(b, s, total_order)
+    diff = first_difference_uv(lhs, rhs, through=total_order)
+    if diff is not None:
+        raise GenerationError(
+            f"bivariate product identity fails at u^{diff.u} v^{diff.v} "
+            f"x^{diff.x}: {diff.lhs} vs {diff.rhs}",
+            degree=diff.u + diff.v,
+        )
+
+
+def reference_bb(b: TSeries, s: TSeries, total_order: int) -> "UVMismatch | None":
+    return first_difference_uv(*reference_bb_sides(b, s, total_order), through=total_order)
+
+
+def reference_bbb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
+    """S(u)S(v)S(u+v) and B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)."""
+    m = total_order
+    bt, s = b.truncate(m), s.truncate(m)
+    db, b = b.derivative().truncate(m), bt
+    b_u, b_v = b.as_biseries("u", m), b.as_biseries("v", m)
+    db_u, db_v = db.as_biseries("u", m), db.as_biseries("v", m)
+    b_uv = b.subst_pm(+1)
+    lhs = s.as_biseries("u", m) * s.as_biseries("v", m) * s.subst_pm(+1)
+    rhs = db_u * b_v * b_uv + b_u * db_v * b_uv - b_u * b_v * db.subst_pm(+1)
+    return lhs, rhs
+
+
+def reference_bbb(b: TSeries, s: TSeries, total_order: int) -> "UVMismatch | None":
+    return first_difference_uv(*reference_bbb_sides(b, s, total_order), through=total_order)
+
+
+def reference_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
+    """d/dt (B^2 +- S^2) against ((B' +- S)/B)(2t) (B^2 +- S^2), by Laurent quotient."""
+    combo = series_set.b2 + series_set.s2 if sign == 1 else series_set.b2 - series_set.s2
+    lhs = combo.derivative()
+    numerator = series_set.b.derivative() + (series_set.s if sign == 1 else -series_set.s)
+    rhs = plain_mul(plain_mul(numerator, plain_recip(series_set.b)).scale_arg(2), combo)
+    return first_difference(lhs, rhs, through=order)
+
+
+def reference_bb_diagonal(series_set, order: int) -> "TMismatch | None":
+    """B(2t) against B^4 - S^4."""
+    lhs = series_set.b.scale_arg(2)
+    rhs = plain_mul(series_set.b2, series_set.b2) - plain_mul(series_set.s2, series_set.s2)
+    return first_difference(lhs, rhs, through=order)

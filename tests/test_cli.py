@@ -1,8 +1,16 @@
+import hashlib
 import json
 
-from blowup_series.cli import main
+import pytest
+
+from blowup_series import blowup
+from blowup_series.blowup import GenerationError
+from blowup_series.cli import MAX_ORDER, main
 from blowup_series.series import TSeries, exp_t_squared, cosh_series, first_difference
 from blowup_series.verify import CATALOG_IDS
+
+#: sha256 of the `verify --order 28 --bivariate-order 16` report lines without "ms"
+VERIFY_28_SHA256 = "74cc7058378474671c9e39e71712ee53943b95c961649bbe8bacd4b8a0c784de"
 
 
 def run(capsys, *argv):
@@ -74,6 +82,16 @@ class TestVerify:
         assert [r["identity"] for r in reports] == list(CATALOG_IDS)
         assert all(r["pass"] for r in reports)
         assert "all" in err
+
+    def test_report_lines_without_ms_match_the_pinned_digest(self, capsys):
+        """Byte-identity guard: the order-28 catalog must not change its content."""
+        code, out, _ = run(capsys, "verify", "--order", "28", "--bivariate-order", "16")
+        assert code == 0
+        canonical = "\n".join(
+            json.dumps({k: v for k, v in json.loads(line).items() if k != "ms"}, sort_keys=True)
+            for line in out.splitlines()
+        )
+        assert hashlib.sha256(canonical.encode()).hexdigest() == VERIFY_28_SHA256
 
     def test_below_minimum_order_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--order", "4")
@@ -317,6 +335,41 @@ class TestBench:
         assert small[0]["row"] == large[0]["row"] == "generate"
         assert small[0]["ms"] < large[0]["ms"]
         assert sum(r["ms"] for r in small) < sum(r["ms"] for r in large)
+
+
+class TestOrderCap:
+    """Orders above MAX_ORDER are refused before any build starts."""
+
+    @staticmethod
+    def _argv(command, order, tmp_path):
+        if command == "eval":
+            moments = {"label": "m", "moments": ["1"] * 8}
+            request = tmp_path / "request.json"
+            request.write_text(
+                json.dumps(
+                    {
+                        "parity": "even",
+                        "order": order,
+                        "functionals": {"mu_c": moments, "mu_ctau": moments},
+                    }
+                )
+            )
+            return ["eval", str(request)]
+        extra = ["--series", "B"] if command == "gen" else []
+        return [command, *extra, "--order", str(order)]
+
+    @pytest.mark.parametrize("command", ["gen", "verify", "table", "bench", "eval"])
+    def test_order_above_the_cap_is_refused(self, capsys, monkeypatch, tmp_path, command):
+        def build_started(order, **_):
+            raise GenerationError(f"build started at order {order}")
+
+        monkeypatch.setattr(blowup, "generate_pair", build_started)
+        code, out, err = run(capsys, *self._argv(command, MAX_ORDER + 1, tmp_path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and f"<= {MAX_ORDER}" in err, err
+        # the cap itself is accepted: the build starts (and fails in the stub)
+        code, _, err = run(capsys, *self._argv(command, MAX_ORDER, tmp_path))
+        assert code == 3 and "build started" in err, err
 
 
 class TestUsage:
