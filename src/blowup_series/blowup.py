@@ -20,6 +20,11 @@ instances redundant; they are kept as consistency checks, and generation
 always re-verifies the full identity (*) bivariately and compares against
 the embedded golden coefficient table before returning.
 
+Every derived series is built by one route.  The exponential series solve
+the evaluation ODEs; their closed forms through sqrt and exp are not built
+again, because the identity catalog certifies what they feed (b0 = B^2,
+btau = S^2 and the evaluation ODEs themselves).
+
 Every construction here runs in the divided-power (Hurwitz) basis of
 :mod:`blowup_series.hurwitz`, where the table forms n! [t^n] of B, S and all
 derived series are integer polynomials in x: the recurrence gives
@@ -38,12 +43,12 @@ from fractions import Fraction
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import hurwitz
 from .algebra import Rational, XPoly
 from .hurwitz import HSeries, Poly, addmul, clean, divided
-from .series import BiSeries, SeriesError, TMismatch, TSeries, UVMismatch, first_difference
+from .series import BiSeries, SeriesError, TMismatch, TSeries, UVMismatch
 
 
 class GenerationError(RuntimeError):
@@ -106,20 +111,19 @@ def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
     return clean(acc)
 
 
-def generate_pair(
-    order: int,
-    *,
-    bb_check_order: int = 16,
-    run_checks: bool = True,
-) -> tuple[TSeries, TSeries]:
+#: total degree through which generation re-checks the identity (*)
+_BB_CHECK_ORDER = 16
+
+
+def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     """Generate the blow-up pair (B, S) exactly through t^order.
 
     ``order`` must be at least 4.  After the recurrence the generated pair
     is re-verified: the seed-redundant (E2) instances must vanish, the
     coefficients must match the embedded golden table wherever it reaches,
     and the bivariate identity (*) must hold through total degree
-    ``min(order, bb_check_order)``.  Any mismatch raises
-    :class:`GenerationError` naming the offending degree.
+    ``min(order, 16)``.  Any mismatch raises :class:`GenerationError`
+    naming the offending degree.
     """
     if order < 4:
         raise ValueError(f"generation needs order >= 4, got {order}")
@@ -147,24 +151,19 @@ def generate_pair(
     b_series = TSeries(0, hurwitz.to_coeffs(b[: order + 1]), order)
     s_series = TSeries(0, hurwitz.to_coeffs(s[: order + 1]), order)
 
-    if run_checks:
-        _check_against_golden(b_series, s_series)
-        _check_bb(b_series, s_series, min(order, bb_check_order))
+    _check_against_golden(b_series, s_series)
+    _check_bb(b_series, s_series, min(order, _BB_CHECK_ORDER))
     return b_series, s_series
 
 
 def _check_against_golden(b: TSeries, s: TSeries) -> None:
-    table = golden_table()
-    for name, generated in (("B", b), ("S", s)):
-        reference = table[name]
-        through = min(reference.order, generated.order)
-        diff = first_difference(generated, reference, through=through)
-        if diff is not None:
-            raise GenerationError(
-                f"generated {name} disagrees with the golden table at "
-                f"t^{diff.t}, x^{diff.x}: {diff.lhs} vs {diff.rhs}",
-                degree=diff.t,
-            )
+    diff = next(_golden_diffs((("B", "b", b), ("S", "s", s))), None)
+    if diff is not None:
+        raise GenerationError(
+            f"generated {diff.row} disagrees with the golden table at "
+            f"t^{diff.t}, x^{diff.x}: {diff.got} vs {diff.expected}",
+            degree=diff.t,
+        )
 
 
 def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
@@ -290,32 +289,20 @@ def _ode_solution(sigma: HSeries, rho: HSeries, head: list[Poly], order: int) ->
 def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
-    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built, as
-    the solution of B(2t) f' = (B' +- S)(2t) f with f(0) = 1, and
-    independently the closed form sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B);
-    the two routes must agree exactly, otherwise generation is corrupt.
+    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built as
+    the solution of B(2t) f' = (B' +- S)(2t) f with f(0) = 1.  When B(0) = 1
+    it equals sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B); that closed form is
+    not built here.
     Returns (plus, minus, half_sum, half_difference).
     """
     if b.valuation != 0 or b.coeff(0) != XPoly.one():
         raise SeriesError("sqrt needs constant term exactly 1")
     hb, hs = hurwitz_form(b), hurwitz_form(s)
     db = hb.derivative()
-    sqrt_b2t = hb.scale_arg(2).sqrt()
-    half_integral = (hs * hb.recip()).integrate().scale_arg(2).halved()
-    built = []
-    for sign in (1, -1):
-        numerator = db + hs if sign == 1 else db - hs
-        direct = _ode_solution(hb, numerator, [[1]], _quotient_order(numerator, hb) + 1)
-        alt = sqrt_b2t * (half_integral if sign == 1 else -half_integral).exp()
-        diff = hurwitz.first_difference(direct.h, alt.h, min(direct.order, alt.order))
-        if diff is not None:
-            raise GenerationError(
-                "the two closed forms of the exponential series disagree at "
-                f"t^{diff[0]}, x^{diff[1]}",
-                degree=diff[0],
-            )
-        built.append(direct)
-    plus, minus = built
+    plus, minus = (
+        _ode_solution(hb, numerator, [[1]], _quotient_order(numerator, hb) + 1)
+        for numerator in (db + hs, db - hs)
+    )
     halves = ((plus + minus).halved(), (plus - minus).halved())
     return tuple(_tseries(h) for h in (plus, minus) + halves)
 
@@ -432,9 +419,9 @@ def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
     )
 
 
-def build_series_set(order: int, *, bb_check_order: int = 16) -> BlowupSeriesSet:
+def build_series_set(order: int) -> BlowupSeriesSet:
     """Generate the pair at ``order`` (with checks) and derive everything."""
-    b, s = generate_pair(order, bb_check_order=bb_check_order)
+    b, s = generate_pair(order)
     return assemble_set(b, s)
 
 
@@ -499,13 +486,11 @@ _GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
 )
 
 
-def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
-    """All disagreements between the set and the golden table (empty = match)."""
+def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDiff]:
+    """Every slot, in scan order, where a (row, name, series) leaves its golden row."""
     table = golden_table()
-    diffs: list[GoldenDiff] = []
-    for row, attr in _GOLDEN_PAIRING:
+    for row, name, generated in rows:
         reference = table[row]
-        generated: TSeries = getattr(series_set, attr)
         through = min(reference.order, generated.order)
         for n in range(min(reference.valuation, generated.valuation), through + 1):
             want = reference.coeff(n)
@@ -513,7 +498,11 @@ def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
             if want != have:
                 for k in range(max(want.degree, have.degree) + 1):
                     if want.coeff(k) != have.coeff(k):
-                        diffs.append(
-                            GoldenDiff(row, attr, n, k, want.coeff(k), have.coeff(k))
-                        )
-    return diffs
+                        yield GoldenDiff(row, name, n, k, want.coeff(k), have.coeff(k))
+
+
+def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
+    """All disagreements between the set and the golden table (empty = match)."""
+    return list(
+        _golden_diffs((row, attr, getattr(series_set, attr)) for row, attr in _GOLDEN_PAIRING)
+    )

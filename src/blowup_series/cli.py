@@ -176,6 +176,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if _order_too_large("verify", args.order):
         return EXIT_USAGE
+    if args.bivariate_order < 0:
+        print("verify: --bivariate-order must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.jobs < 1:
         print("verify: --jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -289,6 +292,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("bench: --order must be >= 4", file=sys.stderr)
         return EXIT_USAGE
     if _order_too_large("bench", args.order):
+        return EXIT_USAGE
+    if args.bivariate_order < 0:
+        print("bench: --bivariate-order must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     import time
 

@@ -299,9 +299,6 @@ class HSeries:
         order = min(self.order, other.order)
         return HSeries([add(p, q, -1) for p, q in zip(self.h, other.h)], order)
 
-    def __neg__(self) -> "HSeries":
-        return HSeries([[-v for v in p] for p in self.h], self.order)
-
     def __mul__(self, other: "HSeries") -> "HSeries":
         order = min(self.order + other.valuation, other.order + self.valuation)
         return HSeries(mul(self.h, other.h, order + 1), order)
@@ -321,12 +318,6 @@ class HSeries:
 
     def recip(self) -> "HSeries":
         return HSeries(recip(self.h, self.order + 1), self.order)
-
-    def exp(self) -> "HSeries":
-        return HSeries(exp(self.h, self.order + 1), self.order)
-
-    def sqrt(self) -> "HSeries":
-        return HSeries(sqrt(self.h, self.order + 1), self.order)
 
 
 # ---------------------------------------------------------------------------

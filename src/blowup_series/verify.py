@@ -23,20 +23,18 @@ plain coefficients.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
-Identity content never depends on the execution schedule, so running the
-catalog with any number of worker threads yields identical reports up to
-the timing fields.
+The catalog runs its checks one after another on the calling thread, so
+each report's ``ms`` is the time of that check alone.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import hurwitz
-from .algebra import XPoly
+from .algebra import XPoly, first_coeff_difference
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
@@ -280,10 +278,9 @@ def verify_relations_coefficients(series_set: BlowupSeriesSet) -> VerificationRe
     def check() -> "TMismatch | None":
         for attr, n, expected in _RELATION_FACTS:
             got = getattr(series_set, attr).coeff(n, normalized=True)
-            if got != expected:
-                for k in range(max(got.degree, expected.degree) + 1):
-                    if got.coeff(k) != expected.coeff(k):
-                        return TMismatch(n, k, got.coeff(k), expected.coeff(k))
+            diff = first_coeff_difference(got, expected)
+            if diff is not None:
+                return TMismatch(n, *diff)
         return None
 
     return _timed("relations_coefficients", STATUS_APPENDIX, 4, series_set.content_hash, check)
@@ -384,10 +381,12 @@ def run_catalog(
 
     Univariate identities run through ``order``, bivariate ones through
     ``min(bivariate_order, order)``; both are capped by each entry's
-    feasibility hint.  With ``jobs`` > 1 the independent checks execute on
-    a thread pool; the report list is aggregated in catalog order either
-    way.
+    feasibility hint.  The checks run one after another on the calling
+    thread.  ``jobs`` is still accepted and must be at least 1, but it does
+    not change how the checks run.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     selected = list(CATALOG)
     if identities is not None:
         wanted = list(identities)
@@ -400,11 +399,7 @@ def run_catalog(
         n = order if descriptor.arity == UNIVARIATE else min(bivariate_order, order)
         return min(n, descriptor.max_feasible_order_hint)
 
-    if jobs <= 1:
-        return [d.run(series_set, order_for(d)) for d in selected]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(d.run, series_set, order_for(d)) for d in selected]
-        return [f.result() for f in futures]
+    return [d.run(series_set, order_for(d)) for d in selected]
 
 
 def verify_all(

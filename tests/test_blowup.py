@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from helpers_oracles import solve_by_bivariate_identity
 
+from blowup_series import blowup, hurwitz, series_set
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import (
     GenerationError,
@@ -19,6 +20,7 @@ from blowup_series.blowup import (
     series_content_hash,
 )
 from blowup_series.series import TSeries, first_difference, first_difference_uv
+from blowup_series.verify import run_catalog
 
 X = XPoly.x()
 
@@ -123,6 +125,37 @@ class TestExponentialPair:
         # identity in b), so the guard only fires on inconsistent plumbing;
         # the corruption is caught by the identity catalog instead
         assert first_difference(b0 + btau, plus) is None
+
+    def test_ode_solutions_equal_the_closed_forms_at_order_64(self):
+        """b_+- = sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B), built with plain series."""
+        st = series_set(65)
+        b, s = st.b, st.s
+        root = b.scale_arg(2).sqrt()
+        half_integral = (s * b.recip()).integrate().scale_arg(2) * F(1, 2)
+        for built, exponent in ((st.b_plus, half_integral), (st.b_minus, -half_integral)):
+            closed = root * exponent.exp()
+            through = min(built.order, closed.order)
+            assert through >= 64
+            assert first_difference(built, closed, through=through) is None
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_catalog_catches_a_corrupted_ode_solution(self, monkeypatch, which):
+        """Shift t^6 of b_plus (which = 0) or b_minus (which = 1) by 1/6!."""
+        b, s = generate_pair(12)
+        solve = blowup._ode_solution
+        calls = []
+
+        def shifted(*args):
+            w = solve(*args)
+            if len(calls) == which:
+                w.h[6] = hurwitz.add(w.h[6], [1])
+            calls.append(w)
+            return w
+
+        monkeypatch.setattr(blowup, "_ode_solution", shifted)
+        reports = run_catalog(assemble_set(b, s), 11, bivariate_order=8)
+        failed = {r.identity for r in reports if not r.passed}
+        assert failed == {"b0_equals_b2", "btau_equals_s2"}
 
 
 class TestOddCasePair:

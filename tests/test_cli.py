@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blowup_series
 
 from blowup_series import blowup
 from blowup_series.blowup import GenerationError
@@ -11,6 +17,14 @@ from blowup_series.verify import CATALOG_IDS
 
 #: sha256 of the `verify --order 28 --bivariate-order 16` report lines without "ms"
 VERIFY_28_SHA256 = "74cc7058378474671c9e39e71712ee53943b95c961649bbe8bacd4b8a0c784de"
+
+#: sha256 of `gen --series SERIES --order 64 --format json --normalization NORM`
+GEN_64_SHA256 = {
+    ("BPLUS", "plain"): "f865d5a0b6023c807977deefdc48bab95c4a02749919c4cb2d7461152d6567d5",
+    ("BPLUS", "factorial"): "d1d98f5931ba8f552d3a1f7879f8c78c8f6391a2d6912d830d751a18dfbcba9e",
+    ("BMINUS", "plain"): "4170ef3ce9c127da53ad7916be756b962ab7758fed3241eacac9db8d7fd7fd9b",
+    ("BMINUS", "factorial"): "55d3cbf38221f4d6d14bb79d1cbe43fb5608712ecbdafb62946d3ae83a8cf869",
+}
 
 
 def run(capsys, *argv):
@@ -61,6 +75,16 @@ class TestGen:
         for selector in ("B", "S", "B2", "S2", "BS", "WS0", "WS1", "BPLUS", "BMINUS"):
             code, out, _ = run(capsys, "gen", "--series", selector, "--order", "6")
             assert code == 0, selector
+
+    @pytest.mark.parametrize("series, normalization", sorted(GEN_64_SHA256))
+    def test_exponential_series_match_the_pinned_digest(self, capsys, series, normalization):
+        """Byte-identity guard for the series built by the evaluation ODEs."""
+        code, out, _ = run(
+            capsys, "gen", "--series", series, "--order", "64", "--format", "json",
+            "--normalization", normalization,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_64_SHA256[series, normalization]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.json"
@@ -335,6 +359,32 @@ class TestBench:
         assert small[0]["row"] == large[0]["row"] == "generate"
         assert small[0]["ms"] < large[0]["ms"]
         assert sum(r["ms"] for r in small) < sum(r["ms"] for r in large)
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_negative_bivariate_order_is_refused_before_any_build(capsys, monkeypatch, command):
+    def build_started(order, **_):
+        raise GenerationError(f"build started at order {order}")
+
+    monkeypatch.setattr(blowup, "generate_pair", build_started)
+    for extra in ([], ["--identity", "bb"]) if command == "verify" else ([],):
+        code, out, err = run(
+            capsys, command, "--order", "8", "--bivariate-order", "-1", *extra
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"{command}: --bivariate-order must be >= 0"]
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool():
+    """`concurrent.futures` pulls in logging; the serial catalog needs neither."""
+    src = str(Path(blowup_series.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, blowup_series.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestOrderCap:
