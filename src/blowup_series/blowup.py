@@ -501,8 +501,15 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
                         yield GoldenDiff(row, name, n, k, want.coeff(k), have.coeff(k))
 
 
+def _set_golden_diffs(series_set: BlowupSeriesSet) -> Iterator[GoldenDiff]:
+    return _golden_diffs((row, attr, getattr(series_set, attr)) for row, attr in _GOLDEN_PAIRING)
+
+
 def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
     """All disagreements between the set and the golden table (empty = match)."""
-    return list(
-        _golden_diffs((row, attr, getattr(series_set, attr)) for row, attr in _GOLDEN_PAIRING)
-    )
+    return list(_set_golden_diffs(series_set))
+
+
+def first_golden_diff(series_set: BlowupSeriesSet) -> "GoldenDiff | None":
+    """The first disagreement in scan order, or None; the scan stops there."""
+    return next(_set_golden_diffs(series_set), None)

@@ -149,12 +149,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     # the recurrence needs at least order 4, plus one guard order so that
     # derivative-based series still reach the requested order
     internal = max(args.order, 4) + 1
-    try:
-        st = series_set(internal)
-    except GenerationError as exc:
-        print(f"gen: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    series = getattr(st, SELECTORS[args.series]).truncate(args.order)
+    series = getattr(series_set(internal), SELECTORS[args.series]).truncate(args.order)
 
     if args.format == "json":
         text = json.dumps(series.to_json(args.normalization), indent=2, sort_keys=True)
@@ -191,9 +186,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             identities=args.identity,
         )
-    except GenerationError as exc:
-        print(f"verify: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -213,14 +205,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if _order_too_large("table", args.order):
         return EXIT_USAGE
-    try:
-        series = build_series_set(args.order + 1)
-    except GenerationError as exc:
-        print(f"table: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+    series = build_series_set(args.order + 1)
     report = golden_check(series)
     lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
-    diffs = golden_diff(series)
+    # the report stops at the first difference; list them all only on failure
+    diffs = [] if report.passed else golden_diff(series)
     for diff in diffs:
         lines.append(json.dumps(diff.to_json(), sort_keys=True))
     _emit("\n".join(lines), args.output)
@@ -271,9 +260,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             result = eval_odd(need("mu_c"), need("nu_c"), order)
         else:
             raise ValueError(f"unknown formula {formula!r} for parity {parity!r}")
-    except GenerationError as exc:
-        print(f"eval: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
     except (
         OSError,
         json.JSONDecodeError,
@@ -299,11 +285,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     start = time.perf_counter()
-    try:
-        series = build_series_set(args.order + 1)
-    except GenerationError as exc:
-        print(f"bench: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+    series = build_series_set(args.order + 1)
     gen_ms = (time.perf_counter() - start) * 1000.0
     rows = [{"row": "generate", "order": args.order, "ms": gen_ms}]
     reports = run_catalog(series, args.order, bivariate_order=args.bivariate_order)
@@ -328,7 +310,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except GenerationError as exc:
+        print(f"{args.command}: generation failed: {exc}", file=sys.stderr)
+        return EXIT_GENERATION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,6 +20,7 @@ exactly on the blow-up series.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from typing import Sequence, Union
 
@@ -251,8 +252,8 @@ def linear_ode(
 
 
 def _first_x(p: Poly, q: Poly) -> int:
-    """Least x-power where two unequal entries differ."""
-    return next(k for k in range(max(len(p), len(q))) if p[k : k + 1] != q[k : k + 1])
+    """Least x-power where two unequal entries differ; a missing power is 0."""
+    return next(k for k, (u, v) in enumerate(zip_longest(p, q, fillvalue=0)) if u != v)
 
 
 def first_difference(

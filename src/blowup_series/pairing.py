@@ -24,13 +24,7 @@ from typing import Mapping
 
 from .algebra import Rational, RationalLike, XPoly, parse_rational
 from .blowup import BlowupSeriesSet, series_set
-from .series import (
-    SeriesError,
-    TSeries,
-    cosh_series,
-    exp_t_squared,
-    sinh_series,
-)
+from .series import SeriesError, TSeries, simple_type_form
 
 PROVENANCE_EVEN = "maina"
 PROVENANCE_ODD = "mainb"
@@ -184,13 +178,10 @@ def eval_simple_type(
     Equals the moment-based route on geometric moments with ratio 2.
     """
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    envelope = exp_t_squared(-1, order)
     if parity == "even":
-        c, s = cosh_series(order), sinh_series(order)
-        series = envelope * (c * c * a + s * s * b)
+        series = simple_type_form("b2", 2, order) * a + simple_type_form("s2", 2, order) * b
         return EvalResult(series.truncate(order), PROVENANCE_SIMPLE_EVEN)
     if parity == "odd":
-        half_double = sinh_series(order).scale_arg(2) * Fraction(1, 2)
-        series = envelope * (TSeries.one(order) * a + half_double * d)
+        series = simple_type_form("wronskian", 2, order) * a + simple_type_form("bs", 2, order) * d
         return EvalResult(series.truncate(order), PROVENANCE_SIMPLE_ODD)
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")

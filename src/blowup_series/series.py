@@ -678,3 +678,29 @@ def sin_series(order: int) -> TSeries:
         for n in range(1, order + 1, 2)
     }
     return TSeries.from_terms(terms, order)
+
+
+#: x = 2 and x = -2: (c in the envelope exp(c t^2), even form, odd form)
+_SIMPLE_TYPE = {2: (-1, cosh_series, sinh_series), -2: (1, cos_series, sin_series)}
+
+
+def simple_type_form(name: str, x: int, order: int) -> TSeries:
+    """The closed form that the derived series ``name`` collapses to at x = 2 or -2.
+
+    At x = 2, B^2 is exp(-t^2) cosh^2 t, S^2 is exp(-t^2) sinh^2 t, the
+    Wronskian is exp(-t^2) and BS is exp(-t^2) sinh(2t)/2; at x = -2 the
+    envelope is exp(t^2) and cos, sin replace cosh, sinh.
+    """
+    c, even, odd = _SIMPLE_TYPE[x]
+    envelope = exp_t_squared(c, order)
+    if name == "b2":
+        cosh = even(order)
+        return envelope * (cosh * cosh)
+    if name == "s2":
+        sinh = odd(order)
+        return envelope * (sinh * sinh)
+    if name == "wronskian":
+        return envelope
+    if name == "bs":
+        return envelope * (odd(order).scale_arg(2) * Fraction(1, 2))
+    raise ValueError(f"no closed simple-type form for {name!r}")

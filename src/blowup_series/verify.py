@@ -1,5 +1,12 @@
 """The identity suite: every series identity the engine can certify.
 
+:data:`CATALOG` is the one place an identity is declared.  Each row gives
+its id, its arity (univariate identities run through ``order``, bivariate
+ones through a total degree), its status, a feasibility hint that caps the
+order, and a check ``(series_set, order) -> mismatch | None``.  A row's
+``run`` times its check and builds the :class:`VerificationReport`, so every
+report carries the id and status of the row it came from.
+
 Each identity is checked by expanding both sides exactly to a finite
 truncation order and comparing coefficient by coefficient, so a passing
 report certifies the identity *through that order only*.  The univariate
@@ -29,8 +36,7 @@ each report's ``ms`` is the time of that check alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import hurwitz
@@ -40,7 +46,7 @@ from .blowup import (
     GenerationError,
     bb_tables,
     build_series_set,
-    golden_diff,
+    first_golden_diff,
     hurwitz_form,
     hurwitz_mismatch,
     table_mismatch,
@@ -51,12 +57,8 @@ from .series import (
     TMismatch,
     TSeries,
     UVMismatch,
-    cos_series,
-    cosh_series,
-    exp_t_squared,
     first_difference,
-    sin_series,
-    sinh_series,
+    simple_type_form,
 )
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -64,6 +66,9 @@ STATUS_APPENDIX = "appendix data"
 
 UNIVARIATE = "univariate"
 BIVARIATE = "bivariate"
+
+#: a check: the first mismatch through the given order, or None
+Check = Callable[[BlowupSeriesSet, int], "TMismatch | UVMismatch | None"]
 
 
 @dataclass(frozen=True)
@@ -94,58 +99,50 @@ class VerificationReport:
         return data
 
 
-def _timed(
-    identity: str,
-    status: str,
-    order: int,
-    series_hash: str,
-    check: Callable[[], "TMismatch | UVMismatch | None"],
-) -> VerificationReport:
-    start = time.perf_counter()
-    error = None
-    try:
-        mismatch = check()
-    except (SeriesError, GenerationError, ZeroDivisionError) as exc:
-        mismatch = None
-        error = f"{type(exc).__name__}: {exc}"
-    ms = (time.perf_counter() - start) * 1000.0
-    passed = mismatch is None and error is None
-    return VerificationReport(identity, order, passed, mismatch, series_hash, ms, status, error)
+@dataclass(frozen=True)
+class IdentityDescriptor:
+    """One catalog row: an identity and the check that certifies it."""
+
+    id: str
+    arity: str
+    status: str
+    max_feasible_order_hint: int
+    check: Check = field(repr=False)
+    #: ``run(series_set, order)`` times ``check`` and reports it; an instance
+    #: field, so that a profiler can wrap it entry by entry
+    run: Callable[[BlowupSeriesSet, int], VerificationReport] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "run", self._report)
+
+    def _report(self, series_set: BlowupSeriesSet, order: int) -> VerificationReport:
+        start = time.perf_counter()
+        error = None
+        try:
+            mismatch = self.check(series_set, order)
+        except (SeriesError, GenerationError, ZeroDivisionError) as exc:
+            mismatch = None
+            error = f"{type(exc).__name__}: {exc}"
+        ms = (time.perf_counter() - start) * 1000.0
+        passed = mismatch is None and error is None
+        return VerificationReport(
+            self.id, order, passed, mismatch, series_set.content_hash, ms, self.status, error
+        )
 
 
 # ---------------------------------------------------------------------------
-# individual identity checks
+# the checks
 
 
-#: the four univariate identities: (report id, left attribute, right attribute)
-_FRAK_PAIRS: tuple[tuple[str, str, str], ...] = (
-    ("b0_equals_b2", "b0", "b2"),
-    ("btau_equals_s2", "btau", "s2"),
-    ("ws0_equals_wronskian", "ws0", "wronskian"),
-    ("ws1_equals_bs", "ws1", "bs"),
-)
-
-
-def _frak_report(
-    series_set: BlowupSeriesSet, order: int, name: str, lhs: str, rhs: str
-) -> VerificationReport:
-    return _timed(
-        name,
-        STATUS_CONJECTURAL,
-        order,
-        series_set.content_hash,
-        lambda: first_difference(
-            getattr(series_set, lhs), getattr(series_set, rhs), through=order
-        ),
-    )
-
-
-def verify_frak_identities(series_set: BlowupSeriesSet, order: int) -> list[VerificationReport]:
-    """The four equalities between integral-formula series and plain products."""
-    return [_frak_report(series_set, order, *pair) for pair in _FRAK_PAIRS]
+def _equal(lhs: str, rhs: str) -> Check:
+    """Two series of the set agree coefficient by coefficient."""
+    return lambda st, order: first_difference(getattr(st, lhs), getattr(st, rhs), through=order)
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
+    """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation."""
     if series_set.b.valuation != 0 or series_set.b.coeff(0).degree != 0:
         # every assembled set has B(0) = 1; a Laurent quotient has no table form
         raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
@@ -158,38 +155,19 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
     return hurwitz_mismatch(combo.derivative(), rhs, order)
 
 
-def _pm_ode_report(series_set: BlowupSeriesSet, order: int, sign: int) -> VerificationReport:
-    return _timed(
-        "pm_ode_plus" if sign == 1 else "pm_ode_minus",
-        STATUS_CONJECTURAL,
-        order,
-        series_set.content_hash,
-        lambda: _pm_ode_mismatch(series_set, sign, order),
-    )
+def _pm_ode(sign: int) -> Check:
+    return lambda st, order: _pm_ode_mismatch(st, sign, order)
 
 
-def verify_pm_ode(series_set: BlowupSeriesSet, order: int) -> list[VerificationReport]:
-    """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation."""
-    return [_pm_ode_report(series_set, order, sign) for sign in (1, -1)]
-
-
-def verify_bb_diagonal(series_set: BlowupSeriesSet, order: int) -> VerificationReport:
+def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The u = v specialisation of the product identity: B(2t) = B^4 - S^4."""
-
-    def check() -> "TMismatch | None":
-        b, b2, s2 = (hurwitz_form(getattr(series_set, name)) for name in ("b", "b2", "s2"))
-        return hurwitz_mismatch(b.scale_arg(2), b2 * b2 - s2 * s2, order)
-
-    return _timed("bb_diagonal", STATUS_CONJECTURAL, order, series_set.content_hash, check)
+    b, b2, s2 = (hurwitz_form(getattr(series_set, name)) for name in ("b", "b2", "s2"))
+    return hurwitz_mismatch(b.scale_arg(2), b2 * b2 - s2 * s2, order)
 
 
-def verify_bb(series_set: BlowupSeriesSet, total_order: int) -> VerificationReport:
+def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
     """The bivariate product identity (*) through a total degree."""
-
-    def check() -> "UVMismatch | None":
-        return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
-
-    return _timed("bb", STATUS_CONJECTURAL, total_order, series_set.content_hash, check)
+    return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
 
 
 def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
@@ -206,167 +184,80 @@ def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table,
     return lhs, hurwitz.table_add(both, hurwitz.triple(hb, hb, hdb, m), -1)
 
 
-def verify_bbb(series_set: BlowupSeriesSet, total_order: int) -> VerificationReport:
-    """The triple-product identity relating S(u)S(v)S(u+v) to derivatives of B."""
-
-    def check() -> "UVMismatch | None":
-        return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
-
-    return _timed("bbb", STATUS_CONJECTURAL, total_order, series_set.content_hash, check)
+def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
+    return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
 
 
-#: x = 2 and x = -2: (c in the envelope exp(c t^2), even form, odd form)
-_DEGENERATION_FORMS = {
-    2: (-1, cosh_series, sinh_series),
-    -2: (1, cos_series, sin_series),
-}
-
-_DEGENERATION_ATTRS = ("b2", "s2", "wronskian", "bs")
-
-
-def _degeneration_reference(point: int, attr: str, order: int) -> TSeries:
-    """The closed hyperbolic or trigonometric form of ``attr`` at x = point."""
-    c, even, odd = _DEGENERATION_FORMS[point]
-    envelope = exp_t_squared(c, order)
-    if attr == "b2":
-        return envelope * even(order) * even(order)
-    if attr == "s2":
-        return envelope * odd(order) * odd(order)
-    if attr == "wronskian":
-        return envelope
-    return envelope * (odd(order).scale_arg(2) * Fraction(1, 2))
-
-
-def _degeneration_report(
-    series_set: BlowupSeriesSet, order: int, point: int, attr: str
-) -> VerificationReport:
-    if point not in _DEGENERATION_FORMS:
-        raise ValueError("degeneration point must be 2 or -2")
-    tag = "x2" if point == 2 else "xneg2"
-    series: TSeries = getattr(series_set, attr)
-    return _timed(
-        f"degeneration_{tag}_{attr}",
-        STATUS_CONJECTURAL,
-        order,
-        series_set.content_hash,
-        lambda: first_difference(
-            series.eval_x(point), _degeneration_reference(point, attr, order), through=order
-        ),
+def _at(x: int, name: str) -> Check:
+    """Substituting x -> +-2 collapses a series to a closed hyperbolic or
+    trigonometric form, built inside the timed check."""
+    return lambda st, order: first_difference(
+        getattr(st, name).eval_x(x), simple_type_form(name, x, order), through=order
     )
 
 
-def verify_simple_type_degeneration(
-    series_set: BlowupSeriesSet, order: int, point: int = 2
-) -> list[VerificationReport]:
-    """Substituting x -> +-2 collapses the series to closed hyperbolic or
-    trigonometric forms; all four named series are compared exactly."""
-    return [_degeneration_report(series_set, order, point, attr) for attr in _DEGENERATION_ATTRS]
+def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
+    """The four low-order table coefficients that drive the two classical
+    evaluation relations on tau^2 and tau^4; they reach t^4 at any order."""
+    for name, n, expected in (
+        ("b2", 2, XPoly.zero()),
+        ("s2", 2, XPoly((2,))),
+        ("b2", 4, XPoly((-4,))),
+        ("s2", 4, XPoly.x() * -8),
+    ):
+        diff = first_coeff_difference(getattr(series_set, name).coeff(n, normalized=True), expected)
+        if diff is not None:
+            return TMismatch(n, *diff)
+    return None
 
 
-_RELATION_FACTS: tuple[tuple[str, int, XPoly], ...] = (
-    ("b2", 2, XPoly.zero()),
-    ("s2", 2, XPoly((2,))),
-    ("b2", 4, XPoly((-4,))),
-    ("s2", 4, XPoly.x() * -8),
+def _golden(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
+    d = first_golden_diff(series_set)
+    return None if d is None else TMismatch(d.t, d.x, d.got, d.expected)
+
+
+# ---------------------------------------------------------------------------
+# the catalog
+
+CATALOG: tuple[IdentityDescriptor, ...] = (
+    IdentityDescriptor("b0_equals_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("b0", "b2")),
+    IdentityDescriptor("btau_equals_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("btau", "s2")),
+    IdentityDescriptor(
+        "ws0_equals_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("ws0", "wronskian")
+    ),
+    IdentityDescriptor("ws1_equals_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("ws1", "bs")),
+    IdentityDescriptor("pm_ode_plus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(1)),
+    IdentityDescriptor("pm_ode_minus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(-1)),
+    IdentityDescriptor("bb_diagonal", UNIVARIATE, STATUS_CONJECTURAL, 128, _bb_diagonal),
+    IdentityDescriptor("bb", BIVARIATE, STATUS_CONJECTURAL, 24, _bb),
+    IdentityDescriptor("bbb", BIVARIATE, STATUS_CONJECTURAL, 24, _bbb),
+    IdentityDescriptor("degeneration_x2_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "b2")),
+    IdentityDescriptor("degeneration_x2_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "s2")),
+    IdentityDescriptor(
+        "degeneration_x2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "wronskian")
+    ),
+    IdentityDescriptor("degeneration_x2_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "bs")),
+    IdentityDescriptor("degeneration_xneg2_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "b2")),
+    IdentityDescriptor("degeneration_xneg2_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "s2")),
+    IdentityDescriptor(
+        "degeneration_xneg2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "wronskian")
+    ),
+    IdentityDescriptor("degeneration_xneg2_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "bs")),
+    # the four coefficients sit at t^2 and t^4, so the report states order 4
+    IdentityDescriptor("relations_coefficients", UNIVARIATE, STATUS_APPENDIX, 4, _relations),
 )
 
+CATALOG_IDS: tuple[str, ...] = tuple(d.id for d in CATALOG)
 
-def verify_relations_coefficients(series_set: BlowupSeriesSet) -> VerificationReport:
-    """The four low-order table coefficients that drive the two classical
-    evaluation relations on tau^2 and tau^4."""
-
-    def check() -> "TMismatch | None":
-        for attr, n, expected in _RELATION_FACTS:
-            got = getattr(series_set, attr).coeff(n, normalized=True)
-            diff = first_coeff_difference(got, expected)
-            if diff is not None:
-                return TMismatch(n, *diff)
-        return None
-
-    return _timed("relations_coefficients", STATUS_APPENDIX, 4, series_set.content_hash, check)
+#: the golden table reaches t^16; it stays outside the catalog
+_GOLDEN = IdentityDescriptor("golden_table", UNIVARIATE, STATUS_APPENDIX, 16, _golden)
 
 
 def golden_check(series_set: BlowupSeriesSet) -> VerificationReport:
     """Exact comparison of the whole set against the embedded golden table."""
     if series_set.order < 16:
         raise SeriesError("the golden table reaches t^16; build the set at order >= 16")
-
-    def check() -> "TMismatch | None":
-        diffs = golden_diff(series_set)
-        if diffs:
-            d = diffs[0]
-            return TMismatch(d.t, d.x, d.got, d.expected)
-        return None
-
-    return _timed(
-        "golden_table", STATUS_APPENDIX, min(series_set.order, 16), series_set.content_hash, check
-    )
-
-
-# ---------------------------------------------------------------------------
-# the catalog
-
-
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    """One catalog entry: a deterministic recipe for an identity check."""
-
-    id: str
-    arity: str
-    status: str
-    max_feasible_order_hint: int
-    run: Callable[[BlowupSeriesSet, int], VerificationReport]
-
-
-def _make_catalog() -> tuple[IdentityDescriptor, ...]:
-    entries: list[IdentityDescriptor] = []
-
-    def add(identity: str, arity: str, status: str, hint: int, run) -> None:
-        entries.append(IdentityDescriptor(identity, arity, status, hint, run))
-
-    for pair in _FRAK_PAIRS:
-        add(
-            pair[0],
-            UNIVARIATE,
-            STATUS_CONJECTURAL,
-            128,
-            lambda st, order, pair=pair: _frak_report(st, order, *pair),
-        )
-    for label, sign in (("plus", 1), ("minus", -1)):
-        add(
-            f"pm_ode_{label}",
-            UNIVARIATE,
-            STATUS_CONJECTURAL,
-            128,
-            lambda st, order, sign=sign: _pm_ode_report(st, order, sign),
-        )
-    add("bb_diagonal", UNIVARIATE, STATUS_CONJECTURAL, 128, verify_bb_diagonal)
-    add("bb", BIVARIATE, STATUS_CONJECTURAL, 24, verify_bb)
-    add("bbb", BIVARIATE, STATUS_CONJECTURAL, 24, verify_bbb)
-    for point, tag in ((2, "x2"), (-2, "xneg2")):
-        for attr in _DEGENERATION_ATTRS:
-            add(
-                f"degeneration_{tag}_{attr}",
-                UNIVARIATE,
-                STATUS_CONJECTURAL,
-                128,
-                lambda st, order, point=point, attr=attr: _degeneration_report(
-                    st, order, point, attr
-                ),
-            )
-    add(
-        "relations_coefficients",
-        UNIVARIATE,
-        STATUS_APPENDIX,
-        128,
-        lambda st, order: verify_relations_coefficients(st),
-    )
-    return tuple(entries)
-
-
-CATALOG: tuple[IdentityDescriptor, ...] = _make_catalog()
-
-CATALOG_IDS: tuple[str, ...] = tuple(d.id for d in CATALOG)
+    return _GOLDEN.run(series_set, 16)
 
 
 def run_catalog(
@@ -381,10 +272,13 @@ def run_catalog(
 
     Univariate identities run through ``order``, bivariate ones through
     ``min(bivariate_order, order)``; both are capped by each entry's
-    feasibility hint.  The checks run one after another on the calling
-    thread.  ``jobs`` is still accepted and must be at least 1, but it does
-    not change how the checks run.
+    feasibility hint.  Negative orders are refused before any check runs.
+    The checks run one after another on the calling thread.  ``jobs`` is
+    still accepted and must be at least 1, but it does not change how the
+    checks run.
     """
+    if order < 0 or bivariate_order < 0:
+        raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     selected = list(CATALOG)

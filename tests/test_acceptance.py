@@ -24,19 +24,10 @@ from blowup_series.pairing import (
     pair,
 )
 from blowup_series.series import TSeries, first_difference
-from blowup_series.verify import (
-    run_catalog,
-    verify_all,
-    verify_bb,
-    verify_bb_diagonal,
-    verify_bbb,
-    verify_frak_identities,
-    verify_pm_ode,
-    verify_relations_coefficients,
-    verify_simple_type_degeneration,
-)
+from blowup_series.verify import CATALOG_IDS, run_catalog, verify_all
 
 X = XPoly.x()
+FRAK = ("b0_equals_b2", "btau_equals_s2", "ws0_equals_wronskian", "ws1_equals_bs")
 
 
 def _announce(number: int, title: str, detail: str) -> None:
@@ -61,12 +52,12 @@ def test_criterion_2_integral_formula_identities_orders_28_and_32():
     """b0 = B^2, btau = S^2, ws0 = wronskian, ws1 = BS pass exactly at
     order 28 and again at order 32, the 32 run within 60 seconds."""
     series_28 = build_series_set(29)
-    reports_28 = verify_frak_identities(series_28, 28)
+    reports_28 = run_catalog(series_28, 28, identities=FRAK)
     assert all(r.passed for r in reports_28), [r.identity for r in reports_28 if not r.passed]
 
     start = time.perf_counter()
     series_32 = build_series_set(33)
-    reports_32 = verify_frak_identities(series_32, 32)
+    reports_32 = run_catalog(series_32, 32, identities=FRAK)
     elapsed = time.perf_counter() - start
     assert all(r.passed for r in reports_32), [r.identity for r in reports_32 if not r.passed]
     assert elapsed < 60.0, f"order-32 run took {elapsed:.2f}s (budget 60s)"
@@ -76,7 +67,7 @@ def test_criterion_2_integral_formula_identities_orders_28_and_32():
 def test_criterion_3_evaluation_ode_before_pairing(set29):
     """B^2 +- S^2 satisfies the evaluation ODE exactly through order 28."""
     start = time.perf_counter()
-    reports = verify_pm_ode(set29, 28)
+    reports = run_catalog(set29, 28, identities=["pm_ode_plus", "pm_ode_minus"])
     elapsed = time.perf_counter() - start
     assert all(r.passed for r in reports)
     assert elapsed < 30.0, f"ODE check took {elapsed:.2f}s (budget 30s)"
@@ -87,9 +78,9 @@ def test_criterion_4_bivariate_identities(set29):
     """The product and triple-product identities hold through total degree
     16, and the diagonal specialisation B(2t) = B^4 - S^4 through 28."""
     start = time.perf_counter()
-    bb = verify_bb(set29, 16)
-    bbb = verify_bbb(set29, 16)
-    diagonal = verify_bb_diagonal(set29, 28)
+    diagonal, bb, bbb = run_catalog(
+        set29, 28, bivariate_order=16, identities=["bb", "bbb", "bb_diagonal"]
+    )
     elapsed = time.perf_counter() - start
     assert bb.passed, bb.first_mismatch
     assert bbb.passed, bbb.first_mismatch
@@ -98,12 +89,18 @@ def test_criterion_4_bivariate_identities(set29):
     _announce(4, "bivariate identities", f"total degree 16 + diagonal 28 in {elapsed:.2f}s < 120s")
 
 
+def _degenerations(point: str) -> list[str]:
+    ids = [cid for cid in CATALOG_IDS if cid.startswith(f"degeneration_{point}_")]
+    assert len(ids) == 4
+    return ids
+
+
 def test_criterion_5_simple_type_degenerations(set29):
     """x -> 2 collapses the series to the exact hyperbolic forms through 28;
     the x -> -2 mirror gives the trigonometric forms through 12."""
-    hyperbolic = verify_simple_type_degeneration(set29, 28, point=2)
+    hyperbolic = run_catalog(set29, 28, identities=_degenerations("x2"))
     assert all(r.passed for r in hyperbolic), [r.identity for r in hyperbolic if not r.passed]
-    trigonometric = verify_simple_type_degeneration(set29, 12, point=-2)
+    trigonometric = run_catalog(set29, 12, identities=_degenerations("xneg2"))
     assert all(r.passed for r in trigonometric), [
         r.identity for r in trigonometric if not r.passed
     ]
@@ -113,7 +110,7 @@ def test_criterion_5_simple_type_degenerations(set29):
 def test_criterion_6_relation_coefficients(set29):
     """The four normalized low-order coefficients behind the evaluation
     relations, checked both directly and through the pairing layer."""
-    report = verify_relations_coefficients(set29)
+    (report,) = run_catalog(set29, 28, identities=["relations_coefficients"])
     assert report.passed
     assert set29.b2.coeff(2, normalized=True) == XPoly.zero()
     assert set29.s2.coeff(2, normalized=True) == XPoly((2,))

@@ -10,6 +10,7 @@ import pytest
 import blowup_series
 
 from blowup_series import blowup
+from blowup_series.algebra import XPoly
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
 from blowup_series.series import TSeries, exp_t_squared, cosh_series, first_difference
@@ -173,6 +174,36 @@ class TestTable:
     def test_insufficient_order(self, capsys):
         code, _, err = run(capsys, "table", "--order", "12")
         assert code == 2
+
+    def test_golden_table_is_scanned_once_for_the_report(self, capsys, monkeypatch):
+        scans = []
+        scan = blowup._golden_diffs
+
+        def counted(rows):
+            scans.append(1)
+            return scan(rows)
+
+        monkeypatch.setattr(blowup, "_golden_diffs", counted)
+        code, out, _ = run(capsys, "table", "--order", "16")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert len(scans) == 2  # the generation self-check and the report
+
+    def test_a_failing_report_lists_every_differing_slot(self, capsys, monkeypatch):
+        products = blowup.derived_products
+
+        def bumped(b, s):
+            b2, *rest = products(b, s)
+            return (b2 + TSeries.monomial(XPoly((1, 1)), 6, b2.order), *rest)
+
+        monkeypatch.setattr(blowup, "derived_products", bumped)
+        code, out, err = run(capsys, "table", "--order", "16")
+        report, *diffs = [json.loads(line) for line in out.splitlines()]
+        assert code == 1 and report["pass"] is False
+        assert [(d["series"], d["t"], d["x"]) for d in diffs] == [("b2", 6, 0), ("b2", 6, 1)]
+        assert report["first_mismatch"] == {
+            "t": 6, "x": 0, "lhs": diffs[0]["got"], "rhs": diffs[0]["expected"]
+        }
+        assert err == "table: 2 coefficient slots differ from the golden table\n"
 
 
 class TestEval:
@@ -420,6 +451,18 @@ class TestOrderCap:
         # the cap itself is accepted: the build starts (and fails in the stub)
         code, _, err = run(capsys, *self._argv(command, MAX_ORDER, tmp_path))
         assert code == 3 and "build started" in err, err
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "table", "bench", "eval"])
+def test_generation_failure_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path, command):
+    def failing(order, **_):
+        raise GenerationError("stub recurrence failed", degree=7)
+
+    monkeypatch.setattr(blowup, "generate_pair", failing)
+    blowup.series_set.cache_clear()  # gen and eval go through the cached builder
+    code, out, err = run(capsys, *TestOrderCap._argv(command, 16, tmp_path))
+    assert (code, out) == (3, "")
+    assert err == f"{command}: generation failed: stub recurrence failed (degree 7)\n"
 
 
 class TestUsage:

@@ -39,14 +39,7 @@ from blowup_series.blowup import (
 )
 from blowup_series.hurwitz import HSeries
 from blowup_series.series import SeriesError, TSeries
-from blowup_series.verify import (
-    _pm_ode_mismatch,
-    bbb_tables,
-    verify_bb,
-    verify_bb_diagonal,
-    verify_bbb,
-    verify_pm_ode,
-)
+from blowup_series.verify import CATALOG, _pm_ode_mismatch, bbb_tables
 
 # denominators up to 12 make most Hurwitz entries n! [t^n] non-integral
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -248,6 +241,9 @@ def _result(check):
 _B0_MESSAGE = "the evaluation ODE needs B(0) to be a nonzero rational"
 
 
+ENTRY = {d.id: d for d in CATALOG}
+
+
 def _reported(report):
     return report.first_mismatch if report.error is None else report.error
 
@@ -273,9 +269,19 @@ class TestBivariateTables:
             assert _result(lambda: _pm_ode_mismatch(set_, sign, through)) == _result(
                 lambda: reference_pm_ode(set_, sign, through)
             )
-            assert _reported(verify_bb_diagonal(set_, through)) == _result(
+            assert _reported(ENTRY["bb_diagonal"].run(set_, through)) == _result(
                 lambda: reference_bb_diagonal(set_, through)
             )
+
+    def test_a_zero_entry_differs_first_where_the_other_is_nonzero(self):
+        assert hurwitz.first_difference([[]], [[0, 64]], 0) == (0, 1)
+        assert hurwitz.first_difference_table([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2)
+        # B = 1, S = x t^6: the t^6 slot of the ODE check differs at x^1 only
+        b = TSeries.one(7)
+        s = TSeries.monomial(XPoly((0, 1)), 6, 7)
+        set_ = checked_set(b, s)
+        got = _pm_ode_mismatch(set_, 1, 6)
+        assert got == reference_pm_ode(set_, 1, 6) and (got.t, got.x) == (6, 1)
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
         for table in bb_tables(set17.b, set17.s, 12) + bbb_tables(set17.b, set17.s, 12):
@@ -300,14 +306,16 @@ class TestMutatedPairs:
         check = _result(lambda: _check_bb(b, s, order))
         assert check == _result(lambda: reference_check_bb(b, s, order))
         set_ = checked_set(b, s)
-        assert _reported(verify_bb(set_, order)) == _result(lambda: reference_bb(b, s, order))
+        bb = ENTRY["bb"].run(set_, order)
+        assert _reported(bb) == _result(lambda: reference_bb(b, s, order))
         for m in (order - 1, order):
-            assert _reported(verify_bbb(set_, m)) == _result(lambda: reference_bbb(b, s, m))
+            assert _reported(ENTRY["bbb"].run(set_, m)) == _result(lambda: reference_bbb(b, s, m))
         for through in (order - 1, order, order + 1):
-            assert _reported(verify_bb_diagonal(set_, through)) == _result(
+            assert _reported(ENTRY["bb_diagonal"].run(set_, through)) == _result(
                 lambda: reference_bb_diagonal(set_, through)
             )
-            for report, sign in zip(verify_pm_ode(set_, through), (1, -1)):
+            for cid, sign in (("pm_ode_plus", 1), ("pm_ode_minus", -1)):
+                report = ENTRY[cid].run(set_, through)
                 if b.valuation == 0:
                     expected = _result(lambda: reference_pm_ode(set_, sign, through))
                 else:  # B(0) = 0: the reference divides by a Laurent series

@@ -1,0 +1,35 @@
+"""The demos run as scripts and every public name of the package resolves."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import blowup_series
+
+SRC = Path(blowup_series.__file__).resolve().parents[1]
+DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
+
+
+def test_every_public_name_resolves():
+    names = blowup_series.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(blowup_series, name)] == []
+
+
+def test_the_demos_are_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

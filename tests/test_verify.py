@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from blowup_series import verify
 from blowup_series.algebra import XPoly
-from blowup_series.blowup import assemble_set, generate_pair
+from blowup_series.blowup import assemble_set, generate_pair, series_set
 from blowup_series.series import SeriesError, TSeries
 from blowup_series.verify import (
     CATALOG,
@@ -14,14 +16,11 @@ from blowup_series.verify import (
     golden_check,
     run_catalog,
     verify_all,
-    verify_bb,
-    verify_bb_diagonal,
-    verify_bbb,
-    verify_frak_identities,
-    verify_pm_ode,
-    verify_relations_coefficients,
-    verify_simple_type_degeneration,
 )
+
+ENTRY = {d.id: d for d in CATALOG}
+FRAK = ("b0_equals_b2", "btau_equals_s2", "ws0_equals_wronskian", "ws1_equals_bs")
+PM_ODE = ("pm_ode_plus", "pm_ode_minus")
 
 
 def _mutated_set(base_order=12, exponent=4, delta=F(1, 24)):
@@ -55,16 +54,28 @@ class TestCatalogShape:
         )
 
     def test_statuses(self):
-        by_id = {d.id: d for d in CATALOG}
-        assert by_id["bb"].status == STATUS_CONJECTURAL
-        assert by_id["relations_coefficients"].status == STATUS_APPENDIX
-        assert by_id["bb"].arity == "bivariate"
-        assert by_id["pm_ode_plus"].arity == "univariate"
+        assert ENTRY["bb"].status == STATUS_CONJECTURAL
+        assert ENTRY["relations_coefficients"].status == STATUS_APPENDIX
+        assert ENTRY["bb"].arity == "bivariate"
+        assert ENTRY["pm_ode_plus"].arity == "univariate"
+
+    def test_reports_carry_the_id_and_status_of_their_row(self, set17):
+        reports = run_catalog(set17, 12, bivariate_order=8)
+        assert len(reports) == len(CATALOG)
+        for descriptor, report in zip(CATALOG, reports):
+            assert (report.identity, report.status) == (descriptor.id, descriptor.status)
+
+    def test_each_id_is_written_once(self):
+        """The catalog row is the only place an identity id appears."""
+        source = Path(verify.__file__).read_text()
+        assert {cid: source.count(f'"{cid}"') for cid in CATALOG_IDS} == dict.fromkeys(
+            CATALOG_IDS, 1
+        )
 
 
 class TestFrakIdentities:
     def test_pass_at_low_order(self, set17):
-        reports = verify_frak_identities(set17, 16)
+        reports = run_catalog(set17, 16, identities=FRAK)
         assert [r.identity for r in reports] == [
             "b0_equals_b2",
             "btau_equals_s2",
@@ -79,7 +90,7 @@ class TestFrakIdentities:
 
     def test_corrupted_coefficient_is_reported_with_both_values(self):
         bad = _mutated_set(exponent=4, delta=F(1, 24))  # t^4 slot becomes -3/24
-        reports = verify_frak_identities(bad, 8)
+        reports = run_catalog(bad, 8, identities=FRAK)
         failed = [r for r in reports if not r.passed]
         assert failed, "a corrupted even series must break at least one equality"
         report = failed[0]
@@ -90,7 +101,7 @@ class TestFrakIdentities:
     def test_requested_order_beyond_the_data_fails_honestly(self, set17):
         # the wronskian loses one order to differentiation, so a request at
         # the raw truncation order is unprovable and reported as failed
-        reports = verify_frak_identities(set17, 17)
+        reports = run_catalog(set17, 17, identities=FRAK)
         by_id = {r.identity: r for r in reports}
         report = by_id["ws0_equals_wronskian"]
         assert not report.passed and report.error is not None
@@ -98,16 +109,16 @@ class TestFrakIdentities:
 
 class TestOdeAndBivariate:
     def test_pm_ode_passes(self, set17):
-        reports = verify_pm_ode(set17, 14)
+        reports = run_catalog(set17, 14, identities=PM_ODE)
         assert [r.identity for r in reports] == ["pm_ode_plus", "pm_ode_minus"]
         assert all(r.passed for r in reports)
 
     def test_bb_diagonal_passes(self, set17):
-        assert verify_bb_diagonal(set17, 16).passed
+        assert ENTRY["bb_diagonal"].run(set17, 16).passed
 
     def test_bb_and_bbb_pass(self, set17):
-        assert verify_bb(set17, 8).passed
-        assert verify_bbb(set17, 8).passed
+        assert ENTRY["bb"].run(set17, 8).passed
+        assert ENTRY["bbb"].run(set17, 8).passed
 
     def test_bbb_low_order_slot_value(self, set17):
         """Lowest block of the triple-product identity: both sides reduce to
@@ -127,23 +138,25 @@ class TestOdeAndBivariate:
 
     def test_bb_catches_mutations(self):
         bad = _mutated_set(exponent=8, delta=1)
-        assert not verify_bb(bad, 8).passed
+        assert not ENTRY["bb"].run(bad, 8).passed
 
 
 class TestDegenerations:
     def test_hyperbolic_point(self, set17):
-        reports = verify_simple_type_degeneration(set17, 14, point=2)
-        assert all(r.passed for r in reports)
-        assert [r.identity for r in reports] == [
+        ids = [
             "degeneration_x2_b2",
             "degeneration_x2_s2",
             "degeneration_x2_wronskian",
             "degeneration_x2_bs",
         ]
+        reports = run_catalog(set17, 14, identities=ids)
+        assert all(r.passed for r in reports)
+        assert [r.identity for r in reports] == ids
 
     def test_trigonometric_mirror(self, set17):
-        reports = verify_simple_type_degeneration(set17, 12, point=-2)
-        assert all(r.passed for r in reports)
+        ids = [cid for cid in CATALOG_IDS if cid.startswith("degeneration_xneg2_")]
+        reports = run_catalog(set17, 12, identities=ids)
+        assert len(reports) == 4 and all(r.passed for r in reports)
 
     def test_frozen_low_order_values(self, set17):
         """B^2 at x = 2 is exp(-t^2) cosh^2 t = 1 - t^4/6 + (2/45) t^6 + ..."""
@@ -154,15 +167,11 @@ class TestDegenerations:
         # the Wronskian row at t^4/4! evaluates to 12 at x = 2, matching exp(-t^2)
         assert set17.wronskian.coeff(4, normalized=True).eval_at(2) == 12
 
-    def test_bad_point_rejected(self, set17):
-        with pytest.raises(ValueError):
-            verify_simple_type_degeneration(set17, 8, point=3)
-
 
 class TestRelationsAndGolden:
     def test_relation_coefficients(self, set17):
-        report = verify_relations_coefficients(set17)
-        assert report.passed and report.status == STATUS_APPENDIX
+        (report,) = run_catalog(set17, 16, identities=["relations_coefficients"])
+        assert report.passed and report.status == STATUS_APPENDIX and report.order == 4
         assert set17.b2.coeff(2, normalized=True).is_zero
         assert set17.s2.coeff(2, normalized=True) == XPoly((2,))
         assert set17.b2.coeff(4, normalized=True) == XPoly((-4,))
@@ -212,7 +221,7 @@ class TestRunCatalogAndVerifyAll:
     def test_monotonicity(self, set17):
         """An identity passing at an order passes at every lower order."""
         for order in (14, 10, 8):
-            assert all(r.passed for r in verify_frak_identities(set17, order))
+            assert all(r.passed for r in run_catalog(set17, order, identities=FRAK))
 
     def test_report_json_schema(self, set17):
         report = run_catalog(set17, 8, identities=["bb"])[0]
@@ -240,8 +249,25 @@ class TestRunCatalogAndVerifyAll:
         st = assemble_set(*generate_pair(10))
         # differentiation costs one order, so order-10 data cannot certify
         # the ode at order 10; the runner records that as a failed report
-        reports = verify_pm_ode(st, 10)
+        reports = run_catalog(st, 10, identities=PM_ODE)
         assert all(not r.passed and r.error for r in reports)
         assert all("error" in r.to_json() for r in reports)
         # while at order 9 the same set passes cleanly
-        assert all(r.passed for r in verify_pm_ode(st, 9))
+        assert all(r.passed for r in run_catalog(st, 9, identities=PM_ODE))
+
+    @pytest.mark.parametrize("order, bivariate_order", [(8, -1), (-1, 8)])
+    def test_negative_orders_are_refused_before_any_check(
+        self, monkeypatch, order, bivariate_order
+    ):
+        def check_ran(*_):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "bb_tables", check_ran)
+        monkeypatch.setattr(verify, "first_difference", check_ran)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_catalog(
+                series_set(9),
+                order,
+                bivariate_order=bivariate_order,
+                identities=["bb", "bbb", "b0_equals_b2"],
+            )
