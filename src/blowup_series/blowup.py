@@ -33,6 +33,13 @@ convolutions, and the integral formulas are solved as linear ODEs.  Each
 public construction takes and returns :class:`TSeries`, converting once per
 input and per output series; the identity checks compare sides in the
 kernel (:func:`bb_tables`, :func:`hurwitz_mismatch`, :func:`table_mismatch`).
+
+A :class:`BlowupSeriesSet` builds each derived group on the first read of one
+of its series and keeps it.  :func:`assemble_set` checks only that the pair
+shares one order, so a construction error surfaces on that first read, not
+when the set is made; a failed build is not kept, and the next read raises
+again.  :func:`series_set` is the cached lazy set of a generated pair;
+:func:`build_series_set` returns one with every group already built.
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ import json
 import math
 from fractions import Fraction
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
@@ -361,32 +368,6 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     return _tseries(ws0), _tseries(ws1)
 
 
-@dataclass(frozen=True)
-class BlowupSeriesSet:
-    """Every universal series the engine knows how to build, at one order.
-
-    ``b2``, ``s2``, ``bs`` and ``wronskian`` are recomputed products, never
-    aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/
-    ``btau`` are their half sum/difference; ``ws0``/``ws1`` come from the
-    odd-case integral formulas.  ``content_hash`` fingerprints (b, s).
-    """
-
-    order: int
-    b: TSeries
-    s: TSeries
-    b2: TSeries
-    s2: TSeries
-    bs: TSeries
-    wronskian: TSeries
-    b_plus: TSeries
-    b_minus: TSeries
-    b0: TSeries
-    btau: TSeries
-    ws0: TSeries
-    ws1: TSeries
-    content_hash: str
-
-
 def series_content_hash(b: TSeries, s: TSeries) -> str:
     payload = json.dumps(
         [b.to_json(), s.to_json()], sort_keys=True, separators=(",", ":")
@@ -394,41 +375,80 @@ def series_content_hash(b: TSeries, s: TSeries) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
+def _member(group: str, index: int) -> cached_property:
+    """Series ``index`` of a derived group, kept in the instance dict once read."""
+    return cached_property(lambda self: getattr(self, group)[index])
+
+
+@dataclass(frozen=True)
+class BlowupSeriesSet:
+    """The blow-up pair and every series derived from it, built on first read.
+
+    The fields are the pair ``b``, ``s``; ``order`` is their truncation order.
+    Each derived group is built by its module-level construction the first
+    time one of its series is read, and kept: ``b2``, ``s2``, ``bs`` and
+    ``wronskian`` are recomputed products (:func:`derived_products`), never
+    aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/
+    ``btau`` are their half sum/difference (:func:`exponential_pair`);
+    ``ws0``/``ws1`` come from the odd-case integral formulas
+    (:func:`odd_case_pair`).  ``content_hash`` fingerprints (b, s).
+
+    A construction error therefore surfaces on the first read of a series of
+    its group, not when the set is made.  A failed build is not kept, so the
+    next read raises again.
+    """
+
+    b: TSeries
+    s: TSeries
+
+    @property
+    def order(self) -> int:
+        return self.b.order
+
+    @cached_property
+    def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        return derived_products(self.b, self.s)
+
+    @cached_property
+    def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        return exponential_pair(self.b, self.s)
+
+    @cached_property
+    def _odd(self) -> tuple[TSeries, TSeries]:
+        return odd_case_pair(self.b, self.s)
+
+    @cached_property
+    def content_hash(self) -> str:
+        return series_content_hash(self.b, self.s)
+
+    b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
+    b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))
+    ws0, ws1 = (_member("_odd", i) for i in range(2))
+
+
+#: the cached groups of a set, in build order
+_GROUPS = ("_products", "_exponential", "_odd", "content_hash")
+
+
 def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
-    """Build the full derived family from a given pair (no generation checks)."""
+    """The set over a given pair (no generation checks); nothing derived is built yet."""
     if b.order != s.order:
         raise ValueError("the pair must share one truncation order")
-    b2, s2, bs, wronskian = derived_products(b, s)
-    plus, minus, b0, btau = exponential_pair(b, s)
-    ws0, ws1 = odd_case_pair(b, s)
-    return BlowupSeriesSet(
-        order=b.order,
-        b=b,
-        s=s,
-        b2=b2,
-        s2=s2,
-        bs=bs,
-        wronskian=wronskian,
-        b_plus=plus,
-        b_minus=minus,
-        b0=b0,
-        btau=btau,
-        ws0=ws0,
-        ws1=ws1,
-        content_hash=series_content_hash(b, s),
-    )
+    return BlowupSeriesSet(b, s)
 
 
 def build_series_set(order: int) -> BlowupSeriesSet:
-    """Generate the pair at ``order`` (with checks) and derive everything."""
-    b, s = generate_pair(order)
-    return assemble_set(b, s)
+    """Generate the pair at ``order`` (with checks) and build every derived series now."""
+    built = assemble_set(*generate_pair(order))
+    for group in _GROUPS:
+        getattr(built, group)
+    return built
 
 
 @lru_cache(maxsize=8)
 def series_set(order: int) -> BlowupSeriesSet:
-    """Cached :func:`build_series_set` for repeated use at one order."""
-    return build_series_set(order)
+    """The cached set at ``order``: the checked pair now, each derived group on first read."""
+    return assemble_set(*generate_pair(order))
 
 
 # ---------------------------------------------------------------------------

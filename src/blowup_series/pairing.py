@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .algebra import Rational, RationalLike, XPoly, parse_rational
 from .blowup import BlowupSeriesSet, series_set
-from .series import SeriesError, TSeries, simple_type_form
+from .series import SeriesError, TSeries, _simple_type_factor, exp_t_squared
 
 PROVENANCE_EVEN = "maina"
 PROVENANCE_ODD = "mainb"
@@ -179,9 +179,14 @@ def eval_simple_type(
     """
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
     if parity == "even":
-        series = simple_type_form("b2", 2, order) * a + simple_type_form("s2", 2, order) * b
-        return EvalResult(series.truncate(order), PROVENANCE_SIMPLE_EVEN)
-    if parity == "odd":
-        series = simple_type_form("wronskian", 2, order) * a + simple_type_form("bs", 2, order) * d
-        return EvalResult(series.truncate(order), PROVENANCE_SIMPLE_ODD)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        b2, s2 = (_simple_type_factor(name, 2, order) for name in ("b2", "s2"))
+        factor = b2 * a + s2 * b
+        provenance = PROVENANCE_SIMPLE_EVEN
+    elif parity == "odd":
+        wronskian, bs = (_simple_type_factor(name, 2, order) for name in ("wronskian", "bs"))
+        factor = wronskian * a + bs * d
+        provenance = PROVENANCE_SIMPLE_ODD
+    else:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    # one envelope exp(-t^2) for both closed forms
+    return EvalResult((exp_t_squared(-1, order) * factor).truncate(order), provenance)

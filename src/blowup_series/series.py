@@ -691,16 +691,21 @@ def simple_type_form(name: str, x: int, order: int) -> TSeries:
     Wronskian is exp(-t^2) and BS is exp(-t^2) sinh(2t)/2; at x = -2 the
     envelope is exp(t^2) and cos, sin replace cosh, sinh.
     """
-    c, even, odd = _SIMPLE_TYPE[x]
-    envelope = exp_t_squared(c, order)
+    envelope = exp_t_squared(_SIMPLE_TYPE[x][0], order)
+    return envelope if name == "wronskian" else envelope * _simple_type_factor(name, x, order)
+
+
+def _simple_type_factor(name: str, x: int, order: int) -> TSeries:
+    """:func:`simple_type_form` without its envelope exp(-+t^2)."""
+    _, even, odd = _SIMPLE_TYPE[x]
     if name == "b2":
         cosh = even(order)
-        return envelope * (cosh * cosh)
+        return cosh * cosh
     if name == "s2":
         sinh = odd(order)
-        return envelope * (sinh * sinh)
+        return sinh * sinh
     if name == "wronskian":
-        return envelope
+        return TSeries.one(order)
     if name == "bs":
-        return envelope * (odd(order).scale_arg(2) * Fraction(1, 2))
+        return odd(order).scale_arg(2) * Fraction(1, 2)
     raise ValueError(f"no closed simple-type form for {name!r}")

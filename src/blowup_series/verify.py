@@ -31,7 +31,9 @@ plain coefficients.
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
 The catalog runs its checks one after another on the calling thread, so
-each report's ``ms`` is the time of that check alone.
+each report's ``ms`` is the time of that check alone on a set from
+:func:`~blowup_series.blowup.build_series_set`.  On a lazy set the first
+check that reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
@@ -277,23 +279,30 @@ def run_catalog(
     still accepted and must be at least 1, but it does not change how the
     checks run.
     """
-    if order < 0 or bivariate_order < 0:
-        raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    selected = list(CATALOG)
-    if identities is not None:
-        wanted = list(identities)
-        unknown = sorted(set(wanted) - set(CATALOG_IDS))
-        if unknown:
-            raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
-        selected = [d for d in CATALOG if d.id in wanted]
+    selected = _select(order, bivariate_order, jobs, identities)
 
     def order_for(descriptor: IdentityDescriptor) -> int:
         n = order if descriptor.arity == UNIVARIATE else min(bivariate_order, order)
         return min(n, descriptor.max_feasible_order_hint)
 
     return [d.run(series_set, order_for(d)) for d in selected]
+
+
+def _select(
+    order: int, bivariate_order: int, jobs: int, identities: "Iterable[str] | None"
+) -> list[IdentityDescriptor]:
+    """The catalog rows to run, in catalog order; bad arguments raise ValueError."""
+    if order < 0 or bivariate_order < 0:
+        raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if identities is None:
+        return list(CATALOG)
+    wanted = list(identities)
+    unknown = sorted(set(wanted) - set(CATALOG_IDS))
+    if unknown:
+        raise ValueError(f"unknown identity ids: {', '.join(unknown)}")
+    return [d for d in CATALOG if d.id in wanted]
 
 
 def verify_all(
@@ -307,15 +316,17 @@ def verify_all(
 
     The set is built one order above the request so that every check that
     loses an order to differentiation still genuinely reaches ``order``.
-    Generation failures propagate as :class:`GenerationError`.
+    Every argument is checked before the build starts; generation failures
+    propagate as :class:`GenerationError`.
     """
     if order < 8:
         raise ValueError(f"verification needs order >= 8, got {order}")
+    selected = [d.id for d in _select(order, bivariate_order, jobs, identities)]
     series_set = build_series_set(order + 1)
     return run_catalog(
         series_set,
         order,
         bivariate_order=bivariate_order,
         jobs=jobs,
-        identities=identities,
+        identities=selected,
     )

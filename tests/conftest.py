@@ -7,6 +7,7 @@ settings.register_profile(
     "exact",
     max_examples=50,
     deadline=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("exact")

@@ -220,6 +220,20 @@ class TestGoldenTable:
         assert h == golden_table_hash()
 
 
+#: the module-level constructions a series set calls, one per derived group
+_GROUPS = ("derived_products", "exponential_pair", "odd_case_pair", "series_content_hash")
+#: every attribute of a set besides the pair
+_READS = ("order", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "b0", "btau")
+_READS += ("ws0", "ws1", "content_hash")
+
+
+def _refusing(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
 class TestSeriesSet:
     def test_content_hash_tracks_the_pair(self, set17):
         assert set17.content_hash == series_content_hash(set17.b, set17.s)
@@ -229,6 +243,41 @@ class TestSeriesSet:
     def test_assemble_requires_matching_orders(self, set17):
         with pytest.raises(ValueError):
             assemble_set(set17.b.truncate(10), set17.s)
+
+    def test_each_group_is_built_once_on_first_read(self, monkeypatch):
+        st = assemble_set(*generate_pair(10))
+        calls = {}
+        for name in _GROUPS:
+            build = getattr(blowup, name)
+
+            def counted(*args, name=name, build=build):
+                calls[name] = calls.get(name, 0) + 1
+                return build(*args)
+
+            monkeypatch.setattr(blowup, name, counted)
+        assert st.order == 10 and calls == {}
+        for _ in range(2):
+            for name in _READS:
+                getattr(st, name)
+        assert calls == {name: 1 for name in _GROUPS}
+
+    def test_build_series_set_builds_every_group(self, monkeypatch):
+        built = blowup.build_series_set(10)
+        for name in _GROUPS:
+            monkeypatch.setattr(blowup, name, _refusing(name))
+        read = {name: getattr(built, name) for name in _READS}
+        monkeypatch.undo()
+        fresh = assemble_set(built.b, built.s)
+        assert read == {name: getattr(fresh, name) for name in _READS}
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        st = assemble_set(*generate_pair(10))
+        monkeypatch.setattr(blowup, "exponential_pair", _refusing("exponential_pair"))
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="exponential_pair"):
+                st.b0
+        monkeypatch.undo()
+        assert first_difference(st.b0, st.b2) is None
 
     def test_derived_products_standalone(self, set17):
         b2, s2, bs, wronskian = derived_products(set17.b, set17.s)

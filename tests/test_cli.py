@@ -21,11 +21,36 @@ VERIFY_28_SHA256 = "74cc7058378474671c9e39e71712ee53943b95c961649bbe8bacd4b8a0c7
 
 #: sha256 of `gen --series SERIES --order 64 --format json --normalization NORM`
 GEN_64_SHA256 = {
+    ("B", "plain"): "ae5144d420796a4532601469ecbb92ecd65015d8b28f2630f0edb677be685739",
+    ("B", "factorial"): "15e576a932c960aae52966dc057f74cf3a69f62c5d7fd4c2df595564f6d71847",
+    ("S", "plain"): "570307439fd8c2a1d04fe499dd7316bd5a310de25e90b6d6e7a2cc755ed21bb7",
+    ("S", "factorial"): "bc25a1ec048955838b71ec357fd6fccb6de6fbd14cd4ab0d7ea38fed3558aab4",
+    ("B2", "plain"): "5492d137884a2ce9184fd3cf30cc10ab7af70729fbc9a79bfc262513ba2ecefa",
+    ("B2", "factorial"): "33f322d972e13e434a42bfd112e2ac1f4d3e755c5e28eb0b827d276401080c63",
+    ("S2", "plain"): "7b35878d08a426ab4261f88c6560e884a7599a67ab542525eb252a1f26a5f6b1",
+    ("S2", "factorial"): "ee241ab1e5cc740f5e2b2383efb480ab76b56e9d62c6108a551d751656fdc088",
+    ("BS", "plain"): "4f54e527954d286c89bcfd88621592e5b59b505764263c32f578e0ae655ef94d",
+    ("BS", "factorial"): "aa18f94cbc1bda8684d726b0d84f59edcb2b8ec203b7bf705530d5d5c3354318",
+    ("WS0", "plain"): "55adddf595b376ef55f05e1662c64063b22169e70106594270629faf101ed243",
+    ("WS0", "factorial"): "bebc28bc21601cb38bc586e12ba4e4204fc9aba01789792a39d1f4c0ab0e0abf",
+    ("WS1", "plain"): "4f54e527954d286c89bcfd88621592e5b59b505764263c32f578e0ae655ef94d",
+    ("WS1", "factorial"): "aa18f94cbc1bda8684d726b0d84f59edcb2b8ec203b7bf705530d5d5c3354318",
     ("BPLUS", "plain"): "f865d5a0b6023c807977deefdc48bab95c4a02749919c4cb2d7461152d6567d5",
     ("BPLUS", "factorial"): "d1d98f5931ba8f552d3a1f7879f8c78c8f6391a2d6912d830d751a18dfbcba9e",
     ("BMINUS", "plain"): "4170ef3ce9c127da53ad7916be756b962ab7758fed3241eacac9db8d7fd7fd9b",
     ("BMINUS", "factorial"): "55d3cbf38221f4d6d14bb79d1cbe43fb5608712ecbdafb62946d3ae83a8cf869",
 }
+
+
+def _refuse_groups(monkeypatch, *names):
+    """Make the named derived-group constructions raise, on a fresh series-set cache."""
+    for name in names:
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(blowup, name, refuse)
+    blowup.series_set.cache_clear()
 
 
 def run(capsys, *argv):
@@ -79,13 +104,24 @@ class TestGen:
 
     @pytest.mark.parametrize("series, normalization", sorted(GEN_64_SHA256))
     def test_exponential_series_match_the_pinned_digest(self, capsys, series, normalization):
-        """Byte-identity guard for the series built by the evaluation ODEs."""
+        """Byte-identity guard for every selector, the pair and each derived group."""
         code, out, _ = run(
             capsys, "gen", "--series", series, "--order", "64", "--format", "json",
             "--normalization", normalization,
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GEN_64_SHA256[series, normalization]
+
+    @pytest.mark.parametrize("selector", ["B", "S"])
+    def test_the_pair_builds_no_derived_series(self, capsys, monkeypatch, selector):
+        _refuse_groups(monkeypatch, "derived_products", "exponential_pair", "odd_case_pair")
+        code, out, err = run(capsys, "gen", "--series", selector, "--order", "12")
+        assert code == 0, err
+
+    def test_a_product_builds_neither_solved_pair(self, capsys, monkeypatch):
+        _refuse_groups(monkeypatch, "exponential_pair", "odd_case_pair")
+        code, out, err = run(capsys, "gen", "--series", "B2", "--order", "12")
+        assert code == 0, err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.json"
@@ -211,6 +247,28 @@ class TestEval:
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         return path
+
+    @pytest.mark.parametrize(
+        "parity, formula, inserted",
+        [("even", "maina", "mu_ctau"), ("even", "main-prime", "nu_c"), ("odd", "mainb", "nu_c")],
+    )
+    def test_eval_builds_neither_solved_pair(
+        self, capsys, monkeypatch, tmp_path, parity, formula, inserted
+    ):
+        _refuse_groups(monkeypatch, "exponential_pair", "odd_case_pair")
+        moments = {"label": "m", "moments": [str(2**k) for k in range(20)]}
+        request = self._write(
+            tmp_path,
+            "request.json",
+            {
+                "parity": parity,
+                "formula": formula,
+                "order": 12,
+                "functionals": {"mu_c": moments, inserted: moments},
+            },
+        )
+        code, out, err = run(capsys, "eval", str(request))
+        assert code == 0, err
 
     def test_even_geometric_request(self, capsys, tmp_path):
         request = self._write(

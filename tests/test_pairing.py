@@ -18,6 +18,7 @@ from blowup_series.series import (
     cosh_series,
     exp_t_squared,
     first_difference,
+    simple_type_form,
     sinh_series,
 )
 
@@ -209,6 +210,26 @@ class TestSimpleTypeClosedForms:
     def test_parity_validation(self):
         with pytest.raises(ValueError):
             eval_simple_type(1, 0, 0, "sideways", 8)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5, 8, 13, 21, 34, 48])
+    def test_one_envelope_equals_one_envelope_per_form(self, order):
+        """The shared envelope gives what each closed form times its own envelope gives."""
+
+        def per_form(first, second, x, y):
+            series = simple_type_form(first, 2, order) * x + simple_type_form(second, 2, order) * y
+            return series.truncate(order)
+
+        values = (F(0), F(1), F(-1), F(3, 7), F(-5, 2))
+        for a in values:
+            for c in values:
+                for parity, names in (("even", ("b2", "s2")), ("odd", ("wronskian", "bs"))):
+                    got = eval_simple_type(a, c, c, parity, order).series
+                    want = per_form(*names, a, c)
+                    assert (got.valuation, got.order, got.to_json()) == (
+                        want.valuation,
+                        want.order,
+                        want.to_json(),
+                    ), (parity, a, c)
 
 
 class TestEvalResultJson:

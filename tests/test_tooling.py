@@ -22,6 +22,23 @@ def test_the_demos_are_found():
     assert len(DEMOS) >= 4
 
 
+def test_the_benchmark_tracer_installs_on_the_package(monkeypatch):
+    """Every callable the benchmark tracer wraps still exists under the name it binds."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import tracing
+
+    blowup = blowup_series.blowup
+    originals = (blowup.series_set, blowup.build_series_set, blowup.derived_products)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert blowup.series_set is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (blowup.series_set, blowup.build_series_set, blowup.derived_products) == originals
+    blowup.series_set.cache_info()  # read when the tracer writes its file
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from blowup_series import verify
+from blowup_series import blowup, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import assemble_set, generate_pair, series_set
 from blowup_series.series import SeriesError, TSeries
@@ -254,6 +254,29 @@ class TestRunCatalogAndVerifyAll:
         assert all("error" in r.to_json() for r in reports)
         # while at order 9 the same set passes cleanly
         assert all(r.passed for r in run_catalog(st, 9, identities=PM_ODE))
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"order": 4},
+            {"bivariate_order": -1},
+            {"jobs": 0},
+            {"identities": ["nope"]},
+            {"identities": ["bb", "nope"]},
+        ],
+        ids=["order", "bivariate_order", "jobs", "identity", "one_identity_of_two"],
+    )
+    def test_verify_all_refuses_bad_arguments_before_it_builds(self, monkeypatch, arguments):
+        def build_started(order):
+            raise AssertionError(f"generation started at order {order}")
+
+        monkeypatch.setattr(blowup, "generate_pair", build_started)
+        with pytest.raises(ValueError):
+            verify_all(**{"order": 48, **arguments})
+
+    def test_verify_all_takes_identities_once(self):
+        reports = verify_all(8, bivariate_order=8, identities=iter(["bb", "b0_equals_b2"]))
+        assert [r.identity for r in reports] == ["b0_equals_b2", "bb"]
 
     @pytest.mark.parametrize("order, bivariate_order", [(8, -1), (-1, 8)])
     def test_negative_orders_are_refused_before_any_check(
