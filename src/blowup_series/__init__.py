@@ -8,122 +8,47 @@ integral-formula series), verifies the catalog of series identities to any
 feasible truncation order, and pairs series against user-supplied moment
 data of Donaldson-type linear functionals.
 """
-from .algebra import (
-    Rational,
-    XPoly,
-    format_rational,
-    parse_rational,
-    rational,
-    render_xpoly,
-)
+from .algebra import XPoly, render_xpoly
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
-    GoldenDiff,
     UnexpectedPoleError,
-    assemble_set,
-    bb_sides,
     build_series_set,
-    derived_products,
-    exponential_pair,
-    generate_pair,
-    golden_diff,
     golden_table,
-    golden_table_hash,
-    odd_case_pair,
-    series_content_hash,
     series_set,
 )
 from .pairing import (
-    EvalResult,
     InsufficientMomentsError,
     MomentFunctional,
     eval_even,
     eval_even_main_prime,
     eval_odd,
     eval_simple_type,
-    pair,
 )
-from .series import (
-    BiSeries,
-    LogSingularityError,
-    NonUnitLeadingError,
-    SeriesError,
-    TMismatch,
-    TSeries,
-    UVMismatch,
-    cos_series,
-    cosh_series,
-    equal_to_order,
-    exp_t_squared,
-    first_difference,
-    first_difference_uv,
-    sin_series,
-    sinh_series,
-)
-from .verify import (
-    CATALOG,
-    CATALOG_IDS,
-    IdentityDescriptor,
-    VerificationReport,
-    golden_check,
-    run_catalog,
-    verify_all,
-)
+from .series import BiSeries, SeriesError, TSeries, first_difference
+from .verify import verify_all
 
 __version__ = "1.0.0"
 
+#: what the demos import and the README names; the rest lives in the submodules
 __all__ = [
     "BiSeries",
     "BlowupSeriesSet",
-    "CATALOG",
-    "CATALOG_IDS",
-    "EvalResult",
     "GenerationError",
-    "GoldenDiff",
-    "IdentityDescriptor",
     "InsufficientMomentsError",
-    "LogSingularityError",
     "MomentFunctional",
-    "NonUnitLeadingError",
-    "Rational",
     "SeriesError",
-    "TMismatch",
     "TSeries",
-    "UVMismatch",
     "UnexpectedPoleError",
-    "VerificationReport",
     "XPoly",
-    "assemble_set",
-    "bb_sides",
     "build_series_set",
-    "cos_series",
-    "cosh_series",
-    "derived_products",
-    "equal_to_order",
     "eval_even",
     "eval_even_main_prime",
     "eval_odd",
     "eval_simple_type",
-    "exp_t_squared",
-    "exponential_pair",
     "first_difference",
-    "first_difference_uv",
-    "format_rational",
-    "generate_pair",
-    "golden_check",
-    "golden_diff",
     "golden_table",
-    "golden_table_hash",
-    "odd_case_pair",
-    "pair",
-    "parse_rational",
-    "rational",
     "render_xpoly",
-    "run_catalog",
-    "series_content_hash",
     "series_set",
-    "sin_series",
-    "sinh_series",
     "verify_all",
 ]

@@ -233,6 +233,36 @@ def _tseries(h: HSeries) -> TSeries:
     return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
 
 
+def degeneration_forms(x: int, order: int) -> tuple[HSeries, dict[str, HSeries]]:
+    """The closed forms of B^2, S^2, the Wronskian and BS at x = 2 or -2.
+
+    With c = x/2 each is the envelope exp(-c t^2) times a factor: cosh^2 t,
+    sinh^2 t, 1 and sinh(2t)/2 at x = 2, and cos^2 t, sin^2 t, 1 and
+    sin(2t)/2 at x = -2.  All are integer kernel vectors.  The envelope has
+    entry (-c)^(n/2) n!/(n/2)! at even n.  With g_n = c^(n//2) 2^(n-1), the
+    B^2 factor is 1 at n = 0 and g_n at even n >= 2, the S^2 factor is c
+    times that but 0 at n = 0, and the BS factor is g_n at odd n.
+    Returns the envelope and the factors by series name.
+    """
+    if x not in (2, -2):
+        raise ValueError(f"the simple-type forms sit at x = 2 and x = -2, got {x}")
+    c = x // 2
+    g = {n: c ** (n // 2) * 2 ** (n - 1) for n in range(1, order + 1)}
+    evens = range(2, order + 1, 2)
+
+    def vector(entries: dict[int, int]) -> HSeries:
+        return HSeries([[entries[n]] if entries.get(n) else [] for n in range(order + 1)], order)
+
+    f = math.factorial
+    envelope = vector({n: (-c) ** (n // 2) * f(n) // f(n // 2) for n in range(0, order + 1, 2)})
+    return envelope, {
+        "b2": vector({0: 1, **{n: g[n] for n in evens}}),
+        "s2": vector({n: c * g[n] for n in evens}),
+        "wronskian": vector({0: 1}),
+        "bs": vector({n: g[n] for n in range(1, order + 1, 2)}),
+    }
+
+
 def _plain_value(p: Poly, k: int, scale: int) -> Rational:
     """x^k coefficient of a kernel entry divided by its factorial ``scale``."""
     return Fraction(p[k] if k < len(p) else 0) / scale
@@ -391,7 +421,8 @@ class BlowupSeriesSet:
     aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/
     ``btau`` are their half sum/difference (:func:`exponential_pair`);
     ``ws0``/``ws1`` come from the odd-case integral formulas
-    (:func:`odd_case_pair`).  ``content_hash`` fingerprints (b, s).
+    (:func:`odd_case_pair`).  ``content_hash`` fingerprints (b, s), and
+    :meth:`kernel` converts a series to its kernel form once.
 
     A construction error therefore surfaces on the first read of a series of
     its group, not when the set is made.  A failed build is not kept, so the
@@ -420,6 +451,16 @@ class BlowupSeriesSet:
     @cached_property
     def content_hash(self) -> str:
         return series_content_hash(self.b, self.s)
+
+    @cached_property
+    def _kernels(self) -> dict[str, HSeries]:
+        return {}
+
+    def kernel(self, name: str) -> HSeries:
+        """The kernel form of series ``name``, converted on first read and kept."""
+        if name not in self._kernels:
+            self._kernels[name] = hurwitz_form(getattr(self, name))
+        return self._kernels[name]
 
     b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
     b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))

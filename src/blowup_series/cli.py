@@ -42,10 +42,10 @@ SELECTORS = {
     "BMINUS": "b_minus",
 }
 
-#: largest order any command builds.  The full set grows about as order^4.4
-#: (1.0 s at order 129 and 20 s at 257 on a 2-core host with Python 3.11), so
-#: order 512 would take about seven minutes; the checked pair alone, all that
-#: ``gen --series B|S`` builds, takes 0.13 s and 2.4 s there
+#: largest order any command builds.  The full set grows about as order^4.3
+#: (1.8 s at order 129 and 36 s at 257 on a 2-core host with Python 3.11), so
+#: order 512 would take about twelve minutes; the checked pair alone, all that
+#: ``gen --series B|S`` builds, takes 0.24 s and 3.8 s there
 MAX_ORDER = 256
 
 EXIT_OK = 0
@@ -270,6 +270,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         SeriesError,
     ) as exc:
         print(f"eval: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
+        print(f"eval: a moment has a zero denominator: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(json.dumps(result.to_json(), indent=2, sort_keys=True), args.output)
     return EXIT_OK

@@ -320,6 +320,16 @@ class HSeries:
     def recip(self) -> "HSeries":
         return HSeries(recip(self.h, self.order + 1), self.order)
 
+    def at_x(self, x: Scalar) -> "HSeries":
+        """Substitute a value for x in every entry, one Horner sum each."""
+        out = []
+        for p in self.h:
+            v = 0
+            for c in reversed(p):
+                v = v * x + c
+            out.append(clean([v]))
+        return HSeries(out, self.order)
+
 
 # ---------------------------------------------------------------------------
 # bivariate tables

@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import Rational, RationalLike, XPoly, parse_rational
-from .blowup import BlowupSeriesSet, series_set
-from .series import SeriesError, TSeries, _simple_type_factor, exp_t_squared
+from .blowup import BlowupSeriesSet, degeneration_forms, series_set
+from .hurwitz import HSeries, add, scaled, to_coeffs
+from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
 PROVENANCE_ODD = "mainb"
@@ -179,14 +180,14 @@ def eval_simple_type(
     """
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
     if parity == "even":
-        b2, s2 = (_simple_type_factor(name, 2, order) for name in ("b2", "s2"))
-        factor = b2 * a + s2 * b
-        provenance = PROVENANCE_SIMPLE_EVEN
+        terms, provenance = (("b2", a), ("s2", b)), PROVENANCE_SIMPLE_EVEN
     elif parity == "odd":
-        wronskian, bs = (_simple_type_factor(name, 2, order) for name in ("wronskian", "bs"))
-        factor = wronskian * a + bs * d
-        provenance = PROVENANCE_SIMPLE_ODD
+        terms, provenance = (("wronskian", a), ("bs", d)), PROVENANCE_SIMPLE_ODD
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     # one envelope exp(-t^2) for both closed forms
-    return EvalResult((exp_t_squared(-1, order) * factor).truncate(order), provenance)
+    envelope, factors = degeneration_forms(2, order)
+    (first, u), (second, v) = ((factors[name].h, weight) for name, weight in terms)
+    factor = [add(scaled(p, u), scaled(q, v)) for p, q in zip(first, second)]
+    result = envelope * HSeries(factor, order)
+    return EvalResult(TSeries(0, to_coeffs(result.h), order), provenance)

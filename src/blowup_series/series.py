@@ -27,7 +27,9 @@ products, reciprocals, exponentials and square roots are computed in the
 divided-power kernel :mod:`blowup_series.hurwitz`, on the table forms
 n! [t^n]; a Laurent series t^v A(t) is handled through its unit part A.
 The plain-basis loops they replaced are kept as the reference in the test
-suite.
+suite, as are the plain closed forms exp(c t^2), cosh, sinh, cos and sin of
+the x = +-2 degenerations, which the package builds as kernel vectors
+(:func:`blowup_series.blowup.degeneration_forms`).
 """
 from __future__ import annotations
 
@@ -276,11 +278,6 @@ class TSeries:
                 return TSeries.zero(self._order)
             return TSeries.from_terms({0: self.coeff(0)}, self._order)
         terms = {n: coeff * c**n for n, coeff in self.terms()}
-        return TSeries.from_terms(terms, self._order)
-
-    def eval_x(self, v: RationalLike) -> "TSeries":
-        """Substitute a rational value for x in every coefficient."""
-        terms = {n: XPoly((c.eval_at(v),)) for n, c in self.terms()}
         return TSeries.from_terms(terms, self._order)
 
     # -- multiplicative structure ------------------------------------------
@@ -643,69 +640,3 @@ def first_difference_uv(
                 return UVMismatch(i, d - i, k, va, vb)
     return None
 
-
-# ---------------------------------------------------------------------------
-# exact scalar reference series (x-free coefficients)
-
-
-def exp_t_squared(c: RationalLike, order: int) -> TSeries:
-    """exp(c * t^2) as an exact rational series."""
-    c = Fraction(c)
-    terms = {2 * k: c**k / math.factorial(k) for k in range(order // 2 + 1)}
-    return TSeries.from_terms(terms, order)
-
-
-def cosh_series(order: int) -> TSeries:
-    terms = {n: Fraction(1, math.factorial(n)) for n in range(0, order + 1, 2)}
-    return TSeries.from_terms(terms, order)
-
-
-def sinh_series(order: int) -> TSeries:
-    terms = {n: Fraction(1, math.factorial(n)) for n in range(1, order + 1, 2)}
-    return TSeries.from_terms(terms, order)
-
-
-def cos_series(order: int) -> TSeries:
-    terms = {
-        n: Fraction((-1) ** (n // 2), math.factorial(n)) for n in range(0, order + 1, 2)
-    }
-    return TSeries.from_terms(terms, order)
-
-
-def sin_series(order: int) -> TSeries:
-    terms = {
-        n: Fraction((-1) ** ((n - 1) // 2), math.factorial(n))
-        for n in range(1, order + 1, 2)
-    }
-    return TSeries.from_terms(terms, order)
-
-
-#: x = 2 and x = -2: (c in the envelope exp(c t^2), even form, odd form)
-_SIMPLE_TYPE = {2: (-1, cosh_series, sinh_series), -2: (1, cos_series, sin_series)}
-
-
-def simple_type_form(name: str, x: int, order: int) -> TSeries:
-    """The closed form that the derived series ``name`` collapses to at x = 2 or -2.
-
-    At x = 2, B^2 is exp(-t^2) cosh^2 t, S^2 is exp(-t^2) sinh^2 t, the
-    Wronskian is exp(-t^2) and BS is exp(-t^2) sinh(2t)/2; at x = -2 the
-    envelope is exp(t^2) and cos, sin replace cosh, sinh.
-    """
-    envelope = exp_t_squared(_SIMPLE_TYPE[x][0], order)
-    return envelope if name == "wronskian" else envelope * _simple_type_factor(name, x, order)
-
-
-def _simple_type_factor(name: str, x: int, order: int) -> TSeries:
-    """:func:`simple_type_form` without its envelope exp(-+t^2)."""
-    _, even, odd = _SIMPLE_TYPE[x]
-    if name == "b2":
-        cosh = even(order)
-        return cosh * cosh
-    if name == "s2":
-        sinh = odd(order)
-        return sinh * sinh
-    if name == "wronskian":
-        return TSeries.one(order)
-    if name == "bs":
-        return odd(order).scale_arg(2) * Fraction(1, 2)
-    raise ValueError(f"no closed simple-type form for {name!r}")

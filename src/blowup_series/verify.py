@@ -25,15 +25,21 @@ entry / n!, are formed only at the first slot that differs, in the scan
 order of :func:`~blowup_series.series.first_difference_uv` and
 :func:`~blowup_series.series.first_difference`
 (:func:`~blowup_series.blowup.table_mismatch`,
-:func:`~blowup_series.blowup.hurwitz_mismatch`).  The other checks compare
-plain coefficients.
+:func:`~blowup_series.blowup.hurwitz_mismatch`).  The eight
+``degeneration_*`` rows evaluate a series' kernel vector at x = +-2, one
+Horner sum per entry, and compare it there with its closed form, built as an
+integer vector by :func:`~blowup_series.blowup.degeneration_forms`.  The
+evaluation ODEs, ``bb_diagonal`` and the degeneration rows read each series'
+kernel form from :meth:`~blowup_series.blowup.BlowupSeriesSet.kernel`, which
+converts it once per set.  The other checks compare plain coefficients.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
 The catalog runs its checks one after another on the calling thread, so
 each report's ``ms`` is the time of that check alone on a set from
-:func:`~blowup_series.blowup.build_series_set`.  On a lazy set the first
-check that reads a derived group also pays for building it.
+:func:`~blowup_series.blowup.build_series_set`, plus the kernel conversion of
+each series it is the first to read.  On a lazy set the first check that
+reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from .blowup import (
     GenerationError,
     bb_tables,
     build_series_set,
+    degeneration_forms,
     first_golden_diff,
     hurwitz_form,
     hurwitz_mismatch,
@@ -60,7 +67,6 @@ from .series import (
     TSeries,
     UVMismatch,
     first_difference,
-    simple_type_form,
 )
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -148,9 +154,7 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
     if series_set.b.valuation != 0 or series_set.b.coeff(0).degree != 0:
         # every assembled set has B(0) = 1; a Laurent quotient has no table form
         raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
-    b, s, b2, s2 = (
-        hurwitz_form(getattr(series_set, name)) for name in ("b", "s", "b2", "s2")
-    )
+    b, s, b2, s2 = (series_set.kernel(name) for name in ("b", "s", "b2", "s2"))
     combo = b2 + s2 if sign == 1 else b2 - s2
     numerator = b.derivative() + s if sign == 1 else b.derivative() - s
     rhs = (numerator * b.recip()).scale_arg(2) * combo
@@ -163,7 +167,7 @@ def _pm_ode(sign: int) -> Check:
 
 def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The u = v specialisation of the product identity: B(2t) = B^4 - S^4."""
-    b, b2, s2 = (hurwitz_form(getattr(series_set, name)) for name in ("b", "b2", "s2"))
+    b, b2, s2 = (series_set.kernel(name) for name in ("b", "b2", "s2"))
     return hurwitz_mismatch(b.scale_arg(2), b2 * b2 - s2 * s2, order)
 
 
@@ -193,9 +197,12 @@ def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
 def _at(x: int, name: str) -> Check:
     """Substituting x -> +-2 collapses a series to a closed hyperbolic or
     trigonometric form, built inside the timed check."""
-    return lambda st, order: first_difference(
-        getattr(st, name).eval_x(x), simple_type_form(name, x, order), through=order
-    )
+
+    def check(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
+        envelope, factors = degeneration_forms(x, order)
+        return hurwitz_mismatch(series_set.kernel(name).at_x(x), envelope * factors[name], order)
+
+    return check
 
 
 def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
@@ -231,8 +238,8 @@ CATALOG: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor("pm_ode_plus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(1)),
     IdentityDescriptor("pm_ode_minus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(-1)),
     IdentityDescriptor("bb_diagonal", UNIVARIATE, STATUS_CONJECTURAL, 128, _bb_diagonal),
-    IdentityDescriptor("bb", BIVARIATE, STATUS_CONJECTURAL, 24, _bb),
-    IdentityDescriptor("bbb", BIVARIATE, STATUS_CONJECTURAL, 24, _bbb),
+    IdentityDescriptor("bb", BIVARIATE, STATUS_CONJECTURAL, 64, _bb),
+    IdentityDescriptor("bbb", BIVARIATE, STATUS_CONJECTURAL, 64, _bbb),
     IdentityDescriptor("degeneration_x2_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "b2")),
     IdentityDescriptor("degeneration_x2_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "s2")),
     IdentityDescriptor(

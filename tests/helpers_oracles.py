@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from blowup_series.algebra import XPoly
+from blowup_series.algebra import RationalLike, XPoly
 from blowup_series.blowup import GenerationError, UnexpectedPoleError
 from blowup_series.series import (
     BiSeries,
@@ -379,3 +379,88 @@ def reference_bb_diagonal(series_set, order: int) -> "TMismatch | None":
     lhs = series_set.b.scale_arg(2)
     rhs = plain_mul(series_set.b2, series_set.b2) - plain_mul(series_set.s2, series_set.s2)
     return first_difference(lhs, rhs, through=order)
+
+
+# ---------------------------------------------------------------------------
+# x = +-2 degenerations on plain Fraction series
+#
+# The package checks the degeneration rows, and builds the closed simple-type
+# forms, as integer kernel vectors.  The routes below are what it did before:
+# substitute x in every plain coefficient, and multiply Fraction series of
+# exp(c t^2), cosh, sinh, cos and sin.
+
+
+def eval_x(series: TSeries, v: RationalLike) -> TSeries:
+    """Substitute a rational value for x in every coefficient."""
+    terms = {n: XPoly((c.eval_at(v),)) for n, c in series.terms()}
+    return TSeries.from_terms(terms, series.order)
+
+
+def exp_t_squared(c: RationalLike, order: int) -> TSeries:
+    """exp(c * t^2) as an exact rational series."""
+    c = Fraction(c)
+    terms = {2 * k: c**k / math.factorial(k) for k in range(order // 2 + 1)}
+    return TSeries.from_terms(terms, order)
+
+
+def cosh_series(order: int) -> TSeries:
+    terms = {n: Fraction(1, math.factorial(n)) for n in range(0, order + 1, 2)}
+    return TSeries.from_terms(terms, order)
+
+
+def sinh_series(order: int) -> TSeries:
+    terms = {n: Fraction(1, math.factorial(n)) for n in range(1, order + 1, 2)}
+    return TSeries.from_terms(terms, order)
+
+
+def cos_series(order: int) -> TSeries:
+    terms = {
+        n: Fraction((-1) ** (n // 2), math.factorial(n)) for n in range(0, order + 1, 2)
+    }
+    return TSeries.from_terms(terms, order)
+
+
+def sin_series(order: int) -> TSeries:
+    terms = {
+        n: Fraction((-1) ** ((n - 1) // 2), math.factorial(n))
+        for n in range(1, order + 1, 2)
+    }
+    return TSeries.from_terms(terms, order)
+
+
+#: x = 2 and x = -2: (c in the envelope exp(c t^2), even form, odd form)
+_SIMPLE_TYPE = {2: (-1, cosh_series, sinh_series), -2: (1, cos_series, sin_series)}
+
+
+def simple_type_form(name: str, x: int, order: int) -> TSeries:
+    """The closed form that the derived series ``name`` collapses to at x = 2 or -2.
+
+    At x = 2, B^2 is exp(-t^2) cosh^2 t, S^2 is exp(-t^2) sinh^2 t, the
+    Wronskian is exp(-t^2) and BS is exp(-t^2) sinh(2t)/2; at x = -2 the
+    envelope is exp(t^2) and cos, sin replace cosh, sinh.
+    """
+    envelope = exp_t_squared(_SIMPLE_TYPE[x][0], order)
+    return envelope if name == "wronskian" else envelope * _simple_type_factor(name, x, order)
+
+
+def _simple_type_factor(name: str, x: int, order: int) -> TSeries:
+    """:func:`simple_type_form` without its envelope exp(-+t^2)."""
+    _, even, odd = _SIMPLE_TYPE[x]
+    if name == "b2":
+        cosh = even(order)
+        return cosh * cosh
+    if name == "s2":
+        sinh = odd(order)
+        return sinh * sinh
+    if name == "wronskian":
+        return TSeries.one(order)
+    if name == "bs":
+        return odd(order).scale_arg(2) * Fraction(1, 2)
+    raise ValueError(f"no closed simple-type form for {name!r}")
+
+
+def reference_degeneration(series_set, x: int, name: str, order: int) -> "TMismatch | None":
+    """A degeneration row by the plain route: substitute x, compare with the closed form."""
+    return first_difference(
+        eval_x(getattr(series_set, name), x), simple_type_form(name, x, order), through=order
+    )

@@ -1,7 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from helpers_oracles import solve_by_bivariate_identity
+from helpers_oracles import (
+    _simple_type_factor,
+    exp_t_squared,
+    simple_type_form,
+    solve_by_bivariate_identity,
+)
 
 from blowup_series import blowup, hurwitz, series_set
 from blowup_series.algebra import XPoly
@@ -10,6 +15,7 @@ from blowup_series.blowup import (
     UnexpectedPoleError,
     assemble_set,
     bb_sides,
+    degeneration_forms,
     derived_products,
     exponential_pair,
     generate_pair,
@@ -283,3 +289,21 @@ class TestSeriesSet:
         b2, s2, bs, wronskian = derived_products(set17.b, set17.s)
         assert first_difference(b2, set17.b2) is None
         assert first_difference(wronskian, set17.wronskian) is None
+
+
+class TestDegenerationForms:
+    @pytest.mark.parametrize("x", [2, -2])
+    def test_integer_forms_equal_the_fraction_references_through_t128(self, x):
+        envelope, factors = degeneration_forms(x, 128)
+        assert all(type(v) is int for h in (envelope, *factors.values()) for p in h.h for v in p)
+        assert first_difference(blowup._tseries(envelope), exp_t_squared(-x // 2, 128)) is None
+        for name, factor in factors.items():
+            reference = _simple_type_factor(name, x, 128)
+            assert first_difference(blowup._tseries(factor), reference) is None
+            form = blowup._tseries(envelope * factor)
+            assert form.order == 128
+            assert first_difference(form, simple_type_form(name, x, 128)) is None
+
+    def test_only_x_equal_to_plus_or_minus_two_has_forms(self):
+        with pytest.raises(ValueError, match="x = 2 and x = -2"):
+            degeneration_forms(0, 8)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers_oracles import cosh_series, exp_t_squared
 
 import blowup_series
 
@@ -13,7 +14,7 @@ from blowup_series import blowup
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
-from blowup_series.series import TSeries, exp_t_squared, cosh_series, first_difference
+from blowup_series.series import TSeries, first_difference
 from blowup_series.verify import CATALOG_IDS
 
 #: sha256 of the `verify --order 28 --bivariate-order 16` report lines without "ms"
@@ -413,6 +414,11 @@ class TestEval:
             {"parity": "even", "order": True, "functionals": {"mu_c": moments, "mu_ctau": moments}},
             {"parity": "even", "order": 2.0, "functionals": {"mu_c": moments, "mu_ctau": moments}},
             {"parity": "even", "order": 4, "functionals": {"mu_c": moments, "mu_ctau": "list.json"}},
+            {
+                "parity": "even",
+                "order": 4,
+                "functionals": {"mu_c": {"label": "m", "moments": ["1/0"]}, "mu_ctau": moments},
+            },
         ):
             request = self._write(tmp_path, "request.json", payload)
             code, out, err = run(capsys, "eval", str(request))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from helpers_oracles import cos_series, cosh_series, exp_t_squared, sin_series, sinh_series
 
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import golden_table
@@ -12,14 +13,9 @@ from blowup_series.series import (
     NonUnitLeadingError,
     SeriesError,
     TSeries,
-    cos_series,
-    cosh_series,
     equal_to_order,
-    exp_t_squared,
     first_difference,
     first_difference_uv,
-    sin_series,
-    sinh_series,
 )
 
 X = XPoly.x()

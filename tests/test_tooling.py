@@ -1,5 +1,7 @@
 """The demos run as scripts and every public name of the package resolves."""
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,17 @@ def test_every_public_name_resolves():
     names = blowup_series.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(blowup_series, name)] == []
+
+
+def test_every_public_name_is_imported_by_a_demo_or_named_in_the_readme():
+    imported = set()
+    for demo in DEMOS:
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "blowup_series":
+                imported.update(alias.name for alias in node.names)
+    readme = (SRC.parent / "README.md").read_text()
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
+    assert sorted(set(blowup_series.__all__) - imported - named) == []
 
 
 def test_the_demos_are_found():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from helpers_oracles import eval_x, reference_degeneration
 
 from blowup_series import blowup, verify
 from blowup_series.algebra import XPoly
@@ -140,6 +141,26 @@ class TestOdeAndBivariate:
         bad = _mutated_set(exponent=8, delta=1)
         assert not ENTRY["bb"].run(bad, 8).passed
 
+    def test_bb_reaches_total_degree_64(self):
+        (report,) = run_catalog(series_set(65), 64, bivariate_order=64, identities=["bb"])
+        assert report.passed and report.order == 64
+
+    def test_each_series_is_converted_to_the_kernel_once(self, monkeypatch):
+        st = assemble_set(*generate_pair(17))
+        st.b2  # build the products before counting
+        converted = []
+        to_kernel = blowup.hurwitz_form
+
+        def counted(series):
+            converted.append(series)
+            return to_kernel(series)
+
+        monkeypatch.setattr(blowup, "hurwitz_form", counted)
+        ids = [*PM_ODE, "bb_diagonal", *(cid for cid in CATALOG_IDS if cid.startswith("degeneration_"))]
+        assert all(r.passed for r in run_catalog(st, 16, identities=ids))
+        assert len(converted) == 6  # b, s, b2, s2, wronskian, bs
+        assert st.kernel("b2") is st.kernel("b2")
+
 
 class TestDegenerations:
     def test_hyperbolic_point(self, set17):
@@ -160,12 +181,32 @@ class TestDegenerations:
 
     def test_frozen_low_order_values(self, set17):
         """B^2 at x = 2 is exp(-t^2) cosh^2 t = 1 - t^4/6 + (2/45) t^6 + ..."""
-        sub = set17.b2.eval_x(2)
+        sub = eval_x(set17.b2, 2)
         assert sub.coeff(2).is_zero
         assert sub.coeff(4) == XPoly((F(-1, 6),))
         assert sub.coeff(6) == XPoly((F(2, 45),))
         # the Wronskian row at t^4/4! evaluates to 12 at x = 2, matching exp(-t^2)
         assert set17.wronskian.coeff(4, normalized=True).eval_at(2) == 12
+
+    @pytest.mark.parametrize("corrupted, untouched", [("b", "s2"), ("s", "b2")])
+    def test_a_corrupted_pair_is_reported_as_the_plain_route_reports_it(self, corrupted, untouched):
+        """A wrong t^10 coefficient 1 + 3x in B or in S fails every row but the
+        untouched square's, and each row names the slot and values that
+        substituting x in Fraction series and comparing with the Fraction
+        closed form names."""
+        pair = dict(zip("bs", generate_pair(24)))
+        pair[corrupted] = pair[corrupted] + TSeries.monomial(XPoly((1, 3)), 10, 24)
+        bad = assemble_set(pair["b"], pair["s"])
+        ids = [cid for cid in CATALOG_IDS if cid.startswith("degeneration_")]
+        reports = run_catalog(bad, 20, identities=ids)
+        for report in reports:
+            x = 2 if "_x2_" in report.identity else -2
+            want = reference_degeneration(bad, x, report.identity.rsplit("_", 1)[1], 20)
+            assert report.to_json()["first_mismatch"] == (want and want.to_json()), report.identity
+        assert {r.identity for r in reports if r.passed} == {
+            f"degeneration_x2_{untouched}",
+            f"degeneration_xneg2_{untouched}",
+        }
 
 
 class TestRelationsAndGolden:
