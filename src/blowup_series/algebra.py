@@ -19,7 +19,7 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def format_rational(a: RationalLike) -> str:
@@ -34,7 +34,7 @@ def parse_rational(text: str) -> Rational:
     result is reduced.  Decimal notation is rejected so that golden data
     and JSON payloads stay in a single exact format.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     value = Fraction(text)  # raises ZeroDivisionError for 'p/0'
     return value

@@ -29,16 +29,16 @@ Every construction here runs in the divided-power (Hurwitz) basis of
 :mod:`blowup_series.hurwitz`, where the table forms n! [t^n] of B, S and all
 derived series are integer polynomials in x: the recurrence gives
 b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are binomial
-convolutions, and the integral formulas are solved as linear ODEs.  Each
-public construction takes and returns :class:`TSeries`, converting once per
-input and per output series; the identity checks compare sides in the
-kernel (:func:`bb_tables`, :func:`hurwitz_mismatch`, :func:`table_mismatch`).
+convolutions, and the integral formulas are solved as linear ODEs.  The
+constructions and the identity checks (:func:`bb_tables`,
+:func:`hurwitz_mismatch`, :func:`table_mismatch`) take kernel series
+(:class:`HSeries`); only :func:`generate_pair` returns :class:`TSeries`.
 
 A :class:`BlowupSeriesSet` builds each derived group on the first read of one
-of its series and keeps it.  :func:`assemble_set` checks only that the pair
-shares one order, so a construction error surfaces on that first read, not
-when the set is made; a failed build is not kept, and the next read raises
-again.  :func:`series_set` is the cached lazy set of a generated pair;
+of its series and keeps it in kernel form.  :func:`assemble_set` checks only
+that the pair shares one order, so a construction error surfaces on that
+first read, not when the set is made; a failed build is not kept, and the
+next read raises again.  :func:`series_set` is the cached lazy set of a generated pair;
 :func:`build_series_set` returns one with every group already built.
 """
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import hurwitz
 from .algebra import Rational, XPoly
-from .hurwitz import HSeries, Poly, addmul, clean, divided
+from .hurwitz import HSeries, Poly, addmul, clean, divided, scaled
 from .series import BiSeries, SeriesError, TMismatch, TSeries, UVMismatch
 
 
@@ -159,7 +159,7 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     s_series = TSeries(0, hurwitz.to_coeffs(s[: order + 1]), order)
 
     _check_against_golden(b_series, s_series)
-    _check_bb(b_series, s_series, min(order, _BB_CHECK_ORDER))
+    _check_bb(HSeries(b, order), HSeries(s, order), min(order, _BB_CHECK_ORDER))
     return b_series, s_series
 
 
@@ -173,7 +173,7 @@ def _check_against_golden(b: TSeries, s: TSeries) -> None:
         )
 
 
-def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
+def _check_bb(b: HSeries, s: HSeries, total_order: int) -> None:
     diff = table_mismatch(*bb_tables(b, s, total_order), total_order)
     if diff is not None:
         raise GenerationError(
@@ -183,24 +183,23 @@ def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
         )
 
 
-def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+def bb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
     """Both sides of (*) through a total degree, as divided-power tables.
 
     B(u+v) B(u-v) comes from :func:`hurwitz.product_pm`, the right side from
-    outer products of the squares.
+    outer products of the squares.  Entries above the total degree are not read.
     """
     if min(b.order, s.order) < total_order:
         raise SeriesError("cannot embed beyond the known truncation order")
     m = total_order
-    hb, hs = hurwitz_form(b.truncate(m)).h, hurwitz_form(s.truncate(m)).h
-    b2, s2 = hurwitz.mul(hb, hb, m + 1), hurwitz.mul(hs, hs, m + 1)
+    b2, s2 = hurwitz.mul(b.h, b.h, m + 1), hurwitz.mul(s.h, s.h, m + 1)
     rhs = hurwitz.table_add(hurwitz.outer(b2, b2, m), hurwitz.outer(s2, s2, m), -1)
-    return hurwitz.product_pm(hb, m), rhs
+    return hurwitz.product_pm(b.h, m), rhs
 
 
 def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the bivariate product identity (*) through a total degree."""
-    lhs, rhs = bb_tables(b, s, total_order)
+    lhs, rhs = bb_tables(hurwitz_form(b), hurwitz_form(s), total_order)
     return _biseries(lhs, total_order), _biseries(rhs, total_order)
 
 
@@ -304,11 +303,10 @@ def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMisma
 # derived series
 
 
-def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+def derived_products(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries, HSeries, HSeries]:
     """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic."""
-    hb, hs = hurwitz_form(b), hurwitz_form(s)
-    wronskian = hb * hs.derivative() - hb.derivative() * hs
-    return tuple(_tseries(h) for h in (hb * hb, hs * hs, hb * hs, wronskian))
+    wronskian = b * s.derivative() - b.derivative() * s
+    return b * b, s * s, b * s, wronskian
 
 
 def _quotient_order(num: HSeries, den: HSeries) -> int:
@@ -323,7 +321,7 @@ def _ode_solution(sigma: HSeries, rho: HSeries, head: list[Poly], order: int) ->
     return HSeries(w, order)
 
 
-def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+def exponential_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries, HSeries, HSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
     For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built as
@@ -332,52 +330,48 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
     not built here.
     Returns (plus, minus, half_sum, half_difference).
     """
-    if b.valuation != 0 or b.coeff(0) != XPoly.one():
+    if b.h[:1] != [[1]]:
         raise SeriesError("sqrt needs constant term exactly 1")
-    hb, hs = hurwitz_form(b), hurwitz_form(s)
-    db = hb.derivative()
+    db = b.derivative()
     plus, minus = (
-        _ode_solution(hb, numerator, [[1]], _quotient_order(numerator, hb) + 1)
-        for numerator in (db + hs, db - hs)
+        _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
+        for numerator in (db + s, db - s)
     )
-    halves = ((plus + minus).halved(), (plus - minus).halved())
-    return tuple(_tseries(h) for h in (plus, minus) + halves)
+    return plus, minus, (plus + minus).halved(), (plus - minus).halved()
 
 
-def _check_poles(b: TSeries, s: TSeries) -> None:
+def _check_poles(s: HSeries, regular: HSeries, singular: HSeries) -> None:
     """Raise where the Laurent integrands of the odd-case formulas leave their domain.
 
-    (-B + S')/S must vanish at 0, and (B + S')/S must be exactly 2/t + O(t).
-    Both conditions are read off leading coefficients; only the error
-    message forms a quotient.
+    ``regular`` and ``singular`` are S' - B and S' + B.  (-B + S')/S must
+    vanish at 0, and (B + S')/S must be exactly 2/t + O(t).  Both conditions
+    are read off leading kernel entries: c_k = 2 s_{k+1} on plain
+    coefficients reads (k + 1) c'_k = 2 s'_{k+1} on the entries c'_k = k! c_k.
+    Only an error forms plain series.
     """
-    # dividing by S needs an x-free unit leading coefficient: this raises
-    # exactly what the reciprocal of S would
-    (s.truncate(s.valuation) if not s.is_zero else s).recip()
     v = s.valuation
-    ds = s.derivative()
-    regular = ds - b
-    if not regular.is_zero and regular.valuation < v + 1:
+    if v > s.order or len(s.h[v]) != 1:
+        # dividing by S needs an x-free unit leading coefficient: raise
+        # exactly what the reciprocal of S would
+        _tseries(s).truncate(min(v, s.order)).recip()
+    if regular.valuation <= regular.order and regular.valuation < v + 1:
         raise UnexpectedPoleError(
             f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
         )
-    numerator = ds + b
-    if (
-        numerator.is_zero
-        or numerator.valuation != v - 1
-        or numerator.coeff(v - 1) != s.coeff(v) * 2
-    ):
-        singular = numerator / s
+    lead = singular.valuation
+    if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
+        quotient = _tseries(singular) / _tseries(s)
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
+            f"{quotient.valuation} with residue {quotient.coeff(-1) if quotient.valuation <= -1 else 0}"
         )
     # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
-    if min(numerator.order - v, s.order - v - 1) >= 0 and numerator.coeff(v) != s.coeff(v + 1) * 2:
+    reaches = min(singular.order - v, s.order - v - 1) >= 0
+    if reaches and scaled(singular.h[v], v + 1) != scaled(s.h[v + 1], 2):
         raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
 
 
-def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
+def odd_case_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries]:
     """The universal series of the odd pairing case, from their integral forms.
 
     ws0 = exp((1/2) int_0^{2t} (-B + S')/S) and
@@ -389,13 +383,12 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     quotients, whose coefficients have Bernoulli-type denominators, the
     ODE stays integral in the Hurwitz basis.
     """
-    _check_poles(b, s)
-    hb, hs = hurwitz_form(b), hurwitz_form(s)
-    ds = hs.derivative()
-    regular, singular = ds - hb, ds + hb
-    ws0 = _ode_solution(hs, regular, [[1]], _quotient_order(regular, hs) + 1)
-    ws1 = _ode_solution(hs, singular, [[], [1]], _quotient_order(singular, hs) + 2)
-    return _tseries(ws0), _tseries(ws1)
+    ds = s.derivative()
+    regular, singular = ds - b, ds + b
+    _check_poles(s, regular, singular)
+    ws0 = _ode_solution(s, regular, [[1]], _quotient_order(regular, s) + 1)
+    ws1 = _ode_solution(s, singular, [[], [1]], _quotient_order(singular, s) + 2)
+    return ws0, ws1
 
 
 def series_content_hash(b: TSeries, s: TSeries) -> str:
@@ -405,9 +398,22 @@ def series_content_hash(b: TSeries, s: TSeries) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _member(group: str, index: int) -> cached_property:
-    """Series ``index`` of a derived group, kept in the instance dict once read."""
-    return cached_property(lambda self: getattr(self, group)[index])
+#: the series of each kernel group of a set, in build order
+_GROUP_SERIES = {
+    "_pair": ("b", "s"),
+    "_products": ("b2", "s2", "bs", "wronskian"),
+    "_exponential": ("b_plus", "b_minus", "b0", "btau"),
+    "_odd": ("ws0", "ws1"),
+}
+#: the group that holds each series, and its index there
+_SLOTS = {
+    name: (group, i) for group, names in _GROUP_SERIES.items() for i, name in enumerate(names)
+}
+
+
+def _member(name: str) -> cached_property:
+    """Derived series ``name`` as a :class:`TSeries`, converted on first read and kept."""
+    return cached_property(lambda self: _tseries(self.kernel(name)))
 
 
 @dataclass(frozen=True)
@@ -415,14 +421,16 @@ class BlowupSeriesSet:
     """The blow-up pair and every series derived from it, built on first read.
 
     The fields are the pair ``b``, ``s``; ``order`` is their truncation order.
-    Each derived group is built by its module-level construction the first
-    time one of its series is read, and kept: ``b2``, ``s2``, ``bs`` and
-    ``wronskian`` are recomputed products (:func:`derived_products`), never
-    aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/
-    ``btau`` are their half sum/difference (:func:`exponential_pair`);
-    ``ws0``/``ws1`` come from the odd-case integral formulas
-    (:func:`odd_case_pair`).  ``content_hash`` fingerprints (b, s), and
-    :meth:`kernel` converts a series to its kernel form once.
+    The set converts the pair to kernel form once.  Each derived group is
+    built in that form by its module-level construction the first time one
+    of its series is read, and kept: ``b2``, ``s2``, ``bs`` and ``wronskian``
+    are recomputed products (:func:`derived_products`), never aliases;
+    ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/``btau`` are
+    their half sum/difference (:func:`exponential_pair`); ``ws0``/``ws1``
+    come from the odd-case integral formulas (:func:`odd_case_pair`).
+    :meth:`kernel` returns a series as kept; reading it as an attribute
+    converts it to a :class:`TSeries` once.  ``content_hash`` fingerprints
+    (b, s).
 
     A construction error therefore surfaces on the first read of a series of
     its group, not when the set is made.  A failed build is not kept, so the
@@ -437,38 +445,37 @@ class BlowupSeriesSet:
         return self.b.order
 
     @cached_property
-    def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        return derived_products(self.b, self.s)
+    def _pair(self) -> tuple[HSeries, HSeries]:
+        return hurwitz_form(self.b), hurwitz_form(self.s)
 
     @cached_property
-    def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        return exponential_pair(self.b, self.s)
+    def _products(self) -> tuple[HSeries, HSeries, HSeries, HSeries]:
+        return derived_products(*self._pair)
 
     @cached_property
-    def _odd(self) -> tuple[TSeries, TSeries]:
-        return odd_case_pair(self.b, self.s)
+    def _exponential(self) -> tuple[HSeries, HSeries, HSeries, HSeries]:
+        return exponential_pair(*self._pair)
+
+    @cached_property
+    def _odd(self) -> tuple[HSeries, HSeries]:
+        return odd_case_pair(*self._pair)
 
     @cached_property
     def content_hash(self) -> str:
         return series_content_hash(self.b, self.s)
 
-    @cached_property
-    def _kernels(self) -> dict[str, HSeries]:
-        return {}
-
     def kernel(self, name: str) -> HSeries:
-        """The kernel form of series ``name``, converted on first read and kept."""
-        if name not in self._kernels:
-            self._kernels[name] = hurwitz_form(getattr(self, name))
-        return self._kernels[name]
+        """The kernel form of series ``name``, building its group on first read."""
+        group, index = _SLOTS[name]
+        return getattr(self, group)[index]
 
-    b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
-    b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))
-    ws0, ws1 = (_member("_odd", i) for i in range(2))
+    b2, s2, bs, wronskian = map(_member, _GROUP_SERIES["_products"])
+    b_plus, b_minus, b0, btau = map(_member, _GROUP_SERIES["_exponential"])
+    ws0, ws1 = map(_member, _GROUP_SERIES["_odd"])
 
 
 #: the cached groups of a set, in build order
-_GROUPS = ("_products", "_exponential", "_odd", "content_hash")
+_GROUPS = (*_GROUP_SERIES, "content_hash")
 
 
 def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
@@ -479,7 +486,7 @@ def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
 
 
 def build_series_set(order: int) -> BlowupSeriesSet:
-    """Generate the pair at ``order`` (with checks) and build every derived series now."""
+    """Generate the pair at ``order`` (with checks) and build every derived group now."""
     built = assemble_set(*generate_pair(order))
     for group in _GROUPS:
         getattr(built, group)

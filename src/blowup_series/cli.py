@@ -20,15 +20,9 @@ from .blowup import (
     golden_table_hash,
     series_set,
 )
-from .pairing import (
-    InsufficientMomentsError,
-    MomentFunctional,
-    eval_even,
-    eval_even_main_prime,
-    eval_odd,
-)
-from .series import SeriesError, TSeries
-from .verify import golden_check, run_catalog
+from .pairing import MomentFunctional, eval_even, eval_even_main_prime, eval_odd
+from .series import TSeries
+from .verify import golden_check, run_catalog, verify_all
 
 SELECTORS = {
     "B": "b",
@@ -97,13 +91,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """Bad arguments, input or output path: ``main`` prints one line and exits 2."""
+
+
 def _emit(text: str, output: "Path | None") -> None:
     if output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         output.write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _latex_lines(name: str, series: TSeries, normalization: str) -> list[str]:
@@ -134,20 +135,16 @@ def _latex_lines(name: str, series: TSeries, normalization: str) -> list[str]:
     return lines
 
 
-def _order_too_large(command: str, order: int) -> bool:
-    """Refuse an order above :data:`MAX_ORDER` with one stderr line."""
-    if order <= MAX_ORDER:
-        return False
-    print(f"{command}: --order must be <= {MAX_ORDER}", file=sys.stderr)
-    return True
+def _check_order(order: int, least: int, reason: str = "") -> None:
+    """Refuse an order below ``least`` or above :data:`MAX_ORDER`."""
+    if order < least:
+        raise _UsageError(f"--order must be >= {least}{reason}")
+    if order > MAX_ORDER:
+        raise _UsageError(f"--order must be <= {MAX_ORDER}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        print("gen: --order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if _order_too_large("gen", args.order):
-        return EXIT_USAGE
+    _check_order(args.order, 0)
     # the recurrence needs at least order 4, plus one guard order so that
     # derivative-based series still reach the requested order
     internal = max(args.order, 4) + 1
@@ -168,29 +165,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 8:
-        print("verify: --order must be >= 8", file=sys.stderr)
-        return EXIT_USAGE
-    if _order_too_large("verify", args.order):
-        return EXIT_USAGE
+    _check_order(args.order, 8)
     if args.bivariate_order < 0:
-        print("verify: --bivariate-order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--bivariate-order must be >= 0")
     if args.jobs < 1:
-        print("verify: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--jobs must be >= 1")
     try:
-        series = build_series_set(args.order + 1)
-        reports = run_catalog(
-            series,
-            args.order,
-            bivariate_order=args.bivariate_order,
-            jobs=args.jobs,
-            identities=args.identity,
+        reports = verify_all(
+            args.order, args.jobs, bivariate_order=args.bivariate_order, identities=args.identity
         )
     except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc) from None
     text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
     _emit(text, args.output)
     failed = [r.identity for r in reports if not r.passed]
@@ -202,11 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.order < 16:
-        print("table: --order must be >= 16 to cover the golden table", file=sys.stderr)
-        return EXIT_USAGE
-    if _order_too_large("table", args.order):
-        return EXIT_USAGE
+    _check_order(args.order, 16, " to cover the golden table")
     series = build_series_set(args.order + 1)
     report = golden_check(series)
     lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
@@ -222,9 +203,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_functional(value, base: Path, field: str) -> MomentFunctional:
     if isinstance(value, str):
-        value = json.loads((base / value).read_text())
+        value = _load_json(base / value)
     if isinstance(value, dict):
         return MomentFunctional.from_json(value)
     raise ValueError(f"functional {field!r} must be a moment object or a path to one")
@@ -232,7 +220,7 @@ def _load_functional(value, base: Path, field: str) -> MomentFunctional:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
-        request = json.loads(args.request.read_text())
+        request = _load_json(args.request)
         if not isinstance(request, dict):
             raise ValueError("request must be a JSON object")
         parity = request.get("parity")
@@ -262,31 +250,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             result = eval_odd(need("mu_c"), need("nu_c"), order)
         else:
             raise ValueError(f"unknown formula {formula!r} for parity {parity!r}")
-    except (
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        InsufficientMomentsError,
-        SeriesError,
-    ) as exc:
-        print(f"eval: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:  # JSON, moment and series errors are ValueErrors
+        raise _UsageError(exc) from None
     except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
-        print(f"eval: a moment has a zero denominator: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"a moment has a zero denominator: {exc}") from None
     _emit(json.dumps(result.to_json(), indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.order < 4:
-        print("bench: --order must be >= 4", file=sys.stderr)
-        return EXIT_USAGE
-    if _order_too_large("bench", args.order):
-        return EXIT_USAGE
+    _check_order(args.order, 4)
     if args.bivariate_order < 0:
-        print("bench: --bivariate-order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--bivariate-order must be >= 0")
     import time
 
     start = time.perf_counter()
@@ -320,6 +295,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except GenerationError as exc:
         print(f"{args.command}: generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,10 +17,12 @@ theorems about evaluated invariants; as statements between the raw series
 they remain conjectural, and their reports say so.  Only the golden-table
 and coefficient-relation checks certify transcribed reference data.
 
-The bivariate identities ``bb`` and ``bbb``, the evaluation ODEs
-``pm_ode_plus``/``pm_ode_minus`` and ``bb_diagonal`` compare integer tables
-in the divided-power basis of :mod:`blowup_series.hurwitz`: i! j! [u^i v^j]
-and n! [t^n].  The plain values of a mismatch, entry / (i! j!) or
+Every check reads the kernel form of its series from
+:meth:`~blowup_series.blowup.BlowupSeriesSet.kernel`: the table forms
+n! [t^n] in the divided-power basis of :mod:`blowup_series.hurwitz`.  The
+bivariate identities ``bb`` and ``bbb`` compare integer tables of entries
+i! j! [u^i v^j]; the equalities, the evaluation ODEs and ``bb_diagonal``
+compare kernel vectors.  The plain values of a mismatch, entry / (i! j!) or
 entry / n!, are formed only at the first slot that differs, in the scan
 order of :func:`~blowup_series.series.first_difference_uv` and
 :func:`~blowup_series.series.first_difference`
@@ -29,17 +31,15 @@ order of :func:`~blowup_series.series.first_difference_uv` and
 ``degeneration_*`` rows evaluate a series' kernel vector at x = +-2, one
 Horner sum per entry, and compare it there with its closed form, built as an
 integer vector by :func:`~blowup_series.blowup.degeneration_forms`.  The
-evaluation ODEs, ``bb_diagonal`` and the degeneration rows read each series'
-kernel form from :meth:`~blowup_series.blowup.BlowupSeriesSet.kernel`, which
-converts it once per set.  The other checks compare plain coefficients.
+coefficient relations read four table forms as they are.  No check
+converts a series out of the kernel.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
 The catalog runs its checks one after another on the calling thread, so
 each report's ``ms`` is the time of that check alone on a set from
-:func:`~blowup_series.blowup.build_series_set`, plus the kernel conversion of
-each series it is the first to read.  On a lazy set the first check that
-reads a derived group also pays for building it.
+:func:`~blowup_series.blowup.build_series_set`.  On a lazy set the first
+check that reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
@@ -56,18 +56,11 @@ from .blowup import (
     build_series_set,
     degeneration_forms,
     first_golden_diff,
-    hurwitz_form,
     hurwitz_mismatch,
     table_mismatch,
 )
-from .series import (
-    NonUnitLeadingError,
-    SeriesError,
-    TMismatch,
-    TSeries,
-    UVMismatch,
-    first_difference,
-)
+from .hurwitz import HSeries
+from .series import NonUnitLeadingError, SeriesError, TMismatch, UVMismatch
 
 STATUS_CONJECTURAL = "conjectural (series level)"
 STATUS_APPENDIX = "appendix data"
@@ -146,7 +139,7 @@ class IdentityDescriptor:
 
 def _equal(lhs: str, rhs: str) -> Check:
     """Two series of the set agree coefficient by coefficient."""
-    return lambda st, order: first_difference(getattr(st, lhs), getattr(st, rhs), through=order)
+    return lambda st, order: hurwitz_mismatch(st.kernel(lhs), st.kernel(rhs), order)
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
@@ -173,15 +166,20 @@ def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
 
 def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
     """The bivariate product identity (*) through a total degree."""
-    return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
+    b, s = series_set.kernel("b"), series_set.kernel("s")
+    return table_mismatch(*bb_tables(b, s, total_order), total_order)
 
 
-def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+def bbb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
     """Both sides of the triple-product identity
     S(u)S(v)S(u+v) = B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)
     through a total degree, as divided-power tables."""
     m = total_order
-    hb, hs, hdb = (hurwitz_form(x.truncate(m)).h for x in (b, s, b.derivative()))
+    db = b.derivative()
+    for known in (b, s, db):
+        if known.order < m:
+            raise SeriesError(f"cannot extend truncation order {known.order} to {m}")
+    hb, hs, hdb = b.h, s.h, db.h
     lhs = hurwitz.triple(hs, hs, hs, m)
     # B'(u)B(v)B(u+v) is the transpose of B(u)B'(v)B(u+v)
     first = hurwitz.triple(hdb, hb, hb, m)
@@ -191,7 +189,8 @@ def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table,
 
 
 def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
-    return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
+    b, s = series_set.kernel("b"), series_set.kernel("s")
+    return table_mismatch(*bbb_tables(b, s, total_order), total_order)
 
 
 def _at(x: int, name: str) -> Check:
@@ -207,14 +206,18 @@ def _at(x: int, name: str) -> Check:
 
 def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The four low-order table coefficients that drive the two classical
-    evaluation relations on tau^2 and tau^4; they reach t^4 at any order."""
+    evaluation relations on tau^2 and tau^4; they reach t^4 at any order.
+    The table forms n! [t^n] are the kernel entries themselves."""
     for name, n, expected in (
         ("b2", 2, XPoly.zero()),
         ("s2", 2, XPoly((2,))),
         ("b2", 4, XPoly((-4,))),
         ("s2", 4, XPoly.x() * -8),
     ):
-        diff = first_coeff_difference(getattr(series_set, name).coeff(n, normalized=True), expected)
+        series = series_set.kernel(name)
+        if n > series.order:  # raise what reading the plain coefficient raises
+            getattr(series_set, name).coeff(n)
+        diff = first_coeff_difference(XPoly(series.h[n]), expected)
         if diff is not None:
             return TMismatch(n, *diff)
     return None

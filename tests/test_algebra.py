@@ -38,7 +38,9 @@ class TestRational:
     def test_parse_format_round_trip(self, a):
         assert parse_rational(format_rational(a)) == a
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "x", "1/2/3", "--3", "1/ 2", "+4"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1.5", "x", "1/2/3", "--3", "1/ 2", "+4", "1\n", "3/4\n", "\u0661\u0662"]
+    )
     def test_parse_rejects_non_canonical(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

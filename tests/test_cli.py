@@ -10,7 +10,7 @@ from helpers_oracles import cosh_series, exp_t_squared
 
 import blowup_series
 
-from blowup_series import blowup
+from blowup_series import blowup, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
@@ -172,6 +172,15 @@ class TestVerify:
         assert code == 2
         assert "nope" in err
 
+    def test_unknown_identity_is_refused_before_any_build(self, capsys, monkeypatch):
+        def build_started(order, **_):
+            raise GenerationError(f"build started at order {order}")
+
+        monkeypatch.setattr(blowup, "generate_pair", build_started)
+        code, out, err = run(capsys, "verify", "--order", "128", "--identity", "nope")
+        assert (code, out) == (2, "")
+        assert err == "verify: unknown identity ids: nope\n"
+
     def test_jobs_leave_report_bodies_identical(self, capsys):
         def body(jobs):
             code, out, _ = run(
@@ -189,11 +198,10 @@ class TestVerify:
         assert body("1") == body("4")
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
-        import blowup_series.cli as cli
         from blowup_series.verify import VerificationReport
 
         fake = VerificationReport("bb", 8, False, None, "deadbeef", 1.0, "conjectural (series level)")
-        monkeypatch.setattr(cli, "run_catalog", lambda *a, **k: [fake])
+        monkeypatch.setattr(verify, "run_catalog", lambda *a, **k: [fake])
         code, out, err = run(capsys, "verify", "--order", "8")
         assert code == 1
         assert "bb" in err
@@ -230,7 +238,8 @@ class TestTable:
 
         def bumped(b, s):
             b2, *rest = products(b, s)
-            return (b2 + TSeries.monomial(XPoly((1, 1)), 6, b2.order), *rest)
+            bump = blowup.hurwitz_form(TSeries.monomial(XPoly((1, 1)), 6, b2.order))
+            return (b2 + bump, *rest)
 
         monkeypatch.setattr(blowup, "derived_products", bumped)
         code, out, err = run(capsys, "table", "--order", "16")
@@ -406,7 +415,9 @@ class TestEval:
     def test_malformed_requests_are_one_line_usage_errors(self, capsys, tmp_path):
         moments = {"label": "m", "moments": ["1"] * 8}
         self._write(tmp_path, "list.json", ["1", "2"])
-        for payload in (
+        deep = "[" * 100000 + "]" * 100000
+        (tmp_path / "deep.json").write_text(deep)
+        payloads = (
             [1, 2],
             "even",
             7,
@@ -419,10 +430,13 @@ class TestEval:
                 "order": 4,
                 "functionals": {"mu_c": {"label": "m", "moments": ["1/0"]}, "mu_ctau": moments},
             },
-        ):
-            request = self._write(tmp_path, "request.json", payload)
+            {"parity": "even", "order": 4, "functionals": {"mu_c": moments, "mu_ctau": "deep.json"}},
+        )
+        request = tmp_path / "request.json"
+        for text in [json.dumps(payload) for payload in payloads] + [deep]:
+            request.write_text(text)
             code, out, err = run(capsys, "eval", str(request))
-            assert code == 2, payload
+            assert code == 2, text[:80]
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("eval: "), err
 
@@ -515,6 +529,21 @@ class TestOrderCap:
         # the cap itself is accepted: the build starts (and fails in the stub)
         code, _, err = run(capsys, *self._argv(command, MAX_ORDER, tmp_path))
         assert code == 3 and "build started" in err, err
+
+
+@pytest.mark.parametrize("command", ["gen", "verify", "table", "bench", "eval"])
+def test_output_into_a_missing_directory_is_one_line_and_exit_2(capsys, tmp_path, command):
+    argv = {
+        "gen": ["gen", "--series", "B", "--order", "6"],
+        "verify": ["verify", "--order", "8", "--bivariate-order", "8"],
+        "table": ["table", "--order", "16"],
+        "bench": ["bench", "--order", "8", "--bivariate-order", "8"],
+        "eval": TestOrderCap._argv("eval", 4, tmp_path),
+    }[command]
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"{command}: cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "table", "bench", "eval"])

@@ -33,6 +33,7 @@ from blowup_series.blowup import (
     bb_sides,
     bb_tables,
     generate_pair,
+    hurwitz_form,
     odd_case_pair,
 )
 from blowup_series.hurwitz import HSeries
@@ -191,7 +192,7 @@ class TestDerivedFamily:
     def test_pole_guards_raise_what_the_laurent_route_raises(self, corrupt):
         pair = corrupt(*generate_pair(8))
         with pytest.raises(Exception) as kernel:
-            odd_case_pair(*pair)
+            odd_case_pair(*map(hurwitz_form, pair))
         with pytest.raises(Exception) as reference:
             reference_assemble(*pair)
         assert (type(kernel.value), str(kernel.value)) == (
@@ -257,7 +258,8 @@ class TestBivariateTables:
     @given(pairs(extra=1))
     def test_bbb_sides_equal_the_plain_sides(self, pair):
         b, s, m = pair
-        for kernel, plain in zip(bbb_tables(b, s, m), reference_bbb_sides(b, s, m)):
+        tables = bbb_tables(hurwitz_form(b), hurwitz_form(s), m)
+        for kernel, plain in zip(tables, reference_bbb_sides(b, s, m)):
             assert _biseries(kernel, m).to_json() == plain.to_json()
 
     @given(pairs(extra=1, lead=nonzero_rationals), st.sampled_from((1, -1)))
@@ -287,7 +289,8 @@ class TestBivariateTables:
         assert got == reference_pm_ode(set_, 1, 6) and (got.t, got.x) == (6, 1)
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
-        for table in bb_tables(set17.b, set17.s, 12) + bbb_tables(set17.b, set17.s, 12):
+        b, s = hurwitz_form(set17.b), hurwitz_form(set17.s)
+        for table in bb_tables(b, s, 12) + bbb_tables(b, s, 12):
             assert all(type(v) is int for row in table for p in row for v in p)
 
 
@@ -306,7 +309,7 @@ class TestMutatedPairs:
 
     @staticmethod
     def _same_outcomes(b: TSeries, s: TSeries, order: int) -> bool:
-        check = _result(lambda: _check_bb(b, s, order))
+        check = _result(lambda: _check_bb(hurwitz_form(b), hurwitz_form(s), order))
         assert check == _result(lambda: reference_check_bb(b, s, order))
         set_ = checked_set(b, s)
         bb = ENTRY["bb"].run(set_, order)

@@ -1,5 +1,6 @@
 """The demos run as scripts and every public name of the package resolves."""
 import ast
+import json
 import os
 import re
 import subprocess
@@ -50,6 +51,28 @@ def test_the_benchmark_tracer_installs_on_the_package(monkeypatch):
         tracer.uninstall()
     assert (blowup.series_set, blowup.build_series_set, blowup.derived_products) == originals
     blowup.series_set.cache_info()  # read when the tracer writes its file
+
+
+def test_the_benchmark_tracer_runs_verify(tmp_path):
+    """The traced CLI keeps what it binds: catalog reports, the ``jobs`` rerun, set sizes."""
+    trace = tmp_path / "trace.json"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(SRC.parent / "perfbench" / "tracedcli.py"),
+            str(trace),
+            *("verify", "--order", "12", "--bivariate-order", "8"),
+        ],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(trace.read_text())
+    assert len(data["reports"]) == 18 and data["jobs2_match"] is True
+    assert data["size"]["max_coeff_bits"] > 0
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

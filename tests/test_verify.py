@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 from helpers_oracles import eval_x, reference_degeneration
 
-from blowup_series import blowup, verify
+from blowup_series import blowup, hurwitz, verify
 from blowup_series.algebra import XPoly
-from blowup_series.blowup import assemble_set, generate_pair, series_set
+from blowup_series.blowup import assemble_set, build_series_set, generate_pair, series_set
 from blowup_series.series import SeriesError, TSeries
 from blowup_series.verify import (
     CATALOG,
@@ -147,7 +147,6 @@ class TestOdeAndBivariate:
 
     def test_each_series_is_converted_to_the_kernel_once(self, monkeypatch):
         st = assemble_set(*generate_pair(17))
-        st.b2  # build the products before counting
         converted = []
         to_kernel = blowup.hurwitz_form
 
@@ -158,8 +157,23 @@ class TestOdeAndBivariate:
         monkeypatch.setattr(blowup, "hurwitz_form", counted)
         ids = [*PM_ODE, "bb_diagonal", *(cid for cid in CATALOG_IDS if cid.startswith("degeneration_"))]
         assert all(r.passed for r in run_catalog(st, 16, identities=ids))
-        assert len(converted) == 6  # b, s, b2, s2, wronskian, bs
+        assert len(converted) == 2  # b, s
         assert st.kernel("b2") is st.kernel("b2")
+
+    def test_a_build_and_its_catalog_convert_only_the_pair(self, monkeypatch):
+        """Generation converts the pair out of the kernel once, the set converts
+        it back once, and no derived series leaves the kernel."""
+        calls = {"from_coeffs": 0, "to_coeffs": 0}
+        for name in calls:
+
+            def counted(h, name=name, convert=getattr(hurwitz, name)):
+                calls[name] += 1
+                return convert(h)
+
+            monkeypatch.setattr(hurwitz, name, counted)
+        st = build_series_set(13)
+        assert all(r.passed for r in run_catalog(st, 12, bivariate_order=8))
+        assert calls == {"from_coeffs": 2, "to_coeffs": 2}
 
 
 class TestDegenerations:
@@ -327,7 +341,7 @@ class TestRunCatalogAndVerifyAll:
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verify, "bb_tables", check_ran)
-        monkeypatch.setattr(verify, "first_difference", check_ran)
+        monkeypatch.setattr(verify, "hurwitz_mismatch", check_ran)
         with pytest.raises(ValueError, match="must be >= 0"):
             run_catalog(
                 series_set(9),
