@@ -19,7 +19,7 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def format_rational(a: RationalLike) -> str:
@@ -34,10 +34,11 @@ def parse_rational(text: str) -> Rational:
     result is reduced.  Decimal notation is rejected so that golden data
     and JSON payloads stay in a single exact format.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    value = Fraction(text)  # raises ZeroDivisionError for 'p/0'
-    return value
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))  # ZeroDivisionError for 'p/0'
 
 
 def rational(numerator: RationalLike, denominator: RationalLike = 1) -> Rational:

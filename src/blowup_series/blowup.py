@@ -30,9 +30,10 @@ Every construction here runs in the divided-power (Hurwitz) basis of
 derived series are integer polynomials in x: the recurrence gives
 b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are binomial
 convolutions, and the integral formulas are solved as linear ODEs.  The
-constructions and the identity checks (:func:`bb_tables`,
-:func:`hurwitz_mismatch`, :func:`table_mismatch`) take kernel series
-(:class:`HSeries`); only :func:`generate_pair` returns :class:`TSeries`.
+constructions, the identity checks (:func:`bb_tables`,
+:func:`hurwitz_mismatch`, :func:`table_mismatch`) and the golden-table
+comparison take kernel series (:class:`HSeries`); only :func:`generate_pair`
+returns :class:`TSeries`.
 
 A :class:`BlowupSeriesSet` builds each derived group on the first read of one
 of its series and keeps it in kernel form.  :func:`assemble_set` checks only
@@ -155,15 +156,13 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
         else:
             s[m - 1] = divided(rest, -2 * m)
 
-    b_series = TSeries(0, hurwitz.to_coeffs(b[: order + 1]), order)
-    s_series = TSeries(0, hurwitz.to_coeffs(s[: order + 1]), order)
-
-    _check_against_golden(b_series, s_series)
-    _check_bb(HSeries(b, order), HSeries(s, order), min(order, _BB_CHECK_ORDER))
-    return b_series, s_series
+    hb, hs = HSeries(b, order), HSeries(s, order)
+    _check_against_golden(hb, hs)
+    _check_bb(hb, hs, min(order, _BB_CHECK_ORDER))
+    return _tseries(hb), _tseries(hs)
 
 
-def _check_against_golden(b: TSeries, s: TSeries) -> None:
+def _check_against_golden(b: HSeries, s: HSeries) -> None:
     diff = next(_golden_diffs((("B", "b", b), ("S", "s", s))), None)
     if diff is not None:
         raise GenerationError(
@@ -554,23 +553,33 @@ _GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
 )
 
 
-def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDiff]:
-    """Every slot, in scan order, where a (row, name, series) leaves its golden row."""
-    table = golden_table()
+@lru_cache(maxsize=1)
+def _golden_kernel() -> dict[str, HSeries]:
+    """The golden table in kernel form, for comparison with kernel series."""
+    return {name: hurwitz_form(series) for name, series in golden_table().items()}
+
+
+def _golden_diffs(rows: Iterable[tuple[str, str, HSeries]]) -> Iterator[GoldenDiff]:
+    """Every slot, in scan order, where a (row, name, kernel series) leaves its golden row.
+
+    Kernel entries are compared as they are; the plain values, entry / n!,
+    are formed only for the slots that differ.
+    """
+    table = _golden_kernel()
     for row, name, generated in rows:
         reference = table[row]
-        through = min(reference.order, generated.order)
-        for n in range(min(reference.valuation, generated.valuation), through + 1):
-            want = reference.coeff(n)
-            have = generated.coeff(n)
+        for n in range(min(reference.order, generated.order) + 1):
+            want, have = reference.h[n], generated.h[n]
             if want != have:
-                for k in range(max(want.degree, have.degree) + 1):
-                    if want.coeff(k) != have.coeff(k):
-                        yield GoldenDiff(row, name, n, k, want.coeff(k), have.coeff(k))
+                scale = math.factorial(n)
+                for k in range(max(len(want), len(have))):
+                    expected, got = _plain_value(want, k, scale), _plain_value(have, k, scale)
+                    if expected != got:
+                        yield GoldenDiff(row, name, n, k, expected, got)
 
 
 def _set_golden_diffs(series_set: BlowupSeriesSet) -> Iterator[GoldenDiff]:
-    return _golden_diffs((row, attr, getattr(series_set, attr)) for row, attr in _GOLDEN_PAIRING)
+    return _golden_diffs((row, name, series_set.kernel(name)) for row, name in _GOLDEN_PAIRING)
 
 
 def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:

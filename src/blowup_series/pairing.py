@@ -12,6 +12,15 @@ per t-power.  The evaluation formulas then combine paired series:
 * simple type  closed hyperbolic forms, equal to the moment route on
   geometric moments mu_k = a * 2^k
 
+Pairing reads the kernel entries n! [t^n] of a series (integer polynomials
+for the blow-up series) and puts the moments p_k/q_k on prefix common
+denominators L_k = lcm(q_0..q_k), with numerators P_k = p_k L_k / q_k.  An
+entry of x-degree d then pairs to one integer Horner sum over L_d n!, which
+is reduced once: one ``Fraction`` per t-power and functional.  A prefix
+denominator, unlike one lcm over all moments, stays as small as the entry's
+own degree needs.  :func:`pair` and the three ``eval_*`` formulas share this
+one dot product.
+
 Tau-inserted data is always caller-supplied: real invariant data has to
 satisfy relations this module can check for consistency but deliberately
 does not enforce.
@@ -20,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd
+from typing import Mapping, Sequence
 
 from .algebra import Rational, RationalLike, XPoly, parse_rational
-from .blowup import BlowupSeriesSet, degeneration_forms, series_set
-from .hurwitz import HSeries, add, scaled, to_coeffs
+from .blowup import BlowupSeriesSet, degeneration_forms, hurwitz_form, series_set
+from .hurwitz import HSeries, Poly, add, scaled, to_coeffs
 from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
@@ -53,16 +63,11 @@ class MomentFunctional:
     moments: tuple[Rational, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moments", tuple(Fraction(m) for m in self.moments))
+        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in self.moments)
+        object.__setattr__(self, "moments", moments)
 
     def __len__(self) -> int:
         return len(self.moments)
-
-    def value_on(self, p: XPoly) -> Rational:
-        """Apply the functional to a polynomial in x."""
-        if p.degree >= len(self.moments):
-            raise InsufficientMomentsError(self.label, len(self.moments), p.degree + 1)
-        return sum((c * self.moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
 
     def scaled(self, factor: RationalLike) -> "MomentFunctional":
         f = Fraction(factor)
@@ -94,6 +99,48 @@ class MomentFunctional:
         return cls(label, tuple(parse_rational(m) for m in moments))
 
 
+def _paired(h: Sequence[Poly], mu: MomentFunctional, order: int, half: bool = False) -> list:
+    """Plain t^n coefficients, n = 0..order, of the kernel vector ``h`` paired with ``mu``.
+
+    Entries are checked in ascending n, so a short functional is named with
+    the length its first uncovered entry needs.  With ``half`` every value
+    is halved inside its one reduction.
+    """
+    entries = h[: order + 1]
+    supplied = len(mu.moments)
+    top = 0
+    for p in entries:
+        if len(p) > supplied:
+            raise InsufficientMomentsError(mu.label, supplied, len(p))
+        top = max(top, len(p))
+    # prefix common denominators: steps[k] = L_k / L_{k-1}, numerators[k] = P_k
+    lcm, steps, numerators, lcms = 1, [], [], []
+    for m in mu.moments[:top]:
+        q = m.denominator
+        step = q // gcd(lcm, q)
+        lcm *= step
+        steps.append(step)
+        numerators.append(m.numerator * (lcm // q))
+        lcms.append(lcm)
+    values = []
+    factorial = 2 if half else 1
+    for n, p in enumerate(entries):
+        if n:
+            factorial *= n
+        acc = 0
+        for step, c, numerator in zip(steps, p, numerators):
+            if step != 1:
+                acc *= step
+            if c:
+                acc += c * numerator
+        values.append(Fraction(acc, lcms[len(p) - 1] * factorial) if acc else 0)
+    return values
+
+
+def _x_free(values: list, order: int) -> TSeries:
+    return TSeries(0, [XPoly((v,)) for v in values], order)
+
+
 def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     """Apply a moment functional to every coefficient of a series.
 
@@ -102,8 +149,7 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     """
     if f.valuation < 0:
         raise SeriesError("pairing needs a series with valuation >= 0")
-    terms = {n: XPoly((mu.value_on(c),)) for n, c in f.terms()}
-    return TSeries.from_terms(terms, f.order)
+    return _x_free(_paired(hurwitz_form(f).h, mu, f.order), f.order)
 
 
 @dataclass(frozen=True)
@@ -130,6 +176,23 @@ def _series_for(order: int, provided: "BlowupSeriesSet | None") -> BlowupSeriesS
     return series_set(max(order, 4) + 1)
 
 
+def _evaluate(
+    first: tuple[str, MomentFunctional],
+    second: tuple[str, MomentFunctional],
+    order: int,
+    series: "BlowupSeriesSet | None",
+    provenance: str,
+    half: bool = False,
+) -> EvalResult:
+    """pair(first series, its functional) + pair(second series, its functional),
+    the second halved with ``half``; the first functional is checked first."""
+    st = _series_for(order, series)
+    (f, mu), (g, nu) = first, second
+    a = _paired(st.kernel(f).h, mu, order)
+    b = _paired(st.kernel(g).h, nu, order, half)
+    return EvalResult(_x_free([u + v for u, v in zip(a, b)], order), provenance)
+
+
 def eval_even(
     mu_c: MomentFunctional,
     mu_ctau: MomentFunctional,
@@ -137,9 +200,7 @@ def eval_even(
     series: "BlowupSeriesSet | None" = None,
 ) -> EvalResult:
     """Even pairing case: pair(B^2, mu_c) + pair(S^2, mu_{c+tau})."""
-    st = _series_for(order, series)
-    result = pair(st.b2.truncate(order), mu_c) + pair(st.s2.truncate(order), mu_ctau)
-    return EvalResult(result, PROVENANCE_EVEN)
+    return _evaluate(("b2", mu_c), ("s2", mu_ctau), order, series, PROVENANCE_EVEN)
 
 
 def eval_even_main_prime(
@@ -149,9 +210,7 @@ def eval_even_main_prime(
     series: "BlowupSeriesSet | None" = None,
 ) -> EvalResult:
     """Even-case variant over tau-inserted moments: pair(B^2, mu) + pair(S^2, nu)/2."""
-    st = _series_for(order, series)
-    result = pair(st.b2.truncate(order), mu_c) + pair(st.s2.truncate(order), nu_c) * Fraction(1, 2)
-    return EvalResult(result, PROVENANCE_EVEN_PRIME)
+    return _evaluate(("b2", mu_c), ("s2", nu_c), order, series, PROVENANCE_EVEN_PRIME, half=True)
 
 
 def eval_odd(
@@ -161,9 +220,7 @@ def eval_odd(
     series: "BlowupSeriesSet | None" = None,
 ) -> EvalResult:
     """Odd pairing case: pair(BS' - B'S, mu_c) + pair(BS, nu_c)."""
-    st = _series_for(order, series)
-    result = pair(st.wronskian.truncate(order), mu_c) + pair(st.bs.truncate(order), nu_c)
-    return EvalResult(result, PROVENANCE_ODD)
+    return _evaluate(("wronskian", mu_c), ("bs", nu_c), order, series, PROVENANCE_ODD)
 
 
 def eval_simple_type(

@@ -290,12 +290,33 @@ def run_catalog(
     checks run.
     """
     selected = _select(order, bivariate_order, jobs, identities)
+    return [
+        d.run(series_set, min(_requested(d, order, bivariate_order), d.max_feasible_order_hint))
+        for d in selected
+    ]
 
-    def order_for(descriptor: IdentityDescriptor) -> int:
-        n = order if descriptor.arity == UNIVARIATE else min(bivariate_order, order)
-        return min(n, descriptor.max_feasible_order_hint)
 
-    return [d.run(series_set, order_for(d)) for d in selected]
+def _requested(descriptor: IdentityDescriptor, order: int, bivariate_order: int) -> int:
+    """The order a row is asked for, before its feasibility hint caps it."""
+    return order if descriptor.arity == UNIVARIATE else min(bivariate_order, order)
+
+
+def capped_notes(
+    reports: Iterable[VerificationReport], order: int, bivariate_order: int = 16
+) -> list[str]:
+    """One line for each report whose order its row's cap put below the requested order."""
+    rows = {d.id: d for d in CATALOG}
+    notes = []
+    for report in reports:
+        d = rows[report.identity]
+        requested = _requested(d, order, bivariate_order)
+        if report.order < requested:
+            unit = "order" if d.arity == UNIVARIATE else "total degree"
+            notes.append(
+                f"{d.id} checked through {unit} {report.order}, below the requested "
+                f"{requested}, the row's cap"
+            )
+    return notes
 
 
 def _select(

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from blowup_series.algebra import RationalLike, XPoly
 from blowup_series.blowup import GenerationError, UnexpectedPoleError
+from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.series import (
     BiSeries,
     NonUnitLeadingError,
@@ -464,3 +465,41 @@ def reference_degeneration(series_set, x: int, name: str, order: int) -> "TMisma
     return first_difference(
         eval_x(getattr(series_set, name), x), simple_type_form(name, x, order), through=order
     )
+
+
+# ---------------------------------------------------------------------------
+# moment pairing on plain Fraction series
+#
+# The package pairs kernel entries over prefix common denominators, one
+# reduction per t-power.  The route below is what it did before: one
+# Fraction product per (t-power, x-power) term of the plain coefficients.
+
+
+def value_on(mu: MomentFunctional, p: XPoly) -> Fraction:
+    """Apply a moment functional to a polynomial in x."""
+    if p.degree >= len(mu.moments):
+        raise InsufficientMomentsError(mu.label, len(mu.moments), p.degree + 1)
+    return sum((c * mu.moments[k] for k, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def reference_pair(f: TSeries, mu: MomentFunctional) -> TSeries:
+    """The functional applied to every plain coefficient, in ascending t-powers."""
+    if f.valuation < 0:
+        raise SeriesError("pairing needs a series with valuation >= 0")
+    terms = {n: XPoly((value_on(mu, c),)) for n, c in f.terms()}
+    return TSeries.from_terms(terms, f.order)
+
+
+#: formula -> (first series, second series, factor on the second pairing)
+EVAL_FORMULAS = {
+    "maina": ("b2", "s2", Fraction(1)),
+    "main-prime": ("b2", "s2", Fraction(1, 2)),
+    "mainb": ("wronskian", "bs", Fraction(1)),
+}
+
+
+def reference_eval(formula: str, series_set, mu: MomentFunctional, nu: MomentFunctional, order: int) -> TSeries:
+    """An evaluation formula from plain series and :func:`reference_pair`."""
+    first, second, factor = EVAL_FORMULAS[formula]
+    paired = reference_pair(getattr(series_set, first).truncate(order), mu)
+    return paired + reference_pair(getattr(series_set, second).truncate(order), nu) * factor

@@ -39,11 +39,19 @@ class TestRational:
         assert parse_rational(format_rational(a)) == a
 
     @pytest.mark.parametrize(
-        "bad", ["", "1.5", "x", "1/2/3", "--3", "1/ 2", "+4", "1\n", "3/4\n", "\u0661\u0662"]
+        "bad",
+        ["", "1.5", "x", "1/2/3", "--3", "1/ 2", "+4", "1\n", "3/4\n", "\u0661\u0662"]
+        + ["1/\u0662", "\uff11", "1_000", " 1", "1/-2", "0x1f"],
     )
     def test_parse_rejects_non_canonical(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    @given(st.integers(-(2**300), 2**300), st.integers(1, 2**300))
+    def test_parse_reduces_wide_literals(self, p, q):
+        value = parse_rational(f"{p}/{q}")
+        assert value == F(p, q) and type(value) is F
+        assert parse_rational(f"00{abs(p)}") == abs(p)
 
     def test_parse_rejects_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):

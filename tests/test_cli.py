@@ -159,6 +159,30 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--order", "4")
         assert code == 2
 
+    def test_a_row_capped_below_the_request_is_named_on_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--order", "8", "--identity", "relations_coefficients",
+            "--identity", "bb_diagonal",
+        )
+        assert code == 0
+        assert [json.loads(line)["order"] for line in out.splitlines()] == [8, 4]
+        assert err.splitlines() == [
+            "verify: relations_coefficients checked through order 4, below the requested 8, "
+            "the row's cap",
+            "verify: all 2 identities pass through their reported orders",
+        ]
+
+    def test_capped_bivariate_rows_name_their_total_degree(self):
+        reports = [
+            verify.VerificationReport(name, order, True, None, "h", 1.0, "s")
+            for name, order in (("bb", 64), ("bbb", 64), ("bb_diagonal", 128))
+        ]
+        assert verify.capped_notes(reports, 128, bivariate_order=96) == [
+            f"{name} checked through total degree 64, below the requested 96, the row's cap"
+            for name in ("bb", "bbb")
+        ]
+        assert verify.capped_notes(reports, 128, bivariate_order=64) == []
+
     def test_identity_filter(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--order", "8", "--identity", "bb_diagonal"
@@ -561,6 +585,24 @@ def test_generation_failure_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path
 class TestUsage:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
+
+    def test_the_parser_is_built_once(self):
+        from blowup_series import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_the_cached_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "--order", "8", "--identity", "bb")
+        assert code == 0 and len(out.splitlines()) == 1
+        code, out, _ = run(capsys, "verify", "--order", "8")
+        assert code == 0
+        assert [json.loads(line)["identity"] for line in out.splitlines()] == list(CATALOG_IDS)
+
+        target = tmp_path / "b.txt"
+        code, out, _ = run(capsys, "gen", "--series", "B", "--order", "6", "--output", str(target))
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "gen", "--series", "B", "--order", "6")
+        assert code == 0 and out == target.read_text()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

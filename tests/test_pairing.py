@@ -2,8 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from helpers_oracles import cosh_series, eval_x, exp_t_squared, simple_type_form, sinh_series
+from helpers_oracles import (
+    cosh_series,
+    eval_x,
+    exp_t_squared,
+    reference_eval,
+    reference_pair,
+    simple_type_form,
+    sinh_series,
+    value_on,
+)
+from hypothesis import given
+from hypothesis import strategies as st
 
+from blowup_series import series_set
 from blowup_series.algebra import XPoly
 from blowup_series.pairing import (
     InsufficientMomentsError,
@@ -30,16 +42,24 @@ UNIT = MomentFunctional("unit", (F(1),) * MOMENTS)
 
 class TestMomentFunctional:
     def test_value_on_polynomials(self):
+        """Pairing a t-free series applies the functional to its one polynomial."""
         mu = MomentFunctional("m", (F(1), F(2), F(4)))
-        assert mu.value_on(XPoly((3, 0, 1))) == 3 + 4
-        assert mu.value_on(XPoly.zero()) == 0
+        assert pair(TSeries.monomial(XPoly((3, 0, 1)), 0, 0), mu).coeff(0) == XPoly((3 + 4,))
+        assert pair(TSeries.zero(0), mu).is_zero
+        assert value_on(mu, XPoly((3, 0, 1))) == 3 + 4
 
     def test_insufficient_moments_names_required_length(self):
         mu = MomentFunctional("short", (F(1),))
         with pytest.raises(InsufficientMomentsError) as err:
-            mu.value_on(XPoly((0, 0, 0, 5)))
+            pair(TSeries.monomial(XPoly((0, 0, 0, 5)), 0, 0), mu)
         assert err.value.required == 4
         assert "4" in str(err.value)
+
+    def test_fraction_moments_are_kept_as_given(self):
+        moments = (F(1, 3), F(-2))
+        mu = MomentFunctional("m", moments + (5,))
+        assert all(a is b for a, b in zip(mu.moments, moments))
+        assert mu.moments[2] == F(5) and type(mu.moments[2]) is F
 
     def test_json_round_trip(self):
         mu = MomentFunctional("D_c", (F(1), F(-2, 3)))
@@ -91,6 +111,62 @@ class TestPair:
             lhs = pair(f, mu)
             rhs = eval_x(f, r) * c
             assert first_difference(lhs, rhs) is None
+
+
+#: a moment: zero, or a signed rational whose denominator is drawn from 1 to 2^256
+_MOMENT = st.one_of(
+    st.just(F(0)),
+    st.builds(
+        F,
+        st.integers(-(2**256), 2**256),
+        st.one_of(st.integers(1, 9), st.integers(1, 2**64), st.integers(1, 2**256)),
+    ),
+)
+_EVALUATORS = {"maina": eval_even, "main-prime": eval_even_main_prime, "mainb": eval_odd}
+
+
+class TestKernelPairing:
+    """The kernel dot product against the per-term Fraction reference."""
+
+    @given(st.data())
+    def test_formulas_equal_the_fraction_reference(self, data):
+        order = data.draw(st.integers(0, 40), label="order")
+        formula = data.draw(st.sampled_from(sorted(_EVALUATORS)), label="formula")
+        moments = st.lists(_MOMENT, min_size=order + 1, max_size=order + 1)
+        mu = MomentFunctional("mu", tuple(data.draw(moments, label="mu")))
+        nu = MomentFunctional("nu", tuple(data.draw(moments, label="nu")))
+        st41 = series_set(41)
+        got = _EVALUATORS[formula](mu, nu, order, series=st41).series
+        want = reference_eval(formula, st41, mu, nu, order)
+        assert got.to_json() == want.to_json()
+
+    @given(st.data())
+    def test_pair_equals_the_fraction_reference(self, data):
+        order = data.draw(st.integers(0, 40), label="order")
+        name = data.draw(st.sampled_from(["b2", "s2", "wronskian", "bs"]), label="series")
+        moments = data.draw(st.lists(_MOMENT, min_size=order + 1, max_size=order + 1))
+        mu = MomentFunctional("mu", tuple(moments))
+        f = getattr(series_set(41), name).truncate(order)
+        assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
+
+    def test_pair_reads_fractional_entries(self):
+        f = TSeries(0, [XPoly((F(1, 3), F(-5, 7))), XPoly(()), XPoly((0, 0, F(9, 4)))], 2)
+        mu = MomentFunctional("mu", (F(2, 5), F(7), F(-1, 6)))
+        assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
+
+    @pytest.mark.parametrize("formula", sorted(_EVALUATORS))
+    @pytest.mark.parametrize("short", ["first", "second", "both"])
+    def test_insufficient_moments_text_matches_the_reference(self, set17, formula, short):
+        full = (F(1),) * (ORDER + 1)
+        mu = MomentFunctional("first", (F(1), F(2)) if short in ("first", "both") else full)
+        nu = MomentFunctional("second", (F(3),) if short in ("second", "both") else full)
+        with pytest.raises(InsufficientMomentsError) as got:
+            _EVALUATORS[formula](mu, nu, ORDER, series=set17)
+        with pytest.raises(InsufficientMomentsError) as want:
+            reference_eval(formula, set17, mu, nu, ORDER)
+        assert str(got.value) == str(want.value)
+        assert got.value.required == want.value.required
+        assert repr("second" if short == "second" else "first") in str(got.value)
 
 
 class TestEvaluationFormulas:

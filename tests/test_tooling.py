@@ -75,6 +75,32 @@ def test_the_benchmark_tracer_runs_verify(tmp_path):
     assert data["size"]["max_coeff_bits"] > 0
 
 
+def test_every_eval_sweep_request_matches_its_benchmark_reference(monkeypatch, capsys, tmp_path):
+    """The benchmark's eval batch, answered twice in one process, matches the
+    references of ``perfbench/evalsweep.py``: closed forms computed with
+    ``fractions`` and the series pinned in ``perfbench/data``, not the code
+    under test."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import evalsweep
+
+    from blowup_series import cli
+
+    batch = evalsweep.make_batch(3, tmp_path)
+    runs = []
+    for _ in range(2):
+        outputs = []
+        for request in batch:
+            code = cli.main(["eval", request["path"]])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            outputs.append(captured.out)
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+    for request, text in zip(batch, runs[1]):
+        Path(request["out"]).write_text(text)
+        assert evalsweep.output_matches(request), (request["order"], request["formula"])
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
