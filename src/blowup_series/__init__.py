@@ -17,18 +17,34 @@ from .blowup import (
     golden_table,
     series_set,
 )
-from .pairing import (
-    InsufficientMomentsError,
-    MomentFunctional,
-    eval_even,
-    eval_even_main_prime,
-    eval_odd,
-    eval_simple_type,
-)
 from .series import BiSeries, SeriesError, TSeries, first_difference
-from .verify import verify_all
 
 __version__ = "1.0.0"
+
+#: public names whose module is imported on first access (PEP 562): ``gen``
+#: never loads the pairing formulas or the identity catalog
+_LAZY = {
+    "InsufficientMomentsError": "pairing",
+    "MomentFunctional": "pairing",
+    "eval_even": "pairing",
+    "eval_even_main_prime": "pairing",
+    "eval_odd": "pairing",
+    "eval_simple_type": "pairing",
+    "verify_all": "verify",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    # bind it here, so that the next read finds it without this hook and
+    # ``vars(blowup_series)`` holds it as an eager import would
+    globals()[name] = value
+    return value
+
 
 #: what the demos import and the README names; the rest lives in the submodules
 __all__ = [

@@ -44,7 +44,6 @@ next read raises again.  :func:`series_set` is the cached lazy set of a generate
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -261,7 +260,7 @@ def degeneration_forms(x: int, order: int) -> tuple[HSeries, dict[str, HSeries]]
     }
 
 
-def _plain_value(p: Poly, k: int, scale: int) -> Rational:
+def plain_value(p: Poly, k: int, scale: int) -> Rational:
     """x^k coefficient of a kernel entry divided by its factorial ``scale``."""
     return Fraction(p[k] if k < len(p) else 0) / scale
 
@@ -281,7 +280,7 @@ def hurwitz_mismatch(a: HSeries, b: HSeries, through: int) -> "TMismatch | None"
         return None
     n, k = diff
     f = math.factorial(n)
-    return TMismatch(n, k, _plain_value(a.h[n], k, f), _plain_value(b.h[n], k, f))
+    return TMismatch(n, k, plain_value(a.h[n], k, f), plain_value(b.h[n], k, f))
 
 
 def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMismatch | None":
@@ -295,7 +294,7 @@ def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMisma
         return None
     i, j, k = diff
     f = math.factorial(i) * math.factorial(j)
-    return UVMismatch(i, j, k, _plain_value(a[i][j], k, f), _plain_value(b[i][j], k, f))
+    return UVMismatch(i, j, k, plain_value(a[i][j], k, f), plain_value(b[i][j], k, f))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +390,8 @@ def odd_case_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries]:
 
 
 def series_content_hash(b: TSeries, s: TSeries) -> str:
+    import hashlib  # only reports and ``table`` hash; ``gen`` never loads it
+
     payload = json.dumps(
         [b.to_json(), s.to_json()], sort_keys=True, separators=(",", ":")
     )
@@ -515,6 +516,8 @@ def golden_table() -> dict[str, TSeries]:
 
 @lru_cache(maxsize=1)
 def golden_table_hash() -> str:
+    import hashlib
+
     return hashlib.sha256(_golden_bytes()).hexdigest()
 
 
@@ -573,7 +576,7 @@ def _golden_diffs(rows: Iterable[tuple[str, str, HSeries]]) -> Iterator[GoldenDi
             if want != have:
                 scale = math.factorial(n)
                 for k in range(max(len(want), len(have))):
-                    expected, got = _plain_value(want, k, scale), _plain_value(have, k, scale)
+                    expected, got = plain_value(want, k, scale), plain_value(have, k, scale)
                     if expected != got:
                         yield GoldenDiff(row, name, n, k, expected, got)
 

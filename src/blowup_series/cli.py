@@ -3,6 +3,11 @@
 Exit codes: 0 success / all identities pass, 1 a verification failed,
 2 usage or input error, 3 internal generation failure.  Data goes to
 stdout (or ``--output``); diagnostics go to stderr.
+
+Every command is a fresh process, so each handler imports what only it
+needs: ``gen`` loads neither the identity catalog (:mod:`.verify`) nor the
+pairing formulas (:mod:`.pairing`), ``eval`` loads no catalog and
+``verify``, ``table`` and ``bench`` load no pairing.
 """
 from __future__ import annotations
 
@@ -21,9 +26,7 @@ from .blowup import (
     golden_table_hash,
     series_set,
 )
-from .pairing import MomentFunctional, eval_even, eval_even_main_prime, eval_odd
 from .series import TSeries
-from .verify import capped_notes, golden_check, run_catalog, verify_all
 
 SELECTORS = {
     "B": "b",
@@ -173,6 +176,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError("--bivariate-order must be >= 0")
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
+    from .verify import capped_notes, verify_all
+
     try:
         reports = verify_all(
             args.order, args.jobs, bivariate_order=args.bivariate_order, identities=args.identity
@@ -193,6 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     _check_order(args.order, 16, " to cover the golden table")
+    from .verify import golden_check
+
     series = build_series_set(args.order + 1)
     report = golden_check(series)
     lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
@@ -215,15 +222,9 @@ def _load_json(path: Path):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_functional(value, base: Path, field: str) -> MomentFunctional:
-    if isinstance(value, str):
-        value = _load_json(base / value)
-    if isinstance(value, dict):
-        return MomentFunctional.from_json(value)
-    raise ValueError(f"functional {field!r} must be a moment object or a path to one")
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .pairing import MomentFunctional, eval_even, eval_even_main_prime, eval_odd
+
     try:
         request = _load_json(args.request)
         if not isinstance(request, dict):
@@ -245,7 +246,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         def need(field: str) -> MomentFunctional:
             if field not in functionals:
                 raise ValueError(f"{parity} parity ({formula}) requires functional {field!r}")
-            return _load_functional(functionals[field], base, field)
+            value = functionals[field]
+            if isinstance(value, str):
+                value = _load_json(base / value)
+            if isinstance(value, dict):
+                return MomentFunctional.from_json(value)
+            raise ValueError(f"functional {field!r} must be a moment object or a path to one")
 
         if parity == "even" and formula == "maina":
             result = eval_even(need("mu_c"), need("mu_ctau"), order)
@@ -268,6 +274,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
     import time
+
+    from .verify import run_catalog
 
     start = time.perf_counter()
     series = build_series_set(args.order + 1)

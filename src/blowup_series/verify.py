@@ -43,6 +43,7 @@ check that reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -57,6 +58,7 @@ from .blowup import (
     degeneration_forms,
     first_golden_diff,
     hurwitz_mismatch,
+    plain_value,
     table_mismatch,
 )
 from .hurwitz import HSeries
@@ -143,15 +145,41 @@ def _equal(lhs: str, rhs: str) -> Check:
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
-    """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation."""
+    """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation.
+
+    The report is that of the quotient form, but both sides are multiplied
+    by B(2t) first, so the check takes two products and no reciprocal:
+    B(2t) (B^2 +- S^2)' against (B' +- S)(2t) (B^2 +- S^2), the equation
+    :func:`~blowup_series.blowup.exponential_pair` solves.  B(2t) is a unit
+    with constant term B(0), so the two forms first differ at the same slot
+    (n, k), and there the difference of the products is B(0) times that of
+    the quotient form.  The quotient side's value is formed at that slot
+    only, and its truncation order is the one the quotient would have.
+    """
     if series_set.b.valuation != 0 or series_set.b.coeff(0).degree != 0:
         # every assembled set has B(0) = 1; a Laurent quotient has no table form
         raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
     b, s, b2, s2 = (series_set.kernel(name) for name in ("b", "s", "b2", "s2"))
     combo = b2 + s2 if sign == 1 else b2 - s2
     numerator = b.derivative() + s if sign == 1 else b.derivative() - s
-    rhs = (numerator * b.recip()).scale_arg(2) * combo
-    return hurwitz_mismatch(combo.derivative(), rhs, order)
+    lhs = combo.derivative()
+    # the orders of (numerator / B) and of (numerator / B)(2t) * combo
+    quotient_order = min(numerator.order, b.order + numerator.valuation)
+    rhs_order = min(quotient_order + combo.valuation, combo.order + numerator.valuation)
+    if order > min(lhs.order, rhs_order):
+        raise SeriesError(
+            f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})"
+        )
+    left = hurwitz.mul(b.scale_arg(2).h, lhs.h, order + 1)
+    right = hurwitz.mul(numerator.scale_arg(2).h, combo.h, order + 1)
+    diff = hurwitz.first_difference(left, right, order)
+    if diff is None:
+        return None
+    n, k = diff
+    f = math.factorial(n)
+    got = plain_value(lhs.h[n], k, f)
+    excess = plain_value(left[n], k, f) - plain_value(right[n], k, f)
+    return TMismatch(n, k, got, got - excess / b.h[0][0])
 
 
 def _pm_ode(sign: int) -> Check:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from blowup_series.algebra import RationalLike, XPoly
-from blowup_series.blowup import GenerationError, UnexpectedPoleError
+from blowup_series.blowup import GenerationError, UnexpectedPoleError, hurwitz_mismatch
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.series import (
     BiSeries,
@@ -373,6 +373,17 @@ def reference_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
     numerator = series_set.b.derivative() + (series_set.s if sign == 1 else -series_set.s)
     rhs = plain_mul(plain_mul(numerator, plain_recip(series_set.b)).scale_arg(2), combo)
     return first_difference(lhs, rhs, through=order)
+
+
+def quotient_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
+    """The evaluation ODE in its quotient form on kernel series: the reciprocal
+    of B is built, and (B' +- S)/B (2t) (B^2 +- S^2) compared with (B^2 +- S^2)'.
+    The package multiplies both sides by B(2t) instead."""
+    b, s, b2, s2 = (series_set.kernel(name) for name in ("b", "s", "b2", "s2"))
+    combo = b2 + s2 if sign == 1 else b2 - s2
+    numerator = b.derivative() + s if sign == 1 else b.derivative() - s
+    rhs = (numerator * b.recip()).scale_arg(2) * combo
+    return hurwitz_mismatch(combo.derivative(), rhs, order)
 
 
 def reference_bb_diagonal(series_set, order: int) -> "TMismatch | None":

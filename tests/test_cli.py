@@ -508,16 +508,79 @@ def test_negative_bivariate_order_is_refused_before_any_build(capsys, monkeypatc
         assert err.splitlines() == [f"{command}: --bivariate-order must be >= 0"]
 
 
-def test_importing_the_cli_leaves_out_the_thread_pool():
-    """`concurrent.futures` pulls in logging; the serial catalog needs neither."""
+def _fresh(args: list, tmp_path: Path) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh interpreter with the package on its path."""
     src = str(Path(blowup_series.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, blowup_series.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
     )
-    assert result.stdout.strip() == "False"
+
+
+def _with_request(argv: list, tmp_path: Path) -> list:
+    """``argv`` with its ``REQUEST`` placeholder replaced by a small eval request file."""
+    moments = {"label": "m", "moments": ["1"] * 8}
+    request = tmp_path / "request.json"
+    request.write_text(
+        json.dumps(
+            {"parity": "even", "order": 4, "functionals": {"mu_c": moments, "mu_ctau": moments}}
+        )
+    )
+    return [str(request) if a == "REQUEST" else a for a in argv]
+
+
+#: a fresh interpreter imports the CLI, runs ``main(argv)`` and prints which
+#: of the watched modules it has loaded
+_IMPORT_PROBE = """
+import io, json, sys
+import blowup_series, blowup_series.cli
+out, sys.stdout = sys.stdout, io.StringIO()
+code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+watched = ("blowup_series.verify", "blowup_series.pairing", "hashlib", "concurrent.futures")
+out.write(json.dumps([code, [name for name in watched if name in sys.modules]]))
+"""
+
+
+#: what each command loads of the watched modules, beyond what importing the CLI loads
+_LOADED = (
+    ([], []),
+    (["gen", "--series", "B", "--order", "8"], []),
+    (["eval", "REQUEST"], ["blowup_series.pairing"]),
+    (["verify", "--order", "8"], ["blowup_series.verify", "hashlib"]),
+    (["table", "--order", "16"], ["blowup_series.verify", "hashlib"]),
+    (["bench", "--order", "4"], ["blowup_series.verify", "hashlib"]),
+)
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
+    """Each command loads the modules it runs and no others: ``gen`` neither
+    the catalog, the pairing formulas nor ``hashlib``, ``eval`` no catalog,
+    the catalog commands no pairing.  None loads ``concurrent.futures``,
+    which pulls in logging; the serial catalog needs neither."""
+    for argv, loaded in _LOADED:
+        result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [0, loaded], argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _LOADED if argv], ids=lambda argv: argv[0])
+def test_every_command_runs_in_a_fresh_interpreter(argv, tmp_path):
+    """A broken import inside a handler shows only when that command runs."""
+    result = _fresh(["-m", "blowup_series.cli", *_with_request(argv, tmp_path)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_a_star_import_binds_every_public_name(tmp_path):
+    probe = (
+        "from blowup_series import *\n"
+        "import blowup_series\n"
+        "print([name for name in blowup_series.__all__ if name not in globals()])"
+    )
+    result = _fresh(["-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestOrderCap:

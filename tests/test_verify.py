@@ -3,11 +3,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from helpers_oracles import eval_x, reference_degeneration
+from helpers_oracles import eval_x, quotient_pm_ode, reference_degeneration, reference_pm_ode
 
 from blowup_series import blowup, hurwitz, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import assemble_set, build_series_set, generate_pair, series_set
+from blowup_series.hurwitz import HSeries
 from blowup_series.series import SeriesError, TSeries
 from blowup_series.verify import (
     CATALOG,
@@ -113,6 +114,44 @@ class TestOdeAndBivariate:
         reports = run_catalog(set17, 14, identities=PM_ODE)
         assert [r.identity for r in reports] == ["pm_ode_plus", "pm_ode_minus"]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize(
+        "b2_change, s2_change",
+        [
+            ((6, 1, 1), (10, 0, -3)),
+            ((10, 2, 5), (6, 0, 1)),
+            # b2 + s2 keeps its t^4 entry, so only pm_ode_minus sees the change
+            ((4, 0, 7), (4, 0, -7)),
+            # b2 - s2 loses its constant term and starts at t^1
+            ((0, 0, -1), (12, 3, 2)),
+        ],
+    )
+    def test_pm_ode_failure_reports_equal_the_quotient_form(self, b2_change, s2_change):
+        """One corrupted kernel entry of b2 and one of s2: both rows report what
+        the quotient form with B's reciprocal reports, slot, values and errors."""
+
+        def bumped(series, n, k, delta):
+            h = [list(p) for p in series.h]
+            h[n] += [0] * (k + 1 - len(h[n]))
+            h[n][k] += delta
+            return HSeries([hurwitz.clean(p) for p in h], series.order)
+
+        set_ = assemble_set(*generate_pair(13))
+        b2, s2, bs, wronskian = (set_.kernel(name) for name in ("b2", "s2", "bs", "wronskian"))
+        vars(set_)["_products"] = (bumped(b2, *b2_change), bumped(s2, *s2_change), bs, wronskian)
+        failed = 0
+        for cid, sign in zip(PM_ODE, (1, -1)):
+            for through in (3, 5, 9, 12, 13):
+                report = ENTRY[cid].run(set_, through)
+                try:
+                    expected = quotient_pm_ode(set_, sign, through)
+                except SeriesError as exc:
+                    assert report.error == f"SeriesError: {exc}"
+                    continue
+                assert report.error is None and report.first_mismatch == expected
+                assert expected == reference_pm_ode(set_, sign, through)
+                failed += not report.passed
+        assert failed >= 4
 
     def test_bb_diagonal_passes(self, set17):
         assert ENTRY["bb_diagonal"].run(set17, 16).passed
