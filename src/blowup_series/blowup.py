@@ -25,37 +25,35 @@ the evaluation ODEs; their closed forms through sqrt and exp are not built
 again, because the identity catalog certifies what they feed (b0 = B^2,
 btau = S^2 and the evaluation ODEs themselves).
 
-Every construction here runs in the divided-power (Hurwitz) basis of
-:mod:`blowup_series.hurwitz`, where the table forms n! [t^n] of B, S and all
-derived series are integer polynomials in x: the recurrence gives
-b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are binomial
-convolutions, and the integral formulas are solved as linear ODEs.  The
-constructions, the identity checks (:func:`bb_tables`,
-:func:`hurwitz_mismatch`, :func:`table_mismatch`) and the golden-table
-comparison take kernel series (:class:`HSeries`); only :func:`generate_pair`
-returns :class:`TSeries`.
+Every construction runs on the divided-power vectors that a
+:class:`TSeries` holds (:mod:`blowup_series.hurwitz`), where the table forms
+n! [t^n] of B, S and all derived series are integer polynomials in x: the
+recurrence gives b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are
+binomial convolutions, and the integral formulas are solved as linear ODEs.
+The identity checks compare those entries as they are and form plain
+values only at the first slot that differs.
 
 A :class:`BlowupSeriesSet` builds each derived group on the first read of one
-of its series and keeps it in kernel form.  :func:`assemble_set` checks only
-that the pair shares one order, so a construction error surfaces on that
-first read, not when the set is made; a failed build is not kept, and the
-next read raises again.  :func:`series_set` is the cached lazy set of a generated pair;
+of its series and keeps it.  :func:`assemble_set` checks only that the pair
+shares one order, so a construction error surfaces on that first read, not
+when the set is made; a failed build is not kept, and the next read raises
+again.  :func:`series_set` is the cached lazy set of a generated pair;
 :func:`build_series_set` returns one with every group already built.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from fractions import Fraction
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from . import hurwitz
 from .algebra import Rational, XPoly
-from .hurwitz import HSeries, Poly, addmul, clean, divided, scaled
-from .series import BiSeries, SeriesError, TMismatch, TSeries, UVMismatch
+from .hurwitz import Poly, addmul, clean, divided, scaled
+from .series import BiSeries, SeriesError, TSeries, UVMismatch, plain_poly
 
 
 class GenerationError(RuntimeError):
@@ -155,13 +153,13 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
         else:
             s[m - 1] = divided(rest, -2 * m)
 
-    hb, hs = HSeries(b, order), HSeries(s, order)
+    hb, hs = TSeries.from_kernel(b, order), TSeries.from_kernel(s, order)
     _check_against_golden(hb, hs)
     _check_bb(hb, hs, min(order, _BB_CHECK_ORDER))
-    return _tseries(hb), _tseries(hs)
+    return hb, hs
 
 
-def _check_against_golden(b: HSeries, s: HSeries) -> None:
+def _check_against_golden(b: TSeries, s: TSeries) -> None:
     diff = next(_golden_diffs((("B", "b", b), ("S", "s", s))), None)
     if diff is not None:
         raise GenerationError(
@@ -171,7 +169,7 @@ def _check_against_golden(b: HSeries, s: HSeries) -> None:
         )
 
 
-def _check_bb(b: HSeries, s: HSeries, total_order: int) -> None:
+def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
     diff = table_mismatch(*bb_tables(b, s, total_order), total_order)
     if diff is not None:
         raise GenerationError(
@@ -181,12 +179,13 @@ def _check_bb(b: HSeries, s: HSeries, total_order: int) -> None:
         )
 
 
-def bb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
     """Both sides of (*) through a total degree, as divided-power tables.
 
     B(u+v) B(u-v) comes from :func:`hurwitz.product_pm`, the right side from
     outer products of the squares.  Entries above the total degree are not read.
     """
+    checked_pair(b, s)
     if min(b.order, s.order) < total_order:
         raise SeriesError("cannot embed beyond the known truncation order")
     m = total_order
@@ -197,40 +196,33 @@ def bb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table, 
 
 def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the bivariate product identity (*) through a total degree."""
-    lhs, rhs = bb_tables(hurwitz_form(b), hurwitz_form(s), total_order)
+    lhs, rhs = bb_tables(b, s, total_order)
     return _biseries(lhs, total_order), _biseries(rhs, total_order)
 
 
 def _biseries(table: hurwitz.Table, order: int) -> BiSeries:
     """The series of a kernel table, whose entry (i, j) is i! j! [u^i v^j]."""
     return BiSeries(
-        [[c / math.factorial(i) for c in hurwitz.to_coeffs(row)] for i, row in enumerate(table)],
+        [
+            [plain_poly(p, math.factorial(i) * math.factorial(j)) for j, p in enumerate(row)]
+            for i, row in enumerate(table)
+        ],
         order,
     )
 
 
-# ---------------------------------------------------------------------------
-# the kernel form of a series, and comparisons in it
-#
-# The checks compare kernel vectors and tables as they are and form the
-# plain values of a mismatch only at the first slot that differs.
+def checked_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
+    """``(b, s)``, refused if either is a Laurent series: the constructions read
+    their kernel vectors from t^0 on."""
+    for series in (b, s):
+        if series.valuation < 0:
+            raise SeriesError(
+                f"blow-up constructions need power series, got valuation {series.valuation}"
+            )
+    return b, s
 
 
-def hurwitz_form(series: TSeries) -> HSeries:
-    """The kernel form of a power series: entry n is the table form n! [t^n]."""
-    if series.valuation < 0:
-        raise SeriesError(
-            f"blow-up constructions need power series, got valuation {series.valuation}"
-        )
-    coeffs = [series.coeff(n) for n in range(series.order + 1)]
-    return HSeries(hurwitz.from_coeffs(coeffs), series.order)
-
-
-def _tseries(h: HSeries) -> TSeries:
-    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
-
-
-def degeneration_forms(x: int, order: int) -> tuple[HSeries, dict[str, HSeries]]:
+def degeneration_forms(x: int, order: int) -> tuple[TSeries, dict[str, TSeries]]:
     """The closed forms of B^2, S^2, the Wronskian and BS at x = 2 or -2.
 
     With c = x/2 each is the envelope exp(-c t^2) times a factor: cosh^2 t,
@@ -247,8 +239,10 @@ def degeneration_forms(x: int, order: int) -> tuple[HSeries, dict[str, HSeries]]
     g = {n: c ** (n // 2) * 2 ** (n - 1) for n in range(1, order + 1)}
     evens = range(2, order + 1, 2)
 
-    def vector(entries: dict[int, int]) -> HSeries:
-        return HSeries([[entries[n]] if entries.get(n) else [] for n in range(order + 1)], order)
+    def vector(entries: dict[int, int]) -> TSeries:
+        return TSeries.from_kernel(
+            [[entries[n]] if entries.get(n) else [] for n in range(order + 1)], order
+        )
 
     f = math.factorial
     envelope = vector({n: (-c) ** (n // 2) * f(n) // f(n // 2) for n in range(0, order + 1, 2)})
@@ -258,29 +252,6 @@ def degeneration_forms(x: int, order: int) -> tuple[HSeries, dict[str, HSeries]]
         "wronskian": vector({0: 1}),
         "bs": vector({n: g[n] for n in range(1, order + 1, 2)}),
     }
-
-
-def plain_value(p: Poly, k: int, scale: int) -> Rational:
-    """x^k coefficient of a kernel entry divided by its factorial ``scale``."""
-    return Fraction(p[k] if k < len(p) else 0) / scale
-
-
-def hurwitz_mismatch(a: HSeries, b: HSeries, through: int) -> "TMismatch | None":
-    """:func:`~blowup_series.series.first_difference` on kernel series.
-
-    The table forms are compared as they are; the plain values are formed
-    only at the first slot that differs.
-    """
-    if through > min(a.order, b.order):
-        raise SeriesError(
-            f"comparison through t^{through} exceeds known orders ({a.order}, {b.order})"
-        )
-    diff = hurwitz.first_difference(a.h, b.h, through)
-    if diff is None:
-        return None
-    n, k = diff
-    f = math.factorial(n)
-    return TMismatch(n, k, plain_value(a.h[n], k, f), plain_value(b.h[n], k, f))
 
 
 def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMismatch | None":
@@ -294,32 +265,32 @@ def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMisma
         return None
     i, j, k = diff
     f = math.factorial(i) * math.factorial(j)
-    return UVMismatch(i, j, k, plain_value(a[i][j], k, f), plain_value(b[i][j], k, f))
+    return UVMismatch(i, j, k, plain_poly(a[i][j], f).coeff(k), plain_poly(b[i][j], f).coeff(k))
 
 
 # ---------------------------------------------------------------------------
 # derived series
 
 
-def derived_products(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries, HSeries, HSeries]:
+def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic."""
     wronskian = b * s.derivative() - b.derivative() * s
     return b * b, s * s, b * s, wronskian
 
 
-def _quotient_order(num: HSeries, den: HSeries) -> int:
+def _quotient_order(num: TSeries, den: TSeries) -> int:
     """Truncation order of the Laurent quotient num/den, as TSeries division states it."""
     v = den.valuation
     return min(num.order - v, den.order - 2 * v + num.valuation)
 
 
-def _ode_solution(sigma: HSeries, rho: HSeries, head: list[Poly], order: int) -> HSeries:
+def _ode_solution(sigma: TSeries, rho: TSeries, head: list[Poly], order: int) -> TSeries:
     """The solution of sigma(2t) w' = rho(2t) w that starts with ``head``."""
     w = hurwitz.linear_ode(sigma.scale_arg(2).h, rho.scale_arg(2).h, head, order + 1)
-    return HSeries(w, order)
+    return TSeries.from_kernel(w, order)
 
 
-def exponential_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries, HSeries, HSeries]:
+def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
     For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built as
@@ -335,30 +306,31 @@ def exponential_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries, HSeries,
         _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
         for numerator in (db + s, db - s)
     )
-    return plus, minus, (plus + minus).halved(), (plus - minus).halved()
+    half = Fraction(1, 2)
+    return plus, minus, (plus + minus) * half, (plus - minus) * half
 
 
-def _check_poles(s: HSeries, regular: HSeries, singular: HSeries) -> None:
+def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
     """Raise where the Laurent integrands of the odd-case formulas leave their domain.
 
     ``regular`` and ``singular`` are S' - B and S' + B.  (-B + S')/S must
     vanish at 0, and (B + S')/S must be exactly 2/t + O(t).  Both conditions
     are read off leading kernel entries: c_k = 2 s_{k+1} on plain
     coefficients reads (k + 1) c'_k = 2 s'_{k+1} on the entries c'_k = k! c_k.
-    Only an error forms plain series.
+    Only an error divides series.
     """
     v = s.valuation
     if v > s.order or len(s.h[v]) != 1:
         # dividing by S needs an x-free unit leading coefficient: raise
         # exactly what the reciprocal of S would
-        _tseries(s).truncate(min(v, s.order)).recip()
+        s.truncate(min(v, s.order)).recip()
     if regular.valuation <= regular.order and regular.valuation < v + 1:
         raise UnexpectedPoleError(
             f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
         )
     lead = singular.valuation
     if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
-        quotient = _tseries(singular) / _tseries(s)
+        quotient = singular / s
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
             f"{quotient.valuation} with residue {quotient.coeff(-1) if quotient.valuation <= -1 else 0}"
@@ -369,7 +341,7 @@ def _check_poles(s: HSeries, regular: HSeries, singular: HSeries) -> None:
         raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
 
 
-def odd_case_pair(b: HSeries, s: HSeries) -> tuple[HSeries, HSeries]:
+def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     """The universal series of the odd pairing case, from their integral forms.
 
     ws0 = exp((1/2) int_0^{2t} (-B + S')/S) and
@@ -398,22 +370,9 @@ def series_content_hash(b: TSeries, s: TSeries) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-#: the series of each kernel group of a set, in build order
-_GROUP_SERIES = {
-    "_pair": ("b", "s"),
-    "_products": ("b2", "s2", "bs", "wronskian"),
-    "_exponential": ("b_plus", "b_minus", "b0", "btau"),
-    "_odd": ("ws0", "ws1"),
-}
-#: the group that holds each series, and its index there
-_SLOTS = {
-    name: (group, i) for group, names in _GROUP_SERIES.items() for i, name in enumerate(names)
-}
-
-
-def _member(name: str) -> cached_property:
-    """Derived series ``name`` as a :class:`TSeries`, converted on first read and kept."""
-    return cached_property(lambda self: _tseries(self.kernel(name)))
+def _member(group: str, index: int) -> property:
+    """Series ``index`` of a derived group, which is built on the first read."""
+    return property(lambda self: getattr(self, group)[index])
 
 
 @dataclass(frozen=True)
@@ -421,16 +380,14 @@ class BlowupSeriesSet:
     """The blow-up pair and every series derived from it, built on first read.
 
     The fields are the pair ``b``, ``s``; ``order`` is their truncation order.
-    The set converts the pair to kernel form once.  Each derived group is
-    built in that form by its module-level construction the first time one
-    of its series is read, and kept: ``b2``, ``s2``, ``bs`` and ``wronskian``
-    are recomputed products (:func:`derived_products`), never aliases;
-    ``b_plus``/``b_minus`` solve the evaluation ODEs and ``b0``/``btau`` are
-    their half sum/difference (:func:`exponential_pair`); ``ws0``/``ws1``
-    come from the odd-case integral formulas (:func:`odd_case_pair`).
-    :meth:`kernel` returns a series as kept; reading it as an attribute
-    converts it to a :class:`TSeries` once.  ``content_hash`` fingerprints
-    (b, s).
+    Each derived group is built by its module-level construction the first
+    time one of its series is read, and kept: ``b2``, ``s2``, ``bs`` and
+    ``wronskian`` are recomputed products (:func:`derived_products`), never
+    aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and
+    ``b0``/``btau`` are their half sum/difference (:func:`exponential_pair`);
+    ``ws0``/``ws1`` come from the odd-case integral formulas
+    (:func:`odd_case_pair`).  Every construction first checks that B and S
+    are power series.  ``content_hash`` fingerprints (b, s).
 
     A construction error therefore surfaces on the first read of a series of
     its group, not when the set is made.  A failed build is not kept, so the
@@ -445,37 +402,28 @@ class BlowupSeriesSet:
         return self.b.order
 
     @cached_property
-    def _pair(self) -> tuple[HSeries, HSeries]:
-        return hurwitz_form(self.b), hurwitz_form(self.s)
+    def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        return derived_products(*checked_pair(self.b, self.s))
 
     @cached_property
-    def _products(self) -> tuple[HSeries, HSeries, HSeries, HSeries]:
-        return derived_products(*self._pair)
+    def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
+        return exponential_pair(*checked_pair(self.b, self.s))
 
     @cached_property
-    def _exponential(self) -> tuple[HSeries, HSeries, HSeries, HSeries]:
-        return exponential_pair(*self._pair)
-
-    @cached_property
-    def _odd(self) -> tuple[HSeries, HSeries]:
-        return odd_case_pair(*self._pair)
+    def _odd(self) -> tuple[TSeries, TSeries]:
+        return odd_case_pair(*checked_pair(self.b, self.s))
 
     @cached_property
     def content_hash(self) -> str:
         return series_content_hash(self.b, self.s)
 
-    def kernel(self, name: str) -> HSeries:
-        """The kernel form of series ``name``, building its group on first read."""
-        group, index = _SLOTS[name]
-        return getattr(self, group)[index]
-
-    b2, s2, bs, wronskian = map(_member, _GROUP_SERIES["_products"])
-    b_plus, b_minus, b0, btau = map(_member, _GROUP_SERIES["_exponential"])
-    ws0, ws1 = map(_member, _GROUP_SERIES["_odd"])
+    b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
+    b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))
+    ws0, ws1 = (_member("_odd", i) for i in range(2))
 
 
 #: the cached groups of a set, in build order
-_GROUPS = (*_GROUP_SERIES, "content_hash")
+_GROUPS = ("_products", "_exponential", "_odd", "content_hash")
 
 
 def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
@@ -504,12 +452,13 @@ def series_set(order: int) -> BlowupSeriesSet:
 
 
 def _golden_bytes() -> bytes:
-    return resources.files("blowup_series").joinpath("data/golden_table.json").read_bytes()
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_table.json"), "rb") as f:
+        return f.read()
 
 
 @lru_cache(maxsize=1)
 def golden_table() -> dict[str, TSeries]:
-    """The embedded reference coefficient table, parsed to plain series."""
+    """The embedded reference coefficient table; its factorial rows are kernel vectors."""
     raw = json.loads(_golden_bytes())
     return {name: TSeries.from_json(entry) for name, entry in raw.items()}
 
@@ -556,33 +505,28 @@ _GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
 )
 
 
-@lru_cache(maxsize=1)
-def _golden_kernel() -> dict[str, HSeries]:
-    """The golden table in kernel form, for comparison with kernel series."""
-    return {name: hurwitz_form(series) for name, series in golden_table().items()}
-
-
-def _golden_diffs(rows: Iterable[tuple[str, str, HSeries]]) -> Iterator[GoldenDiff]:
-    """Every slot, in scan order, where a (row, name, kernel series) leaves its golden row.
+def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDiff]:
+    """Every slot, in scan order, where a (row, name, series) leaves its golden row.
 
     Kernel entries are compared as they are; the plain values, entry / n!,
-    are formed only for the slots that differ.
+    are formed only for the entries that differ.
     """
-    table = _golden_kernel()
+    table = golden_table()
     for row, name, generated in rows:
         reference = table[row]
         for n in range(min(reference.order, generated.order) + 1):
             want, have = reference.h[n], generated.h[n]
             if want != have:
                 scale = math.factorial(n)
+                expected, got = plain_poly(want, scale), plain_poly(have, scale)
                 for k in range(max(len(want), len(have))):
-                    expected, got = plain_value(want, k, scale), plain_value(have, k, scale)
-                    if expected != got:
-                        yield GoldenDiff(row, name, n, k, expected, got)
+                    if expected.coeff(k) != got.coeff(k):
+                        yield GoldenDiff(row, name, n, k, expected.coeff(k), got.coeff(k))
 
 
 def _set_golden_diffs(series_set: BlowupSeriesSet) -> Iterator[GoldenDiff]:
-    return _golden_diffs((row, name, series_set.kernel(name)) for row, name in _GOLDEN_PAIRING)
+    checked_pair(series_set.b, series_set.s)
+    return _golden_diffs((row, name, getattr(series_set, name)) for row, name in _GOLDEN_PAIRING)
 
 
 def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:

@@ -1,6 +1,7 @@
 """Divided-power (Hurwitz) arithmetic for power series over Q[x].
 
-Private to the package.  A Hurwitz vector ``h`` stores the series
+Private to the package; :class:`~blowup_series.series.TSeries` holds its
+vectors.  A Hurwitz vector ``h`` stores the series
 ``sum_n h[n] t^n / n!``: entry ``n`` is the table form ``n! [t^n]``.  Each
 entry is an x-polynomial held as a plain list of scalars, ascending in x
 and free of trailing zeros (``[]`` is zero).  A scalar is an ``int``
@@ -23,8 +24,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 from typing import Sequence, Union
-
-from .algebra import XPoly
 
 Scalar = Union[int, Fraction]
 Poly = list  # list[Scalar], ascending powers of x, no trailing zeros
@@ -93,32 +92,6 @@ def add(p: Poly, q: Poly, sign: int = 1) -> Poly:
         for i, v in enumerate(q):
             out[i] += sign * v
     return clean(out)
-
-
-# ---------------------------------------------------------------------------
-# conversion from and to plain coefficients
-
-
-def from_coeffs(coeffs: Sequence[XPoly]) -> list[Poly]:
-    """Hurwitz vector of the series whose t^n coefficient is ``coeffs[n]``."""
-    out = []
-    f = 1
-    for n, c in enumerate(coeffs):
-        if n:
-            f *= n
-        out.append([_int_if_integral(v * f) for v in c.coeffs])
-    return out
-
-
-def to_coeffs(h: Sequence[Poly]) -> list[XPoly]:
-    """Plain coefficients ``h[n] / n!`` as ``XPoly`` values."""
-    out = []
-    f = 1
-    for n, p in enumerate(h):
-        if n:
-            f *= n
-        out.append(XPoly(Fraction(v, f) if type(v) is int else v / f for v in p))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +178,6 @@ def sqrt(f: Sequence[Poly], length: int) -> list[Poly]:
     return g[:length]
 
 
-def scale(f: Sequence[Poly], c: int) -> list[Poly]:
-    """Substitute t -> c t: entry n is multiplied by c^n."""
-    return [scaled(p, c**n) for n, p in enumerate(f)]
-
-
 def linear_ode(
     sigma: Sequence[Poly], rho: Sequence[Poly], head: Sequence[Poly], length: int
 ) -> list[Poly]:
@@ -265,70 +233,6 @@ def first_difference(
         if p != q:
             return n, _first_x(p, q)
     return None
-
-
-# ---------------------------------------------------------------------------
-# series with a truncation order
-
-
-class HSeries:
-    """A power series over Q[x] in Hurwitz form, exact through t^order.
-
-    The order bookkeeping is that of :class:`~blowup_series.series.TSeries`
-    restricted to valuation >= 0, so a value converted back reports the
-    order the plain route would have reported.
-    """
-
-    __slots__ = ("h", "order")
-
-    def __init__(self, h: Sequence[Poly], order: int):
-        h = list(h[: order + 1])
-        h.extend([] for _ in range(order + 1 - len(h)))
-        self.h = h
-        self.order = order
-
-    @property
-    def valuation(self) -> int:
-        """Lowest index with a nonzero entry (``order + 1`` if none)."""
-        return next((n for n, p in enumerate(self.h) if p), self.order + 1)
-
-    def __add__(self, other: "HSeries") -> "HSeries":
-        order = min(self.order, other.order)
-        return HSeries([add(p, q) for p, q in zip(self.h, other.h)], order)
-
-    def __sub__(self, other: "HSeries") -> "HSeries":
-        order = min(self.order, other.order)
-        return HSeries([add(p, q, -1) for p, q in zip(self.h, other.h)], order)
-
-    def __mul__(self, other: "HSeries") -> "HSeries":
-        order = min(self.order + other.valuation, other.order + self.valuation)
-        return HSeries(mul(self.h, other.h, order + 1), order)
-
-    def halved(self) -> "HSeries":
-        return HSeries([divided(p, 2) for p in self.h], self.order)
-
-    def derivative(self) -> "HSeries":
-        return HSeries(self.h[1:], self.order - 1)
-
-    def integrate(self) -> "HSeries":
-        """Integral from 0."""
-        return HSeries([[]] + self.h, self.order + 1)
-
-    def scale_arg(self, c: int) -> "HSeries":
-        return HSeries(scale(self.h, c), self.order)
-
-    def recip(self) -> "HSeries":
-        return HSeries(recip(self.h, self.order + 1), self.order)
-
-    def at_x(self, x: Scalar) -> "HSeries":
-        """Substitute a value for x in every entry, one Horner sum each."""
-        out = []
-        for p in self.h:
-            v = 0
-            for c in reversed(p):
-                v = v * x + c
-            out.append(clean([v]))
-        return HSeries(out, self.order)
 
 
 # ---------------------------------------------------------------------------

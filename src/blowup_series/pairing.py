@@ -15,8 +15,9 @@ per t-power.  The evaluation formulas then combine paired series:
 Pairing reads the kernel entries n! [t^n] of a series (integer polynomials
 for the blow-up series) and puts the moments p_k/q_k on prefix common
 denominators L_k = lcm(q_0..q_k), with numerators P_k = p_k L_k / q_k.  An
-entry of x-degree d then pairs to one integer Horner sum over L_d n!, which
-is reduced once: one ``Fraction`` per t-power and functional.  A prefix
+entry of x-degree d then pairs to one integer Horner sum over L_d, which
+is reduced once into the x-free entry of the paired series: one
+``Fraction`` per t-power and functional.  A prefix
 denominator, unlike one lcm over all moments, stays as small as the entry's
 own degree needs.  :func:`pair` and the three ``eval_*`` formulas share this
 one dot product.
@@ -32,9 +33,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .algebra import Rational, RationalLike, XPoly, parse_rational
-from .blowup import BlowupSeriesSet, degeneration_forms, hurwitz_form, series_set
-from .hurwitz import HSeries, Poly, add, scaled, to_coeffs
+from .algebra import Rational, RationalLike, parse_rational
+from .blowup import BlowupSeriesSet, degeneration_forms, series_set
+from .hurwitz import Poly, add, clean, scaled
 from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
@@ -100,7 +101,7 @@ class MomentFunctional:
 
 
 def _paired(h: Sequence[Poly], mu: MomentFunctional, order: int, half: bool = False) -> list:
-    """Plain t^n coefficients, n = 0..order, of the kernel vector ``h`` paired with ``mu``.
+    """Kernel entries, n = 0..order, of the kernel vector ``h`` paired with ``mu``: x-free scalars.
 
     Entries are checked in ascending n, so a short functional is named with
     the length its first uncovered entry needs.  With ``half`` every value
@@ -123,22 +124,20 @@ def _paired(h: Sequence[Poly], mu: MomentFunctional, order: int, half: bool = Fa
         numerators.append(m.numerator * (lcm // q))
         lcms.append(lcm)
     values = []
-    factorial = 2 if half else 1
-    for n, p in enumerate(entries):
-        if n:
-            factorial *= n
+    scale = 2 if half else 1
+    for p in entries:
         acc = 0
         for step, c, numerator in zip(steps, p, numerators):
             if step != 1:
                 acc *= step
             if c:
                 acc += c * numerator
-        values.append(Fraction(acc, lcms[len(p) - 1] * factorial) if acc else 0)
+        values.append(Fraction(acc, lcms[len(p) - 1] * scale) if acc else 0)
     return values
 
 
 def _x_free(values: list, order: int) -> TSeries:
-    return TSeries(0, [XPoly((v,)) for v in values], order)
+    return TSeries.from_kernel([clean([v]) for v in values], order)
 
 
 def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
@@ -149,7 +148,7 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     """
     if f.valuation < 0:
         raise SeriesError("pairing needs a series with valuation >= 0")
-    return _x_free(_paired(hurwitz_form(f).h, mu, f.order), f.order)
+    return _x_free(_paired(f.h, mu, f.order), f.order)
 
 
 @dataclass(frozen=True)
@@ -188,8 +187,8 @@ def _evaluate(
     the second halved with ``half``; the first functional is checked first."""
     st = _series_for(order, series)
     (f, mu), (g, nu) = first, second
-    a = _paired(st.kernel(f).h, mu, order)
-    b = _paired(st.kernel(g).h, nu, order, half)
+    a = _paired(getattr(st, f).h, mu, order)
+    b = _paired(getattr(st, g).h, nu, order, half)
     return EvalResult(_x_free([u + v for u, v in zip(a, b)], order), provenance)
 
 
@@ -246,5 +245,4 @@ def eval_simple_type(
     envelope, factors = degeneration_forms(2, order)
     (first, u), (second, v) = ((factors[name].h, weight) for name, weight in terms)
     factor = [add(scaled(p, u), scaled(q, v)) for p, q in zip(first, second)]
-    result = envelope * HSeries(factor, order)
-    return EvalResult(TSeries(0, to_coeffs(result.h), order), provenance)
+    return EvalResult(envelope * TSeries.from_kernel(factor, order), provenance)

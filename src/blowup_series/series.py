@@ -17,19 +17,20 @@ Laurent support is limited to finite negative valuation whose leading
 coefficient is a nonzero rational (an x-free unit); there are no formal
 logarithms, so integrating a series with a t^-1 term is an error.
 
+A series is stored as a divided-power vector of :mod:`blowup_series.hurwitz`:
+entry ``h[k]`` is ``k! [t^(lo+k)]`` with the anchor ``lo = min(valuation, 0)``.
+A power series is its table form n! [t^n], which is an integer polynomial
+for the blow-up series, and a Laurent series t^v A(t) is stored as the
+vector of its unit part A.  Products, reciprocals, exponentials and square
+roots are the kernel's; d/dt and the integral are index shifts.  Plain
+coefficients entry / k! are formed only by :meth:`TSeries.coeff`,
+:meth:`TSeries.terms`, JSON and display, and at the slot where
+:func:`first_difference` reports a mismatch.
+
 :class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
 degree, for the substitutions t -> u + v and t -> u - v and the JSON form
 of two-variable results.  The identity checks do not multiply it: they
 compare divided-power tables (:mod:`blowup_series.blowup`).
-
-Coefficients are stored plain (the coefficient of t^n itself), but
-products, reciprocals, exponentials and square roots are computed in the
-divided-power kernel :mod:`blowup_series.hurwitz`, on the table forms
-n! [t^n]; a Laurent series t^v A(t) is handled through its unit part A.
-The plain-basis loops they replaced are kept as the reference in the test
-suite, as are the plain closed forms exp(c t^2), cosh, sinh, cos and sin of
-the x = +-2 degenerations, which the package builds as kernel vectors
-(:func:`blowup_series.blowup.degeneration_forms`).
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import hurwitz
 from .algebra import Rational, RationalLike, XPoly, first_coeff_difference
+from .hurwitz import Poly, add, clean, divided, scaled
 
 CoeffLike = Union[XPoly, Rational, int]
 
@@ -62,39 +64,92 @@ def _as_xpoly(v: CoeffLike) -> XPoly:
     return XPoly((v,))
 
 
-class TSeries:
-    """Truncated (Laurent) series in t with XPoly coefficients.
+def plain_poly(p: Poly, scale: int) -> XPoly:
+    """The plain coefficient of a kernel entry: ``p / scale``, ``scale`` its factorial."""
+    return XPoly(Fraction(v, scale) for v in p)
 
-    Immutable.  Coefficients are stored densely for exponents
-    ``valuation .. order``; a series that is zero through its order is
-    stored with ``valuation == order + 1`` and no coefficients.
+
+def _plain_text(v: hurwitz.Scalar, scale: int) -> str:
+    """``str(Fraction(v, scale))`` for a kernel scalar.
+
+    ``v`` is an int or a reduced fraction, so only ``scale`` can share a
+    factor with its numerator: one gcd against the small ``scale``.
+    """
+    num, den = (v, 1) if type(v) is int else (v.numerator, v.denominator)
+    g = math.gcd(num, scale)
+    num, den = num // g, den * (scale // g)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _reanchored(h: Sequence[Poly], d: int) -> list[Poly]:
+    """The vector of the same series anchored ``d`` places lower, or ``-d`` higher.
+
+    Entry k of t^d f is k!/(k - d)! f_{k-d}: a lower anchor multiplies by a
+    falling factorial, a higher one divides by it and drops the first ``-d``
+    entries, which must vanish.
+    """
+    if d >= 0:
+        return [[] for _ in range(d)] + [scaled(p, math.perm(k, d)) for k, p in enumerate(h, d)]
+    return [divided(p, math.perm(k, -d)) for k, p in enumerate(h[-d:], -d)]
+
+
+class TSeries:
+    """Truncated (Laurent) series in t over Q[x], held as a divided-power vector.
+
+    Immutable.  ``h[k]`` is the kernel entry k! [t^(lo+k)] for
+    k = 0 .. order - lo, with the anchor lo = min(valuation, 0), so a
+    Laurent series leads with a nonzero entry.  The constructor takes plain
+    coefficients from ``valuation`` on; :meth:`from_kernel` takes a vector.
+    A series that is zero through its order has valuation ``order + 1``.
     """
 
-    __slots__ = ("_val", "_coeffs", "_order")
+    __slots__ = ("h", "_lo", "_order")
 
     def __init__(self, valuation: int, coeffs: Iterable[CoeffLike], order: int):
-        cs = [_as_xpoly(c) for c in coeffs]
-        # clip to the declared window, then normalise the leading end
-        window = order - valuation + 1
-        if window < 0:
-            valuation, cs = order + 1, []
-        else:
-            cs = cs[:window]
-            cs.extend([XPoly.zero()] * (window - len(cs)))
-            while cs and cs[0].is_zero:
-                cs.pop(0)
-                valuation += 1
+        cs = [_as_xpoly(c) for c in coeffs][: max(order - valuation + 1, 0)]
+        while cs and cs[0].is_zero:
+            cs.pop(0)
+            valuation += 1
         if not cs:
             valuation = order + 1
-        object.__setattr__(self, "_val", valuation)
-        object.__setattr__(self, "_coeffs", tuple(cs))
-        object.__setattr__(self, "_order", order)
+        lo = min(valuation, 0)
+        k = valuation - lo
+        h: list[Poly] = [[] for _ in range(k)]
+        scale = math.factorial(k)
+        for c in cs:
+            h.append(clean([v * scale for v in c.coeffs]))
+            k += 1
+            scale *= k
+        self._set(h, lo, order)
+
+    def _set(self, h: Sequence[Poly], lo: int, order: int) -> None:
+        """Store ``h`` anchored at ``lo``, clipped or padded to the order, with
+        the anchor moved to min(valuation, 0)."""
+        if lo > 0:
+            h, lo = _reanchored(h, lo), 0
+        n = order - lo + 1
+        if n < 0:  # nothing is known: the zero series
+            h, lo, n = [], order + 1, 0
+        h = list(h[:n])
+        h.extend([] for _ in range(n - len(h)))
+        if lo < 0:
+            d = min(next((k for k, p in enumerate(h) if p), n), -lo)
+            if d:
+                h, lo = _reanchored(h, -d), lo + d
+        self.h, self._lo, self._order = h, lo, order
 
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def from_kernel(cls, h: Sequence[Poly], order: int, lo: int = 0) -> "TSeries":
+        """The series whose entry k is ``h[k]`` = k! [t^(lo+k)], known through ``order``."""
+        series = object.__new__(cls)
+        series._set(h, lo, order)
+        return series
+
+    @classmethod
     def zero(cls, order: int) -> "TSeries":
-        return cls(order + 1, (), order)
+        return cls.from_kernel([], order)
 
     @classmethod
     def one(cls, order: int) -> "TSeries":
@@ -126,7 +181,9 @@ class TSeries:
     @property
     def valuation(self) -> int:
         """Lowest t-exponent with a nonzero coefficient (order+1 if zero)."""
-        return self._val
+        if self._lo:
+            return self._lo
+        return next((k for k, p in enumerate(self.h) if p), self._order + 1)
 
     @property
     def order(self) -> int:
@@ -135,7 +192,11 @@ class TSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not any(self.h)
+
+    def _at_anchor(self, lo: int) -> Sequence[Poly]:
+        """The vector anchored at ``lo``, which must not exceed the valuation."""
+        return self.h if lo == self._lo else _reanchored(self.h, self._lo - lo)
 
     def coeff(self, n: int, normalized: bool = False) -> XPoly:
         """Coefficient of t^n; with ``normalized`` the table form n! * [t^n].
@@ -147,20 +208,24 @@ class TSeries:
             raise SeriesError(
                 f"coefficient of t^{n} requested but series is only known through t^{self._order}"
             )
-        p = XPoly.zero()
-        if self._val <= n <= self._order:
-            p = self._coeffs[n - self._val]
-        if normalized:
-            if n < 0:
-                raise SeriesError("factorial normalization is undefined for negative exponents")
-            p = p * math.factorial(n)
-        return p
+        if normalized and n < 0:
+            raise SeriesError("factorial normalization is undefined for negative exponents")
+        k = n - self._lo
+        if k < 0:
+            return XPoly.zero()
+        if normalized and not self._lo:
+            return XPoly(self.h[k])
+        p = plain_poly(self.h[k], math.factorial(k))
+        return p * math.factorial(n) if normalized else p
 
     def terms(self) -> Iterable[tuple[int, XPoly]]:
         """Iterate (exponent, coefficient) over the nonzero stored terms."""
-        for k, c in enumerate(self._coeffs):
-            if not c.is_zero:
-                yield self._val + k, c
+        scale = 1
+        for k, p in enumerate(self.h):
+            if k:
+                scale *= k
+            if p:
+                yield self._lo + k, plain_poly(p, scale)
 
     def truncate(self, order: int) -> "TSeries":
         """Forget knowledge above ``order`` (which must not exceed self.order)."""
@@ -168,7 +233,7 @@ class TSeries:
             raise SeriesError(
                 f"cannot extend truncation order {self._order} to {order}"
             )
-        return TSeries(self._val, self._coeffs, order)
+        return TSeries.from_kernel(self.h, order, self._lo)
 
     def __eq__(self, other: object) -> bool:
         """Mathematical equality through the smaller truncation order."""
@@ -184,45 +249,38 @@ class TSeries:
     def __add__(self, other: "TSeries") -> "TSeries":
         if not isinstance(other, TSeries):
             return NotImplemented
-        order = min(self._order, other._order)
-        if self.is_zero:
-            return other.truncate(order)
-        if other.is_zero:
-            return self.truncate(order)
-        lo = min(self._val, other._val)
-        out = [XPoly.zero()] * (order - lo + 1)
-        for src in (self, other):
-            for n, c in src.terms():
-                if n <= order:
-                    out[n - lo] = out[n - lo] + c
-        return TSeries(lo, out, order)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "TSeries", sign: int) -> "TSeries":
+        """``self + sign * other``, entry by entry at the lower anchor."""
+        order, lo = min(self._order, other._order), min(self._lo, other._lo)
+        f, g = self._at_anchor(lo), other._at_anchor(lo)
+        return TSeries.from_kernel([add(p, q, sign) for p, q in zip(f, g)], order, lo)
 
     def __neg__(self) -> "TSeries":
-        return TSeries(self._val, (-c for c in self._coeffs), self._order)
+        return TSeries.from_kernel([[-v for v in p] for p in self.h], self._order, self._lo)
 
     def __mul__(self, other: "TSeries | CoeffLike") -> "TSeries":
-        if isinstance(other, (XPoly, Fraction, int)):
-            p = _as_xpoly(other)
-            if p.is_zero:
-                return TSeries.zero(self._order)
-            return TSeries(self._val, (c * p for c in self._coeffs), self._order)
+        if isinstance(other, XPoly):
+            c = clean(list(other.coeffs))
+            return TSeries.from_kernel([hurwitz.product(p, c) for p in self.h], self._order, self._lo)
+        if isinstance(other, (Fraction, int)):
+            c = Fraction(other)
+            h = [divided(scaled(p, c.numerator), c.denominator) for p in self.h]
+            return TSeries.from_kernel(h, self._order, self._lo)
         if not isinstance(other, TSeries):
             return NotImplemented
-        order = min(self._order + other._val, other._order + self._val)
+        order = min(self._order + other.valuation, other._order + self.valuation)
         if self.is_zero or other.is_zero:
             return TSeries.zero(order)
-        # t^a A(t) * t^b B(t) = t^(a+b) (A B)(t): multiply the unit parts in
-        # the Hurwitz basis, through the shorter of the two windows
-        lo = self._val + other._val
-        n = order - lo + 1
-        f = hurwitz.from_coeffs(self._coeffs[:n])
-        g = f if other is self else hurwitz.from_coeffs(other._coeffs[:n])
-        return TSeries(lo, hurwitz.to_coeffs(hurwitz.mul(f, g, n)), order)
+        # t^a A(t) * t^b B(t) = t^(a+b) (A B)(t): one binomial convolution
+        lo = self._lo + other._lo
+        return TSeries.from_kernel(hurwitz.mul(self.h, other.h, order - lo + 1), order, lo)
 
     __rmul__ = __mul__
 
@@ -251,9 +309,13 @@ class TSeries:
 
     def derivative(self) -> "TSeries":
         """Termwise d/dt; the output is exact through ``order - 1``."""
-        order = self._order - 1
-        terms = {n - 1: c * n for n, c in self.terms() if n != 0}
-        return TSeries.from_terms(terms, order)
+        lo = self._lo
+        if not lo:
+            return TSeries.from_kernel(self.h[1:], self._order - 1)
+        # entry k of the derivative, anchored one lower, is (lo + k) h[k]
+        return TSeries.from_kernel(
+            [scaled(p, lo + k) for k, p in enumerate(self.h)], self._order - 1, lo - 1
+        )
 
     def integrate(self) -> "TSeries":
         """Definite integral from 0; rejects a nonzero t^-1 coefficient."""
@@ -261,24 +323,29 @@ class TSeries:
             raise SeriesError(
                 "cannot integrate: the t^-1 coefficient lies beyond the truncation order"
             )
-        if self._val <= -1 and not self.coeff(-1).is_zero:
+        lo = self._lo
+        if not lo:
+            return TSeries.from_kernel([[]] + self.h, self._order + 1)
+        if self.h[-lo - 1]:
             raise LogSingularityError(
                 "integration would create a logarithm: nonzero t^-1 coefficient"
             )
-        terms = {n + 1: c / (n + 1) for n, c in self.terms()}
-        return TSeries.from_terms(terms, self._order + 1)
+        # entry k of the integral, anchored one higher, is h[k] / (lo + k + 1)
+        h = [divided(p, lo + k + 1) if lo + k + 1 else [] for k, p in enumerate(self.h)]
+        return TSeries.from_kernel(h, self._order + 1, lo + 1)
 
     def scale_arg(self, c: RationalLike) -> "TSeries":
         """Substitute t -> c*t for a rational c (coefficient of t^n scales by c^n)."""
         c = Fraction(c)
-        if c == 0:
-            if self._val < 0:
+        lo = self._lo
+        if lo:
+            if not c:
                 raise SeriesError("cannot substitute t -> 0 into a Laurent series")
-            if self.is_zero or self._val > 0:
-                return TSeries.zero(self._order)
-            return TSeries.from_terms({0: self.coeff(0)}, self._order)
-        terms = {n: coeff * c**n for n, coeff in self.terms()}
-        return TSeries.from_terms(terms, self._order)
+        elif c.denominator == 1:
+            c = c.numerator
+        return TSeries.from_kernel(
+            [scaled(p, c ** (lo + k)) for k, p in enumerate(self.h)], self._order, lo
+        )
 
     # -- multiplicative structure ------------------------------------------
 
@@ -290,35 +357,28 @@ class TSeries:
         """
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of the zero series")
-        lead = self._coeffs[0]
-        if lead.degree != 0:
+        v = self.valuation
+        unit = self._at_anchor(v)
+        if len(unit[0]) != 1:
             raise NonUnitLeadingError(
-                f"leading coefficient {lead} is not invertible in the rationals"
+                f"leading coefficient {self.coeff(v)} is not invertible in the rationals"
             )
-        v = self._val
-        inv = hurwitz.recip(hurwitz.from_coeffs(self._coeffs), len(self._coeffs))
-        return TSeries(-v, hurwitz.to_coeffs(inv), self._order - 2 * v)
+        return TSeries.from_kernel(hurwitz.recip(unit, len(unit)), self._order - 2 * v, -v)
 
     def exp(self) -> "TSeries":
         """Exponential of a series with zero constant term (valuation >= 1).
 
         Solved exactly from f' = a' f order by order.
         """
-        if self._val < 1:
+        if self.valuation < 1:
             raise SeriesError("exp needs valuation >= 1 (zero constant term)")
-        return self._hurwitz_map(hurwitz.exp)
+        return TSeries.from_kernel(hurwitz.exp(self.h, self._order + 1), self._order)
 
     def sqrt(self) -> "TSeries":
         """Square root of a series with constant term exactly 1."""
-        if self.is_zero or self._val != 0 or self._coeffs[0] != XPoly.one():
+        if self._lo or self.h[:1] != [[1]]:
             raise SeriesError("sqrt needs constant term exactly 1")
-        return self._hurwitz_map(hurwitz.sqrt)
-
-    def _hurwitz_map(self, op) -> "TSeries":
-        """Apply a length-preserving kernel operation to a power series."""
-        order = self._order
-        h = hurwitz.from_coeffs([self.coeff(n) for n in range(order + 1)])
-        return TSeries(0, hurwitz.to_coeffs(op(h, order + 1)), order)
+        return TSeries.from_kernel(hurwitz.sqrt(self.h, self._order + 1), self._order)
 
     # -- bivariate substitution ---------------------------------------------
 
@@ -330,7 +390,7 @@ class TSeries:
         """
         if sign not in (1, -1):
             raise SeriesError("sign must be +1 or -1")
-        if self._val < 0:
+        if self._lo < 0:
             raise SeriesError("bivariate substitution needs valuation >= 0")
         order = self._order
         rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
@@ -345,7 +405,7 @@ class TSeries:
         """Embed as a series in u alone (axis='u') or v alone (axis='v')."""
         if axis not in ("u", "v"):
             raise SeriesError("axis must be 'u' or 'v'")
-        if self._val < 0:
+        if self._lo < 0:
             raise SeriesError("bivariate embedding needs valuation >= 0")
         order = self._order if order is None else order
         if order > self._order:
@@ -365,17 +425,20 @@ class TSeries:
         """JSON form: variable, valuation, order, normalization, dense coeffs."""
         if normalization not in ("plain", "factorial"):
             raise ValueError(f"unknown normalization {normalization!r}")
-        if normalization == "factorial" and self._val < 0:
+        factorial = normalization == "factorial"
+        if factorial and self._lo < 0:
             raise SeriesError("factorial normalization is undefined for Laurent series")
+        valuation = self.valuation
+        start = valuation - self._lo
+        scale = math.factorial(start)
         coeffs = []
-        for n in range(self._val, self._order + 1):
-            c = self.coeff(n)
-            if normalization == "factorial":
-                c = c * math.factorial(n)
-            coeffs.append(c.to_strings())
+        for k, p in enumerate(self.h[start:], start):
+            if k > start:
+                scale *= k
+            coeffs.append([str(v) if factorial else _plain_text(v, scale) for v in p])
         return {
             "variable": "t",
-            "valuation": self._val,
+            "valuation": valuation,
             "order": self._order,
             "normalization": normalization,
             "coeffs": coeffs,
@@ -395,13 +458,14 @@ class TSeries:
         coeffs = []
         for k, item in enumerate(_json_coeffs(data)):
             p = XPoly.from_strings(item)
-            if normalization == "factorial":
-                n = val + k
-                if n < 0:
-                    raise ValueError("factorial normalization with negative exponent")
-                p = p / math.factorial(n)
+            if normalization == "factorial" and val + k < 0:
+                raise ValueError("factorial normalization with negative exponent")
             coeffs.append(p)
-        return cls(val, coeffs, order)
+        if normalization == "plain":
+            return cls(val, coeffs, order)
+        # the factorial form of a power series is its kernel vector
+        h = [[] for _ in range(val)] + [clean(list(p.coeffs)) for p in coeffs]
+        return cls.from_kernel(h, order)
 
     # -- display ---------------------------------------------------------
 
@@ -417,7 +481,7 @@ class TSeries:
         return " + ".join(bits) + f" + O(t^{self._order + 1})"
 
     def __repr__(self) -> str:
-        return f"<TSeries valuation={self._val} order={self._order}>"
+        return f"<TSeries valuation={self.valuation} order={self._order}>"
 
 
 def _json_int(data: Mapping, key: str) -> int:
@@ -483,20 +547,23 @@ def first_difference(
     """Least (t-power, x-power) where two series differ, or None.
 
     Comparison runs through ``through`` when given (which must not exceed
-    either truncation order), otherwise through the smaller order.
+    either truncation order), otherwise through the smaller order.  The
+    kernel entries are compared as they are, at the lower anchor; the plain
+    values are formed only at the first slot that differs.
     """
     limit = min(a.order, b.order) if through is None else through
     if limit > min(a.order, b.order):
         raise SeriesError(
             f"comparison through t^{limit} exceeds known orders ({a.order}, {b.order})"
         )
-    lo = min(a.valuation, b.valuation)
-    for n in range(lo, limit + 1):
-        ca, cb = a.coeff(n), b.coeff(n)
-        if ca != cb:
-            k, va, vb = first_coeff_difference(ca, cb)
-            return TMismatch(n, k, va, vb)
-    return None
+    lo = min(a._lo, b._lo)
+    f, g = a._at_anchor(lo), b._at_anchor(lo)
+    diff = hurwitz.first_difference(f, g, limit - lo)
+    if diff is None:
+        return None
+    k, x = diff
+    scale = math.factorial(k)
+    return TMismatch(lo + k, x, plain_poly(f[k], scale).coeff(x), plain_poly(g[k], scale).coeff(x))
 
 
 def equal_to_order(a: TSeries, b: TSeries, order: int) -> bool:

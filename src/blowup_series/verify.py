@@ -17,22 +17,15 @@ theorems about evaluated invariants; as statements between the raw series
 they remain conjectural, and their reports say so.  Only the golden-table
 and coefficient-relation checks certify transcribed reference data.
 
-Every check reads the kernel form of its series from
-:meth:`~blowup_series.blowup.BlowupSeriesSet.kernel`: the table forms
-n! [t^n] in the divided-power basis of :mod:`blowup_series.hurwitz`.  The
-bivariate identities ``bb`` and ``bbb`` compare integer tables of entries
-i! j! [u^i v^j]; the equalities, the evaluation ODEs and ``bb_diagonal``
-compare kernel vectors.  The plain values of a mismatch, entry / (i! j!) or
-entry / n!, are formed only at the first slot that differs, in the scan
-order of :func:`~blowup_series.series.first_difference_uv` and
-:func:`~blowup_series.series.first_difference`
-(:func:`~blowup_series.blowup.table_mismatch`,
-:func:`~blowup_series.blowup.hurwitz_mismatch`).  The eight
-``degeneration_*`` rows evaluate a series' kernel vector at x = +-2, one
-Horner sum per entry, and compare it there with its closed form, built as an
-integer vector by :func:`~blowup_series.blowup.degeneration_forms`.  The
-coefficient relations read four table forms as they are.  No check
-converts a series out of the kernel.
+Every check reads the divided-power vectors of its series, the table forms
+n! [t^n] (:mod:`blowup_series.hurwitz`).  The bivariate identities ``bb``
+and ``bbb`` compare integer tables of entries i! j! [u^i v^j]
+(:func:`~blowup_series.blowup.table_mismatch`); the other rows compare
+vectors with :func:`~blowup_series.series.first_difference`.  The plain
+values of a mismatch are formed only at the first slot that differs.  The
+eight ``degeneration_*`` rows evaluate a series at x = +-2, one Horner sum
+per entry, and compare it there with its closed form, built as an integer
+vector by :func:`~blowup_series.blowup.degeneration_forms`.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
@@ -55,14 +48,20 @@ from .blowup import (
     GenerationError,
     bb_tables,
     build_series_set,
+    checked_pair,
     degeneration_forms,
     first_golden_diff,
-    hurwitz_mismatch,
-    plain_value,
     table_mismatch,
 )
-from .hurwitz import HSeries
-from .series import NonUnitLeadingError, SeriesError, TMismatch, UVMismatch
+from .series import (
+    NonUnitLeadingError,
+    SeriesError,
+    TMismatch,
+    TSeries,
+    UVMismatch,
+    first_difference,
+    plain_poly,
+)
 
 STATUS_CONJECTURAL = "conjectural (series level)"
 STATUS_APPENDIX = "appendix data"
@@ -141,7 +140,7 @@ class IdentityDescriptor:
 
 def _equal(lhs: str, rhs: str) -> Check:
     """Two series of the set agree coefficient by coefficient."""
-    return lambda st, order: hurwitz_mismatch(st.kernel(lhs), st.kernel(rhs), order)
+    return lambda st, order: first_difference(getattr(st, lhs), getattr(st, rhs), order)
 
 
 def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
@@ -156,10 +155,10 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
     the quotient form.  The quotient side's value is formed at that slot
     only, and its truncation order is the one the quotient would have.
     """
-    if series_set.b.valuation != 0 or series_set.b.coeff(0).degree != 0:
+    if series_set.b.valuation != 0 or len(series_set.b.h[0]) != 1:
         # every assembled set has B(0) = 1; a Laurent quotient has no table form
         raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
-    b, s, b2, s2 = (series_set.kernel(name) for name in ("b", "s", "b2", "s2"))
+    b2, s2, b, s = series_set.b2, series_set.s2, series_set.b, series_set.s
     combo = b2 + s2 if sign == 1 else b2 - s2
     numerator = b.derivative() + s if sign == 1 else b.derivative() - s
     lhs = combo.derivative()
@@ -177,8 +176,8 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
         return None
     n, k = diff
     f = math.factorial(n)
-    got = plain_value(lhs.h[n], k, f)
-    excess = plain_value(left[n], k, f) - plain_value(right[n], k, f)
+    got = plain_poly(lhs.h[n], f).coeff(k)
+    excess = (plain_poly(left[n], f) - plain_poly(right[n], f)).coeff(k)
     return TMismatch(n, k, got, got - excess / b.h[0][0])
 
 
@@ -187,21 +186,32 @@ def _pm_ode(sign: int) -> Check:
 
 
 def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
-    """The u = v specialisation of the product identity: B(2t) = B^4 - S^4."""
-    b, b2, s2 = (series_set.kernel(name) for name in ("b", "b2", "s2"))
-    return hurwitz_mismatch(b.scale_arg(2), b2 * b2 - s2 * s2, order)
+    """The u = v specialisation of the product identity: B(2t) = B^4 - S^4.
+
+    B^2 and S^2 are multiplied only through ``order``; an order beyond what
+    the full products would know is refused with their orders.
+    """
+    b2, s2 = series_set.b2, series_set.s2
+    lhs = series_set.b.scale_arg(2)
+    rhs_order = min(b2.order + b2.valuation, s2.order + s2.valuation)
+    if order > min(lhs.order, rhs_order):
+        raise SeriesError(
+            f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})"
+        )
+    b2, s2 = b2.truncate(min(order, b2.order)), s2.truncate(min(order, s2.order))
+    return first_difference(lhs, b2 * b2 - s2 * s2, order)
 
 
 def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
     """The bivariate product identity (*) through a total degree."""
-    b, s = series_set.kernel("b"), series_set.kernel("s")
-    return table_mismatch(*bb_tables(b, s, total_order), total_order)
+    return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
 
 
-def bbb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
+def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
     """Both sides of the triple-product identity
     S(u)S(v)S(u+v) = B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)
     through a total degree, as divided-power tables."""
+    checked_pair(b, s)
     m = total_order
     db = b.derivative()
     for known in (b, s, db):
@@ -217,8 +227,7 @@ def bbb_tables(b: HSeries, s: HSeries, total_order: int) -> tuple[hurwitz.Table,
 
 
 def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
-    b, s = series_set.kernel("b"), series_set.kernel("s")
-    return table_mismatch(*bbb_tables(b, s, total_order), total_order)
+    return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
 
 
 def _at(x: int, name: str) -> Check:
@@ -227,9 +236,20 @@ def _at(x: int, name: str) -> Check:
 
     def check(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
         envelope, factors = degeneration_forms(x, order)
-        return hurwitz_mismatch(series_set.kernel(name).at_x(x), envelope * factors[name], order)
+        return first_difference(_at_x(getattr(series_set, name), x), envelope * factors[name], order)
 
     return check
+
+
+def _at_x(series: TSeries, x: int) -> TSeries:
+    """Substitute a value for x in every entry of a power series, one Horner sum each."""
+    out = []
+    for p in series.h:
+        v = 0
+        for c in reversed(p):
+            v = v * x + c
+        out.append(hurwitz.clean([v]))
+    return TSeries.from_kernel(out, series.order)
 
 
 def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
@@ -242,9 +262,9 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
         ("b2", 4, XPoly((-4,))),
         ("s2", 4, XPoly.x() * -8),
     ):
-        series = series_set.kernel(name)
+        series = getattr(series_set, name)
         if n > series.order:  # raise what reading the plain coefficient raises
-            getattr(series_set, name).coeff(n)
+            series.coeff(n)
         diff = first_coeff_difference(XPoly(series.h[n]), expected)
         if diff is not None:
             return TMismatch(n, *diff)

@@ -14,10 +14,12 @@ import math
 from fractions import Fraction
 
 from blowup_series.algebra import RationalLike, XPoly
-from blowup_series.blowup import GenerationError, UnexpectedPoleError, hurwitz_mismatch
+from blowup_series.algebra import first_coeff_difference
+from blowup_series.blowup import GenerationError, UnexpectedPoleError
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.series import (
     BiSeries,
+    LogSingularityError,
     NonUnitLeadingError,
     SeriesError,
     TMismatch,
@@ -151,10 +153,54 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
 # ---------------------------------------------------------------------------
 # plain-basis reference arithmetic
 #
-# The package multiplies, inverts, exponentiates and takes square roots in the
-# divided-power (Hurwitz) kernel, and generates and derives the blow-up series
-# there.  The direct coefficient loops below are what it did before; the tests
-# compare the kernel against them.
+# A TSeries holds divided-power (Hurwitz) vectors, and every operation on it
+# runs in that kernel.  The direct loops over plain coefficients below are
+# what the series type did before; the tests compare the kernel against them.
+
+
+def plain_add(a: TSeries, b: TSeries, sign: int = 1) -> TSeries:
+    """a + sign * b by adding plain coefficients."""
+    order = min(a.order, b.order)
+    terms = {n: c for n, c in a.terms() if n <= order}
+    for n, c in b.terms():
+        if n <= order:
+            terms[n] = terms.get(n, XPoly.zero()) + c * sign
+    return TSeries.from_terms(terms, order)
+
+
+def plain_derivative(a: TSeries) -> TSeries:
+    """Termwise d/dt; exact through ``a.order - 1``."""
+    return TSeries.from_terms({n - 1: c * n for n, c in a.terms() if n != 0}, a.order - 1)
+
+
+def plain_integrate(a: TSeries) -> TSeries:
+    """Definite integral from 0; same domain errors as TSeries.integrate."""
+    if a.order < -1:
+        raise SeriesError("cannot integrate: the t^-1 coefficient lies beyond the truncation order")
+    if a.valuation <= -1 and not a.coeff(-1).is_zero:
+        raise LogSingularityError("integration would create a logarithm: nonzero t^-1 coefficient")
+    return TSeries.from_terms({n + 1: c / (n + 1) for n, c in a.terms()}, a.order + 1)
+
+
+def plain_scale_arg(a: TSeries, c: RationalLike) -> TSeries:
+    """t -> c t: the coefficient of t^n scales by c^n."""
+    c = Fraction(c)
+    if c == 0:
+        if a.valuation < 0:
+            raise SeriesError("cannot substitute t -> 0 into a Laurent series")
+        if a.is_zero or a.valuation > 0:
+            return TSeries.zero(a.order)
+        return TSeries.from_terms({0: a.coeff(0)}, a.order)
+    return TSeries.from_terms({n: coeff * c**n for n, coeff in a.terms()}, a.order)
+
+
+def plain_first_difference(a: TSeries, b: TSeries, through: int) -> "TMismatch | None":
+    """Least (t-power, x-power) through ``through`` where the plain coefficients differ."""
+    for n in range(min(a.valuation, b.valuation), through + 1):
+        diff = first_coeff_difference(a.coeff(n), b.coeff(n))
+        if diff is not None:
+            return TMismatch(n, *diff)
+    return None
 
 
 def plain_mul(a: TSeries, b: TSeries) -> TSeries:
@@ -274,40 +320,41 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
     with the pole guards raising what the package raises.
     """
     half = Fraction(1, 2)
-    db, ds = b.derivative(), s.derivative()
+    db, ds = plain_derivative(b), plain_derivative(s)
     out = {
         "b2": plain_mul(b, b),
         "s2": plain_mul(s, s),
         "bs": plain_mul(b, s),
-        "wronskian": plain_mul(b, ds) - plain_mul(db, s),
+        "wronskian": plain_add(plain_mul(b, ds), plain_mul(db, s), -1),
     }
-    plain_sqrt(b.scale_arg(2))  # the domain check of the closed form sqrt(B(2t))
+    plain_sqrt(plain_scale_arg(b, 2))  # the domain check of the closed form sqrt(B(2t))
     b_inv = plain_recip(b)
-    out["b_plus"] = plain_exp(plain_mul(db + s, b_inv).scale_arg(2).integrate())
-    out["b_minus"] = plain_exp(plain_mul(db - s, b_inv).scale_arg(2).integrate())
-    out["b0"] = (out["b_plus"] + out["b_minus"]) * half
-    out["btau"] = (out["b_plus"] - out["b_minus"]) * half
+    for name, sign in (("b_plus", 1), ("b_minus", -1)):
+        integrand = plain_scale_arg(plain_mul(plain_add(db, s, sign), b_inv), 2)
+        out[name] = plain_exp(plain_integrate(integrand))
+    out["b0"] = plain_add(out["b_plus"], out["b_minus"]) * half
+    out["btau"] = plain_add(out["b_plus"], out["b_minus"], -1) * half
 
     s_inv = plain_recip(s)
-    regular = plain_mul(ds - b, s_inv)
+    regular = plain_mul(plain_add(ds, b, -1), s_inv)
     if not regular.is_zero and regular.valuation < 1:
         raise UnexpectedPoleError(
             f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation}"
         )
-    out["ws0"] = plain_exp(regular.integrate().scale_arg(2) * half)
-    singular = plain_mul(ds + b, s_inv)
+    out["ws0"] = plain_exp(plain_scale_arg(plain_integrate(regular), 2) * half)
+    singular = plain_mul(plain_add(ds, b), s_inv)
     if singular.valuation != -1 or singular.coeff(-1) != XPoly((2,)):
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
             f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
         )
-    removed = singular - TSeries.monomial(2, -1, singular.order)
+    removed = plain_add(singular, TSeries.monomial(2, -1, singular.order), -1)
     if not removed.is_zero and removed.valuation < 1:
         raise UnexpectedPoleError(
             "pole subtraction left a singular or constant term "
             f"(valuation {removed.valuation})"
         )
-    core = plain_exp(removed.integrate().scale_arg(2) * half)
+    core = plain_exp(plain_scale_arg(plain_integrate(removed), 2) * half)
     out["ws1"] = plain_mul(TSeries.t(core.order + 1), core)
     return out
 
@@ -353,7 +400,7 @@ def reference_bbb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSer
     """S(u)S(v)S(u+v) and B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)."""
     m = total_order
     bt, s = b.truncate(m), s.truncate(m)
-    db, b = b.derivative().truncate(m), bt
+    db, b = plain_derivative(b).truncate(m), bt
     b_u, b_v = b.as_biseries("u", m), b.as_biseries("v", m)
     db_u, db_v = db.as_biseries("u", m), db.as_biseries("v", m)
     b_uv = b.subst_pm(+1)
@@ -368,10 +415,10 @@ def reference_bbb(b: TSeries, s: TSeries, total_order: int) -> "UVMismatch | Non
 
 def reference_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
     """d/dt (B^2 +- S^2) against ((B' +- S)/B)(2t) (B^2 +- S^2), by Laurent quotient."""
-    combo = series_set.b2 + series_set.s2 if sign == 1 else series_set.b2 - series_set.s2
-    lhs = combo.derivative()
-    numerator = series_set.b.derivative() + (series_set.s if sign == 1 else -series_set.s)
-    rhs = plain_mul(plain_mul(numerator, plain_recip(series_set.b)).scale_arg(2), combo)
+    combo = plain_add(series_set.b2, series_set.s2, sign)
+    lhs = plain_derivative(combo)
+    numerator = plain_add(plain_derivative(series_set.b), series_set.s, sign)
+    rhs = plain_mul(plain_scale_arg(plain_mul(numerator, plain_recip(series_set.b)), 2), combo)
     return first_difference(lhs, rhs, through=order)
 
 
@@ -379,17 +426,17 @@ def quotient_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
     """The evaluation ODE in its quotient form on kernel series: the reciprocal
     of B is built, and (B' +- S)/B (2t) (B^2 +- S^2) compared with (B^2 +- S^2)'.
     The package multiplies both sides by B(2t) instead."""
-    b, s, b2, s2 = (series_set.kernel(name) for name in ("b", "s", "b2", "s2"))
+    b, s, b2, s2 = series_set.b, series_set.s, series_set.b2, series_set.s2
     combo = b2 + s2 if sign == 1 else b2 - s2
     numerator = b.derivative() + s if sign == 1 else b.derivative() - s
     rhs = (numerator * b.recip()).scale_arg(2) * combo
-    return hurwitz_mismatch(combo.derivative(), rhs, order)
+    return first_difference(combo.derivative(), rhs, order)
 
 
 def reference_bb_diagonal(series_set, order: int) -> "TMismatch | None":
     """B(2t) against B^4 - S^4."""
-    lhs = series_set.b.scale_arg(2)
-    rhs = plain_mul(series_set.b2, series_set.b2) - plain_mul(series_set.s2, series_set.s2)
+    lhs = plain_scale_arg(series_set.b, 2)
+    rhs = plain_add(plain_mul(series_set.b2, series_set.b2), plain_mul(series_set.s2, series_set.s2), -1)
     return first_difference(lhs, rhs, through=order)
 
 
@@ -467,7 +514,7 @@ def _simple_type_factor(name: str, x: int, order: int) -> TSeries:
     if name == "wronskian":
         return TSeries.one(order)
     if name == "bs":
-        return odd(order).scale_arg(2) * Fraction(1, 2)
+        return plain_scale_arg(odd(order), 2) * Fraction(1, 2)
     raise ValueError(f"no closed simple-type form for {name!r}")
 
 

@@ -22,11 +22,10 @@ from blowup_series.blowup import (
     golden_diff,
     golden_table,
     golden_table_hash,
-    hurwitz_form,
     odd_case_pair,
     series_content_hash,
 )
-from blowup_series.series import TSeries, first_difference, first_difference_uv
+from blowup_series.series import SeriesError, TSeries, first_difference, first_difference_uv
 from blowup_series.verify import run_catalog
 
 X = XPoly.x()
@@ -94,7 +93,7 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             from blowup_series.blowup import _check_bb
 
-            _check_bb(hurwitz_form(bad), hurwitz_form(s), 8)
+            _check_bb(bad, s, 8)
 
 
 class TestDerivedProducts:
@@ -127,8 +126,7 @@ class TestExponentialPair:
     def test_closed_forms_disagree_on_corrupted_input(self):
         b, s = generate_pair(8)
         bad_s = s + TSeries.monomial(1, 5, s.order)
-        kernel = exponential_pair(hurwitz_form(b), hurwitz_form(bad_s))
-        plus, minus, b0, btau = map(blowup._tseries, kernel)  # still consistent forms
+        plus, minus, b0, btau = exponential_pair(b, bad_s)  # still consistent forms
         # corrupting b breaks nothing in the form agreement either (it is an
         # identity in b), so the guard only fires on inconsistent plumbing;
         # the corruption is caught by the identity catalog instead
@@ -194,7 +192,7 @@ class TestOddCasePair:
         b, s = generate_pair(8)
         doubled_s = s * 2  # S'(0) becomes 2, so (B + S')/S has residue 3/2
         with pytest.raises(UnexpectedPoleError):
-            odd_case_pair(hurwitz_form(b), hurwitz_form(doubled_s))
+            odd_case_pair(b, doubled_s)
 
 
 class TestGoldenTable:
@@ -287,9 +285,22 @@ class TestSeriesSet:
         monkeypatch.undo()
         assert first_difference(st.b0, st.b2) is None
 
+    @pytest.mark.parametrize("laurent", ["b", "s"])
+    def test_a_laurent_pair_is_refused_on_every_read(self, set17, laurent):
+        """A set over a Laurent B or S is made, but reading a derived series
+        raises, and raises again: the failed build is not kept."""
+        pole = TSeries.monomial(1, -1, set17.order)
+        pair = {"b": set17.b, "s": set17.s}
+        pair[laurent] = pair[laurent] + pole
+        st = assemble_set(pair["b"], pair["s"])
+        message = "blow-up constructions need power series, got valuation -1"
+        for _ in range(2):
+            with pytest.raises(SeriesError) as raised:
+                st.b2
+            assert str(raised.value) == message
+
     def test_derived_products_standalone(self, set17):
-        kernel = derived_products(hurwitz_form(set17.b), hurwitz_form(set17.s))
-        b2, s2, bs, wronskian = map(blowup._tseries, kernel)
+        b2, s2, bs, wronskian = derived_products(set17.b, set17.s)
         assert first_difference(b2, set17.b2) is None
         assert first_difference(wronskian, set17.wronskian) is None
 
@@ -299,11 +310,11 @@ class TestDegenerationForms:
     def test_integer_forms_equal_the_fraction_references_through_t128(self, x):
         envelope, factors = degeneration_forms(x, 128)
         assert all(type(v) is int for h in (envelope, *factors.values()) for p in h.h for v in p)
-        assert first_difference(blowup._tseries(envelope), exp_t_squared(-x // 2, 128)) is None
+        assert first_difference(envelope, exp_t_squared(-x // 2, 128)) is None
         for name, factor in factors.items():
             reference = _simple_type_factor(name, x, 128)
-            assert first_difference(blowup._tseries(factor), reference) is None
-            form = blowup._tseries(envelope * factor)
+            assert first_difference(factor, reference) is None
+            form = envelope * factor
             assert form.order == 128
             assert first_difference(form, simple_type_form(name, x, 128)) is None
 

@@ -262,7 +262,7 @@ class TestTable:
 
         def bumped(b, s):
             b2, *rest = products(b, s)
-            bump = blowup.hurwitz_form(TSeries.monomial(XPoly((1, 1)), 6, b2.order))
+            bump = TSeries.monomial(XPoly((1, 1)), 6, b2.order)
             return (b2 + bump, *rest)
 
         monkeypatch.setattr(blowup, "derived_products", bumped)
@@ -570,6 +570,19 @@ def test_every_command_runs_in_a_fresh_interpreter(argv, tmp_path):
     result = _fresh(["-m", "blowup_series.cli", *_with_request(argv, tmp_path)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_the_golden_table_loads_without_importlib_resources(tmp_path):
+    """The table is read from the file next to the package source, so an
+    interpreter without site hooks never imports ``importlib.resources``."""
+    probe = (
+        "import sys, blowup_series\n"
+        "blowup_series.golden_table()\n"
+        "print('importlib.resources' in sys.modules)"
+    )
+    result = _fresh(["-S", "-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_a_star_import_binds_every_public_name(tmp_path):

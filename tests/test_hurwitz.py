@@ -5,10 +5,15 @@ import pytest
 from helpers_oracles import (
     e2_residual,
     e4_residual,
+    plain_add,
+    plain_derivative,
     plain_exp,
+    plain_first_difference,
     plain_generate_pair,
+    plain_integrate,
     plain_mul,
     plain_recip,
+    plain_scale_arg,
     plain_sqrt,
     reference_assemble,
     reference_bb,
@@ -33,11 +38,9 @@ from blowup_series.blowup import (
     bb_sides,
     bb_tables,
     generate_pair,
-    hurwitz_form,
     odd_case_pair,
 )
-from blowup_series.hurwitz import HSeries
-from blowup_series.series import SeriesError, TSeries
+from blowup_series.series import SeriesError, TSeries, first_difference
 from blowup_series.verify import CATALOG, _pm_ode_mismatch, bbb_tables
 
 # denominators up to 12 make most Hurwitz entries n! [t^n] non-integral
@@ -62,12 +65,12 @@ def same(a: TSeries, b: TSeries) -> bool:
     return a.to_json() == b.to_json()
 
 
-def as_hseries(a: TSeries) -> HSeries:
-    return HSeries(hurwitz.from_coeffs([a.coeff(n) for n in range(a.order + 1)]), a.order)
-
-
-def as_tseries(h: HSeries) -> TSeries:
-    return TSeries(0, hurwitz.to_coeffs(h.h), h.order)
+def outcome(op, *args):
+    """The plain JSON of what ``op`` returns, or the type and message of what it raises."""
+    try:
+        return op(*args).to_json()
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
 
 
 class TestAgainstPlainReference:
@@ -89,32 +92,49 @@ class TestAgainstPlainReference:
         a = TSeries.one(tail.order) + tail
         assert same(a.sqrt(), plain_sqrt(a))
 
-    @given(tseries(min_val=0), st.integers(-3, 3))
+    @given(tseries(), st.sampled_from((0, 1, -1, 2, -3, F(1, 2), F(-2, 3))))
+    # a Laurent series whose t^-1 coefficient vanishes integrates
+    @example(TSeries(-3, [1, 0, 0, 2], 2), 2)
     def test_shift_calculus_and_scaling(self, a, c):
-        h = as_hseries(a)
-        assert same(as_tseries(h.integrate()), a.integrate())
-        assert same(as_tseries(h.derivative()), a.derivative())
-        assert same(as_tseries(h.scale_arg(c)), a.scale_arg(c))
+        """Laurent inputs included: the kernel shifts move the anchor."""
+        assert outcome(TSeries.integrate, a) == outcome(plain_integrate, a)
+        assert same(a.derivative(), plain_derivative(a))
+        assert outcome(TSeries.scale_arg, a, c) == outcome(plain_scale_arg, a, c)
 
-    @given(tseries(min_val=0), tseries(min_val=0))
-    def test_kernel_series_arithmetic(self, a, b):
-        ha, hb = as_hseries(a), as_hseries(b)
-        assert same(as_tseries(ha * hb), plain_mul(a, b))
-        assert same(as_tseries(ha + hb), a + b)
-        assert same(as_tseries(ha - hb), a - b)
-        assert same(as_tseries(ha.halved()), a * F(1, 2))
+    @given(tseries(), tseries())
+    # t^-2 + t^-1 + ... minus t^-2: the anchor moves up to the valuation
+    @example(TSeries(-2, [1, 1, F(1, 3)], 3), TSeries(-2, [1], 2))
+    def test_sum_and_difference(self, a, b):
+        """Anchors are aligned, and cancelled leading entries move the anchor up."""
+        assert same(a + b, plain_add(a, b))
+        assert same(a - b, plain_add(a, b, -1))
+        assert same(a - a, plain_add(a, a, -1))
+        assert same(a * F(1, 2), plain_mul(a, TSeries.monomial(F(1, 2), 0, a.order - a.valuation)))
+
+    @given(tseries(), tseries())
+    def test_first_difference_reads_the_plain_slot(self, a, b):
+        through = min(a.order, b.order)
+        assert first_difference(a, b) == plain_first_difference(a, b, through)
+        assert first_difference(a, a + b) == plain_first_difference(a, plain_add(a, b), through)
 
 
 class TestStorage:
     def test_entries_are_ints_where_integral_and_fractions_elsewhere(self):
-        h = hurwitz.from_coeffs([XPoly((1,)), XPoly(), XPoly((F(1, 2), F(1, 5))), XPoly((F(1, 7),))])
-        assert h == [[1], [], [1, F(2, 5)], [F(6, 7)]]
-        assert type(h[2][0]) is int
-        assert hurwitz.to_coeffs(h)[2] == XPoly((F(1, 2), F(1, 5)))
+        a = TSeries(0, [XPoly((1,)), XPoly(), XPoly((F(1, 2), F(1, 5))), XPoly((F(1, 7),))], 3)
+        assert a.h == [[1], [], [1, F(2, 5)], [F(6, 7)]]
+        assert type(a.h[2][0]) is int
+        assert a.coeff(2) == XPoly((F(1, 2), F(1, 5)))
+
+    def test_a_laurent_series_holds_its_unit_part(self):
+        # t^-2 (1 + 2t + 3t^2): entry k is k! [t^k] of the unit part
+        a = TSeries(-2, [1, 2, 3], 0)
+        assert (a.valuation, a.order, a.h) == (-2, 0, [[1], [2], [6]])
+        assert a.coeff(0) == XPoly((3,)) and a.coeff(-1) == XPoly((2,))
+        assert (a * TSeries.monomial(1, 2, 4)).h == [[1], [2], [6]]
 
     def test_blowup_pair_is_integral_in_the_hurwitz_basis(self, set17):
         for name in ("b", "s", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "ws0", "ws1"):
-            for entry in as_hseries(getattr(set17, name)).h:
+            for entry in getattr(set17, name).h:
                 assert all(type(v) is int for v in entry), name
 
 
@@ -192,7 +212,7 @@ class TestDerivedFamily:
     def test_pole_guards_raise_what_the_laurent_route_raises(self, corrupt):
         pair = corrupt(*generate_pair(8))
         with pytest.raises(Exception) as kernel:
-            odd_case_pair(*map(hurwitz_form, pair))
+            odd_case_pair(*pair)
         with pytest.raises(Exception) as reference:
             reference_assemble(*pair)
         assert (type(kernel.value), str(kernel.value)) == (
@@ -258,7 +278,7 @@ class TestBivariateTables:
     @given(pairs(extra=1))
     def test_bbb_sides_equal_the_plain_sides(self, pair):
         b, s, m = pair
-        tables = bbb_tables(hurwitz_form(b), hurwitz_form(s), m)
+        tables = bbb_tables(b, s, m)
         for kernel, plain in zip(tables, reference_bbb_sides(b, s, m)):
             assert _biseries(kernel, m).to_json() == plain.to_json()
 
@@ -289,7 +309,7 @@ class TestBivariateTables:
         assert got == reference_pm_ode(set_, 1, 6) and (got.t, got.x) == (6, 1)
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
-        b, s = hurwitz_form(set17.b), hurwitz_form(set17.s)
+        b, s = set17.b, set17.s
         for table in bb_tables(b, s, 12) + bbb_tables(b, s, 12):
             assert all(type(v) is int for row in table for p in row for v in p)
 
@@ -309,7 +329,7 @@ class TestMutatedPairs:
 
     @staticmethod
     def _same_outcomes(b: TSeries, s: TSeries, order: int) -> bool:
-        check = _result(lambda: _check_bb(hurwitz_form(b), hurwitz_form(s), order))
+        check = _result(lambda: _check_bb(b, s, order))
         assert check == _result(lambda: reference_check_bb(b, s, order))
         set_ = checked_set(b, s)
         bb = ENTRY["bb"].run(set_, order)

@@ -5,10 +5,9 @@ from pathlib import Path
 import pytest
 from helpers_oracles import eval_x, quotient_pm_ode, reference_degeneration, reference_pm_ode
 
-from blowup_series import blowup, hurwitz, verify
+from blowup_series import blowup, hurwitz, series, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import assemble_set, build_series_set, generate_pair, series_set
-from blowup_series.hurwitz import HSeries
 from blowup_series.series import SeriesError, TSeries
 from blowup_series.verify import (
     CATALOG,
@@ -134,10 +133,10 @@ class TestOdeAndBivariate:
             h = [list(p) for p in series.h]
             h[n] += [0] * (k + 1 - len(h[n]))
             h[n][k] += delta
-            return HSeries([hurwitz.clean(p) for p in h], series.order)
+            return TSeries.from_kernel([hurwitz.clean(p) for p in h], series.order)
 
         set_ = assemble_set(*generate_pair(13))
-        b2, s2, bs, wronskian = (set_.kernel(name) for name in ("b2", "s2", "bs", "wronskian"))
+        b2, s2, bs, wronskian = set_.b2, set_.s2, set_.bs, set_.wronskian
         vars(set_)["_products"] = (bumped(b2, *b2_change), bumped(s2, *s2_change), bs, wronskian)
         failed = 0
         for cid, sign in zip(PM_ODE, (1, -1)):
@@ -155,6 +154,26 @@ class TestOdeAndBivariate:
 
     def test_bb_diagonal_passes(self, set17):
         assert ENTRY["bb_diagonal"].run(set17, 16).passed
+
+    def test_bb_diagonal_on_a_long_set_equals_it_on_a_short_one(self, set17):
+        """B^2 and S^2 are multiplied only through the order asked for: on an
+        order-129 set the row reports what it reports on an order-17 set."""
+        row = ENTRY["bb_diagonal"]
+        bump = TSeries.monomial(F(1, 3), 10, 129)
+        for long_set, short_set in (
+            (series_set(129), set17),
+            (
+                assemble_set(series_set(129).b + bump, series_set(129).s),
+                assemble_set(set17.b + bump.truncate(17), set17.s),
+            ),
+        ):
+            long, short = row.run(long_set, 16).to_json(), row.run(short_set, 16).to_json()
+            assert {**long, "ms": 0} == {**short, "ms": 0, "series_hash": long["series_hash"]}
+        assert not long["pass"]
+
+    def test_bb_diagonal_refuses_an_order_beyond_the_set(self, set17):
+        report = ENTRY["bb_diagonal"].run(set17, 18)
+        assert report.error == "SeriesError: comparison through t^18 exceeds known orders (17, 17)"
 
     def test_bb_and_bbb_pass(self, set17):
         assert ENTRY["bb"].run(set17, 8).passed
@@ -184,35 +203,28 @@ class TestOdeAndBivariate:
         (report,) = run_catalog(series_set(65), 64, bivariate_order=64, identities=["bb"])
         assert report.passed and report.order == 64
 
-    def test_each_series_is_converted_to_the_kernel_once(self, monkeypatch):
-        st = assemble_set(*generate_pair(17))
-        converted = []
-        to_kernel = blowup.hurwitz_form
+    def test_a_build_and_its_catalog_form_no_plain_coefficient(self, monkeypatch):
+        """Generation, the derived groups and a passing catalog stay on kernel
+        vectors: neither the plain constructor nor entry / n! runs."""
+        calls = []
+        plain_init = TSeries.__init__
 
-        def counted(series):
-            converted.append(series)
-            return to_kernel(series)
+        def counted_init(self, *args):
+            calls.append("TSeries")
+            plain_init(self, *args)
 
-        monkeypatch.setattr(blowup, "hurwitz_form", counted)
-        ids = [*PM_ODE, "bb_diagonal", *(cid for cid in CATALOG_IDS if cid.startswith("degeneration_"))]
-        assert all(r.passed for r in run_catalog(st, 16, identities=ids))
-        assert len(converted) == 2  # b, s
-        assert st.kernel("b2") is st.kernel("b2")
+        def counted_plain(p, scale, plain=series.plain_poly):
+            calls.append("plain_poly")
+            return plain(p, scale)
 
-    def test_a_build_and_its_catalog_convert_only_the_pair(self, monkeypatch):
-        """Generation converts the pair out of the kernel once, the set converts
-        it back once, and no derived series leaves the kernel."""
-        calls = {"from_coeffs": 0, "to_coeffs": 0}
-        for name in calls:
-
-            def counted(h, name=name, convert=getattr(hurwitz, name)):
-                calls[name] += 1
-                return convert(h)
-
-            monkeypatch.setattr(hurwitz, name, counted)
+        blowup.golden_table()  # parsed once per process, from kernel vectors
+        monkeypatch.setattr(TSeries, "__init__", counted_init)
+        for module in (series, blowup, verify):
+            monkeypatch.setattr(module, "plain_poly", counted_plain)
         st = build_series_set(13)
         assert all(r.passed for r in run_catalog(st, 12, bivariate_order=8))
-        assert calls == {"from_coeffs": 2, "to_coeffs": 2}
+        assert calls == []
+        assert st.b2 is st.b2
 
 
 class TestDegenerations:
@@ -380,7 +392,7 @@ class TestRunCatalogAndVerifyAll:
             raise AssertionError("a check ran")
 
         monkeypatch.setattr(verify, "bb_tables", check_ran)
-        monkeypatch.setattr(verify, "hurwitz_mismatch", check_ran)
+        monkeypatch.setattr(verify, "first_difference", check_ran)
         with pytest.raises(ValueError, match="must be >= 0"):
             run_catalog(
                 series_set(9),
