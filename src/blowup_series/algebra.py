@@ -22,11 +22,6 @@ RationalLike = Union[Rational, int, str]
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def format_rational(a: RationalLike) -> str:
-    """Canonical text for a rational: optional '-', then 'p' or 'p/q'."""
-    return str(Fraction(a))
-
-
 def parse_rational(text: str) -> Rational:
     """Parse the canonical rational format; reject anything else.
 
@@ -39,11 +34,6 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"not a rational literal: {text!r}")
     numerator, denominator = match.groups()
     return Fraction(int(numerator), int(denominator or 1))  # ZeroDivisionError for 'p/0'
-
-
-def rational(numerator: RationalLike, denominator: RationalLike = 1) -> Rational:
-    """Convenience constructor for an exact rational."""
-    return Fraction(numerator) / Fraction(denominator)
 
 
 _ZERO = Fraction(0)

@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import hurwitz
 from .algebra import Rational, XPoly
-from .hurwitz import Poly, addmul, clean, divided, scaled
+from .hurwitz import Poly, add, clean, divided, scaled, symmetric_sum
 from .series import BiSeries, SeriesError, TSeries, UVMismatch, plain_poly
 
 
@@ -68,23 +68,9 @@ class UnexpectedPoleError(SeriesError):
     """A quotient of blow-up series had a pole it must not have."""
 
 
-_X = [0, 1]  # the polynomial x, as a kernel list
-
-
 def _c(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n."""
     return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def _symmetric_sum(acc: Poly, h: Sequence[Poly], d: int, weight) -> None:
-    """``acc += sum_{i=0..d} weight(i) h_i h_{d-i}``, one product per unordered pair."""
-    for i in range(d // 2 + 1):
-        j = d - i
-        p, q = h[i], h[j]
-        if p and q:
-            w = weight(i) + weight(j) if i < j else weight(i)
-            if w:
-                addmul(acc, w, p, q)
 
 
 def _e4_rest(b: Sequence[Poly], s: Sequence[Poly], n: int) -> Poly:
@@ -95,13 +81,10 @@ def _e4_rest(b: Sequence[Poly], s: Sequence[Poly], n: int) -> Poly:
     W(i) = C(n,i-4) - 4C(n,i-3) + 3C(n,i-2).  The unknown enters only as
     b_0 b_{n+4} = b_{n+4}, so b_{n+4} = -rest needs no division.
     """
-    acc: Poly = []
-    _symmetric_sum(acc, b, n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2))
-    _symmetric_sum(acc, b, n, lambda i: 2 * _c(n, i))
-    s2: Poly = []
-    _symmetric_sum(s2, s, n, lambda i: _c(n, i))
-    addmul(acc, -4, _X, s2)
-    return clean(acc)
+    acc = symmetric_sum([], b, n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2))
+    symmetric_sum(acc, b, n, lambda i: 2 * _c(n, i))
+    # -4x S^2: the sum over S, times x by a shift of one x-power
+    return add(acc, [0] + symmetric_sum([], s, n, lambda i: -4 * _c(n, i)))
 
 
 def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
@@ -110,10 +93,8 @@ def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
     The unknown s_{m-1} enters only through s_1 s_{m-1}, with weight
     C(m,1) + C(m,m-1) = 2m, so s_{m-1} = -rest / (2m).
     """
-    acc: Poly = []
-    _symmetric_sum(acc, b, m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1))
-    _symmetric_sum(acc, s, m, lambda i: _c(m, i))
-    return clean(acc)
+    acc = symmetric_sum([], b, m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1))
+    return clean(symmetric_sum(acc, s, m, lambda i: _c(m, i)))
 
 
 #: total degree through which generation re-checks the identity (*)

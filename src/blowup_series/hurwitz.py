@@ -13,10 +13,16 @@ Python ints.
 In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
 1997) the product is the binomial convolution
 ``(fg)_n = sum_k C(n, k) f_k g_{n-k}``, d/dt and the integral from 0 are
-index shifts, and t -> c t multiplies entry n by c^n.  Reciprocals of
-units with constant term +-1 and exponentials therefore never divide; the
-linear ODE solver divides by one small integer per entry, which divides
-exactly on the blow-up series.
+index shifts, and t -> c t multiplies entry n by c^n.  Two sums carry
+these binomial sums: :func:`convolve` adds one such entry, and
+:func:`symmetric_sum` adds a weighted sum over the pairs h_i h_{d-i} of
+one vector, one polynomial product per unordered pair.  Products,
+reciprocals, square roots, the linear ODE solver and the bivariate
+tables are built on them.  Reciprocals of units with constant term +-1
+never divide; the linear ODE solver divides by one small integer per
+entry, which divides exactly on the blow-up series.  The exponential is
+that solver with sigma = 1: exp(f) solves w' = f' w, whose divisor is
+the lead 1.
 """
 from __future__ import annotations
 
@@ -105,29 +111,34 @@ def _at(h: Sequence[Poly], i: int) -> Poly:
     return h[i] if i < len(h) else []
 
 
+def convolve(acc: Poly, f: Sequence[Poly], g: Sequence[Poly], n: int, sign: int = 1) -> Poly:
+    """``acc += sign * sum_k C(n, k) f_k g_{n-k}`` in place, over the k both
+    vectors reach; returns ``acc``, uncleaned."""
+    for k in range(max(0, n - len(g) + 1), min(n, len(f) - 1) + 1):
+        a, b = f[k], g[n - k]
+        if a and b:
+            addmul(acc, sign * comb(n, k), a, b)
+    return acc
+
+
+def symmetric_sum(acc: Poly, h: Sequence[Poly], d: int, weight) -> Poly:
+    """``acc += sum_i weight(i) h_i h_{d-i}`` in place, over the i that ``h``
+    reaches, one product per unordered pair; returns ``acc``, uncleaned."""
+    for i in range(max(0, d - len(h) + 1), d // 2 + 1):
+        j = d - i
+        p, q = h[i], h[j]
+        if p and q:
+            w = weight(i) + weight(j) if i < j else weight(i)
+            if w:
+                addmul(acc, w, p, q)
+    return acc
+
+
 def mul(f: Sequence[Poly], g: Sequence[Poly], length: int) -> list[Poly]:
     """Binomial convolution of two Hurwitz vectors."""
-    out = []
-    square = f is g
-    for n in range(length):
-        acc: Poly = []
-        if square:
-            # C(n, k) f_k f_{n-k} is symmetric in k <-> n-k: sum one half twice
-            for k in range((n + 1) // 2):
-                a, b = _at(f, k), _at(f, n - k)
-                if a and b:
-                    addmul(acc, 2 * comb(n, k), a, b)
-            if n % 2 == 0:
-                a = _at(f, n // 2)
-                if a:
-                    addmul(acc, comb(n, n // 2), a, a)
-        else:
-            for k in range(n + 1):
-                a, b = _at(f, k), _at(g, n - k)
-                if a and b:
-                    addmul(acc, comb(n, k), a, b)
-        out.append(clean(acc))
-    return out
+    if f is g:  # C(n, k) f_k f_{n-k} is symmetric in k <-> n-k
+        return [clean(symmetric_sum([], f, n, lambda k: comb(n, k))) for n in range(length)]
+    return [clean(convolve([], f, g, n)) for n in range(length)]
 
 
 def recip(f: Sequence[Poly], length: int) -> list[Poly]:
@@ -137,28 +148,9 @@ def recip(f: Sequence[Poly], length: int) -> list[Poly]:
     inv0 = _int_if_integral(Fraction(1) / f[0][0])
     g = [[inv0]]
     for n in range(1, length):
-        acc: Poly = []
-        for k in range(1, n + 1):
-            a, b = _at(f, k), g[n - k]
-            if a and b:
-                addmul(acc, comb(n, k), a, b)
-        g.append(scaled(clean(acc), -inv0))
+        # sum_{k>0} C(n, k) f_k g_{n-k} = -f_0 g_n; g reaches only g_{n-1}
+        g.append(scaled(clean(convolve([], f, g, n)), -inv0))
     return g[:length]
-
-
-def exp(f: Sequence[Poly], length: int) -> list[Poly]:
-    """Exponential of a series with zero constant term, from w' = f' w."""
-    if _at(f, 0):
-        raise ValueError("exp needs a zero constant term")
-    w = [[1]]
-    for n in range(length - 1):
-        acc: Poly = []
-        for k in range(n + 1):
-            a, b = _at(f, k + 1), w[n - k]
-            if a and b:
-                addmul(acc, comb(n, k), a, b)
-        w.append(clean(acc))
-    return w[:length]
 
 
 def sqrt(f: Sequence[Poly], length: int) -> list[Poly]:
@@ -167,13 +159,8 @@ def sqrt(f: Sequence[Poly], length: int) -> list[Poly]:
         raise ValueError("sqrt needs constant term exactly 1")
     g = [[1]]
     for n in range(1, length):
-        # f_n = 2 g_n + sum_{0<k<n} C(n, k) g_k g_{n-k}, summed by symmetry
-        acc: Poly = [-v for v in _at(f, n)]
-        for k in range(1, (n + 1) // 2):
-            if g[k] and g[n - k]:
-                addmul(acc, 2 * comb(n, k), g[k], g[n - k])
-        if n % 2 == 0 and g[n // 2]:
-            addmul(acc, comb(n, n // 2), g[n // 2], g[n // 2])
+        # f_n = 2 g_n + sum_{0<k<n} C(n, k) g_k g_{n-k}; g reaches only g_{n-1}
+        acc = symmetric_sum([-v for v in _at(f, n)], g, n, lambda k: comb(n, k))
         g.append(divided(clean(acc), -2))
     return g[:length]
 
@@ -194,19 +181,11 @@ def linear_ode(
     if len(sigma[v]) != 1:
         raise ValueError("the leading entry of sigma must be x-free")
     lead = sigma[v][0]
-    w: list[Poly] = [list(p) for p in head] + [[] for _ in range(length - len(head))]
+    w: list[Poly] = [list(p) for p in head]
     for m in range(len(head), length):
         n = m + v - 1
-        # w_m is still [] here, so both sums leave it out
-        acc: Poly = []
-        for k in range(v, n + 1):
-            a, b = _at(sigma, k), w[n - k + 1]
-            if a and b:
-                addmul(acc, comb(n, k), a, b)
-        for k in range(n + 1):
-            a, b = _at(rho, k), w[n - k]
-            if a and b:
-                addmul(acc, -comb(n, k), a, b)
+        # entry n of sigma w' - rho w; w reaches only w_{m-1}, so w_m is left out
+        acc = convolve(convolve([], sigma, w[1:], n), rho, w, n, -1)
         coeff = comb(n, v) * lead
         r = _at(rho, v - 1) if v else []
         if r:
@@ -215,7 +194,7 @@ def linear_ode(
             coeff -= comb(n, v - 1) * r[0]
         if not coeff:
             raise ValueError(f"the equation does not determine w_{m}")
-        w[m] = divided(clean(acc), -coeff)
+        w.append(divided(clean(acc), -coeff))
     return w
 
 
@@ -292,29 +271,9 @@ def triple(f: Sequence[Poly], g: Sequence[Poly], h: Sequence[Poly], m: int) -> T
     First f(u) h(u + v) = sum_{i,r} P[i][r] u^i v^r / (i! r!) with
     P[i][r] = sum_k C(i,k) f_k h_{i-k+r}, then the convolution in v with g.
     """
-    p = []
-    for i in range(m + 1):
-        row = []
-        for r in range(m - i + 1):
-            acc: Poly = []
-            for k in range(i + 1):
-                a, b = _at(f, k), _at(h, i - k + r)
-                if a and b:
-                    addmul(acc, comb(i, k), a, b)
-            row.append(clean(acc))
-        p.append(row)
-    out: Table = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m - i + 1):
-            acc = []
-            for l in range(j + 1):
-                a, b = _at(g, l), p[i][j - l]
-                if a and b:
-                    addmul(acc, comb(j, l), a, b)
-            row.append(clean(acc))
-        out.append(row)
-    return out
+    shifted = [h[r:] for r in range(m + 1)]  # h_{i-k+r} is entry i - k of h[r:]
+    p = [[clean(convolve([], f, shifted[r], i)) for r in range(m - i + 1)] for i in range(m + 1)]
+    return [[clean(convolve([], g, p[i], j)) for j in range(m - i + 1)] for i in range(m + 1)]
 
 
 def first_difference_table(a: Table, b: Table, through: int) -> "tuple[int, int, int] | None":

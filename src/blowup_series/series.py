@@ -21,11 +21,11 @@ A series is stored as a divided-power vector of :mod:`blowup_series.hurwitz`:
 entry ``h[k]`` is ``k! [t^(lo+k)]`` with the anchor ``lo = min(valuation, 0)``.
 A power series is its table form n! [t^n], which is an integer polynomial
 for the blow-up series, and a Laurent series t^v A(t) is stored as the
-vector of its unit part A.  Products, reciprocals, exponentials and square
-roots are the kernel's; d/dt and the integral are index shifts.  Plain
-coefficients entry / k! are formed only by :meth:`TSeries.coeff`,
-:meth:`TSeries.terms`, JSON and display, and at the slot where
-:func:`first_difference` reports a mismatch.
+vector of its unit part A.  Products, reciprocals and square roots are the
+kernel's, the exponential is its linear ODE solve of w' = a' w, and d/dt and
+the integral are index shifts.  Plain coefficients entry / k! are formed
+only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and display, and
+at the slot where :func:`first_difference` reports a mismatch.
 
 :class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
 degree, for the substitutions t -> u + v and t -> u - v and the JSON form
@@ -368,11 +368,12 @@ class TSeries:
     def exp(self) -> "TSeries":
         """Exponential of a series with zero constant term (valuation >= 1).
 
-        Solved exactly from f' = a' f order by order.
+        Solved exactly as the linear ODE w' = a' w with w(0) = 1.
         """
         if self.valuation < 1:
             raise SeriesError("exp needs valuation >= 1 (zero constant term)")
-        return TSeries.from_kernel(hurwitz.exp(self.h, self._order + 1), self._order)
+        w = hurwitz.linear_ode([[1]], self.h[1:], [[1]], self._order + 1)
+        return TSeries.from_kernel(w, self._order)
 
     def sqrt(self) -> "TSeries":
         """Square root of a series with constant term exactly 1."""
@@ -564,11 +565,6 @@ def first_difference(
     k, x = diff
     scale = math.factorial(k)
     return TMismatch(lo + k, x, plain_poly(f[k], scale).coeff(x), plain_poly(g[k], scale).coeff(x))
-
-
-def equal_to_order(a: TSeries, b: TSeries, order: int) -> bool:
-    """True when the two series agree for every exponent <= order."""
-    return first_difference(a, b, through=order) is None
 
 
 # ---------------------------------------------------------------------------

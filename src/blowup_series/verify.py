@@ -39,10 +39,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import hurwitz
-from .algebra import XPoly, first_coeff_difference
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
@@ -256,18 +256,15 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The four low-order table coefficients that drive the two classical
     evaluation relations on tau^2 and tau^4; they reach t^4 at any order.
     The table forms n! [t^n] are the kernel entries themselves."""
-    for name, n, expected in (
-        ("b2", 2, XPoly.zero()),
-        ("s2", 2, XPoly((2,))),
-        ("b2", 4, XPoly((-4,))),
-        ("s2", 4, XPoly.x() * -8),
-    ):
+    for name, n, expected in (("b2", 2, []), ("s2", 2, [2]), ("b2", 4, [-4]), ("s2", 4, [0, -8])):
         series = getattr(series_set, name)
         if n > series.order:  # raise what reading the plain coefficient raises
             series.coeff(n)
-        diff = first_coeff_difference(XPoly(series.h[n]), expected)
-        if diff is not None:
-            return TMismatch(n, *diff)
+        got = series.h[n]
+        if got != expected:
+            _, x = hurwitz.first_difference([got], [expected], 0)
+            lhs, rhs = (Fraction((p + [0] * (x + 1))[x]) for p in (got, expected))
+            return TMismatch(n, x, lhs, rhs)
     return None
 
 

@@ -244,6 +244,12 @@ class TestTable:
         code, _, err = run(capsys, "table", "--order", "12")
         assert code == 2
 
+    def test_table_builds_no_exponential_pair(self, capsys, monkeypatch):
+        _refuse_groups(monkeypatch, "exponential_pair")
+        code, out, err = run(capsys, "table", "--order", "16")
+        assert code == 0, err
+        assert json.loads(out.splitlines()[0])["pass"] is True
+
     def test_golden_table_is_scanned_once_for_the_report(self, capsys, monkeypatch):
         scans = []
         scan = blowup._golden_diffs

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,38 @@ def test_every_public_name_is_imported_by_a_demo_or_named_in_the_readme():
     readme = (SRC.parent / "README.md").read_text()
     named = set(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
     assert sorted(set(blowup_series.__all__) - imported - named) == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names a tree reads: every ``Name``, ``Attribute`` and import alias."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+    return found
+
+
+def test_every_module_level_function_is_referenced_outside_its_definition():
+    """A function of the package that only tests call belongs in the tests."""
+    root = SRC.parent
+    package = sorted((SRC / "blowup_series").glob("*.py"))
+    scripts = [*DEMOS, *sorted((root / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in package + scripts}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    readme = (root / "README.md").read_text()
+    used.update(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and used[node.name] <= _references(node)[node.name]
+    ]
+    assert unused == []
 
 
 def test_the_demos_are_found():

@@ -283,6 +283,31 @@ class TestRelationsAndGolden:
         assert set17.b2.coeff(4, normalized=True) == XPoly((-4,))
         assert set17.s2.coeff(4, normalized=True) == XPoly.x() * -8
 
+    @pytest.mark.parametrize(
+        "name, coeff, t, mismatch",
+        [
+            # s2 entry 4 becomes 0: the missing x^1 entry reads 0 against -8
+            ("s2", XPoly((0, F(1, 3))), 4, {"t": 4, "x": 1, "lhs": "0", "rhs": "-8"}),
+            # b2 gains x^2 t^2: the expected entry is empty
+            ("b2", XPoly((0, 0, 1)), 2, {"t": 2, "x": 2, "lhs": "2", "rhs": "0"}),
+        ],
+    )
+    def test_a_corrupted_relation_coefficient_is_reported_in_table_form(
+        self, monkeypatch, name, coeff, t, mismatch
+    ):
+        products = blowup.derived_products
+
+        def bumped(b, s):
+            named = dict(zip(("b2", "s2", "bs", "wronskian"), products(b, s)))
+            named[name] = named[name] + TSeries.monomial(coeff, t, b.order)
+            return tuple(named.values())
+
+        monkeypatch.setattr(blowup, "derived_products", bumped)
+        (report,) = run_catalog(
+            assemble_set(*generate_pair(8)), 8, identities=["relations_coefficients"]
+        )
+        assert not report.passed and report.to_json()["first_mismatch"] == mismatch
+
     def test_golden_check(self, set17):
         report = golden_check(set17)
         assert report.passed and report.identity == "golden_table"
