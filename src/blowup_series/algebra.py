@@ -190,14 +190,6 @@ class XPoly:
             n >>= 1
         return result
 
-    def eval_at(self, v: RationalLike) -> Rational:
-        """Evaluate at a rational point by Horner's rule (exact)."""
-        v = Fraction(v)
-        acc = _ZERO
-        for c in reversed(self._c):
-            acc = acc * v + c
-        return acc
-
     # -- display -------------------------------------------------------
 
     def __str__(self) -> str:

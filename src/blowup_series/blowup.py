@@ -17,8 +17,8 @@ and reading those off coefficient by coefficient gives a linear recurrence:
 (E4) at t^n pins the next even coefficient b_{n+4}, then (E2) at t^{n+2}
 pins the next odd coefficient s_{n+1}.  The seeds make the first two (E2)
 instances redundant; they are kept as consistency checks, and generation
-always re-verifies the full identity (*) bivariately and compares against
-the embedded golden coefficient table before returning.
+compares the pair against the embedded golden coefficient table before
+returning.  The identity (*) itself is certified by the catalog row ``bb``.
 
 Every derived series is built by one route.  The exponential series solve
 the evaluation ODEs; their closed forms through sqrt and exp are not built
@@ -97,19 +97,13 @@ def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
     return clean(symmetric_sum(acc, s, m, lambda i: _c(m, i)))
 
 
-#: total degree through which generation re-checks the identity (*)
-_BB_CHECK_ORDER = 16
-
-
 def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     """Generate the blow-up pair (B, S) exactly through t^order.
 
     ``order`` must be at least 4.  After the recurrence the generated pair
-    is re-verified: the seed-redundant (E2) instances must vanish, the
-    coefficients must match the embedded golden table wherever it reaches,
-    and the bivariate identity (*) must hold through total degree
-    ``min(order, 16)``.  Any mismatch raises :class:`GenerationError`
-    naming the offending degree.
+    is checked: the seed-redundant (E2) instances must vanish and the
+    coefficients must match the embedded golden table wherever it reaches.
+    Any mismatch raises :class:`GenerationError` naming the offending degree.
     """
     if order < 4:
         raise ValueError(f"generation needs order >= 4, got {order}")
@@ -136,7 +130,6 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
 
     hb, hs = TSeries.from_kernel(b, order), TSeries.from_kernel(s, order)
     _check_against_golden(hb, hs)
-    _check_bb(hb, hs, min(order, _BB_CHECK_ORDER))
     return hb, hs
 
 
@@ -147,16 +140,6 @@ def _check_against_golden(b: TSeries, s: TSeries) -> None:
             f"generated {diff.row} disagrees with the golden table at "
             f"t^{diff.t}, x^{diff.x}: {diff.got} vs {diff.expected}",
             degree=diff.t,
-        )
-
-
-def _check_bb(b: TSeries, s: TSeries, total_order: int) -> None:
-    diff = table_mismatch(*bb_tables(b, s, total_order), total_order)
-    if diff is not None:
-        raise GenerationError(
-            f"bivariate product identity fails at u^{diff.u} v^{diff.v} "
-            f"x^{diff.x}: {diff.lhs} vs {diff.rhs}",
-            degree=diff.u + diff.v,
         )
 
 
@@ -505,16 +488,13 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
                         yield GoldenDiff(row, name, n, k, expected.coeff(k), got.coeff(k))
 
 
-def _set_golden_diffs(series_set: BlowupSeriesSet) -> Iterator[GoldenDiff]:
-    checked_pair(series_set.b, series_set.s)
-    return _golden_diffs((row, name, getattr(series_set, name)) for row, name in _GOLDEN_PAIRING)
-
-
 def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
-    """All disagreements between the set and the golden table (empty = match)."""
-    return list(_set_golden_diffs(series_set))
+    """All disagreements between the set and the golden table (empty = match).
 
-
-def first_golden_diff(series_set: BlowupSeriesSet) -> "GoldenDiff | None":
-    """The first disagreement in scan order, or None; the scan stops there."""
-    return next(_set_golden_diffs(series_set), None)
+    The derived series are built from the pair cut one order past the
+    golden rows' reach, not read from the set: no golden row needs more.
+    """
+    b, s = checked_pair(series_set.b, series_set.s)
+    top = min(series_set.order, max(row.order for row in golden_table().values()) + 1)
+    cut = assemble_set(b.truncate(top), s.truncate(top))
+    return list(_golden_diffs((row, name, getattr(cut, name)) for row, name in _GOLDEN_PAIRING))

@@ -402,24 +402,6 @@ class TSeries:
                 rows[i][j] = rows[i][j] + c * w
         return BiSeries(rows, order)
 
-    def as_biseries(self, axis: str, order: "int | None" = None) -> "BiSeries":
-        """Embed as a series in u alone (axis='u') or v alone (axis='v')."""
-        if axis not in ("u", "v"):
-            raise SeriesError("axis must be 'u' or 'v'")
-        if self._lo < 0:
-            raise SeriesError("bivariate embedding needs valuation >= 0")
-        order = self._order if order is None else order
-        if order > self._order:
-            raise SeriesError("cannot embed beyond the known truncation order")
-        rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
-        for n, c in self.terms():
-            if n <= order:
-                if axis == "u":
-                    rows[n][0] = c
-                else:
-                    rows[0][n] = c
-        return BiSeries(rows, order)
-
     # -- serialization ---------------------------------------------------
 
     def to_json(self, normalization: str = "plain") -> dict:

@@ -50,7 +50,7 @@ from .blowup import (
     build_series_set,
     checked_pair,
     degeneration_forms,
-    first_golden_diff,
+    golden_diff,
     table_mismatch,
 )
 from .series import (
@@ -269,8 +269,8 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
 
 
 def _golden(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
-    d = first_golden_diff(series_set)
-    return None if d is None else TMismatch(d.t, d.x, d.got, d.expected)
+    diffs = golden_diff(series_set)
+    return TMismatch(diffs[0].t, diffs[0].x, diffs[0].got, diffs[0].expected) if diffs else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from helpers_oracles import eval_at
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -81,9 +82,9 @@ class TestXPoly:
         assert 3 * x == XPoly((0, 3))
 
     def test_eval_at(self):
-        assert XPoly((0, 8)).eval_at(2) == 16
-        assert XPoly((-4, 0, -32)).eval_at(2) == -132
-        assert XPoly((2, 0, 1)).eval_at(-2) == 6
+        assert eval_at(XPoly((0, 8)), 2) == 16
+        assert eval_at(XPoly((-4, 0, -32)), 2) == -132
+        assert eval_at(XPoly((2, 0, 1)), -2) == 6
 
     @given(xpolys, xpolys, xpolys)
     def test_ring_axioms(self, p, q, r):
@@ -95,8 +96,8 @@ class TestXPoly:
 
     @given(xpolys, xpolys, rationals)
     def test_eval_is_a_ring_homomorphism(self, p, q, v):
-        assert (p * q).eval_at(v) == p.eval_at(v) * q.eval_at(v)
-        assert (p + q).eval_at(v) == p.eval_at(v) + q.eval_at(v)
+        assert eval_at(p * q, v) == eval_at(p, v) * eval_at(q, v)
+        assert eval_at(p + q, v) == eval_at(p, v) + eval_at(q, v)
 
     @given(xpolys)
     def test_json_strings_round_trip(self, p):

@@ -15,6 +15,7 @@ from blowup_series.blowup import (
     UnexpectedPoleError,
     assemble_set,
     bb_sides,
+    bb_tables,
     degeneration_forms,
     derived_products,
     exponential_pair,
@@ -24,6 +25,7 @@ from blowup_series.blowup import (
     golden_table_hash,
     odd_case_pair,
     series_content_hash,
+    table_mismatch,
 )
 from blowup_series.series import SeriesError, TSeries, first_difference, first_difference_uv
 from blowup_series.verify import run_catalog
@@ -90,10 +92,36 @@ class TestGeneration:
     def test_seed_corruption_is_caught_by_bb_check(self):
         b, s = generate_pair(8)
         bad = b + TSeries.monomial(F(1, 7), 4, b.order)
-        with pytest.raises(GenerationError):
-            from blowup_series.blowup import _check_bb
+        assert table_mismatch(*bb_tables(bad, s, 8), 8) is not None
 
-            _check_bb(bad, s, 8)
+    def test_bb_holds_through_total_degree_16_on_the_pair_the_golden_check_accepts(self):
+        """Generation checks only the golden rows, and this is why (*) needs no
+        second check there: through total degree 16, (*) reads b_0..b_16 and
+        s_0..s_16.  The golden rows pin B through t^16 and S through t^15, and
+        s_16 enters only as s_0 s_16, where s_0 = 0 is pinned.  So every entry
+        this check reads is fixed once the golden check has passed."""
+        b, s = generate_pair(16)
+        assert table_mismatch(*bb_tables(b, s, 16), 16) is None
+
+    @pytest.mark.parametrize(
+        "step, at, entry, row", [("_e4_rest", 6, 10, "B"), ("_e2_rest", 14, 13, "S")]
+    )
+    def test_a_perturbed_recurrence_step_fails_the_golden_check(
+        self, monkeypatch, step, at, entry, row
+    ):
+        """b_10 from (E4) at t^6, or s_13 from (E2) at t^14, is knocked off.
+        s_13 feeds B only above t^16, so the S row is the first to differ."""
+        rest = getattr(blowup, step)
+
+        def perturbed(b, s, n):
+            value = rest(b, s, n)
+            return hurwitz.add(value, [1]) if n == at else value
+
+        monkeypatch.setattr(blowup, step, perturbed)
+        message = rf"generated {row} disagrees with the golden table at t\^{entry}, "
+        with pytest.raises(GenerationError, match=message) as raised:
+            generate_pair(20)
+        assert raised.value.degree == entry
 
 
 class TestDerivedProducts:

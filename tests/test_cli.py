@@ -263,6 +263,22 @@ class TestTable:
         assert code == 0 and len(out.splitlines()) == 1
         assert len(scans) == 2  # the generation self-check and the report
 
+    def test_the_comparison_builds_derived_series_only_through_t17(self, capsys, monkeypatch):
+        """The golden rows reach t^16, so ``table --order 128`` and ``golden_diff``
+        on an order-129 set build the products and the odd pair at order 17."""
+        built = []
+        for name in ("derived_products", "odd_case_pair"):
+
+            def recorded(b, s, name=name, build=getattr(blowup, name)):
+                built.append((name, b.order))
+                return build(b, s)
+
+            monkeypatch.setattr(blowup, name, recorded)
+        code, out, _ = run(capsys, "table", "--order", "128")
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert blowup.golden_diff(blowup.assemble_set(*blowup.generate_pair(129))) == []
+        assert sorted(set(built)) == [("derived_products", 17), ("odd_case_pair", 17)]
+
     def test_a_failing_report_lists_every_differing_slot(self, capsys, monkeypatch):
         products = blowup.derived_products
 
@@ -664,7 +680,67 @@ def test_generation_failure_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path
     assert err == f"{command}: generation failed: stub recurrence failed (degree 7)\n"
 
 
+_MOMENTS = {"label": "m", "moments": ["1"] * 8}
+
+
+def _request(**fields) -> str:
+    """A valid even ``eval`` request with ``fields`` replaced."""
+    functionals = {"mu_c": _MOMENTS, "mu_ctau": _MOMENTS}
+    return json.dumps({"parity": "even", "order": 4, "functionals": functionals, **fields})
+
+
+_ABOVE_CAP = str(MAX_ORDER + 1)
+
+#: argv refused with exit 2 and one stderr line, and the text of the file that
+#: REQUEST names; MISSING names a path in a directory that does not exist
+_USAGE_ERRORS = {
+    "no-command": ([], None),
+    "unknown-command": (["frobnicate"], None),
+    "unknown-option": (["gen", "--series", "B", "--frobnicate"], None),
+    "option-without-value": (["verify", "--order"], None),
+    "gen-order-not-an-int": (["gen", "--series", "B", "--order", "abc"], None),
+    "gen-unknown-series": (["gen", "--series", "Q"], None),
+    "verify-order-not-an-int": (["verify", "--order", "x"], None),
+    "eval-without-request": (["eval"], None),
+    "gen-order-below-0": (["gen", "--series", "B", "--order", "-1"], None),
+    "gen-order-above-cap": (["gen", "--series", "B", "--order", _ABOVE_CAP], None),
+    "verify-order-below-8": (["verify", "--order", "7"], None),
+    "verify-order-above-cap": (["verify", "--order", _ABOVE_CAP], None),
+    "table-order-below-16": (["table", "--order", "15"], None),
+    "table-order-above-cap": (["table", "--order", _ABOVE_CAP], None),
+    "bench-order-below-4": (["bench", "--order", "3"], None),
+    "bench-order-above-cap": (["bench", "--order", _ABOVE_CAP], None),
+    "eval-order-below-0": (["eval", "REQUEST"], _request(order=-1)),
+    "eval-order-above-cap": (["eval", "REQUEST"], _request(order=MAX_ORDER + 1)),
+    "verify-negative-bivariate-order": (["verify", "--bivariate-order", "-1"], None),
+    "bench-negative-bivariate-order": (["bench", "--bivariate-order", "-1"], None),
+    "verify-jobs-0": (["verify", "--jobs", "0"], None),
+    "verify-unknown-identity": (["verify", "--identity", "no_such_identity"], None),
+    "unwritable-output": (["gen", "--series", "B", "--order", "4", "--output", "MISSING"], None),
+    "eval-missing-file": (["eval", "MISSING"], None),
+    "eval-non-object-request": (["eval", "REQUEST"], "[1, 2]"),
+    "eval-bad-parity": (["eval", "REQUEST"], _request(parity="both")),
+    "eval-bad-order": (["eval", "REQUEST"], _request(order="4")),
+    "eval-missing-functional": (["eval", "REQUEST"], _request(functionals={"mu_c": _MOMENTS})),
+    "eval-zero-denominator": (
+        ["eval", "REQUEST"],
+        _request(functionals={"mu_c": {"label": "m", "moments": ["1/0"]}, "mu_ctau": _MOMENTS}),
+    ),
+    "eval-deeply-nested-json": (["eval", "REQUEST"], "[" * 100000 + "]" * 100000),
+}
+
+
 class TestUsage:
+    @pytest.mark.parametrize("case", _USAGE_ERRORS)
+    def test_a_usage_error_is_one_line_and_exit_2(self, capsys, tmp_path, case):
+        argv, request = _USAGE_ERRORS[case]
+        paths = {"REQUEST": tmp_path / "request.json", "MISSING": tmp_path / "missing" / "out"}
+        if request is not None:
+            paths["REQUEST"].write_text(request)
+        code, out, err = run(capsys, *(str(paths.get(arg, arg)) for arg in argv))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1, err
+
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
 

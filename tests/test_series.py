@@ -3,7 +3,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from helpers_oracles import cos_series, cosh_series, exp_t_squared, sin_series, sinh_series
+from helpers_oracles import (
+    as_biseries,
+    cos_series,
+    cosh_series,
+    exp_t_squared,
+    sin_series,
+    sinh_series,
+)
 
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import golden_table
@@ -274,9 +281,8 @@ class TestBivariate:
         st_ = s_ref.truncate(m)
         lhs = bt.subst_pm(+1) * bt.subst_pm(-1)
         b2, s2 = bt * bt, st_ * st_
-        rhs = b2.as_biseries("u", m) * b2.as_biseries("v", m) - s2.as_biseries(
-            "u", m
-        ) * s2.as_biseries("v", m)
+        rhs = as_biseries(b2, "u", m) * as_biseries(b2, "v", m)
+        rhs = rhs - as_biseries(s2, "u", m) * as_biseries(s2, "v", m)
         assert lhs.coeff(2, 2) == XPoly((-1,))
         assert rhs.coeff(2, 2) == XPoly((-1,))
         assert first_difference_uv(lhs, rhs) is None
@@ -310,9 +316,16 @@ class TestSerialization:
         with pytest.raises(SeriesError):
             TSeries.monomial(1, -1, 3).to_json("factorial")
 
-    @given(tseries(min_val=0))
-    def test_json_round_trip_property(self, a):
-        assert TSeries.from_json(a.to_json()) == a
+    @given(tseries(), st.sampled_from(["plain", "factorial"]))
+    def test_json_round_trip_property(self, a, normalization):
+        """Laurent and power series in the plain form, power series also in
+        the factorial form, which is undefined below t^0."""
+        assume(normalization == "plain" or a.valuation >= 0)
+        data = a.to_json(normalization)
+        back = TSeries.from_json(data)
+        assert back == a
+        assert (back.order, back.valuation) == (a.order, a.valuation)
+        assert back.to_json(normalization) == data
 
     @pytest.mark.parametrize(
         "change",

@@ -34,7 +34,8 @@ def test_every_public_name_is_imported_by_a_demo_or_named_in_the_readme():
 
 
 def _references(tree: ast.AST) -> Counter:
-    """Names a tree reads: every ``Name``, ``Attribute`` and import alias."""
+    """Names a tree reads: every ``Name``, ``Attribute`` and import alias, and
+    every string constant that is an identifier (``_member("_odd", i)``)."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -43,11 +44,29 @@ def _references(tree: ast.AST) -> Counter:
             found[node.attr] += 1
         elif isinstance(node, ast.alias):
             found[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found[node.value] += 1
     return found
 
 
+def _functions(module: ast.Module):
+    """``(qualified name, node)`` of each module-level function and each
+    method of a module-level class, dunders left out."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_module_level_function_is_referenced_outside_its_definition():
-    """A function of the package that only tests call belongs in the tests."""
+    """A function, or a method of a class, of the package that only tests call
+    belongs in the tests."""
     root = SRC.parent
     package = sorted((SRC / "blowup_series").glob("*.py"))
     scripts = [*DEMOS, *sorted((root / "perfbench").glob("*.py"))]
@@ -56,11 +75,10 @@ def test_every_module_level_function_is_referenced_outside_its_definition():
     readme = (root / "README.md").read_text()
     used.update(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
     unused = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in package
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and used[node.name] <= _references(node)[node.name]
+        for name, node in _functions(trees[path])
+        if used[node.name] <= _references(node)[node.name]
     ]
     assert unused == []
 
