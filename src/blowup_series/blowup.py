@@ -20,10 +20,11 @@ instances redundant; they are kept as consistency checks, and generation
 compares the pair against the embedded golden coefficient table before
 returning.  The identity (*) itself is certified by the catalog row ``bb``.
 
-Every derived series is built by one route.  The exponential series solve
-the evaluation ODEs; their closed forms through sqrt and exp are not built
-again, because the identity catalog certifies what they feed (b0 = B^2,
-btau = S^2 and the evaluation ODEs themselves).
+Every derived series is built by one route.  The exponential series come
+from one evaluation ODE and the blow-up symmetry (t, x) -> (it, -x), which
+maps it to the other (:func:`exponential_pair`); their closed forms through
+sqrt and exp are not built again, because the identity catalog certifies
+what they feed (b0 = B^2, btau = S^2 and the evaluation ODEs themselves).
 
 Every construction runs on the divided-power vectors that a
 :class:`TSeries` holds (:mod:`blowup_series.hurwitz`), where the table forms
@@ -45,7 +46,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from fractions import Fraction
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -237,9 +237,13 @@ def table_mismatch(a: hurwitz.Table, b: hurwitz.Table, through: int) -> "UVMisma
 
 
 def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-    """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic."""
-    wronskian = b * s.derivative() - b.derivative() * s
-    return b * b, s * s, b * s, wronskian
+    """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic.
+
+    By Leibniz, (BS)' = B'S + BS', so the Wronskian is 2 BS' - (BS)': it
+    reuses BS and takes one product, BS', of its own.
+    """
+    bs = b * s
+    return b * b, s * s, bs, b * s.derivative() * 2 - bs.derivative()
 
 
 def _quotient_order(num: TSeries, den: TSeries) -> int:
@@ -254,24 +258,54 @@ def _ode_solution(sigma: TSeries, rho: TSeries, head: list[Poly], order: int) ->
     return TSeries.from_kernel(w, order)
 
 
+def _check_parity(b: TSeries, s: TSeries) -> None:
+    """Raise unless B(it; -x) = B(t; x) and S(it; -x) = i S(t; x).
+
+    The term x^k t^n picks up the factor i^(n + 2k) under (t, x) -> (it, -x),
+    so the rule asks n + 2k = 0 (mod 4) of every term of B and n + 2k = 1
+    (mod 4) of every term of S.  The functional equation and its seeds are
+    invariant under that map, so the generated pair obeys the rule.
+    """
+    for name, series, weight in (("B", b, 0), ("S", s, 1)):
+        for n, p in enumerate(series.h):
+            for k, v in enumerate(p):
+                if v and (n + 2 * k) % 4 != weight:
+                    raise SeriesError(
+                        f"{name} breaks the parity rule B(it; -x) = B(t; x), "
+                        f"S(it; -x) = i S(t; x) at t^{n}, x^{k}"
+                    )
+
+
 def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
     """The exponential solutions of the two evaluation ODEs, and their halves.
 
-    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) is built as
-    the solution of B(2t) f' = (B' +- S)(2t) f with f(0) = 1.  When B(0) = 1
-    it equals sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B); that closed form is
-    not built here.
+    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) solves
+    B(2t) f' = (B' +- S)(2t) f with f(0) = 1.  When B(0) = 1 it equals
+    sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B); that closed form is not built
+    here.  Only the plus equation is solved.  The blow-up symmetry
+    (t, x) -> (it, -x), with B -> B and S -> iS, maps it to the minus
+    equation, so b_minus(t; x) = b_plus(it; -x): entry n of b_minus is
+    (-1)^(n/2) times entry n of b_plus taken at -x.  The half sum b0 and half
+    difference btau are therefore the two x-parity halves of b_plus: b0 keeps
+    the terms x^k t^n with k = n/2 (mod 2), btau the others.  A pair that
+    breaks the symmetry's parity rule is refused with :class:`SeriesError`
+    naming its first bad slot, since its minus series would not solve its
+    equation.
     Returns (plus, minus, half_sum, half_difference).
     """
     if b.h[:1] != [[1]]:
         raise SeriesError("sqrt needs constant term exactly 1")
-    db = b.derivative()
-    plus, minus = (
-        _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
-        for numerator in (db + s, db - s)
-    )
-    half = Fraction(1, 2)
-    return plus, minus, (plus + minus) * half, (plus - minus) * half
+    _check_parity(b, s)
+    numerator = b.derivative() + s
+    plus = _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
+    b0: list[Poly] = []
+    btau: list[Poly] = []
+    for n, p in enumerate(plus.h):
+        e = n // 2 % 2  # b0 keeps x^k t^n with k = n/2 (mod 2); odd n are zero
+        b0.append(clean([v if k % 2 == e else 0 for k, v in enumerate(p)]))
+        btau.append(clean([0 if k % 2 == e else v for k, v in enumerate(p)]))
+    minus = [add(p, q, -1) for p, q in zip(b0, btau)]
+    return plus, *(TSeries.from_kernel(h, plus.order) for h in (minus, b0, btau))
 
 
 def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
@@ -347,8 +381,9 @@ class BlowupSeriesSet:
     Each derived group is built by its module-level construction the first
     time one of its series is read, and kept: ``b2``, ``s2``, ``bs`` and
     ``wronskian`` are recomputed products (:func:`derived_products`), never
-    aliases; ``b_plus``/``b_minus`` solve the evaluation ODEs and
-    ``b0``/``btau`` are their half sum/difference (:func:`exponential_pair`);
+    aliases; ``b_plus`` solves the plus evaluation ODE, ``b_minus`` is its
+    symmetry image and ``b0``/``btau`` are its two x-parity halves, the half
+    sum/difference of the pair (:func:`exponential_pair`);
     ``ws0``/``ws1`` come from the odd-case integral formulas
     (:func:`odd_case_pair`).  Every construction first checks that B and S
     are power series.  ``content_hash`` fingerprints (b, s).

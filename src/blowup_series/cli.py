@@ -41,10 +41,10 @@ SELECTORS = {
     "BMINUS": "b_minus",
 }
 
-#: largest order any command builds.  The full set grows about as order^4.3
-#: (1.8 s at order 129 and 36 s at 257 on a 2-core host with Python 3.11), so
-#: order 512 would take about twelve minutes; the checked pair alone, all that
-#: ``gen --series B|S`` builds, takes 0.24 s and 3.8 s there
+#: largest order any command builds.  The full set grows about as order^4.5
+#: (0.9 s at order 129 and 21 s at 257 on a 2-core host with Python 3.11), so
+#: order 512 would take about eight minutes; the checked pair alone, all that
+#: ``gen --series B|S`` builds, takes 0.15 s and 3.4 s there
 MAX_ORDER = 256
 
 EXIT_OK = 0
@@ -276,7 +276,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise _UsageError(exc) from None
     except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
         raise _UsageError(f"a moment has a zero denominator: {exc}") from None
-    _emit(json.dumps(result.to_json(), indent=2, sort_keys=True), args.output)
+    try:
+        text = json.dumps(result.to_json(), indent=2, sort_keys=True)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _UsageError(
+            "a result coefficient exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from None
+    _emit(text, args.output)
     return EXIT_OK
 
 

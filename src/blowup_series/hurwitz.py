@@ -227,9 +227,24 @@ def first_difference(
 Table = list  # list[list[Poly]], row i of length m - i + 1
 
 
+def _mirrored(entry, symmetric: bool, m: int) -> Table:
+    """The table whose entry (i, j) is ``entry(i, j)``, through total degree m.
+
+    A ``symmetric`` table, one with entry (i, j) = entry (j, i), computes
+    only the entries j >= i and takes the others from their mirror images,
+    which are shared, not copied.
+    """
+    table: Table = []
+    for i in range(m + 1):
+        start = min(i, m - i + 1) if symmetric else 0
+        mirror = [table[j][i] for j in range(start)]
+        table.append(mirror + [entry(i, j) for j in range(start, m - i + 1)])
+    return table
+
+
 def outer(f: Sequence[Poly], g: Sequence[Poly], m: int) -> Table:
-    """Table of f(u) g(v) through total degree m."""
-    return [[product(_at(f, i), _at(g, j)) for j in range(m - i + 1)] for i in range(m + 1)]
+    """Table of f(u) g(v) through total degree m; f(u) f(v) is symmetric."""
+    return _mirrored(lambda i, j: product(_at(f, i), _at(g, j)), f is g, m)
 
 
 def table_add(p: Table, q: Table, sign: int = 1) -> Table:
@@ -270,10 +285,14 @@ def triple(f: Sequence[Poly], g: Sequence[Poly], h: Sequence[Poly], m: int) -> T
 
     First f(u) h(u + v) = sum_{i,r} P[i][r] u^i v^r / (i! r!) with
     P[i][r] = sum_k C(i,k) f_k h_{i-k+r}, then the convolution in v with g.
+    f(u) f(v) h(u + v) is symmetric, so its rows i > m/2 are mirror images
+    and need no row of P.
     """
+    symmetric = f is g
     shifted = [h[r:] for r in range(m + 1)]  # h_{i-k+r} is entry i - k of h[r:]
-    p = [[clean(convolve([], f, shifted[r], i)) for r in range(m - i + 1)] for i in range(m + 1)]
-    return [[clean(convolve([], g, p[i], j)) for j in range(m - i + 1)] for i in range(m + 1)]
+    rows = m // 2 + 1 if symmetric else m + 1
+    p = [[clean(convolve([], f, shifted[r], i)) for r in range(m - i + 1)] for i in range(rows)]
+    return _mirrored(lambda i, j: clean(convolve([], g, p[i], j)), symmetric, m)
 
 
 def first_difference_table(a: Table, b: Table, through: int) -> "tuple[int, int, int] | None":

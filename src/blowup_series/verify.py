@@ -149,10 +149,10 @@ def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMi
     The report is that of the quotient form, but both sides are multiplied
     by B(2t) first, so the check takes two products and no reciprocal:
     B(2t) (B^2 +- S^2)' against (B' +- S)(2t) (B^2 +- S^2), the equation
-    :func:`~blowup_series.blowup.exponential_pair` solves.  B(2t) is a unit
-    with constant term B(0), so the two forms first differ at the same slot
-    (n, k), and there the difference of the products is B(0) times that of
-    the quotient form.  The quotient side's value is formed at that slot
+    whose solution :func:`~blowup_series.blowup.exponential_pair` builds.
+    B(2t) is a unit with constant term B(0), so the two forms first differ at
+    the same slot (n, k), and there the difference of the products is B(0)
+    times that of the quotient form.  The quotient side's value is formed at that slot
     only, and its truncation order is the one the quotient would have.
     """
     if series_set.b.valuation != 0 or len(series_set.b.h[0]) != 1:

@@ -172,24 +172,58 @@ class TestExponentialPair:
             assert through >= 64
             assert first_difference(built, closed, through=through) is None
 
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_catalog_catches_a_corrupted_ode_solution(self, monkeypatch, which):
-        """Shift t^6 of b_plus (which = 0) or b_minus (which = 1) by 1/6!."""
+    @pytest.mark.parametrize("x_power, row", [(0, "btau_equals_s2"), (1, "b0_equals_b2")])
+    def test_catalog_catches_a_corrupted_ode_solution(self, monkeypatch, x_power, row):
+        """Add x^k t^6 / 6! to b_plus.  b0 keeps the terms of t^6 with odd k
+        and btau those with even k, so the term's x-parity picks the row."""
         b, s = generate_pair(12)
         solve = blowup._ode_solution
-        calls = []
 
-        def shifted(*args):
-            w = solve(*args)
-            if len(calls) == which:
-                w.h[6] = hurwitz.add(w.h[6], [1])
-            calls.append(w)
+        def shifted(sigma, *args):
+            w = solve(sigma, *args)
+            if sigma is b:  # the evaluation ODE, not an odd-case one
+                w.h[6] = hurwitz.add(w.h[6], [0] * x_power + [1])
             return w
 
         monkeypatch.setattr(blowup, "_ode_solution", shifted)
         reports = run_catalog(assemble_set(b, s), 11, bivariate_order=8)
-        failed = {r.identity for r in reports if not r.passed}
-        assert failed == {"b0_equals_b2", "btau_equals_s2"}
+        assert {r.identity for r in reports if not r.passed} == {row}
+
+    def test_the_flip_solves_the_minus_equation_on_any_pair_that_obeys_the_parity_rule(self):
+        """x t^6 has n + 2k = 8, so B + x t^6 obeys the rule but not (*)."""
+        b, s = generate_pair(12)
+        b = b + TSeries.monomial(X, 6, b.order)
+        minus = b.derivative() - s
+        solved = blowup._ode_solution(b, minus, [[1]], blowup._quotient_order(minus, b) + 1)
+        plus, flipped, b0, btau = exponential_pair(b, s)
+        assert flipped.to_json() == solved.to_json()
+        assert (b0 + btau).to_json() == plus.to_json()
+
+    @pytest.mark.parametrize(
+        "bump_b, bump_s, slot",
+        [(F(1, 7), 0, "B breaks .* at t\\^2, x\\^0"), (0, X, "S breaks .* at t\\^6, x\\^1")],
+        ids=["B", "S"],
+    )
+    def test_a_pair_that_breaks_the_parity_rule_is_refused(self, bump_b, bump_s, slot):
+        """1/7 t^2 in B has n + 2k = 2, x t^6 in S has 8 where S needs 1 (mod 4)."""
+        b, s = generate_pair(12)
+        bad_b = b + TSeries.monomial(bump_b, 2, b.order)
+        bad_s = s + TSeries.monomial(bump_s, 6, s.order)
+        with pytest.raises(SeriesError, match=f"^{slot}"):
+            exponential_pair(bad_b, bad_s)
+
+    def test_every_derived_series_obeys_the_parity_rule_at_order_129(self):
+        """Term x^k t^n of a series of weight w has n + 2k = w (mod 4): it
+        picks up i^w under (t, x) -> (it, -x), as B, S and their products do."""
+        st = series_set(129)
+        weights = {"b": 0, "s": 1, "b2": 0, "s2": 2, "bs": 1, "wronskian": 0}
+        weights.update(b0=0, btau=2, ws0=0, ws1=1)
+        for name, weight in weights.items():
+            series = getattr(st, name)
+            assert series.order >= 128, name
+            for n, p in enumerate(series.h):
+                bad = [k for k, v in enumerate(p) if v and (n + 2 * k) % 4 != weight]
+                assert not bad, f"{name} at t^{n}, x^{bad[:1]}"
 
 
 class TestOddCasePair:

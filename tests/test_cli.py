@@ -1,17 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from helpers_oracles import cosh_series, exp_t_squared
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import blowup_series
 
 from blowup_series import blowup, verify
-from blowup_series.algebra import XPoly
+from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
 from blowup_series.series import TSeries, first_difference
@@ -40,6 +45,15 @@ GEN_64_SHA256 = {
     ("BPLUS", "factorial"): "d1d98f5931ba8f552d3a1f7879f8c78c8f6391a2d6912d830d751a18dfbcba9e",
     ("BMINUS", "plain"): "4170ef3ce9c127da53ad7916be756b962ab7758fed3241eacac9db8d7fd7fd9b",
     ("BMINUS", "factorial"): "55d3cbf38221f4d6d14bb79d1cbe43fb5608712ecbdafb62946d3ae83a8cf869",
+}
+
+#: sha256 of `gen --series SERIES --order 128 --format json --normalization NORM`:
+#: b_minus is the flip of b_plus, held byte-identical past order 64
+GEN_128_SHA256 = {
+    ("BPLUS", "plain"): "40faa1b8d73447d04f579cc491f6ea52b3aa940bd490f37e7c27da4dcd1907be",
+    ("BPLUS", "factorial"): "a2071ad16197e1997175994c1400f3947b486ccde03834c0c52a738c736215a6",
+    ("BMINUS", "plain"): "7608f50f687d882e0ba8c2537ef93dd268a96ab9e447bd36a478bed30038587d",
+    ("BMINUS", "factorial"): "49ffa30fa9234dd54c68c6511b0629668c14587af276656fbb3302ff773e05be",
 }
 
 
@@ -112,6 +126,17 @@ class TestGen:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GEN_64_SHA256[series, normalization]
+
+    @pytest.mark.parametrize("series, normalization", sorted(GEN_128_SHA256))
+    def test_the_exponential_pair_matches_the_pinned_digest_at_order_128(
+        self, capsys, series, normalization
+    ):
+        code, out, _ = run(
+            capsys, "gen", "--series", series, "--order", "128", "--format", "json",
+            "--normalization", normalization,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_128_SHA256[series, normalization]
 
     @pytest.mark.parametrize("selector", ["B", "S"])
     def test_the_pair_builds_no_derived_series(self, capsys, monkeypatch, selector):
@@ -691,6 +716,11 @@ def _request(**fields) -> str:
 
 _ABOVE_CAP = str(MAX_ORDER + 1)
 
+#: 1024-bit moments over 21 distinct odd denominators: the t^40 entry of the
+#: result needs more digits than int -> str converts
+_HUGE_MOMENTS = {"label": "m", "moments": [f"1/{2**1024 + 2 * k + 1}" for k in range(21)]}
+_HUGE_RESULT = _request(order=40, functionals={"mu_c": _HUGE_MOMENTS, "mu_ctau": _HUGE_MOMENTS})
+
 #: argv refused with exit 2 and one stderr line, and the text of the file that
 #: REQUEST names; MISSING names a path in a directory that does not exist
 _USAGE_ERRORS = {
@@ -727,6 +757,7 @@ _USAGE_ERRORS = {
         _request(functionals={"mu_c": {"label": "m", "moments": ["1/0"]}, "mu_ctau": _MOMENTS}),
     ),
     "eval-deeply-nested-json": (["eval", "REQUEST"], "[" * 100000 + "]" * 100000),
+    "eval-result-past-the-digit-limit": (["eval", "REQUEST"], _HUGE_RESULT),
 }
 
 
@@ -764,3 +795,99 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed eval requests
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: texts that look like rational literals and are not, or do not parse
+_NEAR_RATIONALS = st.sampled_from(
+    ["1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "\uff11", "1/0", "9" * 5000, ""]
+)
+
+#: where a request breaks: a path of keys into the valid request, or None for
+#: the whole document
+_SLOTS = (
+    ("parity",),
+    ("order",),
+    ("formula",),
+    ("functionals",),
+    ("functionals", "mu_c"),
+    ("functionals", "mu_ctau", "label"),
+    ("functionals", "mu_ctau", "moments"),
+    ("functionals", "mu_c", "moments", 3),
+)
+
+
+def _malformed(slot: tuple, value) -> bool:
+    """Whether ``value`` at ``slot`` leaves the even maina request invalid."""
+    key = slot[-1]
+    if key == "parity":
+        return value != "even"
+    if key == "order":
+        return not (type(value) is int and 0 <= value <= MAX_ORDER)
+    if key == "formula":
+        return value != "maina"
+    if key == "functionals":
+        return not (isinstance(value, dict) and {"mu_c", "mu_ctau"} <= value.keys())
+    if key == "mu_c":  # a string names a file next to the request: none, or the request
+        return not (isinstance(value, dict) and {"label", "moments"} <= value.keys())
+    if key == "label":
+        return not isinstance(value, str)
+    if key == "moments":
+        return not (isinstance(value, list) and all(map(_parses, value)))
+    return not _parses(value)  # one moment
+
+
+def _parses(moment) -> bool:
+    try:
+        parse_rational(moment)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+@st.composite
+def malformed_requests(draw) -> str:
+    """The text of an eval request that must be refused with exit 2."""
+    request = json.loads(_request())
+    slot = draw(st.sampled_from(_SLOTS + (None,)))
+    if slot is None:
+        text = draw(st.text(max_size=12) | _JSON.map(json.dumps))
+        try:
+            parsed = json.loads(text)
+        except ValueError:
+            return text
+        return text if not (isinstance(parsed, dict) and "parity" in parsed) else "[]"
+    *path, key = slot
+    parent = request
+    for step in path:
+        parent[step] = dict(parent[step]) if isinstance(parent[step], dict) else list(parent[step])
+        parent = parent[step]
+    if type(key) is str and key in parent and draw(st.booleans()):
+        del parent[key]  # a missing field
+    else:
+        junk = _NEAR_RATIONALS if type(key) is int else _JSON
+        parent[key] = draw(junk.filter(lambda value: _malformed(slot, value)))
+    return json.dumps(request)
+
+
+class TestEvalFuzz:
+    @given(malformed_requests())
+    # a result coefficient past the int -> str digit limit once exited 1
+    @example(_HUGE_RESULT)
+    def test_a_malformed_request_is_one_line_and_exit_2(self, request):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "request.json"
+            path.write_text(request)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["eval", str(path)])
+        assert (code, out.getvalue()) == (2, ""), request
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

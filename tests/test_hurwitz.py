@@ -190,14 +190,24 @@ class TestDerivedFamily:
             assert same(kernel[name], reference[name]), name
 
     def test_every_one_slot_mutation_has_the_reference_outcome(self):
-        """Built series and pole-guard errors agree with the Laurent route."""
+        """Built series and pole-guard errors agree with the Laurent route
+        wherever the pair obeys the parity rule: t^n may enter B only at
+        n = 0 (mod 4) and S only at n = 1 (mod 4).  Elsewhere reading b_plus
+        refuses the pair at the bumped slot."""
         order = 9
         b, s = generate_pair(order)
         for exponent in range(order + 1):
             bump = TSeries.monomial(1, exponent, order)
-            for pair in ((b + bump, s), (b, s + bump), (b, s - bump * 2)):
-                assert _outcome(lambda: _kernel_route(*pair)) == _outcome(
-                    lambda: reference_assemble(*pair)
+            for pair, weight in (((b + bump, s), 0), ((b, s + bump), 1), ((b, s - bump * 2), 1)):
+                kernel = _outcome(lambda: _kernel_route(*pair))
+                if exponent % 4 == weight:
+                    assert kernel == _outcome(lambda: reference_assemble(*pair)), exponent
+                    continue
+                name = "B" if weight == 0 else "S"
+                with pytest.raises(SeriesError, match=rf"^{name} breaks the parity rule"):
+                    assemble_set(*pair).b_plus
+                assert kernel[0] == "SeriesError" and kernel[1].endswith(
+                    f"at t^{exponent}, x^0"
                 ), exponent
 
     @pytest.mark.parametrize(
@@ -304,6 +314,13 @@ class TestBivariateTables:
             assert _reported(ENTRY["bb_diagonal"].run(set_, through)) == _result(
                 lambda: reference_bb_diagonal(set_, through)
             )
+
+    @given(tseries(min_val=0, max_len=9), tseries(min_val=0, max_len=9), st.integers(0, 9))
+    def test_a_symmetric_table_equals_its_unmirrored_form(self, f, h, m):
+        """``outer(f, f)`` and ``triple(f, f, h)`` compute the entries j >= i
+        and mirror the rest; a copy of f takes the unmirrored route."""
+        assert hurwitz.outer(f.h, f.h, m) == hurwitz.outer(f.h, list(f.h), m)
+        assert hurwitz.triple(f.h, f.h, h.h, m) == hurwitz.triple(f.h, list(f.h), h.h, m)
 
     def test_a_zero_entry_differs_first_where_the_other_is_nonzero(self):
         assert hurwitz.first_difference([[]], [[0, 64]], 0) == (0, 1)

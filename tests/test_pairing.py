@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from helpers_oracles import (
     sinh_series,
     value_on,
 )
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowup_series import series_set
@@ -61,10 +62,13 @@ class TestMomentFunctional:
         assert all(a is b for a, b in zip(mu.moments, moments))
         assert mu.moments[2] == F(5) and type(mu.moments[2]) is F
 
-    def test_json_round_trip(self):
-        mu = MomentFunctional("D_c", (F(1), F(-2, 3)))
-        again = MomentFunctional.from_json(mu.to_json())
-        assert again == mu
+    @given(st.text(), st.lists(st.fractions() | st.integers()))
+    @example("D_c", [F(1), F(-2, 3)])
+    def test_json_round_trip(self, label, moments):
+        """Through the JSON text and back, labels and moments come back as they were."""
+        mu = MomentFunctional(label, tuple(moments))
+        again = MomentFunctional.from_json(json.loads(json.dumps(mu.to_json())))
+        assert again == mu and again.to_json() == mu.to_json()
 
     def test_json_validation(self):
         with pytest.raises(ValueError):
