@@ -11,11 +11,11 @@ pairing formulas (:mod:`.pairing`), ``eval`` loads no catalog and
 """
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import blowup
@@ -51,59 +51,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GENERATION = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one line, without the usage block;
-    ``add_subparsers`` makes every subcommand parser one too."""
-
-    def error(self, message: str):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: each parse makes a fresh namespace."""
-    parser = _Parser(
-        prog="blowup-series",
-        description="Exact universal blow-up series: generation, identity "
-        "verification, golden-table comparison, and moment evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate one series and print it")
-    gen.add_argument("--series", required=True, choices=sorted(SELECTORS))
-    gen.add_argument("--order", type=int, default=28)
-    gen.add_argument("--format", choices=("json", "latex", "table"), default="table")
-    gen.add_argument("--normalization", choices=("plain", "factorial"), default="factorial")
-    gen.add_argument("--output", type=Path, default=None)
-
-    ver = sub.add_parser("verify", help="run the identity catalog, one JSON report per line")
-    ver.add_argument("--order", type=int, default=28)
-    ver.add_argument("--bivariate-order", type=int, default=16)
-    ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument(
-        "--identity",
-        action="append",
-        default=None,
-        help="run only this identity id (repeatable)",
-    )
-    ver.add_argument("--output", type=Path, default=None)
-
-    tab = sub.add_parser("table", help="regenerate and diff against the golden table")
-    tab.add_argument("--order", type=int, default=28)
-    tab.add_argument("--output", type=Path, default=None)
-
-    ev = sub.add_parser("eval", help="evaluate moment data through the pairing formulas")
-    ev.add_argument("request", type=Path, help="JSON evaluation request")
-    ev.add_argument("--output", type=Path, default=None)
-
-    bench = sub.add_parser("bench", help="time generation and every catalog identity")
-    bench.add_argument("--order", type=int, default=28)
-    bench.add_argument("--bivariate-order", type=int, default=16)
-    bench.add_argument("--output", type=Path, default=None)
-
-    return parser
 
 
 class _UsageError(Exception):
@@ -158,7 +105,7 @@ def _check_order(order: int, least: int, reason: str = "") -> None:
         raise _UsageError(f"--order must be <= {MAX_ORDER}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     _check_order(args.order, 0)
     # the recurrence needs at least order 4, plus one guard order so that
     # derivative-based series still reach the requested order
@@ -179,7 +126,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     _check_order(args.order, 8)
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
@@ -205,7 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     _check_order(args.order, 16, " to cover the golden table")
     from .verify import golden_check
 
@@ -233,7 +180,7 @@ def _load_json(path: Path):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     from .pairing import MomentFunctional, eval_even, eval_even_main_prime, eval_odd
 
     try:
@@ -287,7 +234,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: SimpleNamespace) -> int:
     _check_order(args.order, 4)
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
@@ -306,23 +253,106 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_OUTPUT = {"--output": (Path, None)}
+
+#: per command: its handler, its help line and its arguments.  ``--name`` is
+#: an option and a bare name the positional argument.  Each has a type, a
+#: converter or a tuple of choices (``list`` collects a repeated option's
+#: values in order), and a default, ``...`` where the argument is required
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
+    "gen": (_cmd_gen, "generate one series and print it", {
+        "--series": (tuple(sorted(SELECTORS)), ...), "--order": (int, 28),
+        "--format": (("json", "latex", "table"), "table"),
+        "--normalization": (("plain", "factorial"), "factorial"), **_OUTPUT}),
+    "verify": (_cmd_verify, "run the identity catalog, one JSON report per line", {
+        "--order": (int, 28), "--bivariate-order": (int, 16), "--jobs": (int, 1),
+        "--identity": (list, None), **_OUTPUT}),
+    "table": (_cmd_table, "regenerate and diff against the golden table", {"--order": (int, 28), **_OUTPUT}),
+    "eval": (_cmd_eval, "evaluate moment data through the pairing formulas", {"request": (Path, ...), **_OUTPUT}),
+    "bench": (_cmd_bench, "time generation and every catalog identity", {
+        "--order": (int, 28), "--bivariate-order": (int, 16), **_OUTPUT}),
 }
+
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # argparse's "-" tokens that are values; compiled on first use
+
+
+def _error(message: str, command: str = "") -> _UsageError:
+    """The one-line error, in argparse's words, of the program or of ``command``."""
+    return _UsageError(f"blowup-series{' ' + command if command else ''}: error: {message}")
+
+
+def _help(command: str = "") -> str:
+    """The usage of the program, or of ``command`` with every argument it takes."""
+    if not command:
+        rows = [f"  {name:<8}{about}" for name, (_, about, _) in _COMMANDS.items()]
+        return "\n".join([f"usage: blowup-series {{{','.join(_COMMANDS)}}} ...", "", *rows])
+    _, about, spec = _COMMANDS[command]
+    usage = f"usage: blowup-series {command} [OPTION ...]" + "".join(f" {n}" for n in spec if n[0] != "-")
+    rows = [usage, "", about]
+    for name, (kind, default) in spec.items():
+        shown = "{" + ",".join(kind) + "}" if type(kind) is tuple else name.lstrip("-").upper()
+        note = "required" if default is ... else "repeatable" if kind is list else default
+        rows.append(f"  {name} {shown}" + ("" if note is None else f"  ({note})"))
+    return "\n".join(rows)
+
+
+def _parse(argv: "list[str]") -> "SimpleNamespace | str":
+    """``argv`` as a namespace: ``command`` and each argument of that command, or the
+    usage text at ``-h``/``--help``.  Raises the :func:`_error` of a malformed line."""
+    if not argv:
+        raise _error("the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        if command in ("-h", "--help"):
+            return _help()
+        raise _error(f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    spec, values, extras, tokens = _COMMANDS[command][2], {}, [], iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        name, eq, value = token.partition("=")
+        if token[:1] == "-" and name in spec:
+            if not eq:
+                value = next(tokens, "-")  # past the end: no value
+                if value[:1] == "-" and not re.match(_NEGATIVE, value):
+                    raise _error(f"argument {name}: expected one argument", command)
+        elif token[:1] != "-" or re.match(_NEGATIVE, token):  # the positional argument
+            name, value = next((n for n in spec if n[0] != "-" and n not in values), None), token
+        if name not in spec:
+            extras.append(token)
+            continue
+        kind = spec[name][0]
+        if kind is list:
+            value = [*values.get(name, ()), value]
+        elif type(kind) is not tuple:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _error(f"argument {name}: invalid {kind.__name__} value: {value!r}", command) from None
+        elif value not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise _error(f"argument {name}: invalid choice: {value!r} (choose from {choices})", command)
+        values[name] = value
+    missing = [name for name, (_, default) in spec.items() if default is ... and name not in values]
+    if missing:
+        raise _error(f"the following arguments are required: {', '.join(missing)}", command)
+    if extras:
+        raise _error(f"unrecognized arguments: {' '.join(extras)}")
+    attrs = {name.lstrip("-").replace("-", "_"): values.get(name, default) for name, (_, default) in spec.items()}
+    return SimpleNamespace(command=command, **attrs)
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(args, str):  # -h or --help
+        print(args)
+        return EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except GenerationError as exc:
         print(f"{args.command}: generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION

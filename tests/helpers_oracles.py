@@ -10,12 +10,16 @@ only run at small orders, where it must agree with the production path.
 """
 from __future__ import annotations
 
+import argparse
 import math
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 from blowup_series.algebra import RationalLike, XPoly
 from blowup_series.algebra import first_coeff_difference
 from blowup_series.blowup import UnexpectedPoleError
+from blowup_series.cli import EXIT_USAGE, SELECTORS
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.series import (
     BiSeries,
@@ -576,3 +580,61 @@ def reference_eval(formula: str, series_set, mu: MomentFunctional, nu: MomentFun
     first, second, factor = EVAL_FORMULAS[formula]
     paired = reference_pair(getattr(series_set, first).truncate(order), mu)
     return paired + reference_pair(getattr(series_set, second).truncate(order), nu) * factor
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, without the usage block;
+    ``add_subparsers`` makes every subcommand parser one too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@lru_cache(maxsize=None)
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that the command line had before its option table:
+    the reference that ``cli._parse`` must agree with.  Built once per process."""
+    parser = _Parser(
+        prog="blowup-series",
+        description="Exact universal blow-up series: generation, identity "
+        "verification, golden-table comparison, and moment evaluation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("gen", help="generate one series and print it")
+    gen.add_argument("--series", required=True, choices=sorted(SELECTORS))
+    gen.add_argument("--order", type=int, default=28)
+    gen.add_argument("--format", choices=("json", "latex", "table"), default="table")
+    gen.add_argument("--normalization", choices=("plain", "factorial"), default="factorial")
+    gen.add_argument("--output", type=Path, default=None)
+
+    ver = sub.add_parser("verify", help="run the identity catalog, one JSON report per line")
+    ver.add_argument("--order", type=int, default=28)
+    ver.add_argument("--bivariate-order", type=int, default=16)
+    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument(
+        "--identity",
+        action="append",
+        default=None,
+        help="run only this identity id (repeatable)",
+    )
+    ver.add_argument("--output", type=Path, default=None)
+
+    tab = sub.add_parser("table", help="regenerate and diff against the golden table")
+    tab.add_argument("--order", type=int, default=28)
+    tab.add_argument("--output", type=Path, default=None)
+
+    ev = sub.add_parser("eval", help="evaluate moment data through the pairing formulas")
+    ev.add_argument("request", type=Path, help="JSON evaluation request")
+    ev.add_argument("--output", type=Path, default=None)
+
+    bench = sub.add_parser("bench", help="time generation and every catalog identity")
+    bench.add_argument("--order", type=int, default=28)
+    bench.add_argument("--bivariate-order", type=int, default=16)
+    bench.add_argument("--output", type=Path, default=None)
+
+    return parser

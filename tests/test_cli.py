@@ -3,19 +3,20 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from helpers_oracles import cosh_series, exp_t_squared
+from helpers_oracles import cosh_series, exp_t_squared, reference_parser
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import blowup_series
 
-from blowup_series import blowup, verify
+from blowup_series import blowup, cli, verify
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
@@ -578,14 +579,17 @@ def _with_request(argv: list, tmp_path: Path) -> list:
 
 
 #: a fresh interpreter imports the CLI, runs ``main(argv)`` and prints which
-#: of the watched modules it has loaded
+#: of the watched modules the package and the command have loaded
 _IMPORT_PROBE = """
-import io, json, sys
+import sys
+bare = set(sys.modules)
+import io, json
 import blowup_series, blowup_series.cli
 out, sys.stdout = sys.stdout, io.StringIO()
 code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-watched = ("blowup_series.verify", "blowup_series.pairing", "hashlib", "concurrent.futures")
-out.write(json.dumps([code, [name for name in watched if name in sys.modules]]))
+watched = ("blowup_series.verify", "blowup_series.pairing", "hashlib", "concurrent.futures",
+           "argparse", "gettext", "locale")
+out.write(json.dumps([code, [name for name in watched if name in set(sys.modules) - bare]]))
 """
 
 
@@ -604,7 +608,9 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     """Each command loads the modules it runs and no others: ``gen`` neither
     the catalog, the pairing formulas nor ``hashlib``, ``eval`` no catalog,
     the catalog commands no pairing.  None loads ``concurrent.futures``,
-    which pulls in logging; the serial catalog needs neither."""
+    which pulls in logging; the serial catalog needs neither.  None loads
+    ``argparse``, ``gettext`` or ``locale``: the command line is parsed from
+    the option table."""
     for argv, loaded in _LOADED:
         result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
         assert result.returncode == 0, result.stderr
@@ -758,6 +764,10 @@ _USAGE_ERRORS = {
     ),
     "eval-deeply-nested-json": (["eval", "REQUEST"], "[" * 100000 + "]" * 100000),
     "eval-result-past-the-digit-limit": (["eval", "REQUEST"], _HUGE_RESULT),
+    "verify-order-empty-after-equals": (["verify", "--order="], None),
+    "gen-abbreviated-option": (["gen", "--series", "B", "--ord", "4"], None),
+    "eval-second-positional": (["eval", "REQUEST", "REQUEST"], _request()),
+    "output-dash-value": (["gen", "--series", "B", "--output", "-x"], None),
 }
 
 
@@ -775,12 +785,23 @@ class TestUsage:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
 
-    def test_the_parser_is_built_once(self):
-        from blowup_series import cli
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], *([command, "--help"] for command in cli._COMMANDS)],
+        ids=" ".join,
+    )
+    def test_help_names_every_argument_and_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        names = cli._COMMANDS[argv[0]][2] if argv[0] in cli._COMMANDS else cli._COMMANDS
+        assert set(names) <= set(re.findall(r"--[\w-]+|\w+", out))
 
-        assert cli._build_parser() is cli._build_parser()
+    def test_equals_forms_and_a_repeated_identity_are_accepted(self, capsys):
+        code, out, err = run(capsys, "verify", "--order=8", "--identity", "bb", "--identity", "bbb")
+        assert code == 0, err
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [(r["identity"], r["order"]) for r in reports] == [("bb", 8), ("bbb", 8)]
 
-    def test_the_cached_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
+    def test_the_parser_keeps_no_state_between_calls(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--order", "8", "--identity", "bb")
         assert code == 0 and len(out.splitlines()) == 1
         code, out, _ = run(capsys, "verify", "--order", "8")
@@ -891,3 +912,118 @@ class TestEvalFuzz:
                 code = main(["eval", str(path)])
         assert (code, out.getvalue()) == (2, ""), request
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# command lines drawn from the option table, against the argparse reference
+
+#: values that neither parser takes: for an int, for a tuple of choices, anywhere
+_BAD_INT, _BAD_CHOICE, _BAD_ANYWHERE = ("x", "", "1.5"), ("Q?",), ("-x", "--frobnicate")
+
+
+def _values(kind) -> st.SearchStrategy:
+    """Values of an argument of this type, as command-line text."""
+    if kind is int:
+        return st.integers(-300, 300).map(str)  # negative numbers are values too
+    if type(kind) is tuple:
+        return st.sampled_from(kind)
+    # argparse drops a value of "--" as its end-of-options marker ("--output=--"
+    # gives output=[]), where the table parser keeps it
+    text = st.text("abz09./_=-", min_size=1, max_size=6).filter(lambda value: value != "--")
+    return st.sampled_from(CATALOG_IDS) | text
+
+
+@st.composite
+def command_lines(draw) -> "list[str]":
+    """A command line that both parsers accept: options in any order, some
+    repeated, some in ``--opt=value`` form, the others left at their defaults."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    spec = cli._COMMANDS[command][2]
+    names = draw(st.lists(st.sampled_from(sorted(n for n in spec if n[0] == "-")), max_size=6))
+    names += [name for name, (_, default) in spec.items() if default is ... and name not in names]
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        value = draw(_values(spec[name][0]))
+        dashed = value[:1] == "-" and not re.match(r"^-\d+$|^-\d*\.\d+$", value)
+        if name[0] != "-":
+            argv.append("./" + value if dashed else value)
+        elif dashed or draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    return argv
+
+
+def _roles(argv: "list[str]") -> "list[tuple[str, object]]":
+    """``(role, type)`` of each token of a drawn line: the command, an option
+    name, its value, an ``--opt=value`` token or the positional argument."""
+    spec = cli._COMMANDS[argv[0]][2]
+    roles, kind = [("command", None)], None
+    for token in argv[1:]:
+        if kind is not None:
+            roles.append(("value", kind))
+            kind = None
+        elif token in spec:
+            roles.append(("name", None))
+            kind = spec[token][0]
+        elif token.partition("=")[0] in spec:
+            roles.append(("equals", spec[token.partition("=")[0]][0]))
+        else:
+            roles.append(("positional", None))
+    return roles
+
+
+def _corruptions(role: str, kind, token: str) -> "tuple[str, ...]":
+    """Tokens that make a line malformed where ``token`` stood."""
+    if role == "command":
+        return ("frobnicate", "-x", "--order=4")
+    bad = _BAD_INT if kind is int else _BAD_CHOICE if type(kind) is tuple else ()
+    if role == "equals":
+        name = token.partition("=")[0]
+        return tuple(f"{name}={value}" for value in bad) + ("--frobnicate=4",)
+    if role == "name":  # its value is left as a stray positional argument
+        return _BAD_ANYWHERE + ("stray",)
+    return (bad if role == "value" else ()) + _BAD_ANYWHERE
+
+
+@st.composite
+def corrupted_lines(draw) -> "list[str]":
+    """A drawn command line with one token replaced by a malformed one."""
+    argv = draw(command_lines())
+    i = draw(st.integers(0, len(argv) - 1))
+    role, kind = _roles(argv)[i]
+    argv[i] = draw(st.sampled_from(_corruptions(role, kind, argv[i])))
+    return argv
+
+
+def _reference(argv: "list[str]"):
+    """The argparse namespace of ``argv``, or the ``SystemExit`` and stderr of its refusal."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return vars(reference_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc, err.getvalue()
+
+
+class TestParser:
+    @given(command_lines())
+    @example(["eval", "-5"])  # a negative number is a positional argument
+    @example(["verify", "--identity=bb", "--identity", "bbb", "--order", "-3", "--order=9"])
+    def test_a_drawn_line_gives_the_reference_namespace(self, argv):
+        assert vars(cli._parse(argv)) == _reference(argv)
+
+    @given(corrupted_lines())
+    @example(["gen", "-x", "B"])  # the required option's name is lost
+    @example(["eval", "-x"])  # the positional argument becomes an unknown option
+    @example(["eval", "stray", "o", "r.json"])  # a second positional argument
+    def test_a_corrupted_line_is_refused_by_both_parsers_alike(self, argv):
+        refusal = _reference(argv)
+        assert type(refusal) is tuple and refusal[0].code == 2, argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, ""), argv
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        if argv[0] in cli._COMMANDS:  # argparse reads "-x gen" as an option before the command
+            assert err.getvalue() == refusal[1]

@@ -33,6 +33,18 @@ def test_every_public_name_is_imported_by_a_demo_or_named_in_the_readme():
     assert sorted(set(blowup_series.__all__) - imported - named) == []
 
 
+def test_every_command_and_option_of_the_cli_is_in_the_readme():
+    """The README's Command line section names each command of ``cli``'s
+    option table and each argument, long option or positional, it takes."""
+    from blowup_series import cli
+
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[\w-]+|\w+", section))
+    table = {*cli._COMMANDS, *(name for _, _, spec in cli._COMMANDS.values() for name in spec)}
+    assert sorted(table - named) == []
+
+
 def _references(tree: ast.AST) -> Counter:
     """Names a tree reads: every ``Name``, ``Attribute`` and import alias, and
     every string constant that is an identifier (``_member("_odd", i)``)."""
