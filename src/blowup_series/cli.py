@@ -65,8 +65,8 @@ def _emit(text: str, output: "Path | None") -> None:
         return
     try:
         output.write_text(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise _UsageError(f"cannot write {output}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _latex_lines(name: str, series: TSeries, normalization: str) -> list[str]:

@@ -23,6 +23,10 @@ and ``bbb`` compare integer tables of entries i! j! [u^i v^j]
 (:func:`~blowup_series.blowup.table_mismatch`); the other rows compare
 vectors with :func:`~blowup_series.series.first_difference`.  The plain
 values of a mismatch are formed only at the first slot that differs.  The
+two ``pm_ode_*`` rows form no series product: the evaluation ODE is solved
+once, by :func:`~blowup_series.blowup.exponential_pair`, and each row
+compares (B^2 +- S^2)' with its t^0 entry times the derivative of that
+solution, which reports what the ODE's quotient form reports.  The
 eight ``degeneration_*`` rows evaluate a series at x = +-2, one Horner sum
 per entry, and compare it there with its closed form, built as an integer
 vector by :func:`~blowup_series.blowup.degeneration_forms`.
@@ -36,7 +40,6 @@ check that reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,13 +57,11 @@ from .blowup import (
     table_mismatch,
 )
 from .series import (
-    NonUnitLeadingError,
     SeriesError,
     TMismatch,
     TSeries,
     UVMismatch,
     first_difference,
-    plain_poly,
 )
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -143,46 +144,40 @@ def _equal(lhs: str, rhs: str) -> Check:
     return lambda st, order: first_difference(getattr(st, lhs), getattr(st, rhs), order)
 
 
-def _pm_ode_mismatch(series_set: BlowupSeriesSet, sign: int, order: int) -> "TMismatch | None":
+def _pm_ode(sign: int) -> Check:
     """d/dt (B^2 +- S^2) = ((B' +- S)/B)(2t) * (B^2 +- S^2), before evaluation.
 
-    The report is that of the quotient form, but both sides are multiplied
-    by B(2t) first, so the check takes two products and no reciprocal:
-    B(2t) (B^2 +- S^2)' against (B' +- S)(2t) (B^2 +- S^2), the equation
-    whose solution :func:`~blowup_series.blowup.exponential_pair` builds.
-    B(2t) is a unit with constant term B(0), so the two forms first differ at
-    the same slot (n, k), and there the difference of the products is B(0)
-    times that of the quotient form.  The quotient side's value is formed at that slot
-    only, and its truncation order is the one the quotient would have.
+    The check reads the solution b_+- of this equation that the set's
+    exponential group holds, and forms no series product.  The equation
+    B(2t) f' = (B' +- S)(2t) f is linear over Q[x], and sigma = B(2t) is a
+    unit, so f = B^2 +- S^2 solves it through t^n exactly when f = c b_+-
+    through t^(n+1), where c is the t^0 entry of f.  Let d = f - c b_+- have
+    its first nonzero entry at t^m, m >= 1.  With rho = (B' +- S)(2t), the
+    residual sigma d' - rho d is then first nonzero at t^(m-1), and there it
+    equals d'.  So f' and c b_+-' first differ at the slot where the
+    quotient form ((B' +- S)/B)(2t) f first differs from f', with the
+    quotient form's values: f' on the left and c b_+-' = f' - d' on the
+    right.  The right side is known through the quotient form's order, so
+    too high an order is refused with the quotient form's orders.  b_+-'
+    reaches that order wherever c != 0, since f then starts at t^0; where
+    c = 0 the right side is zero.  A pair the exponential group refuses
+    (B(0) != 1, a Laurent pair, or one that breaks the parity rule) raises
+    that group's error.
     """
-    if series_set.b.valuation != 0 or len(series_set.b.h[0]) != 1:
-        # every assembled set has B(0) = 1; a Laurent quotient has no table form
-        raise NonUnitLeadingError("the evaluation ODE needs B(0) to be a nonzero rational")
-    b2, s2, b, s = series_set.b2, series_set.s2, series_set.b, series_set.s
-    combo = b2 + s2 if sign == 1 else b2 - s2
-    numerator = b.derivative() + s if sign == 1 else b.derivative() - s
-    lhs = combo.derivative()
-    # the orders of (numerator / B) and of (numerator / B)(2t) * combo
-    quotient_order = min(numerator.order, b.order + numerator.valuation)
-    rhs_order = min(quotient_order + combo.valuation, combo.order + numerator.valuation)
-    if order > min(lhs.order, rhs_order):
-        raise SeriesError(
-            f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})"
-        )
-    left = hurwitz.mul(b.scale_arg(2).h, lhs.h, order + 1)
-    right = hurwitz.mul(numerator.scale_arg(2).h, combo.h, order + 1)
-    diff = hurwitz.first_difference(left, right, order)
-    if diff is None:
-        return None
-    n, k = diff
-    f = math.factorial(n)
-    got = plain_poly(lhs.h[n], f).coeff(k)
-    excess = (plain_poly(left[n], f) - plain_poly(right[n], f)).coeff(k)
-    return TMismatch(n, k, got, got - excess / b.h[0][0])
 
+    def check(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
+        solution = series_set.b_plus if sign == 1 else series_set.b_minus
+        b2, s2, b, s = series_set.b2, series_set.s2, series_set.b, series_set.s
+        combo = b2 + s2 if sign == 1 else b2 - s2
+        numerator = b.derivative() + s if sign == 1 else b.derivative() - s
+        # the orders of (numerator / B) and of (numerator / B)(2t) * combo
+        quotient_order = min(numerator.order, b.order + numerator.valuation)
+        rhs_order = min(quotient_order + combo.valuation, combo.order + numerator.valuation)
+        c = combo.h[0]
+        rhs = TSeries.from_kernel([hurwitz.product(c, p) for p in solution.derivative().h], rhs_order)
+        return first_difference(combo.derivative(), rhs, order)
 
-def _pm_ode(sign: int) -> Check:
-    return lambda st, order: _pm_ode_mismatch(st, sign, order)
+    return check
 
 
 def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":

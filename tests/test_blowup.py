@@ -175,7 +175,9 @@ class TestExponentialPair:
     @pytest.mark.parametrize("x_power, row", [(0, "btau_equals_s2"), (1, "b0_equals_b2")])
     def test_catalog_catches_a_corrupted_ode_solution(self, monkeypatch, x_power, row):
         """Add x^k t^6 / 6! to b_plus.  b0 keeps the terms of t^6 with odd k
-        and btau those with even k, so the term's x-parity picks the row."""
+        and btau those with even k, so the term's x-parity picks the equality
+        row.  Both pm_ode rows compare B^2 +- S^2 with the corrupted solution,
+        so they fail too."""
         b, s = generate_pair(12)
         solve = blowup._ode_solution
 
@@ -187,7 +189,7 @@ class TestExponentialPair:
 
         monkeypatch.setattr(blowup, "_ode_solution", shifted)
         reports = run_catalog(assemble_set(b, s), 11, bivariate_order=8)
-        assert {r.identity for r in reports if not r.passed} == {row}
+        assert {r.identity for r in reports if not r.passed} == {row, "pm_ode_plus", "pm_ode_minus"}
 
     def test_the_flip_solves_the_minus_equation_on_any_pair_that_obeys_the_parity_rule(self):
         """x t^6 has n + 2k = 8, so B + x t^6 obeys the rule but not (*)."""

@@ -768,6 +768,8 @@ _USAGE_ERRORS = {
     "gen-abbreviated-option": (["gen", "--series", "B", "--ord", "4"], None),
     "eval-second-positional": (["eval", "REQUEST", "REQUEST"], _request()),
     "output-dash-value": (["gen", "--series", "B", "--output", "-x"], None),
+    "output-nul-byte": (["gen", "--series", "B", "--order", "2", "--output", "a\0b"], None),
+    "double-dash-is-not-an-end-of-options-marker": (["gen", "--", "--series", "B"], None),
 }
 
 

@@ -39,7 +39,7 @@ from blowup_series.blowup import (
     odd_case_pair,
 )
 from blowup_series.series import SeriesError, TSeries, first_difference
-from blowup_series.verify import CATALOG, _pm_ode_mismatch, bbb_tables
+from blowup_series.verify import CATALOG, bbb_tables
 
 # denominators up to 12 make most Hurwitz entries n! [t^n] non-integral
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -256,8 +256,38 @@ def pairs(draw, extra=0, lead=None):
     return TSeries(0, b, m + extra), TSeries(0, s, m + extra), m
 
 
-#: (b, s, m) with B = 1 and S = x t^6 known through t^7, checked through t^6
-X_T6_PAIR = (TSeries.one(7), TSeries.monomial(XPoly((0, 1)), 6, 7), 6)
+def obeys_parity(b: TSeries, s: TSeries) -> bool:
+    """B and S are power series with B(0) = 1, and every term x^k t^n has
+    n + 2k = 0 (mod 4) in B and n + 2k = 1 (mod 4) in S: the pairs whose
+    evaluation ODE the exponential group solves."""
+    if min(b.valuation, s.valuation) < 0 or b.coeff(0) != XPoly((1,)):
+        return False
+    return all(
+        (n + 2 * k) % 4 == weight
+        for f, weight in ((b, 0), (s, 1))
+        for n, p in f.terms()
+        for k, v in enumerate(p.coeffs)
+        if v
+    )
+
+
+@st.composite
+def parity_pairs(draw):
+    """(b, s, m) from :func:`pairs`, projected onto the parity rule with B(0) = 1."""
+    b, s, m = draw(pairs(extra=1))
+
+    def projected(f: TSeries, weight: int, head: dict) -> TSeries:
+        terms = {
+            n: XPoly(v if (n + 2 * k) % 4 == weight else 0 for k, v in enumerate(p.coeffs))
+            for n, p in f.terms()
+        }
+        return TSeries.from_terms({**terms, **head}, f.order)
+
+    return projected(b, 0, {0: 1}), projected(s, 1, {}), m
+
+
+#: (b, s, m) with B = 1 and S = x t^7 known through t^8, checked through t^7
+X_T7_PAIR = (TSeries.one(8), TSeries.monomial(XPoly((0, 1)), 7, 8), 7)
 
 
 def checked_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
@@ -273,14 +303,23 @@ def _result(check):
         return f"{type(exc).__name__}: {exc}"
 
 
-_B0_MESSAGE = "the evaluation ODE needs B(0) to be a nonzero rational"
-
-
 ENTRY = {d.id: d for d in CATALOG}
 
 
 def _reported(report):
     return report.first_mismatch if report.error is None else report.error
+
+
+def _pm_ode_expected(set_: BlowupSeriesSet, sign: int, through: int):
+    """What a ``pm_ode`` row must report: the plain quotient route's result on
+    a pair that obeys the parity rule with B(0) = 1, and otherwise the
+    exponential group's error, which b0_equals_b2 reports too."""
+    if obeys_parity(set_.b, set_.s):
+        return _result(lambda: reference_pm_ode(set_, sign, through))
+    refused = _result(lambda: set_.b_plus)
+    assert isinstance(refused, str) and refused.startswith("SeriesError: ")
+    assert refused == _reported(ENTRY["b0_equals_b2"].run(set_, through))
+    return refused
 
 
 class TestBivariateTables:
@@ -299,18 +338,21 @@ class TestBivariateTables:
         for kernel, plain in zip(tables, reference_bbb_sides(b, s, m)):
             assert _biseries(kernel, m).to_json() == plain.to_json()
 
-    @given(pairs(extra=1, lead=nonzero_rationals), st.sampled_from((1, -1)))
-    # a drawn counterexample: a zero entry against a nonzero one was once
-    # reported as differing at x^0
-    @example(X_T6_PAIR, 1)
-    @example(X_T6_PAIR, -1)
+    @given(
+        st.one_of(parity_pairs(), pairs(extra=1, lead=nonzero_rationals)), st.sampled_from((1, -1))
+    )
+    # a zero entry against a nonzero one was once reported as differing at x^0
+    @example(X_T7_PAIR, 1)
+    @example(X_T7_PAIR, -1)
     def test_ode_checks_equal_the_plain_route(self, pair, sign):
+        """On a pair that obeys the parity rule with B(0) = 1 the row reports
+        what the plain quotient route reports; on any other pair it reports
+        the exponential group's error, as b0_equals_b2 does."""
         b, s, m = pair
         set_ = checked_set(b, s)
+        row = ENTRY["pm_ode_plus" if sign == 1 else "pm_ode_minus"]
         for through in (m, m + 1):
-            assert _result(lambda: _pm_ode_mismatch(set_, sign, through)) == _result(
-                lambda: reference_pm_ode(set_, sign, through)
-            )
+            assert _reported(row.run(set_, through)) == _pm_ode_expected(set_, sign, through)
             assert _reported(ENTRY["bb_diagonal"].run(set_, through)) == _result(
                 lambda: reference_bb_diagonal(set_, through)
             )
@@ -325,12 +367,12 @@ class TestBivariateTables:
     def test_a_zero_entry_differs_first_where_the_other_is_nonzero(self):
         assert hurwitz.first_difference([[]], [[0, 64]], 0) == (0, 1)
         assert hurwitz.first_difference_table([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2)
-        # B = 1, S = x t^6: the t^6 slot of the ODE check differs at x^1 only
-        b = TSeries.one(7)
-        s = TSeries.monomial(XPoly((0, 1)), 6, 7)
+        # B = 1, S = x t^7: the t^7 slot of the ODE checks differs at x^1 only
+        b, s, m = X_T7_PAIR
         set_ = checked_set(b, s)
-        got = _pm_ode_mismatch(set_, 1, 6)
-        assert got == reference_pm_ode(set_, 1, 6) and (got.t, got.x) == (6, 1)
+        for cid, sign in (("pm_ode_plus", 1), ("pm_ode_minus", -1)):
+            got = ENTRY[cid].check(set_, m)
+            assert got == reference_pm_ode(set_, sign, m) and (got.t, got.x) == (7, 1)
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
         b, s = set17.b, set17.s
@@ -364,9 +406,5 @@ class TestMutatedPairs:
             )
             for cid, sign in (("pm_ode_plus", 1), ("pm_ode_minus", -1)):
                 report = ENTRY[cid].run(set_, through)
-                if b.valuation == 0:
-                    expected = _result(lambda: reference_pm_ode(set_, sign, through))
-                else:  # B(0) = 0: the reference divides by a Laurent series
-                    expected = f"NonUnitLeadingError: {_B0_MESSAGE}"
-                assert _reported(report) == expected
+                assert _reported(report) == _pm_ode_expected(set_, sign, through)
         return not bb.passed

@@ -31,6 +31,48 @@ FRAK = ("b0_equals_b2", "btau_equals_s2", "ws0_equals_wronskian", "ws1_equals_bs
 PM_ODE = ("pm_ode_plus", "pm_ode_minus")
 
 
+def _bumped(series, n, k, delta):
+    """``series`` with ``delta`` added to x^k of its kernel entry n."""
+    h = [list(p) for p in series.h]
+    h[n] += [0] * (k + 1 - len(h[n]))
+    h[n][k] += delta
+    return TSeries.from_kernel([hurwitz.clean(p) for p in h], series.order)
+
+
+def _with_products(base, b2, s2):
+    """A set over ``base``'s pair whose B^2 and S^2 are replaced; every other
+    group is ``base``'s."""
+    set_ = assemble_set(base.b, base.s)
+    vars(set_)["_products"] = (b2, s2, base.bs, base.wronskian)
+    vars(set_)["_exponential"] = base._exponential
+    return set_
+
+
+def _pm_ode_reports_equal_the_quotient_form(set_, throughs):
+    """Both rows report what the quotient form with B's reciprocal reports,
+    slot, values and errors, through each order; returns how many failed.
+
+    The quotient form is held to the plain reference once per row, at the
+    highest order it reaches: both compare series that do not depend on the
+    order, so their first differences then agree at every lower one too."""
+    failed = 0
+    for cid, sign in zip(PM_ODE, (1, -1)):
+        top = None
+        for through in throughs:
+            report = ENTRY[cid].run(set_, through)
+            try:
+                expected = quotient_pm_ode(set_, sign, through)
+            except SeriesError as exc:
+                assert report.error == f"SeriesError: {exc}"
+                continue
+            assert report.error is None and report.first_mismatch == expected
+            failed += not report.passed
+            top = through, expected
+        if top is not None:
+            assert top[1] == reference_pm_ode(set_, sign, top[0])
+    return failed
+
+
 def _mutated_set(base_order=12, exponent=4, delta=F(1, 24)):
     """A series set whose even series is perturbed at one t-slot."""
     b, s = generate_pair(base_order)
@@ -135,29 +177,30 @@ class TestOdeAndBivariate:
     def test_pm_ode_failure_reports_equal_the_quotient_form(self, b2_change, s2_change):
         """One corrupted kernel entry of b2 and one of s2: both rows report what
         the quotient form with B's reciprocal reports, slot, values and errors."""
+        base = series_set(13)
+        set_ = _with_products(base, _bumped(base.b2, *b2_change), _bumped(base.s2, *s2_change))
+        assert _pm_ode_reports_equal_the_quotient_form(set_, (3, 5, 9, 12, 13)) >= 4
 
-        def bumped(series, n, k, delta):
-            h = [list(p) for p in series.h]
-            h[n] += [0] * (k + 1 - len(h[n]))
-            h[n][k] += delta
-            return TSeries.from_kernel([hurwitz.clean(p) for p in h], series.order)
-
-        set_ = assemble_set(*generate_pair(13))
-        b2, s2, bs, wronskian = set_.b2, set_.s2, set_.bs, set_.wronskian
-        vars(set_)["_products"] = (bumped(b2, *b2_change), bumped(s2, *s2_change), bs, wronskian)
+    def test_pm_ode_reports_equal_the_quotient_form_on_every_one_entry_corruption(self):
+        """Every entry x^0 .. x^3 of b2 and of s2 at an order-13 set, one at a
+        time, through every order 0 .. 14.  A corrupted t^0 entry makes the
+        factor c of the check 2, or makes B^2 - S^2 start at t^1."""
+        base = series_set(13)
         failed = 0
-        for cid, sign in zip(PM_ODE, (1, -1)):
-            for through in (3, 5, 9, 12, 13):
-                report = ENTRY[cid].run(set_, through)
-                try:
-                    expected = quotient_pm_ode(set_, sign, through)
-                except SeriesError as exc:
-                    assert report.error == f"SeriesError: {exc}"
-                    continue
-                assert report.error is None and report.first_mismatch == expected
-                assert expected == reference_pm_ode(set_, sign, through)
-                failed += not report.passed
-        assert failed >= 4
+        for n in range(14):
+            for k in range(4):
+                b2, s2 = _bumped(base.b2, n, k, 1), _bumped(base.s2, n, k, 1)
+                for set_ in (_with_products(base, b2, base.s2), _with_products(base, base.b2, s2)):
+                    failed += _pm_ode_reports_equal_the_quotient_form(set_, range(15))
+        assert failed > 1000
+
+    def test_the_ode_rows_form_no_series_product(self, monkeypatch):
+        set_ = build_series_set(17)
+        mul = hurwitz.mul
+        calls = []
+        monkeypatch.setattr(hurwitz, "mul", lambda *args: calls.append(args) or mul(*args))
+        assert all(r.passed for r in run_catalog(set_, 16, identities=PM_ODE))
+        assert calls == []
 
     def test_bb_diagonal_passes(self, set17):
         assert ENTRY["bb_diagonal"].run(set17, 16).passed
@@ -226,7 +269,7 @@ class TestOdeAndBivariate:
 
         blowup.golden_table()  # parsed once per process, from kernel vectors
         monkeypatch.setattr(TSeries, "__init__", counted_init)
-        for module in (series, blowup, verify):
+        for module in (series, blowup):  # verify forms plain values only through series
             monkeypatch.setattr(module, "plain_poly", counted_plain)
         st = build_series_set(13)
         assert all(r.passed for r in run_catalog(st, 12, bivariate_order=8))
