@@ -48,11 +48,11 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from . import hurwitz
 from .algebra import Rational, XPoly
-from .hurwitz import Poly, add, clean, divided, scaled, symmetric_sum
+from .hurwitz import Poly, add, clean, divided, pair_pieces, pair_products, pair_sum, parts, scaled
 from .series import BiSeries, SeriesError, TSeries, UVMismatch, plain_poly
 
 
@@ -73,7 +73,12 @@ def _c(n: int, k: int) -> int:
     return math.comb(n, k) if 0 <= k <= n else 0
 
 
-def _e4_rest(b: Sequence[Poly], s: Sequence[Poly], n: int) -> Poly:
+#: the stored pair products of one vector by d: the pieces (i, r, c) of
+#: :func:`hurwitz.pair_products`
+Pairs = dict[int, list[tuple[int, int, Poly]]]
+
+
+def _e4_rest(b_pairs: Pairs, s_pairs: Pairs, n: int) -> Poly:
     """Left side of (E4) at t^n in the Hurwitz basis, unknown b_{n+4} read as zero.
 
     Products are binomial convolutions and derivatives index shifts, so
@@ -81,29 +86,42 @@ def _e4_rest(b: Sequence[Poly], s: Sequence[Poly], n: int) -> Poly:
     W(i) = C(n,i-4) - 4C(n,i-3) + 3C(n,i-2).  The unknown enters only as
     b_0 b_{n+4} = b_{n+4}, so b_{n+4} = -rest needs no division.
     """
-    acc = symmetric_sum([], b, n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2))
-    symmetric_sum(acc, b, n, lambda i: 2 * _c(n, i))
+    acc = pair_sum(
+        (b_pairs[n + 4], n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2)),
+        (b_pairs[n], n, lambda i: 2 * _c(n, i)),
+    )
     # -4x S^2: the sum over S, times x by a shift of one x-power
-    return add(acc, [0] + symmetric_sum([], s, n, lambda i: -4 * _c(n, i)))
+    return add(acc, [0] + pair_sum((s_pairs[n], n, lambda i: -4 * _c(n, i))))
 
 
-def _e2_rest(b: Sequence[Poly], s: Sequence[Poly], m: int) -> Poly:
+def _e2_rest(b_pairs: Pairs, s_pairs: Pairs, m: int) -> Poly:
     """Left side of (E2) at t^m in the Hurwitz basis, unknowns read as zero.
 
     The unknown s_{m-1} enters only through s_1 s_{m-1}, with weight
     C(m,1) + C(m,m-1) = 2m, so s_{m-1} = -rest / (2m).
     """
-    acc = symmetric_sum([], b, m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1))
-    return clean(symmetric_sum(acc, s, m, lambda i: _c(m, i)))
+    return clean(
+        pair_sum(
+            (b_pairs[m + 2], m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1)),
+            (s_pairs[m], m, lambda i: _c(m, i)),
+        )
+    )
 
 
 def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     """Generate the blow-up pair (B, S) exactly through t^order.
 
-    ``order`` must be at least 4.  After the recurrence the generated pair
-    is checked: the seed-redundant (E2) instances must vanish and the
-    coefficients must match the embedded golden table wherever it reaches.
-    Any mismatch raises :class:`GenerationError` naming the offending degree.
+    ``order`` must be at least 4.  Each pair product b_i b_{d-i} and
+    s_i s_{d-i} is formed once (:func:`hurwitz.pair_products`) and kept only
+    while a later step reads it: (E4) at t^n reads the b-pairs of n + 4 and
+    of n and the s-pairs of n, (E2) at t^(n+2) the b-pairs of n + 4 and the
+    s-pairs of n + 2.  The pair that holds a step's unknown joins its list
+    once the step has solved it; its other factor is b_0 = 1 or s_1 = 1.
+
+    After the recurrence the generated pair is checked: the seed-redundant
+    (E2) instances must vanish and the coefficients must match the embedded
+    golden table wherever it reaches.  Any mismatch raises
+    :class:`GenerationError` naming the offending degree.
     """
     if order < 4:
         raise ValueError(f"generation needs order >= 4, got {order}")
@@ -114,11 +132,20 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     b[0] = [1]
     s[1] = [1]
     s[3] = [0, -1]  # 3! * (-x/6)
+    # the x-parity parts of each entry, which the pair products read
+    b_parts, s_parts = ([parts(p) if p else [] for p in h] for h in (b, s))
+    b_pairs: Pairs = {d: pair_products(b_parts, d) for d in (0, 2)}
+    s_pairs: Pairs = {0: []}  # s_0 = 0
 
     for n in range(0, order, 2):
-        b[n + 4] = [-v for v in _e4_rest(b, s, n)]
+        d = n + 4
+        b_pairs[d] = pair_products(b_parts, d)
+        b[d] = [-v for v in _e4_rest(b_pairs, s_pairs, n)]
+        b_parts[d] = parts(b[d])
+        b_pairs[d] += pair_pieces(0, b_parts[0], b_parts[d])
         m = n + 2
-        rest = _e2_rest(b, s, m)
+        s_pairs[m] = pair_products(s_parts, m)
+        rest = _e2_rest(b_pairs, s_pairs, m)
         if m in (2, 4):
             if rest:
                 residual = XPoly(rest) / math.factorial(m)
@@ -127,6 +154,9 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
                 )
         else:
             s[m - 1] = divided(rest, -2 * m)
+            s_parts[m - 1] = parts(s[m - 1])
+            s_pairs[m] += pair_pieces(1, s_parts[1], s_parts[m - 1])
+        del b_pairs[n], s_pairs[n]  # no later step reads the pairs of n
 
     hb, hs = TSeries.from_kernel(b, order), TSeries.from_kernel(s, order)
     _check_against_golden(hb, hs)
@@ -469,8 +499,7 @@ def golden_table_hash() -> str:
     return hashlib.sha256(_golden_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class GoldenDiff:
+class GoldenDiff(NamedTuple):
     """One coefficient slot where a generated series leaves the golden table."""
 
     row: str

@@ -44,7 +44,7 @@ SELECTORS = {
 #: largest order any command builds.  The full set grows about as order^4.5
 #: (0.9 s at order 129 and 21 s at 257 on a 2-core host with Python 3.11), so
 #: order 512 would take about eight minutes; the checked pair alone, all that
-#: ``gen --series B|S`` builds, takes 0.15 s and 3.4 s there
+#: ``gen --series B|S`` builds, takes 0.06 s and 1.0-1.1 s there
 MAX_ORDER = 256
 
 EXIT_OK = 0

@@ -18,7 +18,10 @@ these binomial sums: :func:`convolve` adds one such entry, and
 :func:`symmetric_sum` adds a weighted sum over the pairs h_i h_{d-i} of
 one vector, one polynomial product per unordered pair.  Products,
 reciprocals, square roots, the linear ODE solver and the bivariate
-tables are built on them.  Reciprocals of units with constant term +-1
+tables are built on them.  A recurrence that reads the pairs of one d
+several times, with other weights, forms them once
+(:func:`pair_products`, split by x-parity) and sums them with
+:func:`pair_sum`.  Reciprocals of units with constant term +-1
 never divide; the linear ODE solver divides by one small integer per
 entry, which divides exactly on the blow-up series.  The exponential is
 that solver with sigma = 1: exp(f) solves w' = f' w, whose divisor is
@@ -26,10 +29,11 @@ the lead 1.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from typing import Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Poly = list  # list[Scalar], ascending powers of x, no trailing zeros
@@ -132,6 +136,66 @@ def symmetric_sum(acc: Poly, h: Sequence[Poly], d: int, weight) -> Poly:
             if w:
                 addmul(acc, w, p, q)
     return acc
+
+
+def parts(p: Poly) -> list[tuple[int, Poly]]:
+    """The parts ``(r, c)`` of p = sum_r x^r c(x^2), r in (0, 1), that do not vanish."""
+    return [(r, c) for r, c in enumerate((p[0::2], p[1::2])) if any(c)]
+
+
+def pair_pieces(i: int, p: list, q: list) -> list[tuple[int, int, Poly]]:
+    """The product of two entries h_i, h_{d-i} given by their :func:`parts`,
+    as pieces ``(i, r, c)``: the product is the sum of x^r c(x^2) over them.
+
+    An entry that is even or odd in x, as every entry of the blow-up pair is
+    under its parity rule, has one part, so two such entries give one piece
+    for a quarter of the scalar products of :func:`product`.  A part 1 is
+    not multiplied.
+    """
+    pieces = []
+    for ra, a in p:
+        for rb, b in q:
+            if a == [1] or b == [1]:
+                c = b if a == [1] else a
+            else:
+                c = []
+                addmul(c, 1, a, b)
+            pieces.append((i, (ra + rb) % 2, [0] * ((ra + rb) // 2) + c))
+    return pieces
+
+
+def pair_products(h: Sequence[list], d: int) -> list[tuple[int, int, Poly]]:
+    """The pieces of every product h_i h_{d-i}, one per unordered pair
+    i <= d - i over the i that ``h`` reaches, from the :func:`parts` of each
+    entry (:func:`pair_pieces`)."""
+    return [
+        piece
+        for i in range(max(0, d - len(h) + 1), d // 2 + 1)
+        if h[i] and h[d - i]
+        for piece in pair_pieces(i, h[i], h[d - i])
+    ]
+
+
+def pair_sum(*sums: tuple[Iterable[tuple[int, int, Poly]], int, Callable]) -> Poly:
+    """The sum over ``(pieces, d, weight)`` of sum_i weight(i) h_i h_{d-i},
+    from the pieces of :func:`pair_products` at d, each unordered pair
+    weighted as :func:`symmetric_sum` weighs it; uncleaned."""
+    weights: list[list] = [[], []]  # per x-parity r: the weights of its pieces
+    parted: list[list[Poly]] = [[], []]  # and the pieces
+    for pieces, d, weight in sums:
+        for i, r, c in pieces:
+            j = d - i
+            weights[r].append(weight(i) + weight(j) if i < j else weight(i))
+            parted[r].append(c)
+    # the two x-parity halves of the sum, in x^2, one power of x^2 at a time
+    halves = [
+        [sum(map(operator.mul, weights[r], column)) for column in zip_longest(*parted[r], fillvalue=0)]
+        for r in (0, 1)
+    ]
+    out = [0] * (2 * max(map(len, halves)))
+    for r, half in enumerate(halves):
+        out[r : 2 * len(half) : 2] = half
+    return out
 
 
 def mul(f: Sequence[Poly], g: Sequence[Poly], length: int) -> list[Poly]:

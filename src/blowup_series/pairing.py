@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import Rational, RationalLike, parse_rational
 from .blowup import BlowupSeriesSet, degeneration_forms, series_set
@@ -151,8 +151,7 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     return _x_free(_paired(f.h, mu, f.order), f.order)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """An evaluated invariant series plus which formula produced it."""
 
     series: TSeries

@@ -35,9 +35,8 @@ compare divided-power tables (:mod:`blowup_series.blowup`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import hurwitz
 from .algebra import Rational, RationalLike, XPoly, first_coeff_difference
@@ -491,8 +490,7 @@ def _json_coeffs(data: Mapping) -> list:
 # mismatch reporting
 
 
-@dataclass(frozen=True)
-class TMismatch:
+class TMismatch(NamedTuple):
     """First coefficient disagreement between two univariate series."""
 
     t: int
@@ -504,8 +502,7 @@ class TMismatch:
         return {"t": self.t, "x": self.x, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-@dataclass(frozen=True)
-class UVMismatch:
+class UVMismatch(NamedTuple):
     """First coefficient disagreement between two bivariate series."""
 
     u: int

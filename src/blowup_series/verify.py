@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import hurwitz
 from .blowup import (
@@ -74,8 +74,7 @@ BIVARIATE = "bivariate"
 Check = Callable[[BlowupSeriesSet, int], "TMismatch | UVMismatch | None"]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity check at one truncation order."""
 
     identity: str

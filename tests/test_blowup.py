@@ -110,11 +110,12 @@ class TestGeneration:
         self, monkeypatch, step, at, entry, row
     ):
         """b_10 from (E4) at t^6, or s_13 from (E2) at t^14, is knocked off.
-        s_13 feeds B only above t^16, so the S row is the first to differ."""
+        s_13 feeds B only above t^16, so the S row is the first to differ.
+        Each step reads the stored pair products of B and of S."""
         rest = getattr(blowup, step)
 
-        def perturbed(b, s, n):
-            value = rest(b, s, n)
+        def perturbed(b_pairs, s_pairs, n):
+            value = rest(b_pairs, s_pairs, n)
             return hurwitz.add(value, [1]) if n == at else value
 
         monkeypatch.setattr(blowup, step, perturbed)
@@ -122,6 +123,30 @@ class TestGeneration:
         with pytest.raises(GenerationError, match=message) as raised:
             generate_pair(20)
         assert raised.value.degree == entry
+
+    @pytest.mark.parametrize("order", [5, 20, 65])
+    def test_each_pair_product_is_formed_once(self, monkeypatch, order):
+        """(E4) and (E2) read the pairs b_i b_{d-i} of one d up to three times,
+        and s_i s_{d-i} twice; each product is formed once, and one with the
+        factor b_0 = 1 or s_1 = 1 not at all.  (E4) at t^n reads the b-pairs of
+        n + 4 and the s-pairs of n, (E2) at t^(n+2) the s-pairs of n + 2, for
+        the even n below ``order``.  Past the returned vectors stand only pairs
+        with b_0 or s_1."""
+        addmul = hurwitz.addmul
+        calls = []
+        monkeypatch.setattr(hurwitz, "addmul", lambda *args: calls.append(args) or addmul(*args))
+        b, s = generate_pair(order)
+        last = (order - 1) // 2 * 2
+
+        def products(h, top):
+            return sum(
+                1
+                for d in range(0, top + 1, 2)
+                for i in range(max(0, d - len(h) + 1), d // 2 + 1)
+                if h[i] and h[d - i] and [1] not in (h[i], h[d - i])
+            )
+
+        assert len(calls) == products(b.h, last + 4) + products(s.h, last + 2)
 
 
 class TestDerivedProducts:

@@ -57,6 +57,15 @@ GEN_128_SHA256 = {
     ("BMINUS", "factorial"): "49ffa30fa9234dd54c68c6511b0629668c14587af276656fbb3302ff773e05be",
 }
 
+#: sha256 of `gen --series SERIES --order 256 --format json --normalization NORM`:
+#: the pair at the order cap, held byte-identical through the whole recurrence
+GEN_256_SHA256 = {
+    ("B", "factorial"): "6208bcc5ed4241c7cd373a230901940d1227940dfcd4f1c1454b78d53da3636c",
+    ("B", "plain"): "3e6a1ed59cfe07b9e61a4483d96378789224d995402a4321743400f0ee0ae554",
+    ("S", "factorial"): "3a0c2d1a9d47322f41ef3ab324472df7b32a130cf66876bae215a39aff96f811",
+    ("S", "plain"): "c42b0a8d4483bff8101bac4fdac948edf4e67de2d4707ed41e377ddb887dd45f",
+}
+
 
 def _refuse_groups(monkeypatch, *names):
     """Make the named derived-group constructions raise, on a fresh series-set cache."""
@@ -138,6 +147,16 @@ class TestGen:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GEN_128_SHA256[series, normalization]
+
+    @pytest.mark.parametrize("series, normalization", sorted(GEN_256_SHA256))
+    def test_the_pair_matches_the_pinned_digest_at_the_order_cap(self, capsys, series, normalization):
+        assert MAX_ORDER == 256
+        code, out, _ = run(
+            capsys, "gen", "--series", series, "--order", "256", "--format", "json",
+            "--normalization", normalization,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_256_SHA256[series, normalization]
 
     @pytest.mark.parametrize("selector", ["B", "S"])
     def test_the_pair_builds_no_derived_series(self, capsys, monkeypatch, selector):

@@ -45,6 +45,13 @@ from blowup_series.verify import CATALOG, bbb_tables
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 nonzero_rationals = rationals.filter(bool)
 xpolys = st.lists(rationals, max_size=4).map(XPoly)
+# kernel entries: int and Fraction scalars, zero, the unit, and entries even
+# or odd in x as the blow-up pair's are
+_entries = st.lists(st.one_of(st.integers(-3, 3), rationals), max_size=6).map(hurwitz.clean)
+_parity_entries = st.tuples(_entries, st.integers(0, 1)).map(
+    lambda e: hurwitz.clean([v if k % 2 == e[1] else 0 for k, v in enumerate(e[0])])
+)
+kernel_vectors = st.lists(st.one_of(_entries, _parity_entries, st.just([1]), st.just([0, 1])), max_size=10)
 
 
 @st.composite
@@ -151,6 +158,25 @@ class TestRecurrence:
         for n in range(order + 1):
             assert b.coeff(n) == b_plain[n], f"b mismatch at t^{n}"
             assert s.coeff(n) == s_plain[n], f"s mismatch at t^{n}"
+
+    @given(
+        kernel_vectors,
+        st.integers(0, 20),
+        st.integers(0, 20),
+        st.lists(st.integers(-9, 9), min_size=21, max_size=21),
+    )
+    # an entry with both x-parities times a Fraction entry, x (odd part 1)
+    # squared, and a second sum whose d reaches past the vector
+    @example([[1, 2], [0, 1], [F(1, 2), 0, -1]], 2, 7, [1] * 21)
+    @example([[3], [0, 1]], 5, 0, list(range(21)))
+    def test_stored_pair_products_give_the_symmetric_sum(self, h, d, e, weights):
+        """The pair products formed once and summed with weights equal the
+        weighted sums that form each product as they add it."""
+        parted = [hurwitz.parts(p) for p in h]
+        w = weights.__getitem__
+        stored = hurwitz.pair_sum((hurwitz.pair_products(parted, d), d, w), (hurwitz.pair_products(parted, e), e, w))
+        direct = hurwitz.symmetric_sum(hurwitz.symmetric_sum([], h, d, w), h, e, w)
+        assert hurwitz.clean(stored) == hurwitz.clean(direct)
 
     def test_extracted_relations_vanish_on_plain_coefficients(self):
         order = 20
