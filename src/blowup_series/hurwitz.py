@@ -13,19 +13,19 @@ Python ints.
 In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
 1997) the product is the binomial convolution
 ``(fg)_n = sum_k C(n, k) f_k g_{n-k}``, d/dt and the integral from 0 are
-index shifts, and t -> c t multiplies entry n by c^n.  Two sums carry
-these binomial sums: :func:`convolve` adds one such entry, and
-:func:`symmetric_sum` adds a weighted sum over the pairs h_i h_{d-i} of
-one vector, one polynomial product per unordered pair.  Products,
-reciprocals, square roots, the linear ODE solver and the bivariate
-tables are built on them.  A recurrence that reads the pairs of one d
-several times, with other weights, forms them once
-(:func:`pair_products`, split by x-parity) and sums them with
-:func:`pair_sum`.  Reciprocals of units with constant term +-1
-never divide; the linear ODE solver divides by one small integer per
-entry, which divides exactly on the blow-up series.  The exponential is
-that solver with sigma = 1: exp(f) solves w' = f' w, whose divisor is
-the lead 1.
+index shifts, and t -> c t multiplies entry n by c^n.  One primitive
+serves each way of reading polynomial products.  :func:`convolve` adds
+one entry of the product of two vectors (``mul``, ``recip``, the linear
+ODE solver, ``triple``).  :func:`symmetric_sum` adds a weighted sum over
+the pairs h_i h_{d-i} of one vector, each read once, one product per
+unordered pair (``mul`` of a vector with itself, ``sqrt``).  Pairs that
+are read many times with other weights (the E2/E4 recurrence,
+:func:`product_pm`) are formed once by :func:`pair_products`, split by
+x-parity, and weighed by :func:`pair_sum`.  Reciprocals of units with
+constant term +-1 never divide; the linear ODE solver divides by one
+small integer per entry, which divides exactly on the blow-up series.
+The exponential is that solver with sigma = 1: exp(f) solves w' = f' w,
+whose divisor is the lead 1.
 """
 from __future__ import annotations
 
@@ -321,24 +321,20 @@ def product_pm(f: Sequence[Poly], m: int) -> Table:
 
     Entry (i, j) is sum_n K_ij(n) f_n f_{i+j-n} with the x-free weights
     K_ij(n) = sum_{k+l=n} C(i,k) C(j,l) (-1)^(j-l) = [z^n] (1+z)^i (z-1)^j,
-    so only the O(m^2) pair products f_n f_{d-n} touch polynomials.
-    Since K_ij(d - n) = (-1)^j K_ij(n), the entries with odd j vanish and
-    the others need only n <= d/2.
+    so only the O(m^2) pair products f_n f_{d-n} touch polynomials: each is
+    formed once (:func:`pair_products`) and read by every entry of total
+    degree d (:func:`pair_sum`).  Since K_ij(d - n) = (-1)^j K_ij(n), the
+    entries with odd j vanish, and the others give the unordered pair
+    n < d - n the weight K_ij(n) + K_ij(d - n), as :func:`pair_sum` does.
     """
-    pairs = [[product(_at(f, n), _at(f, d - n)) for n in range(d // 2 + 1)] for d in range(m + 1)]
+    parted = [parts(p) for p in f[: m + 1]]
+    pairs = [pair_products(parted, d) for d in range(m + 1)]
     out: Table = []
     for i in range(m + 1):
         weights = [comb(i, n) for n in range(i + 1)]  # (1+z)^i, then times (z-1) per j
         row = []
         for j in range(m - i + 1):
-            d = i + j
-            acc: Poly = []
-            if j % 2 == 0:
-                for n, p in enumerate(pairs[d]):
-                    w = weights[n] if 2 * n == d else 2 * weights[n]
-                    if p and w:
-                        addmul(acc, w, p, [1])
-            row.append(clean(acc))
+            row.append(clean(pair_sum((pairs[i + j], i + j, weights.__getitem__))) if j % 2 == 0 else [])
             weights = [a - b for a, b in zip([0] + weights, weights + [0])]
         out.append(row)
     return out

@@ -49,6 +49,7 @@ from . import hurwitz
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
+    _quotient_order,
     bb_tables,
     build_series_set,
     checked_pair,
@@ -170,7 +171,7 @@ def _pm_ode(sign: int) -> Check:
         combo = b2 + s2 if sign == 1 else b2 - s2
         numerator = b.derivative() + s if sign == 1 else b.derivative() - s
         # the orders of (numerator / B) and of (numerator / B)(2t) * combo
-        quotient_order = min(numerator.order, b.order + numerator.valuation)
+        quotient_order = _quotient_order(numerator, b)
         rhs_order = min(quotient_order + combo.valuation, combo.order + numerator.valuation)
         c = combo.h[0]
         rhs = TSeries.from_kernel([hurwitz.product(c, p) for p in solution.derivative().h], rhs_order)

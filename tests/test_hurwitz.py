@@ -315,6 +315,14 @@ def parity_pairs(draw):
 #: (b, s, m) with B = 1 and S = x t^7 known through t^8, checked through t^7
 X_T7_PAIR = (TSeries.one(8), TSeries.monomial(XPoly((0, 1)), 7, 8), 7)
 
+#: (b, s, m) whose B has the kernel entries [1] past t^0, x, zero, and one
+#: with both x-parities and a Fraction, checked through total degree 5
+BB_PARTS_PAIR = (
+    TSeries.from_kernel([[2], [1], [0, 1], [F(1, 2), 3, 0, -1], [], [1, 0, 2]], 5),
+    TSeries.from_kernel([[], [1], [0, F(1, 3)]], 5),
+    5,
+)
+
 
 def checked_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
     """A set over the pair; the checks build only the products they read."""
@@ -350,10 +358,35 @@ def _pm_ode_expected(set_: BlowupSeriesSet, sign: int, through: int):
 
 class TestBivariateTables:
     @given(pairs())
+    # B(u+v) B(u-v) from stored pair products: a part 1 is not multiplied
+    # (the entries [1] and x), and an entry with both x-parities and a
+    # Fraction gives a pair of two parts with each entry it meets
+    @example(BB_PARTS_PAIR)
     def test_bb_sides_equal_the_plain_sides(self, pair):
         b, s, m = pair
         for kernel, plain in zip(bb_sides(b, s, m), reference_bb_sides(b, s, m)):
             assert kernel.to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("m", [24, 64])
+    def test_each_pair_product_of_the_pm_table_is_formed_once(self, monkeypatch, m):
+        """B(u+v) B(u-v) reads the pairs b_i b_{d-i} of each d <= m once per
+        entry of total degree d; each pair of x-parity parts is multiplied
+        once, and one with a part 1 not at all."""
+        b, _ = generate_pair(m)
+        parted = [hurwitz.parts(p) for p in b.h]
+        addmul = hurwitz.addmul
+        calls = []
+        monkeypatch.setattr(hurwitz, "addmul", lambda *args: calls.append(args) or addmul(*args))
+        hurwitz.product_pm(b.h, m)
+        products = sum(
+            1
+            for d in range(m + 1)
+            for i in range(d // 2 + 1)
+            for _, p in parted[i]
+            for _, q in parted[d - i]
+            if [1] not in (p, q)
+        )
+        assert len(calls) == products
 
     @given(pairs(extra=1))
     # total degree 0: each triple product reads one entry of each vector
