@@ -1,6 +1,10 @@
-"""Tour of the exact series engine: arithmetic, calculus, Laurent division.
+"""Tour of the exact series engine: arithmetic, calculus, Laurent reciprocals.
 
-Everything below is computed over exact rationals -- no floating point.
+It shows the truncated series in t over Q[x] and its operations: products,
+reciprocals (a Laurent quotient is a product with one), exp, sqrt, d/dt,
+the integral, and the substitutions t -> u +- v, each with the truncation
+order it states.  Everything below is computed over exact rationals -- no
+floating point.
 Run with:  python demos/01_series_engine.py
 """
 from fractions import Fraction as F
@@ -29,12 +33,13 @@ print("\norder of a         =", a.order)
 print("order of a'        =", a.derivative().order)
 print("order of int(a)    =", a.integrate().order)
 
-# --- Laurent division -------------------------------------------------------
-# Dividing by an odd series of valuation 1 produces a simple pole; the engine
-# tracks it exactly and refuses to integrate across a t^-1 term.
+# --- Laurent reciprocals -------------------------------------------------
+# The reciprocal of an odd series of valuation 1 has a simple pole, so a
+# product with it does too; the engine tracks the pole exactly and refuses to
+# integrate across a t^-1 term.
 
 odd = TSeries.from_terms({1: 1, 3: X * F(-1, 6)}, 7)
-quotient = TSeries.from_terms({0: 2, 2: X * F(-1, 2)}, 7) / odd
+quotient = TSeries.from_terms({0: 2, 2: X * F(-1, 2)}, 7) * odd.recip()
 print("\n(2 - x t^2/2) / (t - x t^3/6) =", quotient)
 print("valuation:", quotient.valuation)
 
@@ -43,10 +48,10 @@ try:
 except Exception as exc:
     print("integrating across the pole ->", type(exc).__name__, "-", exc)
 
-# --- exp and sqrt are exact inverses of their defining equations ------------
-squared = (TSeries.from_terms({0: 1, 2: F(2, 7), 4: X}, 10)).sqrt() ** 2
-print("\nsqrt(f)^2 == f     ->", first_difference(
-    squared, TSeries.from_terms({0: 1, 2: F(2, 7), 4: X}, 10)) is None)
+# --- sqrt solves its defining equation exactly -----------------------------
+f = TSeries.from_terms({0: 1, 2: F(2, 7), 4: X}, 10)
+root = f.sqrt()
+print("\nsqrt(f)^2 == f     ->", first_difference(root * root, f) is None)
 
 # --- bivariate substitution --------------------------------------------------
 # t -> u + v and t -> u - v expand by binomials, truncated by total degree.

@@ -17,7 +17,7 @@ from .blowup import (
     golden_table,
     series_set,
 )
-from .series import BiSeries, SeriesError, TSeries, first_difference
+from .series import SeriesError, TSeries, first_difference
 
 __version__ = "1.0.0"
 
@@ -48,7 +48,6 @@ def __getattr__(name: str):
 
 #: what the demos import and the README names; the rest lives in the submodules
 __all__ = [
-    "BiSeries",
     "BlowupSeriesSet",
     "GenerationError",
     "InsufficientMomentsError",

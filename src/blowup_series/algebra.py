@@ -63,30 +63,13 @@ class XPoly:
         return _XPOLY_ZERO
 
     @classmethod
-    def one(cls) -> "XPoly":
-        return _XPOLY_ONE
-
-    @classmethod
     def x(cls) -> "XPoly":
         return _XPOLY_X
-
-    @classmethod
-    def monomial(cls, coeff: RationalLike, power: int) -> "XPoly":
-        if power < 0:
-            raise ValueError("monomial power must be >= 0")
-        c = Fraction(coeff)
-        if c == 0:
-            return _XPOLY_ZERO
-        return cls((0,) * power + (c,))
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "XPoly":
         """Decode the JSON form: an array of canonical rational strings."""
         return cls(parse_rational(s) for s in items)
-
-    def to_strings(self) -> list[str]:
-        """Encode as the JSON form (empty list for the zero polynomial)."""
-        return [str(v) for v in self._c]
 
     # -- structure ---------------------------------------------------
 

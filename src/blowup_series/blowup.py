@@ -277,7 +277,7 @@ def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
 
 
 def _quotient_order(num: TSeries, den: TSeries) -> int:
-    """Truncation order of the Laurent quotient num/den, as TSeries division states it."""
+    """Truncation order of the Laurent quotient num/den, as ``num * den.recip()`` states it."""
     v = den.valuation
     return min(num.order - v, den.order - 2 * v + num.valuation)
 
@@ -324,7 +324,7 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
     Returns (plus, minus, half_sum, half_difference).
     """
     if b.h[:1] != [[1]]:
-        raise SeriesError("sqrt needs constant term exactly 1")
+        raise SeriesError("the evaluation ODE needs B(0) = 1")
     _check_parity(b, s)
     numerator = b.derivative() + s
     plus = _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
@@ -358,7 +358,7 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
         )
     lead = singular.valuation
     if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
-        quotient = singular / s
+        quotient = singular * s.recip()
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
             f"{quotient.valuation} with residue {quotient.coeff(-1) if quotient.valuation <= -1 else 0}"

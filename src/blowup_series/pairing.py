@@ -67,9 +67,6 @@ class MomentFunctional:
         moments = tuple(m if type(m) is Fraction else Fraction(m) for m in self.moments)
         object.__setattr__(self, "moments", moments)
 
-    def __len__(self) -> int:
-        return len(self.moments)
-
     def scaled(self, factor: RationalLike) -> "MomentFunctional":
         f = Fraction(factor)
         return MomentFunctional(self.label, tuple(m * f for m in self.moments))

@@ -28,9 +28,9 @@ only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and display, and
 at the slot where :func:`first_difference` reports a mismatch.
 
 :class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
-degree, for the substitutions t -> u + v and t -> u - v and the JSON form
-of two-variable results.  The identity checks do not multiply it: they
-compare divided-power tables (:mod:`blowup_series.blowup`).
+degree, the plain reference type of the substitutions t -> u + v and
+t -> u - v.  The identity checks do not multiply it: they compare
+divided-power tables (:mod:`blowup_series.blowup`).
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class LogSingularityError(SeriesError):
 
 
 class NonUnitLeadingError(SeriesError):
-    """Reciprocal/division needs an x-free nonzero leading coefficient."""
+    """A reciprocal needs an x-free nonzero leading coefficient."""
 
 
 def _as_xpoly(v: CoeffLike) -> XPoly:
@@ -151,17 +151,8 @@ class TSeries:
         return cls.from_kernel([], order)
 
     @classmethod
-    def one(cls, order: int) -> "TSeries":
-        return cls.monomial(1, 0, order)
-
-    @classmethod
     def monomial(cls, coeff: CoeffLike, exponent: int, order: int) -> "TSeries":
         return cls(exponent, (coeff,), order)
-
-    @classmethod
-    def t(cls, order: int) -> "TSeries":
-        """The series 't' itself, known through ``order``."""
-        return cls.monomial(1, 1, order)
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, CoeffLike], order: int) -> "TSeries":
@@ -282,27 +273,6 @@ class TSeries:
         return TSeries.from_kernel(hurwitz.mul(self.h, other.h, order - lo + 1), order, lo)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "TSeries | RationalLike") -> "TSeries":
-        if isinstance(other, (Fraction, int)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return self * (Fraction(1) / Fraction(other))
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self * other.recip()
-
-    def __pow__(self, n: int) -> "TSeries":
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("series powers must be non-negative integers")
-        result = TSeries.one(self._order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- calculus ----------------------------------------------------------
 
@@ -571,10 +541,6 @@ class BiSeries:
         object.__setattr__(self, "_rows", tuple(norm))
         object.__setattr__(self, "_order", order)
 
-    @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls((), order)
-
     @property
     def order(self) -> int:
         return self._order
@@ -638,28 +604,6 @@ class BiSeries:
 
     def __hash__(self) -> None:  # pragma: no cover
         raise TypeError("BiSeries is not hashable")
-
-    def to_json(self) -> dict:
-        coeffs = [c.to_strings() for row in self._rows for c in row]
-        return {"variables": ["u", "v"], "order": self._order, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BiSeries":
-        if not isinstance(data, Mapping):
-            raise ValueError("bivariate series JSON must be an object")
-        if list(data.get("variables", ())) != ["u", "v"]:
-            raise ValueError("bivariate series JSON must declare variables ['u','v']")
-        order = _json_int(data, "order")
-        flat = [XPoly.from_strings(item) for item in _json_coeffs(data)]
-        rows = []
-        pos = 0
-        for i in range(order + 1):
-            width = order - i + 1
-            rows.append(flat[pos : pos + width])
-            pos += width
-        if pos != len(flat):
-            raise ValueError("triangular coefficient array has the wrong length")
-        return cls(rows, order)
 
     def __repr__(self) -> str:
         return f"<BiSeries order={self._order}>"

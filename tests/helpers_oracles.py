@@ -86,8 +86,8 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
     top = order + 4
     b = [XPoly.zero() for _ in range(top + 1)]
     s = [XPoly.zero() for _ in range(top + 1)]
-    b[0] = XPoly.one()
-    s[1] = XPoly.one()
+    b[0] = XPoly((1,))
+    s[1] = XPoly((1,))
     s[3] = XPoly.x() * Fraction(-1, 6)
 
     for d in range(2, top):
@@ -109,7 +109,7 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
         has_s_unknown = d >= 8
 
         base = [_residual_slot(b, s, a, c) for a, c in slots]
-        b[d] = XPoly.one()
+        b[d] = XPoly((1,))
         with_b = [_residual_slot(b, s, a, c) for a, c in slots]
         b[d] = XPoly.zero()
         alphas = [wb - r0 for wb, r0 in zip(with_b, base)]
@@ -117,7 +117,7 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
         alphas = [al.coeff(0) for al in alphas]
 
         if has_s_unknown:
-            s[s_index] = XPoly.one()
+            s[s_index] = XPoly((1,))
             with_s = [_residual_slot(b, s, a, c) for a, c in slots]
             s[s_index] = XPoly.zero()
             betas = [ws - r0 for ws, r0 in zip(with_s, base)]
@@ -245,7 +245,7 @@ def plain_exp(a: TSeries) -> TSeries:
     if a.valuation < 1:
         raise SeriesError("exp needs valuation >= 1 (zero constant term)")
     c = [a.coeff(n) for n in range(a.order + 1)]
-    f = [XPoly.one()]
+    f = [XPoly((1,))]
     for n in range(1, a.order + 1):
         acc = XPoly.zero()
         for k in range(1, n + 1):
@@ -256,10 +256,10 @@ def plain_exp(a: TSeries) -> TSeries:
 
 def plain_sqrt(a: TSeries) -> TSeries:
     """Square root of a series with constant term exactly 1."""
-    if a.is_zero or a.valuation != 0 or a.coeff(0) != XPoly.one():
+    if a.is_zero or a.valuation != 0 or a.coeff(0) != XPoly((1,)):
         raise SeriesError("sqrt needs constant term exactly 1")
     c = [a.coeff(n) for n in range(a.order + 1)]
-    g = [XPoly.one()]
+    g = [XPoly((1,))]
     for n in range(1, a.order + 1):
         acc = c[n]
         for k in range(1, n):
@@ -306,8 +306,8 @@ def plain_generate_pair(order: int) -> tuple[list[XPoly], list[XPoly]]:
     top = order + 4
     b = [XPoly.zero()] * (top + 1)
     s = [XPoly.zero()] * (top + 1)
-    b[0] = XPoly.one()
-    s[1] = XPoly.one()
+    b[0] = XPoly((1,))
+    s[1] = XPoly((1,))
     s[3] = XPoly.x() * Fraction(-1, 6)
     for n in range(0, order, 2):
         b[n + 4] = e4_residual(b, s, n) * Fraction(-1, _ff(n, 4))
@@ -331,7 +331,8 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
         "bs": plain_mul(b, s),
         "wronskian": plain_add(plain_mul(b, ds), plain_mul(db, s), -1),
     }
-    plain_sqrt(plain_scale_arg(b, 2))  # the domain check of the closed form sqrt(B(2t))
+    if b.is_zero or b.valuation != 0 or b.coeff(0) != XPoly((1,)):
+        raise SeriesError("the evaluation ODE needs B(0) = 1")
     b_inv = plain_recip(b)
     for name, sign in (("b_plus", 1), ("b_minus", -1)):
         integrand = plain_scale_arg(plain_mul(plain_add(db, s, sign), b_inv), 2)
@@ -359,7 +360,7 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
             f"(valuation {removed.valuation})"
         )
     core = plain_exp(plain_scale_arg(plain_integrate(removed), 2) * half)
-    out["ws1"] = plain_mul(TSeries.t(core.order + 1), core)
+    out["ws1"] = plain_mul(TSeries.monomial(1, 1, core.order + 1), core)
     return out
 
 
@@ -531,7 +532,7 @@ def _simple_type_factor(name: str, x: int, order: int) -> TSeries:
         sinh = odd(order)
         return sinh * sinh
     if name == "wronskian":
-        return TSeries.one(order)
+        return TSeries.monomial(1, 0, order)
     if name == "bs":
         return plain_scale_arg(odd(order), 2) * Fraction(1, 2)
     raise ValueError(f"no closed simple-type form for {name!r}")

@@ -164,8 +164,8 @@ class TestExponentialPair:
     def test_low_order_expansion(self, set17):
         # frozen hand expansion: plus-series = 1 + t^2 + (-1/6 - x/3) t^4 + ...
         plus = set17.b_plus
-        assert plus.coeff(0) == XPoly.one()
-        assert plus.coeff(2) == XPoly.one()
+        assert plus.coeff(0) == XPoly((1,))
+        assert plus.coeff(2) == XPoly((1,))
         assert plus.coeff(4) == XPoly((F(-1, 6), 0)) + X * F(-1, 3)
 
     def test_half_sum_and_difference(self, set17):
@@ -262,14 +262,14 @@ class TestOddCasePair:
         assert ws0.coeff(4, normalized=True) == 8 + X**2
         # frozen: ws1 = t - (x/6) t^3 + ...
         ws1 = set17.ws1
-        assert ws1.coeff(1) == XPoly.one()
+        assert ws1.coeff(1) == XPoly((1,))
         assert ws1.coeff(3) == X * F(-1, 6)
 
     def test_pole_structure_of_integrands(self, set17):
         b, s = set17.b, set17.s
-        regular = (s.derivative() - b) / s
+        regular = (s.derivative() - b) * s.recip()
         assert regular.valuation >= 1
-        singular = (b + s.derivative()) / s
+        singular = (b + s.derivative()) * s.recip()
         assert singular.valuation == -1
         assert singular.coeff(-1) == XPoly((2,))
         removed = singular - TSeries.monomial(2, -1, singular.order)
@@ -279,9 +279,20 @@ class TestOddCasePair:
 
     def test_corrupted_pair_trips_the_pole_guard(self):
         b, s = generate_pair(8)
-        doubled_s = s * 2  # S'(0) becomes 2, so (B + S')/S has residue 3/2
-        with pytest.raises(UnexpectedPoleError):
-            odd_case_pair(b, doubled_s)
+        # S'(0) becomes 2, so S' - B starts with 1 and (-B + S')/S = 1/(2t) + ...
+        # fails the first check, before the residue of (B + S')/S is read
+        with pytest.raises(UnexpectedPoleError) as caught:
+            odd_case_pair(b, s * 2)
+        assert str(caught.value) == "(-B + S')/S should vanish at 0 but has valuation -1"
+
+    def test_wrong_residue_is_reported_from_the_laurent_quotient(self):
+        # S' - B = 0 passes the first check; (B + S')/S = 4t/t^2 = 4/t
+        b, s = TSeries.monomial(2, 1, 8), TSeries.monomial(1, 2, 8)
+        with pytest.raises(UnexpectedPoleError) as caught:
+            odd_case_pair(b, s)
+        assert str(caught.value) == (
+            "(B + S')/S should have exactly the pole 2/t; got valuation -1 with residue 4"
+        )
 
 
 class TestGoldenTable:

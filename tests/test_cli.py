@@ -389,7 +389,8 @@ class TestEval:
         data = json.loads(out)
         assert data["provenance"] == "maina"
         series = TSeries.from_json(data)
-        reference = exp_t_squared(-1, 12) * cosh_series(12) ** 2
+        cosh = cosh_series(12)
+        reference = exp_t_squared(-1, 12) * cosh * cosh
         assert first_difference(series, reference, through=12) is None
 
     def test_functional_by_file_reference(self, capsys, tmp_path):

@@ -15,7 +15,6 @@ from helpers_oracles import (
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import golden_table
 from blowup_series.series import (
-    BiSeries,
     LogSingularityError,
     NonUnitLeadingError,
     SeriesError,
@@ -66,7 +65,7 @@ class TestConstruction:
         assert TSeries(0, (0, 0), 1).is_zero
 
     def test_coeff_above_order_is_unknown(self):
-        a = TSeries.t(3)
+        a = TSeries.monomial(1, 1, 3)
         with pytest.raises(SeriesError):
             a.coeff(4)
         assert a.coeff(0).is_zero  # below valuation: a known zero
@@ -74,7 +73,7 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_t_times_t(self):
-        t = TSeries.t(6)
+        t = TSeries.monomial(1, 1, 6)
         assert t * t == TSeries.monomial(1, 2, 6)
 
     def test_product_bs_matches_table(self, b_ref, s_ref):
@@ -87,7 +86,7 @@ class TestArithmetic:
     def test_square_of_odd_series_starts_at_t2(self, s_ref):
         s2 = s_ref * s_ref
         assert s2.valuation == 2
-        assert s2.coeff(2) == XPoly.one()
+        assert s2.coeff(2) == XPoly((1,))
         assert s2.coeff(2, normalized=True) == XPoly((2,))
 
     def test_mul_order_bookkeeping(self):
@@ -111,21 +110,21 @@ class TestArithmetic:
 class TestCalculus:
     def test_derivative_examples(self, b_ref, s_ref):
         assert TSeries.monomial(1, 2, 5).derivative() == TSeries.monomial(2, 1, 4)
-        assert s_ref.derivative().coeff(0) == XPoly.one()  # S'(0) = 1
+        assert s_ref.derivative().coeff(0) == XPoly((1,))  # S'(0) = 1
         db = b_ref.derivative()
         assert db.valuation == 3
         assert db.coeff(3) == XPoly((F(-1, 3),))  # from B = 1 - 2 t^4/4! + ...
 
     def test_integral_examples(self):
-        one = TSeries.one(4)
-        assert one.integrate() == TSeries.t(5)
+        one = TSeries.monomial(1, 0, 4)
+        assert one.integrate() == TSeries.monomial(1, 1, 5)
         with pytest.raises(LogSingularityError):
             TSeries.monomial(1, -1, 3).integrate()
 
     def test_integral_of_scaled_quotient(self, b_ref, s_ref):
         # S/B = t - x t^3/6 + O(t^5); the two composition routes
         # int_0^t (S/B)(2s) ds and (1/2) int_0^{2t} (S/B)(s) ds agree
-        q = (s_ref / b_ref).truncate(5)
+        q = (s_ref * b_ref.recip()).truncate(5)
         assert first_difference(
             q, TSeries.from_terms({1: 1, 3: X * F(-1, 6)}, 3), through=3
         ) is None
@@ -136,7 +135,7 @@ class TestCalculus:
         doubled = q.integrate().scale_arg(2)
         assert doubled.coeff(2) == XPoly((2,))
         assert doubled.coeff(4) == X * F(-2, 3)
-        assert route_b.coeff(2) == XPoly.one()
+        assert route_b.coeff(2) == XPoly((1,))
         assert route_b.coeff(4) == X * F(-1, 3)
 
     @given(tseries(min_val=0))
@@ -167,7 +166,7 @@ class TestReciprocalAndDivision:
         one_minus_t = TSeries.from_terms({0: 1, 1: -1}, 5)
         r = one_minus_t.recip()
         assert r == TSeries.from_terms({n: 1 for n in range(6)}, 5)
-        assert r * one_minus_t == TSeries.one(5)
+        assert r * one_minus_t == TSeries.monomial(1, 0, 5)
 
     def test_non_unit_leading_coefficient_rejected(self):
         with pytest.raises(NonUnitLeadingError):
@@ -175,11 +174,11 @@ class TestReciprocalAndDivision:
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
-            TSeries.one(3) / TSeries.zero(3)
+            TSeries.zero(3).recip()
 
     def test_laurent_quotient(self, b_ref, s_ref):
         # frozen from hand expansion: (B + S')/S = 2 t^-1 - (x/6) t + O(t^3)
-        q = (b_ref + s_ref.derivative()) / s_ref
+        q = (b_ref + s_ref.derivative()) * s_ref.recip()
         assert q.valuation == -1
         assert q.coeff(-1) == XPoly((2,))
         assert q.coeff(0).is_zero
@@ -198,23 +197,23 @@ class TestReciprocalAndDivision:
         order = max(val + len(tail) + slack, 2 * val)
         a = TSeries(val, [XPoly((lead,))] + tail, order)
         prod = a * a.recip()
-        assert prod == TSeries.one(prod.order)
+        assert prod == TSeries.monomial(1, 0, prod.order)
 
 
 class TestExpAndSqrt:
     def test_trivial_values(self):
-        assert TSeries.zero(4).exp() == TSeries.one(4)
-        assert TSeries.one(4).sqrt() == TSeries.one(4)
+        assert TSeries.zero(4).exp() == TSeries.monomial(1, 0, 4)
+        assert TSeries.monomial(1, 0, 4).sqrt() == TSeries.monomial(1, 0, 4)
 
     def test_exp_of_quadratic_monomial(self):
         e = TSeries.monomial(X * F(-1, 6), 2, 5).exp()
-        assert e.coeff(0) == XPoly.one()
+        assert e.coeff(0) == XPoly((1,))
         assert e.coeff(2) == X * F(-1, 6)
         assert e.coeff(4) == X * X * F(1, 72)
 
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(SeriesError):
-            TSeries.one(3).exp()
+            TSeries.monomial(1, 0, 3).exp()
         with pytest.raises(SeriesError):
             TSeries.monomial(1, -1, 3).exp()
 
@@ -234,8 +233,8 @@ class TestExpAndSqrt:
 
     @given(st.lists(xpolys, max_size=4))
     def test_sqrt_squares_back(self, tail):
-        a = TSeries(0, [XPoly.one()] + tail, len(tail) + 2)
-        assume(a.coeff(0) == XPoly.one())
+        a = TSeries(0, [XPoly((1,))] + tail, len(tail) + 2)
+        assume(a.coeff(0) == XPoly((1,)))
         r = a.sqrt()
         assert r * r == a
 
@@ -252,7 +251,7 @@ class TestCoefficientAccess:
         d = first_difference(b_ref, s_ref, through=1)
         assert (d.t, d.x, d.lhs, d.rhs) == (0, 0, F(1), F(0))
         # at t^1 the difference is 0 vs 1, visible once t^0 agrees
-        d1 = first_difference(b_ref - TSeries.one(16), s_ref, through=1)
+        d1 = first_difference(b_ref - TSeries.monomial(1, 0, 16), s_ref, through=1)
         assert (d1.t, d1.x, d1.lhs, d1.rhs) == (1, 0, F(0), F(1))
 
     def test_comparison_beyond_known_order_is_rejected(self, b_ref):
@@ -264,13 +263,13 @@ class TestBivariate:
     def test_square_substitution(self):
         t2 = TSeries.monomial(1, 2, 2)
         bi = t2.subst_pm(+1)
-        assert bi.coeff(2, 0) == XPoly.one()
+        assert bi.coeff(2, 0) == XPoly((1,))
         assert bi.coeff(1, 1) == XPoly((2,))
-        assert bi.coeff(0, 2) == XPoly.one()
+        assert bi.coeff(0, 2) == XPoly((1,))
 
     def test_odd_series_lowest_block(self, s_ref):
         bi = s_ref.truncate(1).subst_pm(-1)
-        assert bi.coeff(1, 0) == XPoly.one()
+        assert bi.coeff(1, 0) == XPoly((1,))
         assert bi.coeff(0, 1) == XPoly((-1,))
 
     def test_product_slot_consistency(self, b_ref, s_ref):
@@ -295,11 +294,6 @@ class TestBivariate:
         direct = prod.subst_pm(+1)
         split = a.subst_pm(+1) * b.subst_pm(+1)
         assert first_difference_uv(direct, split) is None
-
-    def test_biseries_json_round_trip(self, s_ref):
-        bi = s_ref.truncate(5).subst_pm(+1)
-        again = BiSeries.from_json(bi.to_json())
-        assert first_difference_uv(bi, again) is None
 
 
 class TestSerialization:
@@ -341,26 +335,19 @@ class TestSerialization:
         ],
     )
     def test_from_json_refuses_non_integer_fields(self, change):
-        data = {**TSeries.t(3).to_json(), **change}
+        data = {**TSeries.monomial(1, 1, 3).to_json(), **change}
         with pytest.raises(ValueError):
             TSeries.from_json(data)
 
     @pytest.mark.parametrize("field", ["valuation", "order", "coeffs"])
     def test_from_json_missing_field_is_a_value_error(self, field):
-        data = TSeries.t(3).to_json()
+        data = TSeries.monomial(1, 1, 3).to_json()
         del data[field]
         with pytest.raises(ValueError, match=field):
             TSeries.from_json(data)
 
-    def test_biseries_from_json_is_strict(self, s_ref):
-        data = s_ref.truncate(3).subst_pm(+1).to_json()
-        for bad in ({**data, "order": 3.0}, {**data, "order": True}):
-            with pytest.raises(ValueError):
-                BiSeries.from_json(bad)
-        del data["coeffs"]
-        with pytest.raises(ValueError, match="coeffs"):
-            BiSeries.from_json(data)
-        with pytest.raises(ValueError):
+    def test_from_json_refuses_a_non_object(self):
+        with pytest.raises(ValueError, match="must be an object"):
             TSeries.from_json(["not", "an", "object"])
 
 
@@ -368,9 +355,10 @@ class TestScalarReferenceSeries:
     def test_pythagorean_identities(self):
         n = 12
         c, s = cosh_series(n), sinh_series(n)
-        assert c * c - s * s == TSeries.one(n)
-        assert cos_series(n) ** 2 + sin_series(n) ** 2 == TSeries.one(n)
+        assert c * c - s * s == TSeries.monomial(1, 0, n)
+        c, s = cos_series(n), sin_series(n)
+        assert c * c + s * s == TSeries.monomial(1, 0, n)
 
     def test_gaussian_inverse(self):
         n = 10
-        assert exp_t_squared(-1, n) * exp_t_squared(1, n) == TSeries.one(n)
+        assert exp_t_squared(-1, n) * exp_t_squared(1, n) == TSeries.monomial(1, 0, n)

@@ -95,6 +95,45 @@ def test_every_module_level_function_is_referenced_outside_its_definition():
     assert unused == []
 
 
+def _class_calls(tree: ast.AST) -> set:
+    """The ``"Class.name"`` strings a tree reads: each ``Class.name`` attribute, and
+    each ``cls.name`` inside a method of ``Class`` itself."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ClassDef):
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Attribute)
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id == "cls"
+                ):
+                    found.add(f"{node.name}.{inner.attr}")
+    return found
+
+
+def test_every_classmethod_is_called_on_its_class():
+    """A classmethod passes the bare-name check whenever another definition
+    shares its name; this one asks for ``Class.name`` itself in the package,
+    the demos or the benchmark scripts, or named in the README."""
+    root = SRC.parent
+    package = sorted((SRC / "blowup_series").glob("*.py"))
+    scripts = [*DEMOS, *sorted((root / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in package + scripts}
+    used = set().union(*map(_class_calls, trees.values()))
+    readme = (root / "README.md").read_text()
+    used.update(re.findall(r"\w+\.\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
+    classmethods = [
+        name
+        for path in package
+        for name, node in _functions(trees[path])
+        if any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+    ]
+    assert classmethods
+    assert sorted(set(classmethods) - used) == []
+
+
 def test_the_demos_are_found():
     assert len(DEMOS) >= 4
 

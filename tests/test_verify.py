@@ -156,6 +156,17 @@ class TestFrakIdentities:
         report = by_id["ws0_equals_wronskian"]
         assert not report.passed and report.error is not None
 
+    def test_a_pair_with_b0_other_than_one_is_refused_by_its_condition(self):
+        """B(0) = 2: the evaluation ODE's solutions start at f(0) = 1, and the
+        rows that read them report the condition B(0) = 1 they need."""
+        b, s = generate_pair(8)
+        set_ = assemble_set(b + TSeries.monomial(1, 0, b.order), s)
+        with pytest.raises(SeriesError, match=r"^the evaluation ODE needs B\(0\) = 1$"):
+            set_.b_plus
+        for cid in ("b0_equals_b2", "pm_ode_plus"):
+            report = ENTRY[cid].run(set_, 6)
+            assert report.error == "SeriesError: the evaluation ODE needs B(0) = 1", cid
+
 
 class TestOdeAndBivariate:
     def test_pm_ode_passes(self, set17):
@@ -235,7 +246,7 @@ class TestOdeAndBivariate:
         m = 6
         s = set17.s.truncate(m)
         lhs = as_biseries(s, "u", m) * as_biseries(s, "v", m) * s.subst_pm(+1)
-        assert lhs.coeff(2, 1) == XPoly.one()
+        assert lhs.coeff(2, 1) == XPoly((1,))
         db = set17.b.derivative().truncate(m)
         b = set17.b.truncate(m)
         rhs = (
@@ -243,7 +254,7 @@ class TestOdeAndBivariate:
             + as_biseries(b, "u", m) * as_biseries(db, "v", m) * b.subst_pm(+1)
             - as_biseries(b, "u", m) * as_biseries(b, "v", m) * db.subst_pm(+1)
         )
-        assert rhs.coeff(2, 1) == XPoly.one()
+        assert rhs.coeff(2, 1) == XPoly((1,))
 
     def test_bb_catches_mutations(self):
         bad = _mutated_set(exponent=8, delta=1)
