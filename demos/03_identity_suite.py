@@ -11,7 +11,7 @@ from blowup_series import verify_all
 ORDER = 20
 
 print(f"running the catalog at order {ORDER} (bivariate identities at 12)...\n")
-reports = verify_all(ORDER, jobs=2, bivariate_order=12)
+reports = verify_all(ORDER, bivariate_order=12)
 
 width = max(len(r.identity) for r in reports)
 for report in reports:

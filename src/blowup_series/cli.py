@@ -130,14 +130,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     _check_order(args.order, 8)
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be >= 1")
     from .verify import capped_notes, verify_all
 
     try:
-        reports = verify_all(
-            args.order, args.jobs, bivariate_order=args.bivariate_order, identities=args.identity
-        )
+        reports = verify_all(args.order, bivariate_order=args.bivariate_order, identities=args.identity)
     except ValueError as exc:
         raise _UsageError(exc) from None
     text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
@@ -265,7 +261,7 @@ _COMMANDS = {
         "--format": (("json", "latex", "table"), "table"),
         "--normalization": (("plain", "factorial"), "factorial"), **_OUTPUT}),
     "verify": (_cmd_verify, "run the identity catalog, one JSON report per line", {
-        "--order": (int, 28), "--bivariate-order": (int, 16), "--jobs": (int, 1),
+        "--order": (int, 28), "--bivariate-order": (int, 16),
         "--identity": (list, None), **_OUTPUT}),
     "table": (_cmd_table, "regenerate and diff against the golden table", {"--order": (int, 28), **_OUTPUT}),
     "eval": (_cmd_eval, "evaluate moment data through the pairing formulas", {"request": (Path, ...), **_OUTPUT}),

@@ -15,17 +15,19 @@ In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
 ``(fg)_n = sum_k C(n, k) f_k g_{n-k}``, d/dt and the integral from 0 are
 index shifts, and t -> c t multiplies entry n by c^n.  One primitive
 serves each way of reading polynomial products.  :func:`convolve` adds
-one entry of the product of two vectors (``mul``, ``recip``, the linear
-ODE solver, ``triple``).  :func:`symmetric_sum` adds a weighted sum over
-the pairs h_i h_{d-i} of one vector, each read once, one product per
-unordered pair (``mul`` of a vector with itself, ``sqrt``).  Pairs that
-are read many times with other weights (the E2/E4 recurrence,
-:func:`product_pm`) are formed once by :func:`pair_products`, split by
-x-parity, and weighed by :func:`pair_sum`.  Reciprocals of units with
-constant term +-1 never divide; the linear ODE solver divides by one
-small integer per entry, which divides exactly on the blow-up series.
-The exponential is that solver with sigma = 1: exp(f) solves w' = f' w,
-whose divisor is the lead 1.
+one entry of the product of two vectors (``mul``, the linear ODE solver,
+``triple``).  :func:`symmetric_sum` adds a weighted sum over the pairs
+h_i h_{d-i} of one vector, each read once, one product per unordered pair
+(``mul`` of a vector with itself).  Pairs that are read many times with
+other weights (the E2/E4 recurrence, :func:`product_pm`) are formed once
+by :func:`pair_products`, split by x-parity, and weighed by
+:func:`pair_sum`.
+
+Every series defined by division is a solve of :func:`linear_ode`, which
+divides by one scalar per entry: the exponential (w' = f' w), the square
+root (2 f w' = f' w), the reciprocal (f w' = -f' w), and the evaluation
+and odd-case ODEs of the blow-up series, where each divisor is a small
+integer that divides exactly.
 """
 from __future__ import annotations
 
@@ -203,30 +205,6 @@ def mul(f: Sequence[Poly], g: Sequence[Poly], length: int) -> list[Poly]:
     if f is g:  # C(n, k) f_k f_{n-k} is symmetric in k <-> n-k
         return [clean(symmetric_sum([], f, n, lambda k: comb(n, k))) for n in range(length)]
     return [clean(convolve([], f, g, n)) for n in range(length)]
-
-
-def recip(f: Sequence[Poly], length: int) -> list[Poly]:
-    """Reciprocal of a unit: ``f[0]`` must be a nonzero x-free constant."""
-    if len(f[0]) != 1:
-        raise ValueError("the reciprocal needs an x-free nonzero constant term")
-    inv0 = _int_if_integral(Fraction(1) / f[0][0])
-    g = [[inv0]]
-    for n in range(1, length):
-        # sum_{k>0} C(n, k) f_k g_{n-k} = -f_0 g_n; g reaches only g_{n-1}
-        g.append(scaled(clean(convolve([], f, g, n)), -inv0))
-    return g[:length]
-
-
-def sqrt(f: Sequence[Poly], length: int) -> list[Poly]:
-    """Square root of a series with constant term exactly 1."""
-    if _at(f, 0) != [1]:
-        raise ValueError("sqrt needs constant term exactly 1")
-    g = [[1]]
-    for n in range(1, length):
-        # f_n = 2 g_n + sum_{0<k<n} C(n, k) g_k g_{n-k}; g reaches only g_{n-1}
-        acc = symmetric_sum([-v for v in _at(f, n)], g, n, lambda k: comb(n, k))
-        g.append(divided(clean(acc), -2))
-    return g[:length]
 
 
 def linear_ode(

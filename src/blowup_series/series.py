@@ -21,8 +21,9 @@ A series is stored as a divided-power vector of :mod:`blowup_series.hurwitz`:
 entry ``h[k]`` is ``k! [t^(lo+k)]`` with the anchor ``lo = min(valuation, 0)``.
 A power series is its table form n! [t^n], which is an integer polynomial
 for the blow-up series, and a Laurent series t^v A(t) is stored as the
-vector of its unit part A.  Products, reciprocals and square roots are the
-kernel's, the exponential is its linear ODE solve of w' = a' w, and d/dt and
+vector of its unit part A.  Products are the kernel's binomial
+convolution; the exponential, the square root and the reciprocal are its
+linear ODE solves of w' = a' w, 2 a w' = a' w and a w' = -a' w; d/dt and
 the integral are index shifts.  Plain coefficients entry / k! are formed
 only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and display, and
 at the slot where :func:`first_difference` reports a mismatch.
@@ -332,7 +333,10 @@ class TSeries:
             raise NonUnitLeadingError(
                 f"leading coefficient {self.coeff(v)} is not invertible in the rationals"
             )
-        return TSeries.from_kernel(hurwitz.recip(unit, len(unit)), self._order - 2 * v, -v)
+        # w = 1/f solves f w' = -f' w with w(0) = 1/f(0), f the unit part
+        minus_f_prime = [[-c for c in p] for p in unit[1:]]
+        w = hurwitz.linear_ode(unit, minus_f_prime, [divided([1], unit[0][0])], len(unit))
+        return TSeries.from_kernel(w, self._order - 2 * v, -v)
 
     def exp(self) -> "TSeries":
         """Exponential of a series with zero constant term (valuation >= 1).
@@ -348,7 +352,10 @@ class TSeries:
         """Square root of a series with constant term exactly 1."""
         if self._lo or self.h[:1] != [[1]]:
             raise SeriesError("sqrt needs constant term exactly 1")
-        return TSeries.from_kernel(hurwitz.sqrt(self.h, self._order + 1), self._order)
+        # w = sqrt(f) solves 2 f w' = f' w with w(0) = 1; sigma = 2 f keeps it integral
+        twice_f = [scaled(p, 2) for p in self.h]
+        w = hurwitz.linear_ode(twice_f, self.h[1:], [[1]], self._order + 1)
+        return TSeries.from_kernel(w, self._order)
 
     # -- bivariate substitution ---------------------------------------------
 
@@ -549,10 +556,6 @@ class BiSeries:
         if i < 0 or j < 0 or i + j > self._order:
             raise SeriesError(f"(u^{i} v^{j}) is outside the truncation triangle")
         return self._rows[i][j]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for row in self._rows for c in row)
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):

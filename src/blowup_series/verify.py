@@ -325,11 +325,14 @@ def run_catalog(
     Univariate identities run through ``order``, bivariate ones through
     ``min(bivariate_order, order)``; both are capped by each entry's
     feasibility hint.  Negative orders are refused before any check runs.
-    The checks run one after another on the calling thread.  ``jobs`` is
-    still accepted and must be at least 1, but it does not change how the
-    checks run.
+    The checks run one after another on the calling thread.  ``jobs`` must
+    be at least 1 and changes nothing; it stays only because the benchmark's
+    traced ``verify`` reruns the catalog with ``jobs=2`` and fails a run
+    whose reports differ, and it leaves with that caller.
     """
-    selected = _select(order, bivariate_order, jobs, identities)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    selected = _select(order, bivariate_order, identities)
     return [
         d.run(series_set, min(_requested(d, order, bivariate_order), d.max_feasible_order_hint))
         for d in selected
@@ -360,13 +363,11 @@ def capped_notes(
 
 
 def _select(
-    order: int, bivariate_order: int, jobs: int, identities: "Iterable[str] | None"
+    order: int, bivariate_order: int, identities: "Iterable[str] | None"
 ) -> list[IdentityDescriptor]:
     """The catalog rows to run, in catalog order; bad arguments raise ValueError."""
     if order < 0 or bivariate_order < 0:
         raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if identities is None:
         return list(CATALOG)
     wanted = list(identities)
@@ -378,7 +379,6 @@ def _select(
 
 def verify_all(
     order: int,
-    jobs: int = 1,
     *,
     bivariate_order: int = 16,
     identities: "Iterable[str] | None" = None,
@@ -392,12 +392,6 @@ def verify_all(
     """
     if order < 8:
         raise ValueError(f"verification needs order >= 8, got {order}")
-    selected = [d.id for d in _select(order, bivariate_order, jobs, identities)]
+    selected = [d.id for d in _select(order, bivariate_order, identities)]
     series_set = build_series_set(order + 1)
-    return run_catalog(
-        series_set,
-        order,
-        bivariate_order=bivariate_order,
-        jobs=jobs,
-        identities=selected,
-    )
+    return run_catalog(series_set, order, bivariate_order=bivariate_order, identities=selected)

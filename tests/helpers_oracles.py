@@ -616,7 +616,6 @@ def reference_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the identity catalog, one JSON report per line")
     ver.add_argument("--order", type=int, default=28)
     ver.add_argument("--bivariate-order", type=int, default=16)
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument(
         "--identity",
         action="append",

@@ -210,8 +210,7 @@ def test_criterion_8_mutation_sensitivity():
 
 
 def test_criterion_9_determinism():
-    """Verification reports are identical (minus timing) across jobs 1 and 4
-    and across repeated runs."""
+    """Verification reports are identical (minus timing) across repeated runs."""
 
     def stripped(reports):
         out = []
@@ -221,9 +220,7 @@ def test_criterion_9_determinism():
             out.append(record)
         return out
 
-    first = stripped(verify_all(8, jobs=1, bivariate_order=8))
-    again = stripped(verify_all(8, jobs=1, bivariate_order=8))
-    threaded = stripped(verify_all(8, jobs=4, bivariate_order=8))
+    first = stripped(verify_all(8, bivariate_order=8))
+    again = stripped(verify_all(8, bivariate_order=8))
     assert first == again, "repeated runs must agree"
-    assert first == threaded, "worker count must not change report content"
-    _announce(9, "determinism", "jobs 1 vs 4 and repeated runs agree modulo timing")
+    _announce(9, "determinism", "repeated runs agree modulo timing")

@@ -250,22 +250,6 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "verify: unknown identity ids: nope\n"
 
-    def test_jobs_leave_report_bodies_identical(self, capsys):
-        def body(jobs):
-            code, out, _ = run(
-                capsys, "verify", "--order", "8", "--bivariate-order", "8",
-                "--jobs", jobs,
-            )
-            assert code == 0
-            stripped = []
-            for line in out.splitlines():
-                record = json.loads(line)
-                record.pop("ms")
-                stripped.append(json.dumps(record, sort_keys=True))
-            return stripped
-
-        assert body("1") == body("4")
-
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         from blowup_series.verify import VerificationReport
 
@@ -803,6 +787,12 @@ class TestUsage:
         code, out, err = run(capsys, *(str(paths.get(arg, arg)) for arg in argv))
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1, err
+
+    def test_jobs_is_an_unrecognized_argument(self, capsys):
+        """``--jobs`` selected nothing and is gone."""
+        code, out, err = run(capsys, "verify", "--jobs", "0")
+        assert (code, out) == (2, "")
+        assert err == "blowup-series: error: unrecognized arguments: --jobs 0\n"
 
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2

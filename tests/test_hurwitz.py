@@ -89,6 +89,10 @@ class TestAgainstPlainReference:
 
     @given(tseries(lead=nonzero_rationals))
     @example(TSeries(-2, [F(3, 2), XPoly((0, 1)), F(-1, 3)], 1))
+    # lead 2/3 (head 3/2) with a Fraction tail that carries x
+    @example(TSeries(1, [F(2, 3), XPoly((F(1, 2), F(-1, 3))), XPoly((0, 0, F(5, 7)))], 6))
+    @example(TSeries(0, [-1, XPoly((0, 1)), 2, F(1, 3)], 5))  # lead -1
+    @example(TSeries(0, [F(2, 3)], 0))  # order 0: the head alone
     def test_recip(self, a):
         assert same(a.recip(), plain_recip(a))
 
@@ -100,9 +104,23 @@ class TestAgainstPlainReference:
 
     @given(tseries(min_val=1, max_val=1))
     @example(TSeries(1, [], 0))  # order 0
+    # a Fraction tail that carries x: the divisor 2 of each entry is inexact
+    @example(TSeries(1, [XPoly((F(1, 2), F(-1, 3))), F(2, 3), XPoly((0, 0, F(5, 7)))], 6))
     def test_sqrt(self, tail):
         a = TSeries.monomial(1, 0, tail.order) + tail
         assert same(a.sqrt(), plain_sqrt(a))
+
+    def test_recip_sqrt_and_exp_are_one_linear_ode_solve_each(self, monkeypatch):
+        """The kernel keeps one solver; the series type has no division route of its own."""
+        assert not hasattr(hurwitz, "recip") and not hasattr(hurwitz, "sqrt")
+        solve, calls = hurwitz.linear_ode, []
+        monkeypatch.setattr(hurwitz, "linear_ode", lambda *args: calls.append(args) or solve(*args))
+        unit = TSeries(0, [1, XPoly((0, 1)), F(1, 2)], 4)
+        tail = TSeries(1, [XPoly((0, 1)), F(1, 2)], 4)
+        for op, a in ((TSeries.recip, unit), (TSeries.sqrt, unit), (TSeries.exp, tail)):
+            calls.clear()
+            op(a)
+            assert len(calls) == 1, op.__name__
 
     @given(tseries(), st.sampled_from((0, 1, -1, 2, -3, F(1, 2), F(-2, 3))))
     # a Laurent series whose t^-1 coefficient vanishes integrates
