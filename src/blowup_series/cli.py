@@ -4,10 +4,14 @@ Exit codes: 0 success / all identities pass, 1 a verification failed,
 2 usage or input error, 3 internal generation failure.  Data goes to
 stdout (or ``--output``); diagnostics go to stderr.
 
-Every command is a fresh process, so each handler imports what only it
-needs: ``gen`` loads neither the identity catalog (:mod:`.verify`) nor the
-pairing formulas (:mod:`.pairing`), ``eval`` loads no catalog and
-``verify``, ``table`` and ``bench`` load no pairing.
+Every command is a fresh process, which compiles what it imports when no
+bytecode cache is written.  This module holds the option table, the parser
+and the ``gen`` handler; the handlers of the other commands are in
+:mod:`.commands`, which :func:`main` imports only to run one of them.  So
+``gen`` loads neither those handlers, the identity catalog
+(:mod:`.verify`, :mod:`.bivariate`) nor the pairing formulas
+(:mod:`.pairing`); ``eval`` loads no catalog, and ``verify``, ``table`` and
+``bench`` load no pairing.
 """
 from __future__ import annotations
 
@@ -18,15 +22,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
-from . import blowup
 from .algebra import render_xpoly
-from .blowup import (
-    GenerationError,
-    build_series_set,
-    golden_diff,
-    golden_table_hash,
-    series_set,
-)
+from .blowup import GenerationError, series_set
 from .series import TSeries
 
 SELECTORS = {
@@ -126,146 +123,24 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
-    _check_order(args.order, 8)
-    if args.bivariate_order < 0:
-        raise _UsageError("--bivariate-order must be >= 0")
-    from .verify import capped_notes, verify_all
-
-    try:
-        reports = verify_all(args.order, bivariate_order=args.bivariate_order, identities=args.identity)
-    except ValueError as exc:
-        raise _UsageError(exc) from None
-    text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
-    _emit(text, args.output)
-    for note in capped_notes(reports, args.order, args.bivariate_order):
-        print(f"verify: {note}", file=sys.stderr)
-    failed = [r.identity for r in reports if not r.passed]
-    if failed:
-        print(f"verify: FAILED: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_FAIL
-    print(f"verify: all {len(reports)} identities pass through their reported orders", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_table(args: SimpleNamespace) -> int:
-    _check_order(args.order, 16, " to cover the golden table")
-    from .verify import golden_check
-
-    # the comparison builds its own derived series from the pair cut at t^17;
-    # the report's hash is that of the whole pair
-    series = blowup.assemble_set(*blowup.generate_pair(args.order + 1))
-    report = golden_check(series)
-    lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
-    # the report stops at the first difference; list them all only on failure
-    diffs = [] if report.passed else golden_diff(series)
-    for diff in diffs:
-        lines.append(json.dumps(diff.to_json(), sort_keys=True))
-    _emit("\n".join(lines), args.output)
-    if diffs:
-        print(f"table: {len(diffs)} coefficient slots differ from the golden table", file=sys.stderr)
-        return EXIT_FAIL
-    print("table: exact match with the golden table", file=sys.stderr)
-    return EXIT_OK
-
-
-def _load_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-def _cmd_eval(args: SimpleNamespace) -> int:
-    from .pairing import MomentFunctional, eval_even, eval_even_main_prime, eval_odd
-
-    try:
-        request = _load_json(args.request)
-        if not isinstance(request, dict):
-            raise ValueError("request must be a JSON object")
-        parity = request.get("parity")
-        if parity not in ("even", "odd"):
-            raise ValueError("request needs parity 'even' or 'odd'")
-        order = request.get("order")
-        if type(order) is not int or order < 0:
-            raise ValueError("request needs a non-negative integer 'order'")
-        if order > MAX_ORDER:
-            raise ValueError(f"request 'order' must be <= {MAX_ORDER}")
-        functionals = request.get("functionals")
-        if not isinstance(functionals, dict):
-            raise ValueError("request needs a 'functionals' object")
-        base = args.request.parent
-        formula = request.get("formula", "maina" if parity == "even" else "mainb")
-
-        def need(field: str) -> MomentFunctional:
-            if field not in functionals:
-                raise ValueError(f"{parity} parity ({formula}) requires functional {field!r}")
-            value = functionals[field]
-            if isinstance(value, str):
-                value = _load_json(base / value)
-            if isinstance(value, dict):
-                return MomentFunctional.from_json(value)
-            raise ValueError(f"functional {field!r} must be a moment object or a path to one")
-
-        if parity == "even" and formula == "maina":
-            result = eval_even(need("mu_c"), need("mu_ctau"), order)
-        elif parity == "even" and formula == "main-prime":
-            result = eval_even_main_prime(need("mu_c"), need("nu_c"), order)
-        elif parity == "odd" and formula == "mainb":
-            result = eval_odd(need("mu_c"), need("nu_c"), order)
-        else:
-            raise ValueError(f"unknown formula {formula!r} for parity {parity!r}")
-    except (OSError, ValueError) as exc:  # JSON, moment and series errors are ValueErrors
-        raise _UsageError(exc) from None
-    except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
-        raise _UsageError(f"a moment has a zero denominator: {exc}") from None
-    try:
-        text = json.dumps(result.to_json(), indent=2, sort_keys=True)
-    except ValueError:  # str() of an int past the interpreter's digit limit
-        raise _UsageError(
-            "a result coefficient exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
-        ) from None
-    _emit(text, args.output)
-    return EXIT_OK
-
-
-def _cmd_bench(args: SimpleNamespace) -> int:
-    _check_order(args.order, 4)
-    if args.bivariate_order < 0:
-        raise _UsageError("--bivariate-order must be >= 0")
-    import time
-
-    from .verify import run_catalog
-
-    start = time.perf_counter()
-    series = build_series_set(args.order + 1)
-    gen_ms = (time.perf_counter() - start) * 1000.0
-    rows = [{"row": "generate", "order": args.order, "ms": gen_ms}]
-    reports = run_catalog(series, args.order, bivariate_order=args.bivariate_order)
-    for report in reports:
-        rows.append({"row": report.identity, "order": report.order, "ms": report.ms})
-    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows), args.output)
-    return EXIT_OK
-
-
 _OUTPUT = {"--output": (Path, None)}
 
-#: per command: its handler, its help line and its arguments.  ``--name`` is
+#: per command: the name of its handler, its help line and its arguments.
+#: ``_cmd_gen`` is here; the others are in :mod:`.commands`.  ``--name`` is
 #: an option and a bare name the positional argument.  Each has a type, a
 #: converter or a tuple of choices (``list`` collects a repeated option's
 #: values in order), and a default, ``...`` where the argument is required
 _COMMANDS = {
-    "gen": (_cmd_gen, "generate one series and print it", {
+    "gen": ("_cmd_gen", "generate one series and print it", {
         "--series": (tuple(sorted(SELECTORS)), ...), "--order": (int, 28),
         "--format": (("json", "latex", "table"), "table"),
         "--normalization": (("plain", "factorial"), "factorial"), **_OUTPUT}),
-    "verify": (_cmd_verify, "run the identity catalog, one JSON report per line", {
+    "verify": ("_cmd_verify", "run the identity catalog, one JSON report per line", {
         "--order": (int, 28), "--bivariate-order": (int, 16),
         "--identity": (list, None), **_OUTPUT}),
-    "table": (_cmd_table, "regenerate and diff against the golden table", {"--order": (int, 28), **_OUTPUT}),
-    "eval": (_cmd_eval, "evaluate moment data through the pairing formulas", {"request": (Path, ...), **_OUTPUT}),
-    "bench": (_cmd_bench, "time generation and every catalog identity", {
+    "table": ("_cmd_table", "regenerate and diff against the golden table", {"--order": (int, 28), **_OUTPUT}),
+    "eval": ("_cmd_eval", "evaluate moment data through the pairing formulas", {"request": (Path, ...), **_OUTPUT}),
+    "bench": ("_cmd_bench", "time generation and every catalog identity", {
         "--order": (int, 28), "--bivariate-order": (int, 16), **_OUTPUT}),
 }
 
@@ -348,7 +223,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(args)
         return EXIT_OK
     try:
-        return _COMMANDS[args.command][0](args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        from . import commands  # the other handlers: a ``gen`` process never compiles them
+
+        return getattr(commands, _COMMANDS[args.command][0])(args)
     except GenerationError as exc:
         print(f"{args.command}: generation failed: {exc}", file=sys.stderr)
         return EXIT_GENERATION
@@ -358,4 +237,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
+    # under ``python -m`` this module runs as ``__main__``: register it under its
+    # own name too, so that ``commands`` imports this run, not a second copy
+    # whose ``_UsageError`` ``main`` would not catch
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

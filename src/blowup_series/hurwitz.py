@@ -16,12 +16,14 @@ In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
 index shifts, and t -> c t multiplies entry n by c^n.  One primitive
 serves each way of reading polynomial products.  :func:`convolve` adds
 one entry of the product of two vectors (``mul``, the linear ODE solver,
-``triple``).  :func:`symmetric_sum` adds a weighted sum over the pairs
-h_i h_{d-i} of one vector, each read once, one product per unordered pair
-(``mul`` of a vector with itself).  Pairs that are read many times with
-other weights (the E2/E4 recurrence, :func:`product_pm`) are formed once
-by :func:`pair_products`, split by x-parity, and weighed by
-:func:`pair_sum`.
+the triple tables of :mod:`blowup_series.bivariate`).
+:func:`symmetric_sum` adds a weighted sum over the pairs h_i h_{d-i} of
+one vector, each read once, one product per unordered pair (``mul`` of a
+vector with itself).  Pairs that are read many times with other weights
+(the E2/E4 recurrence, the table of B(u+v) B(u-v)) are formed once by
+:func:`pair_products`, split by x-parity, and weighed by :func:`pair_sum`.
+The tables in (u, v) that only the bivariate checks read live in
+:mod:`blowup_series.bivariate`, which ``gen`` never loads.
 
 Every series defined by division is a solve of :func:`linear_ode`, which
 divides by one scalar per entry: the exponential (w' = f' w), the square
@@ -253,94 +255,4 @@ def first_difference(
         p, q = _at(f, n), _at(g, n)
         if p != q:
             return n, _first_x(p, q)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# bivariate tables
-#
-# A table ``T`` stores the series sum T[i][j] u^i v^j / (i! j!) over the
-# triangle i + j <= m: row i holds the entries j = 0 .. m - i, each an
-# x-polynomial as above.  In this basis f(u +- v) is the signed re-index
-# (+-1)^j f_{i+j}, f(u) g(v) is the outer product f_i g_j, and a product of
-# tables is the binomial convolution in u and in v separately.
-
-
-Table = list  # list[list[Poly]], row i of length m - i + 1
-
-
-def _mirrored(entry, symmetric: bool, m: int) -> Table:
-    """The table whose entry (i, j) is ``entry(i, j)``, through total degree m.
-
-    A ``symmetric`` table, one with entry (i, j) = entry (j, i), computes
-    only the entries j >= i and takes the others from their mirror images,
-    which are shared, not copied.
-    """
-    table: Table = []
-    for i in range(m + 1):
-        start = min(i, m - i + 1) if symmetric else 0
-        mirror = [table[j][i] for j in range(start)]
-        table.append(mirror + [entry(i, j) for j in range(start, m - i + 1)])
-    return table
-
-
-def outer(f: Sequence[Poly], g: Sequence[Poly], m: int) -> Table:
-    """Table of f(u) g(v) through total degree m; f(u) f(v) is symmetric."""
-    return _mirrored(lambda i, j: product(_at(f, i), _at(g, j)), f is g, m)
-
-
-def table_add(p: Table, q: Table, sign: int = 1) -> Table:
-    """``p + sign * q`` entry by entry, for tables over one triangle."""
-    return [[add(a, b, sign) for a, b in zip(rp, rq)] for rp, rq in zip(p, q)]
-
-
-def product_pm(f: Sequence[Poly], m: int) -> Table:
-    """Table of f(u + v) f(u - v) through total degree m.
-
-    Entry (i, j) is sum_n K_ij(n) f_n f_{i+j-n} with the x-free weights
-    K_ij(n) = sum_{k+l=n} C(i,k) C(j,l) (-1)^(j-l) = [z^n] (1+z)^i (z-1)^j,
-    so only the O(m^2) pair products f_n f_{d-n} touch polynomials: each is
-    formed once (:func:`pair_products`) and read by every entry of total
-    degree d (:func:`pair_sum`).  Since K_ij(d - n) = (-1)^j K_ij(n), the
-    entries with odd j vanish, and the others give the unordered pair
-    n < d - n the weight K_ij(n) + K_ij(d - n), as :func:`pair_sum` does.
-    """
-    parted = [parts(p) for p in f[: m + 1]]
-    pairs = [pair_products(parted, d) for d in range(m + 1)]
-    out: Table = []
-    for i in range(m + 1):
-        weights = [comb(i, n) for n in range(i + 1)]  # (1+z)^i, then times (z-1) per j
-        row = []
-        for j in range(m - i + 1):
-            row.append(clean(pair_sum((pairs[i + j], i + j, weights.__getitem__))) if j % 2 == 0 else [])
-            weights = [a - b for a, b in zip([0] + weights, weights + [0])]
-        out.append(row)
-    return out
-
-
-def triple(f: Sequence[Poly], g: Sequence[Poly], h: Sequence[Poly], m: int) -> Table:
-    """Table of f(u) g(v) h(u + v) through total degree m, in O(m^3) products.
-
-    First f(u) h(u + v) = sum_{i,r} P[i][r] u^i v^r / (i! r!) with
-    P[i][r] = sum_k C(i,k) f_k h_{i-k+r}, then the convolution in v with g.
-    f(u) f(v) h(u + v) is symmetric, so its rows i > m/2 are mirror images
-    and need no row of P.
-    """
-    symmetric = f is g
-    shifted = [h[r:] for r in range(m + 1)]  # h_{i-k+r} is entry i - k of h[r:]
-    rows = m // 2 + 1 if symmetric else m + 1
-    p = [[clean(convolve([], f, shifted[r], i)) for r in range(m - i + 1)] for i in range(rows)]
-    return _mirrored(lambda i, j: clean(convolve([], g, p[i], j)), symmetric, m)
-
-
-def first_difference_table(a: Table, b: Table, through: int) -> "tuple[int, int, int] | None":
-    """Least (u-power, v-power, x-power) where two tables differ, or None.
-
-    Total degree ascending through ``through``, then u-power, then x-power.
-    """
-    for d in range(through + 1):
-        for i in range(d + 1):
-            p, q = a[i][d - i], b[i][d - i]
-            if p != q:
-                return i, d - i, _first_x(p, q)
     return None

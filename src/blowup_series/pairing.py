@@ -34,8 +34,8 @@ from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import Rational, RationalLike, parse_rational
-from .blowup import BlowupSeriesSet, degeneration_forms, series_set
-from .hurwitz import Poly, add, clean, scaled
+from .blowup import BlowupSeriesSet, degeneration_form, series_set
+from .hurwitz import Poly, clean
 from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
@@ -237,8 +237,7 @@ def eval_simple_type(
         terms, provenance = (("wronskian", a), ("bs", d)), PROVENANCE_SIMPLE_ODD
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    # one envelope exp(-t^2) for both closed forms
-    envelope, factors = degeneration_forms(2, order)
-    (first, u), (second, v) = ((factors[name].h, weight) for name, weight in terms)
-    factor = [add(scaled(p, u), scaled(q, v)) for p, q in zip(first, second)]
-    return EvalResult(envelope * TSeries.from_kernel(factor, order), provenance)
+    # u exp(-t^2) f_1 + v exp(-t^2) f_2 = exp(-t^2) (u f_1 + v f_2), entry for entry
+    (first, u), (second, v) = terms
+    form = degeneration_form(2, first, order) * u + degeneration_form(2, second, order) * v
+    return EvalResult(form, provenance)

@@ -1,4 +1,4 @@
-"""Truncated power/Laurent series in t over Q[x], and bivariate series in (u, v).
+"""Truncated power/Laurent series in t over Q[x].
 
 A :class:`TSeries` knows exactly how far it can be trusted: every value
 carries an inclusive truncation ``order`` and an integer ``valuation``
@@ -28,10 +28,12 @@ the integral are index shifts.  Plain coefficients entry / k! are formed
 only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and display, and
 at the slot where :func:`first_difference` reports a mismatch.
 
-:class:`BiSeries` is a bivariate series in (u, v) truncated by *total*
-degree, the plain reference type of the substitutions t -> u + v and
-t -> u - v.  The identity checks do not multiply it: they compare
-divided-power tables (:mod:`blowup_series.blowup`).
+The bivariate series of the substitutions t -> u +- v (:meth:`TSeries.subst_pm`)
+and the tables the bivariate identities compare live in
+:mod:`blowup_series.bivariate`, which only the identity catalog loads.  The
+module-level names ``BiSeries`` and ``first_difference_uv`` resolve to that
+module's objects on first access, because the benchmark tracer binds them
+here; nothing in the package reads them through this module.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import hurwitz
-from .algebra import Rational, RationalLike, XPoly, first_coeff_difference
+from .algebra import Rational, RationalLike, XPoly
 from .hurwitz import Poly, add, clean, divided, scaled
 
 CoeffLike = Union[XPoly, Rational, int]
@@ -369,6 +371,8 @@ class TSeries:
             raise SeriesError("sign must be +1 or -1")
         if self._lo < 0:
             raise SeriesError("bivariate substitution needs valuation >= 0")
+        from .bivariate import BiSeries  # a module that ``gen`` never loads
+
         order = self._order
         rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
         for n, c in self.terms():
@@ -479,25 +483,6 @@ class TMismatch(NamedTuple):
         return {"t": self.t, "x": self.x, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-class UVMismatch(NamedTuple):
-    """First coefficient disagreement between two bivariate series."""
-
-    u: int
-    v: int
-    x: int
-    lhs: Rational
-    rhs: Rational
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "x": self.x,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
-
-
 def first_difference(
     a: TSeries, b: TSeries, through: "int | None" = None
 ) -> "TMismatch | None":
@@ -523,109 +508,11 @@ def first_difference(
     return TMismatch(lo + k, x, plain_poly(f[k], scale).coeff(x), plain_poly(g[k], scale).coeff(x))
 
 
-# ---------------------------------------------------------------------------
-# bivariate series
+def __getattr__(name: str):
+    if name not in ("BiSeries", "first_difference_uv"):  # the names the benchmark tracer reads here
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bivariate
 
-
-class BiSeries:
-    """Bivariate series in (u, v) over Q[x], truncated by total degree.
-
-    Coefficients live on the triangle i + j <= order, stored row-major:
-    ``rows[i][j]`` is the coefficient of u^i v^j.
-    """
-
-    __slots__ = ("_rows", "_order")
-
-    def __init__(self, rows: Sequence[Sequence[CoeffLike]], order: int):
-        if order < 0:
-            raise SeriesError("total-degree order must be >= 0")
-        norm: list[tuple[XPoly, ...]] = []
-        for i in range(order + 1):
-            row = rows[i] if i < len(rows) else ()
-            vals = [_as_xpoly(c) for c in row[: order - i + 1]]
-            vals.extend([XPoly.zero()] * (order - i + 1 - len(vals)))
-            norm.append(tuple(vals))
-        object.__setattr__(self, "_rows", tuple(norm))
-        object.__setattr__(self, "_order", order)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    def coeff(self, i: int, j: int) -> XPoly:
-        if i < 0 or j < 0 or i + j > self._order:
-            raise SeriesError(f"(u^{i} v^{j}) is outside the truncation triangle")
-        return self._rows[i][j]
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        rows = [
-            [self._rows[i][j] + other._rows[i][j] for j in range(order - i + 1)]
-            for i in range(order + 1)
-        ]
-        return BiSeries(rows, order)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries([[-c for c in row] for row in self._rows], self._order)
-
-    def __mul__(self, other: "BiSeries | CoeffLike") -> "BiSeries":
-        if isinstance(other, (XPoly, Fraction, int)):
-            p = _as_xpoly(other)
-            return BiSeries([[c * p for c in row] for row in self._rows], self._order)
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
-        for i1 in range(min(self._order, order) + 1):
-            row1 = self._rows[i1]
-            for j1 in range(min(len(row1) - 1, order - i1) + 1):
-                c1 = row1[j1]
-                if c1.is_zero:
-                    continue
-                for i2 in range(order - i1 - j1 + 1):
-                    row2 = other._rows[i2]
-                    for j2 in range(min(len(row2) - 1, order - i1 - j1 - i2) + 1):
-                        c2 = row2[j2]
-                        if c2.is_zero:
-                            continue
-                        rows[i1 + i2][j1 + j2] = rows[i1 + i2][j1 + j2] + c1 * c2
-        return BiSeries(rows, order)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return first_difference_uv(self, other) is None
-
-    def __hash__(self) -> None:  # pragma: no cover
-        raise TypeError("BiSeries is not hashable")
-
-    def __repr__(self) -> str:
-        return f"<BiSeries order={self._order}>"
-
-
-def first_difference_uv(
-    a: BiSeries, b: BiSeries, through: "int | None" = None
-) -> "UVMismatch | None":
-    """First disagreement scanning total degree ascending, then u-power."""
-    limit = min(a.order, b.order) if through is None else through
-    if limit > min(a.order, b.order):
-        raise SeriesError(
-            f"comparison through total degree {limit} exceeds known orders"
-        )
-    for d in range(limit + 1):
-        for i in range(d + 1):
-            ca, cb = a.coeff(i, d - i), b.coeff(i, d - i)
-            if ca != cb:
-                k, va, vb = first_coeff_difference(ca, cb)
-                return UVMismatch(i, d - i, k, va, vb)
-    return None
-
+    # bind it here, so that ``vars(series)`` holds it as an eager import would
+    value = globals()[name] = getattr(bivariate, name)
+    return value

@@ -19,8 +19,8 @@ and coefficient-relation checks certify transcribed reference data.
 
 Every check reads the divided-power vectors of its series, the table forms
 n! [t^n] (:mod:`blowup_series.hurwitz`).  The bivariate identities ``bb``
-and ``bbb`` compare integer tables of entries i! j! [u^i v^j]
-(:func:`~blowup_series.blowup.table_mismatch`); the other rows compare
+and ``bbb`` compare integer tables of entries i! j! [u^i v^j], built and
+compared by :mod:`blowup_series.bivariate`; the other rows compare
 vectors with :func:`~blowup_series.series.first_difference`.  The plain
 values of a mismatch are formed only at the first slot that differs.  The
 two ``pm_ode_*`` rows form no series product: the evaluation ODE is solved
@@ -28,8 +28,9 @@ once, by :func:`~blowup_series.blowup.exponential_pair`, and each row
 compares (B^2 +- S^2)' with its t^0 entry times the derivative of that
 solution, which reports what the ODE's quotient form reports.  The
 eight ``degeneration_*`` rows evaluate a series at x = +-2, one Horner sum
-per entry, and compare it there with its closed form, built as an integer
-vector by :func:`~blowup_series.blowup.degeneration_forms`.
+per entry, and compare it there with its closed form, the integer vector
+of :func:`~blowup_series.blowup.degeneration_form`: each row builds only
+its own form.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
 series it was computed from, and a wall-clock duration in milliseconds.
@@ -46,24 +47,16 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from . import hurwitz
+from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
     _quotient_order,
-    bb_tables,
     build_series_set,
-    checked_pair,
-    degeneration_forms,
+    degeneration_form,
     golden_diff,
-    table_mismatch,
 )
-from .series import (
-    SeriesError,
-    TMismatch,
-    TSeries,
-    UVMismatch,
-    first_difference,
-)
+from .series import SeriesError, TMismatch, TSeries, first_difference
 
 STATUS_CONJECTURAL = "conjectural (series level)"
 STATUS_APPENDIX = "appendix data"
@@ -202,25 +195,6 @@ def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
     return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
 
 
-def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[hurwitz.Table, hurwitz.Table]:
-    """Both sides of the triple-product identity
-    S(u)S(v)S(u+v) = B'(u)B(v)B(u+v) + B(u)B'(v)B(u+v) - B(u)B(v)B'(u+v)
-    through a total degree, as divided-power tables."""
-    checked_pair(b, s)
-    m = total_order
-    db = b.derivative()
-    for known in (b, s, db):
-        if known.order < m:
-            raise SeriesError(f"cannot extend truncation order {known.order} to {m}")
-    hb, hs, hdb = b.h, s.h, db.h
-    lhs = hurwitz.triple(hs, hs, hs, m)
-    # B'(u)B(v)B(u+v) is the transpose of B(u)B'(v)B(u+v)
-    first = hurwitz.triple(hdb, hb, hb, m)
-    transpose = [[first[j][i] for j in range(m - i + 1)] for i in range(m + 1)]
-    both = hurwitz.table_add(first, transpose)
-    return lhs, hurwitz.table_add(both, hurwitz.triple(hb, hb, hdb, m), -1)
-
-
 def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
     return table_mismatch(*bbb_tables(series_set.b, series_set.s, total_order), total_order)
 
@@ -230,8 +204,7 @@ def _at(x: int, name: str) -> Check:
     trigonometric form, built inside the timed check."""
 
     def check(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
-        envelope, factors = degeneration_forms(x, order)
-        return first_difference(_at_x(getattr(series_set, name), x), envelope * factors[name], order)
+        return first_difference(_at_x(getattr(series_set, name), x), degeneration_form(x, name, order), order)
 
     return check
 

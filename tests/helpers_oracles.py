@@ -21,16 +21,14 @@ from blowup_series.algebra import first_coeff_difference
 from blowup_series.blowup import UnexpectedPoleError
 from blowup_series.cli import EXIT_USAGE, SELECTORS
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
+from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv, table_add, triple
 from blowup_series.series import (
-    BiSeries,
     LogSingularityError,
     NonUnitLeadingError,
     SeriesError,
     TMismatch,
     TSeries,
-    UVMismatch,
     first_difference,
-    first_difference_uv,
 )
 
 
@@ -419,6 +417,18 @@ def reference_bbb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSer
     lhs = as_biseries(s, "u", m) * as_biseries(s, "v", m) * s.subst_pm(+1)
     rhs = db_u * b_v * b_uv + b_u * db_v * b_uv - b_u * b_v * db.subst_pm(+1)
     return lhs, rhs
+
+
+def three_triple_bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[list, list]:
+    """Both tables of ``bbb`` by the three-triple route: the right side as
+    B'(u)B(v)B(u+v) plus its transpose minus B(u)B(v)B'(u+v), each product
+    its own ``triple`` table through total degree m."""
+    m = total_order
+    hb, hs, hdb = b.h, s.h, b.derivative().h
+    first = triple(hdb, hb, hb, m)
+    transpose = [[first[j][i] for j in range(m - i + 1)] for i in range(m + 1)]
+    rhs = table_add(table_add(first, transpose), triple(hb, hb, hdb, m), -1)
+    return triple(hs, hs, hs, m), rhs
 
 
 def reference_bbb(b: TSeries, s: TSeries, total_order: int) -> "UVMismatch | None":

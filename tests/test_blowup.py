@@ -4,19 +4,19 @@ import pytest
 from helpers_oracles import (
     _simple_type_factor,
     exp_t_squared,
+    plain_mul,
     simple_type_form,
     solve_by_bivariate_identity,
 )
 
 from blowup_series import blowup, hurwitz, series_set
 from blowup_series.algebra import XPoly
+from blowup_series.bivariate import bb_sides, bb_tables, first_difference_uv, table_mismatch
 from blowup_series.blowup import (
     GenerationError,
     UnexpectedPoleError,
     assemble_set,
-    bb_sides,
-    bb_tables,
-    degeneration_forms,
+    degeneration_form,
     derived_products,
     exponential_pair,
     generate_pair,
@@ -25,9 +25,8 @@ from blowup_series.blowup import (
     golden_table_hash,
     odd_case_pair,
     series_content_hash,
-    table_mismatch,
 )
-from blowup_series.series import SeriesError, TSeries, first_difference, first_difference_uv
+from blowup_series.series import SeriesError, TSeries, first_difference
 from blowup_series.verify import run_catalog
 
 X = XPoly.x()
@@ -405,19 +404,23 @@ class TestSeriesSet:
         assert first_difference(wronskian, set17.wronskian) is None
 
 
-class TestDegenerationForms:
+class TestDegenerationForm:
+    @pytest.mark.parametrize("order", [0, 1, 128])
+    @pytest.mark.parametrize("name", ["b2", "s2", "wronskian", "bs"])
     @pytest.mark.parametrize("x", [2, -2])
-    def test_integer_forms_equal_the_fraction_references_through_t128(self, x):
-        envelope, factors = degeneration_forms(x, 128)
-        assert all(type(v) is int for h in (envelope, *factors.values()) for p in h.h for v in p)
-        assert first_difference(envelope, exp_t_squared(-x // 2, 128)) is None
-        for name, factor in factors.items():
-            reference = _simple_type_factor(name, x, 128)
-            assert first_difference(factor, reference) is None
-            form = envelope * factor
-            assert form.order == 128
-            assert first_difference(form, simple_type_form(name, x, 128)) is None
+    def test_the_integer_form_is_the_envelope_times_the_factor(self, x, name, order):
+        """The form is one x-free integer vector, equal to the Fraction
+        envelope exp(-+t^2) times the Fraction factor, multiplied by the
+        schoolbook route."""
+        form = degeneration_form(x, name, order)
+        assert form.order == order
+        assert all(len(p) == 1 and type(p[0]) is int for p in form.h if p)
+        envelope = exp_t_squared(-x // 2, order)
+        assert first_difference(form, plain_mul(envelope, _simple_type_factor(name, x, order))) is None
+        assert first_difference(form, simple_type_form(name, x, order)) is None
 
-    def test_only_x_equal_to_plus_or_minus_two_has_forms(self):
+    def test_only_the_four_series_at_x_equal_to_plus_or_minus_two_have_forms(self):
         with pytest.raises(ValueError, match="x = 2 and x = -2"):
-            degeneration_forms(0, 8)
+            degeneration_form(0, "b2", 8)
+        with pytest.raises(ValueError, match="no simple-type form for 'b'"):
+            degeneration_form(2, "b", 8)

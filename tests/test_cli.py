@@ -582,8 +582,9 @@ def _with_request(argv: list, tmp_path: Path) -> list:
     return [str(request) if a == "REQUEST" else a for a in argv]
 
 
-#: a fresh interpreter imports the CLI, runs ``main(argv)`` and prints which
-#: of the watched modules the package and the command have loaded
+#: a fresh interpreter imports the CLI, runs ``main(argv)`` and prints every
+#: module of the package then loaded (``__init__`` for the package itself),
+#: and which of the watched modules the package and the command have loaded
 _IMPORT_PROBE = """
 import sys
 bare = set(sys.modules)
@@ -591,37 +592,58 @@ import io, json
 import blowup_series, blowup_series.cli
 out, sys.stdout = sys.stdout, io.StringIO()
 code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-watched = ("blowup_series.verify", "blowup_series.pairing", "hashlib", "concurrent.futures",
-           "argparse", "gettext", "locale")
-out.write(json.dumps([code, [name for name in watched if name in set(sys.modules) - bare]]))
+package = sorted(name.partition(".")[2] or "__init__" for name in sys.modules
+                 if name.split(".")[0] == "blowup_series")
+watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale")
+out.write(json.dumps([code, package, [name for name in watched if name in set(sys.modules) - bare]]))
 """
 
+#: the modules of the package that ``gen``, and the import of the CLI, compile
+_GEN_MODULES = ["__init__", "algebra", "blowup", "cli", "hurwitz", "series"]
 
-#: what each command loads of the watched modules, beyond what importing the CLI loads
+#: the exact package modules each command loads, and what it loads of the
+#: watched modules beyond what importing the CLI loads
 _LOADED = (
-    ([], []),
-    (["gen", "--series", "B", "--order", "8"], []),
-    (["eval", "REQUEST"], ["blowup_series.pairing"]),
-    (["verify", "--order", "8"], ["blowup_series.verify", "hashlib"]),
-    (["table", "--order", "16"], ["blowup_series.verify", "hashlib"]),
-    (["bench", "--order", "4"], ["blowup_series.verify", "hashlib"]),
+    ([], _GEN_MODULES, []),
+    (["gen", "--series", "B", "--order", "8"], _GEN_MODULES, []),
+    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["commands", "pairing"]), []),
+    (["verify", "--order", "8"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
+    (["table", "--order", "16"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
+    (["bench", "--order", "4"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
 )
 
 
 def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
-    """Each command loads the modules it runs and no others: ``gen`` neither
-    the catalog, the pairing formulas nor ``hashlib``, ``eval`` no catalog,
-    the catalog commands no pairing.  None loads ``concurrent.futures``,
-    which pulls in logging; the serial catalog needs neither.  None loads
-    ``argparse``, ``gettext`` or ``locale``: the command line is parsed from
-    the option table."""
-    for argv, loaded in _LOADED:
+    """Each command loads the modules it runs and no others.  ``gen`` loads
+    the univariate engine and ``cli`` alone: not the other commands' handlers
+    (``commands``), the catalog (``verify``, ``bivariate``), the pairing
+    formulas or ``hashlib``.  ``eval`` loads no catalog, the catalog commands
+    no pairing.  None loads ``concurrent.futures``, which pulls in logging;
+    the serial catalog needs neither.  None loads ``argparse``, ``gettext``
+    or ``locale``: the command line is parsed from the option table."""
+    for argv, package, loaded in _LOADED:
         result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == [0, loaded], argv
+        assert json.loads(result.stdout) == [0, package, loaded], argv
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in _LOADED if argv], ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--order", "8", "--identity", "nope"], "verify: unknown identity ids: nope\n"),
+        (["eval", "missing.json"], "eval: [Errno 2] No such file or directory: 'missing.json'\n"),
+    ],
+    ids=["verify", "eval"],
+)
+def test_a_handler_in_commands_reports_a_usage_error_under_python_m(argv, err, tmp_path):
+    """Under ``python -m`` the CLI runs as ``__main__``; the handlers in
+    ``commands`` raise the usage error that this run's ``main`` catches, so
+    the error is one line and exit 2, not a traceback."""
+    result = _fresh(["-m", "blowup_series.cli", *argv], tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in _LOADED if argv], ids=lambda argv: argv[0])
 def test_every_command_runs_in_a_fresh_interpreter(argv, tmp_path):
     """A broken import inside a handler shows only when that command runs."""
     result = _fresh(["-m", "blowup_series.cli", *_with_request(argv, tmp_path)], tmp_path)

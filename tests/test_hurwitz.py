@@ -22,24 +22,23 @@ from helpers_oracles import (
     reference_bbb,
     reference_bbb_sides,
     reference_pm_ode,
+    three_triple_bbb_tables,
 )
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blowup_series import hurwitz
+from blowup_series import bivariate, hurwitz
 from blowup_series.algebra import XPoly
+from blowup_series.bivariate import _biseries, bb_sides, bb_tables, bbb_tables, first_difference_uv
 from blowup_series.blowup import (
     BlowupSeriesSet,
     GenerationError,
-    _biseries,
     assemble_set,
-    bb_sides,
-    bb_tables,
     generate_pair,
     odd_case_pair,
 )
-from blowup_series.series import SeriesError, TSeries, first_difference, first_difference_uv
-from blowup_series.verify import CATALOG, bbb_tables
+from blowup_series.series import SeriesError, TSeries, first_difference
+from blowup_series.verify import CATALOG
 
 # denominators up to 12 make most Hurwitz entries n! [t^n] non-integral
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -303,6 +302,17 @@ def pairs(draw, extra=0, lead=None):
     return TSeries(0, b, m + extra), TSeries(0, s, m + extra), m
 
 
+@st.composite
+def kernel_pairs(draw):
+    """(b, s, m): two power series known through t^(m+1), m <= 7, whose kernel
+    entries are ints, Fractions, [1], or even or odd in x."""
+    m = draw(st.integers(0, 7))
+    entries = st.one_of(_entries, _parity_entries, st.just([1]))
+    b = draw(st.lists(entries, min_size=m + 2, max_size=m + 2))
+    s = draw(st.lists(entries, min_size=m + 2, max_size=m + 2))
+    return TSeries.from_kernel(b, m + 1), TSeries.from_kernel(s, m + 1), m
+
+
 def obeys_parity(b: TSeries, s: TSeries) -> bool:
     """B and S are power series with B(0) = 1, and every term x^k t^n has
     n + 2k = 0 (mod 4) in B and n + 2k = 1 (mod 4) in S: the pairs whose
@@ -399,7 +409,7 @@ class TestBivariateTables:
         addmul = hurwitz.addmul
         calls = []
         monkeypatch.setattr(hurwitz, "addmul", lambda *args: calls.append(args) or addmul(*args))
-        hurwitz.product_pm(b.h, m)
+        bivariate.product_pm(b.h, m)
         products = sum(
             1
             for d in range(m + 1)
@@ -444,18 +454,62 @@ class TestBivariateTables:
     def test_a_symmetric_table_equals_its_unmirrored_form(self, f, h, m):
         """``outer(f, f)`` and ``triple(f, f, h)`` compute the entries j >= i
         and mirror the rest; a copy of f takes the unmirrored route."""
-        assert hurwitz.outer(f.h, f.h, m) == hurwitz.outer(f.h, list(f.h), m)
-        assert hurwitz.triple(f.h, f.h, h.h, m) == hurwitz.triple(f.h, list(f.h), h.h, m)
+        assert bivariate.outer(f.h, f.h, m) == bivariate.outer(f.h, list(f.h), m)
+        assert bivariate.triple(f.h, f.h, h.h, m) == bivariate.triple(f.h, list(f.h), h.h, m)
 
     def test_a_zero_entry_differs_first_where_the_other_is_nonzero(self):
         assert hurwitz.first_difference([[]], [[0, 64]], 0) == (0, 1)
-        assert hurwitz.first_difference_table([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2)
+        assert bivariate.first_difference_table([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2)
         # B = 1, S = x t^7: the t^7 slot of the ODE checks differs at x^1 only
         b, s, m = X_T7_PAIR
         set_ = checked_set(b, s)
         for cid, sign in (("pm_ode_plus", 1), ("pm_ode_minus", -1)):
             got = ENTRY[cid].check(set_, m)
             assert got == reference_pm_ode(set_, sign, m) and (got.t, got.x) == (7, 1)
+
+    @given(kernel_pairs())
+    # entries that break the parity rule, with both x-parities in one entry
+    @example(
+        (
+            TSeries.from_kernel([[1], [1, 1], [2, 0, 3], [0, 1], [5]], 4),
+            TSeries.from_kernel([[], [1], [1, 1], [0, 2], [3]], 4),
+            3,
+        )
+    )
+    # Fraction entries, integral and not
+    @example(
+        (
+            TSeries.from_kernel([[F(1, 2)], [0, F(-2, 3)], [F(3, 4), 1], [], [F(5, 6)]], 4),
+            TSeries.from_kernel([[F(1, 3)], [1], [], [F(-1, 2), 0, 1], [F(4, 2)]], 4),
+            3,
+        )
+    )
+    # every entry [1]: the unit polynomial everywhere
+    @example((TSeries.from_kernel([[1]] * 6, 5), TSeries.from_kernel([[1]] * 6, 5), 4))
+    def test_bbb_tables_equal_the_three_triple_route(self, pair):
+        """The right side (d/du + d/dv) T - 3 T' from one P table equals the
+        three triple products entry for entry, int or Fraction alike."""
+        b, s, m = pair
+
+        def typed(table):
+            return [[[(type(v), v) for v in p] for p in row] for row in table]
+
+        got, want = bbb_tables(b, s, m), three_triple_bbb_tables(b, s, m)
+        assert [typed(t) for t in got] == [typed(t) for t in want]
+
+    def test_bbb_needs_b_one_order_past_the_total_degree(self):
+        """B' is known one order less than B: its refusal keeps the text it
+        had when the check read B' as a series."""
+        b, s = generate_pair(8)
+        bbb_tables(b, s, 7)
+        for pair, m, message in (
+            ((b, s), 8, "cannot extend truncation order 7 to 8"),
+            ((b, s.truncate(6)), 7, "cannot extend truncation order 6 to 7"),
+            ((TSeries(-1, [1], 8), s), 4, "blow-up constructions need power series, got valuation -1"),
+        ):
+            with pytest.raises(SeriesError) as raised:
+                bbb_tables(*pair, m)
+            assert str(raised.value) == message
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
         b, s = set17.b, set17.s

@@ -12,7 +12,9 @@ from helpers_oracles import (
     sinh_series,
 )
 
+from blowup_series import bivariate, blowup, series
 from blowup_series.algebra import XPoly
+from blowup_series.bivariate import first_difference_uv
 from blowup_series.blowup import golden_table
 from blowup_series.series import (
     LogSingularityError,
@@ -20,7 +22,6 @@ from blowup_series.series import (
     SeriesError,
     TSeries,
     first_difference,
-    first_difference_uv,
 )
 
 X = XPoly.x()
@@ -263,6 +264,7 @@ class TestBivariate:
     def test_square_substitution(self):
         t2 = TSeries.monomial(1, 2, 2)
         bi = t2.subst_pm(+1)
+        assert type(bi) is bivariate.BiSeries
         assert bi.coeff(2, 0) == XPoly((1,))
         assert bi.coeff(1, 1) == XPoly((2,))
         assert bi.coeff(0, 2) == XPoly((1,))
@@ -294,6 +296,44 @@ class TestBivariate:
         direct = prod.subst_pm(+1)
         split = a.subst_pm(+1) * b.subst_pm(+1)
         assert first_difference_uv(direct, split) is None
+
+
+class TestLazyBivariateNames:
+    """``series`` and ``blowup`` serve the three bivariate names the benchmark
+    tracer binds from them, and no other name."""
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(series, "BiSeries"), (series, "first_difference_uv"), (blowup, "bb_sides")],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_a_tracer_bound_name_is_bivariates_object_and_lands_in_vars(
+        self, monkeypatch, module, name
+    ):
+        monkeypatch.delitem(vars(module), name, raising=False)
+        assert getattr(module, name) is getattr(bivariate, name)
+        assert vars(module)[name] is getattr(bivariate, name)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(series, "nope"), (blowup, "nope"), (series, "bb_sides"), (blowup, "BiSeries"),
+         (blowup, "first_difference_uv"), (series, "bb_tables"), (blowup, "bbb_tables")],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_any_other_name_is_missing(self, module, name):
+        assert not hasattr(module, name)
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(module, name)
+
+    def test_the_names_import_from_their_old_modules(self):
+        from blowup_series.blowup import bb_sides
+        from blowup_series.series import BiSeries, first_difference_uv
+
+        assert (BiSeries, first_difference_uv, bb_sides) == (
+            bivariate.BiSeries,
+            bivariate.first_difference_uv,
+            bivariate.bb_sides,
+        )
 
 
 class TestSerialization:
