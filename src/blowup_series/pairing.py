@@ -28,12 +28,11 @@ does not enforce.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
-from .algebra import Rational, RationalLike, parse_rational
+from .algebra import RationalLike, parse_rational
 from .blowup import BlowupSeriesSet, degeneration_form, series_set
 from .hurwitz import Poly, clean
 from .series import SeriesError, TSeries
@@ -56,16 +55,32 @@ class InsufficientMomentsError(ValueError):
         self.required = required
 
 
-@dataclass(frozen=True)
 class MomentFunctional:
-    """A linear form known through its values on x-powers."""
+    """A linear form known through its values on x-powers.
+
+    ``moments[k]`` is the value on x^k, turned into a :class:`Fraction` when
+    the functional is made.  A functional is read-only: assigning to any of
+    its names raises :class:`AttributeError`.  Two functionals are equal, and
+    hash alike, when their ``(label, moments)`` are equal.
+    """
 
     label: str
-    moments: tuple[Rational, ...]
+    moments: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in self.moments)
-        object.__setattr__(self, "moments", moments)
+    def __init__(self, label: str, moments: Sequence[RationalLike]):
+        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in moments)
+        self.__dict__.update(label=label, moments=moments)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MomentFunctional:
+            return NotImplemented
+        return (self.label, self.moments) == (other.label, other.moments)
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.moments))
 
     def scaled(self, factor: RationalLike) -> "MomentFunctional":
         f = Fraction(factor)

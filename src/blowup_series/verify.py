@@ -42,7 +42,6 @@ check that reads a derived group also pays for building it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -95,23 +94,36 @@ class VerificationReport(NamedTuple):
         return data
 
 
-@dataclass(frozen=True)
 class IdentityDescriptor:
-    """One catalog row: an identity and the check that certifies it."""
+    """One catalog row: an identity and the check that certifies it.
+
+    ``run(series_set, order)`` times ``check`` and reports it.  It is an
+    attribute of each row, not a method, so that a profiler can wrap it row
+    by row.  A row is read-only: assigning to any of its names raises
+    :class:`AttributeError`.
+    """
 
     id: str
     arity: str
     status: str
     max_feasible_order_hint: int
-    check: Check = field(repr=False)
-    #: ``run(series_set, order)`` times ``check`` and reports it; an instance
-    #: field, so that a profiler can wrap it entry by entry
-    run: Callable[[BlowupSeriesSet, int], VerificationReport] = field(
-        init=False, repr=False, compare=False
-    )
+    check: Check
+    run: Callable[[BlowupSeriesSet, int], VerificationReport]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "run", self._report)
+    def __init__(
+        self, id: str, arity: str, status: str, max_feasible_order_hint: int, check: Check
+    ):
+        self.__dict__.update(
+            id=id,
+            arity=arity,
+            status=status,
+            max_feasible_order_hint=max_feasible_order_hint,
+            check=check,
+            run=self._report,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _report(self, series_set: BlowupSeriesSet, order: int) -> VerificationReport:
         start = time.perf_counter()

@@ -319,6 +319,15 @@ class TestGoldenTable:
         assert first_difference(wronskian, table["WS0"], through=12) is None
         assert first_difference(b * s, table["WS1"], through=13) is None
 
+    def test_each_row_is_parsed_once_and_generation_reads_b_and_s(self):
+        blowup._golden_row.cache_clear()
+        generate_pair(8)
+        assert blowup._golden_row.cache_info().currsize == 2
+        assert list(golden_table("S", "B")) == ["S", "B"]
+        table = golden_table()
+        assert sorted(table) == ["B", "B2", "S", "S2", "WS0", "WS1"]
+        assert all(golden_table()[name] is row for name, row in table.items())
+
     def test_hash_is_stable_sha256(self):
         h = golden_table_hash()
         assert len(h) == 64 and int(h, 16) >= 0
@@ -397,6 +406,13 @@ class TestSeriesSet:
             with pytest.raises(SeriesError) as raised:
                 st.b2
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("name", ("b", "s") + _READS + ("_products",))
+    def test_a_set_is_read_only(self, name):
+        st = assemble_set(*generate_pair(8))
+        with pytest.raises(AttributeError):
+            setattr(st, name, None)
+        assert "_products" not in vars(st)
 
     def test_derived_products_standalone(self, set17):
         b2, s2, bs, wronskian = derived_products(set17.b, set17.s)

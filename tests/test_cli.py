@@ -594,7 +594,7 @@ out, sys.stdout = sys.stdout, io.StringIO()
 code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 package = sorted(name.partition(".")[2] or "__init__" for name in sys.modules
                  if name.split(".")[0] == "blowup_series")
-watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale")
+watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale", "dataclasses", "inspect")
 out.write(json.dumps([code, package, [name for name in watched if name in set(sys.modules) - bare]]))
 """
 
@@ -620,11 +620,31 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     formulas or ``hashlib``.  ``eval`` loads no catalog, the catalog commands
     no pairing.  None loads ``concurrent.futures``, which pulls in logging;
     the serial catalog needs neither.  None loads ``argparse``, ``gettext``
-    or ``locale``: the command line is parsed from the option table."""
+    or ``locale``: the command line is parsed from the option table.  None
+    loads ``dataclasses`` or the ``inspect`` it pulls in: the records are
+    plain classes."""
     for argv, package, loaded in _LOADED:
         result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [0, package, loaded], argv
+
+
+def test_reading_a_series_set_leaves_dataclasses_unloaded(tmp_path):
+    """A fresh interpreter builds a set and reads every group without
+    importing ``dataclasses``; ``dataclasses.fields`` of the set, which the
+    benchmark tracer reads, then names the pair."""
+    probe = (
+        "import json, sys\n"
+        "from blowup_series import blowup\n"
+        "st = blowup.series_set(8)\n"
+        "for group in blowup._GROUPS: getattr(st, group)\n"
+        "loaded = 'dataclasses' in sys.modules\n"
+        "import dataclasses\n"
+        "print(json.dumps([loaded, [f.name for f in dataclasses.fields(st)]]))\n"
+    )
+    result = _fresh(["-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, ["b", "s"]]
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,19 @@ class TestMomentFunctional:
         assert all(a is b for a, b in zip(mu.moments, moments))
         assert mu.moments[2] == F(5) and type(mu.moments[2]) is F
 
+    def test_functionals_compare_and_hash_by_label_and_moments(self):
+        mu = MomentFunctional("m", [1, F(1, 2)])
+        assert mu == MomentFunctional("m", (F(1), F(1, 2))) and mu != MomentFunctional("n", mu.moments)
+        assert mu != MomentFunctional("m", (F(1),)) and mu != ("m", mu.moments)
+        assert hash(mu) == hash(("m", (F(1), F(1, 2))))
+        assert len({mu, MomentFunctional("m", mu.moments)}) == 1
+
+    @pytest.mark.parametrize("name", ["label", "moments", "other"])
+    def test_a_functional_is_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(UNIT, name, None)
+        assert UNIT == MomentFunctional("unit", (F(1),) * MOMENTS)
+
     @given(st.text(), st.lists(st.fractions() | st.integers()))
     @example("D_c", [F(1), F(-2, 3)])
     def test_json_round_trip(self, label, moments):

@@ -109,6 +109,16 @@ class TestCatalogShape:
         assert ENTRY["bb"].arity == "bivariate"
         assert ENTRY["pm_ode_plus"].arity == "univariate"
 
+    @pytest.mark.parametrize(
+        "name", ["id", "arity", "status", "max_feasible_order_hint", "check", "run"]
+    )
+    def test_a_row_is_read_only(self, name):
+        row = ENTRY["bb"]
+        kept = getattr(row, name)
+        with pytest.raises(AttributeError):
+            setattr(row, name, None)
+        assert getattr(row, name) == kept
+
     def test_reports_carry_the_id_and_status_of_their_row(self, set17):
         reports = run_catalog(set17, 12, bivariate_order=8)
         assert len(reports) == len(CATALOG)
