@@ -8,7 +8,6 @@ integral-formula series), verifies the catalog of series identities to any
 feasible truncation order, and pairs series against user-supplied moment
 data of Donaldson-type linear functionals.
 """
-from .algebra import XPoly, render_xpoly
 from .blowup import (
     BlowupSeriesSet,
     GenerationError,
@@ -22,14 +21,17 @@ from .series import SeriesError, TSeries, first_difference
 __version__ = "1.0.0"
 
 #: public names whose module is imported on first access (PEP 562): ``gen``
-#: never loads the pairing formulas or the identity catalog
+#: never loads the pairing formulas or the identity catalog, and
+#: ``gen --format json`` never loads the x-polynomials of ``algebra``
 _LAZY = {
     "InsufficientMomentsError": "pairing",
     "MomentFunctional": "pairing",
+    "XPoly": "algebra",
     "eval_even": "pairing",
     "eval_even_main_prime": "pairing",
     "eval_odd": "pairing",
     "eval_simple_type": "pairing",
+    "render_xpoly": "algebra",
     "verify_all": "verify",
 }
 

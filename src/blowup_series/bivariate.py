@@ -27,7 +27,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .algebra import Rational, XPoly, first_coeff_difference
-from .blowup import checked_pair
+from .derived import checked_pair
 from .hurwitz import (
     Poly,
     _at,

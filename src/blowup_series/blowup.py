@@ -20,23 +20,21 @@ instances redundant; they are kept as consistency checks, and generation
 compares the pair against the embedded golden coefficient table before
 returning.  The identity (*) itself is certified by the catalog row ``bb``,
 on the divided-power tables of :mod:`blowup_series.bivariate`, which only
-the catalog commands load.  The name ``bb_sides`` resolves to that
-module's function on first access, because the benchmark tracer binds it
-here.
+the catalog commands load.
 
-Every derived series is built by one route.  The exponential series come
-from one evaluation ODE and the blow-up symmetry (t, x) -> (it, -x), which
-maps it to the other (:func:`exponential_pair`); their closed forms through
-sqrt and exp are not built again, because the identity catalog certifies
-what they feed (b0 = B^2, btau = S^2 and the evaluation ODEs themselves).
+Every series derived from the pair is built by one route, in
+:mod:`blowup_series.derived`, which a set imports on the first read of a
+derived group; ``gen --series B`` never loads it.  The benchmark tracer
+binds ``bb_sides`` and the four group constructions from this module, so
+those names resolve to their modules' functions on first access.
 
 Every construction runs on the divided-power vectors that a
 :class:`TSeries` holds (:mod:`blowup_series.hurwitz`), where the table forms
 n! [t^n] of B, S and all derived series are integer polynomials in x: the
 recurrence gives b_{n+4} = -rest and s_{m-1} = -rest/(2m), products are
 binomial convolutions, and the integral formulas are solved as linear ODEs.
-The identity checks compare those entries as they are and form plain
-values only at the first slot that differs.
+The golden check compares those entries as they are and forms plain
+values only at a slot that differs.
 
 A :class:`BlowupSeriesSet` builds each derived group on the first read of one
 of its series and keeps it.  :func:`assemble_set` checks only that the pair
@@ -51,12 +49,13 @@ import json
 import math
 import os
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from . import hurwitz
-from .algebra import Rational, XPoly
-from .hurwitz import Poly, add, clean, divided, pair_pieces, pair_products, pair_sum, parts, scaled
+from .hurwitz import Poly, add, clean, divided, pair_pieces, pair_products, pair_sum, parts
 from .series import SeriesError, TSeries, plain_poly
+
+if TYPE_CHECKING:
+    from .algebra import Rational
 
 
 class GenerationError(RuntimeError):
@@ -71,9 +70,12 @@ class UnexpectedPoleError(SeriesError):
     """A quotient of blow-up series had a pole it must not have."""
 
 
-def _c(n: int, k: int) -> int:
-    """Binomial coefficient, zero outside 0 <= k <= n."""
-    return math.comb(n, k) if 0 <= k <= n else 0
+@lru_cache(maxsize=1)
+def _row(n: int) -> list[int]:
+    """C(n, k - 4) at index k, for k from 0 to n + 8: the binomial row of n
+    with four zeros on either side.  (E2) at t^(n+2) and then (E4) at t^(n+2)
+    read the same row, so the recurrence computes each row once."""
+    return [0] * 4 + [math.comb(n, k) for k in range(n + 1)] + [0] * 4
 
 
 #: the stored pair products of one vector by d: the pieces (i, r, c) of
@@ -89,12 +91,13 @@ def _e4_rest(b_pairs: Pairs, s_pairs: Pairs, n: int) -> Poly:
     W(i) = C(n,i-4) - 4C(n,i-3) + 3C(n,i-2).  The unknown enters only as
     b_0 b_{n+4} = b_{n+4}, so b_{n+4} = -rest needs no division.
     """
+    c = _row(n)
     acc = pair_sum(
-        (b_pairs[n + 4], n + 4, lambda i: _c(n, i - 4) - 4 * _c(n, i - 3) + 3 * _c(n, i - 2)),
-        (b_pairs[n], n, lambda i: 2 * _c(n, i)),
+        (b_pairs[n + 4], n + 4, lambda i: c[i] - 4 * c[i + 1] + 3 * c[i + 2]),
+        (b_pairs[n], n, lambda i: 2 * c[i + 4]),
     )
     # -4x S^2: the sum over S, times x by a shift of one x-power
-    return add(acc, [0] + pair_sum((s_pairs[n], n, lambda i: -4 * _c(n, i))))
+    return add(acc, [0] + pair_sum((s_pairs[n], n, lambda i: -4 * c[i + 4])))
 
 
 def _e2_rest(b_pairs: Pairs, s_pairs: Pairs, m: int) -> Poly:
@@ -103,10 +106,11 @@ def _e2_rest(b_pairs: Pairs, s_pairs: Pairs, m: int) -> Poly:
     The unknown s_{m-1} enters only through s_1 s_{m-1}, with weight
     C(m,1) + C(m,m-1) = 2m, so s_{m-1} = -rest / (2m).
     """
+    c = _row(m)
     return clean(
         pair_sum(
-            (b_pairs[m + 2], m + 2, lambda i: _c(m, i - 2) - _c(m, i - 1)),
-            (s_pairs[m], m, lambda i: _c(m, i)),
+            (b_pairs[m + 2], m + 2, lambda i: c[i + 2] - c[i + 3]),
+            (s_pairs[m], m, lambda i: c[i + 4]),
         )
     )
 
@@ -151,6 +155,8 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
         rest = _e2_rest(b_pairs, s_pairs, m)
         if m in (2, 4):
             if rest:
+                from .algebra import XPoly
+
                 residual = XPoly(rest) / math.factorial(m)
                 raise GenerationError(
                     f"seed consistency check failed, residual {residual}", degree=m
@@ -174,184 +180,6 @@ def _check_against_golden(b: TSeries, s: TSeries) -> None:
             f"t^{diff.t}, x^{diff.x}: {diff.got} vs {diff.expected}",
             degree=diff.t,
         )
-
-
-def checked_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
-    """``(b, s)``, refused if either is a Laurent series: the constructions read
-    their kernel vectors from t^0 on."""
-    for series in (b, s):
-        if series.valuation < 0:
-            raise SeriesError(
-                f"blow-up constructions need power series, got valuation {series.valuation}"
-            )
-    return b, s
-
-
-def degeneration_form(x: int, name: str, order: int) -> TSeries:
-    """The closed form of B^2, S^2, the Wronskian or BS at x = 2 or -2.
-
-    With c = x/2 each is the envelope exp(-c t^2) times a factor: cosh^2 t,
-    sinh^2 t, 1 and sinh(2t)/2 at x = 2, and cos^2 t, sin^2 t, 1 and
-    sin(2t)/2 at x = -2.  The envelope has entry e_n = (-c)^(n/2) n!/(n/2)!
-    at even n.  With g_n = c^(n//2) 2^(n-1), the B^2 factor is 1 at n = 0
-    and g_n at even n >= 2, the S^2 factor is c times that but 0 at n = 0,
-    and the BS factor is g_n at odd n.  The form is the binomial convolution
-    sum_m C(n, m) e_{n-m} f_m of the envelope with the factor f, computed on
-    x-free integers, so it is an integer kernel vector.
-    """
-    if x not in (2, -2):
-        raise ValueError(f"the simple-type forms sit at x = 2 and x = -2, got {x}")
-    c = x // 2
-    # per series: the t-parity of its factor's entries, the weight of g_m in them, and f_0
-    factors = {"b2": (0, 1, 1), "s2": (0, c, 0), "wronskian": (0, 0, 1), "bs": (1, 1, 0)}
-    if name not in factors:
-        raise ValueError(f"no simple-type form for {name!r}")
-    parity, weight, head = factors[name]
-    factor = [(0, head)] if head else []
-    if weight:
-        factor += [(m, weight * c ** (m // 2) * 2 ** (m - 1)) for m in range(parity or 2, order + 1, 2)]
-    fact = math.factorial
-    envelope = [(-c) ** i * fact(2 * i) // fact(i) for i in range(order // 2 + 1)]  # e_{2i}
-    form = [0] * (order + 1)
-    for n in range(parity, order + 1, 2):
-        form[n] = sum(math.comb(n, m) * envelope[(n - m) // 2] * fm for m, fm in factor if m <= n)
-    return TSeries.from_kernel([[v] if v else [] for v in form], order)
-
-
-# ---------------------------------------------------------------------------
-# derived series
-
-
-def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-    """B^2, S^2, BS and the Wronskian BS' - B'S, all by fresh arithmetic.
-
-    By Leibniz, (BS)' = B'S + BS', so the Wronskian is 2 BS' - (BS)': it
-    reuses BS and takes one product, BS', of its own.
-    """
-    bs = b * s
-    return b * b, s * s, bs, b * s.derivative() * 2 - bs.derivative()
-
-
-def _quotient_order(num: TSeries, den: TSeries) -> int:
-    """Truncation order of the Laurent quotient num/den, as ``num * den.recip()`` states it."""
-    v = den.valuation
-    return min(num.order - v, den.order - 2 * v + num.valuation)
-
-
-def _ode_solution(sigma: TSeries, rho: TSeries, head: list[Poly], order: int) -> TSeries:
-    """The solution of sigma(2t) w' = rho(2t) w that starts with ``head``."""
-    w = hurwitz.linear_ode(sigma.scale_arg(2).h, rho.scale_arg(2).h, head, order + 1)
-    return TSeries.from_kernel(w, order)
-
-
-def _check_parity(b: TSeries, s: TSeries) -> None:
-    """Raise unless B(it; -x) = B(t; x) and S(it; -x) = i S(t; x).
-
-    The term x^k t^n picks up the factor i^(n + 2k) under (t, x) -> (it, -x),
-    so the rule asks n + 2k = 0 (mod 4) of every term of B and n + 2k = 1
-    (mod 4) of every term of S.  The functional equation and its seeds are
-    invariant under that map, so the generated pair obeys the rule.
-    """
-    for name, series, weight in (("B", b, 0), ("S", s, 1)):
-        for n, p in enumerate(series.h):
-            for k, v in enumerate(p):
-                if v and (n + 2 * k) % 4 != weight:
-                    raise SeriesError(
-                        f"{name} breaks the parity rule B(it; -x) = B(t; x), "
-                        f"S(it; -x) = i S(t; x) at t^{n}, x^{k}"
-                    )
-
-
-def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-    """The exponential solutions of the two evaluation ODEs, and their halves.
-
-    For each sign the series exp(int_0^t ((B' +- S)/B)(2s) ds) solves
-    B(2t) f' = (B' +- S)(2t) f with f(0) = 1.  When B(0) = 1 it equals
-    sqrt(B(2t)) * exp(+-(1/2) int_0^{2t} S/B); that closed form is not built
-    here.  Only the plus equation is solved.  The blow-up symmetry
-    (t, x) -> (it, -x), with B -> B and S -> iS, maps it to the minus
-    equation, so b_minus(t; x) = b_plus(it; -x): entry n of b_minus is
-    (-1)^(n/2) times entry n of b_plus taken at -x.  The half sum b0 and half
-    difference btau are therefore the two x-parity halves of b_plus: b0 keeps
-    the terms x^k t^n with k = n/2 (mod 2), btau the others.  A pair that
-    breaks the symmetry's parity rule is refused with :class:`SeriesError`
-    naming its first bad slot, since its minus series would not solve its
-    equation.
-    Returns (plus, minus, half_sum, half_difference).
-    """
-    if b.h[:1] != [[1]]:
-        raise SeriesError("the evaluation ODE needs B(0) = 1")
-    _check_parity(b, s)
-    numerator = b.derivative() + s
-    plus = _ode_solution(b, numerator, [[1]], _quotient_order(numerator, b) + 1)
-    b0: list[Poly] = []
-    btau: list[Poly] = []
-    for n, p in enumerate(plus.h):
-        e = n // 2 % 2  # b0 keeps x^k t^n with k = n/2 (mod 2); odd n are zero
-        b0.append(clean([v if k % 2 == e else 0 for k, v in enumerate(p)]))
-        btau.append(clean([0 if k % 2 == e else v for k, v in enumerate(p)]))
-    minus = [add(p, q, -1) for p, q in zip(b0, btau)]
-    return plus, *(TSeries.from_kernel(h, plus.order) for h in (minus, b0, btau))
-
-
-def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
-    """Raise where the Laurent integrands of the odd-case formulas leave their domain.
-
-    ``regular`` and ``singular`` are S' - B and S' + B.  (-B + S')/S must
-    vanish at 0, and (B + S')/S must be exactly 2/t + O(t).  Both conditions
-    are read off leading kernel entries: c_k = 2 s_{k+1} on plain
-    coefficients reads (k + 1) c'_k = 2 s'_{k+1} on the entries c'_k = k! c_k.
-    Only an error divides series.
-    """
-    v = s.valuation
-    if v > s.order or len(s.h[v]) != 1:
-        # dividing by S needs an x-free unit leading coefficient: raise
-        # exactly what the reciprocal of S would
-        s.truncate(min(v, s.order)).recip()
-    if regular.valuation <= regular.order and regular.valuation < v + 1:
-        raise UnexpectedPoleError(
-            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
-        )
-    lead = singular.valuation
-    if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
-        quotient = singular * s.recip()
-        raise UnexpectedPoleError(
-            "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{quotient.valuation} with residue {quotient.coeff(-1) if quotient.valuation <= -1 else 0}"
-        )
-    # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
-    reaches = min(singular.order - v, s.order - v - 1) >= 0
-    if reaches and scaled(singular.h[v], v + 1) != scaled(s.h[v + 1], 2):
-        raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
-
-
-def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
-    """The universal series of the odd pairing case, from their integral forms.
-
-    ws0 = exp((1/2) int_0^{2t} (-B + S')/S) and
-    ws1 = t * exp((1/2) int_0^{2t} [(B + S')/S - 2/s] ds).
-    The first integrand must be regular at 0; the second must carry exactly
-    the 2/s pole that the subtraction removes.  Both are built as solutions
-    of the linear ODE S(2t) w' = q(2t) w: q = S' - B with w(0) = 1 for ws0,
-    and q = S' + B with w = t + O(t^2) for ws1.  Unlike the Laurent
-    quotients, whose coefficients have Bernoulli-type denominators, the
-    ODE stays integral in the Hurwitz basis.
-    """
-    ds = s.derivative()
-    regular, singular = ds - b, ds + b
-    _check_poles(s, regular, singular)
-    ws0 = _ode_solution(s, regular, [[1]], _quotient_order(regular, s) + 1)
-    ws1 = _ode_solution(s, singular, [[], [1]], _quotient_order(singular, s) + 2)
-    return ws0, ws1
-
-
-def series_content_hash(b: TSeries, s: TSeries) -> str:
-    import hashlib  # only reports and ``table`` hash; ``gen`` never loads it
-
-    payload = json.dumps(
-        [b.to_json(), s.to_json()], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def _member(group: str, index: int) -> property:
@@ -378,14 +206,14 @@ class BlowupSeriesSet:
     """The blow-up pair and every series derived from it, built on first read.
 
     The fields are the pair ``b``, ``s``; ``order`` is their truncation order.
-    Each derived group is built by its module-level construction the first
-    time one of its series is read, and kept: ``b2``, ``s2``, ``bs`` and
-    ``wronskian`` are recomputed products (:func:`derived_products`), never
-    aliases; ``b_plus`` solves the plus evaluation ODE, ``b_minus`` is its
-    symmetry image and ``b0``/``btau`` are its two x-parity halves, the half
-    sum/difference of the pair (:func:`exponential_pair`);
-    ``ws0``/``ws1`` come from the odd-case integral formulas
-    (:func:`odd_case_pair`).  Every construction first checks that B and S
+    Each derived group is built by its construction in
+    :mod:`blowup_series.derived` the first time one of its series is read,
+    and kept: ``b2``, ``s2``, ``bs`` and ``wronskian`` are recomputed
+    products (``derived_products``), never aliases; ``b_plus`` solves the
+    plus evaluation ODE, ``b_minus`` is its symmetry image and
+    ``b0``/``btau`` are its two x-parity halves, the half sum/difference of
+    the pair (``exponential_pair``); ``ws0``/``ws1`` come from the odd-case
+    integral formulas (``odd_case_pair``).  Every construction first checks that B and S
     are power series.  ``content_hash`` fingerprints (b, s).
 
     A construction error therefore surfaces on the first read of a series of
@@ -412,19 +240,27 @@ class BlowupSeriesSet:
 
     @cached_property
     def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        return derived_products(*checked_pair(self.b, self.s))
+        from . import derived
+
+        return derived.derived_products(*derived.checked_pair(self.b, self.s))
 
     @cached_property
     def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        return exponential_pair(*checked_pair(self.b, self.s))
+        from . import derived
+
+        return derived.exponential_pair(*derived.checked_pair(self.b, self.s))
 
     @cached_property
     def _odd(self) -> tuple[TSeries, TSeries]:
-        return odd_case_pair(*checked_pair(self.b, self.s))
+        from . import derived
+
+        return derived.odd_case_pair(*derived.checked_pair(self.b, self.s))
 
     @cached_property
     def content_hash(self) -> str:
-        return series_content_hash(self.b, self.s)
+        from . import derived
+
+        return derived.series_content_hash(self.b, self.s)
 
     b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
     b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))
@@ -484,13 +320,6 @@ def golden_table(*names: str) -> dict[str, TSeries]:
     return {name: _golden_row(name) for name in names or _golden_json()}
 
 
-@lru_cache(maxsize=1)
-def golden_table_hash() -> str:
-    import hashlib
-
-    return hashlib.sha256(_golden_bytes()).hexdigest()
-
-
 class GoldenDiff(NamedTuple):
     """One coefficient slot where a generated series leaves the golden table."""
 
@@ -510,19 +339,6 @@ class GoldenDiff(NamedTuple):
             "expected": str(self.expected),
             "got": str(self.got),
         }
-
-
-#: which generated series are measured against which golden rows
-_GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
-    ("B", "b"),
-    ("S", "s"),
-    ("B2", "b2"),
-    ("S2", "s2"),
-    ("WS0", "wronskian"),
-    ("WS0", "ws0"),
-    ("WS1", "bs"),
-    ("WS1", "ws1"),
-)
 
 
 def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDiff]:
@@ -545,23 +361,21 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
                         yield GoldenDiff(row, name, n, k, expected.coeff(k), got.coeff(k))
 
 
-def golden_diff(series_set: BlowupSeriesSet) -> list[GoldenDiff]:
-    """All disagreements between the set and the golden table (empty = match).
-
-    The derived series are built from the pair cut one order past the
-    golden rows' reach, not read from the set: no golden row needs more.
-    """
-    b, s = checked_pair(series_set.b, series_set.s)
-    top = min(series_set.order, max(row.order for row in golden_table().values()) + 1)
-    cut = assemble_set(b.truncate(top), s.truncate(top))
-    return list(_golden_diffs((row, name, getattr(cut, name)) for row, name in _GOLDEN_PAIRING))
+#: the names the benchmark tracer reads from this module, and their modules
+_TRACER_NAMES = {
+    "bb_sides": "bivariate",
+    "derived_products": "derived",
+    "exponential_pair": "derived",
+    "odd_case_pair": "derived",
+    "series_content_hash": "derived",
+}
 
 
 def __getattr__(name: str):
-    if name != "bb_sides":  # the one name the benchmark tracer reads from this module
+    if name not in _TRACER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import bivariate
+    from importlib import import_module
 
     # bind it here, so that ``vars(blowup)`` holds it as an eager import would
-    value = globals()[name] = bivariate.bb_sides
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_TRACER_NAMES[name]}"), name)
     return value

@@ -22,7 +22,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
-from .algebra import render_xpoly
 from .blowup import GenerationError, series_set
 from .series import TSeries
 
@@ -38,10 +37,15 @@ SELECTORS = {
     "BMINUS": "b_minus",
 }
 
-#: largest order any command builds.  The full set grows about as order^4.5
-#: (0.9 s at order 129 and 21 s at 257 on a 2-core host with Python 3.11), so
-#: order 512 would take about eight minutes; the checked pair alone, all that
-#: ``gen --series B|S`` builds, takes 0.06 s and 1.0-1.1 s there
+#: the selectors built with a derivative or an ODE solve, which lose an order;
+#: the pair and its products reach the order they are built at
+_GUARDED = frozenset({"WS0", "WS1", "BPLUS", "BMINUS"})
+
+#: largest order any command builds.  The full set grows about as order^4.4
+#: (0.55 s at order 129 and 11.7 s at 257, single runs on one core of a 2-core
+#: host with Python 3.11.7), so order 512 would take about four minutes; the
+#: checked pair alone, all that ``gen --series B|S`` builds, takes 0.08 s at
+#: order 128 and 1.0 s at 256 there
 MAX_ORDER = 256
 
 EXIT_OK = 0
@@ -67,6 +71,8 @@ def _emit(text: str, output: "Path | None") -> None:
 
 
 def _latex_lines(name: str, series: TSeries, normalization: str) -> list[str]:
+    from .algebra import render_xpoly
+
     lines = [f"{name}(t) ="]
     first = True
     for n, c in series.terms():
@@ -104,9 +110,9 @@ def _check_order(order: int, least: int, reason: str = "") -> None:
 
 def _cmd_gen(args: SimpleNamespace) -> int:
     _check_order(args.order, 0)
-    # the recurrence needs at least order 4, plus one guard order so that
-    # derivative-based series still reach the requested order
-    internal = max(args.order, 4) + 1
+    # the recurrence needs at least order 4; a series built with a derivative
+    # or an ODE solve needs one guard order more to reach the requested order
+    internal = max(args.order, 4) + (args.series in _GUARDED)
     series = getattr(series_set(internal), SELECTORS[args.series]).truncate(args.order)
 
     if args.format == "json":
@@ -114,6 +120,8 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     elif args.format == "latex":
         text = "\n".join(_latex_lines(args.series, series, args.normalization))
     else:
+        from .algebra import render_xpoly
+
         rows = [f"# series {args.series} order {args.order} normalization {args.normalization}"]
         for n, _ in series.terms():
             poly = series.coeff(n, normalized=(args.normalization == "factorial"))

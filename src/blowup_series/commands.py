@@ -42,15 +42,15 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 def _cmd_table(args: SimpleNamespace) -> int:
     _check_order(args.order, 16, " to cover the golden table")
-    from .verify import golden_check
+    from .verify import golden_check, golden_diff, golden_table_hash
 
     # the comparison builds its own derived series from the pair cut at t^17;
     # the report's hash is that of the whole pair
     series = blowup.assemble_set(*blowup.generate_pair(args.order + 1))
     report = golden_check(series)
-    lines = [json.dumps({**report.to_json(), "golden_hash": blowup.golden_table_hash()}, sort_keys=True)]
+    lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
     # the report stops at the first difference; list them all only on failure
-    diffs = [] if report.passed else blowup.golden_diff(series)
+    diffs = [] if report.passed else golden_diff(series)
     for diff in diffs:
         lines.append(json.dumps(diff.to_json(), sort_keys=True))
     _emit("\n".join(lines), args.output)

@@ -8,15 +8,16 @@ and free of trailing zeros (``[]`` is zero).  A scalar is an ``int``
 wherever it is integral and a ``Fraction`` only where a division was
 inexact, so the kernel stays exact over Q for any input while the
 blow-up series, whose table forms are integer polynomials, run on plain
-Python ints.
+Python ints.  This module imports ``fractions`` only at an inexact
+division; a command that divides only exactly never loads it.
 
 In this basis (Keigher, "On the ring of Hurwitz series", Comm. Algebra 25,
 1997) the product is the binomial convolution
 ``(fg)_n = sum_k C(n, k) f_k g_{n-k}``, d/dt and the integral from 0 are
 index shifts, and t -> c t multiplies entry n by c^n.  One primitive
 serves each way of reading polynomial products.  :func:`convolve` adds
-one entry of the product of two vectors (``mul``, the linear ODE solver,
-the triple tables of :mod:`blowup_series.bivariate`).
+one entry of the product of two vectors (``mul``, the triple tables of
+:mod:`blowup_series.bivariate`).
 :func:`symmetric_sum` adds a weighted sum over the pairs h_i h_{d-i} of
 one vector, each read once, one product per unordered pair (``mul`` of a
 vector with itself).  Pairs that are read many times with other weights
@@ -29,17 +30,20 @@ Every series defined by division is a solve of :func:`linear_ode`, which
 divides by one scalar per entry: the exponential (w' = f' w), the square
 root (2 f w' = f' w), the reciprocal (f w' = -f' w), and the evaluation
 and odd-case ODEs of the blow-up series, where each divisor is a small
-integer that divides exactly.
+integer that divides exactly.  Its entry t^n weighs sigma and rho into one
+x-polynomial per known entry of w, so it takes one product per entry.
 """
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import zip_longest
 from math import comb
-from typing import Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 Poly = list  # list[Scalar], ascending powers of x, no trailing zeros
 
 
@@ -80,11 +84,12 @@ def scaled(p: Poly, c: Scalar) -> Poly:
 def divided(p: Poly, d: Scalar) -> Poly:
     """``p / d`` for a nonzero scalar ``d``: exact int division where it divides."""
     if type(d) is int:
-        return [
-            v // d if type(v) is int and v % d == 0 else _int_if_integral(Fraction(v) / d)
-            for v in p
-        ]
-    return [_int_if_integral(v / d) for v in p]
+        out = [v // d for v in p if type(v) is int and v % d == 0]
+        if len(out) == len(p):
+            return out
+    from fractions import Fraction  # an inexact division, or a Fraction in p or d
+
+    return [_int_if_integral(Fraction(v) / d) for v in p]
 
 
 def product(a: Poly, b: Poly) -> Poly:
@@ -220,6 +225,10 @@ def linear_ode(
     constant for every m at or beyond ``len(head)``.  Entries of ``rho`` below
     index v - 1 must vanish.  Where sigma vanishes at 0 this is a regular
     singular equation, and ``head`` supplies the free initial entries.
+
+    Entry n of sigma w' - rho w is sum_j c_j w_j with the x-polynomial
+    c_j = C(n, j-1) sigma_{n+1-j} - C(n, j) rho_{n-j}, so each known entry
+    w_j takes one product, with its c_j, not one with sigma and one with rho.
     """
     v = next(i for i, p in enumerate(sigma) if p)
     if len(sigma[v]) != 1:
@@ -229,7 +238,21 @@ def linear_ode(
     for m in range(len(head), length):
         n = m + v - 1
         # entry n of sigma w' - rho w; w reaches only w_{m-1}, so w_m is left out
-        acc = convolve(convolve([], sigma, w[1:], n), rho, w, n, -1)
+        binomials = [0] + [comb(n, j) for j in range(m)]  # C(n, j - 1) at index j
+        acc: Poly = []
+        for j, wj in enumerate(w):
+            if not wj:
+                continue
+            k = n - j
+            c = [binomials[j] * a for a in sigma[k + 1]] if j and k + 1 < len(sigma) else []
+            r = rho[k] if k < len(rho) else ()
+            if r:
+                c += [0] * (len(r) - len(c))
+                b = binomials[j + 1]
+                for i, a in enumerate(r):
+                    c[i] -= b * a
+            if c:
+                addmul(acc, 1, c, wj)
         coeff = comb(n, v) * lead
         r = _at(rho, v - 1) if v else []
         if r:

@@ -33,7 +33,8 @@ from math import gcd
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import RationalLike, parse_rational
-from .blowup import BlowupSeriesSet, degeneration_form, series_set
+from .blowup import BlowupSeriesSet, series_set
+from .derived import degeneration_form
 from .hurwitz import Poly, clean
 from .series import SeriesError, TSeries
 

@@ -26,7 +26,11 @@ convolution; the exponential, the square root and the reciprocal are its
 linear ODE solves of w' = a' w, 2 a w' = a' w and a w' = -a' w; d/dt and
 the integral are index shifts.  Plain coefficients entry / k! are formed
 only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and display, and
-at the slot where :func:`first_difference` reports a mismatch.
+at the slot where :func:`first_difference` reports a mismatch.  So
+:mod:`blowup_series.algebra` and ``fractions`` are imported only where a
+plain coefficient, an x-polynomial or a scalar that is not an int is
+formed: a product of two series and the factorial JSON of integer entries
+load neither.
 
 The bivariate series of the substitutions t -> u +- v (:meth:`TSeries.subst_pm`)
 and the tables the bivariate identities compare live in
@@ -38,14 +42,19 @@ here; nothing in the package reads them through this module.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+import re
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import hurwitz
-from .algebra import Rational, RationalLike, XPoly
 from .hurwitz import Poly, add, clean, divided, scaled
 
-CoeffLike = Union[XPoly, Rational, int]
+if TYPE_CHECKING:
+    from .algebra import Rational, RationalLike, XPoly
+
+CoeffLike = Union["XPoly", "Rational", int]
+
+#: the integer literals of :func:`~blowup_series.algebra.parse_rational`'s grammar
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
 class SeriesError(ValueError):
@@ -61,6 +70,8 @@ class NonUnitLeadingError(SeriesError):
 
 
 def _as_xpoly(v: CoeffLike) -> XPoly:
+    from .algebra import XPoly
+
     if isinstance(v, XPoly):
         return v
     return XPoly((v,))
@@ -68,6 +79,10 @@ def _as_xpoly(v: CoeffLike) -> XPoly:
 
 def plain_poly(p: Poly, scale: int) -> XPoly:
     """The plain coefficient of a kernel entry: ``p / scale``, ``scale`` its factorial."""
+    from fractions import Fraction
+
+    from .algebra import XPoly
+
     return XPoly(Fraction(v, scale) for v in p)
 
 
@@ -162,6 +177,8 @@ class TSeries:
         """Build from an exponent -> coefficient mapping."""
         if not terms:
             return cls.zero(order)
+        from .algebra import XPoly
+
         lo = min(terms)
         coeffs = [XPoly.zero()] * (order - lo + 1)
         for n, c in terms.items():
@@ -203,6 +220,8 @@ class TSeries:
             )
         if normalized and n < 0:
             raise SeriesError("factorial normalization is undefined for negative exponents")
+        from .algebra import XPoly
+
         k = n - self._lo
         if k < 0:
             return XPoly.zero()
@@ -259,15 +278,8 @@ class TSeries:
         return TSeries.from_kernel([[-v for v in p] for p in self.h], self._order, self._lo)
 
     def __mul__(self, other: "TSeries | CoeffLike") -> "TSeries":
-        if isinstance(other, XPoly):
-            c = clean(list(other.coeffs))
-            return TSeries.from_kernel([hurwitz.product(p, c) for p in self.h], self._order, self._lo)
-        if isinstance(other, (Fraction, int)):
-            c = Fraction(other)
-            h = [divided(scaled(p, c.numerator), c.denominator) for p in self.h]
-            return TSeries.from_kernel(h, self._order, self._lo)
         if not isinstance(other, TSeries):
-            return NotImplemented
+            return self._times_coefficient(other)
         order = min(self._order + other.valuation, other._order + self.valuation)
         if self.is_zero or other.is_zero:
             return TSeries.zero(order)
@@ -276,6 +288,25 @@ class TSeries:
         return TSeries.from_kernel(hurwitz.mul(self.h, other.h, order - lo + 1), order, lo)
 
     __rmul__ = __mul__
+
+    def _times_coefficient(self, c: CoeffLike) -> "TSeries":
+        """``self * c`` for an x-polynomial or a scalar ``c``."""
+        if type(c) is int:
+            h = [clean(scaled(p, c)) for p in self.h]
+        else:
+            from fractions import Fraction
+
+            from .algebra import XPoly
+
+            if isinstance(c, XPoly):
+                c = clean(list(c.coeffs))
+                h = [hurwitz.product(p, c) for p in self.h]
+            elif isinstance(c, (Fraction, int)):
+                c = Fraction(c)
+                h = [divided(scaled(p, c.numerator), c.denominator) for p in self.h]
+            else:
+                return NotImplemented
+        return TSeries.from_kernel(h, self._order, self._lo)
 
     # -- calculus ----------------------------------------------------------
 
@@ -308,13 +339,16 @@ class TSeries:
 
     def scale_arg(self, c: RationalLike) -> "TSeries":
         """Substitute t -> c*t for a rational c (coefficient of t^n scales by c^n)."""
-        c = Fraction(c)
         lo = self._lo
-        if lo:
-            if not c:
-                raise SeriesError("cannot substitute t -> 0 into a Laurent series")
-        elif c.denominator == 1:
-            c = c.numerator
+        if lo or type(c) is not int:  # a Laurent series needs c^-k as a Fraction
+            from fractions import Fraction
+
+            c = Fraction(c)
+            if lo:
+                if not c:
+                    raise SeriesError("cannot substitute t -> 0 into a Laurent series")
+            elif c.denominator == 1:
+                c = c.numerator
         return TSeries.from_kernel(
             [scaled(p, c ** (lo + k)) for k, p in enumerate(self.h)], self._order, lo
         )
@@ -371,6 +405,7 @@ class TSeries:
             raise SeriesError("sign must be +1 or -1")
         if self._lo < 0:
             raise SeriesError("bivariate substitution needs valuation >= 0")
+        from .algebra import XPoly
         from .bivariate import BiSeries  # a module that ``gen`` never loads
 
         order = self._order
@@ -418,17 +453,24 @@ class TSeries:
             raise ValueError(f"unknown normalization {normalization!r}")
         val = _json_int(data, "valuation")
         order = _json_int(data, "order")
+        factorial = normalization == "factorial"
         coeffs = []
         for k, item in enumerate(_json_coeffs(data)):
-            p = XPoly.from_strings(item)
-            if normalization == "factorial" and val + k < 0:
+            if factorial and all(type(v) is str and _INTEGER_RE.fullmatch(v) for v in item):
+                p = clean([int(v) for v in item])  # integer literals are kernel ints as they are
+            else:
+                from .algebra import XPoly
+
+                p = XPoly.from_strings(item)
+                if factorial:
+                    p = clean(list(p.coeffs))
+            if factorial and val + k < 0:
                 raise ValueError("factorial normalization with negative exponent")
             coeffs.append(p)
-        if normalization == "plain":
+        if not factorial:
             return cls(val, coeffs, order)
         # the factorial form of a power series is its kernel vector
-        h = [[] for _ in range(val)] + [clean(list(p.coeffs)) for p in coeffs]
-        return cls.from_kernel(h, order)
+        return cls.from_kernel([[] for _ in range(val)] + coeffs, order)
 
     # -- display ---------------------------------------------------------
 

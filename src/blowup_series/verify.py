@@ -24,12 +24,12 @@ compared by :mod:`blowup_series.bivariate`; the other rows compare
 vectors with :func:`~blowup_series.series.first_difference`.  The plain
 values of a mismatch are formed only at the first slot that differs.  The
 two ``pm_ode_*`` rows form no series product: the evaluation ODE is solved
-once, by :func:`~blowup_series.blowup.exponential_pair`, and each row
+once, by :func:`~blowup_series.derived.exponential_pair`, and each row
 compares (B^2 +- S^2)' with its t^0 entry times the derivative of that
 solution, which reports what the ODE's quotient form reports.  The
 eight ``degeneration_*`` rows evaluate a series at x = +-2, one Horner sum
 per entry, and compare it there with its closed form, the integer vector
-of :func:`~blowup_series.blowup.degeneration_form`: each row builds only
+of :func:`~blowup_series.derived.degeneration_form`: each row builds only
 its own form.
 
 Reports carry a hash of the generated pair so a certificate is tied to the
@@ -43,18 +43,14 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from . import hurwitz
 from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
-from .blowup import (
-    BlowupSeriesSet,
-    GenerationError,
-    _quotient_order,
-    build_series_set,
-    degeneration_form,
-    golden_diff,
-)
+from . import blowup
+from .blowup import BlowupSeriesSet, GenerationError, build_series_set
+from .derived import _quotient_order, checked_pair, degeneration_form
 from .series import SeriesError, TMismatch, TSeries, first_difference
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -246,6 +242,38 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
             lhs, rhs = (Fraction((p + [0] * (x + 1))[x]) for p in (got, expected))
             return TMismatch(n, x, lhs, rhs)
     return None
+
+
+@lru_cache(maxsize=1)
+def golden_table_hash() -> str:
+    import hashlib
+
+    return hashlib.sha256(blowup._golden_bytes()).hexdigest()
+
+
+#: which generated series are measured against which golden rows
+_GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
+    ("B", "b"),
+    ("S", "s"),
+    ("B2", "b2"),
+    ("S2", "s2"),
+    ("WS0", "wronskian"),
+    ("WS0", "ws0"),
+    ("WS1", "bs"),
+    ("WS1", "ws1"),
+)
+
+
+def golden_diff(series_set: BlowupSeriesSet) -> "list[blowup.GoldenDiff]":
+    """All disagreements between the set and the golden table (empty = match).
+
+    The derived series are built from the pair cut one order past the
+    golden rows' reach, not read from the set: no golden row needs more.
+    """
+    b, s = checked_pair(series_set.b, series_set.s)
+    top = min(series_set.order, max(row.order for row in blowup.golden_table().values()) + 1)
+    cut = blowup.assemble_set(b.truncate(top), s.truncate(top))
+    return list(blowup._golden_diffs((row, name, getattr(cut, name)) for row, name in _GOLDEN_PAIRING))
 
 
 def _golden(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":

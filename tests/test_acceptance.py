@@ -12,13 +12,7 @@ from fractions import Fraction as F
 from helpers_oracles import eval_x
 
 from blowup_series.algebra import XPoly
-from blowup_series.blowup import (
-    assemble_set,
-    build_series_set,
-    generate_pair,
-    golden_diff,
-    golden_table,
-)
+from blowup_series.blowup import assemble_set, build_series_set, generate_pair, golden_table
 from blowup_series.pairing import (
     MomentFunctional,
     eval_even,
@@ -26,7 +20,7 @@ from blowup_series.pairing import (
     pair,
 )
 from blowup_series.series import TSeries, first_difference
-from blowup_series.verify import CATALOG_IDS, run_catalog, verify_all
+from blowup_series.verify import CATALOG_IDS, golden_diff, run_catalog, verify_all
 
 X = XPoly.x()
 FRAK = ("b0_equals_b2", "btau_equals_s2", "ws0_equals_wronskian", "ws1_equals_bs")

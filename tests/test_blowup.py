@@ -9,25 +9,25 @@ from helpers_oracles import (
     solve_by_bivariate_identity,
 )
 
-from blowup_series import blowup, hurwitz, series_set
+from blowup_series import blowup, derived, hurwitz, series_set
 from blowup_series.algebra import XPoly
 from blowup_series.bivariate import bb_sides, bb_tables, first_difference_uv, table_mismatch
 from blowup_series.blowup import (
     GenerationError,
     UnexpectedPoleError,
     assemble_set,
+    generate_pair,
+    golden_table,
+)
+from blowup_series.derived import (
     degeneration_form,
     derived_products,
     exponential_pair,
-    generate_pair,
-    golden_diff,
-    golden_table,
-    golden_table_hash,
     odd_case_pair,
     series_content_hash,
 )
 from blowup_series.series import SeriesError, TSeries, first_difference
-from blowup_series.verify import run_catalog
+from blowup_series.verify import golden_diff, golden_table_hash, run_catalog
 
 X = XPoly.x()
 
@@ -203,7 +203,7 @@ class TestExponentialPair:
         row.  Both pm_ode rows compare B^2 +- S^2 with the corrupted solution,
         so they fail too."""
         b, s = generate_pair(12)
-        solve = blowup._ode_solution
+        solve = derived._ode_solution
 
         def shifted(sigma, *args):
             w = solve(sigma, *args)
@@ -211,7 +211,7 @@ class TestExponentialPair:
                 w.h[6] = hurwitz.add(w.h[6], [0] * x_power + [1])
             return w
 
-        monkeypatch.setattr(blowup, "_ode_solution", shifted)
+        monkeypatch.setattr(derived, "_ode_solution", shifted)
         reports = run_catalog(assemble_set(b, s), 11, bivariate_order=8)
         assert {r.identity for r in reports if not r.passed} == {row, "pm_ode_plus", "pm_ode_minus"}
 
@@ -220,7 +220,7 @@ class TestExponentialPair:
         b, s = generate_pair(12)
         b = b + TSeries.monomial(X, 6, b.order)
         minus = b.derivative() - s
-        solved = blowup._ode_solution(b, minus, [[1]], blowup._quotient_order(minus, b) + 1)
+        solved = derived._ode_solution(b, minus, [[1]], derived._quotient_order(minus, b) + 1)
         plus, flipped, b0, btau = exponential_pair(b, s)
         assert flipped.to_json() == solved.to_json()
         assert (b0 + btau).to_json() == plus.to_json()
@@ -334,7 +334,7 @@ class TestGoldenTable:
         assert h == golden_table_hash()
 
 
-#: the module-level constructions a series set calls, one per derived group
+#: the constructions of :mod:`blowup_series.derived` a series set calls, one per derived group
 _GROUPS = ("derived_products", "exponential_pair", "odd_case_pair", "series_content_hash")
 #: every attribute of a set besides the pair
 _READS = ("order", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "b0", "btau")
@@ -362,13 +362,13 @@ class TestSeriesSet:
         st = assemble_set(*generate_pair(10))
         calls = {}
         for name in _GROUPS:
-            build = getattr(blowup, name)
+            build = getattr(derived, name)
 
             def counted(*args, name=name, build=build):
                 calls[name] = calls.get(name, 0) + 1
                 return build(*args)
 
-            monkeypatch.setattr(blowup, name, counted)
+            monkeypatch.setattr(derived, name, counted)
         assert st.order == 10 and calls == {}
         for _ in range(2):
             for name in _READS:
@@ -378,7 +378,7 @@ class TestSeriesSet:
     def test_build_series_set_builds_every_group(self, monkeypatch):
         built = blowup.build_series_set(10)
         for name in _GROUPS:
-            monkeypatch.setattr(blowup, name, _refusing(name))
+            monkeypatch.setattr(derived, name, _refusing(name))
         read = {name: getattr(built, name) for name in _READS}
         monkeypatch.undo()
         fresh = assemble_set(built.b, built.s)
@@ -386,7 +386,7 @@ class TestSeriesSet:
 
     def test_a_failed_build_is_not_kept(self, monkeypatch):
         st = assemble_set(*generate_pair(10))
-        monkeypatch.setattr(blowup, "exponential_pair", _refusing("exponential_pair"))
+        monkeypatch.setattr(derived, "exponential_pair", _refusing("exponential_pair"))
         for _ in range(2):
             with pytest.raises(AssertionError, match="exponential_pair"):
                 st.b0

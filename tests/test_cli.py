@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import blowup_series
 
-from blowup_series import blowup, cli, verify
+from blowup_series import blowup, cli, derived, verify
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
@@ -74,7 +74,7 @@ def _refuse_groups(monkeypatch, *names):
         def refuse(*args, name=name):
             raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(blowup, name, refuse)
+        monkeypatch.setattr(derived, name, refuse)
     blowup.series_set.cache_clear()
 
 
@@ -168,6 +168,45 @@ class TestGen:
         _refuse_groups(monkeypatch, "exponential_pair", "odd_case_pair")
         code, out, err = run(capsys, "gen", "--series", "B2", "--order", "12")
         assert code == 0, err
+
+    @pytest.mark.parametrize("selector", ["B", "S", "B2", "S2", "BS"])
+    @pytest.mark.parametrize("normalization", ["factorial", "plain"])
+    def test_the_pair_and_its_products_equal_a_build_one_order_higher(
+        self, capsys, selector, normalization
+    ):
+        """Built at the order asked for, the pair and its products print what
+        a build at order + 1, cut back to that order, prints: no entry of them
+        through t^order reads an entry beyond it."""
+        for order in (0, 3, 4, 5, 12, 29):
+            code, out, err = run(
+                capsys, "gen", "--series", selector, "--order", str(order), "--format", "json",
+                "--normalization", normalization,
+            )
+            assert code == 0, err
+            guarded = getattr(blowup.build_series_set(max(order, 4) + 1), cli.SELECTORS[selector])
+            expected = guarded.truncate(order).to_json(normalization)
+            assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", (selector, order)
+
+    @pytest.mark.parametrize("order", [2, 12])
+    def test_only_series_built_with_a_derivative_or_an_ode_solve_get_the_guard_order(
+        self, capsys, monkeypatch, order
+    ):
+        """WS0, WS1, BPLUS and BMINUS lose an order to a derivative or an ODE
+        solve, so they are built one order above the request; the pair and
+        its products are built at the request, and every series at 4 or more."""
+        asked = []
+
+        def recorded(internal):
+            asked.append(internal)
+            return blowup.series_set(internal)
+
+        monkeypatch.setattr(cli, "series_set", recorded)
+        for selector in cli.SELECTORS:
+            code, _, err = run(capsys, "gen", "--series", selector, "--order", str(order))
+            assert code == 0, err
+        base = max(order, 4)
+        guarded = {"WS0", "WS1", "BPLUS", "BMINUS"}
+        assert asked == [base + (selector in guarded) for selector in cli.SELECTORS]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.json"
@@ -298,25 +337,25 @@ class TestTable:
         built = []
         for name in ("derived_products", "odd_case_pair"):
 
-            def recorded(b, s, name=name, build=getattr(blowup, name)):
+            def recorded(b, s, name=name, build=getattr(derived, name)):
                 built.append((name, b.order))
                 return build(b, s)
 
-            monkeypatch.setattr(blowup, name, recorded)
+            monkeypatch.setattr(derived, name, recorded)
         code, out, _ = run(capsys, "table", "--order", "128")
         assert code == 0 and json.loads(out)["pass"] is True
-        assert blowup.golden_diff(blowup.assemble_set(*blowup.generate_pair(129))) == []
+        assert verify.golden_diff(blowup.assemble_set(*blowup.generate_pair(129))) == []
         assert sorted(set(built)) == [("derived_products", 17), ("odd_case_pair", 17)]
 
     def test_a_failing_report_lists_every_differing_slot(self, capsys, monkeypatch):
-        products = blowup.derived_products
+        products = derived.derived_products
 
         def bumped(b, s):
             b2, *rest = products(b, s)
             bump = TSeries.monomial(XPoly((1, 1)), 6, b2.order)
             return (b2 + bump, *rest)
 
-        monkeypatch.setattr(blowup, "derived_products", bumped)
+        monkeypatch.setattr(derived, "derived_products", bumped)
         code, out, err = run(capsys, "table", "--order", "16")
         report, *diffs = [json.loads(line) for line in out.splitlines()]
         assert code == 1 and report["pass"] is False
@@ -594,22 +633,31 @@ out, sys.stdout = sys.stdout, io.StringIO()
 code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 package = sorted(name.partition(".")[2] or "__init__" for name in sys.modules
                  if name.split(".")[0] == "blowup_series")
-watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale", "dataclasses", "inspect")
+watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale", "dataclasses", "inspect",
+           "fractions", "decimal")
 out.write(json.dumps([code, package, [name for name in watched if name in set(sys.modules) - bare]]))
 """
 
-#: the modules of the package that ``gen``, and the import of the CLI, compile
-_GEN_MODULES = ["__init__", "algebra", "blowup", "cli", "hurwitz", "series"]
+#: the modules of the package that ``gen --series B|S --format json``, and the
+#: import of the CLI, compile
+_GEN_MODULES = ["__init__", "blowup", "cli", "hurwitz", "series"]
+#: the standard modules that the rationals of ``algebra`` load
+_ALGEBRA = ["fractions", "decimal"]
+#: the package modules that ``verify``, ``table`` and ``bench`` load
+_CATALOG = sorted(_GEN_MODULES + ["algebra", "bivariate", "commands", "derived", "verify"])
 
 #: the exact package modules each command loads, and what it loads of the
 #: watched modules beyond what importing the CLI loads
 _LOADED = (
     ([], _GEN_MODULES, []),
-    (["gen", "--series", "B", "--order", "8"], _GEN_MODULES, []),
-    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["commands", "pairing"]), []),
-    (["verify", "--order", "8"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
-    (["table", "--order", "16"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
-    (["bench", "--order", "4"], sorted(_GEN_MODULES + ["bivariate", "commands", "verify"]), ["hashlib"]),
+    (["gen", "--series", "B", "--order", "8", "--format", "json"], _GEN_MODULES, []),
+    (["gen", "--series", "S", "--order", "8", "--format", "json", "--normalization", "plain"], _GEN_MODULES, []),
+    (["gen", "--series", "B2", "--order", "8", "--format", "json"], sorted(_GEN_MODULES + ["derived"]), []),
+    (["gen", "--series", "B", "--order", "8", "--format", "table"], sorted(_GEN_MODULES + ["algebra"]), _ALGEBRA),
+    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["algebra", "commands", "derived", "pairing"]), _ALGEBRA),
+    (["verify", "--order", "8"], _CATALOG, ["hashlib"] + _ALGEBRA),
+    (["table", "--order", "16"], _CATALOG, ["hashlib"] + _ALGEBRA),
+    (["bench", "--order", "4"], _CATALOG, ["hashlib"] + _ALGEBRA),
 )
 
 
@@ -617,12 +665,16 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     """Each command loads the modules it runs and no others.  ``gen`` loads
     the univariate engine and ``cli`` alone: not the other commands' handlers
     (``commands``), the catalog (``verify``, ``bivariate``), the pairing
-    formulas or ``hashlib``.  ``eval`` loads no catalog, the catalog commands
-    no pairing.  None loads ``concurrent.futures``, which pulls in logging;
-    the serial catalog needs neither.  None loads ``argparse``, ``gettext``
-    or ``locale``: the command line is parsed from the option table.  None
-    loads ``dataclasses`` or the ``inspect`` it pulls in: the records are
-    plain classes."""
+    formulas or ``hashlib``.  ``gen --series B|S --format json`` loads neither
+    the derived series (``derived``) nor the x-polynomials (``algebra``), nor
+    ``fractions`` and the ``decimal`` it imports: the pair, its golden check
+    and its JSON run on kernel ints.  A derived series loads ``derived``, a
+    printed table ``algebra``.  ``eval`` loads no catalog, the catalog
+    commands no pairing.  None loads ``concurrent.futures``, which pulls in
+    logging; the serial catalog needs neither.  None loads ``argparse``,
+    ``gettext`` or ``locale``: the command line is parsed from the option
+    table.  None loads ``dataclasses`` or the ``inspect`` it pulls in: the
+    records are plain classes."""
     for argv, package, loaded in _LOADED:
         result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
         assert result.returncode == 0, result.stderr
@@ -663,7 +715,11 @@ def test_a_handler_in_commands_reports_a_usage_error_under_python_m(argv, err, t
     assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in _LOADED if argv], ids=lambda argv: argv[0])
+#: the first command line of each command in ``_LOADED``, in the same order
+_ONE_PER_COMMAND = list({argv[0]: argv for argv, _, _ in reversed(_LOADED) if argv}.values())[::-1]
+
+
+@pytest.mark.parametrize("argv", _ONE_PER_COMMAND, ids=lambda argv: argv[0])
 def test_every_command_runs_in_a_fresh_interpreter(argv, tmp_path):
     """A broken import inside a handler shows only when that command runs."""
     result = _fresh(["-m", "blowup_series.cli", *_with_request(argv, tmp_path)], tmp_path)

@@ -12,7 +12,7 @@ from helpers_oracles import (
     sinh_series,
 )
 
-from blowup_series import bivariate, blowup, series
+from blowup_series import bivariate, blowup, derived, series
 from blowup_series.algebra import XPoly
 from blowup_series.bivariate import first_difference_uv
 from blowup_series.blowup import golden_table
@@ -298,9 +298,14 @@ class TestBivariate:
         assert first_difference_uv(direct, split) is None
 
 
+#: the derived-group constructions the benchmark tracer binds from ``blowup``
+_TRACED_CONSTRUCTIONS = ("derived_products", "exponential_pair", "odd_case_pair", "series_content_hash")
+
+
 class TestLazyBivariateNames:
     """``series`` and ``blowup`` serve the three bivariate names the benchmark
-    tracer binds from them, and no other name."""
+    tracer binds from them, ``blowup`` the four derived-group constructions
+    it binds, and no other name."""
 
     @pytest.mark.parametrize(
         "module, name",
@@ -314,10 +319,18 @@ class TestLazyBivariateNames:
         assert getattr(module, name) is getattr(bivariate, name)
         assert vars(module)[name] is getattr(bivariate, name)
 
+    @pytest.mark.parametrize("name", _TRACED_CONSTRUCTIONS)
+    def test_a_tracer_bound_construction_is_deriveds_object_and_lands_in_vars(self, monkeypatch, name):
+        monkeypatch.delitem(vars(blowup), name, raising=False)
+        assert getattr(blowup, name) is getattr(derived, name)
+        assert vars(blowup)[name] is getattr(derived, name)
+
     @pytest.mark.parametrize(
         "module, name",
         [(series, "nope"), (blowup, "nope"), (series, "bb_sides"), (blowup, "BiSeries"),
-         (blowup, "first_difference_uv"), (series, "bb_tables"), (blowup, "bbb_tables")],
+         (blowup, "first_difference_uv"), (series, "bb_tables"), (blowup, "bbb_tables"),
+         (blowup, "checked_pair"), (blowup, "degeneration_form"), (blowup, "golden_diff"),
+         (series, "derived_products")],
         ids=lambda v: getattr(v, "__name__", v),
     )
     def test_any_other_name_is_missing(self, module, name):
@@ -326,13 +339,22 @@ class TestLazyBivariateNames:
             getattr(module, name)
 
     def test_the_names_import_from_their_old_modules(self):
-        from blowup_series.blowup import bb_sides
+        from blowup_series.blowup import (
+            bb_sides,
+            derived_products,
+            exponential_pair,
+            odd_case_pair,
+            series_content_hash,
+        )
         from blowup_series.series import BiSeries, first_difference_uv
 
         assert (BiSeries, first_difference_uv, bb_sides) == (
             bivariate.BiSeries,
             bivariate.first_difference_uv,
             bivariate.bb_sides,
+        )
+        assert (derived_products, exponential_pair, odd_case_pair, series_content_hash) == tuple(
+            getattr(derived, name) for name in _TRACED_CONSTRUCTIONS
         )
 
 

@@ -156,7 +156,9 @@ def test_the_benchmark_tracer_installs_on_the_package(monkeypatch):
 
 
 def test_the_benchmark_tracer_runs_verify(tmp_path):
-    """The traced CLI keeps what it binds: catalog reports, the ``jobs`` rerun, set sizes."""
+    """The traced CLI keeps what it binds: catalog reports, the ``jobs`` rerun,
+    set sizes, and a span for each phase of the build, so that no layer of
+    the build reads 0 wherever its construction lives."""
     trace = tmp_path / "trace.json"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -175,6 +177,9 @@ def test_the_benchmark_tracer_runs_verify(tmp_path):
     data = json.loads(trace.read_text())
     assert len(data["reports"]) == 18 and data["jobs2_match"] is True
     assert data["size"]["max_coeff_bits"] > 0
+    phases = ("derived_products", "exponential_pair", "odd_case_pair", "series_content_hash")
+    traced = {name for name, *_ in data["spans"]}
+    assert {f"blowup.{phase}" for phase in phases} <= traced
 
 
 def test_every_eval_sweep_request_matches_its_benchmark_reference(monkeypatch, capsys, tmp_path):

@@ -12,7 +12,7 @@ from helpers_oracles import (
     reference_pm_ode,
 )
 
-from blowup_series import blowup, hurwitz, series, verify
+from blowup_series import blowup, derived, hurwitz, series, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import assemble_set, build_series_set, generate_pair, series_set
 from blowup_series.series import SeriesError, TSeries
@@ -366,14 +366,14 @@ class TestRelationsAndGolden:
     def test_a_corrupted_relation_coefficient_is_reported_in_table_form(
         self, monkeypatch, name, coeff, t, mismatch
     ):
-        products = blowup.derived_products
+        products = derived.derived_products
 
         def bumped(b, s):
             named = dict(zip(("b2", "s2", "bs", "wronskian"), products(b, s)))
             named[name] = named[name] + TSeries.monomial(coeff, t, b.order)
             return tuple(named.values())
 
-        monkeypatch.setattr(blowup, "derived_products", bumped)
+        monkeypatch.setattr(derived, "derived_products", bumped)
         (report,) = run_catalog(
             assemble_set(*generate_pair(8)), 8, identities=["relations_coefficients"]
         )
