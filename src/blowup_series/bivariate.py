@@ -27,7 +27,6 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .algebra import Rational, XPoly, first_coeff_difference
-from .derived import checked_pair
 from .hurwitz import (
     Poly,
     _at,
@@ -181,7 +180,6 @@ def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
     B(u+v) B(u-v) comes from :func:`product_pm`, the right side from outer
     products of the squares.  Entries above the total degree are not read.
     """
-    checked_pair(b, s)
     if min(b.order, s.order) < total_order:
         raise SeriesError("cannot embed beyond the known truncation order")
     m = total_order
@@ -219,7 +217,6 @@ def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
     table P of B(u)B'(u+v) is that of B(u)B(u+v) read one column on: T and
     T' share one P and differ only in their convolution in v.
     """
-    checked_pair(b, s)
     m = total_order
     for known in (b.order, s.order, b.order - 1):  # b, s and B'
         if known < m:

@@ -213,8 +213,8 @@ class BlowupSeriesSet:
     plus evaluation ODE, ``b_minus`` is its symmetry image and
     ``b0``/``btau`` are its two x-parity halves, the half sum/difference of
     the pair (``exponential_pair``); ``ws0``/``ws1`` come from the odd-case
-    integral formulas (``odd_case_pair``).  Every construction first checks that B and S
-    are power series.  ``content_hash`` fingerprints (b, s).
+    integral formulas (``odd_case_pair``).  ``content_hash`` fingerprints
+    (b, s).
 
     A construction error therefore surfaces on the first read of a series of
     its group, not when the set is made.  A failed build is not kept, so the
@@ -242,19 +242,19 @@ class BlowupSeriesSet:
     def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
         from . import derived
 
-        return derived.derived_products(*derived.checked_pair(self.b, self.s))
+        return derived.derived_products(self.b, self.s)
 
     @cached_property
     def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
         from . import derived
 
-        return derived.exponential_pair(*derived.checked_pair(self.b, self.s))
+        return derived.exponential_pair(self.b, self.s)
 
     @cached_property
     def _odd(self) -> tuple[TSeries, TSeries]:
         from . import derived
 
-        return derived.odd_case_pair(*derived.checked_pair(self.b, self.s))
+        return derived.odd_case_pair(self.b, self.s)
 
     @cached_property
     def content_hash(self) -> str:

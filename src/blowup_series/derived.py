@@ -19,22 +19,15 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 from . import hurwitz
 from .blowup import UnexpectedPoleError
 from .hurwitz import Poly, add, clean, scaled
 from .series import SeriesError, TSeries
 
-
-def checked_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
-    """``(b, s)``, refused if either is a Laurent series: the constructions read
-    their kernel vectors from t^0 on."""
-    for series in (b, s):
-        if series.valuation < 0:
-            raise SeriesError(
-                f"blow-up constructions need power series, got valuation {series.valuation}"
-            )
-    return b, s
+if TYPE_CHECKING:
+    from .algebra import XPoly
 
 
 def degeneration_form(x: int, name: str, order: int) -> TSeries:
@@ -79,7 +72,12 @@ def derived_products(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
 
 
 def _quotient_order(num: TSeries, den: TSeries) -> int:
-    """Truncation order of the Laurent quotient num/den, as ``num * den.recip()`` states it."""
+    """Truncation order of the quotient num/den, with v = den.valuation.
+
+    Write den = t^v u.  1/u is known through u's order, den.order - v, so
+    num/u is known through min(num.order, den.order - v + num.valuation),
+    and the division by t^v lowers that by v.
+    """
     v = den.valuation
     return min(num.order - v, den.order - 2 * v + num.valuation)
 
@@ -141,34 +139,58 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
 
 
 def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
-    """Raise where the Laurent integrands of the odd-case formulas leave their domain.
+    """Raise where the integrands of the odd-case formulas leave their domain.
 
-    ``regular`` and ``singular`` are S' - B and S' + B.  (-B + S')/S must
-    vanish at 0, and (B + S')/S must be exactly 2/t + O(t).  Both conditions
-    are read off leading kernel entries: c_k = 2 s_{k+1} on plain
-    coefficients reads (k + 1) c'_k = 2 s'_{k+1} on the entries c'_k = k! c_k.
-    Only an error divides series.
+    ``regular`` and ``singular`` are S' - B and S' + B.  Dividing by S needs
+    an x-free leading coefficient.  (-B + S')/S must vanish at 0, and
+    (B + S')/S must be exactly 2/t + O(t).  Both conditions are read off
+    leading kernel entries: c_k = 2 s_{k+1} on plain coefficients reads
+    (k + 1) c'_k = 2 s'_{k+1} on the entries c'_k = k! c_k.
     """
     v = s.valuation
-    if v > s.order or len(s.h[v]) != 1:
-        # dividing by S needs an x-free unit leading coefficient: raise
-        # exactly what the reciprocal of S would
-        s.truncate(min(v, s.order)).recip()
+    if v > s.order:
+        raise ZeroDivisionError("reciprocal of the zero series")
+    if len(s.h[v]) != 1:
+        raise SeriesError(f"leading coefficient {s.coeff(v)} is not invertible in the rationals")
     if regular.valuation <= regular.order and regular.valuation < v + 1:
         raise UnexpectedPoleError(
             f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
         )
     lead = singular.valuation
     if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
-        quotient = singular * s.recip()
+        order = _quotient_order(singular, s)
+        valuation = min(lead - v, order + 1)  # order + 1 if zero through its order
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{quotient.valuation} with residue {quotient.coeff(-1) if quotient.valuation <= -1 else 0}"
+            f"{valuation} with residue {_residue(singular, s, order) if valuation <= -1 else 0}"
         )
     # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
     reaches = min(singular.order - v, s.order - v - 1) >= 0
     if reaches and scaled(singular.h[v], v + 1) != scaled(s.h[v + 1], 2):
         raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
+
+
+def _residue(num: TSeries, s: TSeries, order: int) -> XPoly:
+    """The t^-1 coefficient of num/S, known through t^order, from plain coefficients.
+
+    With S = t^v u and num = t^m a it is entry v - 1 - m of a/u, a power
+    series because u(0) is an x-free unit.  Only the pole guard's error
+    message reads it.  A quotient known only below t^-1 raises what reading
+    that coefficient of a series raises.
+    """
+    if order < -1:
+        raise SeriesError(
+            f"coefficient of t^-1 requested but series is only known through t^{order}"
+        )
+    v, m = s.valuation, num.valuation
+    u = [s.coeff(v + j) for j in range(v - m)]
+    q: list[XPoly] = []  # q_k = (a_k - sum_j u_j q_{k-j}) / u_0
+    for k in range(v - m):
+        acc = num.coeff(m + k)
+        for j in range(1, k + 1):
+            acc = acc - u[j] * q[k - j]
+        q.append(acc / u[0].coeff(0))
+    return q[-1]
 
 
 def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
@@ -179,9 +201,9 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     The first integrand must be regular at 0; the second must carry exactly
     the 2/s pole that the subtraction removes.  Both are built as solutions
     of the linear ODE S(2t) w' = q(2t) w: q = S' - B with w(0) = 1 for ws0,
-    and q = S' + B with w = t + O(t^2) for ws1.  Unlike the Laurent
-    quotients, whose coefficients have Bernoulli-type denominators, the
-    ODE stays integral in the Hurwitz basis.
+    and q = S' + B with w = t + O(t^2) for ws1.  Unlike the integrands,
+    whose coefficients have Bernoulli-type denominators, the ODE stays
+    integral in the Hurwitz basis.
     """
     ds = s.derivative()
     regular, singular = ds - b, ds + b

@@ -156,11 +156,8 @@ def _x_free(values: list, order: int) -> TSeries:
 def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     """Apply a moment functional to every coefficient of a series.
 
-    The input must be an ordinary series (valuation >= 0); the output has
-    x-free coefficients and the same truncation order.
+    The output has x-free coefficients and the same truncation order.
     """
-    if f.valuation < 0:
-        raise SeriesError("pairing needs a series with valuation >= 0")
     return _x_free(_paired(f.h, mu, f.order), f.order)
 
 

@@ -50,7 +50,7 @@ from . import hurwitz
 from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from . import blowup
 from .blowup import BlowupSeriesSet, GenerationError, build_series_set
-from .derived import _quotient_order, checked_pair, degeneration_form
+from .derived import _quotient_order, degeneration_form
 from .series import SeriesError, TMismatch, TSeries, first_difference
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -162,8 +162,8 @@ def _pm_ode(sign: int) -> Check:
     too high an order is refused with the quotient form's orders.  b_+-'
     reaches that order wherever c != 0, since f then starts at t^0; where
     c = 0 the right side is zero.  A pair the exponential group refuses
-    (B(0) != 1, a Laurent pair, or one that breaks the parity rule) raises
-    that group's error.
+    (B(0) != 1, or one that breaks the parity rule) raises that group's
+    error.
     """
 
     def check(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
@@ -270,9 +270,8 @@ def golden_diff(series_set: BlowupSeriesSet) -> "list[blowup.GoldenDiff]":
     The derived series are built from the pair cut one order past the
     golden rows' reach, not read from the set: no golden row needs more.
     """
-    b, s = checked_pair(series_set.b, series_set.s)
     top = min(series_set.order, max(row.order for row in blowup.golden_table().values()) + 1)
-    cut = blowup.assemble_set(b.truncate(top), s.truncate(top))
+    cut = blowup.assemble_set(series_set.b.truncate(top), series_set.s.truncate(top))
     return list(blowup._golden_diffs((row, name, getattr(cut, name)) for row, name in _GOLDEN_PAIRING))
 
 

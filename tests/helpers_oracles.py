@@ -22,14 +22,7 @@ from blowup_series.blowup import UnexpectedPoleError
 from blowup_series.cli import EXIT_USAGE, SELECTORS
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv, table_add, triple
-from blowup_series.series import (
-    LogSingularityError,
-    NonUnitLeadingError,
-    SeriesError,
-    TMismatch,
-    TSeries,
-    first_difference,
-)
+from blowup_series.series import SeriesError, TMismatch, TSeries, first_difference
 
 
 def _sq_coeff(coeffs: list[XPoly], n: int) -> XPoly:
@@ -176,11 +169,7 @@ def plain_derivative(a: TSeries) -> TSeries:
 
 
 def plain_integrate(a: TSeries) -> TSeries:
-    """Definite integral from 0; same domain errors as TSeries.integrate."""
-    if a.order < -1:
-        raise SeriesError("cannot integrate: the t^-1 coefficient lies beyond the truncation order")
-    if a.valuation <= -1 and not a.coeff(-1).is_zero:
-        raise LogSingularityError("integration would create a logarithm: nonzero t^-1 coefficient")
+    """Definite integral from 0."""
     return TSeries.from_terms({n + 1: c / (n + 1) for n, c in a.terms()}, a.order + 1)
 
 
@@ -188,8 +177,6 @@ def plain_scale_arg(a: TSeries, c: RationalLike) -> TSeries:
     """t -> c t: the coefficient of t^n scales by c^n."""
     c = Fraction(c)
     if c == 0:
-        if a.valuation < 0:
-            raise SeriesError("cannot substitute t -> 0 into a Laurent series")
         if a.is_zero or a.valuation > 0:
             return TSeries.zero(a.order)
         return TSeries.from_terms({0: a.coeff(0)}, a.order)
@@ -220,22 +207,18 @@ def plain_mul(a: TSeries, b: TSeries) -> TSeries:
 
 
 def plain_recip(a: TSeries) -> TSeries:
-    """Reciprocal by the plain recurrence; same domain errors as TSeries.recip."""
-    if a.is_zero:
-        raise ZeroDivisionError("reciprocal of the zero series")
-    v = a.valuation
-    lead = a.coeff(v)
-    if lead.degree != 0:
-        raise NonUnitLeadingError(f"leading coefficient {lead} is not invertible in the rationals")
-    u = [a.coeff(n) for n in range(v, a.order + 1)]
-    u0 = lead.coeff(0)
+    """Reciprocal by the plain recurrence; same domain error as TSeries.recip."""
+    if a.order < 0 or a.coeff(0).degree != 0:
+        raise SeriesError("recip needs an x-free nonzero constant term")
+    u = [a.coeff(n) for n in range(a.order + 1)]
+    u0 = u[0].coeff(0)
     inv = [XPoly((Fraction(1) / u0,))]
     for n in range(1, len(u)):
         acc = XPoly.zero()
         for k in range(1, n + 1):
             acc = acc + u[k] * inv[n - k]
         inv.append(acc * (Fraction(-1) / u0))
-    return TSeries(-v, inv, a.order - 2 * v)
+    return TSeries(0, inv, a.order)
 
 
 def plain_exp(a: TSeries) -> TSeries:
@@ -315,11 +298,42 @@ def plain_generate_pair(order: int) -> tuple[list[XPoly], list[XPoly]]:
     return b[: order + 1], s[: order + 1]
 
 
+# Laurent series t^shift f, f a power series: the integrands (S' -+ B)/S of
+# the odd-case formulas, which the package never builds.
+
+
+def unit_part(a: TSeries) -> tuple[int, TSeries]:
+    """(v, u) with a = t^v u, v the valuation of a nonzero series a."""
+    v = a.valuation
+    return v, TSeries.from_terms({n - v: c for n, c in a.terms()}, a.order - v)
+
+
+def laurent_valuation(shift: int, f: TSeries) -> int:
+    """The valuation of t^shift f: its order + 1 if it is zero through its order."""
+    return shift + (f.order + 1 if f.is_zero else f.valuation)
+
+
+def laurent_coeff(shift: int, f: TSeries, n: int) -> XPoly:
+    """[t^n] of t^shift f, which is known through t^(shift + f.order)."""
+    if n > shift + f.order:
+        raise SeriesError(
+            f"coefficient of t^{n} requested but series is only known through t^{shift + f.order}"
+        )
+    return f.coeff(n - shift)
+
+
+def as_power_series(shift: int, f: TSeries) -> TSeries:
+    """t^shift f, whose terms below t^0 must vanish, as a series."""
+    return TSeries.from_terms({n + shift: c for n, c in f.terms()}, f.order + shift)
+
+
 def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
     """The derived family by its defining formulas, on plain-basis arithmetic.
 
-    Laurent quotients, exp of integrals and the explicit 2/t pole removal,
-    with the pole guards raising what the package raises.
+    Quotients, exp of integrals and the explicit 2/t pole removal, with the
+    pole guards raising what the package raises.  1/S is t^-v / u for
+    S = t^v u, so each odd-case integrand is held as t^-v times a power
+    series.
     """
     half = Fraction(1, 2)
     db, ds = plain_derivative(b), plain_derivative(s)
@@ -338,26 +352,35 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
     out["b0"] = plain_add(out["b_plus"], out["b_minus"]) * half
     out["btau"] = plain_add(out["b_plus"], out["b_minus"], -1) * half
 
-    s_inv = plain_recip(s)
-    regular = plain_mul(plain_add(ds, b, -1), s_inv)
-    if not regular.is_zero and regular.valuation < 1:
-        raise UnexpectedPoleError(
-            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation}"
-        )
-    out["ws0"] = plain_exp(plain_scale_arg(plain_integrate(regular), 2) * half)
-    singular = plain_mul(plain_add(ds, b), s_inv)
-    if singular.valuation != -1 or singular.coeff(-1) != XPoly((2,)):
+    if s.is_zero:
+        raise ZeroDivisionError("reciprocal of the zero series")
+    v, u = unit_part(s)
+    if u.coeff(0).degree != 0:
+        raise SeriesError(f"leading coefficient {u.coeff(0)} is not invertible in the rationals")
+    u_inv = plain_recip(u)
+    # (S' - B)/S = t^-v regular
+    regular = plain_mul(plain_add(ds, b, -1), u_inv)
+    valuation = laurent_valuation(-v, regular)
+    if not regular.is_zero and valuation < 1:
+        raise UnexpectedPoleError(f"(-B + S')/S should vanish at 0 but has valuation {valuation}")
+    out["ws0"] = plain_exp(plain_scale_arg(plain_integrate(as_power_series(-v, regular)), 2) * half)
+    # (B + S')/S = t^-v singular
+    singular = plain_mul(plain_add(ds, b), u_inv)
+    valuation = laurent_valuation(-v, singular)
+    if valuation != -1 or laurent_coeff(-v, singular, -1) != XPoly((2,)):
+        residue = laurent_coeff(-v, singular, -1) if valuation <= -1 else 0
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{singular.valuation} with residue {singular.coeff(-1) if singular.valuation <= -1 else 0}"
+            f"{valuation} with residue {residue}"
         )
-    removed = plain_add(singular, TSeries.monomial(2, -1, singular.order), -1)
-    if not removed.is_zero and removed.valuation < 1:
+    # the pole 2/t is 2 t^(v-1) in singular
+    removed = plain_add(singular, TSeries.monomial(2, v - 1, singular.order), -1)
+    valuation = laurent_valuation(-v, removed)
+    if not removed.is_zero and valuation < 1:
         raise UnexpectedPoleError(
-            "pole subtraction left a singular or constant term "
-            f"(valuation {removed.valuation})"
+            f"pole subtraction left a singular or constant term (valuation {valuation})"
         )
-    core = plain_exp(plain_scale_arg(plain_integrate(removed), 2) * half)
+    core = plain_exp(plain_scale_arg(plain_integrate(as_power_series(-v, removed)), 2) * half)
     out["ws1"] = plain_mul(TSeries.monomial(1, 1, core.order + 1), core)
     return out
 
@@ -367,15 +390,13 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
 #
 # The package checks these identities on divided-power tables and vectors.
 # The routes below are what it did before: substitution into BiSeries and
-# their plain products, and Laurent TSeries quotients.
+# their plain products, and TSeries quotients.
 
 
 def as_biseries(f: TSeries, axis: str, order: "int | None" = None) -> BiSeries:
     """Embed a power series as a series in u alone (axis='u') or v alone (axis='v')."""
     if axis not in ("u", "v"):
         raise SeriesError("axis must be 'u' or 'v'")
-    if f.valuation < 0:
-        raise SeriesError("bivariate embedding needs valuation >= 0")
     order = f.order if order is None else order
     if order > f.order:
         raise SeriesError("cannot embed beyond the known truncation order")
@@ -436,7 +457,8 @@ def reference_bbb(b: TSeries, s: TSeries, total_order: int) -> "UVMismatch | Non
 
 
 def reference_pm_ode(series_set, sign: int, order: int) -> "TMismatch | None":
-    """d/dt (B^2 +- S^2) against ((B' +- S)/B)(2t) (B^2 +- S^2), by Laurent quotient."""
+    """d/dt (B^2 +- S^2) against ((B' +- S)/B)(2t) (B^2 +- S^2), by the plain
+    reciprocal of B, which needs B(0) to be an x-free nonzero rational."""
     combo = plain_add(series_set.b2, series_set.s2, sign)
     lhs = plain_derivative(combo)
     numerator = plain_add(plain_derivative(series_set.b), series_set.s, sign)
@@ -572,8 +594,6 @@ def value_on(mu: MomentFunctional, p: XPoly) -> Fraction:
 
 def reference_pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     """The functional applied to every plain coefficient, in ascending t-powers."""
-    if f.valuation < 0:
-        raise SeriesError("pairing needs a series with valuation >= 0")
     terms = {n: XPoly((value_on(mu, c),)) for n, c in f.terms()}
     return TSeries.from_terms(terms, f.order)
 

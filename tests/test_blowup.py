@@ -7,6 +7,7 @@ from helpers_oracles import (
     plain_mul,
     simple_type_form,
     solve_by_bivariate_identity,
+    unit_part,
 )
 
 from blowup_series import blowup, derived, hurwitz, series_set
@@ -265,16 +266,19 @@ class TestOddCasePair:
         assert ws1.coeff(3) == X * F(-1, 6)
 
     def test_pole_structure_of_integrands(self, set17):
+        """With S = t u, each integrand q/S is t^-1 times the power series q/u."""
         b, s = set17.b, set17.s
-        regular = (s.derivative() - b) * s.recip()
-        assert regular.valuation >= 1
-        singular = (b + s.derivative()) * s.recip()
-        assert singular.valuation == -1
-        assert singular.coeff(-1) == XPoly((2,))
-        removed = singular - TSeries.monomial(2, -1, singular.order)
-        # frozen: after removing the pole the integrand starts at -(x/6) t
-        assert removed.valuation == 1
-        assert removed.coeff(1) == X * F(-1, 6)
+        v, u = unit_part(s)
+        assert v == 1
+        regular = (s.derivative() - b) * u.recip()
+        assert regular.valuation >= 2
+        singular = (b + s.derivative()) * u.recip()
+        assert singular.valuation == 0
+        assert singular.coeff(0) == XPoly((2,))
+        removed = singular - TSeries.monomial(2, 0, singular.order)
+        # frozen: after removing the pole 2/t the integrand starts at -(x/6) t
+        assert removed.valuation == 2
+        assert removed.coeff(2) == X * F(-1, 6)
 
     def test_corrupted_pair_trips_the_pole_guard(self):
         b, s = generate_pair(8)
@@ -291,6 +295,17 @@ class TestOddCasePair:
             odd_case_pair(b, s)
         assert str(caught.value) == (
             "(B + S')/S should have exactly the pole 2/t; got valuation -1 with residue 4"
+        )
+
+    def test_a_deeper_pole_is_reported_with_the_residue_of_the_quotient(self):
+        """1/(t^2 - t^3) = t^-2 (1 + t + t^2 + ...) has the residue 1.  The
+        guard is called alone: through odd_case_pair a pole deeper than 1/t
+        in (B + S')/S puts one in (-B + S')/S too, which is refused first."""
+        s = TSeries.from_terms({2: 1, 3: -1}, 8)
+        with pytest.raises(UnexpectedPoleError) as caught:
+            derived._check_poles(s, TSeries.zero(7), TSeries.monomial(1, 0, 8))
+        assert str(caught.value) == (
+            "(B + S')/S should have exactly the pole 2/t; got valuation -2 with residue 1"
         )
 
 
@@ -393,18 +408,24 @@ class TestSeriesSet:
         monkeypatch.undo()
         assert first_difference(st.b0, st.b2) is None
 
-    @pytest.mark.parametrize("laurent", ["b", "s"])
-    def test_a_laurent_pair_is_refused_on_every_read(self, set17, laurent):
-        """A set over a Laurent B or S is made, but reading a derived series
-        raises, and raises again: the failed build is not kept."""
-        pole = TSeries.monomial(1, -1, set17.order)
+    @pytest.mark.parametrize(
+        "bumped, exponent, message",
+        [
+            ("b", 0, "the evaluation ODE needs B(0) = 1"),
+            ("s", 2, "S breaks the parity rule B(it; -x) = B(t; x), S(it; -x) = i S(t; x) at t^2, x^0"),
+        ],
+        ids=["b0", "parity"],
+    )
+    def test_a_refused_pair_is_refused_on_every_read(self, set17, bumped, exponent, message):
+        """A set over a pair with B(0) != 1, or one that breaks the parity
+        rule, is made, but reading an exponential series raises, and raises
+        again: the failed build is not kept."""
         pair = {"b": set17.b, "s": set17.s}
-        pair[laurent] = pair[laurent] + pole
+        pair[bumped] = pair[bumped] + TSeries.monomial(1, exponent, set17.order)
         st = assemble_set(pair["b"], pair["s"])
-        message = "blow-up constructions need power series, got valuation -1"
         for _ in range(2):
             with pytest.raises(SeriesError) as raised:
-                st.b2
+                st.b0
             assert str(raised.value) == message
 
     @pytest.mark.parametrize("name", ("b", "s") + _READS + ("_products",))

@@ -49,7 +49,7 @@ kernel_vectors = st.lists(st.one_of(_entries, _parity_entries, st.just([1]), st.
 
 
 @st.composite
-def tseries(draw, min_val=-3, max_val=3, max_len=6, lead=None):
+def tseries(draw, min_val=0, max_val=3, max_len=6, lead=None):
     """A series with random valuation; ``lead`` draws its leading coefficient."""
     val = draw(st.integers(min_val, max_val))
     coeffs = draw(st.lists(xpolys, max_size=max_len))
@@ -64,27 +64,15 @@ def same(a: TSeries, b: TSeries) -> bool:
     return a.to_json() == b.to_json()
 
 
-def outcome(op, *args):
-    """The plain JSON of what ``op`` returns, or the type and message of what it raises."""
-    try:
-        return op(*args).to_json()
-    except Exception as exc:  # compared by type and message
-        return type(exc).__name__, str(exc)
-
-
 class TestAgainstPlainReference:
     @given(tseries(), tseries())
-    # the product reaches t^4, past the last entry of the Laurent operand
-    # (t^1) and, squared, past that of the first (t^6 against t^9)
-    @example(TSeries(3, [1, XPoly((0, 1))], 6), TSeries(-2, [F(1, 2), 1], 1))
     def test_mul(self, a, b):
         assert same(a * b, plain_mul(a, b))
         assert same(a * a, plain_mul(a, a))
 
-    @given(tseries(lead=nonzero_rationals))
-    @example(TSeries(-2, [F(3, 2), XPoly((0, 1)), F(-1, 3)], 1))
+    @given(tseries(max_val=0, lead=nonzero_rationals))
     # lead 2/3 (head 3/2) with a Fraction tail that carries x
-    @example(TSeries(1, [F(2, 3), XPoly((F(1, 2), F(-1, 3))), XPoly((0, 0, F(5, 7)))], 6))
+    @example(TSeries(0, [F(2, 3), XPoly((F(1, 2), F(-1, 3))), XPoly((0, 0, F(5, 7)))], 5))
     @example(TSeries(0, [-1, XPoly((0, 1)), 2, F(1, 3)], 5))  # lead -1
     @example(TSeries(0, [F(2, 3)], 0))  # order 0: the head alone
     def test_recip(self, a):
@@ -117,19 +105,15 @@ class TestAgainstPlainReference:
             assert len(calls) == 1, op.__name__
 
     @given(tseries(), st.sampled_from((0, 1, -1, 2, -3, F(1, 2), F(-2, 3))))
-    # a Laurent series whose t^-1 coefficient vanishes integrates
-    @example(TSeries(-3, [1, 0, 0, 2], 2), 2)
     def test_shift_calculus_and_scaling(self, a, c):
-        """Laurent inputs included: the kernel shifts move the anchor."""
-        assert outcome(TSeries.integrate, a) == outcome(plain_integrate, a)
+        """d/dt and the integral are index shifts; t -> ct scales entry n by c^n."""
+        assert same(a.integrate(), plain_integrate(a))
         assert same(a.derivative(), plain_derivative(a))
-        assert outcome(TSeries.scale_arg, a, c) == outcome(plain_scale_arg, a, c)
+        assert same(a.scale_arg(c), plain_scale_arg(a, c))
 
     @given(tseries(), tseries())
-    # t^-2 + t^-1 + ... minus t^-2: the anchor moves up to the valuation
-    @example(TSeries(-2, [1, 1, F(1, 3)], 3), TSeries(-2, [1], 2))
     def test_sum_and_difference(self, a, b):
-        """Anchors are aligned, and cancelled leading entries move the anchor up."""
+        """Entries add at equal indices, and cancelled leading entries move the valuation up."""
         assert same(a + b, plain_add(a, b))
         assert same(a - b, plain_add(a, b, -1))
         assert same(a - a, plain_add(a, a, -1))
@@ -148,13 +132,6 @@ class TestStorage:
         assert a.h == [[1], [], [1, F(2, 5)], [F(6, 7)]]
         assert type(a.h[2][0]) is int
         assert a.coeff(2) == XPoly((F(1, 2), F(1, 5)))
-
-    def test_a_laurent_series_holds_its_unit_part(self):
-        # t^-2 (1 + 2t + 3t^2): entry k is k! [t^k] of the unit part
-        a = TSeries(-2, [1, 2, 3], 0)
-        assert (a.valuation, a.order, a.h) == (-2, 0, [[1], [2], [6]])
-        assert a.coeff(0) == XPoly((3,)) and a.coeff(-1) == XPoly((2,))
-        assert (a * TSeries.monomial(1, 2, 4)).h == [[1], [2], [6]]
 
     def test_blowup_pair_is_integral_in_the_hurwitz_basis(self, set17):
         for name in ("b", "s", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "ws0", "ws1"):
@@ -199,6 +176,23 @@ class TestRecurrence:
             assert e4_residual(bc, sc, n).is_zero, f"(E4) at t^{n}"
         for m in range(order - 1):
             assert e2_residual(bc, sc, m).is_zero, f"(E2) at t^{m}"
+
+
+#: pairs that the odd-case pole guards refuse, each made from the generated pair
+POLE_CORRUPTIONS = [
+    # (-B + S')/S has a pole
+    lambda b, s: (b, s * 2),
+    # S leads with -x t^3/6, not a rational unit
+    lambda b, s: (b, s - TSeries.monomial(1, 1, s.order)),
+    lambda b, s: (b, TSeries.zero(s.order)),
+    # S = 1 + t + ...: (B + S')/S has no pole at all
+    lambda b, s: (b, s + TSeries.monomial(1, 0, s.order)),
+    # B + S' = 2 + 2t + ..., S = t + t^2/2 + ...: a t^0 term survives
+    lambda b, s: (
+        b + TSeries.monomial(1, 1, b.order),
+        s + TSeries.monomial(F(1, 2), 2, s.order),
+    ),
+]
 
 
 def _outcome(build):
@@ -248,23 +242,7 @@ class TestDerivedFamily:
                     f"at t^{exponent}, x^0"
                 ), exponent
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            # (-B + S')/S has a pole
-            lambda b, s: (b, s * 2),
-            # S leads with -x t^3/6, not a rational unit
-            lambda b, s: (b, s - TSeries.monomial(1, 1, s.order)),
-            lambda b, s: (b, TSeries.zero(s.order)),
-            # S = 1 + t + ...: (B + S')/S has no pole at all
-            lambda b, s: (b, s + TSeries.monomial(1, 0, s.order)),
-            # B + S' = 2 + 2t + ..., S = t + t^2/2 + ...: a t^0 term survives
-            lambda b, s: (
-                b + TSeries.monomial(1, 1, b.order),
-                s + TSeries.monomial(F(1, 2), 2, s.order),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("corrupt", POLE_CORRUPTIONS)
     def test_pole_guards_raise_what_the_laurent_route_raises(self, corrupt):
         pair = corrupt(*generate_pair(8))
         with pytest.raises(Exception) as kernel:
@@ -275,6 +253,17 @@ class TestDerivedFamily:
             type(reference.value),
             str(reference.value),
         )
+
+    def test_the_pole_guards_form_no_reciprocal(self, monkeypatch):
+        """With ``TSeries.recip`` refused, every pair above still raises what
+        the reference route raises: the guards read kernel entries."""
+
+        def refused(self):
+            raise AssertionError("a reciprocal was formed")
+
+        monkeypatch.setattr(TSeries, "recip", refused)
+        for corrupt in POLE_CORRUPTIONS:
+            self.test_pole_guards_raise_what_the_laurent_route_raises(corrupt)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +298,10 @@ def kernel_pairs(draw):
 
 
 def obeys_parity(b: TSeries, s: TSeries) -> bool:
-    """B and S are power series with B(0) = 1, and every term x^k t^n has
+    """B(0) = 1, and every term x^k t^n has
     n + 2k = 0 (mod 4) in B and n + 2k = 1 (mod 4) in S: the pairs whose
     evaluation ODE the exponential group solves."""
-    if min(b.valuation, s.valuation) < 0 or b.coeff(0) != XPoly((1,)):
+    if b.coeff(0) != XPoly((1,)):
         return False
     return all(
         (n + 2 * k) % 4 == weight
@@ -500,7 +489,6 @@ class TestBivariateTables:
         for pair, m, message in (
             ((b, s), 8, "cannot extend truncation order 7 to 8"),
             ((b, s.truncate(6)), 7, "cannot extend truncation order 6 to 7"),
-            ((TSeries(-1, [1], 8), s), 4, "blow-up constructions need power series, got valuation -1"),
         ):
             with pytest.raises(SeriesError) as raised:
                 bbb_tables(*pair, m)

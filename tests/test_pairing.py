@@ -114,11 +114,6 @@ class TestPair:
         assert paired.coeff(8, normalized=True) == XPoly((272,))
         assert paired.coeff(12, normalized=True) == XPoly((7104,))
 
-    def test_laurent_input_rejected(self):
-        laurent = TSeries.monomial(1, -1, 4)
-        with pytest.raises(Exception):
-            pair(laurent, ZERO)
-
     def test_geometric_substitution_law(self, set17):
         rng = random.Random(20260809)
         f = set17.s2.truncate(ORDER)

@@ -16,13 +16,7 @@ from blowup_series import bivariate, blowup, derived, series
 from blowup_series.algebra import XPoly
 from blowup_series.bivariate import first_difference_uv
 from blowup_series.blowup import golden_table
-from blowup_series.series import (
-    LogSingularityError,
-    NonUnitLeadingError,
-    SeriesError,
-    TSeries,
-    first_difference,
-)
+from blowup_series.series import SeriesError, TSeries, first_difference
 
 X = XPoly.x()
 
@@ -31,15 +25,12 @@ xpolys = st.lists(rationals, max_size=4).map(XPoly)
 
 
 @st.composite
-def tseries(draw, min_val=-3, max_val=3, max_len=5):
+def tseries(draw, min_val=0, max_val=3, max_len=5):
     val = draw(st.integers(min_val, max_val))
     coeffs = draw(st.lists(xpolys, max_size=max_len))
     slack = draw(st.integers(0, 2))
     order = val + len(coeffs) - 1 + slack
     return TSeries(val, coeffs, order)
-
-
-ordinary = tseries(min_val=0)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +61,23 @@ class TestConstruction:
         with pytest.raises(SeriesError):
             a.coeff(4)
         assert a.coeff(0).is_zero  # below valuation: a known zero
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TSeries(-1, [1], 3),
+            lambda: TSeries.monomial(1, -1, 3),
+            lambda: TSeries.from_terms({-1: 1, 0: 2}, 3),
+            lambda: TSeries.from_json({**TSeries.monomial(1, 1, 3).to_json(), "valuation": -1}),
+            lambda: TSeries.from_json({**TSeries.monomial(1, 1, 3).to_json("factorial"), "valuation": -1}),
+        ],
+        ids=["init", "monomial", "from_terms", "from_json", "from_json_factorial"],
+    )
+    def test_a_negative_valuation_is_refused(self, make):
+        """Every constructor and both JSON forms refuse t^-1, with one line."""
+        with pytest.raises(SeriesError, match=r"valuation.* >= 0, got -1$") as raised:
+            make()
+        assert "\n" not in str(raised.value)
 
 
 class TestArithmetic:
@@ -119,8 +127,6 @@ class TestCalculus:
     def test_integral_examples(self):
         one = TSeries.monomial(1, 0, 4)
         assert one.integrate() == TSeries.monomial(1, 1, 5)
-        with pytest.raises(LogSingularityError):
-            TSeries.monomial(1, -1, 3).integrate()
 
     def test_integral_of_scaled_quotient(self, b_ref, s_ref):
         # S/B = t - x t^3/6 + O(t^5); the two composition routes
@@ -139,7 +145,7 @@ class TestCalculus:
         assert route_b.coeff(2) == XPoly((1,))
         assert route_b.coeff(4) == X * F(-1, 3)
 
-    @given(tseries(min_val=0))
+    @given(tseries())
     def test_derivative_then_integral_round_trips(self, a):
         assume(a.order >= 0)
         assert a.integrate().derivative() == a
@@ -157,10 +163,6 @@ class TestScaleArg:
         assert b_ref.scale_arg(-1) == b_ref
         assert s_ref.scale_arg(-1) == -s_ref
 
-    def test_laurent_scaling_inverts(self):
-        a = TSeries.monomial(1, -2, 2)
-        assert a.scale_arg(2).coeff(-2) == XPoly((F(1, 4),))
-
 
 class TestReciprocalAndDivision:
     def test_geometric_series(self):
@@ -169,34 +171,22 @@ class TestReciprocalAndDivision:
         assert r == TSeries.from_terms({n: 1 for n in range(6)}, 5)
         assert r * one_minus_t == TSeries.monomial(1, 0, 5)
 
-    def test_non_unit_leading_coefficient_rejected(self):
-        with pytest.raises(NonUnitLeadingError):
-            TSeries.from_terms({0: X, 1: 1}, 3).recip()
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            TSeries.zero(3).recip()
-
-    def test_laurent_quotient(self, b_ref, s_ref):
-        # frozen from hand expansion: (B + S')/S = 2 t^-1 - (x/6) t + O(t^3)
-        q = (b_ref + s_ref.derivative()) * s_ref.recip()
-        assert q.valuation == -1
-        assert q.coeff(-1) == XPoly((2,))
-        assert q.coeff(0).is_zero
-        assert q.coeff(1) == X * F(-1, 6)
-        # oracle: multiplying back must reproduce the numerator
-        back = q * s_ref
-        assert first_difference(back, b_ref + s_ref.derivative(), through=q.order) is None
+    @pytest.mark.parametrize(
+        "terms, order",
+        [({0: X, 1: 1}, 3), ({1: 1}, 3), ({}, 3), ({0: 1}, -1)],
+        ids=["x", "t", "zero", "unknown"],
+    )
+    def test_recip_needs_an_x_free_nonzero_constant_term(self, terms, order):
+        with pytest.raises(SeriesError, match="^recip needs an x-free nonzero constant term$"):
+            TSeries.from_terms(terms, order).recip()
 
     @given(
         st.fractions(min_value=-8, max_value=8, max_denominator=12).filter(lambda v: v != 0),
-        st.integers(-2, 2),
         st.lists(xpolys, max_size=4),
         st.integers(0, 2),
     )
-    def test_recip_is_a_right_inverse(self, lead, val, tail, slack):
-        order = max(val + len(tail) + slack, 2 * val)
-        a = TSeries(val, [XPoly((lead,))] + tail, order)
+    def test_recip_is_a_right_inverse(self, lead, tail, slack):
+        a = TSeries(0, [XPoly((lead,))] + tail, len(tail) + slack)
         prod = a * a.recip()
         assert prod == TSeries.monomial(1, 0, prod.order)
 
@@ -215,8 +205,6 @@ class TestExpAndSqrt:
     def test_exp_needs_positive_valuation(self):
         with pytest.raises(SeriesError):
             TSeries.monomial(1, 0, 3).exp()
-        with pytest.raises(SeriesError):
-            TSeries.monomial(1, -1, 3).exp()
 
     def test_sqrt_of_doubled_even_series(self, b_ref):
         root = b_ref.scale_arg(2).sqrt()
@@ -288,7 +276,7 @@ class TestBivariate:
         assert rhs.coeff(2, 2) == XPoly((-1,))
         assert first_difference_uv(lhs, rhs) is None
 
-    @given(tseries(min_val=0, max_len=4), tseries(min_val=0, max_len=4))
+    @given(tseries(max_len=4), tseries(max_len=4))
     def test_substitution_respects_products(self, a, b):
         assume(a.order >= 0 and b.order >= 0)
         prod = a * b
@@ -368,15 +356,8 @@ class TestSerialization:
         data = s_ref.to_json("factorial")
         assert TSeries.from_json(data) == s_ref
 
-    def test_factorial_rejects_laurent(self):
-        with pytest.raises(SeriesError):
-            TSeries.monomial(1, -1, 3).to_json("factorial")
-
     @given(tseries(), st.sampled_from(["plain", "factorial"]))
     def test_json_round_trip_property(self, a, normalization):
-        """Laurent and power series in the plain form, power series also in
-        the factorial form, which is undefined below t^0."""
-        assume(normalization == "plain" or a.valuation >= 0)
         data = a.to_json(normalization)
         back = TSeries.from_json(data)
         assert back == a
