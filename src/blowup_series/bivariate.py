@@ -11,8 +11,10 @@ triangle i + j <= m: row i holds the entries j = 0 .. m - i, each an
 x-polynomial of :mod:`blowup_series.hurwitz`.  In this basis f(u +- v) is
 the signed re-index (+-1)^j f_{i+j}, f(u) g(v) is the outer product
 f_i g_j, and a product of tables is the binomial convolution in u and in v
-separately.  Tables are compared as they are; the plain values of a
-mismatch, entry / (i! j!), are formed only at the first slot that differs.
+separately.  Tables are compared as they are, by the kernel's one scan
+:func:`~blowup_series.hurwitz.differences`; the plain values of a mismatch,
+entry / (i! j!), are formed by :func:`~blowup_series.series.plain_value`
+only at the first slot that differs.
 
 :class:`BiSeries` is a bivariate series in (u, v) over Q[x] with plain
 coefficients, truncated by *total* degree: the plain reference type of the
@@ -30,10 +32,10 @@ from .algebra import Rational, XPoly, first_coeff_difference
 from .hurwitz import (
     Poly,
     _at,
-    _first_x,
     add,
     clean,
     convolve,
+    differences,
     mul,
     pair_products,
     pair_sum,
@@ -41,7 +43,7 @@ from .hurwitz import (
     product,
     scaled,
 )
-from .series import CoeffLike, SeriesError, TSeries, _as_xpoly, plain_poly
+from .series import CoeffLike, SeriesError, TSeries, _as_xpoly, plain_poly, plain_value
 
 # ---------------------------------------------------------------------------
 # bivariate tables
@@ -124,19 +126,6 @@ def triple(f: Sequence[Poly], g: Sequence[Poly], h: Sequence[Poly], m: int) -> T
     return _v_table(g, _u_table(f, h, m, m // 2 + 1 if symmetric else m + 1), symmetric, m)
 
 
-def first_difference_table(a: Table, b: Table, through: int) -> "tuple[int, int, int] | None":
-    """Least (u-power, v-power, x-power) where two tables differ, or None.
-
-    Total degree ascending through ``through``, then u-power, then x-power.
-    """
-    for d in range(through + 1):
-        for i in range(d + 1):
-            p, q = a[i][d - i], b[i][d - i]
-            if p != q:
-                return i, d - i, _first_x(p, q)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the identities
 
@@ -163,15 +152,17 @@ class UVMismatch(NamedTuple):
 def table_mismatch(a: Table, b: Table, through: int) -> "UVMismatch | None":
     """:func:`first_difference_uv` on kernel tables.
 
-    Entries i! j! [u^i v^j] are compared as they are; the plain values are
-    formed only at the first slot that differs.
+    Entries i! j! [u^i v^j] are scanned by total degree through ``through``,
+    then u-power, then x-power, and compared as they are; the plain values
+    are formed only at the first slot that differs.
     """
-    diff = first_difference_table(a, b, through)
+    slots = (((i, d - i), a[i][d - i], b[i][d - i]) for d in range(through + 1) for i in range(d + 1))
+    diff = next(differences(slots), None)
     if diff is None:
         return None
-    i, j, k = diff
+    (i, j), k = diff
     f = math.factorial(i) * math.factorial(j)
-    return UVMismatch(i, j, k, plain_poly(a[i][j], f).coeff(k), plain_poly(b[i][j], f).coeff(k))
+    return UVMismatch(i, j, k, plain_value(a[i][j], k, f), plain_value(b[i][j], k, f))
 
 
 def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:

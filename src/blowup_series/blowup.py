@@ -51,8 +51,8 @@ import os
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .hurwitz import Poly, add, clean, divided, pair_pieces, pair_products, pair_sum, parts
-from .series import SeriesError, TSeries, plain_poly
+from .hurwitz import Poly, add, clean, differences, divided, pair_pieces, pair_products, pair_sum, parts
+from .series import SeriesError, TSeries, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational
@@ -345,20 +345,16 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
     """Every slot, in scan order, where a (row, name, series) leaves its golden row.
 
     Kernel entries are compared as they are; the plain values, entry / n!,
-    are formed only for the entries that differ.
+    are formed only at the slots that differ.
     """
     rows = list(rows)
     table = golden_table(*(row for row, _, _ in rows))
     for row, name, generated in rows:
-        reference = table[row]
-        for n in range(min(reference.order, generated.order) + 1):
-            want, have = reference.h[n], generated.h[n]
-            if want != have:
-                scale = math.factorial(n)
-                expected, got = plain_poly(want, scale), plain_poly(have, scale)
-                for k in range(max(len(want), len(have))):
-                    if expected.coeff(k) != got.coeff(k):
-                        yield GoldenDiff(row, name, n, k, expected.coeff(k), got.coeff(k))
+        want, have = table[row].h, generated.h
+        slots = ((n, want[n], have[n]) for n in range(min(len(want), len(have))))
+        for n, k in differences(slots):
+            scale = math.factorial(n)
+            yield GoldenDiff(row, name, n, k, plain_value(want[n], k, scale), plain_value(have[n], k, scale))
 
 
 #: the names the benchmark tracer reads from this module, and their modules

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from .blowup import GenerationError, series_set
-from .series import TSeries
 
 SELECTORS = {
     "B": "b",
@@ -70,34 +69,21 @@ def _emit(text: str, output: "Path | None") -> None:
         raise _UsageError(f"cannot write {output}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _latex_lines(name: str, series: TSeries, normalization: str) -> list[str]:
-    from .algebra import render_xpoly
-
-    lines = [f"{name}(t) ="]
-    first = True
-    for n, c in series.terms():
-        poly = series.coeff(n, normalized=(normalization == "factorial"))
-        body = render_xpoly(poly)
-        if n == 0:
-            tpart = ""
-        elif n == 1:
-            tpart = "t"
-        elif normalization == "factorial":
-            tpart = f"\\frac{{t^{{{n}}}}}{{{n}!}}"
-        else:
-            tpart = f"t^{{{n}}}"
-        if poly == 1 and n >= 1:
-            piece = tpart
-        elif n == 0 and poly.degree == 0 and not body.startswith("-"):
-            piece = body
-        else:
-            piece = f"({body})" + (f" {tpart}" if tpart else "")
-        prefix = "  " if first else "  + "
-        lines.append(prefix + piece)
-        first = False
-    if first:
-        lines.append("  0")
-    return lines
+def _latex_term(n: int, body: str, factorial: bool) -> str:
+    """The LaTeX of the term of t^n whose shown coefficient renders as ``body``."""
+    if n == 0:
+        tpart = ""
+    elif n == 1:
+        tpart = "t"
+    elif factorial:
+        tpart = f"\\frac{{t^{{{n}}}}}{{{n}!}}"
+    else:
+        tpart = f"t^{{{n}}}"
+    if body == "1" and n >= 1:
+        return tpart
+    if n == 0 and "x" not in body and not body.startswith("-"):  # a positive constant
+        return body
+    return f"({body})" + (f" {tpart}" if tpart else "")
 
 
 def _check_order(order: int, least: int, reason: str = "") -> None:
@@ -116,18 +102,22 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     series = getattr(series_set(internal), SELECTORS[args.series]).truncate(args.order)
 
     if args.format == "json":
-        text = json.dumps(series.to_json(args.normalization), indent=2, sort_keys=True)
-    elif args.format == "latex":
-        text = "\n".join(_latex_lines(args.series, series, args.normalization))
-    else:
-        from .algebra import render_xpoly
+        _emit(json.dumps(series.to_json(args.normalization), indent=2, sort_keys=True), args.output)
+        return EXIT_OK
+    from .algebra import render_xpoly
 
-        rows = [f"# series {args.series} order {args.order} normalization {args.normalization}"]
-        for n, _ in series.terms():
-            poly = series.coeff(n, normalized=(args.normalization == "factorial"))
-            rows.append(f"{n}\t{render_xpoly(poly)}")
-        text = "\n".join(rows)
-    _emit(text, args.output)
+    factorial, latex = args.normalization == "factorial", args.format == "latex"
+    header = f"# series {args.series} order {args.order} normalization {args.normalization}"
+    rows = [f"{args.series}(t) =" if latex else header]
+    for n, poly in series.terms(normalized=factorial):
+        body = render_xpoly(poly)
+        if latex:
+            rows.append(("  " if len(rows) == 1 else "  + ") + _latex_term(n, body, factorial))
+        else:
+            rows.append(f"{n}\t{body}")
+    if latex and len(rows) == 1:
+        rows.append("  0")
+    _emit("\n".join(rows), args.output)
     return EXIT_OK
 
 

@@ -159,10 +159,14 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
     lead = singular.valuation
     if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
         order = _quotient_order(singular, s)
+        if order < -1:
+            raise UnexpectedPoleError(
+                f"(B + S')/S should have exactly the pole 2/t, but it is known only through t^{order}"
+            )
         valuation = min(lead - v, order + 1)  # order + 1 if zero through its order
         raise UnexpectedPoleError(
             "(B + S')/S should have exactly the pole 2/t; got valuation "
-            f"{valuation} with residue {_residue(singular, s, order) if valuation <= -1 else 0}"
+            f"{valuation} with residue {_residue(singular, s) if valuation <= -1 else 0}"
         )
     # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
     reaches = min(singular.order - v, s.order - v - 1) >= 0
@@ -170,18 +174,13 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
         raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
 
 
-def _residue(num: TSeries, s: TSeries, order: int) -> XPoly:
-    """The t^-1 coefficient of num/S, known through t^order, from plain coefficients.
+def _residue(num: TSeries, s: TSeries) -> XPoly:
+    """The t^-1 coefficient of num/S, known through t^-1 or beyond, from plain coefficients.
 
     With S = t^v u and num = t^m a it is entry v - 1 - m of a/u, a power
     series because u(0) is an x-free unit.  Only the pole guard's error
-    message reads it.  A quotient known only below t^-1 raises what reading
-    that coefficient of a series raises.
+    message reads it.
     """
-    if order < -1:
-        raise SeriesError(
-            f"coefficient of t^-1 requested but series is only known through t^{order}"
-        )
     v, m = s.valuation, num.valuation
     u = [s.coeff(v + j) for j in range(v - m)]
     q: list[XPoly] = []  # q_k = (a_k - sum_j u_j q_{k-j}) / u_0

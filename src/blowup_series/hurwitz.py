@@ -32,13 +32,18 @@ root (2 f w' = f' w), the reciprocal (f w' = -f' w), and the evaluation
 and odd-case ODEs of the blow-up series, where each divisor is a small
 integer that divides exactly.  Its entry t^n weighs sigma and rho into one
 x-polynomial per known entry of w, so it takes one product per entry.
+
+Every comparison of two vectors or tables is one scan, :func:`differences`,
+over slots ``(key, p, q)``: the series, golden-table, bivariate and
+relations checks only choose the slots, and value a mismatch with
+:func:`~blowup_series.series.plain_value`, one ``Fraction`` per side.
 """
 from __future__ import annotations
 
 import operator
 from itertools import zip_longest
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -124,13 +129,13 @@ def _at(h: Sequence[Poly], i: int) -> Poly:
     return h[i] if i < len(h) else []
 
 
-def convolve(acc: Poly, f: Sequence[Poly], g: Sequence[Poly], n: int, sign: int = 1) -> Poly:
-    """``acc += sign * sum_k C(n, k) f_k g_{n-k}`` in place, over the k both
-    vectors reach; returns ``acc``, uncleaned."""
+def convolve(acc: Poly, f: Sequence[Poly], g: Sequence[Poly], n: int) -> Poly:
+    """``acc += sum_k C(n, k) f_k g_{n-k}`` in place, over the k both vectors
+    reach; returns ``acc``, uncleaned."""
     for k in range(max(0, n - len(g) + 1), min(n, len(f) - 1) + 1):
         a, b = f[k], g[n - k]
         if a and b:
-            addmul(acc, sign * comb(n, k), a, b)
+            addmul(acc, comb(n, k), a, b)
     return acc
 
 
@@ -265,17 +270,15 @@ def linear_ode(
     return w
 
 
-def _first_x(p: Poly, q: Poly) -> int:
-    """Least x-power where two unequal entries differ; a missing power is 0."""
-    return next(k for k, (u, v) in enumerate(zip_longest(p, q, fillvalue=0)) if u != v)
+def differences(slots: Iterable[tuple[object, Poly, Poly]]) -> Iterator[tuple[object, int]]:
+    """Every ``(key, x-power)`` where the two entries of a slot ``(key, p, q)``
+    differ, in slot order and then ascending x; a missing x-power is 0.
 
-
-def first_difference(
-    f: Sequence[Poly], g: Sequence[Poly], through: int
-) -> "tuple[int, int] | None":
-    """Least (index, x-power) through ``through`` where two vectors differ, or None."""
-    for n in range(through + 1):
-        p, q = _at(f, n), _at(g, n)
+    The one scan behind every comparison: ``next(differences(...), None)`` is
+    the first mismatch, and the entries are compared as they are.
+    """
+    for key, p, q in slots:
         if p != q:
-            return n, _first_x(p, q)
-    return None
+            for k, (u, v) in enumerate(zip_longest(p, q, fillvalue=0)):
+                if u != v:
+                    yield key, k

@@ -19,11 +19,13 @@ binomial convolution; the exponential, the square root and the reciprocal
 are its linear ODE solves of w' = a' w, 2 a w' = a' w and a w' = -a' w;
 d/dt and the integral are index shifts.  Plain coefficients entry / k! are
 formed only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and
-display, and at the slot where :func:`first_difference` reports a
-mismatch.  So :mod:`blowup_series.algebra` and ``fractions`` are imported
-only where a plain coefficient, an x-polynomial or a scalar that is not an
-int is formed: a product of two series and the factorial JSON of integer
-entries load neither.
+display.  A comparison scans the kernel entries with
+:func:`~blowup_series.hurwitz.differences` and values a mismatch by
+:func:`plain_value`, one ``Fraction`` per side and no x-polynomial.  So
+:mod:`blowup_series.algebra` and ``fractions`` are imported only where a
+plain coefficient, an x-polynomial or a scalar that is not an int is
+formed: a product of two series and the factorial JSON of integer entries
+load neither.
 
 The bivariate series of the substitutions t -> u +- v (:meth:`TSeries.subst_pm`)
 and the tables the bivariate identities compare live in
@@ -69,6 +71,13 @@ def plain_poly(p: Poly, scale: int) -> XPoly:
     from .algebra import XPoly
 
     return XPoly(Fraction(v, scale) for v in p)
+
+
+def plain_value(p: Poly, x: int, scale: int) -> Rational:
+    """Coefficient ``x`` of ``p / scale``, the plain coefficient of a kernel entry, as a ``Fraction``."""
+    from fractions import Fraction
+
+    return Fraction(p[x] if x < len(p) else 0, scale)
 
 
 def _plain_text(v: hurwitz.Scalar, scale: int) -> str:
@@ -177,14 +186,14 @@ class TSeries:
             return XPoly(self.h[n])
         return plain_poly(self.h[n], math.factorial(n))
 
-    def terms(self) -> Iterable[tuple[int, XPoly]]:
-        """Iterate (exponent, coefficient) over the nonzero stored terms."""
+    def terms(self, normalized: bool = False) -> Iterable[tuple[int, XPoly]]:
+        """Iterate (exponent, coefficient) over the nonzero stored terms, as :meth:`coeff` forms them."""
         scale = 1
         for k, p in enumerate(self.h):
             if k:
                 scale *= k
             if p:
-                yield k, plain_poly(p, scale)
+                yield k, plain_poly(p, 1 if normalized else scale)
 
     def truncate(self, order: int) -> "TSeries":
         """Forget knowledge above ``order`` (which must not exceed self.order)."""
@@ -445,12 +454,12 @@ def first_difference(
         raise SeriesError(
             f"comparison through t^{limit} exceeds known orders ({a.order}, {b.order})"
         )
-    diff = hurwitz.first_difference(a.h, b.h, limit)
+    diff = next(hurwitz.differences((n, a.h[n], b.h[n]) for n in range(limit + 1)), None)
     if diff is None:
         return None
-    k, x = diff
-    scale = math.factorial(k)
-    return TMismatch(k, x, plain_poly(a.h[k], scale).coeff(x), plain_poly(b.h[k], scale).coeff(x))
+    n, x = diff
+    scale = math.factorial(n)
+    return TMismatch(n, x, plain_value(a.h[n], x, scale), plain_value(b.h[n], x, scale))
 
 
 def __getattr__(name: str):

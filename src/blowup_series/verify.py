@@ -42,7 +42,6 @@ check that reads a derived group also pays for building it.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -51,7 +50,7 @@ from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from . import blowup
 from .blowup import BlowupSeriesSet, GenerationError, build_series_set
 from .derived import _quotient_order, degeneration_form
-from .series import SeriesError, TMismatch, TSeries, first_difference
+from .series import SeriesError, TMismatch, TSeries, first_difference, plain_value
 
 STATUS_CONJECTURAL = "conjectural (series level)"
 STATUS_APPENDIX = "appendix data"
@@ -237,10 +236,8 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
         if n > series.order:  # raise what reading the plain coefficient raises
             series.coeff(n)
         got = series.h[n]
-        if got != expected:
-            _, x = hurwitz.first_difference([got], [expected], 0)
-            lhs, rhs = (Fraction((p + [0] * (x + 1))[x]) for p in (got, expected))
-            return TMismatch(n, x, lhs, rhs)
+        for _, x in hurwitz.differences([(n, got, expected)]):  # the first mismatch, if any
+            return TMismatch(n, x, plain_value(got, x, 1), plain_value(expected, x, 1))
     return None
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from blowup_series import hurwitz
 from blowup_series.algebra import RationalLike, XPoly
 from blowup_series.algebra import first_coeff_difference
 from blowup_series.blowup import UnexpectedPoleError
@@ -143,6 +144,62 @@ def solve_by_bivariate_identity(order: int) -> tuple[list[XPoly], list[XPoly]]:
             )
 
     return b[: order + 1], s[: order + 1]
+
+
+# ---------------------------------------------------------------------------
+# the Weierstrass oracle
+#
+# Fintushel and Stern write S = exp(-x t^2/6) sigma(t) for the Weierstrass
+# sigma-function with g2 = 4x^2/3 - 4 and g3 = 8x^3/27 - 4x/3.  Its series
+# comes from the a_{m,n} recursion (DLMF 23.9), which shares nothing with the
+# E2/E4 recurrence of the package.
+
+
+def weierstrass_s(order: int) -> list[list[int]]:
+    """The kernel vector of S through t^order, from sigma's a_{m,n} recursion.
+
+    Entry 4m + 6n + 1 of sigma's table form is sum a_{m,n} (g2/2)^m (2 g3)^n,
+    with a_{0,0} = 1 and
+    a_{m,n} = 3(m+1) a_{m+1,n-1} + (16/3)(n+1) a_{m-2,n+1}
+              - (1/3)(2m+3n-1)(4m+6n-1) a_{m-1,n},
+    run by increasing weight 2m + 3n.  Everything stays on ints: in y = x/3,
+    g2/2 = 6y^2 - 2 and 2 g3 = 16y^3 - 8y, and the envelope exp(-y t^2/2)
+    has entry 2k equal to (-1)^k (2k-1)!! y^k.  Each division is asserted
+    exact, the division by 3 in the recursion and y^j -> x^j / 3^j at the end.
+    """
+    top = (order - 1) // 2  # the largest weight w = 2m + 3n with 2w + 1 <= order
+    a: dict[tuple[int, int], int] = {(0, 0): 1}
+    for w in range(1, top + 1):
+        for n in range(w // 3 + 1):
+            if (w - 3 * n) % 2:
+                continue
+            m = (w - 3 * n) // 2
+            thrice = (
+                9 * (m + 1) * a.get((m + 1, n - 1), 0)
+                + 16 * (n + 1) * a.get((m - 2, n + 1), 0)
+                - (2 * m + 3 * n - 1) * (4 * m + 6 * n - 1) * a.get((m - 1, n), 0)
+            )
+            assert thrice % 3 == 0, (m, n)
+            a[m, n] = thrice // 3
+    powers = []  # the powers of g2/2 and of 2 g3, in y
+    for base, count in (([-2, 0, 6], top // 2), ([0, -8, 0, 16], top // 3)):
+        powers.append([[1]])
+        for _ in range(count):
+            powers[-1].append(hurwitz.product(powers[-1][-1], base))
+    sigma: list[list] = [[] for _ in range(order + 1)]
+    for (m, n), coefficient in a.items():
+        term = hurwitz.scaled(hurwitz.product(powers[0][m], powers[1][n]), coefficient)
+        sigma[4 * m + 6 * n + 1] = hurwitz.add(sigma[4 * m + 6 * n + 1], term)
+    envelope: list[list] = [[] for _ in range(order + 1)]
+    for k in range(order // 2 + 1):
+        double_factorial = math.prod(range(1, 2 * k, 2))
+        envelope[2 * k] = [0] * k + [(-1) ** k * double_factorial]
+    s_in_y = hurwitz.mul(envelope, sigma, order + 1)
+    s = []
+    for p in s_in_y:
+        assert all(c % 3**j == 0 for j, c in enumerate(p)), p
+        s.append([c // 3**j for j, c in enumerate(p)])
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +423,11 @@ def reference_assemble(b: TSeries, s: TSeries) -> dict[str, TSeries]:
     out["ws0"] = plain_exp(plain_scale_arg(plain_integrate(as_power_series(-v, regular)), 2) * half)
     # (B + S')/S = t^-v singular
     singular = plain_mul(plain_add(ds, b), u_inv)
+    if singular.order - v < -1:
+        raise UnexpectedPoleError(
+            "(B + S')/S should have exactly the pole 2/t, but it is known only through "
+            f"t^{singular.order - v}"
+        )
     valuation = laurent_valuation(-v, singular)
     if valuation != -1 or laurent_coeff(-v, singular, -1) != XPoly((2,)):
         residue = laurent_coeff(-v, singular, -1) if valuation <= -1 else 0

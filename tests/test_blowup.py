@@ -8,6 +8,7 @@ from helpers_oracles import (
     simple_type_form,
     solve_by_bivariate_identity,
     unit_part,
+    weierstrass_s,
 )
 
 from blowup_series import blowup, derived, hurwitz, series_set
@@ -307,6 +308,45 @@ class TestOddCasePair:
         assert str(caught.value) == (
             "(B + S')/S should have exactly the pole 2/t; got valuation -2 with residue 1"
         )
+
+    def test_a_quotient_known_only_below_the_residue_names_its_order(self):
+        """B = 0 known through t^0 and S = t^3: B + S' is known through t^0, so
+        (B + S')/S only through t^-3, short of the residue at t^-1."""
+        with pytest.raises(UnexpectedPoleError) as caught:
+            odd_case_pair(TSeries.zero(0), TSeries.from_terms({3: 1}, 9))
+        assert str(caught.value) == (
+            "(B + S')/S should have exactly the pole 2/t, but it is known only through t^-3"
+        )
+
+
+def _oracle_mismatches(b: TSeries, s: TSeries) -> tuple:
+    """The first slot where S leaves :func:`weierstrass_s`, and the first where
+    B^2 leaves S'^2 - S S''; (None, None) when the pair passes both."""
+    n = s.order
+    ds, dds = s.h[1:], s.h[2:]
+    squares = [hurwitz.add(p, q, -1) for p, q in zip(hurwitz.mul(ds, ds, n), hurwitz.mul(s.h, dds, n - 1))]
+    return (
+        next(hurwitz.differences(zip(range(n + 1), s.h, weierstrass_s(n))), None),
+        next(hurwitz.differences(zip(range(n - 1), hurwitz.mul(b.h, b.h, n - 1), squares)), None),
+    )
+
+
+class TestWeierstrassOracle:
+    """S against sigma's a_{m,n} recursion, S = exp(-x t^2/6) sigma(t), and
+    B^2 against S'^2 - S S'', which is S^2 (wp - e3) with e3 = -x/3.  Neither
+    shares the E2/E4 recurrence, and both reach past the t^16 golden table."""
+
+    def test_the_pair_matches_the_oracle_through_t129(self):
+        st = series_set(129)
+        assert _oracle_mismatches(st.b, st.s) == (None, None)
+
+    def test_a_change_past_the_golden_table_fails_the_oracle(self):
+        """t^41 in S keeps the parity rule (41 = 1 mod 4), so the golden
+        table and the parity guard pass it; the oracle does not."""
+        st = series_set(129)
+        bad_s = st.s + TSeries.monomial(1, 41, st.s.order)
+        assert golden_diff(assemble_set(st.b, bad_s)) == []
+        assert _oracle_mismatches(st.b, bad_s) == ((41, 0), (40, 0))
 
 
 class TestGoldenTable:

@@ -48,6 +48,47 @@ GEN_64_SHA256 = {
     ("BMINUS", "factorial"): "55d3cbf38221f4d6d14bb79d1cbe43fb5608712ecbdafb62946d3ae83a8cf869",
 }
 
+#: sha256 of `gen --series SERIES --order 64 --format FORMAT --normalization NORM`
+#: for the two text formats, keyed by (FORMAT, SERIES, NORM)
+GEN_64_TEXT_SHA256 = {
+    ("table", "B", "factorial"): "86023b8fe401dd2cf56a55dbcdfb96cde74a5f157d87ef6d245f6873ac27b69d",
+    ("table", "B", "plain"): "af2a362b99019cdcad5c9bcb3682110fb4757713c70e1f11a14f481ace3e73fa",
+    ("table", "B2", "factorial"): "645fb532c1776e102ff49b98ef5780bc367d1d2d00607e30c611f339c8e521ad",
+    ("table", "B2", "plain"): "655730e0b0f271a1836fb3b772402841b69c559f12eea9b05d50024493a0b481",
+    ("table", "BMINUS", "factorial"): "8f31fae9fdee7ed9da5dddb5e558c6d44ca2caf4fa88a771282932d26b5bc744",
+    ("table", "BMINUS", "plain"): "1d62b2bf465c91a6aecf32901b43a5ad40385358588148218a5cda686081005e",
+    ("table", "BPLUS", "factorial"): "0434511c3cd3a29753422c03655d3fa5f0550cd171293f3ade236854e74d128d",
+    ("table", "BPLUS", "plain"): "e6d658902e42d259bdd051129817f3be3c2d7926b30962016585024668b506ee",
+    ("table", "BS", "factorial"): "17ae24ab02ffc18acc19fd2e046b9d87116a793cbf17db1dbacf82440b64ba32",
+    ("table", "BS", "plain"): "1eebdec04b80223f8a446efeecf090fb9a071a355aee1ad1ab68fae59a719c73",
+    ("table", "S", "factorial"): "5e3a6b4488ca448eed9b74ae19813d54c36fcd8e2e721e10ac05bbf1d01ba4d6",
+    ("table", "S", "plain"): "591bfd6ab2bc9486ad1b6e43496af3c34e73978e6c5ddab34241c99c3d77f932",
+    ("table", "S2", "factorial"): "51ee10d28e76562e2ad1176f279e7bb954508472312b0079078c685fb08314ac",
+    ("table", "S2", "plain"): "c32967d794167336dfd52318772192023e13507a8b67a926d28fdc3690862aba",
+    ("table", "WS0", "factorial"): "5f9e49fad15e3f38b62a23f35cb5f5f5c51e3ffe82b8a778689d5172de6c4fe3",
+    ("table", "WS0", "plain"): "7bf8664af8d3c8d4fa28f318b453b7dc2943d49eec612688864acb63d840e61a",
+    ("table", "WS1", "factorial"): "6f12b7bb0ea3198397e83caa5aae8643a5efddbdb4c45daaa07dcf94984afc9d",
+    ("table", "WS1", "plain"): "1f5068548a2db5331a9394b10c378f28a08adb575c81beb81627595dbe33d0d1",
+    ("latex", "B", "factorial"): "82a8828acdf464973e0c820e64f0cf5c2673bc5170c2f534965df8fd3d8f2c42",
+    ("latex", "B", "plain"): "add87d47d851b83112ad69315539eb493acc15ea9d23084139eba3b672d40daf",
+    ("latex", "B2", "factorial"): "fa7384aa290dc265849ef4a7495de522ee62d1adfe14ae911ae92aa80c1836f3",
+    ("latex", "B2", "plain"): "5396a85f2beb022beb78494d33310ca1b53f422acf428fcefc4efa755fe5a924",
+    ("latex", "BMINUS", "factorial"): "1e6ca22787627bbaa1ef06008713f31fcbe46f75b2807a9615766fc79285a514",
+    ("latex", "BMINUS", "plain"): "0968324f1c8984f164aa0ee721e1a2bf10669ffd7b941135d2f76551fe5bed82",
+    ("latex", "BPLUS", "factorial"): "a3e545e7426798e9381c9d430829c6d39f4715e4c96bb9d0690bd8defb1a64a8",
+    ("latex", "BPLUS", "plain"): "88e38e14921a555dc1ae9783ce0aafff3d47ba376552fe32612932a6a6a57949",
+    ("latex", "BS", "factorial"): "3dd3757443be3d7f74865a8cedc7aa41c1ec032b21d0815840b3689792fbca06",
+    ("latex", "BS", "plain"): "65ce76dcfc4342a6eca982d9a2120a4223b1ad0441eaa5f6cc88bceb7cee7e99",
+    ("latex", "S", "factorial"): "80d3443ce48075a69ee4267714d1b05965717f72b322473a3fa89afb230c6be9",
+    ("latex", "S", "plain"): "40195b6d0b48e6246a27562f7d5dafe0a668555b687704ffb7ae4a8cd8334dcc",
+    ("latex", "S2", "factorial"): "5dc1efdbf62cd952e097c9c8bb9e2dac48e15a69967cccca14742a740a3d1fbd",
+    ("latex", "S2", "plain"): "384b622397a1715d4017012eda1150ad98bac0487518755ec9f2f173ad5b62e2",
+    ("latex", "WS0", "factorial"): "98a2bc86a15adb9c1d74c2d1833dc2d82fc9711d439a60ac763c2054f964a287",
+    ("latex", "WS0", "plain"): "8e2d24acb2bc88fe033c27299bd6344de588f9f6ae49f3d437a336b8cf81b760",
+    ("latex", "WS1", "factorial"): "7347e96965d391c13458ff5345f85a2049579bd79bc6fb3ebc76afcba5faa458",
+    ("latex", "WS1", "plain"): "565ba293cde21f5713ab195ab7128ed42e48400b1e0c7e296ebfcb9affa4d3cd",
+}
+
 #: sha256 of `gen --series SERIES --order 128 --format json --normalization NORM`:
 #: b_minus is the flip of b_plus, held byte-identical past order 64
 GEN_128_SHA256 = {
@@ -136,6 +177,15 @@ class TestGen:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GEN_64_SHA256[series, normalization]
+
+    @pytest.mark.parametrize("fmt, series, normalization", sorted(GEN_64_TEXT_SHA256))
+    def test_the_text_formats_match_the_pinned_digest(self, capsys, fmt, series, normalization):
+        code, out, _ = run(
+            capsys, "gen", "--series", series, "--order", "64", "--format", fmt,
+            "--normalization", normalization,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GEN_64_TEXT_SHA256[fmt, series, normalization]
 
     @pytest.mark.parametrize("series, normalization", sorted(GEN_128_SHA256))
     def test_the_exponential_pair_matches_the_pinned_digest_at_order_128(

@@ -442,8 +442,8 @@ class TestBivariateTables:
         assert bivariate.triple(f.h, f.h, h.h, m) == bivariate.triple(f.h, list(f.h), h.h, m)
 
     def test_a_zero_entry_differs_first_where_the_other_is_nonzero(self):
-        assert hurwitz.first_difference([[]], [[0, 64]], 0) == (0, 1)
-        assert bivariate.first_difference_table([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2)
+        assert list(hurwitz.differences([(0, [], [0, 64])])) == [(0, 1)]
+        assert bivariate.table_mismatch([[[0, 0, 3]]], [[[]]], 0) == (0, 0, 2, 3, 0)
         # B = 1, S = x t^7: the t^7 slot of the ODE checks differs at x^1 only
         b, s, m = X_T7_PAIR
         set_ = checked_set(b, s)

@@ -7,12 +7,16 @@ from helpers_oracles import (
     as_biseries,
     eval_at,
     eval_x,
+    plain_first_difference,
     quotient_pm_ode,
+    reference_bb,
+    reference_bbb,
     reference_degeneration,
     reference_pm_ode,
+    simple_type_form,
 )
 
-from blowup_series import blowup, derived, hurwitz, series, verify
+from blowup_series import bivariate, blowup, derived, hurwitz, series, verify
 from blowup_series.algebra import XPoly
 from blowup_series.blowup import assemble_set, build_series_set, generate_pair, series_set
 from blowup_series.series import SeriesError, TSeries
@@ -22,6 +26,7 @@ from blowup_series.verify import (
     STATUS_APPENDIX,
     STATUS_CONJECTURAL,
     golden_check,
+    golden_diff,
     run_catalog,
     verify_all,
 )
@@ -284,18 +289,54 @@ class TestOdeAndBivariate:
             calls.append("TSeries")
             plain_init(self, *args)
 
-        def counted_plain(p, scale, plain=series.plain_poly):
-            calls.append("plain_poly")
-            return plain(p, scale)
+        def counted(name, plain):
+            def counted_plain(*args):
+                calls.append(name)
+                return plain(*args)
+
+            return counted_plain
 
         blowup.golden_table()  # parsed once per process, from kernel vectors
         monkeypatch.setattr(TSeries, "__init__", counted_init)
-        for module in (series, blowup):  # verify forms plain values only through series
-            monkeypatch.setattr(module, "plain_poly", counted_plain)
+        monkeypatch.setattr(series, "plain_poly", counted("plain_poly", series.plain_poly))
+        for module in (series, blowup, bivariate, verify):  # each module that values a mismatch
+            monkeypatch.setattr(module, "plain_value", counted("plain_value", series.plain_value))
         st = build_series_set(13)
         assert all(r.passed for r in run_catalog(st, 12, bivariate_order=8))
         assert calls == []
         assert st.b2 is st.b2
+
+    def test_a_failing_check_forms_no_xpoly(self, monkeypatch):
+        """A pair with B bumped at t^8, x^0 fails most rows and the golden
+        table.  With the x-polynomial refused, every mismatch is still found
+        and valued, at the slot and with the values of the plain route."""
+        built = build_series_set(33)
+        st = assemble_set(_bumped(built.b, 8, 0, 1), built.s)
+        for group in ("_products", "_exponential", "_odd", "content_hash"):
+            getattr(st, group)
+        table = blowup.golden_table()
+
+        def refused(self, *args):
+            raise AssertionError("an XPoly was formed")
+
+        monkeypatch.setattr(XPoly, "__init__", refused)
+        reports = {r.identity: r.first_mismatch for r in run_catalog(st, 32, bivariate_order=12)}
+        diffs = golden_diff(st)
+        monkeypatch.undo()
+
+        for cid, (lhs, rhs) in zip(FRAK, (("b0", "b2"), ("btau", "s2"), ("ws0", "wronskian"), ("ws1", "bs"))):
+            assert reports[cid] == plain_first_difference(getattr(st, lhs), getattr(st, rhs), 32), cid
+        for x, tag in ((2, "x2"), (-2, "xneg2")):
+            for name in ("b2", "s2", "wronskian", "bs"):
+                plain = eval_x(getattr(st, name), x), simple_type_form(name, x, 32)
+                assert reports[f"degeneration_{tag}_{name}"] == plain_first_difference(*plain, 32)
+        assert reports["bb"] == reference_bb(st.b, st.s, 12)
+        assert reports["bbb"] == reference_bbb(st.b, st.s, 12)
+        assert sum(m is not None for m in reports.values()) == 15
+        for row, name in verify._GOLDEN_PAIRING:
+            first = next(((d.t, d.x, d.expected, d.got) for d in diffs if (d.row, d.series) == (row, name)), None)
+            assert first == plain_first_difference(table[row], getattr(st, name), table[row].order), row
+        assert (diffs[0].row, diffs[0].t, diffs[0].x) == ("B", 8, 0)
 
 
 class TestDegenerations:
