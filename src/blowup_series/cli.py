@@ -1,8 +1,9 @@
 """Command-line front end: generate, verify, table, eval, bench.
 
 Exit codes: 0 success / all identities pass, 1 a verification failed,
-2 usage or input error, 3 internal generation failure.  Data goes to
-stdout (or ``--output``); diagnostics go to stderr.
+2 usage or input error, or an output (a file, stdout or stderr) that cannot
+be written, 3 internal generation failure.  Data goes to stdout (or
+``--output``); diagnostics go to stderr.
 
 Every command is a fresh process, which compiles what it imports when no
 bytecode cache is written.  This module holds the option table, the parser
@@ -54,17 +55,54 @@ EXIT_GENERATION = 3
 
 
 class _UsageError(Exception):
-    """Bad arguments, input or output path: ``main`` prints one line and exits 2."""
+    """Bad arguments or input, or an output that cannot be written: ``main`` prints one line and exits 2."""
+
+
+def _write(name: str, text: str) -> None:
+    """Write ``text`` to the standard stream ``name``, ``"stdout"`` or ``"stderr"``, and flush it.
+
+    A stream that is missing or fails (a closed pipe, a full disk) raises
+    the usage error "cannot write NAME", once its descriptor points at the
+    null device, so that the flush at interpreter shutdown cannot fail again.
+    """
+    stream = getattr(sys, name)
+    if stream is None:  # its descriptor was closed when the interpreter started
+        raise _UsageError(f"cannot write {name}: it is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a closed file
+        try:
+            fd = stream.fileno()
+        except (AttributeError, OSError, ValueError):  # a stream without a descriptor
+            fd = None
+        if fd is not None:
+            import os
+
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fd)
+            finally:
+                os.close(devnull)
+        raise _UsageError(f"cannot write {name}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _report(line: str, code: int) -> int:
+    """Print the diagnostic ``line`` on stderr, if stderr takes it, and return ``code``."""
+    try:
+        _write("stderr", line + "\n")
+    except _UsageError:
+        pass
+    return code
 
 
 def _emit(text: str, output: "Path | None") -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write("stdout", text)
         return
     try:
-        output.write_text(text if text.endswith("\n") else text + "\n")
+        output.write_text(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise _UsageError(f"cannot write {output}: {getattr(exc, 'strerror', None) or exc}") from None
 
@@ -215,10 +253,12 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _report(str(exc), EXIT_USAGE)
     if isinstance(args, str):  # -h or --help
-        print(args)
+        try:
+            _write("stdout", args + "\n")
+        except _UsageError as exc:
+            return _report(f"blowup-series: {exc}", EXIT_USAGE)
         return EXIT_OK
     try:
         if args.command == "gen":
@@ -227,11 +267,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
         return getattr(commands, _COMMANDS[args.command][0])(args)
     except GenerationError as exc:
-        print(f"{args.command}: generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+        return _report(f"{args.command}: generation failed: {exc}", EXIT_GENERATION)
     except _UsageError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(f"{args.command}: {exc}", EXIT_USAGE)
 
 
 if __name__ == "__main__":  # pragma: no cover

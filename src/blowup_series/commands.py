@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import blowup
-from .cli import EXIT_FAIL, EXIT_OK, MAX_ORDER, _check_order, _emit, _UsageError
+from .cli import EXIT_FAIL, EXIT_OK, MAX_ORDER, _check_order, _emit, _UsageError, _write
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
@@ -31,12 +31,12 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
     _emit(text, args.output)
     for note in capped_notes(reports, args.order, args.bivariate_order):
-        print(f"verify: {note}", file=sys.stderr)
+        _write("stderr", f"verify: {note}\n")
     failed = [r.identity for r in reports if not r.passed]
     if failed:
-        print(f"verify: FAILED: {', '.join(failed)}", file=sys.stderr)
+        _write("stderr", f"verify: FAILED: {', '.join(failed)}\n")
         return EXIT_FAIL
-    print(f"verify: all {len(reports)} identities pass through their reported orders", file=sys.stderr)
+    _write("stderr", f"verify: all {len(reports)} identities pass through their reported orders\n")
     return EXIT_OK
 
 
@@ -55,9 +55,9 @@ def _cmd_table(args: SimpleNamespace) -> int:
         lines.append(json.dumps(diff.to_json(), sort_keys=True))
     _emit("\n".join(lines), args.output)
     if diffs:
-        print(f"table: {len(diffs)} coefficient slots differ from the golden table", file=sys.stderr)
+        _write("stderr", f"table: {len(diffs)} coefficient slots differ from the golden table\n")
         return EXIT_FAIL
-    print("table: exact match with the golden table", file=sys.stderr)
+    _write("stderr", "table: exact match with the golden table\n")
     return EXIT_OK
 
 
@@ -66,6 +66,17 @@ def _load_json(path: Path):
         return json.loads(path.read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _eval_text(data: dict) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)`` of an eval result's JSON.
+    No string in it needs escaping: a coefficient holds only ``-``, digits and ``/``."""
+    rows = ",\n".join(f'    [\n      "{c[0]}"\n    ]' if c else "    []" for c in data["coeffs"])
+    coeffs = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "coeffs": {coeffs},\n  "normalization": "plain",\n  "order": {data["order"]},\n'
+        f'  "provenance": "{data["provenance"]}",\n  "valuation": {data["valuation"]},\n  "variable": "t"\n}}'
+    )
 
 
 def _cmd_eval(args: SimpleNamespace) -> int:
@@ -112,7 +123,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
         raise _UsageError(f"a moment has a zero denominator: {exc}") from None
     try:
-        text = json.dumps(result.to_json(), indent=2, sort_keys=True)
+        text = _eval_text(result.to_json())
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise _UsageError(
             "a result coefficient exceeds the limit of "

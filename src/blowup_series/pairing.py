@@ -12,15 +12,12 @@ per t-power.  The evaluation formulas then combine paired series:
 * simple type  closed hyperbolic forms, equal to the moment route on
   geometric moments mu_k = a * 2^k
 
-Pairing reads the kernel entries n! [t^n] of a series (integer polynomials
-for the blow-up series) and puts the moments p_k/q_k on prefix common
-denominators L_k = lcm(q_0..q_k), with numerators P_k = p_k L_k / q_k.  An
-entry of x-degree d then pairs to one integer Horner sum over L_d, which
-is reduced once into the x-free entry of the paired series: one
-``Fraction`` per t-power and functional.  A prefix
-denominator, unlike one lcm over all moments, stays as small as the entry's
-own degree needs.  :func:`pair` and the three ``eval_*`` formulas share this
-one dot product.
+Pairing reads the kernel entries n! [t^n] of a series and puts the moments
+p_k/q_k on prefix common denominators L_k = lcm(q_0..q_k), with numerators
+P_k = p_k L_k / q_k.  An entry of x-degree d pairs to one integer Horner sum
+over L_d, reduced to a pair of ints; the two functionals' pairs are added
+with the gcds of ``Fraction`` addition and divided by n!, all on ints.
+:func:`pair`, the ``eval_*`` formulas and the simple type share this pass.
 
 Tau-inserted data is always caller-supplied: real invariant data has to
 satisfy relations this module can check for consistency but deliberately
@@ -30,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import RationalLike, parse_rational
 from .blowup import BlowupSeriesSet, series_set
 from .derived import degeneration_form
-from .hurwitz import Poly, clean
+from .hurwitz import Poly
 from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
@@ -113,44 +110,59 @@ class MomentFunctional:
         return cls(label, tuple(parse_rational(m) for m in moments))
 
 
-def _paired(h: Sequence[Poly], mu: MomentFunctional, order: int, half: bool = False) -> list:
-    """Kernel entries, n = 0..order, of the kernel vector ``h`` paired with ``mu``: x-free scalars.
-
-    Entries are checked in ascending n, so a short functional is named with
-    the length its first uncovered entry needs.  With ``half`` every value
-    is halved inside its one reduction.
+def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
+    """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
+    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs.  A
+    short functional is named with the length its first uncovered entry needs.
     """
     entries = h[: order + 1]
-    supplied = len(mu.moments)
-    top = 0
-    for p in entries:
-        if len(p) > supplied:
-            raise InsufficientMomentsError(mu.label, supplied, len(p))
-        top = max(top, len(p))
-    # prefix common denominators: steps[k] = L_k / L_{k-1}, numerators[k] = P_k
-    lcm, steps, numerators, lcms = 1, [], [], []
+    supplied, top = len(mu.moments), max(map(len, entries), default=0)
+    if top > supplied:
+        need = next(len(p) for p in entries if len(p) > supplied)
+        raise InsufficientMomentsError(mu.label, supplied, need)
+    # prefix common denominators: steps[k] = L_k / L_{k-1}, numerators[k] = P_k,
+    # dens[k + 1] = scale L_k
+    lcm, steps, numerators, dens = 1, [], [], [scale]
     for m in mu.moments[:top]:
         q = m.denominator
         step = q // gcd(lcm, q)
         lcm *= step
         steps.append(step)
         numerators.append(m.numerator * (lcm // q))
-        lcms.append(lcm)
+        dens.append(lcm * scale)
     values = []
-    scale = 2 if half else 1
     for p in entries:
-        acc = 0
+        acc, den = 0, dens[len(p)]
         for step, c, numerator in zip(steps, p, numerators):
             if step != 1:
                 acc *= step
             if c:
                 acc += c * numerator
-        values.append(Fraction(acc, lcms[len(p) - 1] * scale) if acc else 0)
+        if type(acc) is not int:  # an entry with Fraction coefficients
+            acc, den = acc.numerator, den * acc.denominator
+        g = gcd(acc, den)
+        values.append((acc // g, den // g))
     return values
 
 
-def _x_free(values: list, order: int) -> TSeries:
-    return TSeries.from_kernel([clean([v]) for v in values], order)
+def _plain(first: list, second: list) -> tuple:
+    """The reduced pairs ``(first[n] + second[n]) / n!`` of two lists of reduced
+    pairs: the gcds of ``Fraction`` addition, then one against n!."""
+    out, factorial = [], 1
+    for n, ((na, da), (nb, db)) in enumerate(zip(first, second)):
+        if n:
+            factorial *= n
+        g = gcd(da, db)
+        if g == 1:
+            num, den = na * db + da * nb, da * db
+        else:
+            s = da // g
+            num = na * (db // g) + nb * s
+            g = gcd(num, g)
+            num, den = num // g, s * (db // g)
+        g = gcd(num, factorial)
+        out.append((num // g, den * (factorial // g)))
+    return tuple(out)
 
 
 def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
@@ -158,19 +170,35 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
 
     The output has x-free coefficients and the same truncation order.
     """
-    return _x_free(_paired(f.h, mu, f.order), f.order)
+    values = _sums(f.h, mu, f.order)
+    return EvalResult(_plain(values, [(0, 1)] * len(values)), "").series
 
 
-class EvalResult(NamedTuple):
-    """An evaluated invariant series plus which formula produced it."""
+class EvalResult:
+    """An evaluated invariant series plus which formula produced it.
 
-    series: TSeries
-    provenance: str
+    ``coeffs[n]`` is the plain coefficient of t^n, n = 0..order, as a reduced
+    ``(numerator, denominator)`` pair of ints; :attr:`series` builds the
+    series from them when read.  Read-only like :class:`MomentFunctional`.
+    """
+
+    def __init__(self, coeffs: "tuple[tuple[int, int], ...]", provenance: str):
+        self.__dict__.update(coeffs=coeffs, provenance=provenance)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def series(self) -> TSeries:
+        return TSeries(0, [Fraction(*c) for c in self.coeffs], len(self.coeffs) - 1)
 
     def to_json(self) -> dict:
-        data = self.series.to_json()
-        data["provenance"] = self.provenance
-        return data
+        """The plain series JSON of :meth:`TSeries.to_json` plus ``provenance``."""
+        coeffs = self.coeffs
+        valuation = next((n for n, (num, _) in enumerate(coeffs) if num), len(coeffs))
+        texts = [[str(n) if d == 1 else f"{n}/{d}"] if n else [] for n, d in coeffs[valuation:]]
+        data = {"variable": "t", "valuation": valuation, "order": len(coeffs) - 1, "normalization": "plain"}
+        return {**data, "coeffs": texts, "provenance": self.provenance}
 
 
 def _series_for(order: int, provided: "BlowupSeriesSet | None") -> BlowupSeriesSet:
@@ -196,9 +224,9 @@ def _evaluate(
     the second halved with ``half``; the first functional is checked first."""
     st = _series_for(order, series)
     (f, mu), (g, nu) = first, second
-    a = _paired(getattr(st, f).h, mu, order)
-    b = _paired(getattr(st, g).h, nu, order, half)
-    return EvalResult(_x_free([u + v for u, v in zip(a, b)], order), provenance)
+    a = _sums(getattr(st, f).h, mu, order)
+    b = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
+    return EvalResult(_plain(a, b), provenance)
 
 
 def eval_even(
@@ -250,7 +278,9 @@ def eval_simple_type(
         terms, provenance = (("wronskian", a), ("bs", d)), PROVENANCE_SIMPLE_ODD
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    # u exp(-t^2) f_1 + v exp(-t^2) f_2 = exp(-t^2) (u f_1 + v f_2), entry for entry
-    (first, u), (second, v) = terms
-    form = degeneration_form(2, first, order) * u + degeneration_form(2, second, order) * v
-    return EvalResult(form, provenance)
+    # entry n of u exp(-t^2) f_1 + v exp(-t^2) f_2 is u e_n + v e'_n: each form's
+    # integer kernel vector paired with the one moment u or v
+    halves = [
+        _sums(degeneration_form(2, name, order).h, MomentFunctional(name, (w,)), order) for name, w in terms
+    ]
+    return EvalResult(_plain(*halves), provenance)

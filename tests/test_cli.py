@@ -1,12 +1,15 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,61 @@ GEN_256_SHA256 = {
     ("S", "factorial"): "3a0c2d1a9d47322f41ef3ab324472df7b32a130cf66876bae215a39aff96f811",
     ("S", "plain"): "c42b0a8d4483bff8101bac4fdac948edf4e67de2d4707ed41e377ddb887dd45f",
 }
+
+
+#: sha256 of `eval` stdout for the request that `_eval_request(FORMULA, ORDER, KIND)`
+#: writes: random moments of KIND bits, geometric moments, or all zero
+EVAL_SHA256 = {
+    ("maina", 2, 8): "12ae68013157e13395e12bab76834f20dcf4d402da8c2d23b19f19092dd96248",
+    ("maina", 2, 256): "5693cdf1441a2985055c818b8f737a1b8bdd918d851178325a56a6cfa1da8801",
+    ("maina", 2, "geometric"): "a35b38e166e7bffd0f48beb00fc3ce64b5f6cfa17322194e96510d166cef5971",
+    ("maina", 12, 8): "fca01ce908dc976f964a848af9637b110d37a8c346e85ed91724d0da6ab14d40",
+    ("maina", 12, 256): "fb88c06d538e38f248a55c4e6a42bfda3a3f0f87ad52084366408ae89434fc2d",
+    ("maina", 12, "geometric"): "d5d64064822956b84f9a33f5fdba02d2aadd45d10dc9d31473033834176b8ced",
+    ("maina", 40, 8): "2d521c1007da6270205d11bf43c7cb3663f6c590d14e88071346d8a39b3ca7bf",
+    ("maina", 40, 256): "ee85330cbb9fe00dd39296025aa9bac568e3e33809f57b0ee33198ae64e005c0",
+    ("maina", 40, "geometric"): "0bc282d0d6dfc586f21dfd1f07a19fbeafeded47a2e8623e76aba360bdeee7a0",
+    ("main-prime", 2, 8): "ddeed086a8760d5e066adfb63cbc540d90a84c300ca079a5eb149fa2b1aeebd8",
+    ("main-prime", 2, 256): "01a1551722a5323bbd9d8a4304883d9abde9c1abcc2f428addbede5d4164aa40",
+    ("main-prime", 2, "geometric"): "fa8e945b8c6ab9f191251d11fc85b820e5cd90d1951fa8d63bed1f92915f1e65",
+    ("main-prime", 12, 8): "14516cb005a31e54c92bea3c40537950e081ac4b94cbe3f3485ce0f756b1091e",
+    ("main-prime", 12, 256): "50eccc6f6e4639e2dee394a5b9214a58d65a62c1df789b6bd186b9b4b4f66f0b",
+    ("main-prime", 12, "geometric"): "9a1295f6dfbcbfd003abfcdd8c82f2790d716c5b1d70979ad64ae928105ac8e9",
+    ("main-prime", 40, 8): "cb63d251c7d7d617867d9e4273363f681041aa834814e2a4ac3ae144c2fdc894",
+    ("main-prime", 40, 256): "5bc4b225bb5daf64dedd74c4cdc7d158608098adbcf08f29144a652a874bf2c1",
+    ("main-prime", 40, "geometric"): "632c35fe7790b83bfb756726f82f7a693606d4730c10066da9e2b513b4aca075",
+    ("mainb", 2, 8): "6d324e08aed673703241d124a82f0344eaeb79c3f7782a069b79acd33f37bdc9",
+    ("mainb", 2, 256): "22f3b3d8054e3e27dec026510611335d359566be10943460f9a464fca27d3329",
+    ("mainb", 2, "geometric"): "ca0e90cd56f0db788bcca11eb23d8ab63f89ead8662ffb093a19b7cb04c19da9",
+    ("mainb", 12, 8): "fc611400ed3f582436aef389dd96275f6d1a6b6ebd25ecf46dc1c4af72277d1f",
+    ("mainb", 12, 256): "b35ef3b1ecea861067ff4275df0eada36b9016fc54f32f93ecd1fac167e40fbb",
+    ("mainb", 12, "geometric"): "673b8c85f64571d2fb5055e16e7005a194e20ea4eb582d8cc40017fd60dbbd90",
+    ("mainb", 40, 8): "72354227866a03f26c0d3998c2a984b785e58a50e5781dabf78240d49553dd26",
+    ("mainb", 40, 256): "b5a1c7257906c8cfcaab0da24de4fec2ae5a106df760619818d6a7bb1a4811dc",
+    ("mainb", 40, "geometric"): "19bb6bdcccae4eb8b1790419a9a1811838730f392105bdbb6e67388e1b9ccb64",
+    ("maina", 12, "zero"): "4c80ec47f2b0087cb25a8bbd7e7ffc2df576e3fcc0150a24aadef51947a96a37",
+}
+
+
+def _eval_request(formula: str, order: int, kind) -> dict:
+    """A seeded ``eval`` request with order + 1 moments per functional."""
+    rng = random.Random(f"{formula}/{order}/{kind}")
+    if kind == "geometric":
+        a, b = rng.randint(-99, 99), Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+        first, second = ([str(scale * 2**k) for k in range(order + 1)] for scale in (a, b))
+    elif kind == "zero":
+        first = second = ["0"] * (order + 1)
+    else:
+
+        def draw() -> str:
+            return str(Fraction(rng.getrandbits(kind) * rng.choice((1, -1)), rng.getrandbits(kind) + 1))
+
+        first = [draw() for _ in range(order + 1)]
+        second = [draw() for _ in range(order + 1)]
+    names = ("mu_c", "mu_ctau") if formula == "maina" else ("mu_c", "nu_c")
+    functionals = {n: {"label": n, "moments": m} for n, m in zip(names, (first, second))}
+    parity = "odd" if formula == "mainb" else "even"
+    return {"parity": parity, "order": order, "formula": formula, "functionals": functionals}
 
 
 def _refuse_groups(monkeypatch, *names):
@@ -466,6 +524,15 @@ class TestEval:
         reference = exp_t_squared(-1, 12) * cosh * cosh
         assert first_difference(series, reference, through=12) is None
 
+    @pytest.mark.parametrize("key", EVAL_SHA256, ids=lambda key: "-".join(map(str, key)))
+    def test_output_matches_the_pinned_digest(self, capsys, tmp_path, key):
+        request = self._write(tmp_path, "request.json", _eval_request(*key))
+        code, out, err = run(capsys, "eval", str(request))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == EVAL_SHA256[key]
+        if key[2] == "zero":
+            assert json.loads(out)["valuation"] == key[1] + 1
+
     def test_functional_by_file_reference(self, capsys, tmp_path):
         self._write(tmp_path, "mu.json", {"label": "D_c", "moments": ["1"] * 12})
         self._write(tmp_path, "nu.json", {"label": "nu", "moments": ["0"] * 12})
@@ -649,13 +716,13 @@ def test_negative_bivariate_order_is_refused_before_any_build(capsys, monkeypatc
         assert err.splitlines() == [f"{command}: --bivariate-order must be >= 0"]
 
 
-def _fresh(args: list, tmp_path: Path) -> subprocess.CompletedProcess:
+def _fresh(args: list, tmp_path: Path, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter with the package on its path."""
     src = str(Path(blowup_series.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
     )
 
 
@@ -861,6 +928,73 @@ def test_generation_failure_is_one_line_and_exit_3(capsys, monkeypatch, tmp_path
     code, out, err = run(capsys, *TestOrderCap._argv(command, 16, tmp_path))
     assert (code, out) == (3, "")
     assert err == f"{command}: generation failed: stub recurrence failed (degree 7)\n"
+
+
+
+class _FailingStream:
+    """A standard stream whose ``write`` or ``flush`` raises ``error``."""
+
+    def __init__(self, error: OSError, at: str):
+        self.error, self.at = error, at
+
+    def write(self, text: str) -> int:
+        if self.at == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self) -> None:
+        if self.at == "flush":
+            raise self.error
+
+
+#: a standard stream that cannot be written, and the reason its error names
+_UNWRITABLE = {
+    "broken-pipe-at-write": (_FailingStream(BrokenPipeError(errno.EPIPE, "Broken pipe"), "write"), "Broken pipe"),
+    "broken-pipe-at-flush": (_FailingStream(BrokenPipeError(errno.EPIPE, "Broken pipe"), "flush"), "Broken pipe"),
+    "disk-full": (_FailingStream(OSError(errno.ENOSPC, "No space left on device"), "flush"), "No space left on device"),
+    "closed": (None, "it is closed"),
+}
+
+
+class TestUnwritableStreams:
+    """A standard stream that cannot be written is an I/O error: one stderr
+    line and exit 2, never a traceback or exit 1, which means a failed check."""
+
+    @pytest.mark.parametrize("case", _UNWRITABLE)
+    @pytest.mark.parametrize("command", ["gen", "verify", "table", "bench", "eval"])
+    def test_an_unwritable_stdout_is_one_line_and_exit_2(self, capsys, monkeypatch, tmp_path, command, case):
+        argv = TestOrderCap._argv(command, 16, tmp_path)
+        stream, reason = _UNWRITABLE[case]
+        monkeypatch.setattr(sys, "stdout", stream)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"{command}: cannot write stdout: {reason}\n")
+
+    def test_help_on_an_unwritable_stdout_is_one_line_and_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run(capsys, "--help")
+        assert (code, err) == (2, "blowup-series: cannot write stdout: it is closed\n")
+
+    @pytest.mark.parametrize("case", _UNWRITABLE)
+    @pytest.mark.parametrize("command", ["verify", "table"])
+    def test_an_unwritable_stderr_exits_2_after_the_report(self, capsys, monkeypatch, command, case):
+        """The report reaches stdout; the note on stderr fails, and so does
+        the error line, which is let go."""
+        monkeypatch.setattr(sys, "stderr", _UNWRITABLE[case][0])
+        code, out, _ = run(capsys, command, "--order", "16", *(["--bivariate-order", "4"] if command == "verify" else []))
+        assert code == 2 and out.count("\n") == (18 if command == "verify" else 1)
+
+
+def test_a_reader_that_closes_at_once_gives_one_line_and_exit_2(tmp_path):
+    """In a fresh interpreter whose stdout is a pipe with no reader, the write
+    fails with a broken pipe; neither it nor the flush at shutdown prints a
+    traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _fresh(["-m", "blowup_series.cli", "gen", "--series", "B", "--order", "8"], tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (2, "gen: cannot write stdout: Broken pipe\n")
 
 
 _MOMENTS = {"label": "m", "moments": ["1"] * 8}

@@ -1,9 +1,12 @@
 import json
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from helpers_oracles import (
+    EVAL_FORMULAS,
     cosh_series,
     eval_x,
     exp_t_squared,
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from blowup_series import series_set
 from blowup_series.algebra import XPoly
+from blowup_series.cli import main
 from blowup_series.pairing import (
     InsufficientMomentsError,
     MomentFunctional,
@@ -181,6 +185,87 @@ class TestKernelPairing:
         assert got.value.required == want.value.required
         assert repr("second" if short == "second" else "first") in str(got.value)
 
+
+
+@st.composite
+def shared_moments(draw, order: int) -> "tuple[tuple, tuple]":
+    """Two functionals of order + 1 moments whose denominators come from one
+    small pool, so that they share factors within and across the two; the
+    numerators are signed, and zero moments are drawn too."""
+    pool = draw(st.lists(st.integers(1, 36) | st.integers(1, 2**70), min_size=1, max_size=3))
+    moment = st.just(F(0)) | st.builds(F, st.integers(-(2**80), 2**80), st.sampled_from(pool))
+    moments = st.lists(moment, min_size=order + 1, max_size=order + 1)
+    return tuple(draw(moments)), tuple(draw(moments))
+
+
+def plain_sum(p: list, moments: tuple, n: int) -> F:
+    """sum_k c_k mu_k for the plain coefficients c_k = p[k] / n! of a kernel entry."""
+    return sum((F(c, math.factorial(n)) * moments[k] for k, c in enumerate(p)), F(0))
+
+
+class TestFusedPass:
+    """Each entry's one integer pass against sums of plain ``Fraction`` terms."""
+
+    @given(st.data())
+    def test_formulas_equal_the_plain_sums(self, data):
+        order = data.draw(st.integers(0, 40), label="order")
+        formula = data.draw(st.sampled_from(sorted(_EVALUATORS)), label="formula")
+        mu, nu = data.draw(shared_moments(order), label="moments")
+        st41 = series_set(41)
+        first, second, factor = EVAL_FORMULAS[formula]
+        want = [
+            plain_sum(getattr(st41, first).h[n], mu, n) + factor * plain_sum(getattr(st41, second).h[n], nu, n)
+            for n in range(order + 1)
+        ]
+        got = _EVALUATORS[formula](MomentFunctional("mu", mu), MomentFunctional("nu", nu), order, series=st41)
+        assert got.coeffs == tuple((w.numerator, w.denominator) for w in want)
+
+    @given(st.data())
+    def test_pair_equals_the_plain_sums(self, data):
+        order = data.draw(st.integers(0, 40), label="order")
+        name = data.draw(st.sampled_from(["b2", "s2", "wronskian", "bs"]), label="series")
+        mu, _ = data.draw(shared_moments(order), label="moments")
+        f = getattr(series_set(41), name).truncate(order)
+        got = pair(f, MomentFunctional("mu", mu))
+        assert [got.coeff(n) for n in range(order + 1)] == [
+            XPoly((plain_sum(f.h[n], mu, n),)) for n in range(order + 1)
+        ]
+
+    @given(st.data())
+    def test_a_short_functional_is_named_at_its_first_uncovered_entry(self, data):
+        """The first functional is checked first, each in ascending t-powers."""
+        order = data.draw(st.integers(0, 40), label="order")
+        formula = data.draw(st.sampled_from(sorted(_EVALUATORS)), label="formula")
+        lengths = data.draw(st.tuples(st.integers(0, order + 1), st.integers(0, order + 1)), label="lengths")
+        st41 = series_set(41)
+        expected = None
+        for label, name, length in zip(("first", "second"), EVAL_FORMULAS[formula], lengths):
+            need = next((len(p) for p in getattr(st41, name).h[: order + 1] if len(p) > length), None)
+            if need is not None:
+                expected = InsufficientMomentsError(label, length, need)
+                break
+        mu, nu = (MomentFunctional(label, (F(1),) * n) for label, n in zip(("first", "second"), lengths))
+        if expected is None:
+            _EVALUATORS[formula](mu, nu, order, series=st41)
+            return
+        with pytest.raises(InsufficientMomentsError) as err:
+            _EVALUATORS[formula](mu, nu, order, series=st41)
+        assert (str(err.value), err.value.required) == (str(expected), expected.required)
+
+
+def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):
+    """1024-bit moments over 21 distinct odd denominators: the t^40 entry
+    needs more digits than int -> str converts."""
+    moments = {"label": "m", "moments": [f"1/{2**1024 + 2 * k + 1}" for k in range(21)]}
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({"parity": "even", "order": 40, "functionals": {"mu_c": moments, "mu_ctau": moments}}))
+    assert main(["eval", str(request)]) == 2
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (out, err) == (
+        "",
+        f"eval: a result coefficient exceeds the limit of {limit} digits for integer string conversion\n",
+    )
 
 class TestEvaluationFormulas:
     def test_even_with_vanishing_second_functional(self, set17):
