@@ -19,31 +19,21 @@ only at the first slot that differs.
 :class:`BiSeries` is a bivariate series in (u, v) over Q[x] with plain
 coefficients, truncated by *total* degree: the plain reference type of the
 substitutions t -> u + v and t -> u - v (:meth:`TSeries.subst_pm`).  The
-checks do not multiply it.
+checks do not multiply it.  This module imports no plain arithmetic: the
+plain route loads :mod:`blowup_series.algebra` only when it runs, and a
+failing check loads ``fractions`` only to value its mismatch.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .algebra import Rational, XPoly, first_coeff_difference
-from .hurwitz import (
-    Poly,
-    _at,
-    add,
-    clean,
-    convolve,
-    differences,
-    mul,
-    pair_products,
-    pair_sum,
-    parts,
-    product,
-    scaled,
-)
+from .hurwitz import Poly, _at, add, clean, convolve, differences, pair_products, pair_sum, parts, product, scaled
 from .series import CoeffLike, SeriesError, TSeries, _as_xpoly, plain_poly, plain_value
+
+if TYPE_CHECKING:
+    from .algebra import Rational, XPoly
 
 # ---------------------------------------------------------------------------
 # bivariate tables
@@ -165,23 +155,26 @@ def table_mismatch(a: Table, b: Table, through: int) -> "UVMismatch | None":
     return UVMismatch(i, j, k, plain_value(a[i][j], k, f), plain_value(b[i][j], k, f))
 
 
-def bb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
+def bb_tables(b: TSeries, s: TSeries, b2: TSeries, s2: TSeries, total_order: int) -> tuple[Table, Table]:
     """Both sides of (*) through a total degree, as divided-power tables.
 
     B(u+v) B(u-v) comes from :func:`product_pm`, the right side from outer
-    products of the squares.  Entries above the total degree are not read.
+    products of the squares ``b2`` = B^2 and ``s2`` = S^2, which the caller
+    has built: the catalog reads them from its set, :func:`bb_sides`
+    multiplies the pair.  A square reaches at least as far as its factor, so
+    the refusal reads the orders of the pair.  Entries above the total
+    degree are not read.
     """
     if min(b.order, s.order) < total_order:
         raise SeriesError("cannot embed beyond the known truncation order")
     m = total_order
-    b2, s2 = mul(b.h, b.h, m + 1), mul(s.h, s.h, m + 1)
-    rhs = table_add(outer(b2, b2, m), outer(s2, s2, m), -1)
+    rhs = table_add(outer(b2.h, b2.h, m), outer(s2.h, s2.h, m), -1)
     return product_pm(b.h, m), rhs
 
 
 def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the bivariate product identity (*) through a total degree."""
-    lhs, rhs = bb_tables(b, s, total_order)
+    lhs, rhs = bb_tables(b, s, b * b, s * s, total_order)
     return _biseries(lhs, total_order), _biseries(rhs, total_order)
 
 
@@ -239,11 +232,12 @@ class BiSeries:
     def __init__(self, rows: Sequence[Sequence[CoeffLike]], order: int):
         if order < 0:
             raise SeriesError("total-degree order must be >= 0")
+        zero = _as_xpoly(0)
         norm: list[tuple[XPoly, ...]] = []
         for i in range(order + 1):
             row = rows[i] if i < len(rows) else ()
             vals = [_as_xpoly(c) for c in row[: order - i + 1]]
-            vals.extend([XPoly.zero()] * (order - i + 1 - len(vals)))
+            vals.extend([zero] * (order - i + 1 - len(vals)))
             norm.append(tuple(vals))
         object.__setattr__(self, "_rows", tuple(norm))
         object.__setattr__(self, "_order", order)
@@ -276,13 +270,12 @@ class BiSeries:
         return BiSeries([[-c for c in row] for row in self._rows], self._order)
 
     def __mul__(self, other: "BiSeries | CoeffLike") -> "BiSeries":
-        if isinstance(other, (XPoly, Fraction, int)):
-            p = _as_xpoly(other)
-            return BiSeries([[c * p for c in row] for row in self._rows], self._order)
         if not isinstance(other, BiSeries):
-            return NotImplemented
+            p = _as_xpoly(other)  # a coefficient: an x-polynomial or a scalar
+            return BiSeries([[c * p for c in row] for row in self._rows], self._order)
         order = min(self._order, other._order)
-        rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
+        zero = _as_xpoly(0)
+        rows = [[zero] * (order - i + 1) for i in range(order + 1)]
         for i1 in range(min(self._order, order) + 1):
             row1 = self._rows[i1]
             for j1 in range(min(len(row1) - 1, order - i1) + 1):
@@ -299,14 +292,6 @@ class BiSeries:
         return BiSeries(rows, order)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return first_difference_uv(self, other) is None
-
-    def __hash__(self) -> None:  # pragma: no cover
-        raise TypeError("BiSeries is not hashable")
 
     def __repr__(self) -> str:
         return f"<BiSeries order={self._order}>"
@@ -325,6 +310,8 @@ def first_difference_uv(
         for i in range(d + 1):
             ca, cb = a.coeff(i, d - i), b.coeff(i, d - i)
             if ca != cb:
+                from .algebra import first_coeff_difference
+
                 k, va, vb = first_coeff_difference(ca, cb)
                 return UVMismatch(i, d - i, k, va, vb)
     return None

@@ -37,9 +37,9 @@ SELECTORS = {
     "BMINUS": "b_minus",
 }
 
-#: the selectors built with a derivative or an ODE solve, which lose an order;
-#: the pair and its products reach the order they are built at
-_GUARDED = frozenset({"WS0", "WS1", "BPLUS", "BMINUS"})
+#: the selectors whose series, in a set built at order N, reach only t^(N-1):
+#: ws0 solves its ODE from S' - B, known one order less than the pair
+_GUARDED = frozenset({"WS0"})
 
 #: largest order any command builds.  The full set grows about as order^4.4
 #: (0.55 s at order 129 and 11.7 s at 257, single runs on one core of a 2-core
@@ -134,8 +134,8 @@ def _check_order(order: int, least: int, reason: str = "") -> None:
 
 def _cmd_gen(args: SimpleNamespace) -> int:
     _check_order(args.order, 0)
-    # the recurrence needs at least order 4; a series built with a derivative
-    # or an ODE solve needs one guard order more to reach the requested order
+    # the recurrence needs at least order 4; a series that falls one order
+    # short of its set needs one guard order more to reach the requested order
     internal = max(args.order, 4) + (args.series in _GUARDED)
     series = getattr(series_set(internal), SELECTORS[args.series]).truncate(args.order)
 

@@ -198,8 +198,13 @@ def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
 
 
 def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
-    """The bivariate product identity (*) through a total degree."""
-    return table_mismatch(*bb_tables(series_set.b, series_set.s, total_order), total_order)
+    """The bivariate product identity (*) through a total degree.
+
+    Its right side reads the set's B^2 and S^2, so on a lazy set this check
+    builds the product group, and its time includes that build.
+    """
+    b, s = series_set.b, series_set.s
+    return table_mismatch(*bb_tables(b, s, series_set.b2, series_set.s2, total_order), total_order)
 
 
 def _bbb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":

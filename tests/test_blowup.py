@@ -93,7 +93,7 @@ class TestGeneration:
     def test_seed_corruption_is_caught_by_bb_check(self):
         b, s = generate_pair(8)
         bad = b + TSeries.monomial(F(1, 7), 4, b.order)
-        assert table_mismatch(*bb_tables(bad, s, 8), 8) is not None
+        assert table_mismatch(*bb_tables(bad, s, bad * bad, s * s, 8), 8) is not None
 
     def test_bb_holds_through_total_degree_16_on_the_pair_the_golden_check_accepts(self):
         """Generation checks only the golden rows, and this is why (*) needs no
@@ -102,7 +102,7 @@ class TestGeneration:
         s_16 enters only as s_0 s_16, where s_0 = 0 is pinned.  So every entry
         this check reads is fixed once the golden check has passed."""
         b, s = generate_pair(16)
-        assert table_mismatch(*bb_tables(b, s, 16), 16) is None
+        assert table_mismatch(*bb_tables(b, s, b * b, s * s, 16), 16) is None
 
     @pytest.mark.parametrize(
         "step, at, entry, row", [("_e4_rest", 6, 10, "B"), ("_e2_rest", 14, 13, "S")]

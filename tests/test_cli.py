@@ -295,13 +295,15 @@ class TestGen:
             expected = guarded.truncate(order).to_json(normalization)
             assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", (selector, order)
 
-    @pytest.mark.parametrize("order", [2, 12])
-    def test_only_series_built_with_a_derivative_or_an_ode_solve_get_the_guard_order(
-        self, capsys, monkeypatch, order
+    @pytest.mark.parametrize("n", [4, 12, 64])
+    def test_a_selector_gets_the_guard_order_exactly_when_its_set_falls_short(
+        self, capsys, monkeypatch, n
     ):
-        """WS0, WS1, BPLUS and BMINUS lose an order to a derivative or an ODE
-        solve, so they are built one order above the request; the pair and
-        its products are built at the request, and every series at 4 or more."""
+        """A selector is guarded exactly when its series in the set built at n
+        is known only below t^n; ``gen`` builds the set at n for the others
+        and at n + 1 for a guarded one."""
+        short = {sel for sel, name in cli.SELECTORS.items() if getattr(blowup.series_set(n), name).order < n}
+        assert cli._GUARDED == short
         asked = []
 
         def recorded(internal):
@@ -310,11 +312,9 @@ class TestGen:
 
         monkeypatch.setattr(cli, "series_set", recorded)
         for selector in cli.SELECTORS:
-            code, _, err = run(capsys, "gen", "--series", selector, "--order", str(order))
+            code, _, err = run(capsys, "gen", "--series", selector, "--order", str(n))
             assert code == 0, err
-        base = max(order, 4)
-        guarded = {"WS0", "WS1", "BPLUS", "BMINUS"}
-        assert asked == [base + (selector in guarded) for selector in cli.SELECTORS]
+        assert asked == [n + (selector in short) for selector in cli.SELECTORS]
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.json"
@@ -761,7 +761,7 @@ _GEN_MODULES = ["__init__", "blowup", "cli", "hurwitz", "series"]
 #: the standard modules that the rationals of ``algebra`` load
 _ALGEBRA = ["fractions", "decimal"]
 #: the package modules that ``verify``, ``table`` and ``bench`` load
-_CATALOG = sorted(_GEN_MODULES + ["algebra", "bivariate", "commands", "derived", "verify"])
+_CATALOG = sorted(_GEN_MODULES + ["bivariate", "commands", "derived", "verify"])
 
 #: the exact package modules each command loads, and what it loads of the
 #: watched modules beyond what importing the CLI loads
@@ -772,9 +772,9 @@ _LOADED = (
     (["gen", "--series", "B2", "--order", "8", "--format", "json"], sorted(_GEN_MODULES + ["derived"]), []),
     (["gen", "--series", "B", "--order", "8", "--format", "table"], sorted(_GEN_MODULES + ["algebra"]), _ALGEBRA),
     (["eval", "REQUEST"], sorted(_GEN_MODULES + ["algebra", "commands", "derived", "pairing"]), _ALGEBRA),
-    (["verify", "--order", "8"], _CATALOG, ["hashlib"] + _ALGEBRA),
-    (["table", "--order", "16"], _CATALOG, ["hashlib"] + _ALGEBRA),
-    (["bench", "--order", "4"], _CATALOG, ["hashlib"] + _ALGEBRA),
+    (["verify", "--order", "8"], _CATALOG, ["hashlib"]),
+    (["table", "--order", "16"], _CATALOG, ["hashlib"]),
+    (["bench", "--order", "4"], _CATALOG, ["hashlib"]),
 )
 
 
@@ -786,8 +786,10 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     the derived series (``derived``) nor the x-polynomials (``algebra``), nor
     ``fractions`` and the ``decimal`` it imports: the pair, its golden check
     and its JSON run on kernel ints.  A derived series loads ``derived``, a
-    printed table ``algebra``.  ``eval`` loads no catalog, the catalog
-    commands no pairing.  None loads ``concurrent.futures``, which pulls in
+    printed table ``algebra``.  A passing ``verify``, ``table`` or ``bench``
+    forms no plain value either, so it loads neither ``algebra`` nor
+    ``fractions``.  ``eval`` loads no catalog, the catalog commands no
+    pairing.  None loads ``concurrent.futures``, which pulls in
     logging; the serial catalog needs neither.  None loads ``argparse``,
     ``gettext`` or ``locale``: the command line is parsed from the option
     table.  None loads ``dataclasses`` or the ``inspect`` it pulls in: the
@@ -796,6 +798,34 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
         result = _fresh(["-c", _IMPORT_PROBE, *_with_request(argv, tmp_path)], tmp_path)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [0, package, loaded], argv
+
+
+def test_the_plain_bivariate_route_imports_what_it_needs_when_it_runs(tmp_path):
+    """``bivariate`` imports no plain arithmetic; in a fresh interpreter that
+    imports it alone, ``BiSeries`` products with an int, a ``Fraction``, an
+    ``XPoly`` and another ``BiSeries``, ``first_difference_uv`` and
+    ``TSeries.subst_pm`` load ``algebra`` as they run."""
+    probe = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv\n"
+        "before = 'blowup_series.algebra' in sys.modules\n"
+        "from blowup_series.series import TSeries\n"
+        "a = BiSeries([[1, 2], [3]], 1)\n"
+        "b = a * 2 * Fraction(1, 2)\n"
+        "c = a * a\n"
+        "d = a * c.coeff(0, 1)\n"
+        "mismatch = first_difference_uv(a, a * 3)\n"
+        "pm = TSeries(0, [1, 1], 1).subst_pm(-1)\n"
+        "print(json.dumps([before, first_difference_uv(a, b), isinstance(mismatch, UVMismatch),\n"
+        "    mismatch.to_json(), [str(c.coeff(i, j)) for i, j in ((0, 0), (0, 1), (1, 0))],\n"
+        "    str(d.coeff(1, 0)), [str(pm.coeff(i, 1 - i)) for i in (0, 1)]]))\n"
+    )
+    result = _fresh(["-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [
+        False, None, True, {"u": 0, "v": 0, "x": 0, "lhs": "1", "rhs": "3"}, ["1", "4", "6"], "12", ["-1", "1"]
+    ]
 
 
 def test_reading_a_series_set_leaves_dataclasses_unloaded(tmp_path):

@@ -496,7 +496,7 @@ class TestBivariateTables:
 
     def test_entries_are_ints_on_the_blowup_pair(self, set17):
         b, s = set17.b, set17.s
-        for table in bb_tables(b, s, 12) + bbb_tables(b, s, 12):
+        for table in bb_tables(b, s, set17.b2, set17.s2, 12) + bbb_tables(b, s, 12):
             assert all(type(v) is int for row in table for p in row for v in p)
 
 

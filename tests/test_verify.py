@@ -275,6 +275,32 @@ class TestOdeAndBivariate:
         bad = _mutated_set(exponent=8, delta=1)
         assert not ENTRY["bb"].run(bad, 8).passed
 
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_bb_on_a_lazy_set_reports_what_it_reports_on_a_built_one(self, n):
+        """``bb`` reads B^2 and S^2 from the set, so on a lazy set it builds the
+        product group and no other; its report, passing or failing, is the
+        report on a set with every group built, apart from ``ms``."""
+
+        def report(set_):
+            (r,) = run_catalog(set_, n - 1, bivariate_order=n - 1, identities=["bb"])
+            return {**r.to_json(), "ms": 0}
+
+        def built(b, s):
+            set_ = assemble_set(b, s)
+            for group in blowup._GROUPS:
+                getattr(set_, group)
+            return set_
+
+        b, s = generate_pair(n)
+        bad = b + TSeries.monomial(F(1, 7), 4, b.order)  # the seed corruption of test_blowup
+        for pair, passed in (((b, s), True), ((bad, s), False)):
+            lazy = assemble_set(*pair)
+            got = report(lazy)
+            assert got == report(built(*pair)) and got["pass"] is passed
+            assert [group for group in blowup._GROUPS if group in vars(lazy)] == ["_products", "content_hash"]
+        assert got["first_mismatch"] == reference_bb(bad, s, n - 1).to_json()
+        assert report(series_set(n)) == report(build_series_set(n))
+
     def test_bb_reaches_total_degree_64(self):
         (report,) = run_catalog(series_set(65), 64, bivariate_order=64, identities=["bb"])
         assert report.passed and report.order == 64
