@@ -66,11 +66,6 @@ class XPoly:
     def x(cls) -> "XPoly":
         return _XPOLY_X
 
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "XPoly":
-        """Decode the JSON form: an array of canonical rational strings."""
-        return cls(parse_rational(s) for s in items)
-
     # -- structure ---------------------------------------------------
 
     @property

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .hurwitz import Poly, add, clean, differences, divided, pair_pieces, pair_products, pair_sum, parts
-from .series import SeriesError, TSeries, plain_value
+from .series import SeriesError, TSeries, plain_poly, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational
@@ -155,9 +155,7 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
         rest = _e2_rest(b_pairs, s_pairs, m)
         if m in (2, 4):
             if rest:
-                from .algebra import XPoly
-
-                residual = XPoly(rest) / math.factorial(m)
+                residual = plain_poly(rest, math.factorial(m))
                 raise GenerationError(
                     f"seed consistency check failed, residual {residual}", degree=m
                 )

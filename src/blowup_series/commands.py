@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from stat import S_ISREG
 from types import SimpleNamespace
 
 from . import blowup
@@ -62,6 +63,9 @@ def _cmd_table(args: SimpleNamespace) -> int:
 
 
 def _load_json(path: Path):
+    # a device or FIFO would be read without bound, or block for a writer
+    if not S_ISREG(path.stat().st_mode):
+        raise ValueError(f"{path}: not a regular file")
     try:
         return json.loads(path.read_text())
     except RecursionError:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import hurwitz
 from .blowup import UnexpectedPoleError
-from .hurwitz import Poly, add, clean, scaled
+from .hurwitz import Poly, add, clean, divided, scaled
 from .series import SeriesError, TSeries
 
 if TYPE_CHECKING:
@@ -175,21 +175,20 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
 
 
 def _residue(num: TSeries, s: TSeries) -> XPoly:
-    """The t^-1 coefficient of num/S, known through t^-1 or beyond, from plain coefficients.
+    """The t^-1 coefficient of num/S, known through t^-1 or beyond.
 
-    With S = t^v u and num = t^m a it is entry v - 1 - m of a/u, a power
-    series because u(0) is an x-free unit.  Only the pole guard's error
-    message reads it.
+    With S = t^v u and num = t^m a it is coefficient k = v - 1 - m of
+    a * u.recip(), a power series because u(0) is an x-free unit.  Entry n
+    of f/t^j is entry n + j of f over (n + j)!/n!.  Only the pole guard's
+    error message reads it.
     """
     v, m = s.valuation, num.valuation
-    u = [s.coeff(v + j) for j in range(v - m)]
-    q: list[XPoly] = []  # q_k = (a_k - sum_j u_j q_{k-j}) / u_0
-    for k in range(v - m):
-        acc = num.coeff(m + k)
-        for j in range(1, k + 1):
-            acc = acc - u[j] * q[k - j]
-        q.append(acc / u[0].coeff(0))
-    return q[-1]
+    k = v - 1 - m
+
+    def over(f: TSeries, j: int) -> TSeries:  # f/t^j through t^k
+        return TSeries.from_kernel([divided(f.h[n + j], math.perm(n + j, j)) for n in range(k + 1)], k)
+
+    return (over(num, m) * over(s, v).recip()).coeff(k)
 
 
 def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:

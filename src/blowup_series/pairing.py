@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .algebra import RationalLike, parse_rational
 from .blowup import BlowupSeriesSet, series_set
 from .derived import degeneration_form
-from .hurwitz import Poly
+from .hurwitz import Poly, clean, divided
 from .series import SeriesError, TSeries
 
 PROVENANCE_EVEN = "maina"
@@ -170,8 +170,8 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
 
     The output has x-free coefficients and the same truncation order.
     """
-    values = _sums(f.h, mu, f.order)
-    return EvalResult(_plain(values, [(0, 1)] * len(values)), "").series
+    entries = [clean(divided([num], den)) for num, den in _sums(f.h, mu, f.order)]
+    return TSeries.from_kernel(entries, f.order)
 
 
 class EvalResult:

@@ -18,13 +18,13 @@ series is made from plain coefficients or JSON.  Products are the kernel's
 binomial convolution; the exponential, the square root and the reciprocal
 are its linear ODE solves of w' = a' w, 2 a w' = a' w and a w' = -a' w;
 d/dt and the integral are index shifts.  Plain coefficients entry / k! are
-formed only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, JSON and
-display.  A comparison scans the kernel entries with
+formed only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, plain JSON
+output and display.  A comparison scans the kernel entries with
 :func:`~blowup_series.hurwitz.differences` and values a mismatch by
 :func:`plain_value`, one ``Fraction`` per side and no x-polynomial.  So
 :mod:`blowup_series.algebra` and ``fractions`` are imported only where a
 plain coefficient, an x-polynomial or a scalar that is not an int is
-formed: a product of two series and the factorial JSON of integer entries
+formed: a product of two series and series JSON of integer literals
 load neither.
 
 The bivariate series of the substitutions t -> u +- v (:meth:`TSeries.subst_pm`)
@@ -369,22 +369,18 @@ class TSeries:
         if val < 0:
             raise SeriesError(f"series JSON field 'valuation' must be >= 0, got {val}")
         order = _json_int(data, "order")
-        factorial = normalization == "factorial"
-        coeffs = []
-        for item in _json_coeffs(data):
-            if factorial and all(type(v) is str and _INTEGER_RE.fullmatch(v) for v in item):
-                p = clean([int(v) for v in item])  # integer literals are kernel ints as they are
-            else:
-                from .algebra import XPoly
-
-                p = XPoly.from_strings(item)
-                if factorial:
-                    p = clean(list(p.coeffs))
-            coeffs.append(p)
-        if not factorial:
-            return cls(val, coeffs, order)
-        # the factorial form of a power series is its kernel vector
-        return cls.from_kernel([[] for _ in range(val)] + coeffs, order)
+        # one loop for both forms: an integer literal is a kernel int as it
+        # is, and plain item n times n! is its kernel entry
+        plain = normalization == "plain"
+        scale = math.factorial(val) if plain else 1
+        h: list[Poly] = [[] for _ in range(val)]
+        for n, item in enumerate(_json_coeffs(data), val):
+            p = [int(v) if type(v) is str and _INTEGER_RE.fullmatch(v) else _rational(v) for v in item]
+            if plain:
+                p = scaled(p, scale)
+                scale *= n + 1
+            h.append(clean(p))
+        return cls.from_kernel(h, order)
 
     # -- display ---------------------------------------------------------
 
@@ -411,6 +407,13 @@ def _json_int(data: Mapping, key: str) -> int:
     if type(value) is not int:
         raise ValueError(f"series JSON field {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _rational(text: object) -> Rational:
+    """``parse_rational(text)``; ``algebra`` loads only for a literal that is not an integer."""
+    from .algebra import parse_rational
+
+    return parse_rational(text)
 
 
 def _json_coeffs(data: Mapping) -> list:

@@ -4,7 +4,9 @@ import pytest
 from helpers_oracles import (
     _simple_type_factor,
     exp_t_squared,
+    laurent_coeff,
     plain_mul,
+    plain_recip,
     simple_type_form,
     solve_by_bivariate_identity,
     unit_part,
@@ -298,15 +300,25 @@ class TestOddCasePair:
             "(B + S')/S should have exactly the pole 2/t; got valuation -1 with residue 4"
         )
 
-    def test_a_deeper_pole_is_reported_with_the_residue_of_the_quotient(self):
-        """1/(t^2 - t^3) = t^-2 (1 + t + t^2 + ...) has the residue 1.  The
-        guard is called alone: through odd_case_pair a pole deeper than 1/t
-        in (B + S')/S puts one in (-B + S')/S too, which is refused first."""
-        s = TSeries.from_terms({2: 1, 3: -1}, 8)
+    @pytest.mark.parametrize(
+        "s_terms, singular_terms, residue",
+        [({2: 1, 3: -1}, {0: 1}, "1"), ({2: 3, 3: X}, {0: 1, 1: X}, "(2/9)x")],
+        ids=["unit-lead", "lead-3-x-residue"],
+    )
+    def test_a_deeper_pole_is_reported_with_the_residue_of_the_quotient(self, s_terms, singular_terms, residue):
+        """1/(t^2 - t^3) = t^-2 (1 + t + t^2 + ...) has the residue 1.  With
+        S = 3t^2 + x t^3 the reciprocal divides by a ``Fraction``:
+        (1 + x t)/S = t^-2 (1 + x t)/(3 + x t) has the residue (2/9) x.  Each
+        is the Laurent route's coefficient too.  The guard is called alone:
+        through odd_case_pair a pole deeper than 1/t in (B + S')/S puts one
+        in (-B + S')/S too, which is refused first."""
+        s, singular = TSeries.from_terms(s_terms, 8), TSeries.from_terms(singular_terms, 8)
+        v, u = unit_part(s)
+        assert str(laurent_coeff(-v, plain_mul(singular, plain_recip(u)), -1)) == residue
         with pytest.raises(UnexpectedPoleError) as caught:
-            derived._check_poles(s, TSeries.zero(7), TSeries.monomial(1, 0, 8))
+            derived._check_poles(s, TSeries.zero(7), singular)
         assert str(caught.value) == (
-            "(B + S')/S should have exactly the pole 2/t; got valuation -2 with residue 1"
+            f"(B + S')/S should have exactly the pole 2/t; got valuation -2 with residue {residue}"
         )
 
     def test_a_quotient_known_only_below_the_residue_names_its_order(self):

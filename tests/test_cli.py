@@ -716,13 +716,13 @@ def test_negative_bivariate_order_is_refused_before_any_build(capsys, monkeypatc
         assert err.splitlines() == [f"{command}: --bivariate-order must be >= 0"]
 
 
-def _fresh(args: list, tmp_path: Path, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _fresh(args: list, tmp_path: Path, stdout=subprocess.PIPE, timeout: int = 120) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a fresh interpreter with the package on its path."""
     src = str(Path(blowup_series.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120
+        [sys.executable, *args], env=env, cwd=tmp_path, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout
     )
 
 
@@ -860,6 +860,66 @@ def test_a_handler_in_commands_reports_a_usage_error_under_python_m(argv, err, t
     the error is one line and exit 2, not a traceback."""
     result = _fresh(["-m", "blowup_series.cli", *argv], tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
+
+
+def _even_request(tmp_path: Path, mu_c: str) -> str:
+    """The path of an even eval request whose ``mu_c`` is read from the path ``mu_c``."""
+    moments = {"label": "m", "moments": ["1"] * 8}
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"parity": "even", "order": 4, "functionals": {"mu_c": mu_c, "mu_ctau": moments}}))
+    return str(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("where", ["request", "functional"])
+def test_eval_refuses_a_fifo_without_opening_it(where, tmp_path):
+    """A FIFO with no writer would block the open; it is refused as not a
+    regular file, whether it is the request or a functional's path."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    request = str(pipe) if where == "request" else _even_request(tmp_path, "pipe")
+    result = _fresh(["-m", "blowup_series.cli", "eval", request], tmp_path, timeout=20)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"eval: {pipe}: not a regular file\n")
+
+
+#: a child that runs ``main(argv)`` under a 256 MB address-space limit, so an
+#: unbounded read fails fast rather than filling the memory of the host
+_BOUNDED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from blowup_series.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("where", ["request", "functional"])
+def test_eval_refuses_a_device_without_reading_it(where, tmp_path):
+    """``/dev/zero`` never ends; as the request or a functional's path it is
+    refused before a byte is read."""
+    request = "/dev/zero" if where == "request" else _even_request(tmp_path, "/dev/zero")
+    result = _fresh(["-c", _BOUNDED_MAIN, "eval", request], tmp_path, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "eval: /dev/zero: not a regular file\n")
+
+
+def test_integer_series_json_loads_no_plain_arithmetic(tmp_path):
+    """Series JSON whose literals are all integers reads straight into kernel
+    ints in either normalization: a fresh interpreter loads neither
+    ``algebra`` nor ``fractions`` to read it."""
+    probe = (
+        "import json, sys\n"
+        "bare = set(sys.modules)\n"
+        "from blowup_series.series import TSeries\n"
+        "data = {'variable': 't', 'valuation': 1, 'order': 4, 'coeffs': [['1'], [], ['0', '-7'], ['12'], ['5']]}\n"
+        "read = [TSeries.from_json({**data, 'normalization': n}).h for n in ('plain', 'factorial')]\n"
+        "print(json.dumps([read, [m for m in ('blowup_series.algebra', 'fractions') if m in set(sys.modules) - bare]]))\n"
+    )
+    result = _fresh(["-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [
+        [[[], [1], [], [0, -42], [288]], [[], [1], [], [0, -7], [12]]],
+        [],
+    ]
 
 
 #: the first command line of each command in ``_LOADED``, in the same order

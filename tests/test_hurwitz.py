@@ -256,7 +256,8 @@ class TestDerivedFamily:
 
     def test_the_pole_guards_form_no_reciprocal(self, monkeypatch):
         """With ``TSeries.recip`` refused, every pair above still raises what
-        the reference route raises: the guards read kernel entries."""
+        the reference route raises: the guards read kernel entries, and only
+        the residue of a wrong pole, which none of them has, forms one."""
 
         def refused(self):
             raise AssertionError("a reciprocal was formed")

@@ -364,6 +364,30 @@ class TestSerialization:
         assert (back.order, back.valuation) == (a.order, a.valuation)
         assert back.to_json(normalization) == data
 
+    @given(
+        st.integers(1, 3),
+        st.lists(st.lists(st.one_of(st.integers(-50, 50), rationals), max_size=3), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.sampled_from(["plain", "factorial"]),
+    )
+    def test_the_reader_drops_items_past_the_order(self, val, items, extra, normalization):
+        """Int and ``Fraction`` entries from a valuation above 0, with more
+        items than the order keeps: the reader gives the kernel entries of the
+        plain constructor, ints wherever they are integral."""
+        longer = TSeries(val, [XPoly(c) for c in items], val + len(items) - 1)
+        kept = longer.truncate(longer.order - extra)
+        back = TSeries.from_json({**longer.to_json(normalization), "order": kept.order})
+        assert (back.h, back.order) == (kept.h, kept.order)
+        assert all(type(v) is int or v.denominator != 1 for p in back.h for v in p)
+
+    @pytest.mark.parametrize("normalization", ["plain", "factorial"])
+    @pytest.mark.parametrize("literal, text", [(3, "not a rational literal: 3"), ("1.5", "not a rational literal: '1.5'")])
+    def test_a_bad_literal_is_named(self, normalization, literal, text):
+        data = {**TSeries.monomial(1, 1, 3).to_json(normalization), "coeffs": [["1"], ["2", literal]]}
+        with pytest.raises(ValueError) as caught:
+            TSeries.from_json(data)
+        assert str(caught.value) == text
+
     @pytest.mark.parametrize(
         "change",
         [
