@@ -15,17 +15,15 @@ from blowup_series import (
     eval_odd,
     eval_simple_type,
     first_difference,
-    series_set,
 )
 
 ORDER = 14
-series = series_set(ORDER + 1)
 
 # --- simple-type data is geometric moments at ratio 2 ----------------------
 mu = MomentFunctional.geometric("D_c", scale=1, ratio=2, length=20)
 zero = MomentFunctional.zero("D_{c+tau}", length=20)
 
-even = eval_even(mu, zero, ORDER, series=series)
+even = eval_even(mu, zero, ORDER)
 closed = eval_simple_type(1, 0, 0, "even", ORDER)
 print("even evaluation on geometric moments:")
 print("  ", even.series)
@@ -34,14 +32,14 @@ print("matches the closed form exp(-t^2) cosh^2 t:",
 
 # --- the odd case ------------------------------------------------------------
 nu = MomentFunctional.geometric("tau-inserted", scale=F(1, 2), ratio=2, length=20)
-odd = eval_odd(mu, nu, ORDER, series=series)
+odd = eval_odd(mu, nu, ORDER)
 print("\nodd evaluation (geometric moments, half-weight insertion):")
 print("  ", odd.series)
 
 # --- consistency between the two even routes ---------------------------------
 mu_ctau = MomentFunctional("mu'", tuple(F(3 * k + 1, 4) for k in range(20)))
-direct = eval_even(mu, mu_ctau, ORDER, series=series)
-primed = eval_even_main_prime(mu, mu_ctau.scaled(2), ORDER, series=series)
+direct = eval_even(mu, mu_ctau, ORDER)
+primed = eval_even_main_prime(mu, mu_ctau.scaled(2), ORDER)
 print("\nprimed route with doubled insertion equals the direct route:",
       first_difference(direct.series, primed.series) is None)
 

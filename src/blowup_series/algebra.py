@@ -185,7 +185,7 @@ def _lift(value: "XPoly | RationalLike") -> "XPoly":
     return NotImplemented
 
 
-def render_xpoly(p: XPoly, var: str = "x") -> str:
+def render_xpoly(p: XPoly) -> str:
     """Human-readable form, ascending powers: '13584 - 88320x^2 - 8192x^6'.
 
     Non-integer rational coefficients are parenthesised ('(-1/12)x^4') so
@@ -201,7 +201,7 @@ def render_xpoly(p: XPoly, var: str = "x") -> str:
         if k == 0:
             body = str(mag)
         else:
-            xpart = var if k == 1 else f"{var}^{k}"
+            xpart = "x" if k == 1 else f"x^{k}"
             if mag == 1:
                 body = xpart
             elif mag.denominator == 1:
@@ -213,17 +213,6 @@ def render_xpoly(p: XPoly, var: str = "x") -> str:
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
     return " ".join(parts)
-
-
-def first_coeff_difference(
-    a: XPoly, b: XPoly
-) -> "tuple[int, Rational, Rational] | None":
-    """Least x-power where two polynomials differ, with both values."""
-    for k in range(max(a.degree, b.degree) + 1):
-        va, vb = a.coeff(k), b.coeff(k)
-        if va != vb:
-            return k, va, vb
-    return None
 
 
 _XPOLY_ZERO = XPoly()

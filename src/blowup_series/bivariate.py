@@ -306,12 +306,11 @@ def first_difference_uv(
         raise SeriesError(
             f"comparison through total degree {limit} exceeds known orders"
         )
-    for d in range(limit + 1):
-        for i in range(d + 1):
-            ca, cb = a.coeff(i, d - i), b.coeff(i, d - i)
-            if ca != cb:
-                from .algebra import first_coeff_difference
-
-                k, va, vb = first_coeff_difference(ca, cb)
-                return UVMismatch(i, d - i, k, va, vb)
-    return None
+    slots = (
+        ((i, d - i), a.coeff(i, d - i).coeffs, b.coeff(i, d - i).coeffs) for d in range(limit + 1) for i in range(d + 1)
+    )
+    diff = next(differences(slots), None)
+    if diff is None:
+        return None
+    (i, j), k = diff
+    return UVMismatch(i, j, k, a.coeff(i, j).coeff(k), b.coeff(i, j).coeff(k))

@@ -19,6 +19,10 @@ over L_d, reduced to a pair of ints; the two functionals' pairs are added
 with the gcds of ``Fraction`` addition and divided by n!, all on ints.
 :func:`pair`, the ``eval_*`` formulas and the simple type share this pass.
 
+There is one universal pair, so an evaluation formula takes only its two
+functionals and the order, and reads the cached generated set
+``series_set(max(order, 4) + 1)``.
+
 Tau-inserted data is always caller-supplied: real invariant data has to
 satisfy relations this module can check for consistency but deliberately
 does not enforce.
@@ -30,10 +34,10 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .algebra import RationalLike, parse_rational
-from .blowup import BlowupSeriesSet, series_set
+from .blowup import series_set
 from .derived import degeneration_form
 from .hurwitz import Poly, clean, divided
-from .series import SeriesError, TSeries
+from .series import TSeries
 
 PROVENANCE_EVEN = "maina"
 PROVENANCE_ODD = "mainb"
@@ -201,62 +205,36 @@ class EvalResult:
         return {**data, "coeffs": texts, "provenance": self.provenance}
 
 
-def _series_for(order: int, provided: "BlowupSeriesSet | None") -> BlowupSeriesSet:
-    if provided is not None:
-        if provided.order < order + 1:
-            raise SeriesError(
-                f"series set of order {provided.order} cannot evaluate through t^{order}"
-            )
-        return provided
-    # generation needs order >= 4; one guard order on top, as ``gen`` builds
-    return series_set(max(order, 4) + 1)
-
-
 def _evaluate(
     first: tuple[str, MomentFunctional],
     second: tuple[str, MomentFunctional],
     order: int,
-    series: "BlowupSeriesSet | None",
     provenance: str,
     half: bool = False,
 ) -> EvalResult:
     """pair(first series, its functional) + pair(second series, its functional),
     the second halved with ``half``; the first functional is checked first."""
-    st = _series_for(order, series)
+    # generation needs order >= 4; one guard order on top, as ``gen`` builds
+    st = series_set(max(order, 4) + 1)
     (f, mu), (g, nu) = first, second
     a = _sums(getattr(st, f).h, mu, order)
     b = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
     return EvalResult(_plain(a, b), provenance)
 
 
-def eval_even(
-    mu_c: MomentFunctional,
-    mu_ctau: MomentFunctional,
-    order: int,
-    series: "BlowupSeriesSet | None" = None,
-) -> EvalResult:
+def eval_even(mu_c: MomentFunctional, mu_ctau: MomentFunctional, order: int) -> EvalResult:
     """Even pairing case: pair(B^2, mu_c) + pair(S^2, mu_{c+tau})."""
-    return _evaluate(("b2", mu_c), ("s2", mu_ctau), order, series, PROVENANCE_EVEN)
+    return _evaluate(("b2", mu_c), ("s2", mu_ctau), order, PROVENANCE_EVEN)
 
 
-def eval_even_main_prime(
-    mu_c: MomentFunctional,
-    nu_c: MomentFunctional,
-    order: int,
-    series: "BlowupSeriesSet | None" = None,
-) -> EvalResult:
+def eval_even_main_prime(mu_c: MomentFunctional, nu_c: MomentFunctional, order: int) -> EvalResult:
     """Even-case variant over tau-inserted moments: pair(B^2, mu) + pair(S^2, nu)/2."""
-    return _evaluate(("b2", mu_c), ("s2", nu_c), order, series, PROVENANCE_EVEN_PRIME, half=True)
+    return _evaluate(("b2", mu_c), ("s2", nu_c), order, PROVENANCE_EVEN_PRIME, half=True)
 
 
-def eval_odd(
-    mu_c: MomentFunctional,
-    nu_c: MomentFunctional,
-    order: int,
-    series: "BlowupSeriesSet | None" = None,
-) -> EvalResult:
+def eval_odd(mu_c: MomentFunctional, nu_c: MomentFunctional, order: int) -> EvalResult:
     """Odd pairing case: pair(BS' - B'S, mu_c) + pair(BS, nu_c)."""
-    return _evaluate(("wronskian", mu_c), ("bs", nu_c), order, series, PROVENANCE_ODD)
+    return _evaluate(("wronskian", mu_c), ("bs", nu_c), order, PROVENANCE_ODD)
 
 
 def eval_simple_type(

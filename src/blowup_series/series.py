@@ -36,6 +36,7 @@ here; nothing in the package reads them through this module.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -80,6 +81,21 @@ def plain_value(p: Poly, x: int, scale: int) -> Rational:
     return Fraction(p[x] if x < len(p) else 0, scale)
 
 
+def _plain_kernel(valuation: int, rows: Iterable[Sequence[hurwitz.Scalar]], order: int) -> list[Poly]:
+    """The kernel vector through ``order`` of plain rows from ``valuation`` on:
+    row n times n!.  Rows past the order are not read and their factorials
+    are not formed."""
+    if valuation > order:
+        return []
+    h: list[Poly] = [[] for _ in range(valuation)]
+    scale = math.factorial(valuation)
+    for n, row in enumerate(itertools.islice(rows, order - valuation + 1), valuation):
+        if n > valuation:
+            scale *= n
+        h.append(clean(scaled(row, scale)))
+    return h
+
+
 def _plain_text(v: hurwitz.Scalar, scale: int) -> str:
     """``str(Fraction(v, scale))`` for a kernel scalar.
 
@@ -96,9 +112,10 @@ class TSeries:
     """Truncated power series in t over Q[x], held as a divided-power vector.
 
     Immutable.  ``h[n]`` is the kernel entry n! [t^n] for n = 0 .. order.
-    The constructor takes plain coefficients from ``valuation`` on;
-    :meth:`from_kernel` takes a vector.  A series that is zero through its
-    order has valuation ``order + 1`` (0 if the order is below -1).
+    The constructor takes plain coefficients from ``valuation`` on and does
+    not read those past the order; :meth:`from_kernel` takes a vector.  A
+    series that is zero through its order has valuation ``order + 1`` (0 if
+    the order is below -1).
     """
 
     __slots__ = ("h", "_order")
@@ -106,13 +123,7 @@ class TSeries:
     def __init__(self, valuation: int, coeffs: Iterable[CoeffLike], order: int):
         if valuation < 0:
             raise SeriesError(f"a series needs valuation >= 0, got {valuation}")
-        h: list[Poly] = [[] for _ in range(min(valuation, order + 1))]
-        k, scale = valuation, math.factorial(valuation)
-        for c in [_as_xpoly(c) for c in coeffs][: max(order - valuation + 1, 0)]:
-            h.append(clean([v * scale for v in c.coeffs]))
-            k += 1
-            scale *= k
-        self._set(h, order)
+        self._set(_plain_kernel(valuation, (_as_xpoly(c).coeffs for c in coeffs), order), order)
 
     def _set(self, h: Sequence[Poly], order: int) -> None:
         """Store ``h``, clipped or padded to the order."""
@@ -143,14 +154,8 @@ class TSeries:
         """Build from an exponent -> coefficient mapping."""
         if not terms:
             return cls.zero(order)
-        from .algebra import XPoly
-
         lo = min(terms)
-        coeffs = [XPoly.zero()] * (order - lo + 1)
-        for n, c in terms.items():
-            if n <= order:
-                coeffs[n - lo] = _as_xpoly(c)
-        return cls(lo, coeffs, order)
+        return cls(lo, (terms.get(n, 0) for n in range(lo, order + 1)), order)
 
     # -- structure -----------------------------------------------------
 
@@ -369,18 +374,15 @@ class TSeries:
         if val < 0:
             raise SeriesError(f"series JSON field 'valuation' must be >= 0, got {val}")
         order = _json_int(data, "order")
-        # one loop for both forms: an integer literal is a kernel int as it
-        # is, and plain item n times n! is its kernel entry
-        plain = normalization == "plain"
-        scale = math.factorial(val) if plain else 1
-        h: list[Poly] = [[] for _ in range(val)]
-        for n, item in enumerate(_json_coeffs(data), val):
-            p = [int(v) if type(v) is str and _INTEGER_RE.fullmatch(v) else _rational(v) for v in item]
-            if plain:
-                p = scaled(p, scale)
-                scale *= n + 1
-            h.append(clean(p))
-        return cls.from_kernel(h, order)
+        # every literal is parsed, also past the order; an integer literal is
+        # a kernel int as it is
+        rows = [
+            [int(v) if type(v) is str and _INTEGER_RE.fullmatch(v) else _rational(v) for v in item]
+            for item in _json_coeffs(data)
+        ]
+        if normalization == "plain":
+            return cls.from_kernel(_plain_kernel(val, rows, order), order)
+        return cls.from_kernel([[] for _ in range(min(val, order + 1))] + [clean(p) for p in rows], order)
 
     # -- display ---------------------------------------------------------
 

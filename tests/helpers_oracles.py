@@ -17,8 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from blowup_series import hurwitz
-from blowup_series.algebra import RationalLike, XPoly
-from blowup_series.algebra import first_coeff_difference
+from blowup_series.algebra import Rational, RationalLike, XPoly
 from blowup_series.blowup import UnexpectedPoleError
 from blowup_series.cli import EXIT_USAGE, SELECTORS
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
@@ -238,6 +237,15 @@ def plain_scale_arg(a: TSeries, c: RationalLike) -> TSeries:
             return TSeries.zero(a.order)
         return TSeries.from_terms({0: a.coeff(0)}, a.order)
     return TSeries.from_terms({n: coeff * c**n for n, coeff in a.terms()}, a.order)
+
+
+def first_coeff_difference(a: XPoly, b: XPoly) -> "tuple[int, Rational, Rational] | None":
+    """Least x-power where two polynomials differ, with both values."""
+    for k in range(max(a.degree, b.degree) + 1):
+        va, vb = a.coeff(k), b.coeff(k)
+        if va != vb:
+            return k, va, vb
+    return None
 
 
 def plain_first_difference(a: TSeries, b: TSeries, through: int) -> "TMismatch | None":

@@ -117,9 +117,9 @@ def test_criterion_6_relation_coefficients(set29):
     # second functional, and the primed route reproduces -4 mu0 - 4 nu1
     unit = MomentFunctional("unit", (F(1),) * 20)
     zero = MomentFunctional.zero("zero", 20)
-    ruberman = eval_even(zero, unit, 12, series=set29)
+    ruberman = eval_even(zero, unit, 12)
     assert ruberman.series.coeff(2, normalized=True) == XPoly((2,))
-    quartic = eval_even_main_prime(unit, unit, 12, series=set29)
+    quartic = eval_even_main_prime(unit, unit, 12)
     assert quartic.series.coeff(4, normalized=True) == XPoly((-8,))
     _announce(6, "relation coefficients", "0, 2, -4, -8x all exact, pairing layer agrees")
 
@@ -154,18 +154,18 @@ def test_criterion_7_pairing_properties(set29):
         alpha, beta = random_rational(), random_rational()
         m1, m2 = random_functional("m1"), random_functional("m2")
         p1, p2 = random_functional("p1"), random_functional("p2")
-        lhs = eval_even(mix(alpha, m1, beta, m2), mix(alpha, p1, beta, p2), order, series=set29).series
+        lhs = eval_even(mix(alpha, m1, beta, m2), mix(alpha, p1, beta, p2), order).series
         rhs = (
-            eval_even(m1, p1, order, series=set29).series * alpha
-            + eval_even(m2, p2, order, series=set29).series * beta
+            eval_even(m1, p1, order).series * alpha
+            + eval_even(m2, p2, order).series * beta
         )
         assert first_difference(lhs, rhs) is None
 
     # primed-route consistency: eval_even(mu, mu') == primed(mu, 2 mu')
     for _ in range(100):
         mu, mup = random_functional("mu"), random_functional("mu'")
-        direct = eval_even(mu, mup, order, series=set29).series
-        primed = eval_even_main_prime(mu, mup.scaled(2), order, series=set29).series
+        direct = eval_even(mu, mup, order).series
+        primed = eval_even_main_prime(mu, mup.scaled(2), order).series
         assert first_difference(direct, primed) is None
 
     _announce(7, "pairing properties", "3 laws x 100 random rational inputs, order 20, exact")

@@ -1,16 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
-from helpers_oracles import eval_at
+from helpers_oracles import eval_at, first_coeff_difference
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blowup_series.algebra import (
-    XPoly,
-    first_coeff_difference,
-    parse_rational,
-    render_xpoly,
-)
+from blowup_series.algebra import XPoly, parse_rational, render_xpoly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 xpolys = st.lists(rationals, max_size=5).map(XPoly)

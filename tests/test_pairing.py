@@ -153,7 +153,7 @@ class TestKernelPairing:
         mu = MomentFunctional("mu", tuple(data.draw(moments, label="mu")))
         nu = MomentFunctional("nu", tuple(data.draw(moments, label="nu")))
         st41 = series_set(41)
-        got = _EVALUATORS[formula](mu, nu, order, series=st41).series
+        got = _EVALUATORS[formula](mu, nu, order).series
         want = reference_eval(formula, st41, mu, nu, order)
         assert got.to_json() == want.to_json()
 
@@ -178,7 +178,7 @@ class TestKernelPairing:
         mu = MomentFunctional("first", (F(1), F(2)) if short in ("first", "both") else full)
         nu = MomentFunctional("second", (F(3),) if short in ("second", "both") else full)
         with pytest.raises(InsufficientMomentsError) as got:
-            _EVALUATORS[formula](mu, nu, ORDER, series=set17)
+            _EVALUATORS[formula](mu, nu, ORDER)
         with pytest.raises(InsufficientMomentsError) as want:
             reference_eval(formula, set17, mu, nu, ORDER)
         assert str(got.value) == str(want.value)
@@ -217,7 +217,7 @@ class TestFusedPass:
             plain_sum(getattr(st41, first).h[n], mu, n) + factor * plain_sum(getattr(st41, second).h[n], nu, n)
             for n in range(order + 1)
         ]
-        got = _EVALUATORS[formula](MomentFunctional("mu", mu), MomentFunctional("nu", nu), order, series=st41)
+        got = _EVALUATORS[formula](MomentFunctional("mu", mu), MomentFunctional("nu", nu), order)
         assert got.coeffs == tuple((w.numerator, w.denominator) for w in want)
 
     @given(st.data())
@@ -246,10 +246,10 @@ class TestFusedPass:
                 break
         mu, nu = (MomentFunctional(label, (F(1),) * n) for label, n in zip(("first", "second"), lengths))
         if expected is None:
-            _EVALUATORS[formula](mu, nu, order, series=st41)
+            _EVALUATORS[formula](mu, nu, order)
             return
         with pytest.raises(InsufficientMomentsError) as err:
-            _EVALUATORS[formula](mu, nu, order, series=st41)
+            _EVALUATORS[formula](mu, nu, order)
         assert (str(err.value), err.value.required) == (str(expected), expected.required)
 
 
@@ -269,62 +269,62 @@ def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):
 
 class TestEvaluationFormulas:
     def test_even_with_vanishing_second_functional(self, set17):
-        result = eval_even(UNIT, ZERO, ORDER, series=set17)
+        result = eval_even(UNIT, ZERO, ORDER)
         assert result.provenance == "maina"
         assert first_difference(result.series, pair(set17.b2.truncate(ORDER), UNIT)) is None
 
-    def test_even_geometric_reproduces_hyperbolic_forms(self, set17):
+    def test_even_geometric_reproduces_hyperbolic_forms(self):
         a, b = F(3), F(-5, 2)
-        result = eval_even(geometric(a), geometric(b), ORDER, series=set17)
+        result = eval_even(geometric(a), geometric(b), ORDER)
         envelope = exp_t_squared(-1, ORDER)
         cosh, sinh = cosh_series(ORDER), sinh_series(ORDER)
         reference = envelope * (cosh * cosh * a + sinh * sinh * b)
         assert first_difference(result.series, reference, through=ORDER) is None
 
-    def test_even_t2_coefficient_doubles_the_second_functional(self, set17):
-        result = eval_even(ZERO, UNIT, ORDER, series=set17)
+    def test_even_t2_coefficient_doubles_the_second_functional(self):
+        result = eval_even(ZERO, UNIT, ORDER)
         assert result.series.coeff(2, normalized=True) == XPoly((2,))
 
-    def test_main_prime_consistency(self, set17):
+    def test_main_prime_consistency(self):
         mu = geometric(F(7, 3))
         mup = MomentFunctional("mu'", tuple(F(k + 1, 2) for k in range(MOMENTS)))
-        direct = eval_even(mu, mup, ORDER, series=set17)
-        primed = eval_even_main_prime(mu, mup.scaled(2), ORDER, series=set17)
+        direct = eval_even(mu, mup, ORDER)
+        primed = eval_even_main_prime(mu, mup.scaled(2), ORDER)
         assert primed.provenance == "main-prime"
         assert first_difference(direct.series, primed.series) is None
 
     def test_main_prime_with_zero_insertion(self, set17):
-        result = eval_even_main_prime(UNIT, ZERO, ORDER, series=set17)
+        result = eval_even_main_prime(UNIT, ZERO, ORDER)
         assert first_difference(result.series, pair(set17.b2.truncate(ORDER), UNIT)) is None
 
-    def test_main_prime_t4_reproduces_the_quartic_relation(self, set17):
+    def test_main_prime_t4_reproduces_the_quartic_relation(self):
         """Frozen: with unit moments the normalized t^4 coefficient is
         -4 mu_0 - 4 nu_1 = -8, the quartic evaluation relation."""
-        result = eval_even_main_prime(UNIT, UNIT, ORDER, series=set17)
+        result = eval_even_main_prime(UNIT, UNIT, ORDER)
         assert result.series.coeff(4, normalized=True) == XPoly((-8,))
 
-    def test_odd_with_geometric_first_functional(self, set17):
+    def test_odd_with_geometric_first_functional(self):
         a = F(5, 4)
-        result = eval_odd(geometric(a), ZERO, ORDER, series=set17)
+        result = eval_odd(geometric(a), ZERO, ORDER)
         assert result.provenance == "mainb"
         assert first_difference(
             result.series, exp_t_squared(-1, ORDER) * a, through=ORDER
         ) is None
 
-    def test_odd_with_geometric_insertion(self, set17):
+    def test_odd_with_geometric_insertion(self):
         d = F(-7, 2)
-        result = eval_odd(ZERO, geometric(d), ORDER, series=set17)
+        result = eval_odd(ZERO, geometric(d), ORDER)
         reference = exp_t_squared(-1, ORDER) * (
             sinh_series(ORDER).scale_arg(2) * F(1, 2) * d
         )
         assert first_difference(result.series, reference, through=ORDER) is None
 
-    def test_odd_linear_term_is_the_inserted_zeroth_moment(self, set17):
+    def test_odd_linear_term_is_the_inserted_zeroth_moment(self):
         nu = MomentFunctional("nu", (F(9, 7),) + (F(3),) * (MOMENTS - 1))
-        result = eval_odd(ZERO, nu, ORDER, series=set17)
+        result = eval_odd(ZERO, nu, ORDER)
         assert result.series.coeff(1) == XPoly((F(9, 7),))
 
-    def test_linearity(self, set17):
+    def test_linearity(self):
         rng = random.Random(77)
         for _ in range(20):
             alpha = F(rng.randint(-9, 9), rng.randint(1, 5))
@@ -334,17 +334,17 @@ class TestEvaluationFormulas:
             combo = MomentFunctional(
                 "combo", tuple(alpha * a + beta * b for a, b in zip(m1.moments, m2.moments))
             )
-            lhs = eval_even(combo, ZERO, 12, series=set17).series
+            lhs = eval_even(combo, ZERO, 12).series
             rhs = (
-                eval_even(m1, ZERO, 12, series=set17).series * alpha
-                + eval_even(m2, ZERO, 12, series=set17).series * beta
+                eval_even(m1, ZERO, 12).series * alpha
+                + eval_even(m2, ZERO, 12).series * beta
             )
             assert first_difference(lhs, rhs) is None
 
-    def test_moment_requirements_propagate(self, set17):
+    def test_moment_requirements_propagate(self):
         short = MomentFunctional("short", (F(1), F(1)))
         with pytest.raises(InsufficientMomentsError):
-            eval_even(short, short, ORDER, series=set17)
+            eval_even(short, short, ORDER)
 
 
 class TestSimpleTypeClosedForms:
@@ -363,15 +363,15 @@ class TestSimpleTypeClosedForms:
         assert result.provenance == "corollary-odd"
         assert result.series.coeff(1) == XPoly((1,))
 
-    def test_matches_moment_route_on_geometric_data(self, set17):
+    def test_matches_moment_route_on_geometric_data(self):
         a, b = F(2, 3), F(-1, 4)
         closed = eval_simple_type(a, b, 0, "even", ORDER)
-        moments = eval_even(geometric(a), geometric(b), ORDER, series=set17)
+        moments = eval_even(geometric(a), geometric(b), ORDER)
         assert first_difference(closed.series, moments.series) is None
 
         a, d = F(5), F(7, 2)
         closed_odd = eval_simple_type(a, 0, d, "odd", ORDER)
-        moments_odd = eval_odd(geometric(a), geometric(d), ORDER, series=set17)
+        moments_odd = eval_odd(geometric(a), geometric(d), ORDER)
         assert first_difference(closed_odd.series, moments_odd.series) is None
 
     def test_parity_validation(self):

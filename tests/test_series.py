@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -45,6 +50,17 @@ def s_ref():
     return golden_table()["S"]
 
 
+#: a child that prints the kernel entries of the series its argument makes,
+#: under a 256 MB address-space limit, so a constructor whose cost grows with
+#: what it drops fails fast rather than filling the memory of the host
+_BOUNDED_BUILD = """
+import itertools, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from blowup_series.series import TSeries
+print(json.dumps(eval(sys.argv[1]).h))
+"""
+
+
 class TestConstruction:
     def test_normalisation_strips_leading_zeros(self):
         a = TSeries(0, (0, 0, 1), 5)
@@ -78,6 +94,32 @@ class TestConstruction:
         with pytest.raises(SeriesError, match=r"valuation.* >= 0, got -1$") as raised:
             make()
         assert "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "make, h",
+        [
+            ("TSeries.from_json({'variable': 't', 'valuation': 10**7, 'order': 3, 'coeffs': [['1']]})", [[]] * 4),
+            (
+                "TSeries.from_json({'variable': 't', 'valuation': 10**8, 'order': 3,"
+                " 'normalization': 'factorial', 'coeffs': [['1']]})",
+                [[]] * 4,
+            ),
+            ("TSeries.monomial(1, 10**7, 3)", [[]] * 4),
+            ("TSeries(0, itertools.repeat(1), 3)", [[1], [1], [2], [6]]),
+        ],
+        ids=["from_json", "from_json_factorial", "monomial", "endless_coeffs"],
+    )
+    def test_a_constructor_costs_what_it_keeps(self, make, h):
+        """A valuation far past the order, or coefficients without end, build
+        only the entries through the order: a child under a 256 MB
+        address-space limit makes the series within 20 s."""
+        src = str(Path(series.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", _BOUNDED_BUILD, make], env=env, capture_output=True, text=True, timeout=20
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == h
 
 
 class TestArithmetic:
@@ -387,6 +429,14 @@ class TestSerialization:
         with pytest.raises(ValueError) as caught:
             TSeries.from_json(data)
         assert str(caught.value) == text
+
+    @pytest.mark.parametrize("normalization", ["plain", "factorial"])
+    def test_a_bad_literal_past_the_order_is_named(self, normalization):
+        """Items past the order are dropped, but each literal is still read."""
+        data = {**TSeries.monomial(1, 1, 3).to_json(normalization), "coeffs": [["1"], [], [], [], ["2", "1.5"]]}
+        with pytest.raises(ValueError) as caught:
+            TSeries.from_json(data)
+        assert str(caught.value) == "not a rational literal: '1.5'"
 
     @pytest.mark.parametrize(
         "change",
