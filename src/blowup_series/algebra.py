@@ -7,9 +7,10 @@ anywhere: all results are exact and canonical.
 """
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .series import parse_pair
 
 # The exact scalar.  fractions.Fraction already maintains the canonical
 # reduced form (gcd(|num|, den) = 1, den >= 1) and prints it as "p" or
@@ -19,21 +20,15 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(text: str) -> Rational:
     """Parse the canonical rational format; reject anything else.
 
     Accepts 'p' and 'p/q' (q > 0) with an optional leading minus; the
     result is reduced.  Decimal notation is rejected so that golden data
-    and JSON payloads stay in a single exact format.
+    and JSON payloads stay in a single exact format.  The grammar and its
+    refusals are those of :func:`~blowup_series.series.parse_pair`.
     """
-    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise ValueError(f"not a rational literal: {text!r}")
-    numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))  # ZeroDivisionError for 'p/0'
+    return Fraction(*parse_pair(text))
 
 
 _ZERO = Fraction(0)

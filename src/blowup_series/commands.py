@@ -124,7 +124,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
             raise ValueError(f"unknown formula {formula!r} for parity {parity!r}")
     except (OSError, ValueError) as exc:  # JSON, moment and series errors are ValueErrors
         raise _UsageError(exc) from None
-    except ZeroDivisionError as exc:  # parse_rational on a moment such as "1/0"
+    except ZeroDivisionError as exc:  # parse_pair on a moment such as "1/0"
         raise _UsageError(f"a moment has a zero denominator: {exc}") from None
     try:
         text = _eval_text(result.to_json())

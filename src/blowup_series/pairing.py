@@ -12,11 +12,15 @@ per t-power.  The evaluation formulas then combine paired series:
 * simple type  closed hyperbolic forms, equal to the moment route on
   geometric moments mu_k = a * 2^k
 
-Pairing reads the kernel entries n! [t^n] of a series and puts the moments
-p_k/q_k on prefix common denominators L_k = lcm(q_0..q_k), with numerators
+Pairing reads the kernel entries n! [t^n] of a series and the moments as
+the integer pairs (p_k, q_k) their literals spell (``MomentFunctional.pairs``:
+no ``Fraction`` per moment, and no gcd to reduce a pair).  It
+puts them on prefix common denominators L_k = lcm(q_0..q_k), with numerators
 P_k = p_k L_k / q_k.  An entry of x-degree d pairs to one integer Horner sum
-over L_d, reduced to a pair of ints; the two functionals' pairs are added
-with the gcds of ``Fraction`` addition and divided by n!, all on ints.
+over L_d, reduced once to a pair of ints; the two functionals' pairs are added
+with the gcds of ``Fraction`` addition and divided by n!, all on ints.  The
+cross gcd of an entry's two denominators goes through the gcd of the two top
+denominators, taken once per evaluation: when that is 1, no entry takes one.
 :func:`pair`, the ``eval_*`` formulas and the simple type share this pass.
 
 There is one universal pair, so an evaluation formula takes only its two
@@ -30,14 +34,17 @@ does not enforce.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .algebra import RationalLike, parse_rational
 from .blowup import series_set
 from .derived import degeneration_form
 from .hurwitz import Poly, clean, divided
-from .series import TSeries
+from .series import TSeries, parse_pair
+
+if TYPE_CHECKING:
+    from .algebra import RationalLike
 
 PROVENANCE_EVEN = "maina"
 PROVENANCE_ODD = "mainb"
@@ -60,18 +67,29 @@ class InsufficientMomentsError(ValueError):
 class MomentFunctional:
     """A linear form known through its values on x-powers.
 
-    ``moments[k]`` is the value on x^k, turned into a :class:`Fraction` when
-    the functional is made.  A functional is read-only: assigning to any of
-    its names raises :class:`AttributeError`.  Two functionals are equal, and
-    hash alike, when their ``(label, moments)`` are equal.
+    ``pairs[k]`` is the value on x^k as a ``(numerator, denominator)`` pair of
+    ints, the denominator positive: the literal's own pair, not reduced, for a
+    functional read by :meth:`from_json`, and a ``Fraction``'s pair for one
+    made from values.  ``moments[k]`` is the same value as a :class:`Fraction`.
+    The values a caller passes are turned into ``Fraction``s when the
+    functional is made, and ``Fraction``s are kept as given; a functional read
+    from JSON forms its reduced ``Fraction``s when ``moments`` is first read.
+    A functional is read-only: assigning to any of its names raises
+    :class:`AttributeError`.  Two functionals are equal, and hash alike, when
+    their ``(label, moments)`` are equal.
     """
 
     label: str
-    moments: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, label: str, moments: Sequence[RationalLike]):
         moments = tuple(m if type(m) is Fraction else Fraction(m) for m in moments)
-        self.__dict__.update(label=label, moments=moments)
+        pairs = tuple((m.numerator, m.denominator) for m in moments)
+        self.__dict__.update(label=label, pairs=pairs, moments=moments)
+
+    @cached_property
+    def moments(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(p, q) for p, q in self.pairs)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,30 +129,34 @@ class MomentFunctional:
         moments = data.get("moments")
         if not isinstance(moments, list):
             raise ValueError("moment JSON needs a 'moments' array of rational strings")
-        return cls(label, tuple(parse_rational(m) for m in moments))
+        # every literal is validated here, also those a formula never reads
+        functional = object.__new__(cls)
+        functional.__dict__.update(label=label, pairs=tuple(map(parse_pair, moments)))
+        return functional
 
 
-def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
+def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> "tuple[list, int]":
     """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
-    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs.  A
-    short functional is named with the length its first uncovered entry needs.
+    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs, and a
+    common multiple of their denominators: scale L_top, times the denominator
+    of each entry with ``Fraction`` coefficients.  A short functional is named
+    with the length its first uncovered entry needs.
     """
-    entries = h[: order + 1]
-    supplied, top = len(mu.moments), max(map(len, entries), default=0)
+    entries, pairs = h[: order + 1], mu.pairs
+    supplied, top = len(pairs), max(map(len, entries), default=0)
     if top > supplied:
         need = next(len(p) for p in entries if len(p) > supplied)
         raise InsufficientMomentsError(mu.label, supplied, need)
     # prefix common denominators: steps[k] = L_k / L_{k-1}, numerators[k] = P_k,
     # dens[k + 1] = scale L_k
     lcm, steps, numerators, dens = 1, [], [], [scale]
-    for m in mu.moments[:top]:
-        q = m.denominator
+    for p, q in pairs[:top]:
         step = q // gcd(lcm, q)
         lcm *= step
         steps.append(step)
-        numerators.append(m.numerator * (lcm // q))
+        numerators.append(p * (lcm // q))
         dens.append(lcm * scale)
-    values = []
+    values, multiple = [], dens[-1]
     for p in entries:
         acc, den = 0, dens[len(p)]
         for step, c, numerator in zip(steps, p, numerators):
@@ -143,20 +165,27 @@ def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -
             if c:
                 acc += c * numerator
         if type(acc) is not int:  # an entry with Fraction coefficients
+            multiple *= acc.denominator
             acc, den = acc.numerator, den * acc.denominator
         g = gcd(acc, den)
         values.append((acc // g, den // g))
-    return values
+    return values, multiple
 
 
-def _plain(first: list, second: list) -> tuple:
+def _plain(first: list, second: list, common: int) -> tuple:
     """The reduced pairs ``(first[n] + second[n]) / n!`` of two lists of reduced
-    pairs: the gcds of ``Fraction`` addition, then one against n!."""
+    pairs: the gcds of ``Fraction`` addition, then one against n!.
+
+    ``common`` is the gcd of a common multiple of the first denominators and
+    one of the second.  Each da divides the one and each db the other, so
+    gcd(da, db) = gcd(gcd(da, common), db), which is 1 without a gcd when
+    ``common`` is 1.
+    """
     out, factorial = [], 1
     for n, ((na, da), (nb, db)) in enumerate(zip(first, second)):
         if n:
             factorial *= n
-        g = gcd(da, db)
+        g = gcd(gcd(da, common), db) if common != 1 else 1
         if g == 1:
             num, den = na * db + da * nb, da * db
         else:
@@ -174,7 +203,8 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
 
     The output has x-free coefficients and the same truncation order.
     """
-    entries = [clean(divided([num], den)) for num, den in _sums(f.h, mu, f.order)]
+    values, _ = _sums(f.h, mu, f.order)
+    entries = [clean(divided([num], den)) for num, den in values]
     return TSeries.from_kernel(entries, f.order)
 
 
@@ -217,9 +247,9 @@ def _evaluate(
     # generation needs order >= 4; one guard order on top, as ``gen`` builds
     st = series_set(max(order, 4) + 1)
     (f, mu), (g, nu) = first, second
-    a = _sums(getattr(st, f).h, mu, order)
-    b = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
-    return EvalResult(_plain(a, b), provenance)
+    a, da = _sums(getattr(st, f).h, mu, order)
+    b, db = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
+    return EvalResult(_plain(a, b, gcd(da, db)), provenance)
 
 
 def eval_even(mu_c: MomentFunctional, mu_ctau: MomentFunctional, order: int) -> EvalResult:
@@ -258,7 +288,7 @@ def eval_simple_type(
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     # entry n of u exp(-t^2) f_1 + v exp(-t^2) f_2 is u e_n + v e'_n: each form's
     # integer kernel vector paired with the one moment u or v
-    halves = [
+    (a, da), (b, db) = (
         _sums(degeneration_form(2, name, order).h, MomentFunctional(name, (w,)), order) for name, w in terms
-    ]
-    return EvalResult(_plain(*halves), provenance)
+    )
+    return EvalResult(_plain(a, b, gcd(da, db)), provenance)

@@ -49,12 +49,35 @@ if TYPE_CHECKING:
 
 CoeffLike = Union["XPoly", "Rational", int]
 
-#: the integer literals of :func:`~blowup_series.algebra.parse_rational`'s grammar
-_INTEGER_RE = re.compile(r"-?[0-9]+")
+#: the one rational literal grammar: ``p`` or ``p/q``, ASCII digits, an optional leading minus
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class SeriesError(ValueError):
     """A series operation was asked to leave its domain."""
+
+
+def parse_pair(text: object) -> tuple[int, int]:
+    """The ints ``(p, q)`` that a rational literal ``"p"`` or ``"p/q"`` spells.
+
+    ``"p"`` gives ``(p, 1)``.  The pair is the literal's own: it is not reduced,
+    and no ``Fraction`` is formed.  Anything else is refused as ``Fraction``
+    would refuse the pair: a :class:`ValueError` for a text that is not a
+    literal (decimals, spaces, a plus sign, non-ASCII digits) or has more
+    digits than ``int`` converts, and ``ZeroDivisionError('Fraction(p, 0)')``
+    for a zero denominator.
+    """
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    numerator, denominator = match.groups()
+    p = int(numerator)
+    if denominator is None:
+        return p, 1
+    q = int(denominator)
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    return p, q
 
 
 def _as_xpoly(v: CoeffLike) -> XPoly:
@@ -374,12 +397,8 @@ class TSeries:
         if val < 0:
             raise SeriesError(f"series JSON field 'valuation' must be >= 0, got {val}")
         order = _json_int(data, "order")
-        # every literal is parsed, also past the order; an integer literal is
-        # a kernel int as it is
-        rows = [
-            [int(v) if type(v) is str and _INTEGER_RE.fullmatch(v) else _rational(v) for v in item]
-            for item in _json_coeffs(data)
-        ]
+        # every literal is parsed, also past the order
+        rows = [[_scalar(v) for v in item] for item in _json_coeffs(data)]
         if normalization == "plain":
             return cls.from_kernel(_plain_kernel(val, rows, order), order)
         return cls.from_kernel([[] for _ in range(min(val, order + 1))] + [clean(p) for p in rows], order)
@@ -411,11 +430,15 @@ def _json_int(data: Mapping, key: str) -> int:
     return value
 
 
-def _rational(text: object) -> Rational:
-    """``parse_rational(text)``; ``algebra`` loads only for a literal that is not an integer."""
-    from .algebra import parse_rational
+def _scalar(text: object) -> hurwitz.Scalar:
+    """The kernel scalar of a literal: an int for ``p`` or ``p/1``, a ``Fraction``
+    otherwise; ``fractions`` loads only for a denominator other than 1."""
+    p, q = parse_pair(text)
+    if q == 1:
+        return p
+    from fractions import Fraction
 
-    return parse_rational(text)
+    return Fraction(p, q)
 
 
 def _json_coeffs(data: Mapping) -> list:

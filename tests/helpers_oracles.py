@@ -24,6 +24,9 @@ from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv, table_add, triple
 from blowup_series.series import SeriesError, TMismatch, TSeries, first_difference
 
+#: texts that look like rational literals and are not, or do not parse
+NEAR_RATIONALS = ["1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "\uff11", "1/0", "9" * 5000, ""]
+
 
 def _sq_coeff(coeffs: list[XPoly], n: int) -> XPoly:
     """[t^n] of the square of the series with the given plain coefficients."""

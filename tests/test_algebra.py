@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
-from helpers_oracles import eval_at, first_coeff_difference
-from hypothesis import given
+from helpers_oracles import NEAR_RATIONALS, eval_at, first_coeff_difference
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowup_series.algebra import XPoly, parse_rational, render_xpoly
+from blowup_series.series import parse_pair
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 xpolys = st.lists(rationals, max_size=5).map(XPoly)
@@ -51,6 +52,45 @@ class TestRational:
     def test_parse_rejects_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
+
+
+def _refusal(parse, text):
+    """``(value, None)`` if ``parse`` accepts ``text``, else ``(None, (type, text))`` of its refusal."""
+    try:
+        return parse(text), None
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _pinned_literals(test):
+    for text in NEAR_RATIONALS + ["0/0", "-0/5", "2/4", "\u0661\u0662"]:
+        test = example(text)(test)
+    return test
+
+
+#: texts near the literal grammar, and values that are not texts
+_LITERALS = (
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)
+    | st.from_regex(r"[-+ 0-9/.e\n]{0,8}", fullmatch=True)
+    | st.text(max_size=8)
+    | st.integers()
+    | st.none()
+)
+
+
+@given(_LITERALS)
+@_pinned_literals
+def test_parse_pair_and_parse_rational_agree(text):
+    """Both parsers accept the same texts, and refuse the others with the same
+    exception and text.  ``parse_pair`` gives the literal's own pair,
+    unreduced, and ``parse_rational`` that pair's reduced ``Fraction``."""
+    pair, pair_refusal = _refusal(parse_pair, text)
+    value, value_refusal = _refusal(parse_rational, text)
+    assert pair_refusal == value_refusal
+    if pair_refusal is None:
+        numerator, _, denominator = text.partition("/")
+        assert pair == (int(numerator), int(denominator or 1))
+        assert F(*pair) == value and type(value) is F
 
 
 class TestXPoly:

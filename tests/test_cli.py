@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers_oracles import cosh_series, exp_t_squared, reference_parser
+from helpers_oracles import NEAR_RATIONALS, cosh_series, exp_t_squared, reference_parser
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -771,7 +771,7 @@ _LOADED = (
     (["gen", "--series", "S", "--order", "8", "--format", "json", "--normalization", "plain"], _GEN_MODULES, []),
     (["gen", "--series", "B2", "--order", "8", "--format", "json"], sorted(_GEN_MODULES + ["derived"]), []),
     (["gen", "--series", "B", "--order", "8", "--format", "table"], sorted(_GEN_MODULES + ["algebra"]), _ALGEBRA),
-    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["algebra", "commands", "derived", "pairing"]), _ALGEBRA),
+    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["commands", "derived", "pairing"]), _ALGEBRA),
     (["verify", "--order", "8"], _CATALOG, ["hashlib"]),
     (["table", "--order", "16"], _CATALOG, ["hashlib"]),
     (["bench", "--order", "4"], _CATALOG, ["hashlib"]),
@@ -789,8 +789,9 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     printed table ``algebra``.  A passing ``verify``, ``table`` or ``bench``
     forms no plain value either, so it loads neither ``algebra`` nor
     ``fractions``.  ``eval`` loads no catalog, the catalog commands no
-    pairing.  None loads ``concurrent.futures``, which pulls in
-    logging; the serial catalog needs neither.  None loads ``argparse``,
+    pairing.  ``eval`` loads no ``algebra`` either: its moments are read as
+    the integer pairs of their literals.  None loads ``concurrent.futures``,
+    which pulls in logging; the serial catalog needs neither.  None loads ``argparse``,
     ``gettext`` or ``locale``: the command line is parsed from the option
     table.  None loads ``dataclasses`` or the ``inspect`` it pulls in: the
     records are plain classes."""
@@ -1211,10 +1212,7 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 
-#: texts that look like rational literals and are not, or do not parse
-_NEAR_RATIONALS = st.sampled_from(
-    ["1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "\uff11", "1/0", "9" * 5000, ""]
-)
+_NEAR_RATIONALS = st.sampled_from(NEAR_RATIONALS)
 
 #: where a request breaks: a path of keys into the valid request, or None for
 #: the whole document

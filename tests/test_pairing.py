@@ -20,11 +20,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowup_series import series_set
-from blowup_series.algebra import XPoly
+from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.cli import main
 from blowup_series.pairing import (
     InsufficientMomentsError,
     MomentFunctional,
+    _sums,
     eval_even,
     eval_even_main_prime,
     eval_odd,
@@ -73,11 +74,33 @@ class TestMomentFunctional:
         assert hash(mu) == hash(("m", (F(1), F(1, 2))))
         assert len({mu, MomentFunctional("m", mu.moments)}) == 1
 
-    @pytest.mark.parametrize("name", ["label", "moments", "other"])
+    @pytest.mark.parametrize("name", ["label", "moments", "pairs", "other"])
     def test_a_functional_is_read_only(self, name):
-        with pytest.raises(AttributeError):
-            setattr(UNIT, name, None)
-        assert UNIT == MomentFunctional("unit", (F(1),) * MOMENTS)
+        read = MomentFunctional.from_json({"label": "unit", "moments": ["1"] * MOMENTS})
+        for mu in (UNIT, read):
+            with pytest.raises(AttributeError):
+                setattr(mu, name, None)
+        assert UNIT == MomentFunctional("unit", (F(1),) * MOMENTS) == read
+
+    @given(st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 2**70), st.booleans())))
+    @example([(2, 4, False), (-3, 1, True), (-3, 1, False), (0, 7, False), (6, 3, False)])
+    def test_json_moments_are_the_reduced_literals(self, drawn):
+        """``pairs`` holds each literal's own pair; ``moments``, formed when
+        first read, holds its reduced ``Fraction``."""
+        texts = [str(p) if bare else f"{p}/{q}" for p, q, bare in drawn]
+        mu = MomentFunctional.from_json({"label": "m", "moments": texts})
+        assert mu.pairs == tuple((p, 1 if bare else q) for p, q, bare in drawn)
+        assert "moments" not in vars(mu)
+        assert mu.moments == tuple(parse_rational(t) for t in texts)
+        assert all(type(m) is F and m == F(*pair) for m, pair in zip(mu.moments, mu.pairs))
+
+    def test_equal_values_make_equal_functionals(self):
+        """Unreduced and reduced literals, and ``Fraction``s, of equal values compare and hash alike."""
+        read = [MomentFunctional.from_json({"label": "m", "moments": [t, "3"]}) for t in ("2/4", "1/2")]
+        made = MomentFunctional("m", (F(1, 2), 3))
+        assert read[0] == read[1] == made and hash(read[0]) == hash(read[1]) == hash(made)
+        assert len({*read, made}) == 1
+        assert read[0] != MomentFunctional.from_json({"label": "m", "moments": ["2/4", "4"]})
 
     @given(st.text(), st.lists(st.fractions() | st.integers()))
     @example("D_c", [F(1), F(-2, 3)])
@@ -251,6 +274,52 @@ class TestFusedPass:
         with pytest.raises(InsufficientMomentsError) as err:
             _EVALUATORS[formula](mu, nu, order)
         assert (str(err.value), err.value.required) == (str(expected), expected.required)
+
+
+#: moment denominators a^k for the first functional and b^k for the second:
+#: tops that are coprime, and 6^k against 15^k, which share 3^k
+_BASES = {"coprime": (3, 5), "shared": (6, 15)}
+
+
+def _powers_moments(base: int, order: int) -> list:
+    return [F((-1) ** k * (base * k + 1), base**k) for k in range(order + 1)]
+
+
+class TestCommonDenominator:
+    """Both sides of the cross gcd that goes through the gcd of the top
+    denominators: coprime tops, where no entry takes a gcd, and shared ones."""
+
+    @pytest.mark.parametrize("formula", sorted(_EVALUATORS))
+    @pytest.mark.parametrize("order", [12, 40])
+    @pytest.mark.parametrize("kind", sorted(_BASES))
+    def test_formulas_equal_the_fraction_reference(self, formula, order, kind):
+        a, b = _BASES[kind]
+        mu, nu = _powers_moments(a, order), _powers_moments(b, order)
+        st41 = series_set(41)
+        first, second, factor = EVAL_FORMULAS[formula]
+        first_top, second_top = (max(map(len, getattr(st41, name).h[: order + 1])) for name in (first, second))
+        common = math.gcd(
+            math.lcm(*(m.denominator for m in mu[:first_top])),
+            factor.denominator * math.lcm(*(m.denominator for m in nu[:second_top])),
+        )
+        assert (common == 1) == (kind == "coprime")
+        functionals = MomentFunctional("mu", mu), MomentFunctional("nu", nu)
+        got = _EVALUATORS[formula](*functionals, order)
+        want = reference_eval(formula, st41, *functionals, order).to_json()
+        assert got.to_json() == {**want, "provenance": formula}
+        # the same values as unreduced literals
+        texts = [{"label": f.label, "moments": [f"{7 * p}/{7 * q}" for p, q in f.pairs]} for f in functionals]
+        assert _EVALUATORS[formula](*map(MomentFunctional.from_json, texts), order).coeffs == got.coeffs
+
+    @pytest.mark.parametrize("kind", sorted(_BASES))
+    def test_pair_on_fractional_entries(self, kind):
+        """``_sums``'s common multiple covers the denominators of ``Fraction`` entries too."""
+        a, b = _BASES[kind]
+        f = TSeries(0, [XPoly((F(1, b), F(-5, a * b))), XPoly(()), XPoly((0, F(2, 3), F(9, b**2)))], 2)
+        mu = MomentFunctional.from_json({"label": "mu", "moments": [f"{k + 1}/{2 * a**k}" for k in range(3)]})
+        assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
+        values, multiple = _sums(f.h, mu, f.order)
+        assert all(multiple % den == 0 for _, den in values)
 
 
 def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):
