@@ -17,10 +17,8 @@ the integer pairs (p_k, q_k) their literals spell (``MomentFunctional.pairs``:
 no ``Fraction`` per moment, and no gcd to reduce a pair).  It
 puts them on prefix common denominators L_k = lcm(q_0..q_k), with numerators
 P_k = p_k L_k / q_k.  An entry of x-degree d pairs to one integer Horner sum
-over L_d, reduced once to a pair of ints; the two functionals' pairs are added
-with the gcds of ``Fraction`` addition and divided by n!, all on ints.  The
-cross gcd of an entry's two denominators goes through the gcd of the two top
-denominators, taken once per evaluation: when that is 1, no entry takes one.
+over L_d, reduced to a pair of ints; the two functionals' pairs are added
+with the gcds of ``Fraction`` addition and divided by n!, all on ints.
 :func:`pair`, the ``eval_*`` formulas and the simple type share this pass.
 
 There is one universal pair, so an evaluation formula takes only its two
@@ -135,12 +133,10 @@ class MomentFunctional:
         return functional
 
 
-def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> "tuple[list, int]":
+def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
     """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
-    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs, and a
-    common multiple of their denominators: scale L_top, times the denominator
-    of each entry with ``Fraction`` coefficients.  A short functional is named
-    with the length its first uncovered entry needs.
+    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs.  A
+    short functional is named with the length its first uncovered entry needs.
     """
     entries, pairs = h[: order + 1], mu.pairs
     supplied, top = len(pairs), max(map(len, entries), default=0)
@@ -156,7 +152,7 @@ def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -
         steps.append(step)
         numerators.append(p * (lcm // q))
         dens.append(lcm * scale)
-    values, multiple = [], dens[-1]
+    values = []
     for p in entries:
         acc, den = 0, dens[len(p)]
         for step, c, numerator in zip(steps, p, numerators):
@@ -165,27 +161,20 @@ def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -
             if c:
                 acc += c * numerator
         if type(acc) is not int:  # an entry with Fraction coefficients
-            multiple *= acc.denominator
             acc, den = acc.numerator, den * acc.denominator
         g = gcd(acc, den)
         values.append((acc // g, den // g))
-    return values, multiple
+    return values
 
 
-def _plain(first: list, second: list, common: int) -> tuple:
+def _plain(first: list, second: list) -> tuple:
     """The reduced pairs ``(first[n] + second[n]) / n!`` of two lists of reduced
-    pairs: the gcds of ``Fraction`` addition, then one against n!.
-
-    ``common`` is the gcd of a common multiple of the first denominators and
-    one of the second.  Each da divides the one and each db the other, so
-    gcd(da, db) = gcd(gcd(da, common), db), which is 1 without a gcd when
-    ``common`` is 1.
-    """
+    pairs: the gcds of ``Fraction`` addition, then one against n!."""
     out, factorial = [], 1
     for n, ((na, da), (nb, db)) in enumerate(zip(first, second)):
         if n:
             factorial *= n
-        g = gcd(gcd(da, common), db) if common != 1 else 1
+        g = gcd(da, db)
         if g == 1:
             num, den = na * db + da * nb, da * db
         else:
@@ -203,8 +192,7 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
 
     The output has x-free coefficients and the same truncation order.
     """
-    values, _ = _sums(f.h, mu, f.order)
-    entries = [clean(divided([num], den)) for num, den in values]
+    entries = [clean(divided([num], den)) for num, den in _sums(f.h, mu, f.order)]
     return TSeries.from_kernel(entries, f.order)
 
 
@@ -247,9 +235,9 @@ def _evaluate(
     # generation needs order >= 4; one guard order on top, as ``gen`` builds
     st = series_set(max(order, 4) + 1)
     (f, mu), (g, nu) = first, second
-    a, da = _sums(getattr(st, f).h, mu, order)
-    b, db = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
-    return EvalResult(_plain(a, b, gcd(da, db)), provenance)
+    a = _sums(getattr(st, f).h, mu, order)
+    b = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
+    return EvalResult(_plain(a, b), provenance)
 
 
 def eval_even(mu_c: MomentFunctional, mu_ctau: MomentFunctional, order: int) -> EvalResult:
@@ -288,7 +276,7 @@ def eval_simple_type(
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     # entry n of u exp(-t^2) f_1 + v exp(-t^2) f_2 is u e_n + v e'_n: each form's
     # integer kernel vector paired with the one moment u or v
-    (a, da), (b, db) = (
+    halves = [
         _sums(degeneration_form(2, name, order).h, MomentFunctional(name, (w,)), order) for name, w in terms
-    )
-    return EvalResult(_plain(a, b, gcd(da, db)), provenance)
+    ]
+    return EvalResult(_plain(*halves), provenance)
