@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .series import parse_pair
+from .series import ReadOnly, as_fraction, parse_pair
 
 # The exact scalar.  fractions.Fraction already maintains the canonical
 # reduced form (gcd(|num|, den) = 1, den >= 1) and prints it as "p" or
@@ -35,21 +35,21 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class XPoly:
+class XPoly(ReadOnly):
     """Dense polynomial in x with rational coefficients.
 
-    Immutable.  The stored coefficient tuple is trailing-zero free; the
-    zero polynomial stores nothing and has degree -1 (standing in for
-    "minus infinity").
+    Read-only through :class:`ReadOnly`.  The stored coefficient tuple is
+    trailing-zero free; the zero polynomial stores nothing and has degree -1
+    (standing in for "minus infinity").
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        c = [Fraction(v) for v in coeffs]
+        c = [as_fraction(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        object.__setattr__(self, "_c", tuple(c))
+        object.__setattr__(self, "coeffs", tuple(c))
 
     # -- constructors ------------------------------------------------
 
@@ -64,35 +64,31 @@ class XPoly:
     # -- structure ---------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Rational, ...]:
-        return self._c
-
-    @property
     def degree(self) -> int:
         """Highest x-exponent, or -1 for the zero polynomial."""
-        return len(self._c) - 1
+        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.coeffs
 
     def coeff(self, k: int) -> Rational:
-        if 0 <= k < len(self._c):
-            return self._c[k]
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
         return _ZERO
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, XPoly):
-            return self._c == other._c
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == XPoly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -100,7 +96,7 @@ class XPoly:
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
+        a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -123,16 +119,16 @@ class XPoly:
         return other - self
 
     def __neg__(self) -> "XPoly":
-        return XPoly(-v for v in self._c)
+        return XPoly(-v for v in self.coeffs)
 
     def __mul__(self, other: "XPoly | RationalLike") -> "XPoly":
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _XPOLY_ZERO
-            return XPoly(v * other for v in self._c)
+            return XPoly(v * other for v in self.coeffs)
         if not isinstance(other, XPoly):
             return NotImplemented
-        a, b = self._c, other._c
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _XPOLY_ZERO
         out = [_ZERO] * (len(a) + len(b) - 1)
@@ -149,7 +145,7 @@ class XPoly:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
-        return XPoly(v / s for v in self._c)
+        return XPoly(v / s for v in self.coeffs)
 
     def __pow__(self, n: int) -> "XPoly":
         if not isinstance(n, int) or n < 0:
@@ -169,7 +165,7 @@ class XPoly:
         return render_xpoly(self)
 
     def __repr__(self) -> str:
-        return f"XPoly({[str(v) for v in self._c]})"
+        return f"XPoly({[str(v) for v in self.coeffs]})"
 
 
 def _lift(value: "XPoly | RationalLike") -> "XPoly":

@@ -30,7 +30,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .hurwitz import Poly, _at, add, clean, convolve, differences, pair_products, pair_sum, parts, product, scaled
-from .series import CoeffLike, SeriesError, TSeries, _as_xpoly, plain_poly, plain_value
+from .series import CoeffLike, ReadOnly, SeriesError, TSeries, _as_xpoly, plain_poly, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational, XPoly
@@ -220,14 +220,15 @@ def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
 # the plain reference type
 
 
-class BiSeries:
+class BiSeries(ReadOnly):
     """Bivariate series in (u, v) over Q[x], truncated by total degree.
 
-    Coefficients live on the triangle i + j <= order, stored row-major:
-    ``rows[i][j]`` is the coefficient of u^i v^j.
+    Read-only through :class:`ReadOnly`.  Coefficients live on the triangle
+    i + j <= order, stored row-major: ``rows[i][j]`` is the coefficient of
+    u^i v^j.
     """
 
-    __slots__ = ("_rows", "_order")
+    __slots__ = ("_rows", "order")
 
     def __init__(self, rows: Sequence[Sequence[CoeffLike]], order: int):
         if order < 0:
@@ -240,21 +241,17 @@ class BiSeries:
             vals.extend([zero] * (order - i + 1 - len(vals)))
             norm.append(tuple(vals))
         object.__setattr__(self, "_rows", tuple(norm))
-        object.__setattr__(self, "_order", order)
-
-    @property
-    def order(self) -> int:
-        return self._order
+        object.__setattr__(self, "order", order)
 
     def coeff(self, i: int, j: int) -> XPoly:
-        if i < 0 or j < 0 or i + j > self._order:
+        if i < 0 or j < 0 or i + j > self.order:
             raise SeriesError(f"(u^{i} v^{j}) is outside the truncation triangle")
         return self._rows[i][j]
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         if not isinstance(other, BiSeries):
             return NotImplemented
-        order = min(self._order, other._order)
+        order = min(self.order, other.order)
         rows = [
             [self._rows[i][j] + other._rows[i][j] for j in range(order - i + 1)]
             for i in range(order + 1)
@@ -267,16 +264,16 @@ class BiSeries:
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries([[-c for c in row] for row in self._rows], self._order)
+        return BiSeries([[-c for c in row] for row in self._rows], self.order)
 
     def __mul__(self, other: "BiSeries | CoeffLike") -> "BiSeries":
         if not isinstance(other, BiSeries):
             p = _as_xpoly(other)  # a coefficient: an x-polynomial or a scalar
-            return BiSeries([[c * p for c in row] for row in self._rows], self._order)
-        order = min(self._order, other._order)
+            return BiSeries([[c * p for c in row] for row in self._rows], self.order)
+        order = min(self.order, other.order)
         zero = _as_xpoly(0)
         rows = [[zero] * (order - i + 1) for i in range(order + 1)]
-        for i1 in range(min(self._order, order) + 1):
+        for i1 in range(min(self.order, order) + 1):
             row1 = self._rows[i1]
             for j1 in range(min(len(row1) - 1, order - i1) + 1):
                 c1 = row1[j1]
@@ -294,7 +291,7 @@ class BiSeries:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"<BiSeries order={self._order}>"
+        return f"<BiSeries order={self.order}>"
 
 
 def first_difference_uv(

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .hurwitz import Poly, add, clean, differences, divided, pair_pieces, pair_products, pair_sum, parts
-from .series import SeriesError, TSeries, plain_poly, plain_value
+from .series import ReadOnly, SeriesError, TSeries, plain_poly, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational
@@ -200,7 +200,7 @@ class _TracerFields:
         return dataclasses.make_dataclass(owner.__name__, ["b", "s"]).__dataclass_fields__
 
 
-class BlowupSeriesSet:
+class BlowupSeriesSet(ReadOnly):
     """The blow-up pair and every series derived from it, built on first read.
 
     The fields are the pair ``b``, ``s``; ``order`` is their truncation order.
@@ -216,9 +216,8 @@ class BlowupSeriesSet:
 
     A construction error therefore surfaces on the first read of a series of
     its group, not when the set is made.  A failed build is not kept, so the
-    next read raises again.  The set is read-only: assigning to any of its
-    names raises :class:`AttributeError`.  Two sets are equal only if they
-    are the same object.
+    next read raises again.  The set is read-only through :class:`ReadOnly`.
+    Two sets are equal only if they are the same object.
     """
 
     b: TSeries
@@ -228,9 +227,6 @@ class BlowupSeriesSet:
 
     def __init__(self, b: TSeries, s: TSeries):
         self.__dict__.update(b=b, s=s)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def order(self) -> int:

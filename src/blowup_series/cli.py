@@ -41,11 +41,11 @@ SELECTORS = {
 #: ws0 solves its ODE from S' - B, known one order less than the pair
 _GUARDED = frozenset({"WS0"})
 
-#: largest order any command builds.  The full set grows about as order^4.4
-#: (0.55 s at order 129 and 11.7 s at 257, single runs on one core of a 2-core
-#: host with Python 3.11.7), so order 512 would take about four minutes; the
-#: checked pair alone, all that ``gen --series B|S`` builds, takes 0.08 s at
-#: order 128 and 1.0 s at 256 there
+#: largest order any command builds.  The full set grows about as order^4.7
+#: (0.67 s at order 129 and 17.4 s at 257, single runs on a 2-core Intel Xeon
+#: host with Python 3.11.7), so order 512 would take about seven minutes; the
+#: checked pair alone, all that ``gen --series B|S`` builds, takes 0.10 s at
+#: order 129 and 1.6 s at 257 there
 MAX_ORDER = 256
 
 EXIT_OK = 0

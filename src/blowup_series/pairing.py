@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .blowup import series_set
 from .derived import degeneration_form
 from .hurwitz import Poly, clean, divided
-from .series import TSeries, parse_pair
+from .series import ReadOnly, TSeries, as_fraction, parse_pair
 
 if TYPE_CHECKING:
     from .algebra import RationalLike
@@ -62,7 +62,7 @@ class InsufficientMomentsError(ValueError):
         self.required = required
 
 
-class MomentFunctional:
+class MomentFunctional(ReadOnly):
     """A linear form known through its values on x-powers.
 
     ``pairs[k]`` is the value on x^k as a ``(numerator, denominator)`` pair of
@@ -72,25 +72,21 @@ class MomentFunctional:
     The values a caller passes are turned into ``Fraction``s when the
     functional is made, and ``Fraction``s are kept as given; a functional read
     from JSON forms its reduced ``Fraction``s when ``moments`` is first read.
-    A functional is read-only: assigning to any of its names raises
-    :class:`AttributeError`.  Two functionals are equal, and hash alike, when
-    their ``(label, moments)`` are equal.
+    A functional is read-only through :class:`ReadOnly`.  Two functionals are
+    equal, and hash alike, when their ``(label, moments)`` are equal.
     """
 
     label: str
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, label: str, moments: Sequence[RationalLike]):
-        moments = tuple(m if type(m) is Fraction else Fraction(m) for m in moments)
+        moments = tuple(m if type(m) is Fraction else as_fraction(m) for m in moments)
         pairs = tuple((m.numerator, m.denominator) for m in moments)
         self.__dict__.update(label=label, pairs=pairs, moments=moments)
 
     @cached_property
     def moments(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(p, q) for p, q in self.pairs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not MomentFunctional:
@@ -101,7 +97,7 @@ class MomentFunctional:
         return hash((self.label, self.moments))
 
     def scaled(self, factor: RationalLike) -> "MomentFunctional":
-        f = Fraction(factor)
+        f = as_fraction(factor)
         return MomentFunctional(self.label, tuple(m * f for m in self.moments))
 
     @classmethod
@@ -113,7 +109,7 @@ class MomentFunctional:
         cls, label: str, scale: RationalLike, ratio: RationalLike, length: int
     ) -> "MomentFunctional":
         """mu_k = scale * ratio^k; pairing against it is substitution x -> ratio."""
-        scale, ratio = Fraction(scale), Fraction(ratio)
+        scale, ratio = as_fraction(scale), as_fraction(ratio)
         return cls(label, tuple(scale * ratio**k for k in range(length)))
 
     def to_json(self) -> dict:
@@ -196,19 +192,16 @@ def pair(f: TSeries, mu: MomentFunctional) -> TSeries:
     return TSeries.from_kernel(entries, f.order)
 
 
-class EvalResult:
+class EvalResult(ReadOnly):
     """An evaluated invariant series plus which formula produced it.
 
     ``coeffs[n]`` is the plain coefficient of t^n, n = 0..order, as a reduced
     ``(numerator, denominator)`` pair of ints; :attr:`series` builds the
-    series from them when read.  Read-only like :class:`MomentFunctional`.
+    series from them when read.  Read-only through :class:`ReadOnly`.
     """
 
     def __init__(self, coeffs: "tuple[tuple[int, int], ...]", provenance: str):
         self.__dict__.update(coeffs=coeffs, provenance=provenance)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def series(self) -> TSeries:
@@ -267,7 +260,7 @@ def eval_simple_type(
     even: exp(-t^2) (a cosh^2 t + b sinh^2 t); odd: exp(-t^2) (a + d sinh(2t)/2).
     Equals the moment-based route on geometric moments with ratio 2.
     """
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    a, b, d = as_fraction(a), as_fraction(b), as_fraction(d)
     if parity == "even":
         terms, provenance = (("b2", a), ("s2", b)), PROVENANCE_SIMPLE_EVEN
     elif parity == "odd":

@@ -80,6 +80,29 @@ def parse_pair(text: object) -> tuple[int, int]:
     return p, q
 
 
+def as_fraction(value: RationalLike) -> Rational:
+    """``value`` as a ``Fraction``; a text must be a literal of :func:`parse_pair`'s grammar."""
+    from fractions import Fraction
+
+    return Fraction(*parse_pair(value)) if isinstance(value, str) else Fraction(value)
+
+
+class ReadOnly:
+    """Base of the value types: a value refuses assignment and deletion of every name.
+
+    Constructors write through ``object.__setattr__``, or through ``__dict__``
+    in a class without slots, as ``cached_property`` does.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _as_xpoly(v: CoeffLike) -> XPoly:
     from .algebra import XPoly
 
@@ -131,17 +154,17 @@ def _plain_text(v: hurwitz.Scalar, scale: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-class TSeries:
+class TSeries(ReadOnly):
     """Truncated power series in t over Q[x], held as a divided-power vector.
 
-    Immutable.  ``h[n]`` is the kernel entry n! [t^n] for n = 0 .. order.
-    The constructor takes plain coefficients from ``valuation`` on and does
-    not read those past the order; :meth:`from_kernel` takes a vector.  A
-    series that is zero through its order has valuation ``order + 1`` (0 if
-    the order is below -1).
+    Read-only through :class:`ReadOnly`.  ``h[n]`` is the kernel entry
+    n! [t^n] for n = 0 .. order.  The constructor takes plain coefficients
+    from ``valuation`` on and does not read those past the order;
+    :meth:`from_kernel` takes a vector.  A series that is zero through its
+    order has valuation ``order + 1`` (0 if the order is below -1).
     """
 
-    __slots__ = ("h", "_order")
+    __slots__ = ("h", "order")
 
     def __init__(self, valuation: int, coeffs: Iterable[CoeffLike], order: int):
         if valuation < 0:
@@ -153,7 +176,8 @@ class TSeries:
         n = max(order + 1, 0)
         h = list(h[:n])
         h.extend([] for _ in range(n - len(h)))
-        self.h, self._order = h, order
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "order", order)
 
     # -- constructors --------------------------------------------------
 
@@ -188,11 +212,6 @@ class TSeries:
         return next((k for k, p in enumerate(self.h) if p), len(self.h))
 
     @property
-    def order(self) -> int:
-        """Inclusive truncation bound: coefficients are exact through t^order."""
-        return self._order
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.h)
 
@@ -202,9 +221,9 @@ class TSeries:
         Exponents above the truncation order are unknown and raise;
         exponents below the valuation are known zeros.
         """
-        if n > self._order:
+        if n > self.order:
             raise SeriesError(
-                f"coefficient of t^{n} requested but series is only known through t^{self._order}"
+                f"coefficient of t^{n} requested but series is only known through t^{self.order}"
             )
         from .algebra import XPoly
 
@@ -225,9 +244,9 @@ class TSeries:
 
     def truncate(self, order: int) -> "TSeries":
         """Forget knowledge above ``order`` (which must not exceed self.order)."""
-        if order > self._order:
+        if order > self.order:
             raise SeriesError(
-                f"cannot extend truncation order {self._order} to {order}"
+                f"cannot extend truncation order {self.order} to {order}"
             )
         return TSeries.from_kernel(self.h, order)
 
@@ -237,7 +256,7 @@ class TSeries:
             return NotImplemented
         return first_difference(self, other) is None
 
-    def __hash__(self) -> None:  # pragma: no cover - mutable-style semantics
+    def __hash__(self) -> None:  # pragma: no cover - equality through the smaller order is not transitive
         raise TypeError("TSeries is not hashable; compare with first_difference")
 
     # -- ring operations -------------------------------------------------
@@ -254,16 +273,16 @@ class TSeries:
 
     def _combine(self, other: "TSeries", sign: int) -> "TSeries":
         """``self + sign * other``, entry by entry."""
-        order = min(self._order, other._order)
+        order = min(self.order, other.order)
         return TSeries.from_kernel([add(p, q, sign) for p, q in zip(self.h, other.h)], order)
 
     def __neg__(self) -> "TSeries":
-        return TSeries.from_kernel([[-v for v in p] for p in self.h], self._order)
+        return TSeries.from_kernel([[-v for v in p] for p in self.h], self.order)
 
     def __mul__(self, other: "TSeries | CoeffLike") -> "TSeries":
         if not isinstance(other, TSeries):
             return self._times_coefficient(other)
-        order = min(self._order + other.valuation, other._order + self.valuation)
+        order = min(self.order + other.valuation, other.order + self.valuation)
         if self.is_zero or other.is_zero:
             return TSeries.zero(order)
         return TSeries.from_kernel(hurwitz.mul(self.h, other.h, order + 1), order)
@@ -287,27 +306,25 @@ class TSeries:
                 h = [divided(scaled(p, c.numerator), c.denominator) for p in self.h]
             else:
                 return NotImplemented
-        return TSeries.from_kernel(h, self._order)
+        return TSeries.from_kernel(h, self.order)
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "TSeries":
         """Termwise d/dt; the output is exact through ``order - 1``."""
-        return TSeries.from_kernel(self.h[1:], self._order - 1)
+        return TSeries.from_kernel(self.h[1:], self.order - 1)
 
     def integrate(self) -> "TSeries":
         """Definite integral from 0; the output is exact through ``order + 1``."""
-        return TSeries.from_kernel([[]] + self.h, self._order + 1)
+        return TSeries.from_kernel([[]] + self.h, self.order + 1)
 
     def scale_arg(self, c: RationalLike) -> "TSeries":
         """Substitute t -> c*t for a rational c (coefficient of t^n scales by c^n)."""
         if type(c) is not int:
-            from fractions import Fraction
-
-            c = Fraction(c)
+            c = as_fraction(c)
             if c.denominator == 1:
                 c = c.numerator
-        return TSeries.from_kernel([scaled(p, c**k) for k, p in enumerate(self.h)], self._order)
+        return TSeries.from_kernel([scaled(p, c**k) for k, p in enumerate(self.h)], self.order)
 
     # -- multiplicative structure ------------------------------------------
 
@@ -319,7 +336,7 @@ class TSeries:
         # w = 1/f solves f w' = -f' w with w(0) = 1/f(0)
         minus_f_prime = [[-c for c in p] for p in h[1:]]
         w = hurwitz.linear_ode(h, minus_f_prime, [divided([1], h[0][0])], len(h))
-        return TSeries.from_kernel(w, self._order)
+        return TSeries.from_kernel(w, self.order)
 
     def exp(self) -> "TSeries":
         """Exponential of a series with zero constant term (valuation >= 1).
@@ -328,8 +345,8 @@ class TSeries:
         """
         if self.valuation < 1:
             raise SeriesError("exp needs valuation >= 1 (zero constant term)")
-        w = hurwitz.linear_ode([[1]], self.h[1:], [[1]], self._order + 1)
-        return TSeries.from_kernel(w, self._order)
+        w = hurwitz.linear_ode([[1]], self.h[1:], [[1]], self.order + 1)
+        return TSeries.from_kernel(w, self.order)
 
     def sqrt(self) -> "TSeries":
         """Square root of a series with constant term exactly 1."""
@@ -337,8 +354,8 @@ class TSeries:
             raise SeriesError("sqrt needs constant term exactly 1")
         # w = sqrt(f) solves 2 f w' = f' w with w(0) = 1; sigma = 2 f keeps it integral
         twice_f = [scaled(p, 2) for p in self.h]
-        w = hurwitz.linear_ode(twice_f, self.h[1:], [[1]], self._order + 1)
-        return TSeries.from_kernel(w, self._order)
+        w = hurwitz.linear_ode(twice_f, self.h[1:], [[1]], self.order + 1)
+        return TSeries.from_kernel(w, self.order)
 
     # -- bivariate substitution ---------------------------------------------
 
@@ -353,7 +370,7 @@ class TSeries:
         from .algebra import XPoly
         from .bivariate import BiSeries  # a module that ``gen`` never loads
 
-        order = self._order
+        order = self.order
         rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
         for n, c in self.terms():
             for i in range(n + 1):
@@ -379,7 +396,7 @@ class TSeries:
         return {
             "variable": "t",
             "valuation": valuation,
-            "order": self._order,
+            "order": self.order,
             "normalization": normalization,
             "coeffs": coeffs,
         }
@@ -407,17 +424,17 @@ class TSeries:
 
     def __str__(self) -> str:
         if self.is_zero:
-            return f"O(t^{self._order + 1})"
+            return f"O(t^{self.order + 1})"
         bits = []
         for n, c in self.terms():
             body = str(c)
             if c.degree > 0 or ("-" in body[1:] or "+" in body):
                 body = f"({body})"
             bits.append(f"{body}*t^{n}")
-        return " + ".join(bits) + f" + O(t^{self._order + 1})"
+        return " + ".join(bits) + f" + O(t^{self.order + 1})"
 
     def __repr__(self) -> str:
-        return f"<TSeries valuation={self.valuation} order={self._order}>"
+        return f"<TSeries valuation={self.valuation} order={self.order}>"
 
 
 def _json_int(data: Mapping, key: str) -> int:

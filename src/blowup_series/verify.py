@@ -50,7 +50,7 @@ from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from . import blowup
 from .blowup import BlowupSeriesSet, GenerationError, build_series_set
 from .derived import _quotient_order, degeneration_form
-from .series import SeriesError, TMismatch, TSeries, first_difference, plain_value
+from .series import ReadOnly, SeriesError, TMismatch, TSeries, first_difference, plain_value
 
 STATUS_CONJECTURAL = "conjectural (series level)"
 STATUS_APPENDIX = "appendix data"
@@ -89,13 +89,12 @@ class VerificationReport(NamedTuple):
         return data
 
 
-class IdentityDescriptor:
+class IdentityDescriptor(ReadOnly):
     """One catalog row: an identity and the check that certifies it.
 
     ``run(series_set, order)`` times ``check`` and reports it.  It is an
     attribute of each row, not a method, so that a profiler can wrap it row
-    by row.  A row is read-only: assigning to any of its names raises
-    :class:`AttributeError`.
+    by row.  A row is read-only through :class:`ReadOnly`.
     """
 
     id: str
@@ -116,9 +115,6 @@ class IdentityDescriptor:
             check=check,
             run=self._report,
         )
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def _report(self, series_set: BlowupSeriesSet, order: int) -> VerificationReport:
         start = time.perf_counter()

@@ -24,6 +24,10 @@ from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
 from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv, table_add, triple
 from blowup_series.series import SeriesError, TMismatch, TSeries, first_difference
 
+#: the writes a read-only value refuses, by the verb of the refusal's text
+#: ``cannot <verb> field <name>``
+WRITES = {"assign to": lambda value, name: setattr(value, name, None), "delete": delattr}
+
 #: texts that look like rational literals and are not, or do not parse
 NEAR_RATIONALS = ["1.5", "1e3", " 1", "1 ", "+1", "1/", "/2", "1/-2", "--1", "\uff11", "1/0", "9" * 5000, ""]
 

@@ -6,7 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowup_series.algebra import XPoly, parse_rational, render_xpoly
-from blowup_series.series import parse_pair
+from blowup_series.pairing import MomentFunctional, eval_simple_type
+from blowup_series.series import TSeries, parse_pair
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 xpolys = st.lists(rationals, max_size=5).map(XPoly)
@@ -91,6 +92,32 @@ def test_parse_pair_and_parse_rational_agree(text):
         numerator, _, denominator = text.partition("/")
         assert pair == (int(numerator), int(denominator or 1))
         assert F(*pair) == value and type(value) is F
+
+
+#: each place the Python API takes a ``RationalLike``, given one value there
+_API_RATIONALS = {
+    "XPoly": lambda v: XPoly([v]),
+    "TSeries": lambda v: TSeries(0, [v], 0),
+    "TSeries.scale_arg": lambda v: TSeries.monomial(1, 1, 2).scale_arg(v),
+    "MomentFunctional": lambda v: MomentFunctional("m", [v]),
+    "MomentFunctional.scaled": lambda v: MomentFunctional("m", [1]).scaled(v),
+    "MomentFunctional.geometric-scale": lambda v: MomentFunctional.geometric("m", v, 1, 2),
+    "MomentFunctional.geometric-ratio": lambda v: MomentFunctional.geometric("m", 1, v, 2),
+    "eval_simple_type-a": lambda v: eval_simple_type(v, 0, 0, "even", 2).coeffs,
+    "eval_simple_type-b": lambda v: eval_simple_type(0, v, 0, "even", 2).coeffs,
+    "eval_simple_type-d": lambda v: eval_simple_type(0, 0, v, "odd", 2).coeffs,
+}
+
+
+@pytest.mark.parametrize("take", _API_RATIONALS.values(), ids=_API_RATIONALS)
+def test_the_api_reads_texts_by_the_one_literal_grammar(take):
+    """A text given to the Python API is a literal of ``parse_pair``'s grammar:
+    each near-rational is refused with ``parse_rational``'s exception and text,
+    and ``"1/2"`` and ``"-3"`` mean what the ``Fraction``s and the int mean."""
+    for text in NEAR_RATIONALS:
+        assert _refusal(take, text) == (None, _refusal(parse_rational, text)[1])
+    assert take("1/2") == take(F(1, 2)) and take("1/2") != take(F(1, 3))
+    assert take("-3") == take(-3) == take(F(-3))
 
 
 class TestXPoly:

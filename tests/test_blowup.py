@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from helpers_oracles import (
+    WRITES,
     _simple_type_factor,
     exp_t_squared,
     laurent_coeff,
@@ -480,12 +481,21 @@ class TestSeriesSet:
                 st.b0
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("write", WRITES)
     @pytest.mark.parametrize("name", ("b", "s") + _READS + ("_products",))
-    def test_a_set_is_read_only(self, name):
+    def test_a_set_is_read_only(self, name, write):
         st = assemble_set(*generate_pair(8))
+        with pytest.raises(AttributeError, match=f"^cannot {write} field '{name}'$"):
+            WRITES[write](st, name)
+        assert "_products" not in vars(st) and st.b.order == 8
+
+    def test_a_refused_write_leaves_the_cached_set_intact(self):
+        """``series_set`` hands one set to every later caller in the process."""
         with pytest.raises(AttributeError):
-            setattr(st, name, None)
-        assert "_products" not in vars(st)
+            del series_set(8).b
+        with pytest.raises(AttributeError):
+            series_set(8).b.h = []
+        assert first_difference(series_set(8).b, generate_pair(8)[0]) is None
 
     def test_derived_products_standalone(self, set17):
         b2, s2, bs, wronskian = derived_products(set17.b, set17.s)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from helpers_oracles import (
+    WRITES,
     as_biseries,
     cos_series,
     cosh_series,
@@ -21,6 +22,7 @@ from blowup_series import bivariate, blowup, derived, series
 from blowup_series.algebra import XPoly
 from blowup_series.bivariate import first_difference_uv
 from blowup_series.blowup import golden_table
+from blowup_series.pairing import EvalResult
 from blowup_series.series import SeriesError, TSeries, first_difference
 
 X = XPoly.x()
@@ -120,6 +122,38 @@ class TestConstruction:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == h
+
+
+#: a value of each type that does not come from a set, and the names to write
+#: on it: public names, slots and a name it does not have
+_VALUES = {
+    "TSeries": (lambda: TSeries(1, [X, 2], 3), ("h", "order", "valuation", "other")),
+    "XPoly": (lambda: XPoly([1, F(1, 2)]), ("coeffs", "degree", "other")),
+    "BiSeries": (lambda: TSeries(0, [1, X], 2).subst_pm(1), ("_rows", "order", "other")),
+    "EvalResult": (lambda: EvalResult(((1, 1), (0, 1)), "maina"), ("coeffs", "provenance", "series", "other")),
+}
+
+
+def _held(value) -> dict:
+    """What a value holds: its instance dictionary, or its slots."""
+    if hasattr(value, "__dict__"):
+        return dict(vars(value))
+    return {name: getattr(value, name) for name in type(value).__slots__}
+
+
+@pytest.mark.parametrize("write", WRITES)
+@pytest.mark.parametrize("kind", _VALUES)
+def test_a_value_refuses_every_write(kind, write):
+    """Assigning or deleting any name is refused, and the value stays as it was."""
+    make, names = _VALUES[kind]
+    value = make()
+    held = _held(value)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"^cannot {write} field '{name}'$"):
+            WRITES[write](value, name)
+    assert _held(value) == held
+    if kind == "XPoly":  # hashable by its coefficients
+        assert hash(value) == hash(make())
 
 
 class TestArithmetic:

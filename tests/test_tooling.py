@@ -134,6 +134,37 @@ def test_every_classmethod_is_called_on_its_class():
     assert sorted(set(classmethods) - used) == []
 
 
+def test_only_the_read_only_base_refuses_writes():
+    """Assignment and deletion are refused in one place: only ``ReadOnly``
+    defines ``__setattr__`` or ``__delattr__``, and every value type derives
+    from it."""
+    from blowup_series.bivariate import BiSeries
+    from blowup_series.pairing import EvalResult
+    from blowup_series.series import ReadOnly
+    from blowup_series.verify import IdentityDescriptor
+
+    writes = ("__setattr__", "__delattr__")
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "blowup_series").glob("*.py"))]
+    defined = [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in writes
+    ]
+    owners = [
+        cls.name
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name in writes
+    ]
+    assert sorted(defined) == sorted(writes) and owners == ["ReadOnly", "ReadOnly"]
+    kinds = (blowup_series.TSeries, blowup_series.XPoly, BiSeries, blowup_series.BlowupSeriesSet)
+    kinds += (IdentityDescriptor, blowup_series.MomentFunctional, EvalResult)
+    assert all(issubclass(kind, ReadOnly) for kind in kinds)
+
+
 def test_the_demos_are_found():
     assert len(DEMOS) >= 4
 

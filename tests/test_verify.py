@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from helpers_oracles import (
+    WRITES,
     as_biseries,
     eval_at,
     eval_x,
@@ -114,14 +115,15 @@ class TestCatalogShape:
         assert ENTRY["bb"].arity == "bivariate"
         assert ENTRY["pm_ode_plus"].arity == "univariate"
 
+    @pytest.mark.parametrize("write", WRITES)
     @pytest.mark.parametrize(
         "name", ["id", "arity", "status", "max_feasible_order_hint", "check", "run"]
     )
-    def test_a_row_is_read_only(self, name):
+    def test_a_row_is_read_only(self, name, write):
         row = ENTRY["bb"]
         kept = getattr(row, name)
-        with pytest.raises(AttributeError):
-            setattr(row, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot {write} field '{name}'$"):
+            WRITES[write](row, name)
         assert getattr(row, name) == kept
 
     def test_reports_carry_the_id_and_status_of_their_row(self, set17):
