@@ -2,14 +2,19 @@
 
 The scalar everywhere is an arbitrary-precision rational number; dense
 polynomials in the formal variable x over those rationals form the
-coefficient ring of every series in this package.  No floating point
-anywhere: all results are exact and canonical.
+coefficient ring of every series in this package.  An :class:`XPoly` is a
+read-only view of a kernel entry of :mod:`blowup_series.hurwitz` and
+follows the kernel's scalar rule: a coefficient is an ``int`` where it is
+integral and a ``Fraction`` only where it is not.  Its arithmetic is the
+kernel's, one call per operation.  No floating point anywhere: all results
+are exact and canonical.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .hurwitz import Poly, add, clean, divided, product, scaled
 from .series import ReadOnly, as_fraction, parse_pair
 
 # The exact scalar.  fractions.Fraction already maintains the canonical
@@ -31,27 +36,29 @@ def parse_rational(text: str) -> Rational:
     return Fraction(*parse_pair(text))
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class XPoly(ReadOnly):
     """Dense polynomial in x with rational coefficients.
 
-    Read-only through :class:`ReadOnly`.  The stored coefficient tuple is
-    trailing-zero free; the zero polynomial stores nothing and has degree -1
-    (standing in for "minus infinity").
+    Read-only through :class:`ReadOnly`.  The stored coefficient tuple is a
+    clean kernel entry of :mod:`blowup_series.hurwitz`: trailing-zero free,
+    each coefficient an ``int`` where it is integral and a ``Fraction``
+    otherwise.  The zero polynomial stores nothing and has degree -1
+    (standing in for "minus infinity").  The arithmetic is the kernel's.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        c = [as_fraction(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", tuple(clean([as_fraction(v) for v in coeffs])))
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _of(cls, p: Poly) -> "XPoly":
+        """The x-polynomial of a clean kernel entry, copied into a tuple."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(p))
+        return poly
 
     @classmethod
     def zero(cls) -> "XPoly":
@@ -75,17 +82,16 @@ class XPoly(ReadOnly):
     def coeff(self, k: int) -> Rational:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return _ZERO
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, XPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == XPoly((other,))
-        return NotImplemented
+        other = _lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -96,13 +102,7 @@ class XPoly(ReadOnly):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return XPoly(out)
+        return XPoly._of(add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -110,42 +110,29 @@ class XPoly(ReadOnly):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return XPoly._of(add(self.coeffs, other.coeffs, -1))
 
     def __rsub__(self, other: "XPoly | RationalLike") -> "XPoly":
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return XPoly._of(add(other.coeffs, self.coeffs, -1))
 
     def __neg__(self) -> "XPoly":
-        return XPoly(-v for v in self.coeffs)
+        return XPoly._of(scaled(self.coeffs, -1))
 
     def __mul__(self, other: "XPoly | RationalLike") -> "XPoly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _XPOLY_ZERO
-            return XPoly(v * other for v in self.coeffs)
-        if not isinstance(other, XPoly):
+        other = _lift(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _XPOLY_ZERO
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return XPoly(out)
+        return XPoly._of(product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: RationalLike) -> "XPoly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        s = Fraction(scalar)
-        return XPoly(v / s for v in self.coeffs)
+        return XPoly._of(divided(self.coeffs, scalar))
 
     def __pow__(self, n: int) -> "XPoly":
         if not isinstance(n, int) or n < 0:
@@ -169,10 +156,12 @@ class XPoly(ReadOnly):
 
 
 def _lift(value: "XPoly | RationalLike") -> "XPoly":
+    """``value`` as an x-polynomial: an ``XPoly`` as it is, an int or a
+    ``Fraction`` as a constant; ``NotImplemented`` for anything else."""
     if isinstance(value, XPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return XPoly((value,))
+        return XPoly._of(clean([value]))
     return NotImplemented
 
 

@@ -113,11 +113,9 @@ def _as_xpoly(v: CoeffLike) -> XPoly:
 
 def plain_poly(p: Poly, scale: int) -> XPoly:
     """The plain coefficient of a kernel entry: ``p / scale``, ``scale`` its factorial."""
-    from fractions import Fraction
-
     from .algebra import XPoly
 
-    return XPoly(Fraction(v, scale) for v in p)
+    return XPoly._of(divided(p, scale))
 
 
 def plain_value(p: Poly, x: int, scale: int) -> Rational:
@@ -230,7 +228,7 @@ class TSeries(ReadOnly):
         if n < 0:
             return XPoly.zero()
         if normalized:
-            return XPoly(self.h[n])
+            return XPoly._of(self.h[n])
         return plain_poly(self.h[n], math.factorial(n))
 
     def terms(self, normalized: bool = False) -> Iterable[tuple[int, XPoly]]:
@@ -294,18 +292,12 @@ class TSeries(ReadOnly):
         if type(c) is int:
             h = [clean(scaled(p, c)) for p in self.h]
         else:
-            from fractions import Fraction
+            from .algebra import _lift
 
-            from .algebra import XPoly
-
-            if isinstance(c, XPoly):
-                c = clean(list(c.coeffs))
-                h = [hurwitz.product(p, c) for p in self.h]
-            elif isinstance(c, (Fraction, int)):
-                c = Fraction(c)
-                h = [divided(scaled(p, c.numerator), c.denominator) for p in self.h]
-            else:
+            c = _lift(c)
+            if c is NotImplemented:
                 return NotImplemented
+            h = [hurwitz.product(p, c.coeffs) for p in self.h]
         return TSeries.from_kernel(h, self.order)
 
     # -- calculus ----------------------------------------------------------
@@ -362,22 +354,18 @@ class TSeries(ReadOnly):
     def subst_pm(self, sign: int) -> "BiSeries":
         """Substitute t -> u + v (sign=+1) or t -> u - v (sign=-1).
 
-        Each t^n expands by binomials into the (u, v) triangle; the result
-        is truncated at total degree ``order``.
+        The kernel's signed re-index: entry (i, j) of the divided-power table
+        of f(u +- v) is (+-1)^j f_{i+j}, the fact that
+        :func:`~blowup_series.bivariate.product_pm` rests on.  The result is
+        truncated at total degree ``order``.
         """
         if sign not in (1, -1):
             raise SeriesError("sign must be +1 or -1")
-        from .algebra import XPoly
-        from .bivariate import BiSeries  # a module that ``gen`` never loads
+        from .bivariate import _biseries  # a module that ``gen`` never loads
 
-        order = self.order
-        rows = [[XPoly.zero()] * (order - i + 1) for i in range(order + 1)]
-        for n, c in self.terms():
-            for i in range(n + 1):
-                j = n - i
-                w = math.comb(n, i) * (sign**j)
-                rows[i][j] = rows[i][j] + c * w
-        return BiSeries(rows, order)
+        order, h = self.order, self.h
+        table = [[scaled(h[i + j], sign**j) for j in range(order - i + 1)] for i in range(order + 1)]
+        return _biseries(table, order)
 
     # -- serialization ---------------------------------------------------
 

@@ -209,6 +209,79 @@ def weierstrass_s(order: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# reference x-polynomial arithmetic
+#
+# XPoly runs on the kernel's polynomial arithmetic.  The loops below are what
+# it did before: one ``Fraction`` per coefficient, on coefficient sequences.
+
+
+def fraction_poly(coeffs) -> tuple:
+    """``coeffs`` as ``Fraction``s with the trailing zeros dropped."""
+    c = [Fraction(v) for v in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def fraction_add(a, b) -> tuple:
+    a, b = fraction_poly(a), fraction_poly(b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return fraction_poly(out)
+
+
+def fraction_neg(a) -> tuple:
+    return fraction_poly(-v for v in fraction_poly(a))
+
+
+def fraction_sub(a, b) -> tuple:
+    return fraction_add(a, fraction_neg(b))
+
+
+def fraction_mul(a, b) -> tuple:
+    """``a * b`` for coefficient sequences, or for a sequence and a scalar ``b``."""
+    if isinstance(b, (int, Fraction)):
+        return fraction_poly(v * b for v in fraction_poly(a))
+    a, b = fraction_poly(a), fraction_poly(b)
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return fraction_poly(out)
+
+
+def fraction_div(a, scalar: RationalLike) -> tuple:
+    s = Fraction(scalar)
+    return fraction_poly(v / s for v in fraction_poly(a))
+
+
+def fraction_pow(a, n: int) -> tuple:
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = fraction_mul(out, a)
+    return out
+
+
+def binomial_subst_pm(f: TSeries, sign: int) -> BiSeries:
+    """f(u + sign v) by expanding each plain term c t^n by binomials into the
+    (u, v) triangle, truncated at total degree ``f.order``."""
+    order = f.order
+    rows = [[()] * (order - i + 1) for i in range(order + 1)]
+    for n, c in f.terms():
+        for i in range(n + 1):
+            j = n - i
+            rows[i][j] = fraction_add(rows[i][j], fraction_mul(c.coeffs, math.comb(n, i) * sign**j))
+    return BiSeries([[XPoly(c) for c in row] for row in rows], order)
+
+
+# ---------------------------------------------------------------------------
 # plain-basis reference arithmetic
 #
 # A TSeries holds divided-power (Hurwitz) vectors, and every operation on it
@@ -491,7 +564,7 @@ def reference_bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeri
     """B(u+v) B(u-v) and B^2(u) B^2(v) - S^2(u) S^2(v) as BiSeries products."""
     bt = b.truncate(min(b.order, total_order))
     st = s.truncate(min(s.order, total_order))
-    lhs = bt.subst_pm(+1) * bt.subst_pm(-1)
+    lhs = binomial_subst_pm(bt, +1) * binomial_subst_pm(bt, -1)
     b2 = plain_mul(bt, bt)
     s2 = plain_mul(st, st)
     m = total_order
@@ -511,9 +584,9 @@ def reference_bbb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSer
     db, b = plain_derivative(b).truncate(m), bt
     b_u, b_v = as_biseries(b, "u", m), as_biseries(b, "v", m)
     db_u, db_v = as_biseries(db, "u", m), as_biseries(db, "v", m)
-    b_uv = b.subst_pm(+1)
-    lhs = as_biseries(s, "u", m) * as_biseries(s, "v", m) * s.subst_pm(+1)
-    rhs = db_u * b_v * b_uv + b_u * db_v * b_uv - b_u * b_v * db.subst_pm(+1)
+    b_uv = binomial_subst_pm(b, +1)
+    lhs = as_biseries(s, "u", m) * as_biseries(s, "v", m) * binomial_subst_pm(s, +1)
+    rhs = db_u * b_v * b_uv + b_u * db_v * b_uv - b_u * b_v * binomial_subst_pm(db, +1)
     return lhs, rhs
 
 

@@ -1,7 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
-from helpers_oracles import NEAR_RATIONALS, eval_at, first_coeff_difference
+from helpers_oracles import (
+    NEAR_RATIONALS,
+    eval_at,
+    first_coeff_difference,
+    fraction_add,
+    fraction_div,
+    fraction_mul,
+    fraction_neg,
+    fraction_poly,
+    fraction_pow,
+    fraction_sub,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -169,6 +180,94 @@ class TestXPoly:
         assert first_coeff_difference(XPoly((1, 2)), XPoly((1, 2))) is None
         k, a, b = first_coeff_difference(XPoly((1, 2)), XPoly((1, 3)))
         assert (k, a, b) == (1, F(2), F(3))
+
+
+#: scalars as the API takes them: ints, ``Fraction``s (integral ones too) and zeros
+scalars = st.integers(-20, 20) | rationals | st.integers(-9, 9).map(F) | st.sampled_from([0, F(0)])
+#: coefficient lists of such scalars, with trailing zeros
+coefficients = st.builds(
+    lambda head, zeros: head + zeros,
+    st.lists(scalars, max_size=5),
+    st.lists(st.sampled_from([0, F(0)]), max_size=2),
+)
+
+
+def _follows_the_scalar_rule(coeffs) -> bool:
+    """Each coefficient is an int where it is integral and a ``Fraction``
+    otherwise, and the last one is nonzero: a clean kernel entry."""
+    kinds = all(type(v) is (int if v.denominator == 1 else F) for v in coeffs)
+    return kinds and (not coeffs or coeffs[-1] != 0)
+
+
+class TestKernelArithmetic:
+    """``XPoly`` runs on the kernel's polynomial arithmetic; the ``Fraction``
+    loops of ``helpers_oracles`` are its reference."""
+
+    @given(coefficients, coefficients, scalars, st.integers(0, 3))
+    @example([2, F(4, 2), 0], [F(-2), 0, F(0)], F(2), 2)
+    @example([F(1, 2)], [F(1, 2)], 2, 1)
+    @example([], [0, F(0)], 0, 0)
+    def test_every_operation_matches_the_fraction_loops(self, a, b, c, n):
+        p, q = XPoly(a), XPoly(b)
+        cases = {
+            "p": (p, fraction_poly(a)),
+            "p + q": (p + q, fraction_add(a, b)),
+            "p + c": (p + c, fraction_add(a, [c])),
+            "c + p": (c + p, fraction_add([c], a)),
+            "p - q": (p - q, fraction_sub(a, b)),
+            "p - c": (p - c, fraction_sub(a, [c])),
+            "c - p": (c - p, fraction_sub([c], a)),
+            "-p": (-p, fraction_neg(a)),
+            "p * q": (p * q, fraction_mul(a, b)),
+            "p * c": (p * c, fraction_mul(a, c)),
+            "c * p": (c * p, fraction_mul(a, c)),
+            "p ** n": (p**n, fraction_pow(a, n)),
+        }
+        if c:
+            cases["p / c"] = (p / c, fraction_div(a, c))
+        for name, (got, want) in cases.items():
+            assert got.coeffs == want and _follows_the_scalar_rule(got.coeffs), name
+        assert p == XPoly(fraction_poly(a)) and hash(p) == hash(fraction_poly(a))
+        assert (p == c) == (fraction_poly(a) == fraction_poly([c]))
+
+    def test_an_integral_fraction_is_the_int(self):
+        two, fraction_two = XPoly((2,)), XPoly((F(2),))
+        assert two == fraction_two and hash(two) == hash(fraction_two)
+        assert type(fraction_two.coeffs[0]) is int
+        assert XPoly.x().coeff(5) == 0
+
+    @given(
+        st.integers(0, 3),
+        st.lists(coefficients.map(XPoly), max_size=5),
+        st.integers(-1, 8),
+        scalars | coefficients.map(XPoly),
+    )
+    @example(0, [XPoly((F(1, 2), 3))], 2, F(2))
+    def test_a_series_times_a_coefficient_matches_the_fraction_loops(self, val, coeffs, order, c):
+        a = TSeries(val, coeffs, order)
+        want = c.coeffs if isinstance(c, XPoly) else c
+        for product in (a * c, c * a):
+            assert product.order == a.order
+            assert all(_follows_the_scalar_rule(p) for p in product.h)
+            for k in range(order + 1):
+                assert product.coeff(k).coeffs == fraction_mul(a.coeff(k).coeffs, want)
+
+    @pytest.mark.parametrize("value", ["1/2", "1", 1.5], ids=repr)
+    def test_texts_and_floats_are_not_coefficients(self, value):
+        a, p = TSeries(0, [1], 2), XPoly((1,))
+        for operation in (
+            lambda: a * value,
+            lambda: value * a,
+            lambda: p + value,
+            lambda: value + p,
+            lambda: p - value,
+            lambda: value - p,
+            lambda: p * value,
+            lambda: p / value,
+        ):
+            with pytest.raises(TypeError):
+                operation()
+        assert p != value
 
 
 class TestRendering:

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from helpers_oracles import (
     WRITES,
     as_biseries,
+    binomial_subst_pm,
     cos_series,
     cosh_series,
     exp_t_squared,
@@ -18,7 +19,7 @@ from helpers_oracles import (
     sinh_series,
 )
 
-from blowup_series import bivariate, blowup, derived, series
+from blowup_series import bivariate, blowup, derived, hurwitz, series
 from blowup_series.algebra import XPoly
 from blowup_series.bivariate import first_difference_uv
 from blowup_series.blowup import golden_table
@@ -360,6 +361,143 @@ class TestBivariate:
         direct = prod.subst_pm(+1)
         split = a.subst_pm(+1) * b.subst_pm(+1)
         assert first_difference_uv(direct, split) is None
+
+    @given(
+        st.integers(1, 3),
+        st.lists(st.lists(rationals, max_size=3).map(XPoly), max_size=13),
+        st.integers(0, 12),
+        st.sampled_from([1, -1]),
+    )
+    @example(1, [XPoly((F(1, 2), F(-1, 3))), XPoly((2,))], 12, -1)
+    def test_the_signed_re_index_matches_the_binomial_expansion(self, val, coeffs, order, sign):
+        a = TSeries(val, coeffs, order)
+        assert _biseries_slots(a.subst_pm(sign)) == _biseries_slots(binomial_subst_pm(a, sign))
+
+    @pytest.mark.parametrize("name", ["b", "s", "b2", "ws1"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_signed_re_index_matches_the_binomial_expansion_on_the_set(self, name, sign):
+        f = getattr(blowup.series_set(33), name)
+        assert _biseries_slots(f.subst_pm(sign)) == _biseries_slots(binomial_subst_pm(f, sign))
+
+    @pytest.mark.parametrize(
+        "series, sign, text",
+        [(TSeries.zero(3), 2, "sign must be +1 or -1"), (TSeries.zero(-1), 1, "total-degree order must be >= 0")],
+        ids=["sign", "order"],
+    )
+    def test_subst_pm_refusals_keep_their_texts(self, series, sign, text):
+        with pytest.raises(SeriesError) as caught:
+            series.subst_pm(sign)
+        assert str(caught.value) == text
+
+
+def _biseries_slots(bi: bivariate.BiSeries) -> tuple:
+    """The order and every coefficient tuple of a bivariate series, row by row."""
+    return bi.order, [[bi.coeff(i, j).coeffs for j in range(bi.order - i + 1)] for i in range(bi.order + 1)]
+
+
+# ---------------------------------------------------------------------------
+# order soundness: no route claims an order its inputs do not support
+
+#: a kernel entry of ``Fraction``s
+_entry = st.lists(rationals, max_size=3).map(hurwitz.clean)
+
+
+@st.composite
+def known_and_extended(draw, head=st.integers(0, 3).map(lambda v: [[]] * v), max_order=8):
+    """A series whose kernel vector starts with the entries ``head`` draws,
+    and the same series known further: random entries past its order."""
+    first = draw(head)
+    order = draw(st.integers(len(first) - 1, max_order))
+    h = first + draw(st.lists(_entry, min_size=order + 1 - len(first), max_size=order + 1 - len(first)))
+    extra = draw(st.lists(_entry, min_size=1, max_size=4))
+    return TSeries.from_kernel(h, order), TSeries.from_kernel(h + extra, order + len(extra))
+
+
+def parity_entry(n: int, weight: int, values) -> list:
+    """The kernel entry at t^n that holds ``values`` at the x-powers k the
+    parity rule n + 2k = weight (mod 4) allows, ascending: the rule of B
+    (weight 0) and of S (weight 1)."""
+    if (n - weight) % 2:
+        return []
+    p = [0] * ((weight - n) // 2 % 2)  # the least k the rule allows
+    for v in values:
+        p += [v, 0]
+    return hurwitz.clean(p)
+
+
+def parity_extended(h: list, weight: int, order: int, more) -> tuple:
+    """The series of the entries ``h`` through ``order``, and the same series
+    known further: one entry past ``order`` that keeps the parity rule per
+    item of ``more``."""
+    extra = [parity_entry(n, weight, values) for n, values in enumerate(more, order + 1)]
+    return TSeries.from_kernel(h, order), TSeries.from_kernel(h[: order + 1] + extra, order + len(extra))
+
+
+#: the values of entries that keep the parity rule
+_parity_values = st.lists(st.lists(rationals, max_size=3), max_size=9)
+_more = st.lists(st.lists(rationals, max_size=3), min_size=1, max_size=4)
+
+
+def assert_sound(route, *pairs) -> None:
+    """``route`` gives the same outputs, through the orders it claims, on the
+    inputs as they are known and on the same inputs known further."""
+    claimed = route(*(known for known, _ in pairs))
+    further = route(*(extended for _, extended in pairs))
+    for out, more in zip(claimed, further):
+        assert more.order >= out.order
+        if isinstance(out, TSeries):
+            assert first_difference(out, more, through=out.order) is None
+        else:
+            assert first_difference_uv(out, more, through=out.order) is None
+
+
+_unit_head = st.fractions(min_value=-8, max_value=8, max_denominator=12).filter(bool).map(lambda c: [hurwitz.clean([c])])
+
+
+class TestOrderSoundness:
+    """Each input is extended past its order with random entries; no output
+    may change through the order it claims."""
+
+    @given(known_and_extended(), known_and_extended())
+    def test_ring_operations(self, a, b):
+        assert_sound(lambda f, g: (f * g, f + g, f - g, f * f), a, b)
+
+    @given(known_and_extended(), st.integers(-3, 3) | rationals | xpolys)
+    def test_a_product_with_a_coefficient(self, a, c):
+        assert_sound(lambda f: (f * c, c * f), a)
+
+    @given(known_and_extended(max_order=6).filter(lambda pair: pair[0].order >= 0))
+    def test_subst_pm_by_total_degree(self, a):
+        assert_sound(lambda f: (f.subst_pm(1), f.subst_pm(-1)), a)
+
+    @given(known_and_extended(), rationals)
+    def test_calculus(self, a, c):
+        assert_sound(lambda f: (f.derivative(), f.integrate(), f.scale_arg(c), -f), a)
+
+    @given(known_and_extended(head=_unit_head))
+    def test_recip(self, a):
+        assert_sound(lambda f: (f.recip(),), a)
+
+    @given(known_and_extended(head=st.just([[]])), known_and_extended(head=st.just([[1]])))
+    def test_exp_and_sqrt(self, a, b):
+        assert_sound(lambda f: (f.exp(),), a)
+        assert_sound(lambda f: (f.sqrt(),), b)
+
+    @given(_parity_values, _parity_values, _more, _more)
+    def test_exponential_pair(self, b_values, s_values, b_more, s_more):
+        """On random pairs that keep the parity rule, with B(0) = 1."""
+        b = [[1]] + [parity_entry(n, 0, values) for n, values in enumerate(b_values, 1)]
+        s = [parity_entry(n, 1, values) for n, values in enumerate(s_values)]
+        pairs = parity_extended(b, 0, len(b) - 1, b_more), parity_extended(s, 1, len(s) - 1, s_more)
+        assert_sound(derived.exponential_pair, *pairs)
+
+    @given(st.integers(2, 24), st.integers(2, 24), _more, _more)
+    def test_odd_case_pair(self, b_order, s_order, b_more, s_more):
+        """On the generated pair cut at its orders, whose low entries fix the
+        pole that the guard asks for, extended by the parity rule."""
+        generated = blowup.series_set(25)
+        pairs = parity_extended(generated.b.h, 0, b_order, b_more), parity_extended(generated.s.h, 1, s_order, s_more)
+        assert_sound(derived.odd_case_pair, *pairs)
 
 
 #: the derived-group constructions the benchmark tracer binds from ``blowup``

@@ -70,15 +70,31 @@ def _functions(module: ast.Module):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module: ast.Module):
+    """``(qualified name, name, node)`` of each function and method of
+    :func:`_functions`, and of each name a module-level assignment binds,
+    dunders left out."""
+    for qualified, node in _functions(module):
+        yield qualified, node.name, node
+    for node in module.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, name.id, node
+
+
 def test_every_module_level_function_is_referenced_outside_its_definition():
-    """A function, or a method of a class, of the package that only tests call
-    belongs in the tests."""
+    """A function, a method of a class or a module-level name of the package
+    that only tests read belongs in the tests."""
     root = SRC.parent
     package = sorted((SRC / "blowup_series").glob("*.py"))
     scripts = [*DEMOS, *sorted((root / "perfbench").glob("*.py"))]
@@ -87,10 +103,10 @@ def test_every_module_level_function_is_referenced_outside_its_definition():
     readme = (root / "README.md").read_text()
     used.update(re.findall(r"\w+", " ".join(re.findall(r"`+([^`]+)`+", readme))))
     unused = [
-        f"{path.stem}.{name}"
+        f"{path.stem}.{qualified}"
         for path in package
-        for name, node in _functions(trees[path])
-        if used[node.name] <= _references(node)[node.name]
+        for qualified, name, node in _definitions(trees[path])
+        if used[name] <= _references(node)[name]
     ]
     assert unused == []
 
