@@ -78,16 +78,19 @@ def addmul(acc: Poly, w: Scalar, a: Poly, b: Poly) -> None:
 
 
 def scaled(p: Poly, c: Scalar) -> Poly:
-    """``c * p`` for a scalar ``c``."""
+    """``c * p`` for a scalar ``c``; a clean ``p`` gives a clean product."""
     if not c:
         return []
-    if type(c) is int:
-        return [c * v for v in p]
+    if type(c) is int:  # an int times an int is an int; only a Fraction entry can become integral
+        return [c * v if type(v) is int else _int_if_integral(c * v) for v in p]
     return [_int_if_integral(c * v) for v in p]
 
 
 def divided(p: Poly, d: Scalar) -> Poly:
-    """``p / d`` for a nonzero scalar ``d``: exact int division where it divides."""
+    """``p / d`` for a scalar ``d``: exact int division where it divides.  A zero
+    ``d`` is refused for every ``p``, the zero polynomial too."""
+    if not d:
+        raise ZeroDivisionError("integer modulo by zero" if type(d) is int else "division by zero")
     if type(d) is int:
         out = [v // d for v in p if type(v) is int and v % d == 0]
         if len(out) == len(p):

@@ -14,12 +14,23 @@ per t-power.  The evaluation formulas then combine paired series:
 
 Pairing reads the kernel entries n! [t^n] of a series and the moments as
 the integer pairs (p_k, q_k) their literals spell (``MomentFunctional.pairs``:
-no ``Fraction`` per moment, and no gcd to reduce a pair).  It
-puts them on prefix common denominators L_k = lcm(q_0..q_k), with numerators
-P_k = p_k L_k / q_k.  An entry of x-degree d pairs to one integer Horner sum
-over L_d, reduced to a pair of ints; the two functionals' pairs are added
-with the gcds of ``Fraction`` addition and divided by n!, all on ints.
-:func:`pair`, the ``eval_*`` formulas and the simple type share this pass.
+no ``Fraction`` per moment, and no gcd to reduce a pair).  It puts them on
+prefix common denominators, one chain per x-parity r: over the moments
+mu_k with k = r (mod 2), L^r_j = lcm(q_r, q_{r+2}, .., q_{r+2j}) with
+numerators P^r_j = p_{r+2j} L^r_j / q_{r+2j}.  Each x-parity part
+x^r c(x^2) of an entry (:func:`~blowup_series.hurwitz.parts`) pairs to one
+integer Horner sum over its own chain; an entry with both parts adds them
+unreduced, and each entry is reduced once to a pair of ints.  The two
+functionals' pairs are added with the gcds of ``Fraction`` addition and
+divided by n!, all on ints.  :func:`pair`, the ``eval_*`` formulas and the
+simple type share this pass.
+
+Under [FS]'s parity rule, B(it; -x) = B(t; x) and S(it; -x) = i S(t; x),
+entry n of B^2, S^2, the Wronskian and BS holds only the x^k with
+n + 2k = 0, 2, 0, 1 (mod 4): no entry mixes parities, so each reads every
+other moment, and its denominator holds only those moments' denominators,
+about half the bits of one chain over all moments.  The parts of those four
+series are split once per cached set (:func:`_set_split`).
 
 There is one universal pair, so an evaluation formula takes only its two
 functionals and the order, and reads the cached generated set
@@ -32,13 +43,14 @@ does not enforce.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .blowup import series_set
 from .derived import degeneration_form
-from .hurwitz import Poly, clean, divided
+from .hurwitz import Poly, clean, divided, parts
 from .series import ReadOnly, TSeries, as_fraction, parse_pair
 
 if TYPE_CHECKING:
@@ -129,37 +141,69 @@ class MomentFunctional(ReadOnly):
         return functional
 
 
-def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
-    """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
-    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs.  A
-    short functional is named with the length its first uncovered entry needs.
-    """
-    entries, pairs = h[: order + 1], mu.pairs
-    supplied, top = len(pairs), max(map(len, entries), default=0)
-    if top > supplied:
-        need = next(len(p) for p in entries if len(p) > supplied)
-        raise InsufficientMomentsError(mu.label, supplied, need)
-    # prefix common denominators: steps[k] = L_k / L_{k-1}, numerators[k] = P_k,
-    # dens[k + 1] = scale L_k
+def _split(h: Sequence[Poly]) -> list:
+    """Each entry of ``h`` as ``(length, parts)``: its x-degree plus one, and
+    its :func:`~blowup_series.hurwitz.parts` by x-parity."""
+    return [(len(p), parts(p)) for p in h]
+
+
+@lru_cache(maxsize=4 * series_set.cache_parameters()["maxsize"])
+def _set_split(order: int, name: str) -> list:
+    """The :func:`_split` of series ``name`` of ``series_set(order)``, formed
+    once: the four series ``eval`` reads, for as many sets as are cached."""
+    return _split(getattr(series_set(order), name).h)
+
+
+def _chain(pairs: Sequence[tuple[int, int]], scale: int) -> tuple[list, list, list]:
+    """The prefix common denominators of the moments ``pairs``: ``steps[j]`` =
+    L_j / L_{j-1}, ``numerators[j]`` = P_j and ``dens[j + 1]`` = scale L_j."""
     lcm, steps, numerators, dens = 1, [], [], [scale]
-    for p, q in pairs[:top]:
+    for p, q in pairs:
         step = q // gcd(lcm, q)
         lcm *= step
         steps.append(step)
         numerators.append(p * (lcm // q))
         dens.append(lcm * scale)
+    return steps, numerators, dens
+
+
+def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
+    """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
+    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs."""
+    return _split_sums(_split(h[: order + 1]), mu, scale)
+
+
+def _split_sums(entries: list, mu: MomentFunctional, scale: int) -> list:
+    """:func:`_sums` of the :func:`_split` entries.  A short functional is
+    named with the length its first uncovered entry needs."""
+    pairs = mu.pairs
+    supplied, top = len(pairs), max(map(itemgetter(0), entries), default=0)
+    if top > supplied:
+        raise InsufficientMomentsError(mu.label, supplied, next(n for n, _ in entries if n > supplied))
+    # one chain per x-parity r, over the moments mu_k with k = r (mod 2)
+    chains = _chain(pairs[0:top:2], scale), _chain(pairs[1:top:2], scale)
     values = []
-    for p in entries:
-        acc, den = 0, dens[len(p)]
-        for step, c, numerator in zip(steps, p, numerators):
-            if step != 1:
-                acc *= step
-            if c:
-                acc += c * numerator
-        if type(acc) is not int:  # an entry with Fraction coefficients
-            acc, den = acc.numerator, den * acc.denominator
-        g = gcd(acc, den)
-        values.append((acc // g, den // g))
+    for _, split in entries:
+        num = None
+        for r, c in split:
+            steps, numerators, dens = chains[r]
+            acc, den = 0, dens[len(c)]
+            for step, v, numerator in zip(steps, c, numerators):
+                if step != 1:
+                    acc *= step
+                if v:
+                    acc += v * numerator
+            if type(acc) is not int:  # a part with Fraction coefficients
+                acc, den = acc.numerator, den * acc.denominator
+            if num is None:
+                num, d = acc, den
+            else:  # both parities: add unreduced, reduce once below
+                num, d = num * den + acc * d, d * den
+        if num is None:
+            values.append((0, 1))
+        else:
+            g = gcd(num, d)
+            values.append((num // g, d // g))
     return values
 
 
@@ -226,10 +270,10 @@ def _evaluate(
     """pair(first series, its functional) + pair(second series, its functional),
     the second halved with ``half``; the first functional is checked first."""
     # generation needs order >= 4; one guard order on top, as ``gen`` builds
-    st = series_set(max(order, 4) + 1)
+    n = max(order, 4) + 1
     (f, mu), (g, nu) = first, second
-    a = _sums(getattr(st, f).h, mu, order)
-    b = _sums(getattr(st, g).h, nu, order, 2 if half else 1)
+    a = _split_sums(_set_split(n, f)[: order + 1], mu, 1)
+    b = _split_sums(_set_split(n, g)[: order + 1], nu, 2 if half else 1)
     return EvalResult(_plain(a, b), provenance)
 
 

@@ -290,7 +290,7 @@ class TSeries(ReadOnly):
     def _times_coefficient(self, c: CoeffLike) -> "TSeries":
         """``self * c`` for an x-polynomial or a scalar ``c``."""
         if type(c) is int:
-            h = [clean(scaled(p, c)) for p in self.h]
+            h = [scaled(p, c) for p in self.h]
         else:
             from .algebra import _lift
 

@@ -230,6 +230,13 @@ class TestKernelArithmetic:
         assert p == XPoly(fraction_poly(a)) and hash(p) == hash(fraction_poly(a))
         assert (p == c) == (fraction_poly(a) == fraction_poly([c]))
 
+    @pytest.mark.parametrize("zero", [0, F(0)], ids=repr)
+    @pytest.mark.parametrize("coeffs", [(), (1,), (F(1, 2), 3)], ids=repr)
+    def test_a_zero_divisor_is_refused_for_every_polynomial(self, coeffs, zero):
+        with pytest.raises(ZeroDivisionError) as err:
+            XPoly(coeffs) / zero
+        assert str(err.value) == ("integer modulo by zero" if type(zero) is int else "division by zero")
+
     def test_an_integral_fraction_is_the_int(self):
         two, fraction_two = XPoly((2,)), XPoly((F(2),))
         assert two == fraction_two and hash(two) == hash(fraction_two)
@@ -243,6 +250,7 @@ class TestKernelArithmetic:
         scalars | coefficients.map(XPoly),
     )
     @example(0, [XPoly((F(1, 2), 3))], 2, F(2))
+    @example(0, [XPoly((F(1, 2), 3))], 2, 2)
     def test_a_series_times_a_coefficient_matches_the_fraction_loops(self, val, coeffs, order, c):
         a = TSeries(val, coeffs, order)
         want = c.coeffs if isinstance(c, XPoly) else c

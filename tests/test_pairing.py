@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from blowup_series import series_set
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.cli import main
+from blowup_series.hurwitz import clean
 from blowup_series.pairing import (
     InsufficientMomentsError,
     MomentFunctional,
+    _set_split,
     _sums,
     eval_even,
     eval_even_main_prime,
@@ -322,6 +324,71 @@ class TestCrossGcd:
         f = TSeries(0, [XPoly((F(1, b), F(-5, a * b))), XPoly(()), XPoly((0, F(2, 3), F(9, b**2)))], 2)
         mu = MomentFunctional.from_json({"label": "mu", "moments": [f"{k + 1}/{2 * a**k}" for k in range(3)]})
         assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
+
+
+#: a kernel scalar: an int, small or wide, or a Fraction
+_SCALAR = st.integers(-50, 50) | st.integers(-(2**70), 2**70) | st.fractions(-50, 50, max_denominator=12)
+#: a clean kernel entry whose x-powers may be of both parities
+_ENTRY = st.lists(_SCALAR, max_size=7).map(clean)
+
+
+def _inverses(length: int) -> list:
+    return [F(1, k + 1) for k in range(length)]
+
+
+class TestParityChains:
+    """Each x-parity part of an entry paired over the prefix denominators of
+    the moments of its own parity, against the Fraction reference."""
+
+    @pytest.mark.parametrize("name, residue", [("b2", 0), ("s2", 2), ("wronskian", 0), ("bs", 1)])
+    def test_no_entry_of_the_eval_series_mixes_x_parities(self, name, residue):
+        """[FS]'s parity rule: entry n holds only x^k with n + 2k = residue (mod 4)."""
+        for n, p in enumerate(getattr(series_set(41), name).h):
+            assert all((n + 2 * k) % 4 == residue for k, c in enumerate(p) if c), (name, n)
+
+    @given(
+        st.lists(_ENTRY, min_size=1, max_size=6),
+        st.lists(_MOMENT, min_size=7, max_size=8),
+        st.sampled_from([1, 2]),
+    )
+    @example([[1, 2, 3], [0, 5, F(1, 2), 7]], [F(1, 2), F(1, 3), F(1, 5), F(-3, 4)], 1)  # both parities
+    @example([[F(1, 3), 0, F(5, 7)], [0, F(-2, 9)], [F(1, 2), F(1, 4)]], [F(2, 5), F(7), F(-1, 6)], 2)  # Fractions
+    @example([[1, 1, 1], [2, 0, 2], [0, 3, 0, 3], [1, 3, 1, 3]], [F(1), F(2, 3), F(-1), F(-2, 3)], 1)  # a part is 0
+    def test_sums_and_pair_equal_the_fraction_reference(self, h, moments, scale):
+        order = len(h) - 1
+        mu = MomentFunctional("mu", moments)
+        want = [value_on(mu, XPoly(p)) / scale for p in h]
+        assert _sums(h, mu, order, scale) == [(w.numerator, w.denominator) for w in want]
+        f = TSeries.from_kernel(h, order)
+        assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
+
+    @given(
+        st.integers(0, 40),
+        st.sampled_from(sorted(_EVALUATORS)),
+        st.lists(_MOMENT, min_size=41, max_size=41),
+        st.lists(_MOMENT, min_size=41, max_size=41),
+        st.sampled_from([None, 0, 1]),
+    )
+    @example(12, "maina", _inverses(41), _inverses(41), 0)
+    @example(12, "main-prime", _inverses(41), _inverses(41), 1)
+    @example(13, "mainb", _inverses(41), _inverses(41), 1)
+    def test_formulas_equal_the_fraction_reference_where_a_parity_pairs_to_0(self, order, formula, mu, nu, zero):
+        """The moments of parity ``zero`` are 0, so each entry of that parity
+        pairs to 0.  The formulas' entries each have one part (the test above)."""
+        if zero is not None:
+            mu, nu = ([F(0) if k % 2 == zero else m for k, m in enumerate(v)] for v in (mu, nu))
+        mu, nu = MomentFunctional("mu", mu), MomentFunctional("nu", nu)
+        got = _EVALUATORS[formula](mu, nu, order).series
+        assert got.to_json() == reference_eval(formula, series_set(41), mu, nu, order).to_json()
+
+    def test_each_series_is_split_once_per_set(self):
+        _set_split.cache_clear()
+        mu = MomentFunctional("mu", (F(1),) * 13)
+        for _ in range(3):
+            for evaluate in _EVALUATORS.values():
+                evaluate(mu, mu, 12)
+        info = _set_split.cache_info()
+        assert (info.misses, info.hits) == (4, 14)
 
 
 def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):

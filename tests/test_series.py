@@ -240,6 +240,13 @@ class TestScaleArg:
         assert b_ref.scale_arg(-1) == b_ref
         assert s_ref.scale_arg(-1) == -s_ref
 
+    @pytest.mark.parametrize("c", [2, F(2), "2"], ids=repr)
+    def test_an_integral_result_is_an_int(self, c):
+        """The kernel scalar rule on the int path too: 2 * (1/2) is the int 1."""
+        h = TSeries.from_kernel([[], [F(1, 2)], [F(3, 4), F(1, 3)]], 2).scale_arg(c).h
+        assert h == [[], [1], [3, F(4, 3)]]
+        assert [type(v) for p in h for v in p] == [int, int, F]
+
 
 class TestReciprocalAndDivision:
     def test_geometric_series(self):
