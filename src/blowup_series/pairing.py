@@ -19,10 +19,11 @@ prefix common denominators, one chain per x-parity r: over the moments
 mu_k with k = r (mod 2), L^r_j = lcm(q_r, q_{r+2}, .., q_{r+2j}) with
 numerators P^r_j = p_{r+2j} L^r_j / q_{r+2j}.  Each x-parity part
 x^r c(x^2) of an entry (:func:`~blowup_series.hurwitz.parts`) pairs to one
-integer Horner sum over its own chain; an entry with both parts adds them
-unreduced, and each entry is reduced once to a pair of ints.  The two
-functionals' pairs are added with the gcds of ``Fraction`` addition and
-divided by n!, all on ints.  :func:`pair`, the ``eval_*`` formulas and the
+integer Horner sum over its own chain; an entry with both parts adds them,
+and each entry is left an unreduced pair of ints.  The two functionals'
+pairs (a, da) and (b, db) of entry n are added and divided by n! as
+(a db + b da) / (da db n!), all on ints, and one gcd reduces that
+coefficient: the only gcd it takes.  :func:`pair`, the ``eval_*`` formulas and the
 simple type share this pass.
 
 Under [FS]'s parity rule, B(it; -x) = B(t; x) and S(it; -x) = i S(t; x),
@@ -79,11 +80,9 @@ class MomentFunctional(ReadOnly):
 
     ``pairs[k]`` is the value on x^k as a ``(numerator, denominator)`` pair of
     ints, the denominator positive: the literal's own pair, not reduced, for a
-    functional read by :meth:`from_json`, and a ``Fraction``'s pair for one
-    made from values.  ``moments[k]`` is the same value as a :class:`Fraction`.
-    The values a caller passes are turned into ``Fraction``s when the
-    functional is made, and ``Fraction``s are kept as given; a functional read
-    from JSON forms its reduced ``Fraction``s when ``moments`` is first read.
+    functional read by :meth:`from_json`, and the reduced pair for one made
+    from values.  ``moments[k]`` is the same value as a reduced
+    :class:`Fraction`, formed from ``pairs`` when ``moments`` is first read.
     A functional is read-only through :class:`ReadOnly`.  Two functionals are
     equal, and hash alike, when their ``(label, moments)`` are equal.
     """
@@ -92,9 +91,8 @@ class MomentFunctional(ReadOnly):
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, label: str, moments: Sequence[RationalLike]):
-        moments = tuple(m if type(m) is Fraction else as_fraction(m) for m in moments)
-        pairs = tuple((m.numerator, m.denominator) for m in moments)
-        self.__dict__.update(label=label, pairs=pairs, moments=moments)
+        pairs = tuple((m.numerator, m.denominator) for m in map(as_fraction, moments))
+        self.__dict__.update(label=label, pairs=pairs)
 
     @cached_property
     def moments(self) -> tuple[Fraction, ...]:
@@ -169,7 +167,8 @@ def _chain(pairs: Sequence[tuple[int, int]], scale: int) -> tuple[list, list, li
 
 def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -> list:
     """Kernel entries, n = 0..order, of the vector ``h`` paired with ``mu`` and
-    divided by ``scale``, as reduced ``(numerator, denominator)`` pairs."""
+    divided by ``scale``, as ``(numerator, denominator)`` pairs of ints with a
+    positive denominator, not reduced."""
     return _split_sums(_split(h[: order + 1]), mu, scale)
 
 
@@ -184,7 +183,7 @@ def _split_sums(entries: list, mu: MomentFunctional, scale: int) -> list:
     chains = _chain(pairs[0:top:2], scale), _chain(pairs[1:top:2], scale)
     values = []
     for _, split in entries:
-        num = None
+        num, d = 0, 1
         for r, c in split:
             steps, numerators, dens = chains[r]
             acc, den = 0, dens[len(c)]
@@ -195,35 +194,21 @@ def _split_sums(entries: list, mu: MomentFunctional, scale: int) -> list:
                     acc += v * numerator
             if type(acc) is not int:  # a part with Fraction coefficients
                 acc, den = acc.numerator, den * acc.denominator
-            if num is None:
-                num, d = acc, den
-            else:  # both parities: add unreduced, reduce once below
-                num, d = num * den + acc * d, d * den
-        if num is None:
-            values.append((0, 1))
-        else:
-            g = gcd(num, d)
-            values.append((num // g, d // g))
+            num, d = num * den + acc * d, d * den
+        values.append((num, d))
     return values
 
 
 def _plain(first: list, second: list) -> tuple:
-    """The reduced pairs ``(first[n] + second[n]) / n!`` of two lists of reduced
-    pairs: the gcds of ``Fraction`` addition, then one against n!."""
+    """The reduced pairs ``(first[n] + second[n]) / n!`` of two lists of
+    unreduced pairs, each reduced by one gcd."""
     out, factorial = [], 1
     for n, ((na, da), (nb, db)) in enumerate(zip(first, second)):
         if n:
             factorial *= n
-        g = gcd(da, db)
-        if g == 1:
-            num, den = na * db + da * nb, da * db
-        else:
-            s = da // g
-            num = na * (db // g) + nb * s
-            g = gcd(num, g)
-            num, den = num // g, s * (db // g)
-        g = gcd(num, factorial)
-        out.append((num // g, den * (factorial // g)))
+        num, den = na * db + nb * da, da * db * factorial
+        g = gcd(num, den)
+        out.append((num // g, den // g))
     return tuple(out)
 
 
@@ -269,7 +254,7 @@ def _evaluate(
 ) -> EvalResult:
     """pair(first series, its functional) + pair(second series, its functional),
     the second halved with ``half``; the first functional is checked first."""
-    # generation needs order >= 4; one guard order on top, as ``gen`` builds
+    # generation needs order >= 4; a set built at N knows the Wronskian only through t^(N-1)
     n = max(order, 4) + 1
     (f, mu), (g, nu) = first, second
     a = _split_sums(_set_split(n, f)[: order + 1], mu, 1)

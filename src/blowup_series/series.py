@@ -81,10 +81,17 @@ def parse_pair(text: object) -> tuple[int, int]:
 
 
 def as_fraction(value: RationalLike) -> Rational:
-    """``value`` as a ``Fraction``; a text must be a literal of :func:`parse_pair`'s grammar."""
+    """``value``, an ``int``, a ``Fraction`` or a literal of :func:`parse_pair`'s
+    grammar, as a ``Fraction``.  Anything else, a ``float`` or a ``Decimal``
+    too, is refused with a :class:`TypeError`: no scalar is read as a binary
+    fraction."""
     from fractions import Fraction
 
-    return Fraction(*parse_pair(value)) if isinstance(value, str) else Fraction(value)
+    if isinstance(value, str):
+        return Fraction(*parse_pair(value))
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"a scalar must be an int, a Fraction or a rational literal, not {type(value).__name__}")
 
 
 class ReadOnly:

@@ -380,6 +380,8 @@ def _select(
         raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
     if identities is None:
         return list(CATALOG)
+    if isinstance(identities, str):
+        raise ValueError(f"identities must be a list of identity ids, not the string {identities!r}")
     wanted = list(identities)
     unknown = sorted(set(wanted) - set(CATALOG_IDS))
     if unknown:

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +277,27 @@ class TestKernelArithmetic:
             with pytest.raises(TypeError):
                 operation()
         assert p != value
+
+    @pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=repr)
+    def test_floats_and_decimals_are_not_scalars(self, value):
+        """Every call that reads a scalar takes an int, a ``Fraction`` or a
+        literal text, and refuses a binary or decimal float."""
+        mu = MomentFunctional("mu", (1, 2, 3))
+        refusal = f"^a scalar must be an int, a Fraction or a rational literal, not {type(value).__name__}$"
+        for call in (
+            lambda: XPoly([value]),
+            lambda: TSeries(0, [value], 0),
+            lambda: TSeries(0, [1, 1], 1).scale_arg(value),
+            lambda: MomentFunctional("mu", [value]),
+            lambda: mu.scaled(value),
+            lambda: MomentFunctional.geometric("mu", value, 2, 3),
+            lambda: MomentFunctional.geometric("mu", 1, value, 3),
+            lambda: eval_simple_type(value, 0, 0, "even", 2),
+            lambda: eval_simple_type(0, value, 0, "even", 2),
+            lambda: eval_simple_type(0, 0, value, "odd", 2),
+        ):
+            with pytest.raises(TypeError, match=refusal):
+                call()
 
 
 class TestRendering:

@@ -20,13 +20,14 @@ from helpers_oracles import (
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blowup_series import series_set
+from blowup_series import cli, series_set
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.cli import main
 from blowup_series.hurwitz import clean
 from blowup_series.pairing import (
     InsufficientMomentsError,
     MomentFunctional,
+    _plain,
     _set_split,
     _sums,
     eval_even,
@@ -64,11 +65,12 @@ class TestMomentFunctional:
         assert err.value.required == 4
         assert "4" in str(err.value)
 
-    def test_fraction_moments_are_kept_as_given(self):
-        moments = (F(1, 3), F(-2))
-        mu = MomentFunctional("m", moments + (5,))
-        assert all(a is b for a, b in zip(mu.moments, moments))
-        assert mu.moments[2] == F(5) and type(mu.moments[2]) is F
+    def test_values_are_kept_as_their_reduced_pairs(self):
+        """A functional made from values stores only their reduced pairs, and
+        forms its ``Fraction``s from them when ``moments`` is first read."""
+        mu = MomentFunctional("m", (F(1, 3), F(-2), 5, "4/6"))
+        assert mu.pairs == ((1, 3), (-2, 1), (5, 1), (2, 3)) and "moments" not in vars(mu)
+        assert mu.moments == (F(1, 3), F(-2), F(5), F(2, 3)) and all(type(m) is F for m in mu.moments)
 
     def test_functionals_compare_and_hash_by_label_and_moments(self):
         mu = MomentFunctional("m", [1, F(1, 2)])
@@ -290,10 +292,26 @@ def _powers_moments(base: int, order: int) -> list:
     return [F((-1) ** k * (base * k + 1), base**k) for k in range(order + 1)]
 
 
+#: an unreduced pair of ints, the denominator positive
+_PAIR = st.tuples(st.integers(-(2**80), 2**80) | st.integers(-9, 9), st.integers(1, 2**80) | st.integers(1, 36))
+_ZEROS = [((0, 1), (0, 1))] * 3
+
+
 class TestCrossGcd:
-    """Both branches of the cross gcd of an entry's two denominators in the
-    sum of the two functionals: coprime moment denominators, where every
-    entry's gcd is 1, and shared ones, where some entry's is not."""
+    """The sum of the two functionals' pairs, each coefficient reduced by one
+    gcd, end to end over both kinds of moment denominators: coprime ones, where
+    no entry's two denominators share a factor, and shared ones, where some
+    entry's do."""
+
+    @given(st.lists(st.tuples(_PAIR, _PAIR), min_size=1, max_size=8))
+    @example([((1, 2), (-2, 4))])  # a zero sum
+    @example([((1, 6), (1, 10))])  # a factor shared by da and db
+    @example(_ZEROS + [((6, 1), (12, 1))])  # a factor shared with 3!
+    @example(_ZEROS + [((9, 12), (0, 1))])  # a (0, 1) side, the mainb shape
+    def test_plain_equals_the_fraction_sum_over_n_factorial(self, sums):
+        want = [(F(*a) + F(*b)) / math.factorial(n) for n, (a, b) in enumerate(sums)]
+        got = _plain([a for a, _ in sums], [b for _, b in sums])
+        assert got == tuple((w.numerator, w.denominator) for w in want)
 
     @pytest.mark.parametrize("formula", sorted(_EVALUATORS))
     @pytest.mark.parametrize("order", [12, 40])
@@ -358,7 +376,9 @@ class TestParityChains:
         order = len(h) - 1
         mu = MomentFunctional("mu", moments)
         want = [value_on(mu, XPoly(p)) / scale for p in h]
-        assert _sums(h, mu, order, scale) == [(w.numerator, w.denominator) for w in want]
+        got = _sums(h, mu, order, scale)
+        assert [F(*p) for p in got] == want
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in got)
         f = TSeries.from_kernel(h, order)
         assert pair(f, mu).to_json() == reference_pair(f, mu).to_json()
 
@@ -389,6 +409,17 @@ class TestParityChains:
                 evaluate(mu, mu, 12)
         info = _set_split.cache_info()
         assert (info.misses, info.hits) == (4, 14)
+
+
+def test_in_a_set_built_at_n_only_ws0_and_the_wronskian_fall_short():
+    """The set built at 10 knows ws0 and the Wronskian through t^9 and every
+    other series through t^10 or further: ``gen`` guards exactly the selectors
+    whose series fall short, and the formulas read a set one order higher."""
+    st10 = series_set(10)
+    names = ("b", "s", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "b0", "btau", "ws0", "ws1")
+    orders = {name: getattr(st10, name).order for name in names}
+    assert {name: n for name, n in orders.items() if n < 10} == {"ws0": 9, "wronskian": 9}
+    assert cli._GUARDED == {sel for sel, name in cli.SELECTORS.items() if orders[name] < 10}
 
 
 def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):

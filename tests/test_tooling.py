@@ -229,17 +229,18 @@ def test_the_benchmark_tracer_runs_verify(tmp_path):
     assert {f"blowup.{phase}" for phase in phases} <= traced
 
 
-def test_every_eval_sweep_request_matches_its_benchmark_reference(monkeypatch, capsys, tmp_path):
-    """The benchmark's eval batch, answered twice in one process, matches the
-    references of ``perfbench/evalsweep.py``: closed forms computed with
-    ``fractions`` and the series pinned in ``perfbench/data``, not the code
-    under test."""
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_every_eval_sweep_request_matches_its_benchmark_reference(monkeypatch, capsys, tmp_path, seed):
+    """The benchmark's eval batch of each seed, 54 requests answered twice in
+    one process, matches the references of ``perfbench/evalsweep.py``: closed
+    forms computed with ``fractions`` and the series pinned in
+    ``perfbench/data``, not the code under test."""
     monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
     import evalsweep
 
     from blowup_series import cli
 
-    batch = evalsweep.make_batch(3, tmp_path)
+    batch = evalsweep.make_batch(seed, tmp_path)
     runs = []
     for _ in range(2):
         outputs = []

@@ -536,6 +536,15 @@ class TestRunCatalogAndVerifyAll:
         with pytest.raises(TypeError):
             verify_all(8, jobs=1)
 
+    @pytest.mark.parametrize("ids", ["bb", "b0_equals_b2"])
+    def test_one_string_of_ids_is_refused_with_a_request_for_a_list(self, monkeypatch, ids):
+        st9 = series_set(9)
+        monkeypatch.setattr(blowup, "generate_pair", lambda order: pytest.fail("generation started"))
+        refusal = f"^identities must be a list of identity ids, not the string {ids!r}$"
+        for run in (lambda: verify_all(8, identities=ids), lambda: run_catalog(st9, 8, identities=ids)):
+            with pytest.raises(ValueError, match=refusal):
+                run()
+
     def test_verify_all_takes_identities_once(self):
         reports = verify_all(8, bivariate_order=8, identities=iter(["bb", "b0_equals_b2"]))
         assert [r.identity for r in reports] == ["b0_equals_b2", "bb"]
