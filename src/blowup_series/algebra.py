@@ -49,6 +49,8 @@ class XPoly(ReadOnly):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
+        if isinstance(coeffs, str):
+            raise TypeError(f"coeffs must be a sequence of scalars, not the string {coeffs!r}")
         object.__setattr__(self, "coeffs", tuple(clean([as_fraction(v) for v in coeffs])))
 
     # -- constructors ------------------------------------------------

@@ -10,6 +10,7 @@ pairing.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from stat import S_ISREG
@@ -63,11 +64,31 @@ def _cmd_table(args: SimpleNamespace) -> int:
 
 
 def _load_json(path: Path):
-    # a device or FIFO would be read without bound, or block for a writer
-    if not S_ISREG(path.stat().st_mode):
-        raise ValueError(f"{path}: not a regular file")
+    # a device or FIFO would be read without bound, or block for a writer; one
+    # descriptor serves the check and the read, so the check reads the file
+    # that was opened, and O_NONBLOCK keeps a FIFO from blocking the open
     try:
-        return json.loads(path.read_text())
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        # a socket cannot be opened, nor may every device: refused all the same
+        if not S_ISREG(os.stat(path).st_mode):
+            raise ValueError(f"{path}: not a regular file") from None
+        raise
+    try:
+        info = os.fstat(fd)
+        if not S_ISREG(info.st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        data = os.read(fd, info.st_size + 1)
+        # one read, unless the file grew after the fstat or gives no size (/proc)
+        while len(data) > info.st_size and (more := os.read(fd, 1 << 16)):
+            data += more
+    finally:
+        os.close(fd)
+    text = data.decode("utf-8")
+    if "\r" in text:  # a text read's newlines, so a JSON error names the same line and column
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -91,6 +91,8 @@ class MomentFunctional(ReadOnly):
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, label: str, moments: Sequence[RationalLike]):
+        if isinstance(moments, str):
+            raise TypeError(f"moments must be a sequence of scalars, not the string {moments!r}")
         pairs = tuple((m.numerator, m.denominator) for m in map(as_fraction, moments))
         self.__dict__.update(label=label, pairs=pairs)
 

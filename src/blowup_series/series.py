@@ -174,6 +174,8 @@ class TSeries(ReadOnly):
     def __init__(self, valuation: int, coeffs: Iterable[CoeffLike], order: int):
         if valuation < 0:
             raise SeriesError(f"a series needs valuation >= 0, got {valuation}")
+        if isinstance(coeffs, str):
+            raise TypeError(f"coeffs must be a sequence of coefficients, not the string {coeffs!r}")
         self._set(_plain_kernel(valuation, (_as_xpoly(c).coeffs for c in coeffs), order), order)
 
     def _set(self, h: Sequence[Poly], order: int) -> None:

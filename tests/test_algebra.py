@@ -139,6 +139,12 @@ class TestXPoly:
         assert XPoly((0, 0)).is_zero
         assert XPoly(()).degree == -1
 
+    def test_a_string_of_coefficients_is_refused(self):
+        """A string is not read one character at a time: ``XPoly("12")`` once was 1 + 2x."""
+        with pytest.raises(TypeError, match=r"^coeffs must be a sequence of scalars, not the string '12'$"):
+            XPoly("12")
+        assert XPoly(["12"]).coeffs == (12,)
+
     def test_product_of_monomials(self):
         x = XPoly.x()
         assert x * x == XPoly((0, 0, 1))

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import blowup_series
 
-from blowup_series import blowup, cli, derived, verify
+from blowup_series import blowup, cli, commands, derived, verify
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
@@ -901,6 +902,122 @@ def test_eval_refuses_a_device_without_reading_it(where, tmp_path):
     request = "/dev/zero" if where == "request" else _even_request(tmp_path, "/dev/zero")
     result = _fresh(["-c", _BOUNDED_MAIN, "eval", request], tmp_path, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "eval: /dev/zero: not a regular file\n")
+
+
+#: the bytes of an unreadable request and its error line, which is that of a
+#: text read with universal newlines: a CR or a CRLF counts as one newline
+_UNREADABLE = {
+    "invalid-utf-8": (b'\xff{"parity": "even"}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "utf-8-bom": (b'\xef\xbb\xbf{"parity": "even"}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf-16": ('{"parity": "even"}'.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "crlf": (b'{\r\n"a": 1,\r\n"b": x}', "Expecting value: line 3 column 6 (char 15)"),
+    "cr": (b'{\r"a": 1,\r"b": x}', "Expecting value: line 3 column 6 (char 15)"),
+}
+
+
+_UNICODE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_UNICODE_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _UNICODE_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_UNICODE_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestReader:
+    """``commands._load_json`` reads every ``eval`` input, the request and
+    each functional given as a path, through one descriptor."""
+
+    @pytest.mark.parametrize("case", _UNREADABLE)
+    def test_an_unreadable_file_gives_its_error_line(self, capsys, tmp_path, case):
+        data, line = _UNREADABLE[case]
+        (tmp_path / "bad.json").write_bytes(data)
+        for path in (str(tmp_path / "bad.json"), _even_request(tmp_path, "bad.json")):
+            assert run(capsys, "eval", path) == (2, "", f"eval: {line}\n")
+
+    def test_a_directory_is_not_a_regular_file(self, capsys, tmp_path):
+        (tmp_path / "functional").mkdir()
+        for path in (tmp_path / "functional", _even_request(tmp_path, "functional")):
+            assert run(capsys, "eval", str(path)) == (2, "", f"eval: {tmp_path / 'functional'}: not a regular file\n")
+
+    @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs Unix sockets")
+    def test_a_socket_that_cannot_be_opened_is_not_a_regular_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # a short path: a socket's name is limited to about 100 bytes
+        with socket.socket(socket.AF_UNIX) as server:
+            server.bind("sock")
+            assert run(capsys, "eval", "sock") == (2, "", "eval: sock: not a regular file\n")
+
+    def test_a_symlink_to_a_regular_file_is_followed(self, capsys, tmp_path):
+        request = Path(_even_request(tmp_path, "mu.json"))
+        (tmp_path / "mu.json").write_text(json.dumps(_MOMENTS))
+        (tmp_path / "link.json").symlink_to(request)
+        (tmp_path / "mu-link.json").symlink_to("mu.json")
+        direct = run(capsys, "eval", str(request))
+        assert direct[0] == 0 and direct[1]
+        assert run(capsys, "eval", str(tmp_path / "link.json")) == direct
+        assert run(capsys, "eval", _even_request(tmp_path, "mu-link.json")) == direct
+
+    @pytest.mark.parametrize("reported", [None, 0, 1000], ids=["as-is", "no-size", "grew"])
+    def test_a_functional_past_one_read_is_read_whole(self, capsys, monkeypatch, tmp_path, reported):
+        """A functional file of over 64 KiB reads whole, also when ``fstat``
+        gives it no size, as a ``/proc`` file does, or fewer bytes than it
+        has, as when it grew after the ``fstat``."""
+        moments = {"label": "m" * 40000 + "é", "moments": [str(k + 1) for k in range(12000)]}
+        (tmp_path / "mu.json").write_text(json.dumps(moments, ensure_ascii=False), encoding="utf-8")
+        assert (tmp_path / "mu.json").stat().st_size > 1 << 16
+        inline = _even_request(tmp_path, moments)
+        want = run(capsys, "eval", inline)
+        assert want[0] == 0
+        request = _even_request(tmp_path, "mu.json")
+        if reported is not None:
+            fstat = os.fstat
+
+            def shrunk(fd):
+                info = fstat(fd)
+                return os.stat_result((*info[:6], min(reported, info.st_size), *info[7:]))
+
+            monkeypatch.setattr(os, "fstat", shrunk)
+        assert run(capsys, "eval", request) == want
+
+    def test_each_file_is_opened_once_and_never_stated_by_path(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "mu.json").write_text(json.dumps(_MOMENTS))
+        request = _even_request(tmp_path, "mu.json")
+        calls = []
+        for name in ("open", "stat", "fstat", "close"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+        code, out, err = run(capsys, "eval", request)
+        monkeypatch.undo()
+        assert code == 0, err
+        assert calls == ["open", "fstat", "close"] * 2
+
+    @given(
+        st.dictionaries(_UNICODE_TEXT, _UNICODE_JSON, max_size=4),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.sampled_from([None, 1]),
+    )
+    @example({"é€😀": ["ü ", {"\x00": -1.5}]}, "\r\n", 1)
+    def test_the_reader_equals_a_text_read(self, value, newline, indent):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "value.json"
+            path.write_bytes(json.dumps(value, ensure_ascii=False, indent=indent).replace("\n", newline).encode())
+            assert commands._load_json(path) == json.loads(path.read_text(encoding="utf-8")) == value
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_every_refusal_closes_its_descriptor(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        for name, data in (("utf.json", b"\xff"), ("bad.json", b"{not json"), ("deep.json", b"[" * 100000 + b"]" * 100000)):
+            (tmp_path / name).write_bytes(data)
+        refused = [tmp_path / name for name in ("dir", "missing.json", "utf.json", "bad.json", "deep.json")]
+        if hasattr(os, "mkfifo"):
+            os.mkfifo(tmp_path / "pipe")
+            refused.append(tmp_path / "pipe")
+        if os.path.exists("/dev/zero"):
+            refused.append(Path("/dev/zero"))
+        before = len(os.listdir("/proc/self/fd"))
+        for path in refused:
+            with pytest.raises((OSError, ValueError)):
+                commands._load_json(path)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_integer_series_json_loads_no_plain_arithmetic(tmp_path):

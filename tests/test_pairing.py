@@ -72,6 +72,13 @@ class TestMomentFunctional:
         assert mu.pairs == ((1, 3), (-2, 1), (5, 1), (2, 3)) and "moments" not in vars(mu)
         assert mu.moments == (F(1, 3), F(-2), F(5), F(2, 3)) and all(type(m) is F for m in mu.moments)
 
+    def test_a_string_of_moments_is_refused(self):
+        """A string is not read one character at a time: ``MomentFunctional("a", "12")``
+        once had the moments 1 and 2."""
+        with pytest.raises(TypeError, match=r"^moments must be a sequence of scalars, not the string '12'$"):
+            MomentFunctional("a", "12")
+        assert MomentFunctional("a", ["12"]).pairs == ((12, 1),)
+
     def test_functionals_compare_and_hash_by_label_and_moments(self):
         mu = MomentFunctional("m", [1, F(1, 2)])
         assert mu == MomentFunctional("m", (F(1), F(1, 2))) and mu != MomentFunctional("n", mu.moments)

@@ -70,6 +70,12 @@ class TestConstruction:
         assert a.valuation == 2
         assert a.order == 5
 
+    def test_a_string_of_coefficients_is_refused(self):
+        """A string is not read one character at a time: ``TSeries(0, "12", 1)`` once was 1 + 2t."""
+        with pytest.raises(TypeError, match=r"^coeffs must be a sequence of coefficients, not the string '12'$"):
+            TSeries(0, "12", 1)
+        assert TSeries(0, ["12"], 1).h == [[12], []]
+
     def test_zero_series_convention(self):
         z = TSeries.zero(7)
         assert z.is_zero and z.valuation == 8 and z.order == 7

@@ -181,6 +181,43 @@ def test_only_the_read_only_base_refuses_writes():
     assert all(issubclass(kind, ReadOnly) for kind in kinds)
 
 
+#: each function of the package that opens or reads a file, and what it reads
+_FILE_OPENERS = {
+    "commands._load_json": "every input file a user names: the eval request and its functionals",
+    "blowup._golden_bytes": "the golden table, package data",
+    "cli._write": "os.devnull, reopened over a standard stream that failed",
+}
+
+
+def _file_opening_calls(node: ast.AST, owner: str = ""):
+    """``(function, call)`` of each ``open``, ``os.open``, ``read_text`` or
+    ``read_bytes`` call under ``node``, named by its enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _file_opening_calls(child, f"{owner}.{child.name}" if owner else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("open", "read_text", "read_bytes"):
+                yield owner, ast.unparse(func)
+        yield from _file_opening_calls(child, owner)
+
+
+def test_user_input_is_read_only_through_the_eval_reader():
+    """Only ``commands._load_json`` reads a file a user names, so each new
+    reader of user input, such as ``verify`` over a pair of series files,
+    goes through it and refuses a FIFO or a device alike.  The other
+    functions that open a file read package data or reopen ``os.devnull``."""
+    found = {
+        (f"{path.stem}.{owner}", call)
+        for path in sorted((SRC / "blowup_series").glob("*.py"))
+        for owner, call in _file_opening_calls(ast.parse(path.read_text()))
+    }
+    assert {owner for owner, _ in found} == set(_FILE_OPENERS), sorted(found)
+    assert ("commands._load_json", "os.open") in found
+
+
 def test_the_demos_are_found():
     assert len(DEMOS) >= 4
 
