@@ -16,12 +16,10 @@ separately.  Tables are compared as they are, by the kernel's one scan
 entry / (i! j!), are formed by :func:`~blowup_series.series.plain_value`
 only at the first slot that differs.
 
-:class:`BiSeries` is a bivariate series in (u, v) over Q[x] with plain
-coefficients, truncated by *total* degree: the plain reference type of the
-substitutions t -> u + v and t -> u - v (:meth:`TSeries.subst_pm`).  The
-checks do not multiply it.  This module imports no plain arithmetic: the
-plain route loads :mod:`blowup_series.algebra` only when it runs, and a
-failing check loads ``fractions`` only to value its mismatch.
+This module imports no plain arithmetic: a failing check loads
+``fractions`` only to value its mismatch.  The plain bivariate series
+:class:`~blowup_series.algebra.BiSeries`, which only the tests and the
+benchmark tracer read, lives in :mod:`blowup_series.algebra`.
 """
 from __future__ import annotations
 
@@ -30,10 +28,11 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .hurwitz import Poly, _at, add, clean, convolve, differences, pair_products, pair_sum, parts, product, scaled
-from .series import CoeffLike, ReadOnly, SeriesError, TSeries, _as_xpoly, plain_poly, plain_value
+from .series import SeriesError, plain_value
 
 if TYPE_CHECKING:
-    from .algebra import Rational, XPoly
+    from .algebra import Rational
+    from .series import TSeries
 
 # ---------------------------------------------------------------------------
 # bivariate tables
@@ -130,17 +129,11 @@ class UVMismatch(NamedTuple):
     rhs: Rational
 
     def to_json(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "x": self.x,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
+        return {**self._asdict(), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
 def table_mismatch(a: Table, b: Table, through: int) -> "UVMismatch | None":
-    """:func:`first_difference_uv` on kernel tables.
+    """:func:`~blowup_series.algebra.first_difference_uv` on kernel tables.
 
     Entries i! j! [u^i v^j] are scanned by total degree through ``through``,
     then u-power, then x-power, and compared as they are; the plain values
@@ -160,33 +153,16 @@ def bb_tables(b: TSeries, s: TSeries, b2: TSeries, s2: TSeries, total_order: int
 
     B(u+v) B(u-v) comes from :func:`product_pm`, the right side from outer
     products of the squares ``b2`` = B^2 and ``s2`` = S^2, which the caller
-    has built: the catalog reads them from its set, :func:`bb_sides`
-    multiplies the pair.  A square reaches at least as far as its factor, so
-    the refusal reads the orders of the pair.  Entries above the total
-    degree are not read.
+    has built: the catalog reads them from its set, and
+    :func:`~blowup_series.algebra.bb_sides` multiplies the pair.  A square
+    reaches at least as far as its factor, so the refusal reads the orders
+    of the pair.  Entries above the total degree are not read.
     """
     if min(b.order, s.order) < total_order:
         raise SeriesError("cannot embed beyond the known truncation order")
     m = total_order
     rhs = table_add(outer(b2.h, b2.h, m), outer(s2.h, s2.h, m), -1)
     return product_pm(b.h, m), rhs
-
-
-def bb_sides(b: TSeries, s: TSeries, total_order: int) -> tuple[BiSeries, BiSeries]:
-    """Both sides of the bivariate product identity (*) through a total degree."""
-    lhs, rhs = bb_tables(b, s, b * b, s * s, total_order)
-    return _biseries(lhs, total_order), _biseries(rhs, total_order)
-
-
-def _biseries(table: Table, order: int) -> BiSeries:
-    """The series of a kernel table, whose entry (i, j) is i! j! [u^i v^j]."""
-    return BiSeries(
-        [
-            [plain_poly(p, math.factorial(i) * math.factorial(j)) for j, p in enumerate(row)]
-            for i, row in enumerate(table)
-        ],
-        order,
-    )
 
 
 def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
@@ -210,104 +186,5 @@ def bbb_tables(b: TSeries, s: TSeries, total_order: int) -> tuple[Table, Table]:
     p = _u_table(hb, hb, m + 1, (m + 1) // 2 + 1)
     t = _v_table(hb, p, True, m + 1)
     t_prime = _v_table(hb, [row[1:] for row in p[: m // 2 + 1]], True, m)
-    rhs = _mirrored(
-        lambda i, j: add(add(t[i + 1][j], t[i][j + 1]), scaled(t_prime[i][j], 3), -1), True, m
-    )
+    rhs = _mirrored(lambda i, j: add(add(t[i + 1][j], t[i][j + 1]), scaled(t_prime[i][j], 3), -1), True, m)
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# the plain reference type
-
-
-class BiSeries(ReadOnly):
-    """Bivariate series in (u, v) over Q[x], truncated by total degree.
-
-    Read-only through :class:`ReadOnly`.  Coefficients live on the triangle
-    i + j <= order, stored row-major: ``rows[i][j]`` is the coefficient of
-    u^i v^j.
-    """
-
-    __slots__ = ("_rows", "order")
-
-    def __init__(self, rows: Sequence[Sequence[CoeffLike]], order: int):
-        if order < 0:
-            raise SeriesError("total-degree order must be >= 0")
-        zero = _as_xpoly(0)
-        norm: list[tuple[XPoly, ...]] = []
-        for i in range(order + 1):
-            row = rows[i] if i < len(rows) else ()
-            vals = [_as_xpoly(c) for c in row[: order - i + 1]]
-            vals.extend([zero] * (order - i + 1 - len(vals)))
-            norm.append(tuple(vals))
-        object.__setattr__(self, "_rows", tuple(norm))
-        object.__setattr__(self, "order", order)
-
-    def coeff(self, i: int, j: int) -> XPoly:
-        if i < 0 or j < 0 or i + j > self.order:
-            raise SeriesError(f"(u^{i} v^{j}) is outside the truncation triangle")
-        return self._rows[i][j]
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        rows = [
-            [self._rows[i][j] + other._rows[i][j] for j in range(order - i + 1)]
-            for i in range(order + 1)
-        ]
-        return BiSeries(rows, order)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries([[-c for c in row] for row in self._rows], self.order)
-
-    def __mul__(self, other: "BiSeries | CoeffLike") -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            p = _as_xpoly(other)  # a coefficient: an x-polynomial or a scalar
-            return BiSeries([[c * p for c in row] for row in self._rows], self.order)
-        order = min(self.order, other.order)
-        zero = _as_xpoly(0)
-        rows = [[zero] * (order - i + 1) for i in range(order + 1)]
-        for i1 in range(min(self.order, order) + 1):
-            row1 = self._rows[i1]
-            for j1 in range(min(len(row1) - 1, order - i1) + 1):
-                c1 = row1[j1]
-                if c1.is_zero:
-                    continue
-                for i2 in range(order - i1 - j1 + 1):
-                    row2 = other._rows[i2]
-                    for j2 in range(min(len(row2) - 1, order - i1 - j1 - i2) + 1):
-                        c2 = row2[j2]
-                        if c2.is_zero:
-                            continue
-                        rows[i1 + i2][j1 + j2] = rows[i1 + i2][j1 + j2] + c1 * c2
-        return BiSeries(rows, order)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"<BiSeries order={self.order}>"
-
-
-def first_difference_uv(
-    a: BiSeries, b: BiSeries, through: "int | None" = None
-) -> "UVMismatch | None":
-    """First disagreement scanning total degree ascending, then u-power."""
-    limit = min(a.order, b.order) if through is None else through
-    if limit > min(a.order, b.order):
-        raise SeriesError(
-            f"comparison through total degree {limit} exceeds known orders"
-        )
-    slots = (
-        ((i, d - i), a.coeff(i, d - i).coeffs, b.coeff(i, d - i).coeffs) for d in range(limit + 1) for i in range(d + 1)
-    )
-    diff = next(differences(slots), None)
-    if diff is None:
-        return None
-    (i, j), k = diff
-    return UVMismatch(i, j, k, a.coeff(i, j).coeff(k), b.coeff(i, j).coeff(k))

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .hurwitz import Poly, add, clean, differences, divided, pair_pieces, pair_products, pair_sum, parts
-from .series import ReadOnly, SeriesError, TSeries, plain_poly, plain_value
+from .series import ReadOnly, SeriesError, TSeries, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational
@@ -108,10 +108,7 @@ def _e2_rest(b_pairs: Pairs, s_pairs: Pairs, m: int) -> Poly:
     """
     c = _row(m)
     return clean(
-        pair_sum(
-            (b_pairs[m + 2], m + 2, lambda i: c[i + 2] - c[i + 3]),
-            (s_pairs[m], m, lambda i: c[i + 4]),
-        )
+        pair_sum((b_pairs[m + 2], m + 2, lambda i: c[i + 2] - c[i + 3]), (s_pairs[m], m, lambda i: c[i + 4]))
     )
 
 
@@ -155,10 +152,10 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
         rest = _e2_rest(b_pairs, s_pairs, m)
         if m in (2, 4):
             if rest:
+                from .algebra import plain_poly
+
                 residual = plain_poly(rest, math.factorial(m))
-                raise GenerationError(
-                    f"seed consistency check failed, residual {residual}", degree=m
-                )
+                raise GenerationError(f"seed consistency check failed, residual {residual}", degree=m)
         else:
             s[m - 1] = divided(rest, -2 * m)
             s_parts[m - 1] = parts(s[m - 1])
@@ -325,14 +322,7 @@ class GoldenDiff(NamedTuple):
     got: Rational
 
     def to_json(self) -> dict:
-        return {
-            "row": self.row,
-            "series": self.series,
-            "t": self.t,
-            "x": self.x,
-            "expected": str(self.expected),
-            "got": str(self.got),
-        }
+        return {**self._asdict(), "expected": str(self.expected), "got": str(self.got)}
 
 
 def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDiff]:
@@ -353,7 +343,7 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
 
 #: the names the benchmark tracer reads from this module, and their modules
 _TRACER_NAMES = {
-    "bb_sides": "bivariate",
+    "bb_sides": "algebra",
     "derived_products": "derived",
     "exponential_pair": "derived",
     "odd_case_pair": "derived",

@@ -7,12 +7,12 @@ be written, 3 internal generation failure.  Data goes to stdout (or
 
 Every command is a fresh process, which compiles what it imports when no
 bytecode cache is written.  This module holds the option table, the parser
-and the ``gen`` handler; the handlers of the other commands are in
-:mod:`.commands`, which :func:`main` imports only to run one of them.  So
-``gen`` loads neither those handlers, the identity catalog
-(:mod:`.verify`, :mod:`.bivariate`) nor the pairing formulas
-(:mod:`.pairing`); ``eval`` loads no catalog, and ``verify``, ``table`` and
-``bench`` load no pairing.
+and the ``gen`` handler, whose table and LaTeX text :mod:`.algebra` renders.
+:func:`main` imports :mod:`.commands` only to run ``eval``, and the catalog
+:mod:`.verify`, where the other handlers live, only to run one of them.  So
+``gen`` loads no other handler, catalog or pairing; ``eval`` loads no
+catalog, and ``verify``, ``table`` and ``bench`` load no pairing and no
+``eval`` handler.
 """
 from __future__ import annotations
 
@@ -107,23 +107,6 @@ def _emit(text: str, output: "Path | None") -> None:
         raise _UsageError(f"cannot write {output}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _latex_term(n: int, body: str, factorial: bool) -> str:
-    """The LaTeX of the term of t^n whose shown coefficient renders as ``body``."""
-    if n == 0:
-        tpart = ""
-    elif n == 1:
-        tpart = "t"
-    elif factorial:
-        tpart = f"\\frac{{t^{{{n}}}}}{{{n}!}}"
-    else:
-        tpart = f"t^{{{n}}}"
-    if body == "1" and n >= 1:
-        return tpart
-    if n == 0 and "x" not in body and not body.startswith("-"):  # a positive constant
-        return body
-    return f"({body})" + (f" {tpart}" if tpart else "")
-
-
 def _check_order(order: int, least: int, reason: str = "") -> None:
     """Refuse an order below ``least`` or above :data:`MAX_ORDER`."""
     if order < least:
@@ -142,30 +125,20 @@ def _cmd_gen(args: SimpleNamespace) -> int:
     if args.format == "json":
         _emit(json.dumps(series.to_json(args.normalization), indent=2, sort_keys=True), args.output)
         return EXIT_OK
-    from .algebra import render_xpoly
+    from .algebra import render_series
 
-    factorial, latex = args.normalization == "factorial", args.format == "latex"
-    header = f"# series {args.series} order {args.order} normalization {args.normalization}"
-    rows = [f"{args.series}(t) =" if latex else header]
-    for n, poly in series.terms(normalized=factorial):
-        body = render_xpoly(poly)
-        if latex:
-            rows.append(("  " if len(rows) == 1 else "  + ") + _latex_term(n, body, factorial))
-        else:
-            rows.append(f"{n}\t{body}")
-    if latex and len(rows) == 1:
-        rows.append("  0")
-    _emit("\n".join(rows), args.output)
+    _emit(render_series(series, args.series, args.normalization, args.format == "latex"), args.output)
     return EXIT_OK
 
 
 _OUTPUT = {"--output": (Path, None)}
 
 #: per command: the name of its handler, its help line and its arguments.
-#: ``_cmd_gen`` is here; the others are in :mod:`.commands`.  ``--name`` is
-#: an option and a bare name the positional argument.  Each has a type, a
-#: converter or a tuple of choices (``list`` collects a repeated option's
-#: values in order), and a default, ``...`` where the argument is required
+#: ``_cmd_gen`` is here, ``_cmd_eval`` in :mod:`.commands`, the others in
+#: :mod:`.verify`.  ``--name`` is an option and a bare name the positional
+#: argument.  Each has a type, a converter or a tuple of choices (``list``
+#: collects a repeated option's values in order), and a default, ``...``
+#: where the argument is required
 _COMMANDS = {
     "gen": ("_cmd_gen", "generate one series and print it", {
         "--series": (tuple(sorted(SELECTORS)), ...), "--order": (int, 28),
@@ -263,9 +236,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         if args.command == "gen":
             return _cmd_gen(args)
-        from . import commands  # the other handlers: a ``gen`` process never compiles them
-
-        return getattr(commands, _COMMANDS[args.command][0])(args)
+        if args.command == "eval":
+            from . import commands as handlers
+        else:
+            from . import verify as handlers  # the catalog commands' handlers, beside the catalog
+        return getattr(handlers, _COMMANDS[args.command][0])(args)
     except GenerationError as exc:
         return _report(f"{args.command}: generation failed: {exc}", EXIT_GENERATION)
     except _UsageError as exc:
@@ -274,7 +249,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
 if __name__ == "__main__":  # pragma: no cover
     # under ``python -m`` this module runs as ``__main__``: register it under its
-    # own name too, so that ``commands`` imports this run, not a second copy
+    # own name too, so that a handler imports this run, not a second copy
     # whose ``_UsageError`` ``main`` would not catch
     sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(main())

@@ -1,11 +1,10 @@
-"""The handlers of the ``verify``, ``table``, ``eval`` and ``bench`` commands.
+"""The handler of the ``eval`` command and its reader of user files.
 
-:func:`blowup_series.cli.main` imports this module only when it dispatches
-one of them, so a ``gen`` process never compiles it.  Each handler imports
-what only it needs: ``eval`` loads the pairing formulas
-(:mod:`.pairing`) and no catalog, and ``verify``, ``table`` and ``bench``
-load the identity catalog (:mod:`.verify`, with :mod:`.bivariate`) and no
-pairing.
+:func:`blowup_series.cli.main` imports this module only to run ``eval``, so
+no other command compiles it.  ``eval`` loads the pairing formulas
+(:mod:`.pairing`) and no catalog; the handlers of the catalog commands
+``verify``, ``table`` and ``bench`` live beside the catalog, in
+:mod:`.verify`.
 """
 from __future__ import annotations
 
@@ -16,51 +15,7 @@ from pathlib import Path
 from stat import S_ISREG
 from types import SimpleNamespace
 
-from . import blowup
-from .cli import EXIT_FAIL, EXIT_OK, MAX_ORDER, _check_order, _emit, _UsageError, _write
-
-
-def _cmd_verify(args: SimpleNamespace) -> int:
-    _check_order(args.order, 8)
-    if args.bivariate_order < 0:
-        raise _UsageError("--bivariate-order must be >= 0")
-    from .verify import capped_notes, verify_all
-
-    try:
-        reports = verify_all(args.order, bivariate_order=args.bivariate_order, identities=args.identity)
-    except ValueError as exc:
-        raise _UsageError(exc) from None
-    text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
-    _emit(text, args.output)
-    for note in capped_notes(reports, args.order, args.bivariate_order):
-        _write("stderr", f"verify: {note}\n")
-    failed = [r.identity for r in reports if not r.passed]
-    if failed:
-        _write("stderr", f"verify: FAILED: {', '.join(failed)}\n")
-        return EXIT_FAIL
-    _write("stderr", f"verify: all {len(reports)} identities pass through their reported orders\n")
-    return EXIT_OK
-
-
-def _cmd_table(args: SimpleNamespace) -> int:
-    _check_order(args.order, 16, " to cover the golden table")
-    from .verify import golden_check, golden_diff, golden_table_hash
-
-    # the comparison builds its own derived series from the pair cut at t^17;
-    # the report's hash is that of the whole pair
-    series = blowup.assemble_set(*blowup.generate_pair(args.order + 1))
-    report = golden_check(series)
-    lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
-    # the report stops at the first difference; list them all only on failure
-    diffs = [] if report.passed else golden_diff(series)
-    for diff in diffs:
-        lines.append(json.dumps(diff.to_json(), sort_keys=True))
-    _emit("\n".join(lines), args.output)
-    if diffs:
-        _write("stderr", f"table: {len(diffs)} coefficient slots differ from the golden table\n")
-        return EXIT_FAIL
-    _write("stderr", "table: exact match with the golden table\n")
-    return EXIT_OK
+from .cli import EXIT_OK, MAX_ORDER, _emit, _UsageError
 
 
 def _load_json(path: Path):
@@ -155,23 +110,4 @@ def _cmd_eval(args: SimpleNamespace) -> int:
             f"{sys.get_int_max_str_digits()} digits for integer string conversion"
         ) from None
     _emit(text, args.output)
-    return EXIT_OK
-
-
-def _cmd_bench(args: SimpleNamespace) -> int:
-    _check_order(args.order, 4)
-    if args.bivariate_order < 0:
-        raise _UsageError("--bivariate-order must be >= 0")
-    import time
-
-    from .verify import run_catalog
-
-    start = time.perf_counter()
-    series = blowup.build_series_set(args.order + 1)
-    gen_ms = (time.perf_counter() - start) * 1000.0
-    rows = [{"row": "generate", "order": args.order, "ms": gen_ms}]
-    reports = run_catalog(series, args.order, bivariate_order=args.bivariate_order)
-    for report in reports:
-        rows.append({"row": report.identity, "order": report.order, "ms": report.ms})
-    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows), args.output)
     return EXIT_OK

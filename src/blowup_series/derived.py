@@ -153,9 +153,7 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
     if len(s.h[v]) != 1:
         raise SeriesError(f"leading coefficient {s.coeff(v)} is not invertible in the rationals")
     if regular.valuation <= regular.order and regular.valuation < v + 1:
-        raise UnexpectedPoleError(
-            f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}"
-        )
+        raise UnexpectedPoleError(f"(-B + S')/S should vanish at 0 but has valuation {regular.valuation - v}")
     lead = singular.valuation
     if lead > singular.order or lead != v - 1 or scaled(singular.h[lead], v) != scaled(s.h[v], 2):
         order = _quotient_order(singular, s)
@@ -211,10 +209,20 @@ def odd_case_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries]:
     return ws0, ws1
 
 
-def series_content_hash(b: TSeries, s: TSeries) -> str:
-    import hashlib  # only reports and ``table`` hash; ``gen`` never loads it
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, by the interpreter's built-in module
+    (``_sha2`` from Python 3.12, ``_sha256`` before), which loads without the
+    OpenSSL of ``hashlib``; ``hashlib`` is the fallback.  The digests are equal."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
-    payload = json.dumps(
-        [b.to_json(), s.to_json()], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+def series_content_hash(b: TSeries, s: TSeries) -> str:
+    payload = json.dumps([b.to_json(), s.to_json()], sort_keys=True, separators=(",", ":"))
+    return sha256_hex(payload.encode("ascii"))

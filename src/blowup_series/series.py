@@ -21,18 +21,19 @@ d/dt and the integral are index shifts.  Plain coefficients entry / k! are
 formed only by :meth:`TSeries.coeff`, :meth:`TSeries.terms`, plain JSON
 output and display.  A comparison scans the kernel entries with
 :func:`~blowup_series.hurwitz.differences` and values a mismatch by
-:func:`plain_value`, one ``Fraction`` per side and no x-polynomial.  So
-:mod:`blowup_series.algebra` and ``fractions`` are imported only where a
-plain coefficient, an x-polynomial or a scalar that is not an int is
-formed: a product of two series and series JSON of integer literals
-load neither.
+:func:`plain_value`, one ``Fraction`` per side and no x-polynomial.
 
-The bivariate series of the substitutions t -> u +- v (:meth:`TSeries.subst_pm`)
-and the tables the bivariate identities compare live in
-:mod:`blowup_series.bivariate`, which only the identity catalog loads.  The
-module-level names ``BiSeries`` and ``first_difference_uv`` resolve to that
-module's objects on first access, because the benchmark tracer binds them
-here; nothing in the package reads them through this module.
+The plain view lives in :mod:`blowup_series.algebra`: the plain
+constructor reads its coefficients there, and ``coeff``, ``terms``,
+``__str__`` and ``from_terms`` delegate there when they run.  So
+:mod:`blowup_series.algebra` and ``fractions`` are compiled and imported
+only where a plain coefficient, an x-polynomial or a scalar that is not an
+int is formed: a product of two series and series JSON of integer
+literals load neither.  The bivariate series of the substitutions
+t -> u +- v (:meth:`TSeries.subst_pm`) is ``algebra.BiSeries``; the
+module-level names ``BiSeries`` and ``first_difference_uv`` resolve to
+that module's objects on first access, because the benchmark tracer binds
+them here; nothing in the package reads them through this module.
 """
 from __future__ import annotations
 
@@ -110,21 +111,6 @@ class ReadOnly:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _as_xpoly(v: CoeffLike) -> XPoly:
-    from .algebra import XPoly
-
-    if isinstance(v, XPoly):
-        return v
-    return XPoly((v,))
-
-
-def plain_poly(p: Poly, scale: int) -> XPoly:
-    """The plain coefficient of a kernel entry: ``p / scale``, ``scale`` its factorial."""
-    from .algebra import XPoly
-
-    return XPoly._of(divided(p, scale))
-
-
 def plain_value(p: Poly, x: int, scale: int) -> Rational:
     """Coefficient ``x`` of ``p / scale``, the plain coefficient of a kernel entry, as a ``Fraction``."""
     from fractions import Fraction
@@ -176,6 +162,8 @@ class TSeries(ReadOnly):
             raise SeriesError(f"a series needs valuation >= 0, got {valuation}")
         if isinstance(coeffs, str):
             raise TypeError(f"coeffs must be a sequence of coefficients, not the string {coeffs!r}")
+        from .algebra import _as_xpoly
+
         self._set(_plain_kernel(valuation, (_as_xpoly(c).coeffs for c in coeffs), order), order)
 
     def _set(self, h: Sequence[Poly], order: int) -> None:
@@ -206,10 +194,9 @@ class TSeries(ReadOnly):
     @classmethod
     def from_terms(cls, terms: Mapping[int, CoeffLike], order: int) -> "TSeries":
         """Build from an exponent -> coefficient mapping."""
-        if not terms:
-            return cls.zero(order)
-        lo = min(terms)
-        return cls(lo, (terms.get(n, 0) for n in range(lo, order + 1)), order)
+        from .algebra import series_from_terms
+
+        return series_from_terms(cls, terms, order)
 
     # -- structure -----------------------------------------------------
 
@@ -228,33 +215,20 @@ class TSeries(ReadOnly):
         Exponents above the truncation order are unknown and raise;
         exponents below the valuation are known zeros.
         """
-        if n > self.order:
-            raise SeriesError(
-                f"coefficient of t^{n} requested but series is only known through t^{self.order}"
-            )
-        from .algebra import XPoly
+        from .algebra import series_coeff
 
-        if n < 0:
-            return XPoly.zero()
-        if normalized:
-            return XPoly._of(self.h[n])
-        return plain_poly(self.h[n], math.factorial(n))
+        return series_coeff(self, n, normalized)
 
     def terms(self, normalized: bool = False) -> Iterable[tuple[int, XPoly]]:
         """Iterate (exponent, coefficient) over the nonzero stored terms, as :meth:`coeff` forms them."""
-        scale = 1
-        for k, p in enumerate(self.h):
-            if k:
-                scale *= k
-            if p:
-                yield k, plain_poly(p, 1 if normalized else scale)
+        from .algebra import series_terms
+
+        return series_terms(self, normalized)
 
     def truncate(self, order: int) -> "TSeries":
         """Forget knowledge above ``order`` (which must not exceed self.order)."""
         if order > self.order:
-            raise SeriesError(
-                f"cannot extend truncation order {self.order} to {order}"
-            )
+            raise SeriesError(f"cannot extend truncation order {self.order} to {order}")
         return TSeries.from_kernel(self.h, order)
 
     def __eq__(self, other: object) -> bool:
@@ -370,7 +344,7 @@ class TSeries(ReadOnly):
         """
         if sign not in (1, -1):
             raise SeriesError("sign must be +1 or -1")
-        from .bivariate import _biseries  # a module that ``gen`` never loads
+        from .algebra import _biseries
 
         order, h = self.order, self.h
         table = [[scaled(h[i + j], sign**j) for j in range(order - i + 1)] for i in range(order + 1)]
@@ -420,15 +394,9 @@ class TSeries(ReadOnly):
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return f"O(t^{self.order + 1})"
-        bits = []
-        for n, c in self.terms():
-            body = str(c)
-            if c.degree > 0 or ("-" in body[1:] or "+" in body):
-                body = f"({body})"
-            bits.append(f"{body}*t^{n}")
-        return " + ".join(bits) + f" + O(t^{self.order + 1})"
+        from .algebra import series_text
+
+        return series_text(self)
 
     def __repr__(self) -> str:
         return f"<TSeries valuation={self.valuation} order={self.order}>"
@@ -481,9 +449,7 @@ class TMismatch(NamedTuple):
         return {"t": self.t, "x": self.x, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-def first_difference(
-    a: TSeries, b: TSeries, through: "int | None" = None
-) -> "TMismatch | None":
+def first_difference(a: TSeries, b: TSeries, through: "int | None" = None) -> "TMismatch | None":
     """Least (t-power, x-power) where two series differ, or None.
 
     Comparison runs through ``through`` when given (which must not exceed
@@ -493,9 +459,7 @@ def first_difference(
     """
     limit = min(a.order, b.order) if through is None else through
     if limit > min(a.order, b.order):
-        raise SeriesError(
-            f"comparison through t^{limit} exceeds known orders ({a.order}, {b.order})"
-        )
+        raise SeriesError(f"comparison through t^{limit} exceeds known orders ({a.order}, {b.order})")
     diff = next(hurwitz.differences((n, a.h[n], b.h[n]) for n in range(limit + 1)), None)
     if diff is None:
         return None
@@ -507,8 +471,8 @@ def first_difference(
 def __getattr__(name: str):
     if name not in ("BiSeries", "first_difference_uv"):  # the names the benchmark tracer reads here
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import bivariate
+    from . import algebra
 
     # bind it here, so that ``vars(series)`` holds it as an eager import would
-    value = globals()[name] = getattr(bivariate, name)
+    value = globals()[name] = getattr(algebra, name)
     return value

@@ -41,15 +41,17 @@ check that reads a derived group also pays for building it.
 """
 from __future__ import annotations
 
+import json
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple
 
 from . import hurwitz
 from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from . import blowup
 from .blowup import BlowupSeriesSet, GenerationError, build_series_set
-from .derived import _quotient_order, degeneration_form
+from .derived import _quotient_order, degeneration_form, sha256_hex
 from .series import ReadOnly, SeriesError, TMismatch, TSeries, first_difference, plain_value
 
 STATUS_CONJECTURAL = "conjectural (series level)"
@@ -104,9 +106,7 @@ class IdentityDescriptor(ReadOnly):
     check: Check
     run: Callable[[BlowupSeriesSet, int], VerificationReport]
 
-    def __init__(
-        self, id: str, arity: str, status: str, max_feasible_order_hint: int, check: Check
-    ):
+    def __init__(self, id: str, arity: str, status: str, max_feasible_order_hint: int, check: Check):
         self.__dict__.update(
             id=id,
             arity=arity,
@@ -126,9 +126,7 @@ class IdentityDescriptor(ReadOnly):
             error = f"{type(exc).__name__}: {exc}"
         ms = (time.perf_counter() - start) * 1000.0
         passed = mismatch is None and error is None
-        return VerificationReport(
-            self.id, order, passed, mismatch, series_set.content_hash, ms, self.status, error
-        )
+        return VerificationReport(self.id, order, passed, mismatch, series_set.content_hash, ms, self.status, error)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +184,7 @@ def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     lhs = series_set.b.scale_arg(2)
     rhs_order = min(b2.order + b2.valuation, s2.order + s2.valuation)
     if order > min(lhs.order, rhs_order):
-        raise SeriesError(
-            f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})"
-        )
+        raise SeriesError(f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})")
     b2, s2 = b2.truncate(min(order, b2.order)), s2.truncate(min(order, s2.order))
     return first_difference(lhs, b2 * b2 - s2 * s2, order)
 
@@ -244,9 +240,7 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
 
 @lru_cache(maxsize=1)
 def golden_table_hash() -> str:
-    import hashlib
-
-    return hashlib.sha256(blowup._golden_bytes()).hexdigest()
+    return sha256_hex(blowup._golden_bytes())
 
 
 #: which generated series are measured against which golden rows
@@ -284,9 +278,7 @@ def _golden(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
 CATALOG: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor("b0_equals_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("b0", "b2")),
     IdentityDescriptor("btau_equals_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("btau", "s2")),
-    IdentityDescriptor(
-        "ws0_equals_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("ws0", "wronskian")
-    ),
+    IdentityDescriptor("ws0_equals_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("ws0", "wronskian")),
     IdentityDescriptor("ws1_equals_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _equal("ws1", "bs")),
     IdentityDescriptor("pm_ode_plus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(1)),
     IdentityDescriptor("pm_ode_minus", UNIVARIATE, STATUS_CONJECTURAL, 128, _pm_ode(-1)),
@@ -295,15 +287,11 @@ CATALOG: tuple[IdentityDescriptor, ...] = (
     IdentityDescriptor("bbb", BIVARIATE, STATUS_CONJECTURAL, 64, _bbb),
     IdentityDescriptor("degeneration_x2_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "b2")),
     IdentityDescriptor("degeneration_x2_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "s2")),
-    IdentityDescriptor(
-        "degeneration_x2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "wronskian")
-    ),
+    IdentityDescriptor("degeneration_x2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "wronskian")),
     IdentityDescriptor("degeneration_x2_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(2, "bs")),
     IdentityDescriptor("degeneration_xneg2_b2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "b2")),
     IdentityDescriptor("degeneration_xneg2_s2", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "s2")),
-    IdentityDescriptor(
-        "degeneration_xneg2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "wronskian")
-    ),
+    IdentityDescriptor("degeneration_xneg2_wronskian", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "wronskian")),
     IdentityDescriptor("degeneration_xneg2_bs", UNIVARIATE, STATUS_CONJECTURAL, 128, _at(-2, "bs")),
     # the four coefficients sit at t^2 and t^4, so the report states order 4
     IdentityDescriptor("relations_coefficients", UNIVARIATE, STATUS_APPENDIX, 4, _relations),
@@ -350,13 +338,14 @@ def run_catalog(
 
 
 def _requested(descriptor: IdentityDescriptor, order: int, bivariate_order: int) -> int:
-    """The order a row is asked for, before its feasibility hint caps it."""
-    return order if descriptor.arity == UNIVARIATE else min(bivariate_order, order)
+    """The order a row is asked for, before its feasibility hint caps it; the
+    relations row's data sits at t^2 and t^4, so no more than 4 is asked of it."""
+    if descriptor.arity == BIVARIATE:
+        return min(bivariate_order, order)
+    return min(order, 4) if descriptor.check is _relations else order
 
 
-def capped_notes(
-    reports: Iterable[VerificationReport], order: int, bivariate_order: int = 16
-) -> list[str]:
+def capped_notes(reports: Iterable[VerificationReport], order: int, bivariate_order: int = 16) -> list[str]:
     """One line for each report whose order its row's cap put below the requested order."""
     rows = {d.id: d for d in CATALOG}
     notes = []
@@ -372,9 +361,7 @@ def capped_notes(
     return notes
 
 
-def _select(
-    order: int, bivariate_order: int, identities: "Iterable[str] | None"
-) -> list[IdentityDescriptor]:
+def _select(order: int, bivariate_order: int, identities: "Iterable[str] | None") -> list[IdentityDescriptor]:
     """The catalog rows to run, in catalog order; bad arguments raise ValueError."""
     if order < 0 or bivariate_order < 0:
         raise ValueError(f"orders must be >= 0, got {order} and bivariate {bivariate_order}")
@@ -407,3 +394,65 @@ def verify_all(
     selected = [d.id for d in _select(order, bivariate_order, identities)]
     series_set = build_series_set(order + 1)
     return run_catalog(series_set, order, bivariate_order=bivariate_order, identities=selected)
+
+
+# ---------------------------------------------------------------------------
+# the handlers of ``verify``, ``table`` and ``bench``, beside the catalog they
+# run, so that their process compiles no other command's handler
+
+
+def _cmd_verify(args: SimpleNamespace) -> int:
+    from .cli import EXIT_FAIL, EXIT_OK, _check_order, _emit, _UsageError, _write
+
+    _check_order(args.order, 8)
+    if args.bivariate_order < 0:
+        raise _UsageError("--bivariate-order must be >= 0")
+    try:
+        reports = verify_all(args.order, bivariate_order=args.bivariate_order, identities=args.identity)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    _emit("\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports), args.output)
+    for note in capped_notes(reports, args.order, args.bivariate_order):
+        _write("stderr", f"verify: {note}\n")
+    failed = [r.identity for r in reports if not r.passed]
+    if failed:
+        _write("stderr", f"verify: FAILED: {', '.join(failed)}\n")
+        return EXIT_FAIL
+    _write("stderr", f"verify: all {len(reports)} identities pass through their reported orders\n")
+    return EXIT_OK
+
+
+def _cmd_table(args: SimpleNamespace) -> int:
+    from .cli import EXIT_FAIL, EXIT_OK, _check_order, _emit, _write
+
+    _check_order(args.order, 16, " to cover the golden table")
+    # the comparison builds its own derived series from the pair cut at t^17;
+    # the report's hash is that of the whole pair
+    series = blowup.assemble_set(*blowup.generate_pair(args.order + 1))
+    report = golden_check(series)
+    lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
+    # the report stops at the first difference; list them all only on failure
+    diffs = [] if report.passed else golden_diff(series)
+    lines += [json.dumps(diff.to_json(), sort_keys=True) for diff in diffs]
+    _emit("\n".join(lines), args.output)
+    if diffs:
+        _write("stderr", f"table: {len(diffs)} coefficient slots differ from the golden table\n")
+        return EXIT_FAIL
+    _write("stderr", "table: exact match with the golden table\n")
+    return EXIT_OK
+
+
+def _cmd_bench(args: SimpleNamespace) -> int:
+    from .cli import EXIT_OK, _check_order, _emit, _UsageError
+
+    _check_order(args.order, 4)
+    if args.bivariate_order < 0:
+        raise _UsageError("--bivariate-order must be >= 0")
+    start = time.perf_counter()
+    series = blowup.build_series_set(args.order + 1)
+    gen_ms = (time.perf_counter() - start) * 1000.0
+    rows = [{"row": "generate", "order": args.order, "ms": gen_ms}]
+    reports = run_catalog(series, args.order, bivariate_order=args.bivariate_order)
+    rows += [{"row": report.identity, "order": report.order, "ms": report.ms} for report in reports]
+    _emit("\n".join(json.dumps(r, sort_keys=True) for r in rows), args.output)
+    return EXIT_OK

@@ -17,11 +17,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from blowup_series import hurwitz
-from blowup_series.algebra import Rational, RationalLike, XPoly
+from blowup_series.algebra import BiSeries, Rational, RationalLike, XPoly, first_difference_uv
 from blowup_series.blowup import UnexpectedPoleError
 from blowup_series.cli import EXIT_USAGE, SELECTORS
 from blowup_series.pairing import InsufficientMomentsError, MomentFunctional
-from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv, table_add, triple
+from blowup_series.bivariate import UVMismatch, table_add, triple
 from blowup_series.series import SeriesError, TMismatch, TSeries, first_difference
 
 #: the writes a read-only value refuses, by the verb of the refusal's text

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from helpers_oracles import (
@@ -14,9 +18,9 @@ from helpers_oracles import (
     weierstrass_s,
 )
 
-from blowup_series import blowup, derived, hurwitz, series_set
-from blowup_series.algebra import XPoly
-from blowup_series.bivariate import bb_sides, bb_tables, first_difference_uv, table_mismatch
+from blowup_series import blowup, build_series_set, derived, hurwitz, series_set
+from blowup_series.algebra import XPoly, bb_sides, first_difference_uv
+from blowup_series.bivariate import bb_tables, table_mismatch
 from blowup_series.blowup import (
     GenerationError,
     UnexpectedPoleError,
@@ -400,6 +404,34 @@ class TestGoldenTable:
         h = golden_table_hash()
         assert len(h) == 64 and int(h, 16) >= 0
         assert h == golden_table_hash()
+
+
+def _pair_payload(st) -> bytes:
+    """The bytes that a set's content hash digests: the pair's plain JSON, compact."""
+    return json.dumps([st.b.to_json(), st.s.to_json()], sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+class TestHashes:
+    """Both hashes of the package are SHA-256 through ``derived.sha256_hex``,
+    which takes the interpreter's built-in module; each digest equals
+    ``hashlib.sha256`` of the same bytes."""
+
+    def test_the_content_hashes_are_hashlibs_sha256_of_the_pair(self):
+        for st in (series_set(9), build_series_set(49)):
+            assert st.content_hash == hashlib.sha256(_pair_payload(st)).hexdigest()
+
+    def test_the_golden_table_hash_is_hashlibs_sha256_of_the_file(self):
+        path = Path(blowup.__file__).parent / "data" / "golden_table.json"
+        assert golden_table_hash() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_without_the_built_in_modules_hashlib_gives_the_same_digest(self, monkeypatch):
+        payload, sha256, read = _pair_payload(series_set(9)), hashlib.sha256, []
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # the import raises ImportError
+        monkeypatch.setattr(hashlib, "sha256", lambda data: read.append(data) or sha256(data))
+        assert derived.sha256_hex(payload) == series_set(9).content_hash
+        assert derived.sha256_hex(b"") == sha256(b"").hexdigest()
+        assert read == [payload, b""]
 
 
 #: the constructions of :mod:`blowup_series.derived` a series set calls, one per derived group

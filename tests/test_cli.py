@@ -353,15 +353,17 @@ class TestVerify:
         assert code == 2
 
     def test_a_row_capped_below_the_request_is_named_on_stderr(self, capsys):
+        """``bb`` asked for total degree 65 runs at its cap 64, and the note
+        names it.  The relations row's data sits at t^2 and t^4, so its
+        report at order 4 hides no order, and no note names it."""
         code, out, err = run(
-            capsys, "verify", "--order", "8", "--identity", "relations_coefficients",
-            "--identity", "bb_diagonal",
+            capsys, "verify", "--order", "65", "--bivariate-order", "65",
+            "--identity", "relations_coefficients", "--identity", "bb",
         )
         assert code == 0
-        assert [json.loads(line)["order"] for line in out.splitlines()] == [8, 4]
+        assert [json.loads(line)["order"] for line in out.splitlines()] == [64, 4]
         assert err.splitlines() == [
-            "verify: relations_coefficients checked through order 4, below the requested 8, "
-            "the row's cap",
+            "verify: bb checked through total degree 64, below the requested 65, the row's cap",
             "verify: all 2 identities pass through their reported orders",
         ]
 
@@ -751,7 +753,7 @@ out, sys.stdout = sys.stdout, io.StringIO()
 code = blowup_series.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 package = sorted(name.partition(".")[2] or "__init__" for name in sys.modules
                  if name.split(".")[0] == "blowup_series")
-watched = ("hashlib", "concurrent.futures", "argparse", "gettext", "locale", "dataclasses", "inspect",
+watched = ("hashlib", "_hashlib", "concurrent.futures", "argparse", "gettext", "locale", "dataclasses", "inspect",
            "fractions", "decimal")
 out.write(json.dumps([code, package, [name for name in watched if name in set(sys.modules) - bare]]))
 """
@@ -762,7 +764,7 @@ _GEN_MODULES = ["__init__", "blowup", "cli", "hurwitz", "series"]
 #: the standard modules that the rationals of ``algebra`` load
 _ALGEBRA = ["fractions", "decimal"]
 #: the package modules that ``verify``, ``table`` and ``bench`` load
-_CATALOG = sorted(_GEN_MODULES + ["bivariate", "commands", "derived", "verify"])
+_CATALOG = sorted(_GEN_MODULES + ["bivariate", "derived", "verify"])
 
 #: the exact package modules each command loads, and what it loads of the
 #: watched modules beyond what importing the CLI loads
@@ -773,24 +775,26 @@ _LOADED = (
     (["gen", "--series", "B2", "--order", "8", "--format", "json"], sorted(_GEN_MODULES + ["derived"]), []),
     (["gen", "--series", "B", "--order", "8", "--format", "table"], sorted(_GEN_MODULES + ["algebra"]), _ALGEBRA),
     (["eval", "REQUEST"], sorted(_GEN_MODULES + ["commands", "derived", "pairing"]), _ALGEBRA),
-    (["verify", "--order", "8"], _CATALOG, ["hashlib"]),
-    (["table", "--order", "16"], _CATALOG, ["hashlib"]),
-    (["bench", "--order", "4"], _CATALOG, ["hashlib"]),
+    (["verify", "--order", "8"], _CATALOG, []),
+    (["table", "--order", "16"], _CATALOG, []),
+    (["bench", "--order", "4"], _CATALOG, []),
 )
 
 
 def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     """Each command loads the modules it runs and no others.  ``gen`` loads
     the univariate engine and ``cli`` alone: not the other commands' handlers
-    (``commands``), the catalog (``verify``, ``bivariate``), the pairing
-    formulas or ``hashlib``.  ``gen --series B|S --format json`` loads neither
+    (``commands``), the catalog (``verify``, ``bivariate``) or the pairing
+    formulas.  No command loads ``hashlib`` or the OpenSSL of ``_hashlib``:
+    the content hashes take the interpreter's built-in SHA-256.  ``gen --series B|S --format json`` loads neither
     the derived series (``derived``) nor the x-polynomials (``algebra``), nor
     ``fractions`` and the ``decimal`` it imports: the pair, its golden check
     and its JSON run on kernel ints.  A derived series loads ``derived``, a
     printed table ``algebra``.  A passing ``verify``, ``table`` or ``bench``
     forms no plain value either, so it loads neither ``algebra`` nor
-    ``fractions``.  ``eval`` loads no catalog, the catalog commands no
-    pairing.  ``eval`` loads no ``algebra`` either: its moments are read as
+    ``fractions``.  ``eval`` loads no catalog and no catalog handler (they
+    sit in ``verify``), the catalog commands neither the pairing nor the
+    ``eval`` handler (``commands``).  ``eval`` loads no ``algebra`` either: its moments are read as
     the integer pairs of their literals.  None loads ``concurrent.futures``,
     which pulls in logging; the serial catalog needs neither.  None loads ``argparse``,
     ``gettext`` or ``locale``: the command line is parsed from the option
@@ -803,15 +807,17 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
 
 
 def test_the_plain_bivariate_route_imports_what_it_needs_when_it_runs(tmp_path):
-    """``bivariate`` imports no plain arithmetic; in a fresh interpreter that
-    imports it alone, ``BiSeries`` products with an int, a ``Fraction``, an
-    ``XPoly`` and another ``BiSeries``, ``first_difference_uv`` and
-    ``TSeries.subst_pm`` load ``algebra`` as they run."""
+    """``bivariate`` imports no plain arithmetic: in a fresh interpreter that
+    imports it alone, ``algebra`` is not loaded.  The plain bivariate type
+    lives in ``algebra``: ``BiSeries`` products with an int, a ``Fraction``,
+    an ``XPoly`` and another ``BiSeries``, ``first_difference_uv`` and
+    ``TSeries.subst_pm`` then run."""
     probe = (
         "import json, sys\n"
         "from fractions import Fraction\n"
-        "from blowup_series.bivariate import BiSeries, UVMismatch, first_difference_uv\n"
+        "from blowup_series.bivariate import UVMismatch\n"
         "before = 'blowup_series.algebra' in sys.modules\n"
+        "from blowup_series.algebra import BiSeries, first_difference_uv\n"
         "from blowup_series.series import TSeries\n"
         "a = BiSeries([[1, 2], [3]], 1)\n"
         "b = a * 2 * Fraction(1, 2)\n"

@@ -28,8 +28,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blowup_series import bivariate, hurwitz
-from blowup_series.algebra import XPoly
-from blowup_series.bivariate import _biseries, bb_sides, bb_tables, bbb_tables, first_difference_uv
+from blowup_series.algebra import XPoly, _biseries, bb_sides, first_difference_uv
+from blowup_series.bivariate import bb_tables, bbb_tables
 from blowup_series.blowup import BlowupSeriesSet, GenerationError, assemble_set, generate_pair
 from blowup_series.derived import odd_case_pair
 from blowup_series.series import SeriesError, TSeries, first_difference

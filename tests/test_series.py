@@ -19,9 +19,8 @@ from helpers_oracles import (
     sinh_series,
 )
 
-from blowup_series import bivariate, blowup, derived, hurwitz, series
-from blowup_series.algebra import XPoly
-from blowup_series.bivariate import first_difference_uv
+from blowup_series import algebra, blowup, derived, hurwitz, series
+from blowup_series.algebra import XPoly, first_difference_uv
 from blowup_series.blowup import golden_table
 from blowup_series.pairing import EvalResult
 from blowup_series.series import SeriesError, TSeries, first_difference
@@ -339,10 +338,20 @@ class TestCoefficientAccess:
 
 
 class TestBivariate:
+    def test_a_string_of_rows_or_a_string_row_is_refused(self):
+        """A string is not read one character at a time: ``BiSeries(['12', '3'], 1)``
+        once had 1 at (0, 0), 2 at (0, 1) and 3 at (1, 0)."""
+        with pytest.raises(TypeError, match=r"^rows must be a sequence of coefficient rows, not the string '12'$"):
+            algebra.BiSeries("12", 1)
+        with pytest.raises(TypeError, match=r"^each of rows must be a sequence of coefficients, not the string '12'$"):
+            algebra.BiSeries(["12", "3"], 1)
+        bi = algebra.BiSeries([["12"], ["3"]], 1)
+        assert [bi.coeff(i, j).coeffs for i, j in ((0, 0), (0, 1), (1, 0))] == [(12,), (), (3,)]
+
     def test_square_substitution(self):
         t2 = TSeries.monomial(1, 2, 2)
         bi = t2.subst_pm(+1)
-        assert type(bi) is bivariate.BiSeries
+        assert type(bi) is algebra.BiSeries
         assert bi.coeff(2, 0) == XPoly((1,))
         assert bi.coeff(1, 1) == XPoly((2,))
         assert bi.coeff(0, 2) == XPoly((1,))
@@ -403,7 +412,7 @@ class TestBivariate:
         assert str(caught.value) == text
 
 
-def _biseries_slots(bi: bivariate.BiSeries) -> tuple:
+def _biseries_slots(bi: algebra.BiSeries) -> tuple:
     """The order and every coefficient tuple of a bivariate series, row by row."""
     return bi.order, [[bi.coeff(i, j).coeffs for j in range(bi.order - i + 1)] for i in range(bi.order + 1)]
 
@@ -518,21 +527,21 @@ _TRACED_CONSTRUCTIONS = ("derived_products", "exponential_pair", "odd_case_pair"
 
 
 class TestLazyBivariateNames:
-    """``series`` and ``blowup`` serve the three bivariate names the benchmark
-    tracer binds from them, ``blowup`` the four derived-group constructions
-    it binds, and no other name."""
+    """``series`` and ``blowup`` serve the three plain bivariate names the
+    benchmark tracer binds from them, which live in ``algebra``, ``blowup``
+    the four derived-group constructions it binds, and no other name."""
 
     @pytest.mark.parametrize(
         "module, name",
         [(series, "BiSeries"), (series, "first_difference_uv"), (blowup, "bb_sides")],
         ids=lambda v: getattr(v, "__name__", v),
     )
-    def test_a_tracer_bound_name_is_bivariates_object_and_lands_in_vars(
+    def test_a_tracer_bound_name_is_algebras_object_and_lands_in_vars(
         self, monkeypatch, module, name
     ):
         monkeypatch.delitem(vars(module), name, raising=False)
-        assert getattr(module, name) is getattr(bivariate, name)
-        assert vars(module)[name] is getattr(bivariate, name)
+        assert getattr(module, name) is getattr(algebra, name)
+        assert vars(module)[name] is getattr(algebra, name)
 
     @pytest.mark.parametrize("name", _TRACED_CONSTRUCTIONS)
     def test_a_tracer_bound_construction_is_deriveds_object_and_lands_in_vars(self, monkeypatch, name):
@@ -564,9 +573,9 @@ class TestLazyBivariateNames:
         from blowup_series.series import BiSeries, first_difference_uv
 
         assert (BiSeries, first_difference_uv, bb_sides) == (
-            bivariate.BiSeries,
-            bivariate.first_difference_uv,
-            bivariate.bb_sides,
+            algebra.BiSeries,
+            algebra.first_difference_uv,
+            algebra.bb_sides,
         )
         assert (derived_products, exponential_pair, odd_case_pair, series_content_hash) == tuple(
             getattr(derived, name) for name in _TRACED_CONSTRUCTIONS

@@ -154,7 +154,7 @@ def test_only_the_read_only_base_refuses_writes():
     """Assignment and deletion are refused in one place: only ``ReadOnly``
     defines ``__setattr__`` or ``__delattr__``, and every value type derives
     from it."""
-    from blowup_series.bivariate import BiSeries
+    from blowup_series.algebra import BiSeries
     from blowup_series.pairing import EvalResult
     from blowup_series.series import ReadOnly
     from blowup_series.verify import IdentityDescriptor
@@ -216,6 +216,37 @@ def test_user_input_is_read_only_through_the_eval_reader():
     }
     assert {owner for owner, _ in found} == set(_FILE_OPENERS), sorted(found)
     assert ("commands._load_json", "os.open") in found
+
+
+def _hashlib_imports(node: ast.AST, owner: str = "", handled: bool = False):
+    """``(function, inside an except clause)`` of each import of ``hashlib``
+    or ``_hashlib`` under ``node``, and of each string that names one, named
+    by its enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _hashlib_imports(child, f"{owner}.{child.name}" if owner else child.name, handled)
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = [child.value] if isinstance(child, ast.Constant) and isinstance(child.value, str) else []
+        if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+            yield owner, handled
+        yield from _hashlib_imports(child, owner, handled or isinstance(child, ast.ExceptHandler))
+
+
+def test_hashlib_is_only_the_fallback_of_the_sha256_helper():
+    """``hashlib`` loads OpenSSL, which costs a catalog command more than its
+    one digest; the package names it once, as the fallback import inside
+    ``derived.sha256_hex``, and never at module level."""
+    found = [
+        (f"{path.stem}.{owner}", handled)
+        for path in sorted((SRC / "blowup_series").glob("*.py"))
+        for owner, handled in _hashlib_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("derived.sha256_hex", True)]
 
 
 def test_the_demos_are_found():
