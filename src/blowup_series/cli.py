@@ -8,11 +8,12 @@ be written, 3 internal generation failure.  Data goes to stdout (or
 Every command is a fresh process, which compiles what it imports when no
 bytecode cache is written.  This module holds the option table, the parser
 and the ``gen`` handler, whose table and LaTeX text :mod:`.algebra` renders.
-:func:`main` imports :mod:`.commands` only to run ``eval``, and the catalog
-:mod:`.verify`, where the other handlers live, only to run one of them.  So
-``gen`` loads no other handler, catalog or pairing; ``eval`` loads no
-catalog, and ``verify``, ``table`` and ``bench`` load no pairing and no
-``eval`` handler.
+Every other handler sits beside the code it runs, ``eval``'s in
+:mod:`.pairing` and the catalog commands' in :mod:`.verify`; :func:`main`
+imports either module only to run one of its handlers, and a handler imports
+this module only when it runs.  So ``gen`` loads no other handler, catalog or
+pairing; ``eval`` loads no catalog, and ``verify``, ``table`` and ``bench``
+load no pairing.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ def _cmd_gen(args: SimpleNamespace) -> int:
 _OUTPUT = {"--output": (Path, None)}
 
 #: per command: the name of its handler, its help line and its arguments.
-#: ``_cmd_gen`` is here, ``_cmd_eval`` in :mod:`.commands`, the others in
+#: ``_cmd_gen`` is here, ``_cmd_eval`` in :mod:`.pairing`, the others in
 #: :mod:`.verify`.  ``--name`` is an option and a bare name the positional
 #: argument.  Each has a type, a converter or a tuple of choices (``list``
 #: collects a repeated option's values in order), and a default, ``...``
@@ -237,7 +238,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "eval":
-            from . import commands as handlers
+            from . import pairing as handlers  # the eval handler, beside the pairing formulas
         else:
             from . import verify as handlers  # the catalog commands' handlers, beside the catalog
         return getattr(handlers, _COMMANDS[args.command][0])(args)

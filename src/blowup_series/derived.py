@@ -123,7 +123,7 @@ def exponential_pair(b: TSeries, s: TSeries) -> tuple[TSeries, TSeries, TSeries,
     equation.
     Returns (plus, minus, half_sum, half_difference).
     """
-    if b.h[:1] != [[1]]:
+    if b.h[:1] != ((1,),):
         raise SeriesError("the evaluation ODE needs B(0) = 1")
     _check_parity(b, s)
     numerator = b.derivative() + s
@@ -167,8 +167,7 @@ def _check_poles(s: TSeries, regular: TSeries, singular: TSeries) -> None:
             f"{valuation} with residue {_residue(singular, s) if valuation <= -1 else 0}"
         )
     # the t^0 coefficient of (B + S')/S, where its truncation order reaches t^0
-    reaches = min(singular.order - v, s.order - v - 1) >= 0
-    if reaches and scaled(singular.h[v], v + 1) != scaled(s.h[v + 1], 2):
+    if _quotient_order(singular, s) >= 0 and scaled(singular.h[v], v + 1) != scaled(s.h[v + 1], 2):
         raise UnexpectedPoleError("pole subtraction left a singular or constant term (valuation 0)")
 
 

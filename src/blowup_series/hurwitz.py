@@ -3,8 +3,8 @@
 Private to the package; :class:`~blowup_series.series.TSeries` holds its
 vectors.  A Hurwitz vector ``h`` stores the series
 ``sum_n h[n] t^n / n!``: entry ``n`` is the table form ``n! [t^n]``.  Each
-entry is an x-polynomial held as a plain list of scalars, ascending in x
-and free of trailing zeros (``[]`` is zero).  A scalar is an ``int``
+entry is an x-polynomial, a list here and a tuple in a stored series, of
+scalars ascending in x and free of trailing zeros.  A scalar is an ``int``
 wherever it is integral and a ``Fraction`` only where a division was
 inexact, so the kernel stays exact over Q for any input while the
 blow-up series, whose table forms are integer polynomials, run on plain
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Scalar = Union[int, "Fraction"]
-Poly = list  # list[Scalar], ascending powers of x, no trailing zeros
+Poly = list  # list[Scalar] (a tuple in a stored series), ascending powers of x, no trailing zeros
 
 
 def _int_if_integral(v: Scalar) -> Scalar:
@@ -172,8 +172,10 @@ def pair_pieces(i: int, p: list, q: list) -> list[tuple[int, int, Poly]]:
     pieces = []
     for ra, a in p:
         for rb, b in q:
-            if a == [1] or b == [1]:
-                c = b if a == [1] else a
+            if len(b) == 1 == b[0]:
+                c = [*a]
+            elif len(a) == 1 == a[0]:
+                c = [*b]
             else:
                 c = []
                 addmul(c, 1, a, b)

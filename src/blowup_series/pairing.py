@@ -40,13 +40,21 @@ functionals and the order, and reads the cached generated set
 Tau-inserted data is always caller-supplied: real invariant data has to
 satisfy relations this module can check for consistency but deliberately
 does not enforce.
+
+The module closes with the ``eval`` handler and ``_load_json``, the one reader
+of a file a user names.  The handler imports :mod:`.cli` only when it runs, so
+a library user of the formulas loads no front end.
 """
 from __future__ import annotations
 
+import json
+import os
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
+from stat import S_ISREG
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .blowup import series_set
@@ -55,6 +63,8 @@ from .hurwitz import Poly, clean, divided, parts
 from .series import ReadOnly, TSeries, as_fraction, parse_pair
 
 if TYPE_CHECKING:
+    from pathlib import Path
+    from types import SimpleNamespace
     from .algebra import RationalLike
 
 PROVENANCE_EVEN = "maina"
@@ -141,14 +151,14 @@ class MomentFunctional(ReadOnly):
         return functional
 
 
-def _split(h: Sequence[Poly]) -> list:
+def _split(h: Sequence[Poly]) -> tuple:
     """Each entry of ``h`` as ``(length, parts)``: its x-degree plus one, and
-    its :func:`~blowup_series.hurwitz.parts` by x-parity."""
-    return [(len(p), parts(p)) for p in h]
+    its :func:`~blowup_series.hurwitz.parts` by x-parity, as tuples."""
+    return tuple((len(p), tuple(parts(p))) for p in h)
 
 
 @lru_cache(maxsize=4 * series_set.cache_parameters()["maxsize"])
-def _set_split(order: int, name: str) -> list:
+def _set_split(order: int, name: str) -> tuple:
     """The :func:`_split` of series ``name`` of ``series_set(order)``, formed
     once: the four series ``eval`` reads, for as many sets as are cached."""
     return _split(getattr(series_set(order), name).h)
@@ -174,7 +184,7 @@ def _sums(h: Sequence[Poly], mu: MomentFunctional, order: int, scale: int = 1) -
     return _split_sums(_split(h[: order + 1]), mu, scale)
 
 
-def _split_sums(entries: list, mu: MomentFunctional, scale: int) -> list:
+def _split_sums(entries: Sequence, mu: MomentFunctional, scale: int) -> list:
     """:func:`_sums` of the :func:`_split` entries.  A short functional is
     named with the length its first uncovered entry needs."""
     pairs = mu.pairs
@@ -304,3 +314,102 @@ def eval_simple_type(
         _sums(degeneration_form(2, name, order).h, MomentFunctional(name, (w,)), order) for name, w in terms
     ]
     return EvalResult(_plain(*halves), provenance)
+
+
+# ---------------------------------------------------------------------------
+# the handler of ``eval`` and its reader of user files, beside the formulas
+
+
+def _load_json(path: Path):
+    # a device or FIFO would be read without bound, or block for a writer; one
+    # descriptor serves the check and the read, so the check reads the file
+    # that was opened, and O_NONBLOCK keeps a FIFO from blocking the open
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError:
+        # a socket cannot be opened, nor may every device: refused all the same
+        if not S_ISREG(os.stat(path).st_mode):
+            raise ValueError(f"{path}: not a regular file") from None
+        raise
+    try:
+        info = os.fstat(fd)
+        if not S_ISREG(info.st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        data = os.read(fd, info.st_size + 1)
+        # one read, unless the file grew after the fstat or gives no size (/proc)
+        while len(data) > info.st_size and (more := os.read(fd, 1 << 16)):
+            data += more
+    finally:
+        os.close(fd)
+    text = data.decode("utf-8")
+    if "\r" in text:  # a text read's newlines, so a JSON error names the same line and column
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _eval_text(data: dict) -> str:
+    """``json.dumps(data, indent=2, sort_keys=True)`` of an eval result's JSON.
+    No string in it needs escaping: a coefficient holds only ``-``, digits and ``/``."""
+    rows = ",\n".join(f'    [\n      "{c[0]}"\n    ]' if c else "    []" for c in data["coeffs"])
+    coeffs = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "coeffs": {coeffs},\n  "normalization": "plain",\n  "order": {data["order"]},\n'
+        f'  "provenance": "{data["provenance"]}",\n  "valuation": {data["valuation"]},\n  "variable": "t"\n}}'
+    )
+
+
+def _cmd_eval(args: SimpleNamespace) -> int:
+    from .cli import EXIT_OK, MAX_ORDER, _emit, _UsageError
+
+    try:
+        request = _load_json(args.request)
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+        parity = request.get("parity")
+        if parity not in ("even", "odd"):
+            raise ValueError("request needs parity 'even' or 'odd'")
+        order = request.get("order")
+        if type(order) is not int or order < 0:
+            raise ValueError("request needs a non-negative integer 'order'")
+        if order > MAX_ORDER:
+            raise ValueError(f"request 'order' must be <= {MAX_ORDER}")
+        functionals = request.get("functionals")
+        if not isinstance(functionals, dict):
+            raise ValueError("request needs a 'functionals' object")
+        base = args.request.parent
+        formula = request.get("formula", PROVENANCE_EVEN if parity == "even" else PROVENANCE_ODD)
+
+        def need(field: str) -> MomentFunctional:
+            if field not in functionals:
+                raise ValueError(f"{parity} parity ({formula}) requires functional {field!r}")
+            value = functionals[field]
+            if isinstance(value, str):
+                value = _load_json(base / value)
+            if isinstance(value, dict):
+                return MomentFunctional.from_json(value)
+            raise ValueError(f"functional {field!r} must be a moment object or a path to one")
+
+        if parity == "even" and formula == PROVENANCE_EVEN:
+            result = eval_even(need("mu_c"), need("mu_ctau"), order)
+        elif parity == "even" and formula == PROVENANCE_EVEN_PRIME:
+            result = eval_even_main_prime(need("mu_c"), need("nu_c"), order)
+        elif parity == "odd" and formula == PROVENANCE_ODD:
+            result = eval_odd(need("mu_c"), need("nu_c"), order)
+        else:
+            raise ValueError(f"unknown formula {formula!r} for parity {parity!r}")
+    except (OSError, ValueError) as exc:  # JSON, moment and series errors are ValueErrors
+        raise _UsageError(exc) from None
+    except ZeroDivisionError as exc:  # parse_pair on a moment such as "1/0"
+        raise _UsageError(f"a moment has a zero denominator: {exc}") from None
+    try:
+        text = _eval_text(result.to_json())
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise _UsageError(
+            "a result coefficient exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from None
+    _emit(text, args.output)
+    return EXIT_OK

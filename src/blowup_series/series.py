@@ -148,11 +148,12 @@ def _plain_text(v: hurwitz.Scalar, scale: int) -> str:
 class TSeries(ReadOnly):
     """Truncated power series in t over Q[x], held as a divided-power vector.
 
-    Read-only through :class:`ReadOnly`.  ``h[n]`` is the kernel entry
-    n! [t^n] for n = 0 .. order.  The constructor takes plain coefficients
-    from ``valuation`` on and does not read those past the order;
-    :meth:`from_kernel` takes a vector.  A series that is zero through its
-    order has valuation ``order + 1`` (0 if the order is below -1).
+    Read-only through :class:`ReadOnly`; ``h`` is a tuple of tuples, so no
+    caller can change a cached entry.  ``h[n]`` is the kernel entry n! [t^n]
+    for n = 0 .. order.  The constructor takes plain coefficients from
+    ``valuation`` on and does not read those past the order; :meth:`from_kernel`
+    takes a vector.  A series that is zero through its order has valuation
+    ``order + 1`` (0 if the order is below -1).
     """
 
     __slots__ = ("h", "order")
@@ -167,11 +168,10 @@ class TSeries(ReadOnly):
         self._set(_plain_kernel(valuation, (_as_xpoly(c).coeffs for c in coeffs), order), order)
 
     def _set(self, h: Sequence[Poly], order: int) -> None:
-        """Store ``h``, clipped or padded to the order."""
+        """Store ``h``, clipped or padded to the order, as a tuple of tuples."""
         n = max(order + 1, 0)
-        h = list(h[:n])
-        h.extend([] for _ in range(n - len(h)))
-        object.__setattr__(self, "h", h)
+        entries = tuple(map(tuple, h[:n]))
+        object.__setattr__(self, "h", entries + ((),) * (n - len(entries)))
         object.__setattr__(self, "order", order)
 
     # -- constructors --------------------------------------------------
@@ -291,7 +291,7 @@ class TSeries(ReadOnly):
 
     def integrate(self) -> "TSeries":
         """Definite integral from 0; the output is exact through ``order + 1``."""
-        return TSeries.from_kernel([[]] + self.h, self.order + 1)
+        return TSeries.from_kernel(((),) + self.h, self.order + 1)
 
     def scale_arg(self, c: RationalLike) -> "TSeries":
         """Substitute t -> c*t for a rational c (coefficient of t^n scales by c^n)."""
@@ -325,7 +325,7 @@ class TSeries(ReadOnly):
 
     def sqrt(self) -> "TSeries":
         """Square root of a series with constant term exactly 1."""
-        if self.h[:1] != [[1]]:
+        if self.h[:1] != ((1,),):
             raise SeriesError("sqrt needs constant term exactly 1")
         # w = sqrt(f) solves 2 f w' = f' w with w(0) = 1; sigma = 2 f keeps it integral
         twice_f = [scaled(p, 2) for p in self.h]

@@ -228,7 +228,7 @@ def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The four low-order table coefficients that drive the two classical
     evaluation relations on tau^2 and tau^4; they reach t^4 at any order.
     The table forms n! [t^n] are the kernel entries themselves."""
-    for name, n, expected in (("b2", 2, []), ("s2", 2, [2]), ("b2", 4, [-4]), ("s2", 4, [0, -8])):
+    for name, n, expected in (("b2", 2, ()), ("s2", 2, (2,)), ("b2", 4, (-4,)), ("s2", 4, (0, -8))):
         series = getattr(series_set, name)
         if n > series.order:  # raise what reading the plain coefficient raises
             series.coeff(n)

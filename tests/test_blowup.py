@@ -151,7 +151,7 @@ class TestGeneration:
                 1
                 for d in range(0, top + 1, 2)
                 for i in range(max(0, d - len(h) + 1), d // 2 + 1)
-                if h[i] and h[d - i] and [1] not in (h[i], h[d - i])
+                if h[i] and h[d - i] and (1,) not in (h[i], h[d - i])
             )
 
         assert len(calls) == products(b.h, last + 4) + products(s.h, last + 2)
@@ -217,7 +217,9 @@ class TestExponentialPair:
         def shifted(sigma, *args):
             w = solve(sigma, *args)
             if sigma is b:  # the evaluation ODE, not an odd-case one
-                w.h[6] = hurwitz.add(w.h[6], [0] * x_power + [1])
+                h = list(w.h)
+                h[6] = hurwitz.add(h[6], [0] * x_power + [1])
+                w = TSeries.from_kernel(h, w.order)
             return w
 
         monkeypatch.setattr(derived, "_ode_solution", shifted)
@@ -527,6 +529,13 @@ class TestSeriesSet:
             del series_set(8).b
         with pytest.raises(AttributeError):
             series_set(8).b.h = []
+        assert first_difference(series_set(8).b, generate_pair(8)[0]) is None
+
+    def test_an_entry_of_a_cached_series_cannot_be_changed(self):
+        """A kernel vector is a tuple of tuples, so a caller cannot change an
+        entry in place and thereby the set every later caller reads."""
+        with pytest.raises(AttributeError):
+            series_set(8).b.h[4].append(7)
         assert first_difference(series_set(8).b, generate_pair(8)[0]) is None
 
     def test_derived_products_standalone(self, set17):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import blowup_series
 
-from blowup_series import blowup, cli, commands, derived, verify
+from blowup_series import blowup, cli, derived, pairing, verify
 from blowup_series.algebra import XPoly, parse_rational
 from blowup_series.blowup import GenerationError
 from blowup_series.cli import MAX_ORDER, main
@@ -774,7 +774,7 @@ _LOADED = (
     (["gen", "--series", "S", "--order", "8", "--format", "json", "--normalization", "plain"], _GEN_MODULES, []),
     (["gen", "--series", "B2", "--order", "8", "--format", "json"], sorted(_GEN_MODULES + ["derived"]), []),
     (["gen", "--series", "B", "--order", "8", "--format", "table"], sorted(_GEN_MODULES + ["algebra"]), _ALGEBRA),
-    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["commands", "derived", "pairing"]), _ALGEBRA),
+    (["eval", "REQUEST"], sorted(_GEN_MODULES + ["derived", "pairing"]), _ALGEBRA),
     (["verify", "--order", "8"], _CATALOG, []),
     (["table", "--order", "16"], _CATALOG, []),
     (["bench", "--order", "4"], _CATALOG, []),
@@ -783,9 +783,9 @@ _LOADED = (
 
 def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     """Each command loads the modules it runs and no others.  ``gen`` loads
-    the univariate engine and ``cli`` alone: not the other commands' handlers
-    (``commands``), the catalog (``verify``, ``bivariate``) or the pairing
-    formulas.  No command loads ``hashlib`` or the OpenSSL of ``_hashlib``:
+    the univariate engine and ``cli`` alone: not the other commands' handlers,
+    the catalog (``verify``, ``bivariate``) or the pairing formulas
+    (``pairing``), where those handlers sit.  No command loads ``hashlib`` or the OpenSSL of ``_hashlib``:
     the content hashes take the interpreter's built-in SHA-256.  ``gen --series B|S --format json`` loads neither
     the derived series (``derived``) nor the x-polynomials (``algebra``), nor
     ``fractions`` and the ``decimal`` it imports: the pair, its golden check
@@ -794,7 +794,7 @@ def test_importing_the_cli_leaves_out_the_thread_pool(tmp_path):
     forms no plain value either, so it loads neither ``algebra`` nor
     ``fractions``.  ``eval`` loads no catalog and no catalog handler (they
     sit in ``verify``), the catalog commands neither the pairing nor the
-    ``eval`` handler (``commands``).  ``eval`` loads no ``algebra`` either: its moments are read as
+    ``eval`` handler (it sits in ``pairing``).  ``eval`` loads no ``algebra`` either: its moments are read as
     the integer pairs of their literals.  None loads ``concurrent.futures``,
     which pulls in logging; the serial catalog needs neither.  None loads ``argparse``,
     ``gettext`` or ``locale``: the command line is parsed from the option
@@ -854,6 +854,24 @@ def test_reading_a_series_set_leaves_dataclasses_unloaded(tmp_path):
     assert json.loads(result.stdout) == [False, ["b", "s"]]
 
 
+def test_the_libraries_load_no_front_end(tmp_path):
+    """A handler sits beside its library and imports ``cli`` only when it
+    runs: a fresh interpreter that runs the pairing formulas on in-memory
+    functionals and the whole catalog never loads ``blowup_series.cli``."""
+    probe = (
+        "import json, sys\n"
+        "from blowup_series.pairing import MomentFunctional, eval_even, eval_odd\n"
+        "from blowup_series.verify import verify_all\n"
+        "mu, nu = MomentFunctional('mu', [1] * 8), MomentFunctional('nu', [2] * 8)\n"
+        "results = [eval_even(mu, nu, 6).to_json()['order'], eval_odd(mu, nu, 6).to_json()['order']]\n"
+        "passed = all(report.passed for report in verify_all(8))\n"
+        "print(json.dumps([results, passed, 'blowup_series.cli' in sys.modules]))\n"
+    )
+    result = _fresh(["-c", probe], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [[6, 6], True, False]
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -862,10 +880,10 @@ def test_reading_a_series_set_leaves_dataclasses_unloaded(tmp_path):
     ],
     ids=["verify", "eval"],
 )
-def test_a_handler_in_commands_reports_a_usage_error_under_python_m(argv, err, tmp_path):
+def test_a_handler_beside_its_library_reports_a_usage_error_under_python_m(argv, err, tmp_path):
     """Under ``python -m`` the CLI runs as ``__main__``; the handlers in
-    ``commands`` raise the usage error that this run's ``main`` catches, so
-    the error is one line and exit 2, not a traceback."""
+    ``verify`` and ``pairing`` raise the usage error that this run's ``main``
+    catches, so the error is one line and exit 2, not a traceback."""
     result = _fresh(["-m", "blowup_series.cli", *argv], tmp_path)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", err)
 
@@ -930,7 +948,7 @@ _UNICODE_JSON = st.recursive(
 
 
 class TestReader:
-    """``commands._load_json`` reads every ``eval`` input, the request and
+    """``pairing._load_json`` reads every ``eval`` input, the request and
     each functional given as a path, through one descriptor."""
 
     @pytest.mark.parametrize("case", _UNREADABLE)
@@ -1006,7 +1024,7 @@ class TestReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "value.json"
             path.write_bytes(json.dumps(value, ensure_ascii=False, indent=indent).replace("\n", newline).encode())
-            assert commands._load_json(path) == json.loads(path.read_text(encoding="utf-8")) == value
+            assert pairing._load_json(path) == json.loads(path.read_text(encoding="utf-8")) == value
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_every_refusal_closes_its_descriptor(self, tmp_path):
@@ -1022,7 +1040,7 @@ class TestReader:
         before = len(os.listdir("/proc/self/fd"))
         for path in refused:
             with pytest.raises((OSError, ValueError)):
-                commands._load_json(path)
+                pairing._load_json(path)
         assert len(os.listdir("/proc/self/fd")) == before
 
 

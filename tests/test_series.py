@@ -73,7 +73,7 @@ class TestConstruction:
         """A string is not read one character at a time: ``TSeries(0, "12", 1)`` once was 1 + 2t."""
         with pytest.raises(TypeError, match=r"^coeffs must be a sequence of coefficients, not the string '12'$"):
             TSeries(0, "12", 1)
-        assert TSeries(0, ["12"], 1).h == [[12], []]
+        assert TSeries(0, ["12"], 1).h == ((12,), ())
 
     def test_zero_series_convention(self):
         z = TSeries.zero(7)
@@ -249,7 +249,7 @@ class TestScaleArg:
     def test_an_integral_result_is_an_int(self, c):
         """The kernel scalar rule on the int path too: 2 * (1/2) is the int 1."""
         h = TSeries.from_kernel([[], [F(1, 2)], [F(3, 4), F(1, 3)]], 2).scale_arg(c).h
-        assert h == [[], [1], [3, F(4, 3)]]
+        assert h == ((), (1,), (3, F(4, 3)))
         assert [type(v) for p in h for v in p] == [int, int, F]
 
 
@@ -452,7 +452,7 @@ def parity_extended(h: list, weight: int, order: int, more) -> tuple:
     known further: one entry past ``order`` that keeps the parity rule per
     item of ``more``."""
     extra = [parity_entry(n, weight, values) for n, values in enumerate(more, order + 1)]
-    return TSeries.from_kernel(h, order), TSeries.from_kernel(h[: order + 1] + extra, order + len(extra))
+    return TSeries.from_kernel(h, order), TSeries.from_kernel([*h[: order + 1], *extra], order + len(extra))
 
 
 #: the values of entries that keep the parity rule

@@ -183,7 +183,7 @@ def test_only_the_read_only_base_refuses_writes():
 
 #: each function of the package that opens or reads a file, and what it reads
 _FILE_OPENERS = {
-    "commands._load_json": "every input file a user names: the eval request and its functionals",
+    "pairing._load_json": "every input file a user names: the eval request and its functionals",
     "blowup._golden_bytes": "the golden table, package data",
     "cli._write": "os.devnull, reopened over a standard stream that failed",
 }
@@ -205,7 +205,7 @@ def _file_opening_calls(node: ast.AST, owner: str = ""):
 
 
 def test_user_input_is_read_only_through_the_eval_reader():
-    """Only ``commands._load_json`` reads a file a user names, so each new
+    """Only ``pairing._load_json`` reads a file a user names, so each new
     reader of user input, such as ``verify`` over a pair of series files,
     goes through it and refuses a FIFO or a device alike.  The other
     functions that open a file read package data or reopen ``os.devnull``."""
@@ -215,7 +215,7 @@ def test_user_input_is_read_only_through_the_eval_reader():
         for owner, call in _file_opening_calls(ast.parse(path.read_text()))
     }
     assert {owner for owner, _ in found} == set(_FILE_OPENERS), sorted(found)
-    assert ("commands._load_json", "os.open") in found
+    assert ("pairing._load_json", "os.open") in found
 
 
 def _hashlib_imports(node: ast.AST, owner: str = "", handled: bool = False):
