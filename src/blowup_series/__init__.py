@@ -16,7 +16,7 @@ from .blowup import (
     golden_table,
     series_set,
 )
-from .series import SeriesError, TSeries, first_difference
+from .series import SeriesError, TSeries, _lazy_names, first_difference
 
 __version__ = "1.0.0"
 
@@ -35,18 +35,7 @@ _LAZY = {
     "verify_all": "verify",
 }
 
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
-    # bind it here, so that the next read finds it without this hook and
-    # ``vars(blowup_series)`` holds it as an eager import would
-    globals()[name] = value
-    return value
-
+__getattr__ = _lazy_names(globals(), _LAZY)
 
 #: what the demos import and the README names; the rest lives in the submodules
 __all__ = [

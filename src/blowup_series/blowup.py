@@ -24,9 +24,11 @@ the catalog commands load.
 
 Every series derived from the pair is built by one route, in
 :mod:`blowup_series.derived`, which a set imports on the first read of a
-derived group; ``gen --series B`` never loads it.  The benchmark tracer
-binds ``bb_sides`` and the four group constructions from this module, so
-those names resolve to their modules' functions on first access.
+derived group; ``gen --series B`` never loads it.  ``_GROUPS`` names each
+group once, with its construction there.  The benchmark tracer binds
+``bb_sides`` and the four group constructions from this module, so those
+names resolve to their modules' functions on first access, through the
+hook that :func:`~blowup_series.series._lazy_names` makes.
 
 Every construction runs on the divided-power vectors that a
 :class:`TSeries` holds (:mod:`blowup_series.hurwitz`), where the table forms
@@ -52,7 +54,7 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .hurwitz import Poly, add, clean, differences, divided, pair_pieces, pair_products, pair_sum, parts
-from .series import ReadOnly, SeriesError, TSeries, plain_value
+from .series import ReadOnly, SeriesError, TSeries, _lazy_names, plain_value
 
 if TYPE_CHECKING:
     from .algebra import Rational
@@ -177,6 +179,27 @@ def _check_against_golden(b: TSeries, s: TSeries) -> None:
         )
 
 
+#: each cached group of a set and its construction in :mod:`blowup_series.derived`, in build order
+_GROUPS = {
+    "_products": "derived_products",
+    "_exponential": "exponential_pair",
+    "_odd": "odd_case_pair",
+    "content_hash": "series_content_hash",
+}
+
+
+def _group(construction: str) -> cached_property:
+    """A group built by ``construction`` over the pair on its first read and
+    kept; ``cached_property`` keeps no failed build."""
+
+    def build(self):
+        from . import derived
+
+        return getattr(derived, construction)(self.b, self.s)
+
+    return cached_property(build)
+
+
 def _member(group: str, index: int) -> property:
     """Series ``index`` of a derived group, which is built on the first read."""
     return property(lambda self: getattr(self, group)[index])
@@ -188,7 +211,7 @@ class _TracerFields:
     The tracer sizes a set by ``dataclasses.fields(series_set)``.  This
     descriptor makes the two fields when it is read, so that only that read
     imports ``dataclasses``.  It goes when the tracer stops calling
-    ``dataclasses.fields`` (ROADMAP, item 1).
+    ``dataclasses.fields`` (ROADMAP, item 7).
     """
 
     def __get__(self, instance, owner):
@@ -229,37 +252,10 @@ class BlowupSeriesSet(ReadOnly):
     def order(self) -> int:
         return self.b.order
 
-    @cached_property
-    def _products(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        from . import derived
-
-        return derived.derived_products(self.b, self.s)
-
-    @cached_property
-    def _exponential(self) -> tuple[TSeries, TSeries, TSeries, TSeries]:
-        from . import derived
-
-        return derived.exponential_pair(self.b, self.s)
-
-    @cached_property
-    def _odd(self) -> tuple[TSeries, TSeries]:
-        from . import derived
-
-        return derived.odd_case_pair(self.b, self.s)
-
-    @cached_property
-    def content_hash(self) -> str:
-        from . import derived
-
-        return derived.series_content_hash(self.b, self.s)
-
+    _products, _exponential, _odd, content_hash = map(_group, _GROUPS.values())
     b2, s2, bs, wronskian = (_member("_products", i) for i in range(4))
     b_plus, b_minus, b0, btau = (_member("_exponential", i) for i in range(4))
     ws0, ws1 = (_member("_odd", i) for i in range(2))
-
-
-#: the cached groups of a set, in build order
-_GROUPS = ("_products", "_exponential", "_odd", "content_hash")
 
 
 def assemble_set(b: TSeries, s: TSeries) -> BlowupSeriesSet:
@@ -342,20 +338,5 @@ def _golden_diffs(rows: Iterable[tuple[str, str, TSeries]]) -> Iterator[GoldenDi
 
 
 #: the names the benchmark tracer reads from this module, and their modules
-_TRACER_NAMES = {
-    "bb_sides": "algebra",
-    "derived_products": "derived",
-    "exponential_pair": "derived",
-    "odd_case_pair": "derived",
-    "series_content_hash": "derived",
-}
-
-
-def __getattr__(name: str):
-    if name not in _TRACER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    # bind it here, so that ``vars(blowup)`` holds it as an eager import would
-    value = globals()[name] = getattr(import_module(f"{__package__}.{_TRACER_NAMES[name]}"), name)
-    return value
+_TRACER_NAMES = {"bb_sides": "algebra", **dict.fromkeys(_GROUPS.values(), "derived")}
+__getattr__ = _lazy_names(globals(), _TRACER_NAMES)

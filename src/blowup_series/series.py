@@ -33,7 +33,8 @@ literals load neither.  The bivariate series of the substitutions
 t -> u +- v (:meth:`TSeries.subst_pm`) is ``algebra.BiSeries``; the
 module-level names ``BiSeries`` and ``first_difference_uv`` resolve to
 that module's objects on first access, because the benchmark tracer binds
-them here; nothing in the package reads them through this module.
+them here; nothing in the package reads them through this module.  Every
+module hook of the package is one that :func:`_lazy_names` makes.
 """
 from __future__ import annotations
 
@@ -468,11 +469,22 @@ def first_difference(a: TSeries, b: TSeries, through: "int | None" = None) -> "T
     return TMismatch(n, x, plain_value(a.h[n], x, scale), plain_value(b.h[n], x, scale))
 
 
-def __getattr__(name: str):
-    if name not in ("BiSeries", "first_difference_uv"):  # the names the benchmark tracer reads here
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import algebra
+def _lazy_names(namespace: dict, homes: Mapping[str, str]):
+    """The PEP 562 ``__getattr__`` of the package module whose globals are
+    ``namespace``: a name in ``homes`` is imported from the package module
+    ``homes[name]`` on first access and bound in ``namespace``, as an eager
+    import binds it, so the next read skips the hook; any other name is missing."""
 
-    # bind it here, so that ``vars(series)`` holds it as an eager import would
-    value = globals()[name] = getattr(algebra, name)
-    return value
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = namespace[name] = getattr(import_module(f"{__package__}.{homes[name]}"), name)
+        return value
+
+    return __getattr__
+
+
+#: the names the benchmark tracer reads here
+__getattr__ = _lazy_names(globals(), {"BiSeries": "algebra", "first_difference_uv": "algebra"})

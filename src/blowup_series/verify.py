@@ -178,15 +178,11 @@ def _bb_diagonal(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The u = v specialisation of the product identity: B(2t) = B^4 - S^4.
 
     B^2 and S^2 are multiplied only through ``order``; an order beyond what
-    the full products would know is refused with their orders.
+    the products know is refused by :func:`first_difference`.
     """
     b2, s2 = series_set.b2, series_set.s2
-    lhs = series_set.b.scale_arg(2)
-    rhs_order = min(b2.order + b2.valuation, s2.order + s2.valuation)
-    if order > min(lhs.order, rhs_order):
-        raise SeriesError(f"comparison through t^{order} exceeds known orders ({lhs.order}, {rhs_order})")
     b2, s2 = b2.truncate(min(order, b2.order)), s2.truncate(min(order, s2.order))
-    return first_difference(lhs, b2 * b2 - s2 * s2, order)
+    return first_difference(series_set.b.scale_arg(2), b2 * b2 - s2 * s2, order)
 
 
 def _bb(series_set: BlowupSeriesSet, total_order: int) -> "UVMismatch | None":
@@ -226,9 +222,11 @@ def _at_x(series: TSeries, x: int) -> TSeries:
 
 def _relations(series_set: BlowupSeriesSet, order: int) -> "TMismatch | None":
     """The four low-order table coefficients that drive the two classical
-    evaluation relations on tau^2 and tau^4; they reach t^4 at any order.
-    The table forms n! [t^n] are the kernel entries themselves."""
+    evaluation relations on tau^2 and tau^4, at t^2 and t^4, each read only
+    through ``order``.  The table forms n! [t^n] are the kernel entries themselves."""
     for name, n, expected in (("b2", 2, ()), ("s2", 2, (2,)), ("b2", 4, (-4,)), ("s2", 4, (0, -8))):
+        if n > order:
+            break
         series = getattr(series_set, name)
         if n > series.order:  # raise what reading the plain coefficient raises
             series.coeff(n)

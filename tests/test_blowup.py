@@ -132,6 +132,16 @@ class TestGeneration:
             generate_pair(20)
         assert raised.value.degree == entry
 
+    def test_a_seed_consistency_failure_names_its_residual(self, monkeypatch):
+        """(E2) at t^2 and t^4 is redundant with the seeds; a nonzero rest there
+        is refused with its plain value and degree."""
+        rest = blowup._e2_rest
+        monkeypatch.setattr(blowup, "_e2_rest", lambda b, s, m: [1] if m == 4 else rest(b, s, m))
+        with pytest.raises(GenerationError) as raised:
+            generate_pair(8)
+        assert str(raised.value) == "seed consistency check failed, residual 1/24 (degree 4)"
+        assert raised.value.degree == 4
+
     @pytest.mark.parametrize("order", [5, 20, 65])
     def test_each_pair_product_is_formed_once(self, monkeypatch, order):
         """(E4) and (E2) read the pairs b_i b_{d-i} of one d up to three times,

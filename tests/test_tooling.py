@@ -249,6 +249,25 @@ def test_hashlib_is_only_the_fallback_of_the_sha256_helper():
     assert found == [("derived.sha256_hex", True)]
 
 
+def test_every_module_hook_comes_from_the_one_helper():
+    """A package module that serves names on first access (PEP 562) has its
+    ``__getattr__`` from ``series._lazy_names``, and ``blowup`` serves each
+    group construction that its ``_GROUPS`` table names."""
+    import importlib
+
+    from blowup_series import blowup, series
+
+    modules = [
+        importlib.import_module("blowup_series" if path.stem == "__init__" else f"blowup_series.{path.stem}")
+        for path in sorted((SRC / "blowup_series").glob("*.py"))
+    ]
+    hooks = [vars(module)["__getattr__"] for module in modules if "__getattr__" in vars(module)]
+    assert hooks and {hook.__qualname__ for hook in hooks} == {
+        f"{series._lazy_names.__qualname__}.<locals>.__getattr__"
+    }
+    assert set(blowup._GROUPS.values()) <= set(blowup._TRACER_NAMES)
+
+
 def test_the_demos_are_found():
     assert len(DEMOS) >= 4
 

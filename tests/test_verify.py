@@ -448,6 +448,17 @@ class TestRelationsAndGolden:
         )
         assert not report.passed and report.to_json()["first_mismatch"] == mismatch
 
+    def test_the_relations_row_reads_no_slot_past_its_order(self):
+        """S with entry t^3 = (0, -2) puts (0, -16) at t^4 of S^2: the row
+        passes through t^2 and t^3, and names t^4 from order 4 on."""
+        b, s = generate_pair(8)
+        bad = assemble_set(b, _bumped(s, 3, 1, -1))
+        for order in (2, 3):
+            (report,) = run_catalog(bad, order, identities=["relations_coefficients"])
+            assert report.passed and report.order == order
+        (report,) = run_catalog(bad, 4, identities=["relations_coefficients"])
+        assert report.to_json()["first_mismatch"] == {"t": 4, "x": 1, "lhs": "-16", "rhs": "-8"}
+
     def test_golden_check(self, set17):
         report = golden_check(set17)
         assert report.passed and report.identity == "golden_table"
