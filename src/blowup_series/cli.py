@@ -42,11 +42,11 @@ SELECTORS = {
 #: ws0 solves its ODE from S' - B, known one order less than the pair
 _GUARDED = frozenset({"WS0"})
 
-#: largest order any command builds.  The full set grows about as order^4.7
-#: (0.67 s at order 129 and 17.4 s at 257, single runs on a 2-core Intel Xeon
-#: host with Python 3.11.7), so order 512 would take about seven minutes; the
-#: checked pair alone, all that ``gen --series B|S`` builds, takes 0.10 s at
-#: order 129 and 1.6 s at 257 there
+#: largest order any command builds.  The full set grows about as order^4.5
+#: (``bench`` at 128 and 256: 0.45 s and 10.1 s, medians of 3 runs on a 2-core
+#: Intel Xeon host with Python 3.11.7), so order 512 would take about four
+#: minutes; the checked pair alone, all that ``gen --series B|S`` builds,
+#: takes 0.06 s at order 129 and 0.93 s at 257 there (medians of 3)
 MAX_ORDER = 256
 
 EXIT_OK = 0

@@ -167,6 +167,15 @@ def _eval_request(formula: str, order: int, kind) -> dict:
     return {"parity": parity, "order": order, "formula": formula, "functionals": functionals}
 
 
+_MOMENTS = {"label": "m", "moments": ["1"] * 8}
+
+
+def _request(**fields) -> str:
+    """A valid even ``eval`` request with ``fields`` replaced."""
+    functionals = {"mu_c": _MOMENTS, "mu_ctau": _MOMENTS}
+    return json.dumps({"parity": "even", "order": 4, "functionals": functionals, **fields})
+
+
 def _refuse_groups(monkeypatch, *names):
     """Make the named derived-group constructions raise, on a fresh series-set cache."""
     for name in names:
@@ -674,6 +683,39 @@ class TestEval:
             assert code == 2, text[:80]
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith("eval: "), err
+
+    @pytest.mark.parametrize(
+        "fields, line",
+        [
+            ({"functionals": {"mu_ctau": _MOMENTS}}, "even parity (maina) requires functional 'mu_c'"),
+            ({"functionals": {"mu_c": _MOMENTS}}, "even parity (maina) requires functional 'mu_ctau'"),
+            (
+                {"formula": "main-prime", "functionals": {"mu_c": _MOMENTS, "mu_ctau": _MOMENTS}},
+                "even parity (main-prime) requires functional 'nu_c'",
+            ),
+            (
+                {"parity": "odd", "functionals": {"mu_c": _MOMENTS, "mu_ctau": _MOMENTS}},
+                "odd parity (mainb) requires functional 'nu_c'",
+            ),
+            ({"formula": "mainb"}, "unknown formula 'mainb' for parity 'even'"),
+            ({"parity": "odd", "formula": "maina"}, "unknown formula 'maina' for parity 'odd'"),
+            ({"formula": "corollary-even"}, "unknown formula 'corollary-even' for parity 'even'"),
+            ({"formula": ["x"]}, "unknown formula ['x'] for parity 'even'"),
+            ({"formula": {"a": 1}}, "unknown formula {'a': 1} for parity 'even'"),
+            ({"formula": 5}, "unknown formula 5 for parity 'even'"),
+            ({"formula": None}, "unknown formula None for parity 'even'"),
+        ],
+    )
+    def test_each_formula_refusal_reads_one_exact_line(self, capsys, tmp_path, fields, line):
+        request = tmp_path / "request.json"
+        request.write_text(_request(**fields))
+        assert run(capsys, "eval", str(request)) == (2, "", f"eval: {line}\n")
+
+    @pytest.mark.parametrize("parity", ["sideways", "", ["even"], None])
+    def test_the_simple_type_refuses_an_unknown_parity_in_one_text(self, parity):
+        with pytest.raises(ValueError) as caught:
+            pairing.eval_simple_type(1, 0, 0, parity, 4)
+        assert str(caught.value) == f"parity must be 'even' or 'odd', got {parity!r}"
 
 
 class TestBench:
@@ -1229,15 +1271,6 @@ def test_a_reader_that_closes_at_once_gives_one_line_and_exit_2(tmp_path):
     assert (result.returncode, result.stderr) == (2, "gen: cannot write stdout: Broken pipe\n")
 
 
-_MOMENTS = {"label": "m", "moments": ["1"] * 8}
-
-
-def _request(**fields) -> str:
-    """A valid even ``eval`` request with ``fields`` replaced."""
-    functionals = {"mu_c": _MOMENTS, "mu_ctau": _MOMENTS}
-    return json.dumps({"parity": "even", "order": 4, "functionals": functionals, **fields})
-
-
 _ABOVE_CAP = str(MAX_ORDER + 1)
 
 #: 1024-bit moments over 21 distinct odd denominators: the t^40 entry of the
@@ -1426,6 +1459,9 @@ class TestEvalFuzz:
     @given(malformed_requests())
     # a result coefficient past the int -> str digit limit once exited 1
     @example(_HUGE_RESULT)
+    # a formula no table row can be looked up by: unhashable, or null
+    @example(_request(formula=["x"]))
+    @example(_request(formula=None))
     def test_a_malformed_request_is_one_line_and_exit_2(self, request):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "request.json"

@@ -289,6 +289,59 @@ def test_the_benchmark_tracer_installs_on_the_package(monkeypatch):
     blowup.series_set.cache_info()  # read when the tracer writes its file
 
 
+@pytest.mark.parametrize(
+    "parity, formula, second, traced",
+    [
+        ("even", "maina", "mu_ctau", "eval_even"),
+        ("even", "main-prime", "nu_c", "eval_even_main_prime"),
+        ("odd", "mainb", "nu_c", "eval_odd"),
+    ],
+)
+def test_the_eval_handler_calls_the_names_the_tracer_wraps(
+    monkeypatch, capsys, tmp_path, parity, formula, second, traced
+):
+    """``eval`` looks each formula up under its module name when it runs, so
+    the benchmark tracer, which rebinds those names, times every request."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    import tracing
+
+    from blowup_series import cli
+
+    moments = {"label": "m", "moments": ["1"] * 8}
+    request = tmp_path / "request.json"
+    request.write_text(
+        json.dumps({"parity": parity, "order": 4, "formula": formula, "functionals": {"mu_c": moments, second: moments}})
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["eval", str(request)])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert f"pairing.{traced}" in {name for name, *_ in tracer.spans}
+
+
+def test_each_formula_is_stated_once_in_the_pairing_table():
+    """Each provenance and request field ``pairing.py`` names, outside its
+    docstrings, stands in its formula tables: a formula is one row there."""
+    tree = ast.parse((SRC / "blowup_series" / "pairing.py").read_text())
+    names = {"maina", "main-prime", "mainb", "corollary-even", "corollary-odd", "mu_ctau", "nu_c"}
+
+    def named(node: ast.AST) -> Counter:
+        return Counter(
+            child.value for child in ast.walk(node) if isinstance(child, ast.Constant) and child.value in names
+        )
+
+    tables = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and {ast.unparse(t) for t in node.targets} & {"_FORMULAS", "_SIMPLE_TYPES"}
+    ]
+    stated = named(ast.Module(body=tables, type_ignores=[]))
+    assert set(stated) == names and named(tree) == stated
+
+
 def test_the_benchmark_tracer_runs_verify(tmp_path):
     """The traced CLI keeps what it binds: catalog reports, the ``jobs`` rerun,
     set sizes, and a span for each phase of the build, so that no layer of
