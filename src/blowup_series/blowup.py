@@ -114,10 +114,26 @@ def _e2_rest(b_pairs: Pairs, s_pairs: Pairs, m: int) -> Poly:
     )
 
 
+#: largest order any command serves.  The full set grows about as order^4.5
+#: (``bench`` at 128 and 256: 0.45 s and 10.1 s, medians of 3 runs on a 2-core
+#: Intel Xeon host with Python 3.11.7), so order 512 would take about four
+#: minutes; the checked pair alone, all that ``gen --series B|S`` builds,
+#: takes 0.06 s at order 129 and 0.93 s at 257 there (medians of 3)
+MAX_ORDER = 256
+
+
+def build_order(order: int) -> int:
+    """The order to build a set at so that every series in it reaches ``order``:
+    generation needs order >= 4, and ws0 and the Wronskian, formed from S' - B
+    and BS' - B'S, reach one order less than the pair."""
+    return max(order, 4) + 1
+
+
 def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     """Generate the blow-up pair (B, S) exactly through t^order.
 
-    ``order`` must be at least 4.  Each pair product b_i b_{d-i} and
+    ``order`` must be at least 4 and at most ``build_order(MAX_ORDER)``,
+    checked before the recurrence starts.  Each pair product b_i b_{d-i} and
     s_i s_{d-i} is formed once (:func:`hurwitz.pair_products`) and kept only
     while a later step reads it: (E4) at t^n reads the b-pairs of n + 4 and
     of n and the s-pairs of n, (E2) at t^(n+2) the b-pairs of n + 4 and the
@@ -131,6 +147,8 @@ def generate_pair(order: int) -> tuple[TSeries, TSeries]:
     """
     if order < 4:
         raise ValueError(f"generation needs order >= 4, got {order}")
+    if order > build_order(MAX_ORDER):
+        raise ValueError(f"generation serves order <= {build_order(MAX_ORDER)}, got {order}")
     top = order + 4  # extra guard so s_{order} is reachable
     # Hurwitz vectors: b[n] = n! [t^n] B and s[n] = n! [t^n] S
     b: list[Poly] = [[] for _ in range(top + 1)]
@@ -281,6 +299,9 @@ def series_set(order: int) -> BlowupSeriesSet:
 
 # ---------------------------------------------------------------------------
 # golden table
+
+#: the largest t-power the golden rows reach
+GOLDEN_ORDER = 16
 
 
 def _golden_bytes() -> bytes:

@@ -24,7 +24,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
-from .blowup import GenerationError, series_set
+from .blowup import MAX_ORDER, GenerationError, build_order, series_set
 
 SELECTORS = {
     "B": "b",
@@ -37,17 +37,6 @@ SELECTORS = {
     "BPLUS": "b_plus",
     "BMINUS": "b_minus",
 }
-
-#: the selectors whose series, in a set built at order N, reach only t^(N-1):
-#: ws0 solves its ODE from S' - B, known one order less than the pair
-_GUARDED = frozenset({"WS0"})
-
-#: largest order any command builds.  The full set grows about as order^4.5
-#: (``bench`` at 128 and 256: 0.45 s and 10.1 s, medians of 3 runs on a 2-core
-#: Intel Xeon host with Python 3.11.7), so order 512 would take about four
-#: minutes; the checked pair alone, all that ``gen --series B|S`` builds,
-#: takes 0.06 s at order 129 and 0.93 s at 257 there (medians of 3)
-MAX_ORDER = 256
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -118,10 +107,7 @@ def _check_order(order: int, least: int, reason: str = "") -> None:
 
 def _cmd_gen(args: SimpleNamespace) -> int:
     _check_order(args.order, 0)
-    # the recurrence needs at least order 4; a series that falls one order
-    # short of its set needs one guard order more to reach the requested order
-    internal = max(args.order, 4) + (args.series in _GUARDED)
-    series = getattr(series_set(internal), SELECTORS[args.series]).truncate(args.order)
+    series = getattr(series_set(build_order(args.order)), SELECTORS[args.series]).truncate(args.order)
 
     if args.format == "json":
         _emit(json.dumps(series.to_json(args.normalization), indent=2, sort_keys=True), args.output)

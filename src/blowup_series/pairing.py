@@ -36,7 +36,7 @@ series are split once per cached set (:func:`_set_split`).
 
 There is one universal pair, so an evaluation formula takes only its two
 functionals and the order, and reads the cached generated set
-``series_set(max(order, 4) + 1)``.
+``series_set(build_order(order))``, in which the Wronskian reaches the order.
 
 Tau-inserted data is always caller-supplied: real invariant data has to
 satisfy relations this module can check for consistency but deliberately
@@ -58,7 +58,7 @@ from operator import itemgetter
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .blowup import series_set
+from .blowup import MAX_ORDER, build_order, series_set
 from .derived import degeneration_form
 from .hurwitz import Poly, clean, divided, parts
 from .series import ReadOnly, TSeries, as_fraction, parse_pair
@@ -274,8 +274,7 @@ def _evaluate(function: str, first: MomentFunctional, second: MomentFunctional, 
     + pair(its second series, ``second``), the second halved where its row
     says; the first functional is checked first."""
     provenance, (_, _, (f, _), (g, _), half) = next((p, row) for p, row in _FORMULAS.items() if row[0] == function)
-    # generation needs order >= 4; a set built at N knows the Wronskian only through t^(N-1)
-    n = max(order, 4) + 1
+    n = build_order(order)
     a = _split_sums(_set_split(n, f)[: order + 1], first, 1)
     b = _split_sums(_set_split(n, g)[: order + 1], second, 2 if half else 1)
     return EvalResult(_plain(a, b), provenance)
@@ -362,7 +361,7 @@ def _eval_text(data: dict) -> str:
 
 
 def _cmd_eval(args: SimpleNamespace) -> int:
-    from .cli import EXIT_OK, MAX_ORDER, _emit, _UsageError
+    from .cli import EXIT_OK, _emit, _UsageError
 
     try:
         request = _load_json(args.request)

@@ -386,6 +386,10 @@ class TSeries(ReadOnly):
         if val < 0:
             raise SeriesError(f"series JSON field 'valuation' must be >= 0, got {val}")
         order = _json_int(data, "order")
+        from .blowup import MAX_ORDER, build_order
+
+        if order > build_order(MAX_ORDER):  # refused before the vector is padded to the order
+            raise SeriesError(f"series JSON field 'order' must be <= {build_order(MAX_ORDER)}, got {order}")
         # every literal is parsed, also past the order
         rows = [[_scalar(v) for v in item] for item in _json_coeffs(data)]
         if normalization == "plain":

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import hurwitz
 from .bivariate import UVMismatch, bb_tables, bbb_tables, table_mismatch
 from . import blowup
-from .blowup import BlowupSeriesSet, GenerationError, build_series_set
+from .blowup import GOLDEN_ORDER, BlowupSeriesSet, GenerationError, build_order, build_series_set
 from .derived import _quotient_order, degeneration_form, sha256_hex
 from .series import ReadOnly, SeriesError, TMismatch, TSeries, first_difference, plain_value
 
@@ -257,10 +257,10 @@ _GOLDEN_PAIRING: tuple[tuple[str, str], ...] = (
 def golden_diff(series_set: BlowupSeriesSet) -> "list[blowup.GoldenDiff]":
     """All disagreements between the set and the golden table (empty = match).
 
-    The derived series are built from the pair cut one order past the
+    The derived series are built from the pair cut at the build order of the
     golden rows' reach, not read from the set: no golden row needs more.
     """
-    top = min(series_set.order, max(row.order for row in blowup.golden_table().values()) + 1)
+    top = min(series_set.order, build_order(GOLDEN_ORDER))
     cut = blowup.assemble_set(series_set.b.truncate(top), series_set.s.truncate(top))
     return list(blowup._golden_diffs((row, name, getattr(cut, name)) for row, name in _GOLDEN_PAIRING))
 
@@ -297,15 +297,15 @@ CATALOG: tuple[IdentityDescriptor, ...] = (
 
 CATALOG_IDS: tuple[str, ...] = tuple(d.id for d in CATALOG)
 
-#: the golden table reaches t^16; it stays outside the catalog
-_GOLDEN = IdentityDescriptor("golden_table", UNIVARIATE, STATUS_APPENDIX, 16, _golden)
+#: the golden table stays outside the catalog
+_GOLDEN = IdentityDescriptor("golden_table", UNIVARIATE, STATUS_APPENDIX, GOLDEN_ORDER, _golden)
 
 
 def golden_check(series_set: BlowupSeriesSet) -> VerificationReport:
     """Exact comparison of the whole set against the embedded golden table."""
-    if series_set.order < 16:
-        raise SeriesError("the golden table reaches t^16; build the set at order >= 16")
-    return _GOLDEN.run(series_set, 16)
+    if series_set.order < GOLDEN_ORDER:
+        raise SeriesError(f"the golden table reaches t^{GOLDEN_ORDER}; build the set at order >= {GOLDEN_ORDER}")
+    return _GOLDEN.run(series_set, GOLDEN_ORDER)
 
 
 def run_catalog(
@@ -343,7 +343,7 @@ def _requested(descriptor: IdentityDescriptor, order: int, bivariate_order: int)
     return min(order, 4) if descriptor.check is _relations else order
 
 
-def capped_notes(reports: Iterable[VerificationReport], order: int, bivariate_order: int = 16) -> list[str]:
+def capped_notes(reports: Iterable[VerificationReport], order: int, bivariate_order: int) -> list[str]:
     """One line for each report whose order its row's cap put below the requested order."""
     rows = {d.id: d for d in CATALOG}
     notes = []
@@ -380,17 +380,15 @@ def verify_all(
     bivariate_order: int = 16,
     identities: "Iterable[str] | None" = None,
 ) -> list[VerificationReport]:
-    """Regenerate the pair at ``order`` and run the whole catalog.
+    """Regenerate the pair and run the whole catalog through ``order``.
 
-    The set is built one order above the request so that every check that
+    The set is built at ``build_order(order)``, so that every check that
     loses an order to differentiation still genuinely reaches ``order``.
-    Every argument is checked before the build starts; generation failures
-    propagate as :class:`GenerationError`.
+    Every argument, and the build's cap ``MAX_ORDER``, is checked before the
+    recurrence starts; generation failures propagate as :class:`GenerationError`.
     """
-    if order < 8:
-        raise ValueError(f"verification needs order >= 8, got {order}")
     selected = [d.id for d in _select(order, bivariate_order, identities)]
-    series_set = build_series_set(order + 1)
+    series_set = build_series_set(build_order(order))
     return run_catalog(series_set, order, bivariate_order=bivariate_order, identities=selected)
 
 
@@ -402,7 +400,7 @@ def verify_all(
 def _cmd_verify(args: SimpleNamespace) -> int:
     from .cli import EXIT_FAIL, EXIT_OK, _check_order, _emit, _UsageError, _write
 
-    _check_order(args.order, 8)
+    _check_order(args.order, 0)
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
     try:
@@ -423,10 +421,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 def _cmd_table(args: SimpleNamespace) -> int:
     from .cli import EXIT_FAIL, EXIT_OK, _check_order, _emit, _write
 
-    _check_order(args.order, 16, " to cover the golden table")
-    # the comparison builds its own derived series from the pair cut at t^17;
-    # the report's hash is that of the whole pair
-    series = blowup.assemble_set(*blowup.generate_pair(args.order + 1))
+    _check_order(args.order, GOLDEN_ORDER, " to cover the golden table")
+    # golden_diff builds its own derived series from a cut pair; the hash is the whole pair's
+    series = blowup.assemble_set(*blowup.generate_pair(build_order(args.order)))
     report = golden_check(series)
     lines = [json.dumps({**report.to_json(), "golden_hash": golden_table_hash()}, sort_keys=True)]
     # the report stops at the first difference; list them all only on failure
@@ -443,11 +440,11 @@ def _cmd_table(args: SimpleNamespace) -> int:
 def _cmd_bench(args: SimpleNamespace) -> int:
     from .cli import EXIT_OK, _check_order, _emit, _UsageError
 
-    _check_order(args.order, 4)
+    _check_order(args.order, 0)
     if args.bivariate_order < 0:
         raise _UsageError("--bivariate-order must be >= 0")
     start = time.perf_counter()
-    series = blowup.build_series_set(args.order + 1)
+    series = blowup.build_series_set(build_order(args.order))
     gen_ms = (time.perf_counter() - start) * 1000.0
     rows = [{"row": "generate", "order": args.order, "ms": gen_ms}]
     reports = run_catalog(series, args.order, bivariate_order=args.bivariate_order)

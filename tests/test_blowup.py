@@ -36,15 +36,55 @@ from blowup_series.derived import (
     series_content_hash,
 )
 from blowup_series.series import SeriesError, TSeries, first_difference
-from blowup_series.verify import golden_diff, golden_table_hash, run_catalog
+from blowup_series.pairing import MomentFunctional, eval_even
+from blowup_series.verify import golden_diff, golden_table_hash, run_catalog, verify_all
 
 X = XPoly.x()
+
+
+class _RecurrenceStarted(Exception):
+    """Raised by a stub of the first recurrence step."""
+
+
+def _refuse_recurrence(monkeypatch):
+    def started(*_):
+        raise _RecurrenceStarted
+
+    monkeypatch.setattr(blowup, "_e4_rest", started)
 
 
 class TestGeneration:
     def test_minimum_order(self):
         with pytest.raises(ValueError):
             generate_pair(3)
+
+    @pytest.mark.parametrize("build", [generate_pair, series_set, build_series_set])
+    def test_a_build_past_the_cap_is_refused_before_the_recurrence(self, monkeypatch, build):
+        _refuse_recurrence(monkeypatch)
+        top = blowup.build_order(blowup.MAX_ORDER)
+        with pytest.raises(ValueError, match=f"^generation serves order <= {top}, got {top + 1}$"):
+            build(top + 1)
+
+    @pytest.mark.parametrize(
+        "serve",
+        [verify_all, lambda order: eval_even(MomentFunctional("m", (1,)), MomentFunctional("m", (1,)), order)],
+        ids=["verify_all", "eval_even"],
+    )
+    def test_a_request_past_the_cap_is_refused_before_the_recurrence(self, monkeypatch, serve):
+        _refuse_recurrence(monkeypatch)
+        with pytest.raises(ValueError, match="^generation serves order <= "):
+            serve(blowup.MAX_ORDER + 1)
+
+    def test_the_cap_itself_starts_the_recurrence(self, monkeypatch):
+        """``build_order(MAX_ORDER)`` is served: the stubbed first step runs."""
+        _refuse_recurrence(monkeypatch)
+        with pytest.raises(_RecurrenceStarted):
+            generate_pair(blowup.build_order(blowup.MAX_ORDER))
+        with pytest.raises(_RecurrenceStarted):
+            verify_all(blowup.MAX_ORDER)
+
+    def test_the_golden_reach_is_the_largest_golden_order(self):
+        assert blowup.GOLDEN_ORDER == max(row.order for row in golden_table().values())
 
     def test_forced_low_coefficients(self):
         b, s = generate_pair(8)

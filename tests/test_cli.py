@@ -305,15 +305,10 @@ class TestGen:
             expected = guarded.truncate(order).to_json(normalization)
             assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", (selector, order)
 
-    @pytest.mark.parametrize("n", [4, 12, 64])
-    def test_a_selector_gets_the_guard_order_exactly_when_its_set_falls_short(
-        self, capsys, monkeypatch, n
-    ):
-        """A selector is guarded exactly when its series in the set built at n
-        is known only below t^n; ``gen`` builds the set at n for the others
-        and at n + 1 for a guarded one."""
-        short = {sel for sel, name in cli.SELECTORS.items() if getattr(blowup.series_set(n), name).order < n}
-        assert cli._GUARDED == short
+    @pytest.mark.parametrize("n", [0, 4, 12, 64])
+    def test_every_selector_asks_for_the_set_at_the_build_order(self, capsys, monkeypatch, n):
+        """``gen`` builds the set at ``build_order(n)`` for every selector, the
+        one order at which each series of the set reaches t^n."""
         asked = []
 
         def recorded(internal):
@@ -324,7 +319,7 @@ class TestGen:
         for selector in cli.SELECTORS:
             code, _, err = run(capsys, "gen", "--series", selector, "--order", str(n))
             assert code == 0, err
-        assert asked == [n + (selector in short) for selector in cli.SELECTORS]
+        assert asked == [blowup.build_order(n)] * len(cli.SELECTORS)
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.json"
@@ -358,8 +353,18 @@ class TestVerify:
         assert hashlib.sha256(canonical.encode()).hexdigest() == VERIFY_28_SHA256
 
     def test_below_minimum_order_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "--order", "4")
-        assert code == 2
+        assert run(capsys, "verify", "--order", "-1") == (2, "", "verify: --order must be >= 0\n")
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_low_order_is_served(self, capsys, n):
+        """Orders 0 to 7 run the whole catalog: each univariate and bivariate
+        row reports the order asked for, the relations row at most 4, and
+        no row is capped below the request."""
+        code, out, err = run(capsys, "verify", "--order", str(n))
+        assert code == 0, err
+        orders = {r["identity"]: r["order"] for r in map(json.loads, out.splitlines())}
+        assert orders == {i: min(n, 4) if i == "relations_coefficients" else n for i in CATALOG_IDS}
+        assert err == f"verify: all {len(CATALOG_IDS)} identities pass through their reported orders\n"
 
     def test_a_row_capped_below_the_request_is_named_on_stderr(self, capsys):
         """``bb`` asked for total degree 65 runs at its cap 64, and the note
@@ -431,6 +436,10 @@ class TestTable:
     def test_insufficient_order(self, capsys):
         code, _, err = run(capsys, "table", "--order", "12")
         assert code == 2
+
+    def test_the_floor_is_the_golden_reach_in_one_line(self, capsys):
+        line = "table: --order must be >= 16 to cover the golden table\n"
+        assert run(capsys, "table", "--order", "15") == (2, "", line)
 
     def test_table_builds_no_exponential_pair(self, capsys, monkeypatch):
         _refuse_groups(monkeypatch, "exponential_pair")
@@ -728,8 +737,18 @@ class TestBench:
         assert all(isinstance(r["ms"], float) and r["ms"] >= 0 for r in rows)
 
     def test_below_minimum_order(self, capsys):
-        code, _, _ = run(capsys, "bench", "--order", "2")
-        assert code == 2
+        assert run(capsys, "bench", "--order", "-1") == (2, "", "bench: --order must be >= 0\n")
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_low_order_is_served(self, capsys, n):
+        """Orders 0 to 7 time generation and every row, each row at the
+        order ``verify`` reports for it."""
+        code, out, err = run(capsys, "bench", "--order", str(n))
+        assert code == 0, err
+        rows = [(r["row"], r["order"]) for r in map(json.loads, out.splitlines())]
+        assert rows == [("generate", n)] + [
+            (i, min(n, 4) if i == "relations_coefficients" else n) for i in CATALOG_IDS
+        ]
 
     def test_work_grows_with_order(self, capsys):
         """Generation and the suite as a whole cost strictly more at order 28
@@ -1291,11 +1310,11 @@ _USAGE_ERRORS = {
     "eval-without-request": (["eval"], None),
     "gen-order-below-0": (["gen", "--series", "B", "--order", "-1"], None),
     "gen-order-above-cap": (["gen", "--series", "B", "--order", _ABOVE_CAP], None),
-    "verify-order-below-8": (["verify", "--order", "7"], None),
+    "verify-order-below-0": (["verify", "--order", "-1"], None),
     "verify-order-above-cap": (["verify", "--order", _ABOVE_CAP], None),
     "table-order-below-16": (["table", "--order", "15"], None),
     "table-order-above-cap": (["table", "--order", _ABOVE_CAP], None),
-    "bench-order-below-4": (["bench", "--order", "3"], None),
+    "bench-order-below-0": (["bench", "--order", "-1"], None),
     "bench-order-above-cap": (["bench", "--order", _ABOVE_CAP], None),
     "eval-order-below-0": (["eval", "REQUEST"], _request(order=-1)),
     "eval-order-above-cap": (["eval", "REQUEST"], _request(order=MAX_ORDER + 1)),

@@ -20,8 +20,9 @@ from helpers_oracles import (
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blowup_series import cli, series_set
+from blowup_series import series_set
 from blowup_series.algebra import XPoly, parse_rational
+from blowup_series.blowup import build_order
 from blowup_series.cli import main
 from blowup_series.hurwitz import clean
 from blowup_series.pairing import (
@@ -420,13 +421,12 @@ class TestParityChains:
 
 def test_in_a_set_built_at_n_only_ws0_and_the_wronskian_fall_short():
     """The set built at 10 knows ws0 and the Wronskian through t^9 and every
-    other series through t^10 or further: ``gen`` guards exactly the selectors
-    whose series fall short, and the formulas read a set one order higher."""
-    st10 = series_set(10)
+    other series through t^10 or further, so every command and formula reads
+    the set built at ``build_order(n)``, where each series reaches t^n."""
     names = ("b", "s", "b2", "s2", "bs", "wronskian", "b_plus", "b_minus", "b0", "btau", "ws0", "ws1")
-    orders = {name: getattr(st10, name).order for name in names}
+    orders = {name: getattr(series_set(10), name).order for name in names}
     assert {name: n for name, n in orders.items() if n < 10} == {"ws0": 9, "wronskian": 9}
-    assert cli._GUARDED == {sel for sel, name in cli.SELECTORS.items() if orders[name] < 10}
+    assert all(getattr(series_set(build_order(10)), name).order >= 10 for name in names)
 
 
 def test_a_result_past_the_digit_limit_is_one_line_and_exit_2(capsys, tmp_path):

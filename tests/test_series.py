@@ -103,6 +103,17 @@ class TestConstruction:
             make()
         assert "\n" not in str(raised.value)
 
+    @pytest.mark.parametrize("normalization", ["plain", "factorial"])
+    def test_an_order_past_the_cap_is_refused(self, normalization):
+        """Series JSON that declares an order past ``build_order(MAX_ORDER)``
+        is refused, naming the field, before its vector is padded; the cap
+        itself is read."""
+        top = blowup.build_order(blowup.MAX_ORDER)
+        data = TSeries.monomial(1, 1, 3).to_json(normalization)
+        with pytest.raises(SeriesError, match=f"^series JSON field 'order' must be <= {top}, got {top + 1}$"):
+            TSeries.from_json({**data, "order": top + 1})
+        assert TSeries.from_json({**data, "order": top}).order == top
+
     @pytest.mark.parametrize(
         "make, h",
         [

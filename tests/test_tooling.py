@@ -189,19 +189,25 @@ _FILE_OPENERS = {
 }
 
 
-def _file_opening_calls(node: ast.AST, owner: str = ""):
-    """``(function, call)`` of each ``open``, ``os.open``, ``read_text`` or
-    ``read_bytes`` call under ``node``, named by its enclosing function."""
+def _calls(node: ast.AST, owner: str = ""):
+    """``(function, call, name)`` of each call under ``node``: its enclosing
+    function and the name it calls, ``open`` for both ``open`` and ``os.open``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _file_opening_calls(child, f"{owner}.{child.name}" if owner else child.name)
+            yield from _calls(child, f"{owner}.{child.name}" if owner else child.name)
             continue
         if isinstance(child, ast.Call):
             func = child.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("open", "read_text", "read_bytes"):
-                yield owner, ast.unparse(func)
-        yield from _file_opening_calls(child, owner)
+            yield owner, child, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        yield from _calls(child, owner)
+
+
+def _file_opening_calls(node: ast.AST):
+    """``(function, call)`` of each ``open``, ``os.open``, ``read_text`` or
+    ``read_bytes`` call under ``node``, named by its enclosing function."""
+    for owner, call, name in _calls(node):
+        if name in ("open", "read_text", "read_bytes"):
+            yield owner, ast.unparse(call.func)
 
 
 def test_user_input_is_read_only_through_the_eval_reader():
@@ -340,6 +346,36 @@ def test_each_formula_is_stated_once_in_the_pairing_table():
     ]
     stated = named(ast.Module(body=tables, type_ignores=[]))
     assert set(stated) == names and named(tree) == stated
+
+
+def test_every_order_rule_is_stated_once_in_blowup():
+    """Outside ``blowup.py``, a build is asked for at ``build_order(...)`` or at
+    an order a caller already worked out, never at an order computed on the
+    spot; ``MAX_ORDER`` and ``GOLDEN_ORDER`` are assigned in ``blowup.py``
+    only, and ``max(..., 4)`` appears only in ``build_order``."""
+    builds = {"series_set", "build_series_set", "generate_pair", "_set_split"}
+    computed, floors, assigned = [], [], set()
+    for path in sorted((SRC / "blowup_series").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for owner, call, name in _calls(tree):
+            if name == "max" and any(isinstance(a, ast.Constant) and a.value == 4 for a in call.args):
+                floors.append(f"{path.stem}.{owner}")
+            order = call.args[0] if call.args else None
+            asked = isinstance(order, ast.Name) or (
+                isinstance(order, ast.Call) and getattr(order.func, "id", None) == "build_order"
+            )
+            if name in builds and path.stem != "blowup" and not asked:
+                computed.append(f"{path.stem}.{owner}: {ast.unparse(call)}")
+        assigned |= {
+            (path.stem, target.id)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id in ("MAX_ORDER", "GOLDEN_ORDER")
+        }
+    assert computed == []
+    assert floors == ["blowup.build_order"]
+    assert assigned == {("blowup", "MAX_ORDER"), ("blowup", "GOLDEN_ORDER")}
 
 
 def test_the_benchmark_tracer_runs_verify(tmp_path):

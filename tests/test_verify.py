@@ -471,8 +471,8 @@ class TestRelationsAndGolden:
 
 class TestRunCatalogAndVerifyAll:
     def test_minimum_order(self):
-        with pytest.raises(ValueError):
-            verify_all(4)
+        with pytest.raises(ValueError, match="orders must be >= 0, got -1"):
+            verify_all(-1)
 
     def test_reports_in_catalog_order(self, set17):
         reports = run_catalog(set17, 12, bivariate_order=8)
@@ -526,7 +526,7 @@ class TestRunCatalogAndVerifyAll:
     @pytest.mark.parametrize(
         "arguments",
         [
-            {"order": 4},
+            {"order": -1},
             {"bivariate_order": -1},
             {"identities": ["nope"]},
             {"identities": ["bb", "nope"]},
